@@ -16,9 +16,9 @@ BENCH_BASE ?= BENCH_PR9.json
 BENCH_GATE ?= SystemScale|MessageRoundTrip|MonitorTick|WindowSnapshot|TopKObserve|E8BudgetAllocation|WireCoalesced|HistoryRecord|WALAppend|LatencyRecord
 BENCH_MAXREGRESS ?= 10
 
-.PHONY: check vet build test race benchsmoke bench bench-compare lint chaos-smoke recovery-smoke cover
+.PHONY: check vet build test race benchsmoke bench bench-compare lint chaos-smoke recovery-smoke cover repro-check bench-smoke
 
-check: lint build race benchsmoke
+check: lint build race benchsmoke repro-check bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -62,6 +62,18 @@ recovery-smoke:
 	mkdir -p artifacts
 	$(GO) build -o artifacts/kfserver ./cmd/kfserver
 	$(GO) run ./cmd/streamkf recovery -server artifacts/kfserver -wal-dir artifacts/recovery_wal -report artifacts/recovery_report.json
+
+# repro-check is the reproduction gate: the full E1–E13 run must come out
+# byte-for-byte as committed in experiments_full.txt, so no change to the
+# protocol path can move an experiment table unnoticed.
+repro-check:
+	$(GO) run ./cmd/streamkf run -ticks 50000 all | diff - experiments_full.txt
+
+# bench-smoke compiles the deployed-path benchmark (bench/, a module of
+# its own that the root build never sees) against the current wire/server
+# API and runs its four workloads at smoke scale against a real kfserver.
+bench-smoke:
+	$(GO) -C bench test ./...
 
 # cover runs the full test suite with an atomic-mode coverage profile
 # and writes both the raw profile and the per-function summary under

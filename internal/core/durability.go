@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"kalmanstream/internal/netsim"
-	"kalmanstream/internal/source"
 	"kalmanstream/internal/wal"
 )
 
@@ -21,17 +20,15 @@ import (
 // after Attach, so cross-process recovery re-attaches first and the
 // in-process crash primitive is RestartServer.
 func (s *System) openWAL(cfg SystemConfig) error {
-	log, err := wal.Open(wal.Options{
+	s.walOpts = wal.Options{
 		Dir:          cfg.WALDir,
 		SegmentBytes: cfg.WALSegmentBytes,
 		Registry:     cfg.Telemetry,
-	})
+	}
+	log, err := wal.Open(s.walOpts)
 	if err != nil {
 		return err
 	}
-	s.walDir = cfg.WALDir
-	s.walSegB = cfg.WALSegmentBytes
-	s.walReg = cfg.Telemetry
 	s.walCkptEvery = cfg.CheckpointEveryTicks
 	s.armWAL(log)
 	return nil
@@ -72,10 +69,7 @@ func (s *System) CheckpointWAL() error {
 	if s.walLog == nil {
 		return fmt.Errorf("core: system has no write-ahead log")
 	}
-	return s.walLog.WriteCheckpoint(&wal.Checkpoint{
-		Seq:     s.walLog.Seq(),
-		Streams: s.srv.CheckpointStates(),
-	})
+	return s.walLog.WriteCheckpoint(s.srv.Checkpoint(s.walLog))
 }
 
 // RestartServer kills and recovers the server in place: every replica
@@ -94,42 +88,12 @@ func (s *System) RestartServer() (wal.RecoveryStats, error) {
 	if s.walLog == nil {
 		return wal.RecoveryStats{}, fmt.Errorf("core: system has no write-ahead log")
 	}
-	s.srv.SetApplyHook(nil)
 	s.srv.Reset()
-	log, err := wal.Open(wal.Options{Dir: s.walDir, SegmentBytes: s.walSegB, Registry: s.walReg})
+	log, err := wal.Open(s.walOpts)
 	if err != nil {
 		return wal.RecoveryStats{}, fmt.Errorf("core: reopening wal: %w", err)
 	}
-	var scratch netsim.Message
-	stats, err := log.Restore(
-		func(c *wal.Checkpoint) error {
-			for _, cs := range c.Streams {
-				if err := s.srv.RestoreStream(cs); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		func(typ wal.RecordType, tick int64, payload []byte) error {
-			switch typ {
-			case wal.RecRegister:
-				rec, derr := wal.DecodeRegister(payload)
-				if derr != nil {
-					return derr
-				}
-				if rerr := s.srv.Register(rec.ID, rec.Spec, rec.Delta); rerr != nil {
-					return rerr
-				}
-				return s.srv.SetNorm(rec.ID, source.Norm(rec.Norm))
-			case wal.RecMessage:
-				if derr := netsim.DecodeInto(&scratch, payload); derr != nil {
-					return derr
-				}
-				return s.srv.ReplayMessage(tick, &scratch)
-			default:
-				return fmt.Errorf("core: unexpected wal record type %d", typ)
-			}
-		})
+	stats, err := s.srv.Recover(log, 0)
 	if err != nil {
 		return stats, fmt.Errorf("core: recovering server: %w", err)
 	}

@@ -318,9 +318,7 @@ type System struct {
 
 	// Durability wiring (nil/zero when SystemConfig.WALDir was unset).
 	walLog       *wal.Log
-	walDir       string
-	walSegB      int
-	walReg       *telemetry.Registry
+	walOpts      wal.Options // kept to reopen the directory in RestartServer
 	walCkptEvery int64
 }
 

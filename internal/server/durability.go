@@ -1,9 +1,10 @@
 // Durability support: the hooks and restore paths the write-ahead log
 // (internal/wal) uses to persist and recover the replica cache. The
-// server itself stays storage-agnostic — it exposes an apply hook fired
-// under the shard lock (so appends observe exactly the apply order),
-// checkpoint capture, and quiet replay primitives; the wal package and
-// the wire/core layers own the files and the recovery protocol.
+// server owns no files — it exposes apply and register hooks fired under
+// the shard lock (so a stream's records are logged in exactly the order
+// they took effect), the checkpoint cut, and the one recovery routine;
+// the wal package owns the files, and the wire/core drivers decide when
+// to sync, checkpoint and recover.
 
 package server
 
@@ -29,15 +30,28 @@ import (
 // re-log the records it is reading.
 func (s *Server) SetApplyHook(fn func(tick int64, m *netsim.Message)) { s.onApply = fn }
 
-// CheckpointStates captures every stream's full durable state, sorted
-// by stream ID. Call at a quiescent point: no concurrent applies whose
-// log records would be misattributed around the checkpoint's sequence
-// (the wire server holds its big lock; the core system checkpoints
-// between ticks).
-func (s *Server) CheckpointStates() []wal.StreamState {
-	out := make([]wal.StreamState, 0, s.Len())
+// SetRegisterHook installs fn, called under the shard write lock before a
+// newly registered stream becomes visible; an error aborts the
+// registration. Because the stream's first message needs the same lock,
+// its register record always precedes its messages in the log. Same
+// contract as SetApplyHook; an adopted re-registration changes no durable
+// state and does not fire it, and neither does Recover.
+func (s *Server) SetRegisterHook(fn func(id string, spec predictor.Spec, delta float64) error) {
+	s.onRegister = fn
+}
+
+// Checkpoint takes the checkpoint cut: with every shard read-locked (in
+// index order) no apply or registration is in flight, so log.Seq() and
+// the captured stream states, sorted by ID, describe the same instant —
+// every record below Seq is in the states, every record at or above it is
+// not. The caller writes the checkpoint after the locks are released, so
+// a slow fsync never stalls the data path.
+func (s *Server) Checkpoint(log *wal.Log) *wal.Checkpoint {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
+	}
+	c := &wal.Checkpoint{Seq: log.Seq(), Streams: make([]wal.StreamState, 0, s.Len())}
+	for _, sh := range s.shards {
 		for _, st := range sh.order {
 			cs := wal.StreamState{
 				ID:            st.id,
@@ -56,12 +70,57 @@ func (s *Server) CheckpointStates() []wal.StreamState {
 			if snap, ok := st.replica.(predictor.Snapshotter); ok {
 				cs.Snapshot = snap.Snapshot()
 			}
-			out = append(out, cs)
+			c.Streams = append(c.Streams, cs)
 		}
+	}
+	for _, sh := range s.shards {
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	sort.Slice(c.Streams, func(i, j int) bool { return c.Streams[i].ID < c.Streams[j].ID })
+	return c
+}
+
+// Recover is the one recovery routine: it replays a log directory into
+// the (empty) server — the newest checkpoint restores every stream
+// wholesale, then the records at or after its sequence replay in log
+// order: registrations re-create their stream, messages re-apply at the
+// tick the log recorded for them. Call it before installing the hooks, so
+// nothing it replays is logged again. Every recovered stream starts
+// unowned and last heard at now: it is exactly as live as the server is,
+// so restarting never declares the whole population stale and blasts
+// resync requests at it. Watchdogs are left disarmed; a tick driver
+// catches the replicas up (CatchUp) and re-arms them afterwards.
+func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
+	var scratch netsim.Message
+	return log.Restore(
+		func(c *wal.Checkpoint) error {
+			for _, cs := range c.Streams {
+				if err := s.RestoreStream(cs, now); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func(typ wal.RecordType, tick int64, payload []byte) error {
+			switch typ {
+			case wal.RecRegister:
+				rec, err := wal.DecodeRegister(payload)
+				if err != nil {
+					return err
+				}
+				if err := s.register(rec.ID, rec.Spec, rec.Delta, false, nil, now); err != nil {
+					return err
+				}
+				return s.SetNorm(rec.ID, source.Norm(rec.Norm))
+			case wal.RecMessage:
+				if err := netsim.DecodeInto(&scratch, payload); err != nil {
+					return err
+				}
+				return s.ReplayMessage(tick, &scratch)
+			default:
+				return fmt.Errorf("server: unexpected wal record type %d", typ)
+			}
+		})
 }
 
 // RestoreStream re-creates one stream from a checkpoint state: the
@@ -69,9 +128,10 @@ func (s *Server) CheckpointStates() []wal.StreamState {
 // and every piece of server bookkeeping set to the captured values.
 // The watchdog is left disarmed — re-arm it (and only then resume
 // ticking) after recovery completes, so a replayed silent stretch
-// cannot fire spurious resync requests.
-func (s *Server) RestoreStream(cs wal.StreamState) error {
-	if err := s.Register(cs.ID, cs.Spec, cs.RegisterDelta); err != nil {
+// cannot fire spurious resync requests. now is when the stream counts as
+// last heard (see Recover).
+func (s *Server) RestoreStream(cs wal.StreamState, now int64) error {
+	if err := s.register(cs.ID, cs.Spec, cs.RegisterDelta, false, nil, now); err != nil {
 		return err
 	}
 	sh := s.shardFor(cs.ID)
@@ -100,40 +160,28 @@ func (s *Server) RestoreStream(cs wal.StreamState) error {
 }
 
 // ReplayMessage re-applies one logged message during recovery: the
-// replica is stepped quietly to the recorded apply tick (no history
-// archiving, no watchdog checks — those effects either belong to
-// subsystems that are not durable or were already delivered before the
-// crash) and the message applied without firing the durability hook.
+// replica is stepped to the recorded apply tick and the message applied
+// without firing the durability hook — replaying a record back into the
+// log would double it.
 func (s *Server) ReplayMessage(tick int64, m *netsim.Message) error {
-	sh := s.shardFor(m.StreamID)
-	sh.mu.Lock()
+	sh, st, err := s.lock(m.StreamID)
+	if err != nil {
+		return err
+	}
 	defer sh.mu.Unlock()
-	st, ok := sh.streams[m.StreamID]
-	if !ok {
-		return fmt.Errorf("server: %w: %q", ErrUnknownStream, m.StreamID)
-	}
-	for st.tick < tick {
-		st.replica.Step()
-		st.tick++
-	}
-	return s.applyMessageLocked(st, m)
+	return s.applyAt(st, tick, m, false)
 }
 
-// CatchUp quietly steps a stream's replica forward to the target tick —
-// the recovery epilogue that brings replayed streams level with the
-// system clock before watchdogs re-arm and ticking resumes.
+// CatchUp steps a stream's replica forward to the target tick — the
+// recovery epilogue that brings replayed streams level with the system
+// clock before watchdogs re-arm and ticking resumes.
 func (s *Server) CatchUp(id string, tick int64) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
+	sh, st, err := s.lock(id)
+	if err != nil {
+		return err
+	}
 	defer sh.mu.Unlock()
-	st, ok := sh.streams[id]
-	if !ok {
-		return fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
-	}
-	for st.tick < tick {
-		st.replica.Step()
-		st.tick++
-	}
+	s.stepTo(st, tick)
 	return nil
 }
 

@@ -8,7 +8,20 @@ import (
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/source"
+	"kalmanstream/internal/wal"
 )
+
+// checkpointStates takes the checkpoint cut against an empty log and
+// returns the captured stream states.
+func checkpointStates(t *testing.T, s *Server) []wal.StreamState {
+	t.Helper()
+	log, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	return s.Checkpoint(log).Streams
+}
 
 func kalmanSpec() predictor.Spec {
 	return predictor.Spec{Kind: predictor.KindKalman,
@@ -154,7 +167,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	driveWorkload(t, ctrl, ids, kalmanSpec(), nil)
 
-	states := ctrl.CheckpointStates()
+	states := checkpointStates(t, ctrl)
 	if len(states) != len(ids) {
 		t.Fatalf("checkpoint has %d streams, want %d", len(states), len(ids))
 	}
@@ -166,7 +179,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 
 	recovered := New()
 	for _, cs := range states {
-		if err := recovered.RestoreStream(cs); err != nil {
+		if err := recovered.RestoreStream(cs, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,14 +275,14 @@ func TestRestoreStreamRejectsBadSnapshot(t *testing.T) {
 	if err := ctrl.Register("a", kalmanSpec(), 0.5); err != nil {
 		t.Fatal(err)
 	}
-	cs := ctrl.CheckpointStates()[0]
+	cs := checkpointStates(t, ctrl)[0]
 	cs.Snapshot = cs.Snapshot[:1] // wrong length for the kind
-	if err := s.RestoreStream(cs); err == nil {
+	if err := s.RestoreStream(cs, 0); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
-	cs2 := ctrl.CheckpointStates()[0]
+	cs2 := checkpointStates(t, ctrl)[0]
 	cs2.ID = ""
-	if err := s.RestoreStream(cs2); err == nil {
+	if err := s.RestoreStream(cs2, 0); err == nil {
 		t.Fatal("empty stream id accepted")
 	}
 }

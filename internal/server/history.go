@@ -70,13 +70,11 @@ func (h *history) at(tick int64) (HistoryEntry, bool) {
 // begins, i.e. after all of a tick's corrections have settled, so history
 // reflects exactly what a client querying at that tick would have seen.
 func (s *Server) EnableHistory(id string, capacity int) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.streams[id]
-	if !ok {
-		return fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
+	sh, st, err := s.lock(id)
+	if err != nil {
+		return err
 	}
+	defer sh.mu.Unlock()
 	if capacity <= 0 {
 		return fmt.Errorf("server: history capacity %d must be positive", capacity)
 	}
@@ -93,15 +91,7 @@ func (st *streamState) archive() {
 	if st.history == nil || st.tick == 0 {
 		return
 	}
-	var est []float64
-	bound := st.delta
-	if st.lastValueTick == st.tick && st.lastValue != nil {
-		est = make([]float64, len(st.lastValue))
-		copy(est, st.lastValue)
-		bound = 0
-	} else {
-		est = st.replica.Predict()
-	}
+	est, bound := st.answer()
 	st.history.add(HistoryEntry{Tick: st.tick - 1, Estimate: est, Bound: bound})
 }
 

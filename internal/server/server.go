@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,6 +58,9 @@ type StreamInfo struct {
 	LastCorrectionTick int64
 	// Corrections is the number of corrections applied.
 	Corrections int64
+	// Sent and Suppressed read the stream's corrections_sent_total and
+	// corrections_suppressed_total (zero on a server without telemetry).
+	Sent, Suppressed int64
 	// Staleness is Tick − LastCorrectionTick.
 	Staleness int64
 	// Stale reports whether the staleness watchdog currently has the
@@ -94,17 +98,25 @@ type streamState struct {
 	lastTrace uint64
 
 	// Staleness-watchdog state (see watchdog.go). wdDeadline <= 0 means
-	// disarmed; wdLastReq is the staleness at which the last resync
-	// request was issued, so requests repeat every wdDeadline ticks of
-	// continued silence.
+	// the tick watchdog is disarmed; wdLastReq is the silence at which the
+	// last resync request was issued, so requests repeat every deadline of
+	// continued silence. For a source on its own clock, heard is when it
+	// last sent anything (the driver's nanoseconds) and owner the opaque
+	// push target: the connection that registered it, nil once that is gone.
 	wdDeadline int64
 	wdLastReq  int64
 	stale      bool
 	feedback   func(*netsim.Message)
+	heard      int64
+	owner      any
 
 	// telemetry handles; nil unless the hosting server has a registry.
+	// telDup is created on the stream's first dropped duplicate.
 	telQueries    *telemetry.Counter
 	telStaleness  *telemetry.Histogram
+	telSent       *telemetry.Counter
+	telSuppressed *telemetry.Counter
+	telDup        *telemetry.Counter
 	telStale      *telemetry.Gauge
 	telStaleTotal *telemetry.Counter
 	telResyncReqs *telemetry.Counter
@@ -139,6 +151,10 @@ type Server struct {
 	// under the shard lock — the write-ahead log's append hook. See
 	// SetApplyHook.
 	onApply func(tick int64, m *netsim.Message)
+	// onRegister, when set, fires before a new stream becomes visible,
+	// under the shard lock — the log's registration hook. See
+	// SetRegisterHook.
+	onRegister func(id string, spec predictor.Spec, delta float64) error
 }
 
 // SetStaleHook installs fn to be called each time the watchdog marks a
@@ -198,11 +214,12 @@ func (s *Server) ShardSizes() []int {
 	return out
 }
 
-// SetTelemetry attaches a registry; point queries on streams registered
-// afterwards record per-stream query counts and answer staleness. Call it
-// before Register and before any concurrent use. The single-process
-// evaluation harness leaves this unset, keeping its hot loop untouched;
-// the wire server and cmd/kfserver always set it.
+// SetTelemetry attaches a registry; streams registered afterwards keep
+// per-stream series on it: query counts and answer staleness, corrections
+// sent and suppressed, the registered δ. Call it before Register and
+// before any concurrent use. The single-process evaluation harness leaves
+// this unset, keeping its hot loop untouched; the wire server and
+// cmd/kfserver always set it.
 func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 	s.tel = reg
 }
@@ -222,27 +239,58 @@ func (s *Server) SetTrace(j *trace.Journal) {
 // initial δ must match the source's; in the wire protocol they are carried
 // by the registration payload, so mismatch is impossible by construction.
 func (s *Server) Register(id string, spec predictor.Spec, delta float64) error {
+	return s.register(id, spec, delta, false, nil, 0)
+}
+
+// Adopt is Register for a source on its own clock (a wire connection):
+// owner is the opaque push target for the watchdog's resync requests and
+// now the arrival time in the driver's nanoseconds. A reconnecting source
+// announcing an identical registration adopts the existing replica — its
+// advanced state survives the connection, which is what lets a reconnect
+// resume mid-stream — and the announcement counts as traffic (the source
+// is demonstrably alive, and a forced resync follows on its next
+// correction). A different spec or δ is a conflict and is rejected.
+func (s *Server) Adopt(id string, spec predictor.Spec, delta float64, owner any, now int64) error {
+	return s.register(id, spec, delta, true, owner, now)
+}
+
+func (s *Server) register(id string, spec predictor.Spec, delta float64, adopt bool, owner any, now int64) error {
 	if id == "" {
 		return fmt.Errorf("server: empty stream id")
 	}
 	if delta < 0 {
 		return fmt.Errorf("server: negative delta %g for %s", delta, id)
 	}
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if st, ok := sh.streams[id]; ok {
+		if !adopt {
+			return fmt.Errorf("server: stream %q already registered", id)
+		}
+		if !reflect.DeepEqual(st.spec, spec) || st.registerDelta != delta {
+			return fmt.Errorf("server: stream %q re-registered with a different spec or delta", id)
+		}
+		st.owner, st.heard, st.wdLastReq = owner, now, 0
+		return nil
+	}
 	replica, err := spec.Build()
 	if err != nil {
 		return fmt.Errorf("server: building replica for %s: %w", id, err)
 	}
+	if s.onRegister != nil {
+		if err := s.onRegister(id, spec, delta); err != nil {
+			return fmt.Errorf("server: logging registration of %s: %w", id, err)
+		}
+	}
 	st := &streamState{id: id, replica: replica, spec: spec, registerDelta: delta,
-		delta: delta, lastCorr: -1, lastValueTick: -1}
+		delta: delta, lastCorr: -1, lastValueTick: -1, owner: owner, heard: now}
 	if s.tel != nil {
 		st.telQueries = s.tel.Counter("server_queries_total", "stream", id)
 		st.telStaleness = s.tel.Histogram("query_staleness_ticks", telemetry.StalenessBuckets, "stream", id)
-	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.streams[id]; ok {
-		return fmt.Errorf("server: stream %q already registered", id)
+		st.telSent = s.tel.Counter("corrections_sent_total", "stream", id)
+		st.telSuppressed = s.tel.Counter("corrections_suppressed_total", "stream", id)
+		s.tel.Gauge("stream_delta", "stream", id).Set(delta)
 	}
 	sh.streams[id] = st
 	sh.order = append(sh.order, st)
@@ -252,12 +300,11 @@ func (s *Server) Register(id string, spec predictor.Spec, delta float64) error {
 
 // Unregister removes a stream.
 func (s *Server) Unregister(id string) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.streams[id]; !ok {
-		return fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
+	sh, _, err := s.lock(id)
+	if err != nil {
+		return err
 	}
+	defer sh.mu.Unlock()
 	delete(sh.streams, id)
 	for i, st := range sh.order {
 		if st.id == id {
@@ -289,68 +336,114 @@ func (s *Server) TickShard(i int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, st := range sh.order {
+		s.stepTo(st, st.tick+1)
+	}
+}
+
+// TickStream advances a single stream's replica by one time step.
+func (s *Server) TickStream(id string) error {
+	sh, st, err := s.lock(id)
+	if err != nil {
+		return err
+	}
+	defer sh.mu.Unlock()
+	s.stepTo(st, st.tick+1)
+	return nil
+}
+
+// stepTo is the one time-update loop, under the shard write lock: it
+// rolls the replica forward to tick, archiving each settled answer and
+// running the tick watchdog on each new tick. The global clock, a
+// source's own clock (Ingest, QueryAt) and recovery replay all drive it;
+// recovered streams have neither history nor an armed watchdog, so replay
+// is quiet by construction.
+func (s *Server) stepTo(st *streamState, tick int64) {
+	for st.tick < tick {
 		st.archive()
 		st.replica.Step()
 		st.tick++
-		s.watchdogCheck(st)
+		if st.wdDeadline > 0 {
+			s.watchdogTick(st)
+		}
 	}
 }
 
-// TickStream advances a single stream's replica (for sources on
-// independent clocks).
-func (s *Server) TickStream(id string) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.streams[id]
-	if !ok {
-		return fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
-	}
-	st.archive()
-	st.replica.Step()
-	st.tick++
-	s.watchdogCheck(st)
-	return nil
-}
-
-// Apply ingests a protocol message (normally a correction).
+// Apply ingests a protocol message (normally a correction) at the
+// stream's current tick: the global-clock driver has already stepped the
+// replica, and applies exactly what the link delivers — duplicates and
+// reordered messages included.
 func (s *Server) Apply(m *netsim.Message) error {
-	sh := s.shardFor(m.StreamID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.streams[m.StreamID]
-	if !ok {
-		return fmt.Errorf("server: %w: %q", ErrUnknownStream, m.StreamID)
-	}
-	if err := s.applyMessageLocked(st, m); err != nil {
+	sh, st, err := s.lock(m.StreamID)
+	if err != nil {
 		return err
 	}
-	if s.onApply != nil {
-		s.onApply(st.tick, m)
+	defer sh.mu.Unlock()
+	return s.applyAt(st, st.tick, m, true)
+}
+
+// MaxAdvancePerMessage bounds how far a single correction or query may
+// roll a replica forward. Without it, one malicious or corrupted message
+// with a huge tick would spin the server for an unbounded number of
+// replica steps while holding the shard lock.
+const MaxAdvancePerMessage = 10_000_000
+
+// checkAdvance refuses a tick beyond MaxAdvancePerMessage; callers run it
+// before touching any state. (tick − st.tick, not tick+1, so the largest
+// int64 cannot wrap past the limit.)
+func checkAdvance(st *streamState, tick int64) error {
+	if steps := tick - st.tick; steps >= MaxAdvancePerMessage {
+		return fmt.Errorf("server: tick %d would advance stream %q by more than %d steps",
+			tick, st.id, int64(MaxAdvancePerMessage))
 	}
 	return nil
 }
 
-// applyMessageLocked performs the state update for one message, under
-// the shard write lock. Shared by Apply (which additionally fires the
-// durability hook) and ReplayMessage (which must not — replaying a
-// record back into the log would double it).
-func (s *Server) applyMessageLocked(st *streamState, m *netsim.Message) error {
+// Ingest applies a message from a source on its own clock, all in one
+// shard-lock hold: the replica is first rolled forward so that ticks
+// [0, m.Tick] have been stepped, and now (the driver's nanoseconds) is
+// noted as the last time the stream was heard. A message at or before the
+// last applied tick is dropped and counted (applied false): a reconnecting
+// source may replay a tail the server already applied, and applying a
+// correction twice would double-step the replica. recovered reports that
+// the message cleared a stale verdict.
+func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, err error) {
+	sh, st, err := s.lock(m.StreamID)
+	if err != nil {
+		return false, false, err
+	}
+	defer sh.mu.Unlock()
+	if m.Tick <= st.lastCorr {
+		if s.tel != nil {
+			if st.telDup == nil {
+				st.telDup = s.tel.Counter("wire_duplicates_dropped_total", "stream", st.id)
+			}
+			st.telDup.Inc()
+		}
+		return false, false, nil
+	}
+	if err := checkAdvance(st, m.Tick); err != nil {
+		return false, false, err
+	}
+	recovered = st.stale
+	if err := s.applyAt(st, max(st.tick, m.Tick+1), m, true); err != nil {
+		return false, false, err
+	}
+	st.heard = now
+	return true, recovered, nil
+}
+
+// applyAt is the one apply body, under the shard write lock: step the
+// replica to tick, perform the message's state update, count it, and —
+// live, as opposed to replayed from the log — fire the durability hook.
+func (s *Server) applyAt(st *streamState, tick int64, m *netsim.Message, live bool) error {
+	steps := tick - st.tick
+	s.stepTo(st, tick)
+	value := m.Value
 	switch m.Kind {
 	case netsim.KindCorrection:
 		if err := st.replica.Correct(m.Value); err != nil {
 			return fmt.Errorf("server: correcting %s: %w", m.StreamID, err)
 		}
-		st.lastCorr = m.Tick
-		st.corrections++
-		if st.lastValue == nil {
-			st.lastValue = make([]float64, len(m.Value))
-		}
-		copy(st.lastValue, m.Value)
-		st.lastValueTick = st.tick
-		s.traceApply(st, m)
-		s.watchdogRecover(st)
-		return nil
 	case netsim.KindResync:
 		dim := st.replica.Dim()
 		if len(m.Value) < dim {
@@ -363,51 +456,56 @@ func (s *Server) applyMessageLocked(st *streamState, m *netsim.Message) error {
 		if err := snap.Restore(m.Value[dim:]); err != nil {
 			return fmt.Errorf("server: restoring %s: %w", m.StreamID, err)
 		}
-		st.lastCorr = m.Tick
-		st.corrections++
-		if st.lastValue == nil {
-			st.lastValue = make([]float64, dim)
-		}
-		copy(st.lastValue, m.Value[:dim])
-		st.lastValueTick = st.tick
-		s.traceApply(st, m)
-		s.watchdogRecover(st)
-		return nil
+		value = m.Value[:dim]
 	case netsim.KindHeartbeat:
-		st.lastCorr = m.Tick
-		s.watchdogRecover(st)
-		return nil
 	default:
 		return fmt.Errorf("server: unexpected message kind %s", m.Kind)
 	}
-}
-
-// traceApply records one replica-update event under the shard write lock
-// (already held by Apply) and remembers the message's trace ID so later
-// query events can point at the correction they serve from. Untraced
-// messages still record an apply event when the journal is on, but leave
-// lastTrace alone: a traced query should keep pointing at the last traced
-// correction rather than lose its link.
-func (s *Server) traceApply(st *streamState, m *netsim.Message) {
-	if m.Trace != 0 {
-		st.lastTrace = m.Trace
+	st.lastCorr = m.Tick
+	if m.Kind != netsim.KindHeartbeat {
+		st.corrections++
+		if st.lastValue == nil {
+			st.lastValue = make([]float64, len(value))
+		}
+		copy(st.lastValue, value)
+		st.lastValueTick = st.tick
+		// Remember the trace ID so later query events can point at the
+		// correction they serve from. Untraced messages still record an
+		// apply event when the journal is on, but leave lastTrace alone: a
+		// traced query should keep pointing at the last traced correction
+		// rather than lose its link.
+		if m.Trace != 0 {
+			st.lastTrace = m.Trace
+		}
+		if s.tr.Enabled() {
+			var v float64
+			if len(m.Value) > 0 {
+				v = m.Value[0]
+			}
+			s.tr.Record(trace.Event{
+				TraceID:  m.Trace,
+				StreamID: st.id,
+				Tick:     st.tick,
+				Stage:    trace.StageApply,
+				Outcome:  trace.OutcomeApplied,
+				Value:    v,
+				Aux:      float64(st.tick - m.Tick), // apply lag in ticks
+			})
+		}
+		if st.telSent != nil {
+			// The arrival tick carried a correction; the ticks rolled
+			// through on the way there were suppressed by the source's gate.
+			st.telSent.Inc()
+			if steps > 1 {
+				st.telSuppressed.Add(steps - 1)
+			}
+		}
 	}
-	if !s.tr.Enabled() {
-		return
+	s.watchdogRecover(st)
+	if live && s.onApply != nil {
+		s.onApply(st.tick, m)
 	}
-	var v float64
-	if len(m.Value) > 0 {
-		v = m.Value[0]
-	}
-	s.tr.Record(trace.Event{
-		TraceID:  m.Trace,
-		StreamID: st.id,
-		Tick:     st.tick,
-		Stage:    trace.StageApply,
-		Outcome:  trace.OutcomeApplied,
-		Value:    v,
-		Aux:      float64(st.tick - m.Tick), // apply lag in ticks
-	})
+	return nil
 }
 
 // get looks a stream up under the shard read lock and returns the state
@@ -418,6 +516,18 @@ func (s *Server) get(id string) (*shard, *streamState, error) {
 	st, ok := sh.streams[id]
 	if !ok {
 		sh.mu.RUnlock()
+		return nil, nil, fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
+	}
+	return sh, st, nil
+}
+
+// lock is get under the shard write lock; the caller must Unlock.
+func (s *Server) lock(id string) (*shard, *streamState, error) {
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	st, ok := sh.streams[id]
+	if !ok {
+		sh.mu.Unlock()
 		return nil, nil, fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
 	}
 	return sh, st, nil
@@ -434,43 +544,79 @@ func (s *Server) Value(id string) (estimate []float64, bound float64, err error)
 		return nil, 0, err
 	}
 	defer sh.mu.RUnlock()
+	estimate, bound = s.serve(st)
+	return estimate, bound, nil
+}
+
+// QueryAt is Value as of tick for a source on its own clock, all in one
+// shard-lock hold: the replica is first rolled forward so that ticks
+// [0, tick] have been stepped (a query behind the replica reads it where
+// it stands). lastTrace is the trace ID of the most recent traced
+// correction applied (0 when none) — the state the answer is served from —
+// and heard the time the stream last sent anything, in the driver's
+// nanoseconds: what the freshness layer needs to age the answer.
+func (s *Server) QueryAt(id string, tick int64) (estimate []float64, bound float64, lastTrace uint64, heard int64, err error) {
+	sh, st, err := s.lock(id)
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	defer sh.mu.Unlock()
+	if err := checkAdvance(st, tick); err != nil {
+		return nil, 0, 0, 0, err
+	}
+	if steps := tick + 1 - st.tick; steps > 0 {
+		s.stepTo(st, tick+1)
+		if st.telSuppressed != nil {
+			// Ticks a query rolls through produced no correction — the gate
+			// suppressed them (or their corrections are still in flight).
+			st.telSuppressed.Add(steps)
+		}
+	}
+	estimate, bound = s.serve(st)
+	return estimate, bound, st.lastTrace, st.heard, nil
+}
+
+// serve answers from the stream's current state and records the query
+// (per-stream telemetry and a trace event whose ID is the last applied
+// correction's, tying the answer to the state it was computed from).
+// Caller holds the shard lock.
+func (s *Server) serve(st *streamState) (estimate []float64, bound float64) {
 	if st.telQueries != nil {
 		st.telQueries.Inc()
 		if stale := st.tick - 1 - st.lastCorr; stale >= 0 {
 			st.telStaleness.Observe(float64(stale))
 		}
 	}
+	estimate, bound = st.answer()
+	if s.tr.Enabled() {
+		var v float64
+		if len(estimate) > 0 {
+			v = estimate[0]
+		}
+		s.tr.Record(trace.Event{
+			TraceID:  st.lastTrace,
+			StreamID: st.id,
+			Tick:     st.tick,
+			Stage:    trace.StageQuery,
+			Outcome:  trace.OutcomeServed,
+			Value:    v,
+			Aux:      bound,
+		})
+	}
+	return estimate, bound
+}
+
+// answer is the one point-answer body (Value, QueryAt, PeekValue and the
+// history archive share it): the shipped measurement with bound 0 on the
+// tick a correction arrived, the replica's prediction with the δ bound
+// otherwise.
+func (st *streamState) answer() ([]float64, float64) {
 	if st.lastValueTick == st.tick && st.lastValue != nil {
 		out := make([]float64, len(st.lastValue))
 		copy(out, st.lastValue)
-		s.traceQuery(st, out, 0)
-		return out, 0, nil
+		return out, 0
 	}
-	estimate = st.replica.Predict()
-	s.traceQuery(st, estimate, st.delta)
-	return estimate, st.delta, nil
-}
-
-// traceQuery records one query-serve event under the shard read lock
-// (already held by Value). The event's trace ID is the last applied
-// correction's, tying the answer to the state it was computed from.
-func (s *Server) traceQuery(st *streamState, estimate []float64, bound float64) {
-	if !s.tr.Enabled() {
-		return
-	}
-	var v float64
-	if len(estimate) > 0 {
-		v = estimate[0]
-	}
-	s.tr.Record(trace.Event{
-		TraceID:  st.lastTrace,
-		StreamID: st.id,
-		Tick:     st.tick,
-		Stage:    trace.StageQuery,
-		Outcome:  trace.OutcomeServed,
-		Value:    v,
-		Aux:      bound,
-	})
+	return st.replica.Predict(), st.delta
 }
 
 // PeekValue answers the same point query as Value but records no
@@ -482,25 +628,8 @@ func (s *Server) PeekValue(id string) (estimate []float64, bound float64, err er
 		return nil, 0, err
 	}
 	defer sh.mu.RUnlock()
-	if st.lastValueTick == st.tick && st.lastValue != nil {
-		out := make([]float64, len(st.lastValue))
-		copy(out, st.lastValue)
-		return out, 0, nil
-	}
-	return st.replica.Predict(), st.delta, nil
-}
-
-// LastTrace returns the trace ID of the most recent traced correction
-// applied to the stream (0 when none, or for an unknown stream) — the
-// state a bounded answer is served from. The freshness layer attaches it
-// to staleness-at-query exemplars.
-func (s *Server) LastTrace(id string) uint64 {
-	sh, st, err := s.get(id)
-	if err != nil {
-		return 0
-	}
-	defer sh.mu.RUnlock()
-	return st.lastTrace
+	estimate, bound = st.answer()
+	return estimate, bound, nil
 }
 
 // ValueDistribution answers a probabilistic point query: the current
@@ -532,13 +661,11 @@ func (s *Server) ValueDistribution(id string) (estimate, stddev []float64, err e
 // determines the geometry of the δ bound (per-component box for NormInf,
 // Euclidean ball for NormL2), which spatial queries must respect.
 func (s *Server) SetNorm(id string, norm source.Norm) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.streams[id]
-	if !ok {
-		return fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
+	sh, st, err := s.lock(id)
+	if err != nil {
+		return err
 	}
+	defer sh.mu.Unlock()
 	st.norm = norm
 	return nil
 }
@@ -569,13 +696,11 @@ func (s *Server) SetDelta(id string, delta float64) error {
 	if delta < 0 {
 		return fmt.Errorf("server: negative delta %g for %s", delta, id)
 	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.streams[id]
-	if !ok {
-		return fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
+	sh, st, err := s.lock(id)
+	if err != nil {
+		return err
 	}
+	defer sh.mu.Unlock()
 	st.delta = delta
 	return nil
 }
@@ -587,7 +712,7 @@ func (s *Server) Info(id string) (StreamInfo, error) {
 		return StreamInfo{}, err
 	}
 	defer sh.mu.RUnlock()
-	return StreamInfo{
+	info := StreamInfo{
 		ID:                 st.id,
 		Delta:              st.delta,
 		Norm:               st.norm,
@@ -597,7 +722,11 @@ func (s *Server) Info(id string) (StreamInfo, error) {
 		Staleness:          st.tick - 1 - st.lastCorr,
 		Stale:              st.stale,
 		Prediction:         st.replica.Predict(),
-	}, nil
+	}
+	if st.telSent != nil {
+		info.Sent, info.Suppressed = st.telSent.Value(), st.telSuppressed.Value()
+	}
+	return info, nil
 }
 
 // StreamIDs returns the registered stream identifiers in sorted order.

@@ -4,20 +4,22 @@
 // its deadline therefore implies message loss or a partition, and the
 // server's replica may be diverging without anything noticing. The
 // watchdog detects that condition per stream, surfaces it (telemetry
-// gauge + trace event), and issues KindResyncRequest feedback messages
-// upstream until a correction, resync, or heartbeat arrives and clears
-// it. See DESIGN.md, "Fault tolerance & recovery".
+// gauge + trace event), and issues resync requests upstream until a
+// correction, resync, or heartbeat arrives and clears it. The transitions
+// are written once and measure silence in the driver's unit: ticks since
+// the last applied message on the global clock (checked as the replica
+// steps), nanoseconds since the stream was last heard for a source on its
+// own clock, whose tick counter stands still while it is silent (checked
+// by ScanSilent). See DESIGN.md, "Fault tolerance & recovery".
 
 package server
 
 import (
-	"fmt"
-
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/trace"
 )
 
-// SetWatchdog arms the staleness watchdog for a stream: once the stream
+// SetWatchdog arms the tick watchdog for a stream: once the stream
 // has been silent (no correction, resync, or heartbeat applied) for more
 // than deadlineTicks ticks it is marked stale, and a KindResyncRequest
 // message is handed to feedback — once immediately, then again every
@@ -29,13 +31,11 @@ import (
 // call back into the server. Handing the message to a netsim.Link whose
 // receiver is the source's HandleFeedback satisfies that.
 func (s *Server) SetWatchdog(id string, deadlineTicks int64, feedback func(*netsim.Message)) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.streams[id]
-	if !ok {
-		return fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
+	sh, st, err := s.lock(id)
+	if err != nil {
+		return err
 	}
+	defer sh.mu.Unlock()
 	st.wdDeadline = deadlineTicks
 	st.feedback = feedback
 	if s.tel != nil && deadlineTicks > 0 {
@@ -72,19 +72,33 @@ func (s *Server) StaleStreams() []string {
 	return out
 }
 
-// watchdogCheck runs once per stream per tick, under the shard write
-// lock (called from TickShard after the replica stepped). It is a
-// single comparison for healthy or unarmed streams.
-func (s *Server) watchdogCheck(st *streamState) {
-	if st.wdDeadline <= 0 {
-		return
+// watchdogEvent records one watchdog transition; silent and deadline are
+// in the driver's unit, unit its size in the unit the journal reports
+// (1 for ticks, 1e-9 for nanoseconds → seconds).
+func (s *Server) watchdogEvent(st *streamState, outcome trace.Outcome, silent, deadline int64, unit float64) {
+	if s.tr.Enabled() {
+		s.tr.Record(trace.Event{
+			StreamID: st.id,
+			Tick:     st.tick,
+			Stage:    trace.StageWatchdog,
+			Outcome:  outcome,
+			Value:    float64(silent) * unit,
+			Aux:      float64(deadline) * unit,
+		})
 	}
-	staleness := st.tick - 1 - st.lastCorr
-	if staleness <= st.wdDeadline {
-		return
+}
+
+// watchdogCheck is the one mark-stale / request-again decision, under the
+// shard write lock: a stream silent past the deadline is marked (once per
+// episode), and a resync request is due now and again every deadline's
+// worth of continued silence — the feedback channel may itself be lossy —
+// as long as there is someone to ask. marked reports a new verdict.
+func (s *Server) watchdogCheck(st *streamState, silent, deadline int64, unit float64) (marked, request bool) {
+	if silent <= deadline {
+		return false, false
 	}
 	if !st.stale {
-		st.stale = true
+		st.stale, marked = true, true
 		if st.telStale != nil {
 			st.telStale.Set(1)
 			st.telStaleTotal.Inc()
@@ -92,44 +106,87 @@ func (s *Server) watchdogCheck(st *streamState) {
 		if s.onStale != nil {
 			s.onStale(st.id)
 		}
-		if s.tr.Enabled() {
-			s.tr.Record(trace.Event{
-				StreamID: st.id,
-				Tick:     st.tick,
-				Stage:    trace.StageWatchdog,
-				Outcome:  trace.OutcomeStale,
-				Value:    float64(staleness),
-				Aux:      float64(st.wdDeadline),
-			})
-		}
+		s.watchdogEvent(st, trace.OutcomeStale, silent, deadline, unit)
 	}
-	// Issue a resync request now, and again every deadline's worth of
-	// continued silence — the feedback channel may itself be lossy.
-	if st.feedback != nil && staleness-st.wdLastReq >= st.wdDeadline {
-		st.wdLastReq = staleness
-		if st.telResyncReqs != nil {
-			st.telResyncReqs.Inc()
+	if (st.feedback != nil || st.owner != nil) && silent-st.wdLastReq >= deadline {
+		st.wdLastReq = silent
+		request = true
+	}
+	return marked, request
+}
+
+// watchdogTick runs once per armed stream per tick (from stepTo, after the
+// replica stepped). It is a single comparison for a healthy stream.
+func (s *Server) watchdogTick(st *streamState) {
+	silent := st.tick - 1 - st.lastCorr
+	if _, request := s.watchdogCheck(st, silent, st.wdDeadline, 1); !request {
+		return
+	}
+	if st.telResyncReqs != nil {
+		st.telResyncReqs.Inc()
+	}
+	s.watchdogEvent(st, trace.OutcomeResyncRequested, silent, st.wdDeadline, 1)
+	st.feedback(&netsim.Message{
+		Kind:     netsim.KindResyncRequest,
+		StreamID: st.id,
+		Tick:     st.tick,
+	})
+}
+
+// Silent is one finding of the wall-clock scan: a stream silent For
+// nanoseconds, past the deadline, that this scan Marked stale, that owes
+// its source a resync request on Owner (nil when none is due), or both.
+type Silent struct {
+	ID     string
+	For    int64
+	Marked bool
+	Owner  any
+}
+
+// ScanSilent is the watchdog pass for sources on their own clocks: every
+// stream not heard from for more than deadline nanoseconds before now is
+// checked, one shard-lock hold per shard. Nothing is pushed under a lock
+// (a slow peer must not stall a shard): the caller sends the requests the
+// findings name. stale counts every stream currently marked.
+func (s *Server) ScanSilent(now, deadline int64) (found []Silent, stale int) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, st := range sh.order {
+			marked, request := s.watchdogCheck(st, now-st.heard, deadline, 1e-9)
+			if st.stale {
+				stale++
+			}
+			if marked || request {
+				f := Silent{ID: st.id, For: now - st.heard, Marked: marked}
+				if request {
+					f.Owner = st.owner
+				}
+				found = append(found, f)
+			}
 		}
-		if s.tr.Enabled() {
-			s.tr.Record(trace.Event{
-				StreamID: st.id,
-				Tick:     st.tick,
-				Stage:    trace.StageWatchdog,
-				Outcome:  trace.OutcomeResyncRequested,
-				Value:    float64(staleness),
-				Aux:      float64(st.wdDeadline),
-			})
+		sh.mu.Unlock()
+	}
+	return found, stale
+}
+
+// ReleaseOwner detaches a closing connection from the streams it owns so
+// the watchdog stops asking a dead socket for resyncs. The streams
+// themselves — replica, tick, verdict — survive: a reconnect re-registers
+// and adopts them.
+func (s *Server) ReleaseOwner(owner any) {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, st := range sh.order {
+			if st.owner == owner {
+				st.owner = nil
+			}
 		}
-		st.feedback(&netsim.Message{
-			Kind:     netsim.KindResyncRequest,
-			StreamID: st.id,
-			Tick:     st.tick,
-		})
+		sh.mu.Unlock()
 	}
 }
 
 // watchdogRecover clears the stale mark when traffic arrives, under the
-// shard write lock (called from Apply).
+// shard write lock (called from the apply body).
 func (s *Server) watchdogRecover(st *streamState) {
 	if !st.stale {
 		return
@@ -139,14 +196,5 @@ func (s *Server) watchdogRecover(st *streamState) {
 	if st.telStale != nil {
 		st.telStale.Set(0)
 	}
-	if s.tr.Enabled() {
-		s.tr.Record(trace.Event{
-			StreamID: st.id,
-			Tick:     st.tick,
-			Stage:    trace.StageWatchdog,
-			Outcome:  trace.OutcomeRecovered,
-			Value:    float64(st.tick - 1 - st.lastCorr),
-			Aux:      float64(st.wdDeadline),
-		})
-	}
+	s.watchdogEvent(st, trace.OutcomeRecovered, st.tick-1-st.lastCorr, st.wdDeadline, 1)
 }

@@ -16,7 +16,6 @@ import (
 func startServerWith(t *testing.T) (*Server, string, func()) {
 	t.Helper()
 	srv := NewServerWith(Options{Metrics: telemetry.New()})
-	srv.Logf = t.Logf
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,19 @@
 // Durable wire server: the glue between the connection layer and the
 // write-ahead log. NewDurableServer recovers the directory before the
-// server can accept a single frame, installs the apply hook that logs
-// every applied message, and runs the flusher/checkpointer loop. The
-// ordering invariants live here:
+// server can accept a single frame, installs the hooks that log every
+// registration and applied message, and runs the flusher/checkpointer
+// loop. The ordering invariants:
 //
-//   - recovery happens with s.wal still nil, so replaying a logged
-//     registration or message can never re-append it;
-//   - the apply hook and registration logging both run under s.mu (the
-//     hook additionally under the replica shard lock), so log order is
-//     exactly apply order;
-//   - checkpoints capture under s.mu (no in-flight applies) but write
-//     outside it, so a slow fsync never stalls the data path.
+//   - recovery (server.Recover) runs before the hooks are installed, so
+//     replaying a logged registration or message can never re-append it;
+//   - both hooks fire under the stream's shard lock, so for every stream
+//     log order is apply order and its register record precedes its
+//     messages — no outer lock is needed, and records of different
+//     streams commute;
+//   - a checkpoint takes its cut with every shard locked (no apply or
+//     registration in flight: the captured sequence and states agree) but
+//     is written outside the locks, so a slow fsync never stalls the
+//     data path.
 package wire
 
 import (
@@ -18,6 +21,7 @@ import (
 	"time"
 
 	"kalmanstream/internal/netsim"
+	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/wal"
 )
 
@@ -61,16 +65,23 @@ func NewDurableServer(opts Options, d Durability) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats, err := s.recover(log)
+	// Owner nil, heard = now: see server.Recover.
+	stats, err := s.srv.Recover(log, s.clock())
 	if err != nil {
 		_ = log.Close()
 		return nil, fmt.Errorf("wire: recovering %s: %w", d.Dir, err)
 	}
 	s.lastRecovery = stats
 	s.wal = log
+	// Buffer-only appends under the shard lock; the loop below makes them
+	// durable. A registration is durable state like any correction:
+	// without it the replayed messages that follow have no stream to land
+	// on, so a failed append refuses the registration. A failed message
+	// append is an encode bug, not an I/O failure.
+	s.srv.SetRegisterHook(func(id string, spec predictor.Spec, delta float64) error {
+		return log.AppendRegister(wal.RegisterRecord{ID: id, Spec: spec, Delta: delta})
+	})
 	s.srv.SetApplyHook(func(tick int64, m *netsim.Message) {
-		// Buffer-only append under the shard lock; the loop below makes
-		// it durable. An error here is an encode bug, not an I/O failure.
 		if err := log.AppendMessage(tick, m); err != nil {
 			s.logw("wire: wal append failed", "stream", m.StreamID, "err", err)
 		}
@@ -85,64 +96,6 @@ func NewDurableServer(opts Options, d Durability) (*Server, error) {
 	return s, nil
 }
 
-// recover replays the log directory into the (empty) server: the newest
-// checkpoint restores every stream wholesale, then the records after
-// its sequence replay through the same locked paths live traffic uses.
-// Runs before s.wal is set, so nothing re-appends.
-func (s *Server) recover(log *wal.Log) (wal.RecoveryStats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var scratch netsim.Message
-	return log.Restore(
-		func(c *wal.Checkpoint) error {
-			now := time.Now()
-			for _, cs := range c.Streams {
-				if err := s.srv.RestoreStream(cs); err != nil {
-					return err
-				}
-				s.specs[cs.ID] = RegisterPayload{ID: cs.ID, Spec: cs.Spec, Delta: cs.RegisterDelta}
-				s.advanced[cs.ID] = cs.Tick
-				// lastMsg = now: the stream is exactly as live as the server
-				// is. Restarting must not instantly declare every stream
-				// stale and blast resync requests — the no-resync-storm
-				// property the chaos verdict checks. lastTick = LastCorr
-				// keeps the monotonic-tick dedupe guard exact: every applied
-				// kind records its tick in both places.
-				s.health[cs.ID] = &streamHealth{lastMsg: now, lastTick: cs.LastCorr}
-				s.streams[cs.ID] = &streamTel{
-					sent:       s.reg.Counter("corrections_sent_total", "stream", cs.ID),
-					suppressed: s.reg.Counter("corrections_suppressed_total", "stream", cs.ID),
-				}
-				s.reg.Gauge("stream_delta", "stream", cs.ID).Set(cs.Delta)
-			}
-			return nil
-		},
-		func(typ wal.RecordType, _ int64, payload []byte) error {
-			switch typ {
-			case wal.RecRegister:
-				rec, err := wal.DecodeRegister(payload)
-				if err != nil {
-					return err
-				}
-				return s.registerLocked(RegisterPayload{ID: rec.ID, Spec: rec.Spec, Delta: rec.Delta}, nil)
-			case wal.RecMessage:
-				if err := netsim.DecodeInto(&scratch, payload); err != nil {
-					return err
-				}
-				// applyLocked reproduces the original apply exactly:
-				// advanceTo the message tick, apply, and the same telemetry
-				// bookkeeping — the recovered server's counters match one
-				// that never died. The origin stamp is cleared first: a
-				// replay is not a live delivery, and closing its span now
-				// would record the crash outage as wire latency.
-				scratch.Stamp = 0
-				return s.applyLocked(&scratch, 0)
-			default:
-				return fmt.Errorf("wire: unexpected wal record type %d", typ)
-			}
-		})
-}
-
 // RecoveryStats reports what the constructor's recovery pass restored
 // and replayed (zero value when the directory was empty or the server
 // is not durable).
@@ -151,16 +104,14 @@ func (s *Server) RecoveryStats() wal.RecoveryStats { return s.lastRecovery }
 // WAL returns the server's write-ahead log (nil when not durable).
 func (s *Server) WAL() *wal.Log { return s.wal }
 
-// Checkpoint captures every stream's state at a quiescent point and
-// writes it durably, pruning the log prefix it covers.
+// Checkpoint captures every stream's state at one instant (see
+// server.Checkpoint) and writes it durably, pruning the log prefix it
+// covers.
 func (s *Server) Checkpoint() error {
 	if s.wal == nil {
 		return fmt.Errorf("wire: server has no write-ahead log")
 	}
-	s.mu.Lock()
-	c := &wal.Checkpoint{Seq: s.wal.Seq(), Streams: s.srv.CheckpointStates()}
-	s.mu.Unlock()
-	return s.wal.WriteCheckpoint(c)
+	return s.wal.WriteCheckpoint(s.srv.Checkpoint(s.wal))
 }
 
 // durabilityLoop is the group-commit flusher and periodic checkpointer.

@@ -124,6 +124,30 @@ func TestRecoveryByteIdenticalToControl(t *testing.T) {
 	}
 }
 
+// TestRecoveryReplaysAtRecordedTick: a query can roll a replica past the
+// tick of a correction that then arrives late, so the correction takes
+// effect at the replica's tick, not at its own. The log records that
+// apply tick and recovery must replay there — re-applying at m.Tick+1
+// rebuilds a different replica than the one that crashed.
+func TestRecoveryReplaysAtRecordedTick(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	ids := []string{"alpha"}
+
+	crashed := newDurable(t, dir)
+	control := NewServerWith(Options{Metrics: telemetry.New()})
+	registerAll(t, ids, crashed, control)
+	sendWindow(t, ids, 0, 10, crashed, control)
+	answersAt(t, ids, 40, control, crashed)
+	sendWindow(t, ids, 18, 22, crashed, control)
+	if err := crashed.WAL().Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := newDurable(t, dir)
+	defer recovered.Close()
+	answersAt(t, ids, 60, control, recovered)
+}
+
 // TestCheckpointBoundsReplay: after a checkpoint, recovery restores the
 // snapshot and replays only the records after its sequence.
 func TestCheckpointBoundsReplay(t *testing.T) {

@@ -56,7 +56,6 @@ func startTrackedServer(t *testing.T, opts Options) (*Server, *trackingListener,
 		opts.Metrics = telemetry.New()
 	}
 	srv := NewServerWith(opts)
-	srv.Logf = t.Logf
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,13 +48,6 @@ type AnswerPayload struct {
 	Bound    float64   `json:"bound"`
 }
 
-// streamTel caches a stream's telemetry handles so the per-message cost
-// is a few atomic adds rather than registry lookups.
-type streamTel struct {
-	sent       *telemetry.Counter
-	suppressed *telemetry.Counter
-}
-
 // connWriter serializes frame writes to one connection: the handler
 // goroutine writes responses and the watchdog goroutine pushes resync
 // requests, so every write must go through the mutex.
@@ -92,47 +84,27 @@ func (cw *connWriter) writeFrame(typ uint8, payload []byte) error {
 	return nil
 }
 
-// streamHealth is the watchdog's per-stream view: when traffic last
-// arrived, which connection registered the stream (the push target for
-// resync requests), and the current verdict.
-type streamHealth struct {
-	lastMsg time.Time
-	owner   *connWriter
-	stale   bool
-	lastReq time.Time
-	// lastTick is the highest message tick applied (-1 before the
-	// first). TCP never duplicates within a connection, but a reconnect
-	// can replay a tail the server already applied; the monotonic-tick
-	// guard makes re-application impossible by construction.
-	lastTick int64
-}
-
-// Server accepts source and query connections and hosts the replica
-// cache. Unlike the single-threaded core.System, it is safe for
-// concurrent connections: one mutex serializes replica access (state
-// dimension is tiny, so the critical sections are nanoseconds).
+// Server accepts source and query connections and owns framing, the
+// connections and JSON; everything per stream — the replica, its tick,
+// the dedupe guard, the watchdog verdict, the owning connection — is one
+// record in the lock-striped server.Server, driven here from the wall
+// clock. Register, Apply, ApplyBatch and Query take no lock of this type:
+// each costs one shard-lock hold, so connections working on different
+// streams proceed in parallel. Per-stream operations are linearizable; a
+// coalesced frame is applied record by record and is not atomic across
+// streams for a reader on another connection (a connection's own frames
+// are handled in order by one goroutine).
 type Server struct {
-	mu       sync.Mutex
-	srv      *server.Server
-	advanced map[string]int64 // ticks each replica has been stepped through
-	streams  map[string]*streamTel
-	specs    map[string]RegisterPayload // registration echo for idempotent re-register
-	health   map[string]*streamHealth   // wall-clock staleness watchdog state
+	srv *server.Server
 
 	staleAfter    time.Duration
 	watchdogStop  chan struct{}
 	watchdogDone  chan struct{}
-	watchdogOnce  sync.Once
 	watchdogClose sync.Once
 
 	// Logger receives structured connection diagnostics; nil means
 	// slog.Default().
 	Logger *slog.Logger
-	// Logf is a legacy printf-style hook; when set it takes precedence
-	// over Logger.
-	//
-	// Deprecated: set Logger instead.
-	Logf func(format string, args ...any)
 
 	reg     *telemetry.Registry
 	tr      *trace.Journal
@@ -161,11 +133,14 @@ type Server struct {
 
 	// fresh records the time dimension: skew-corrected gate→apply spans
 	// for stamped corrections and staleness-at-query. clock is the
-	// server's arrival clock (monotonic-anchored wall time). conns is the
-	// live connection set, published for /debug/latency skew rows.
-	fresh *freshness.Recorder
-	clock freshness.Clock
-	conns map[*connWriter]struct{}
+	// server's arrival clock (monotonic-anchored wall time), which also
+	// times the watchdog. conns is the live connection set, published for
+	// /debug/latency skew rows; connMu guards it and is taken only on
+	// connect, disconnect and that endpoint.
+	fresh  *freshness.Recorder
+	clock  freshness.Clock
+	connMu sync.Mutex
+	conns  map[*connWriter]struct{}
 
 	// wal is the durability log (nil when the server is not durable).
 	// NewDurableServer sets it only after recovery has replayed the
@@ -237,10 +212,6 @@ func NewServerWith(opts Options) *Server {
 		srv:            core,
 		tr:             tr,
 		auditor:        trace.NewAuditor(reg, tr),
-		advanced:       make(map[string]int64),
-		streams:        make(map[string]*streamTel),
-		specs:          make(map[string]RegisterPayload),
-		health:         make(map[string]*streamHealth),
 		staleAfter:     opts.StaleAfter,
 		watchdogStop:   make(chan struct{}),
 		watchdogDone:   make(chan struct{}),
@@ -279,7 +250,9 @@ func NewServerWith(opts Options) *Server {
 		s.auditor.SetViolationHook(func(id string, _ int64) { d.ObserveViolation(id) })
 	}
 	if s.staleAfter > 0 {
-		s.StartWatchdog()
+		go s.watchdogLoop()
+	} else {
+		close(s.watchdogDone)
 	}
 	if opts.Health != nil {
 		if err := s.ConfigureHealth(opts.Health); err != nil {
@@ -368,47 +341,24 @@ func (s *Server) HistoryStore() *history.Store { return s.hist }
 func (s *Server) Diag() *diag.Recorder { return s.diag }
 
 // HealthStreams snapshots every registered stream's cumulative counters
-// for the /debug/health payload.
+// for the /debug/health payload, sorted by ID.
 func (s *Server) HealthStreams() []health.StreamStat {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]health.StreamStat, 0, len(s.streams))
-	for id, tel := range s.streams {
-		st := health.StreamStat{
-			ID:         id,
-			Sent:       tel.sent.Value(),
-			Suppressed: tel.suppressed.Value(),
-			Delta:      s.specs[id].Delta,
+	ids := s.srv.StreamIDs()
+	out := make([]health.StreamStat, 0, len(ids))
+	for _, id := range ids {
+		if info, err := s.srv.Info(id); err == nil {
+			out = append(out, health.StreamStat{ID: id, Sent: info.Sent,
+				Suppressed: info.Suppressed, Delta: info.Delta, Stale: info.Stale})
 		}
-		if h := s.health[id]; h != nil {
-			st.Stale = h.stale
-		}
-		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// StartWatchdog launches the wall-clock staleness scanner (idempotent;
-// a no-op when Options.StaleAfter was zero). NewServerWith calls it
-// automatically when StaleAfter is set.
-func (s *Server) StartWatchdog() {
-	if s.staleAfter <= 0 {
-		return
-	}
-	s.watchdogOnce.Do(func() {
-		go s.watchdogLoop()
-	})
-}
-
 // StopWatchdog stops the staleness scanner and waits for it to exit.
-// Safe to call multiple times and without a prior StartWatchdog.
+// Safe to call multiple times, and on a server without a watchdog.
 func (s *Server) StopWatchdog() {
 	s.watchdogClose.Do(func() { close(s.watchdogStop) })
-	if s.staleAfter > 0 {
-		s.watchdogOnce.Do(func() { close(s.watchdogDone) }) // never started
-		<-s.watchdogDone
-	}
+	<-s.watchdogDone
 }
 
 // watchdogLoop scans stream health four times per deadline — often
@@ -425,86 +375,47 @@ func (s *Server) watchdogLoop() {
 		select {
 		case <-s.watchdogStop:
 			return
-		case now := <-t.C:
-			s.scanStale(now)
+		case <-t.C:
+			s.scanStale()
 		}
 	}
 }
 
-// resyncPush is one pending watchdog push, collected under the server
-// lock and written outside it (a slow peer must not stall the scan).
-type resyncPush struct {
-	id    string
-	owner *connWriter
-}
-
-// scanStale marks streams silent past the deadline and pushes resync
-// requests to their owning connections, re-requesting every deadline
-// while the silence lasts.
-func (s *Server) scanStale(now time.Time) {
-	var pushes []resyncPush
-	s.mu.Lock()
-	staleCount := 0
-	for id, h := range s.health {
-		if now.Sub(h.lastMsg) <= s.staleAfter {
+// scanStale runs one watchdog pass: streams silent past the deadline are
+// marked under their shard lock, then — outside every lock, so a slow
+// peer cannot stall the scan — the new verdicts are reported and resync
+// requests pushed to the owning connections, again every deadline while
+// the silence lasts.
+func (s *Server) scanStale() {
+	found, stale := s.srv.ScanSilent(s.clock(), int64(s.staleAfter))
+	s.telStale.Set(float64(stale))
+	for _, f := range found {
+		if f.Marked {
+			s.telStaleTotal.Inc()
+			s.diag.ObserveStale(f.ID)
+			s.logw("wire: stream stale", "stream", f.ID, "silent", time.Duration(f.For).Round(time.Millisecond))
+		}
+		if f.Owner == nil {
 			continue
 		}
-		if !h.stale {
-			h.stale = true
-			s.telStaleTotal.Inc()
-			s.diag.ObserveStale(id)
-			s.logw("wire: stream stale", "stream", id, "silent", now.Sub(h.lastMsg).Round(time.Millisecond))
-			if s.tr.Enabled() {
-				s.tr.Record(trace.Event{
-					StreamID: id,
-					Stage:    trace.StageWatchdog,
-					Outcome:  trace.OutcomeStale,
-					Value:    now.Sub(h.lastMsg).Seconds(),
-					Aux:      s.staleAfter.Seconds(),
-				})
-			}
-		}
-		if h.owner != nil && now.Sub(h.lastReq) > s.staleAfter {
-			h.lastReq = now
-			pushes = append(pushes, resyncPush{id: id, owner: h.owner})
-		}
-	}
-	for _, h := range s.health {
-		if h.stale {
-			staleCount++
-		}
-	}
-	s.telStale.Set(float64(staleCount))
-	s.mu.Unlock()
-	for _, p := range pushes {
 		s.telResyncReqs.Inc()
 		if s.tr.Enabled() {
 			s.tr.Record(trace.Event{
-				StreamID: p.id,
+				StreamID: f.ID,
 				Stage:    trace.StageWatchdog,
 				Outcome:  trace.OutcomeResyncRequested,
 				Value:    s.staleAfter.Seconds(),
 			})
 		}
-		if err := p.owner.writeFrame(FrameResyncRequest, []byte(p.id)); err != nil {
-			s.logw("wire: resync-request push failed", "stream", p.id, "err", err)
+		if err := f.Owner.(*connWriter).writeFrame(FrameResyncRequest, []byte(f.ID)); err != nil {
+			s.logw("wire: resync-request push failed", "stream", f.ID, "err", err)
 		}
 	}
 }
 
 // StaleStreams returns the IDs of streams the wall-clock watchdog
 // currently has marked stale.
-func (s *Server) StaleStreams() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for id, h := range s.health {
-		if h.stale {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+func (s *Server) StaleStreams() []string { return s.srv.StaleStreams() }
 
 // Registry returns the server's telemetry registry.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
@@ -518,18 +429,8 @@ func (s *Server) Trace() *trace.Journal { return s.tr }
 // promising at the time.
 func (s *Server) Auditor() *trace.Auditor { return s.auditor }
 
-// logw emits one structured diagnostic record at Warn level, routing
-// through the legacy Logf hook when set.
+// logw emits one structured diagnostic record at Warn level.
 func (s *Server) logw(msg string, args ...any) {
-	if s.Logf != nil {
-		var b bytes.Buffer
-		b.WriteString(msg)
-		for i := 0; i+1 < len(args); i += 2 {
-			fmt.Fprintf(&b, " %v=%v", args[i], args[i+1])
-		}
-		s.Logf("%s", b.String())
-		return
-	}
 	l := s.Logger
 	if l == nil {
 		l = slog.Default()
@@ -537,110 +438,12 @@ func (s *Server) logw(msg string, args ...any) {
 	l.Warn(msg, args...)
 }
 
-// MaxAdvancePerMessage bounds how far a single correction or query may
-// roll a replica forward. Without it, one malicious or corrupted message
-// with a huge tick would spin the server for an unbounded number of
-// replica steps while holding the lock.
-const MaxAdvancePerMessage = 10_000_000
-
-// advanceTo rolls the stream's replica forward so that ticks [0, tick]
-// have been stepped, reporting how many steps that took. Caller holds mu.
-func (s *Server) advanceTo(id string, tick int64) (steps int64, err error) {
-	cur, ok := s.advanced[id]
-	if !ok {
-		return 0, fmt.Errorf("wire: unknown stream %q", id)
-	}
-	if tick+1-cur > MaxAdvancePerMessage {
-		return 0, fmt.Errorf("wire: tick %d would advance stream %q by %d steps (limit %d)",
-			tick, id, tick+1-cur, int64(MaxAdvancePerMessage))
-	}
-	for cur < tick+1 {
-		if err := s.srv.TickStream(id); err != nil {
-			return steps, err
-		}
-		cur++
-		steps++
-	}
-	s.advanced[id] = cur
-	return steps, nil
-}
-
-// Register creates a stream replica (exposed for in-process use and
-// tests; connections invoke it via FrameRegister).
+// Register creates a stream replica or, for a reconnecting source
+// announcing an identical registration, adopts the existing one (see
+// server.Adopt). Exposed for in-process use and tests: the stream has no
+// owning connection; connections register via FrameRegister.
 func (s *Server) Register(p RegisterPayload) error {
-	return s.register(p, nil)
-}
-
-// register creates the replica or, for a reconnecting source announcing
-// an identical registration, adopts the existing one: the replica's
-// advanced state survives the connection, which is exactly what lets a
-// reconnect resume mid-stream. A re-register with a different spec or δ
-// is a conflict, not a resume, and is rejected.
-func (s *Server) register(p RegisterPayload, owner *connWriter) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.registerLocked(p, owner)
-}
-
-// registerLocked is register's body; the caller holds mu. Recovery
-// replays logged registrations through it directly — the lock is
-// already held, and s.wal is still nil at that point, so replay cannot
-// re-log the records it is reading.
-func (s *Server) registerLocked(p RegisterPayload, owner *connWriter) error {
-	if prev, ok := s.specs[p.ID]; ok {
-		if !reflect.DeepEqual(prev.Spec, p.Spec) || prev.Delta != p.Delta {
-			return fmt.Errorf("wire: stream %q re-registered with a different spec or delta", p.ID)
-		}
-		// Same registration: transfer ownership to the new connection and
-		// treat the announcement as traffic (the source is demonstrably
-		// alive, and a forced resync follows on its next correction).
-		h := s.health[p.ID]
-		h.owner = owner
-		h.lastMsg = time.Now()
-		return nil
-	}
-	if err := s.srv.Register(p.ID, p.Spec, p.Delta); err != nil {
-		return err
-	}
-	if s.wal != nil {
-		// A registration is durable state like any correction: without it
-		// the replayed messages that follow have no stream to land on.
-		if err := s.wal.AppendRegister(wal.RegisterRecord{ID: p.ID, Spec: p.Spec, Delta: p.Delta}); err != nil {
-			_ = s.srv.Unregister(p.ID)
-			return fmt.Errorf("wire: logging registration: %w", err)
-		}
-	}
-	s.advanced[p.ID] = 0
-	s.specs[p.ID] = p
-	s.health[p.ID] = &streamHealth{lastMsg: time.Now(), owner: owner, lastTick: -1}
-	s.streams[p.ID] = &streamTel{
-		sent:       s.reg.Counter("corrections_sent_total", "stream", p.ID),
-		suppressed: s.reg.Counter("corrections_suppressed_total", "stream", p.ID),
-	}
-	s.reg.Gauge("stream_delta", "stream", p.ID).Set(p.Delta)
-	return nil
-}
-
-// noteTraffic records message arrival for the watchdog, clearing a
-// stale verdict. Caller holds mu.
-func (s *Server) noteTraffic(id string) {
-	h := s.health[id]
-	if h == nil {
-		return
-	}
-	h.lastMsg = time.Now()
-	if h.stale {
-		h.stale = false
-		h.lastReq = time.Time{}
-		s.logw("wire: stream recovered", "stream", id)
-		if s.tr.Enabled() {
-			s.tr.Record(trace.Event{
-				StreamID: id,
-				Stage:    trace.StageWatchdog,
-				Outcome:  trace.OutcomeRecovered,
-			})
-		}
-	}
+	return s.srv.Adopt(p.ID, p.Spec, p.Delta, nil, s.clock())
 }
 
 // Apply ingests a correction, rolling the replica to the message's tick
@@ -648,44 +451,21 @@ func (s *Server) noteTraffic(id string) {
 // reconnecting source may replay a tail the server already applied, and
 // applying a correction twice would double-step the replica.
 func (s *Server) Apply(m *netsim.Message) error {
-	return s.applyConn(m, 0)
+	return s.ingest(m, s.clock(), 0)
 }
 
-// applyConn is Apply with the ingesting connection's clock-skew estimate
-// (nanoseconds, 0 for in-process callers where no skew exists).
-func (s *Server) applyConn(m *netsim.Message, offsetNs float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyLocked(m, offsetNs)
-}
-
-// applyLocked is Apply's body; the caller holds mu. Batch ingestion
-// loops over it so the lock is taken once per frame, not per correction.
-func (s *Server) applyLocked(m *netsim.Message, offsetNs float64) error {
-	if h := s.health[m.StreamID]; h != nil {
-		if m.Tick <= h.lastTick {
-			s.reg.Counter("wire_duplicates_dropped_total", "stream", m.StreamID).Inc()
-			return nil
-		}
-		h.lastTick = m.Tick
-	}
-	steps, err := s.advanceTo(m.StreamID, m.Tick)
+// ingest applies one message that arrived at now on a connection whose
+// clock-skew estimate is offsetNs (nanoseconds, 0 for in-process callers
+// where no skew exists).
+func (s *Server) ingest(m *netsim.Message, now int64, offsetNs float64) error {
+	applied, recovered, err := s.srv.Ingest(m, now)
 	if err != nil {
 		return err
 	}
-	if err := s.srv.Apply(m); err != nil {
-		return err
+	if recovered {
+		s.logw("wire: stream recovered", "stream", m.StreamID)
 	}
-	s.noteTraffic(m.StreamID)
-	if t := s.streams[m.StreamID]; t != nil && m.Kind != netsim.KindHeartbeat {
-		// The arrival tick carried a correction; the ticks rolled through
-		// on the way there were suppressed by the source's gate.
-		t.sent.Inc()
-		if steps > 1 {
-			t.suppressed.Add(steps - 1)
-		}
-	}
-	if m.Stamp != 0 && m.Kind != netsim.KindHeartbeat {
+	if applied && m.Stamp != 0 && m.Kind != netsim.KindHeartbeat {
 		// The source stamped its gate time: close the span. An unstamped
 		// message pays exactly one branch here, keeping the warm apply
 		// path allocation-free.
@@ -695,11 +475,12 @@ func (s *Server) applyLocked(m *netsim.Message, offsetNs float64) error {
 }
 
 // ApplyBatch ingests one coalesced frame payload: concatenated netsim
-// message encodings, decoded in place into scratch and applied under a
-// single lock acquisition. It returns how many messages were applied.
-// A decode or apply error aborts the rest of the batch; everything
-// before the failure stays applied, which matches the semantics of the
-// same messages arriving as individual frames on a link that then died.
+// message encodings, decoded in place into scratch and applied one by
+// one, each under its own stream's shard lock. It returns how many
+// messages were applied. A decode or apply error aborts the rest of the
+// batch; everything before the failure stays applied, which matches the
+// semantics of the same messages arriving as individual frames on a link
+// that then died.
 func (s *Server) ApplyBatch(payload []byte, scratch *netsim.Message) (int, error) {
 	return s.applyBatchConn(payload, scratch, 0)
 }
@@ -707,8 +488,7 @@ func (s *Server) ApplyBatch(payload []byte, scratch *netsim.Message) (int, error
 // applyBatchConn is ApplyBatch with the ingesting connection's skew
 // estimate threaded through to each record's latency span.
 func (s *Server) applyBatchConn(payload []byte, scratch *netsim.Message, offsetNs float64) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	now := s.clock()
 	n := 0
 	rest := payload
 	for len(rest) > 0 {
@@ -719,7 +499,7 @@ func (s *Server) applyBatchConn(payload []byte, scratch *netsim.Message, offsetN
 			return n, fmt.Errorf("wire: batch record %d: %w", n, err)
 		}
 		recLen -= len(rest)
-		if err := s.applyLocked(scratch, offsetNs); err != nil {
+		if err := s.ingest(scratch, now, offsetNs); err != nil {
 			return n, fmt.Errorf("wire: batch record %d: %w", n, err)
 		}
 		if s.diag != nil && scratch.Kind == netsim.KindCorrection {
@@ -732,18 +512,7 @@ func (s *Server) applyBatchConn(payload []byte, scratch *netsim.Message, offsetN
 
 // Query answers a stream's value as of the given tick.
 func (s *Server) Query(q QueryPayload) (AnswerPayload, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	steps, err := s.advanceTo(q.ID, q.Tick)
-	if err != nil {
-		return AnswerPayload{}, err
-	}
-	if t := s.streams[q.ID]; t != nil && steps > 0 {
-		// Ticks a query rolls through produced no correction — the gate
-		// suppressed them (or their corrections are still in flight).
-		t.suppressed.Add(steps)
-	}
-	est, bound, err := s.srv.Value(q.ID)
+	est, bound, lastTrace, heard, err := s.srv.QueryAt(q.ID, q.Tick)
 	if err != nil {
 		return AnswerPayload{}, err
 	}
@@ -753,10 +522,10 @@ func (s *Server) Query(q QueryPayload) (AnswerPayload, error) {
 	// the stream's last traffic. The exemplar carries the last applied
 	// correction's trace ID — the state this answer was served from.
 	var age float64
-	if h := s.health[q.ID]; h != nil && bound > 0 {
-		age = time.Since(h.lastMsg).Seconds()
+	if bound > 0 {
+		age = float64(s.clock()-heard) / 1e9
 	}
-	s.fresh.RecordStaleness(age, s.srv.LastTrace(q.ID), q.ID)
+	s.fresh.RecordStaleness(age, lastTrace, q.ID)
 	return AnswerPayload{ID: q.ID, Tick: q.Tick, Estimate: est, Bound: bound}, nil
 }
 
@@ -799,9 +568,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		remote: conn.RemoteAddr().String(),
 		skew:   freshness.NewSkewEstimator(0),
 	}
-	s.mu.Lock()
+	s.connMu.Lock()
 	s.conns[cw] = struct{}{}
-	s.mu.Unlock()
+	s.connMu.Unlock()
 	defer s.releaseConn(cw)
 
 	bytesIn := s.reg.Counter("wire_bytes_total", "direction", "in")
@@ -833,19 +602,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// releaseConn detaches a closing connection from the streams it owns so
-// the watchdog stops pushing resync requests at a dead socket. The
-// stream itself — replica, advanced state, health record — survives: a
-// reconnect re-registers and adopts it.
+// releaseConn forgets a closing connection: it leaves the live set and
+// stops being the push target of the streams it registered.
 func (s *Server) releaseConn(cw *connWriter) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.connMu.Lock()
 	delete(s.conns, cw)
-	for _, h := range s.health {
-		if h.owner == cw {
-			h.owner = nil
-		}
-	}
+	s.connMu.Unlock()
+	s.srv.ReleaseOwner(cw)
 }
 
 // Freshness returns the server's latency recorder (the HTTP layer serves
@@ -856,8 +619,8 @@ func (s *Server) Freshness() *freshness.Recorder { return s.fresh }
 // the /debug/latency surface. Connections that have never pinged are
 // skipped — they contribute no estimate.
 func (s *Server) ConnSkews() []freshness.ConnSkew {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
 	var out []freshness.ConnSkew
 	for cw := range s.conns {
 		n := cw.skew.Samples()
@@ -899,7 +662,7 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		if err := json.Unmarshal(payload, &p); err != nil {
 			return fmt.Errorf("wire: bad register payload: %w", err)
 		}
-		if err := s.register(p, cw); err != nil {
+		if err := s.srv.Adopt(p.ID, p.Spec, p.Delta, cw, s.clock()); err != nil {
 			return err
 		}
 		return cw.writeFrame(FrameOK, nil)
@@ -911,7 +674,7 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		// path costs exactly one frame — the property being measured.
 		// Apply copies what it keeps, so reusing msg across frames is
 		// safe.
-		if err := s.applyConn(msg, cw.connOffsetNanos()); err != nil {
+		if err := s.ingest(msg, s.clock(), cw.connOffsetNanos()); err != nil {
 			return err
 		}
 		if s.diag != nil && msg.Kind == netsim.KindCorrection {
@@ -920,8 +683,8 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		return nil
 	case FrameMessageBatch:
 		// Coalesced corrections: sub-records decode into the connection's
-		// scratch message (no per-correction allocation) and the whole
-		// batch applies under one lock hold inside ApplyBatch.
+		// scratch message (no per-correction allocation) and apply one by
+		// one inside applyBatchConn.
 		n, err := s.applyBatchConn(payload, msg, cw.connOffsetNanos())
 		if n > 0 {
 			s.telBatches.Inc()

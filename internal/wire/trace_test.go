@@ -17,7 +17,6 @@ func startTracedServer(t *testing.T) (*Server, string, func()) {
 	j := trace.NewJournal(4, 8192)
 	j.SetEnabled(true)
 	srv := NewServerWith(Options{Metrics: telemetry.New(), Trace: j})
-	srv.Logf = t.Logf
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
+	"kalmanstream/internal/server"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 	"kalmanstream/internal/telemetry"
@@ -73,7 +74,6 @@ func TestFrameTruncated(t *testing.T) {
 func startServer(t *testing.T) (*Server, string, func()) {
 	t.Helper()
 	srv := NewServer()
-	srv.Logf = t.Logf
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -323,17 +323,53 @@ func TestServerRejectsRunawayTick(t *testing.T) {
 	}
 	// A query (or correction) with an absurd tick must be refused rather
 	// than spinning the replica forward while holding the lock.
-	if _, err := srv.Query(QueryPayload{ID: "s", Tick: int64(MaxAdvancePerMessage) + 10}); err == nil {
+	if _, err := srv.Query(QueryPayload{ID: "s", Tick: int64(server.MaxAdvancePerMessage) + 10}); err == nil {
 		t.Fatal("runaway tick accepted")
 	}
 	msg := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "s",
-		Tick: int64(MaxAdvancePerMessage) * 2, Value: []float64{1}}
+		Tick: int64(server.MaxAdvancePerMessage) * 2, Value: []float64{1}}
 	if err := srv.Apply(msg); err == nil {
 		t.Fatal("runaway correction accepted")
 	}
 	// Normal operation still works afterwards.
 	if _, err := srv.Query(QueryPayload{ID: "s", Tick: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A frame the server refuses — a tick beyond the advance limit, or one
+// whose apply fails — must leave the dedupe guard where it was: otherwise
+// one corrupt tick drops every later legitimate correction below it as a
+// duplicate and silences the stream for good.
+func TestRefusedFrameDoesNotPoisonDedupeGuard(t *testing.T) {
+	reg := telemetry.New()
+	srv := NewServerWith(Options{Metrics: reg})
+	if err := srv.Register(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
+		t.Fatal(err)
+	}
+	msg := func(tick int64, v ...float64) *netsim.Message {
+		return &netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: tick, Value: v}
+	}
+	if err := srv.Apply(msg(3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []*netsim.Message{
+		msg(int64(server.MaxAdvancePerMessage)+100, 1), // refused before any state is touched
+		msg(math.MaxInt64, 1),                          // must not wrap past the limit
+		msg(4, 1, 2),                                   // wrong dimension: the apply itself fails
+	} {
+		if err := srv.Apply(bad); err == nil {
+			t.Fatalf("tick %d with %d values accepted", bad.Tick, len(bad.Value))
+		}
+	}
+	if err := srv.Apply(msg(5, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("corrections_sent_total", "stream", "s").Value(); got != 2 {
+		t.Fatalf("corrections_sent_total = %d, want 2", got)
+	}
+	if got := reg.Counter("wire_duplicates_dropped_total", "stream", "s").Value(); got != 0 {
+		t.Fatalf("wire_duplicates_dropped_total = %d, want 0", got)
 	}
 }
 
@@ -350,7 +386,6 @@ func TestMetricsFrame(t *testing.T) {
 	// sharing telemetry.Default.
 	reg := telemetry.New()
 	srv := NewServerWith(Options{Metrics: reg})
-	srv.Logf = t.Logf
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
