@@ -16,7 +16,7 @@ BENCH_BASE ?= BENCH_PR9.json
 BENCH_GATE ?= SystemScale|MessageRoundTrip|MonitorTick|WindowSnapshot|TopKObserve|E8BudgetAllocation|WireCoalesced|HistoryRecord|WALAppend|LatencyRecord
 BENCH_MAXREGRESS ?= 10
 
-.PHONY: check vet build test race benchsmoke bench bench-compare lint chaos-smoke recovery-smoke cover repro-check bench-smoke
+.PHONY: check vet build test race benchsmoke bench bench-compare lint chaos-smoke recovery-smoke cover repro-check bench-smoke loc
 
 check: lint build race benchsmoke repro-check bench-smoke
 
@@ -74,6 +74,16 @@ repro-check:
 # API and runs its four workloads at smoke scale against a real kfserver.
 bench-smoke:
 	$(GO) -C bench test ./...
+
+# loc prints the size ROADMAP tracks — lines of non-test Go outside
+# bench/ (and outside the bench's gitignored build directory) — then the
+# same per internal package. CI writes it to the job summary so every PR
+# shows its delta.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@for d in internal/*/; do \
+		printf '%7d %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
+	done
 
 # cover runs the full test suite with an atomic-mode coverage profile
 # and writes both the raw profile and the per-function summary under

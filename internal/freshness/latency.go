@@ -61,25 +61,16 @@ type Snapshot struct {
 // fixed-bucket quantile interpolation every other exposition uses.
 func summarize(h *telemetry.Histogram) HistSummary {
 	nb := h.NumBuckets()
-	counts := make([]int64, nb)
-	h.ReadBuckets(counts)
-	bounds := h.Bounds()
-	smp := telemetry.Sample{Kind: telemetry.KindHistogram, Sum: h.Sum()}
-	var cum int64
-	for i := 0; i < nb; i++ {
-		cum += counts[i]
-		ub := math.Inf(1)
-		if i < len(bounds) {
-			ub = bounds[i]
-		}
-		smp.Buckets = append(smp.Buckets, telemetry.Bucket{UpperBound: ub, Count: cum})
+	cum := h.ReadBuckets(make([]int64, nb))
+	for i := 1; i < nb; i++ {
+		cum[i] += cum[i-1]
 	}
-	smp.Count = cum
+	bounds := h.Bounds()
 	out := HistSummary{
-		Count: smp.Count,
-		P50:   smp.Quantile(0.5),
-		P95:   smp.Quantile(0.95),
-		P99:   smp.Quantile(0.99),
+		Count: cum[nb-1],
+		P50:   telemetry.Quantile(bounds, cum, 0.5),
+		P95:   telemetry.Quantile(bounds, cum, 0.95),
+		P99:   telemetry.Quantile(bounds, cum, 0.99),
 	}
 	for i := 0; i < nb; i++ {
 		ex := h.BucketExemplar(i)

@@ -9,11 +9,7 @@
 
 package health
 
-import (
-	"math"
-
-	"kalmanstream/internal/telemetry"
-)
+import "kalmanstream/internal/telemetry"
 
 // counterTrack follows one monotonically increasing series, windowing
 // it into deltas.
@@ -117,46 +113,18 @@ func (t *histTrack) window(slot int) []int64 {
 }
 
 // quantileOver computes the q-quantile of the observations recorded in
-// the given window slots, by summing their bucket deltas into dst
-// (len nb, caller-provided to keep hot paths allocation-free) and
-// interpolating — the same fixed-bucket estimate telemetry.Sample uses.
+// the given window slots: their bucket deltas are summed cumulatively
+// into dst (len nb, caller-provided to keep hot paths allocation-free)
+// and handed to the shared estimator.
 func (t *histTrack) quantileOver(slots []int, q float64, dst []int64) float64 {
-	var total int64
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	for _, s := range slots {
-		w := t.window(s)
-		for i, c := range w {
+		for i, c := range t.window(s) {
 			dst[i] += c
-			total += c
 		}
 	}
-	if total == 0 {
-		return 0
+	for i := 1; i < len(dst); i++ {
+		dst[i] += dst[i-1]
 	}
-	rank := q * float64(total)
-	lo := 0.0
-	var below int64
-	for i := 0; i < t.nb; i++ {
-		cum := below + dst[i]
-		ub := math.Inf(1)
-		if i < len(t.bounds) {
-			ub = t.bounds[i]
-		}
-		if float64(cum) >= rank {
-			if math.IsInf(ub, 1) {
-				return lo
-			}
-			if dst[i] == 0 {
-				return ub
-			}
-			return lo + (ub-lo)*(rank-float64(below))/float64(dst[i])
-		}
-		below = cum
-		if !math.IsInf(ub, 1) {
-			lo = ub
-		}
-	}
-	return lo
+	return telemetry.Quantile(t.bounds, dst, q)
 }

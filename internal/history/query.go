@@ -144,47 +144,12 @@ func (st *Store) rangeOf(s *seriesState, tier, n int) SeriesRange {
 		case telemetry.KindHistogram:
 			p.Count, p.Sum = w[0], w[1]
 			cum := w[histExtra:]
-			p.P50 = quantileFromCum(s.bounds, cum, 0.50)
-			p.P99 = quantileFromCum(s.bounds, cum, 0.99)
+			p.P50 = telemetry.Quantile(s.bounds, cum, 0.50)
+			p.P99 = telemetry.Quantile(s.bounds, cum, 0.99)
 		}
 		sr.Points = append(sr.Points, p)
 	}
 	return sr
-}
-
-// quantileFromCum estimates the q-quantile from a window's
-// cumulative-across-bounds bucket deltas (the ring layout), by linear
-// interpolation within the containing bucket — the same fixed-bucket
-// estimate telemetry.Sample.Quantile uses. bounds excludes the final
-// +Inf bucket; cum includes it as its last element.
-func quantileFromCum(bounds []float64, cum []float64, q float64) float64 {
-	if len(cum) == 0 {
-		return 0
-	}
-	total := cum[len(cum)-1]
-	if total <= 0 {
-		return 0
-	}
-	rank := q * total
-	lo := 0.0
-	below := 0.0
-	for i, c := range cum {
-		if c >= rank {
-			if i >= len(bounds) {
-				return lo // landed in the +Inf bucket
-			}
-			in := c - below
-			if in <= 0 {
-				return bounds[i]
-			}
-			return lo + (bounds[i]-lo)*(rank-below)/in
-		}
-		below = c
-		if i < len(bounds) {
-			lo = bounds[i]
-		}
-	}
-	return lo
 }
 
 // Merge aggregates several same-tier ranges into one — summing

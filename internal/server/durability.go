@@ -169,7 +169,7 @@ func (s *Server) ReplayMessage(tick int64, m *netsim.Message) error {
 		return err
 	}
 	defer sh.mu.Unlock()
-	return s.applyAt(st, tick, m, false)
+	return s.applyAt(sh, st, tick, m, false)
 }
 
 // CatchUp steps a stream's replica forward to the target tick — the

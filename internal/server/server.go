@@ -16,7 +16,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -56,11 +58,14 @@ type StreamInfo struct {
 	// LastCorrectionTick is the tick of the most recent correction, or
 	// -1 before the first.
 	LastCorrectionTick int64
-	// Corrections is the number of corrections applied.
+	// Corrections is the number of corrections applied — what the source
+	// sent and the link delivered. It is checkpointed with the replica.
 	Corrections int64
-	// Sent and Suppressed read the stream's corrections_sent_total and
-	// corrections_suppressed_total (zero on a server without telemetry).
-	Sent, Suppressed int64
+	// Suppressed counts the ticks lazy advance (Ingest, QueryAt, replay)
+	// rolled the replica through without a correction — the global clock's
+	// Tick is not counted — and Duplicates the messages the dedupe guard
+	// dropped, both since this process registered or recovered the stream.
+	Suppressed, Duplicates int64
 	// Staleness is Tick − LastCorrectionTick.
 	Staleness int64
 	// Stale reports whether the staleness watchdog currently has the
@@ -83,6 +88,10 @@ type streamState struct {
 	tick          int64
 	lastCorr      int64
 	corrections   int64
+	// suppressed and dups are the record's other two counts (see
+	// StreamInfo); the registry holds only their per-shard totals.
+	suppressed int64
+	dups       int64
 	// lastValue holds the most recent correction's measurement and
 	// lastValueTick the server tick at which it arrived. On that tick the
 	// server answers with the measurement itself (error bound 0), since a
@@ -109,17 +118,16 @@ type streamState struct {
 	feedback   func(*netsim.Message)
 	heard      int64
 	owner      any
+}
 
-	// telemetry handles; nil unless the hosting server has a registry.
-	// telDup is created on the stream's first dropped duplicate.
-	telQueries    *telemetry.Counter
-	telStaleness  *telemetry.Histogram
-	telSent       *telemetry.Counter
-	telSuppressed *telemetry.Counter
-	telDup        *telemetry.Counter
-	telStale      *telemetry.Gauge
-	telStaleTotal *telemetry.Counter
-	telResyncReqs *telemetry.Counter
+// shardTotals is one lock stripe's share of the registry totals (label
+// shard). The handles live where the lock already is: they are bumped
+// inside shard-lock holds the data path takes anyway, so two connections
+// contend on a counter only when they already contend on its shard, and
+// the registry's size does not depend on the number of streams.
+type shardTotals struct {
+	queries, sent, suppressed, dups *telemetry.Counter
+	staleness                       *telemetry.Histogram
 }
 
 // shard is one lock stripe of the registry.
@@ -134,6 +142,8 @@ type shard struct {
 	// taking their locks (len of a map is not safe to read concurrently
 	// with writes).
 	size atomic.Int64
+	// tel is nil unless the hosting server has a registry.
+	tel *shardTotals
 }
 
 // Server hosts predictor replicas for any number of streams. All methods
@@ -141,7 +151,6 @@ type shard struct {
 // never contend.
 type Server struct {
 	shards []*shard
-	tel    *telemetry.Registry
 	tr     *trace.Journal
 
 	// onStale, when set, fires once per newly-stale stream from the
@@ -214,14 +223,24 @@ func (s *Server) ShardSizes() []int {
 	return out
 }
 
-// SetTelemetry attaches a registry; streams registered afterwards keep
-// per-stream series on it: query counts and answer staleness, corrections
-// sent and suppressed, the registered δ. Call it before Register and
-// before any concurrent use. The single-process evaluation harness leaves
-// this unset, keeping its hot loop untouched; the wire server and
-// cmd/kfserver always set it.
+// SetTelemetry attaches a registry, which from then on holds the totals
+// over all streams — queries and answer staleness, corrections sent and
+// suppressed, duplicates dropped — as one series per lock stripe. A
+// per-stream number lives in the per-stream record and is read through
+// Info and Infos. Call it before Register and before any concurrent use.
+// The single-process evaluation harness leaves this unset; the wire server
+// and cmd/kfserver always set it.
 func (s *Server) SetTelemetry(reg *telemetry.Registry) {
-	s.tel = reg
+	for i, sh := range s.shards {
+		n := strconv.Itoa(i)
+		sh.tel = &shardTotals{
+			queries:    reg.Counter("server_queries_total", "shard", n),
+			sent:       reg.Counter("corrections_sent_total", "shard", n),
+			suppressed: reg.Counter("corrections_suppressed_total", "shard", n),
+			dups:       reg.Counter("wire_duplicates_dropped_total", "shard", n),
+			staleness:  reg.Histogram("query_staleness_ticks", telemetry.StalenessBuckets, "shard", n),
+		}
+	}
 }
 
 // SetTrace attaches a trace journal; applies and point queries record
@@ -285,13 +304,6 @@ func (s *Server) register(id string, spec predictor.Spec, delta float64, adopt b
 	}
 	st := &streamState{id: id, replica: replica, spec: spec, registerDelta: delta,
 		delta: delta, lastCorr: -1, lastValueTick: -1, owner: owner, heard: now}
-	if s.tel != nil {
-		st.telQueries = s.tel.Counter("server_queries_total", "stream", id)
-		st.telStaleness = s.tel.Histogram("query_staleness_ticks", telemetry.StalenessBuckets, "stream", id)
-		st.telSent = s.tel.Counter("corrections_sent_total", "stream", id)
-		st.telSuppressed = s.tel.Counter("corrections_suppressed_total", "stream", id)
-		s.tel.Gauge("stream_delta", "stream", id).Set(delta)
-	}
 	sh.streams[id] = st
 	sh.order = append(sh.order, st)
 	sh.size.Store(int64(len(sh.streams)))
@@ -378,7 +390,7 @@ func (s *Server) Apply(m *netsim.Message) error {
 		return err
 	}
 	defer sh.mu.Unlock()
-	return s.applyAt(st, st.tick, m, true)
+	return s.applyAt(sh, st, st.tick, m, true)
 }
 
 // MaxAdvancePerMessage bounds how far a single correction or query may
@@ -413,11 +425,9 @@ func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, 
 	}
 	defer sh.mu.Unlock()
 	if m.Tick <= st.lastCorr {
-		if s.tel != nil {
-			if st.telDup == nil {
-				st.telDup = s.tel.Counter("wire_duplicates_dropped_total", "stream", st.id)
-			}
-			st.telDup.Inc()
+		st.dups++
+		if sh.tel != nil {
+			sh.tel.dups.Inc()
 		}
 		return false, false, nil
 	}
@@ -425,7 +435,7 @@ func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, 
 		return false, false, err
 	}
 	recovered = st.stale
-	if err := s.applyAt(st, max(st.tick, m.Tick+1), m, true); err != nil {
+	if err := s.applyAt(sh, st, max(st.tick, m.Tick+1), m, true); err != nil {
 		return false, false, err
 	}
 	st.heard = now
@@ -435,7 +445,7 @@ func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, 
 // applyAt is the one apply body, under the shard write lock: step the
 // replica to tick, perform the message's state update, count it, and —
 // live, as opposed to replayed from the log — fire the durability hook.
-func (s *Server) applyAt(st *streamState, tick int64, m *netsim.Message, live bool) error {
+func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Message, live bool) error {
 	steps := tick - st.tick
 	s.stepTo(st, tick)
 	value := m.Value
@@ -492,12 +502,14 @@ func (s *Server) applyAt(st *streamState, tick int64, m *netsim.Message, live bo
 				Aux:      float64(st.tick - m.Tick), // apply lag in ticks
 			})
 		}
-		if st.telSent != nil {
-			// The arrival tick carried a correction; the ticks rolled
-			// through on the way there were suppressed by the source's gate.
-			st.telSent.Inc()
-			if steps > 1 {
-				st.telSuppressed.Add(steps - 1)
+		// The arrival tick carried a correction; the ticks rolled through
+		// on the way there were suppressed by the source's gate.
+		rolled := max(steps-1, 0)
+		st.suppressed += rolled
+		if sh.tel != nil {
+			sh.tel.sent.Inc()
+			if rolled > 0 {
+				sh.tel.suppressed.Add(rolled)
 			}
 		}
 	}
@@ -544,7 +556,7 @@ func (s *Server) Value(id string) (estimate []float64, bound float64, err error)
 		return nil, 0, err
 	}
 	defer sh.mu.RUnlock()
-	estimate, bound = s.serve(st)
+	estimate, bound = s.serve(sh, st)
 	return estimate, bound, nil
 }
 
@@ -566,25 +578,26 @@ func (s *Server) QueryAt(id string, tick int64) (estimate []float64, bound float
 	}
 	if steps := tick + 1 - st.tick; steps > 0 {
 		s.stepTo(st, tick+1)
-		if st.telSuppressed != nil {
-			// Ticks a query rolls through produced no correction — the gate
-			// suppressed them (or their corrections are still in flight).
-			st.telSuppressed.Add(steps)
+		// Ticks a query rolls through produced no correction — the gate
+		// suppressed them (or their corrections are still in flight).
+		st.suppressed += steps
+		if sh.tel != nil {
+			sh.tel.suppressed.Add(steps)
 		}
 	}
-	estimate, bound = s.serve(st)
+	estimate, bound = s.serve(sh, st)
 	return estimate, bound, st.lastTrace, st.heard, nil
 }
 
 // serve answers from the stream's current state and records the query
-// (per-stream telemetry and a trace event whose ID is the last applied
+// (the shard's totals and a trace event whose ID is the last applied
 // correction's, tying the answer to the state it was computed from).
-// Caller holds the shard lock.
-func (s *Server) serve(st *streamState) (estimate []float64, bound float64) {
-	if st.telQueries != nil {
-		st.telQueries.Inc()
+// Caller holds the shard lock, for reading at least.
+func (s *Server) serve(sh *shard, st *streamState) (estimate []float64, bound float64) {
+	if sh.tel != nil {
+		sh.tel.queries.Inc()
 		if stale := st.tick - 1 - st.lastCorr; stale >= 0 {
-			st.telStaleness.Observe(float64(stale))
+			sh.tel.staleness.Observe(float64(stale))
 		}
 	}
 	estimate, bound = st.answer()
@@ -705,6 +718,23 @@ func (s *Server) SetDelta(id string, delta float64) error {
 	return nil
 }
 
+// info snapshots the record's plain fields (everything but Prediction);
+// the caller holds the shard lock.
+func (st *streamState) info() StreamInfo {
+	return StreamInfo{
+		ID:                 st.id,
+		Delta:              st.delta,
+		Norm:               st.norm,
+		Tick:               st.tick,
+		LastCorrectionTick: st.lastCorr,
+		Corrections:        st.corrections,
+		Suppressed:         st.suppressed,
+		Duplicates:         st.dups,
+		Staleness:          st.tick - 1 - st.lastCorr,
+		Stale:              st.stale,
+	}
+}
+
 // Info returns a diagnostic snapshot for one stream.
 func (s *Server) Info(id string) (StreamInfo, error) {
 	sh, st, err := s.get(id)
@@ -712,21 +742,26 @@ func (s *Server) Info(id string) (StreamInfo, error) {
 		return StreamInfo{}, err
 	}
 	defer sh.mu.RUnlock()
-	info := StreamInfo{
-		ID:                 st.id,
-		Delta:              st.delta,
-		Norm:               st.norm,
-		Tick:               st.tick,
-		LastCorrectionTick: st.lastCorr,
-		Corrections:        st.corrections,
-		Staleness:          st.tick - 1 - st.lastCorr,
-		Stale:              st.stale,
-		Prediction:         st.replica.Predict(),
-	}
-	if st.telSent != nil {
-		info.Sent, info.Suppressed = st.telSent.Value(), st.telSuppressed.Value()
-	}
+	info := st.info()
+	info.Prediction = st.replica.Predict()
 	return info, nil
+}
+
+// Infos snapshots every stream, sorted by ID, without Prediction: each
+// shard is walked once under its read lock and no replica is asked to
+// predict, so the whole-population surfaces (/debug/health's streams
+// table) cost one allocation however many streams there are.
+func (s *Server) Infos() []StreamInfo {
+	out := make([]StreamInfo, 0, s.Len())
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for _, st := range sh.order {
+			out = append(out, st.info())
+		}
+		sh.mu.RUnlock()
+	}
+	slices.SortFunc(out, func(a, b StreamInfo) int { return strings.Compare(a.ID, b.ID) })
+	return out
 }
 
 // StreamIDs returns the registered stream identifiers in sorted order.
@@ -739,7 +774,7 @@ func (s *Server) StreamIDs() []string {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	return ids
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"reflect"
 	"testing"
 
 	"kalmanstream/internal/netsim"
@@ -303,5 +304,56 @@ func TestApplyResyncPaths(t *testing.T) {
 		Value: []float64{7, 1, 2, 3}}
 	if err := s.Apply(bad); err == nil {
 		t.Error("corrupt snapshot accepted")
+	}
+}
+
+// TestInfosIsInfoForEveryStream: the whole-population snapshot is the
+// per-stream one without the prediction, in ID order, and reads the
+// record live — counts kept with or without a registry, δ as last set.
+func TestInfosIsInfoForEveryStream(t *testing.T) {
+	s := New()
+	ids := []string{"m", "a", "z", "k", "b"}
+	for i, id := range ids {
+		if err := s.Register(id, staticSpec(), 1); err != nil {
+			t.Fatal(err)
+		}
+		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: int64(i + 2), Value: []float64{1}}
+		for range 2 { // the second is a duplicate
+			if _, _, err := s.Ingest(m, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, _, _, err := s.QueryAt(id, int64(i+5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetDelta("k", 0.25); err != nil {
+		t.Fatal(err)
+	}
+	infos := s.Infos()
+	if len(infos) != len(ids) {
+		t.Fatalf("%d infos for %d streams", len(infos), len(ids))
+	}
+	for i, got := range infos {
+		if i > 0 && infos[i-1].ID >= got.ID {
+			t.Fatalf("infos not sorted: %q before %q", infos[i-1].ID, got.ID)
+		}
+		want, err := s.Info(got.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Prediction == nil || got.Prediction != nil {
+			t.Fatalf("%s: Info predicts %v, Infos %v", got.ID, want.Prediction, got.Prediction)
+		}
+		want.Prediction = nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Infos row %+v, Info %+v", got, want)
+		}
+	}
+	// "k" was registered fourth: a correction at tick 5 after 5 rolled
+	// ticks, one duplicate, a query 3 ticks on.
+	k := infos[2]
+	if k.ID != "k" || k.Corrections != 1 || k.Suppressed != 5+3 || k.Duplicates != 1 || k.Delta != 0.25 {
+		t.Fatalf("record of k = %+v", k)
 	}
 }

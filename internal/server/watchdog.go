@@ -3,14 +3,15 @@
 // never silent for more than HeartbeatEvery ticks; a stream silent past
 // its deadline therefore implies message loss or a partition, and the
 // server's replica may be diverging without anything noticing. The
-// watchdog detects that condition per stream, surfaces it (telemetry
-// gauge + trace event), and issues resync requests upstream until a
-// correction, resync, or heartbeat arrives and clears it. The transitions
-// are written once and measure silence in the driver's unit: ticks since
-// the last applied message on the global clock (checked as the replica
-// steps), nanoseconds since the stream was last heard for a source on its
-// own clock, whose tick counter stands still while it is silent (checked
-// by ScanSilent). See DESIGN.md, "Fault tolerance & recovery".
+// watchdog detects that condition per stream, surfaces it (the record's
+// stale verdict, the stale hook, a trace event), and issues resync
+// requests upstream until a correction, resync, or heartbeat arrives and
+// clears it. The transitions are written once and measure silence in the
+// driver's unit: ticks since the last applied message on the global clock
+// (checked as the replica steps), nanoseconds since the stream was last
+// heard for a source on its own clock, whose tick counter stands still
+// while it is silent (checked by ScanSilent). See DESIGN.md, "Fault
+// tolerance & recovery".
 
 package server
 
@@ -38,11 +39,6 @@ func (s *Server) SetWatchdog(id string, deadlineTicks int64, feedback func(*nets
 	defer sh.mu.Unlock()
 	st.wdDeadline = deadlineTicks
 	st.feedback = feedback
-	if s.tel != nil && deadlineTicks > 0 {
-		st.telStale = s.tel.Gauge("stream_stale", "stream", id)
-		st.telStaleTotal = s.tel.Counter("watchdog_stale_total", "stream", id)
-		st.telResyncReqs = s.tel.Counter("watchdog_resync_requests_total", "stream", id)
-	}
 	return nil
 }
 
@@ -99,10 +95,6 @@ func (s *Server) watchdogCheck(st *streamState, silent, deadline int64, unit flo
 	}
 	if !st.stale {
 		st.stale, marked = true, true
-		if st.telStale != nil {
-			st.telStale.Set(1)
-			st.telStaleTotal.Inc()
-		}
 		if s.onStale != nil {
 			s.onStale(st.id)
 		}
@@ -121,9 +113,6 @@ func (s *Server) watchdogTick(st *streamState) {
 	silent := st.tick - 1 - st.lastCorr
 	if _, request := s.watchdogCheck(st, silent, st.wdDeadline, 1); !request {
 		return
-	}
-	if st.telResyncReqs != nil {
-		st.telResyncReqs.Inc()
 	}
 	s.watchdogEvent(st, trace.OutcomeResyncRequested, silent, st.wdDeadline, 1)
 	st.feedback(&netsim.Message{
@@ -193,8 +182,5 @@ func (s *Server) watchdogRecover(st *streamState) {
 	}
 	st.stale = false
 	st.wdLastReq = 0
-	if st.telStale != nil {
-		st.telStale.Set(0)
-	}
 	s.watchdogEvent(st, trace.OutcomeRecovered, st.tick-1-st.lastCorr, st.wdDeadline, 1)
 }

@@ -480,30 +480,57 @@ func (s Sample) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) of a histogram sample by
-// linear interpolation within the containing bucket — the standard
-// fixed-bucket estimate, exact only at bucket bounds.
+// Quantile estimates the q-quantile (0 < q ≤ 1) of a histogram sample —
+// see the package-level Quantile.
 func (s Sample) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
+	// Stack space for the layouts this repo emits (≤ 16 bounds); a wider
+	// histogram spills to the heap.
+	var bb [24]float64
+	var cb [24]int64
+	bounds, cum := bb[:0], cb[:0]
+	for _, b := range s.Buckets {
+		if !math.IsInf(b.UpperBound, 1) {
+			bounds = append(bounds, b.UpperBound)
+		}
+		cum = append(cum, b.Count)
+	}
+	return Quantile(bounds, cum, q)
+}
+
+// Quantile is the one fixed-bucket quantile estimate every histogram
+// surface uses (live samples, history windows, SLO windows): linear
+// interpolation within the bucket containing rank q·total, exact only at
+// bucket bounds. bounds holds the finite upper bounds in ascending order
+// and cum the cumulative counts, one per bound followed by the +Inf
+// bucket's. No mass — or the negative mass a counter reset leaves in a
+// window of deltas — answers 0; a rank landing in the +Inf bucket clamps
+// to the last finite bound, and one landing on an empty bucket answers
+// that bucket's bound.
+func Quantile[N int64 | float64](bounds []float64, cum []N, q float64) float64 {
+	if len(cum) == 0 {
 		return 0
 	}
-	rank := q * float64(s.Count)
-	lo := 0.0
-	var below int64
-	for _, b := range s.Buckets {
-		if float64(b.Count) >= rank {
-			if math.IsInf(b.UpperBound, 1) {
+	total := float64(cum[len(cum)-1])
+	if total <= 0 {
+		return 0
+	}
+	rank := q * total
+	lo, below := 0.0, 0.0
+	for i := range cum {
+		c := float64(cum[i])
+		if c >= rank {
+			if i >= len(bounds) {
 				return lo
 			}
-			in := b.Count - below
-			if in == 0 {
-				return b.UpperBound
+			in := c - below
+			if in <= 0 {
+				return bounds[i]
 			}
-			return lo + (b.UpperBound-lo)*(rank-float64(below))/float64(in)
+			return lo + (bounds[i]-lo)*(rank-below)/in
 		}
-		below = b.Count
-		if !math.IsInf(b.UpperBound, 1) {
-			lo = b.UpperBound
+		below = c
+		if i < len(bounds) {
+			lo = bounds[i]
 		}
 	}
 	return lo

@@ -241,15 +241,6 @@ func (a *Auditor) All() []AuditStats {
 	return out
 }
 
-// Violations sums δ violations across all streams.
-func (a *Auditor) Violations() int64 {
-	var n int64
-	for _, st := range a.All() {
-		n += st.Violations
-	}
-	return n
-}
-
 // TotalTicks returns the number of audited ticks across all streams —
 // a lock-free aggregate suitable as a health-monitor rate source.
 func (a *Auditor) TotalTicks() int64 { return a.totalTicks.Load() }
@@ -257,6 +248,5 @@ func (a *Auditor) TotalTicks() int64 { return a.totalTicks.Load() }
 // TotalSuppressed returns the suppressed-tick count across all streams.
 func (a *Auditor) TotalSuppressed() int64 { return a.totalSuppressed.Load() }
 
-// TotalViolations returns the δ-violation count across all streams,
-// identical to Violations() but without taking the auditor lock.
+// TotalViolations returns the δ-violation count across all streams.
 func (a *Auditor) TotalViolations() int64 { return a.totalViolations.Load() }

@@ -1,0 +1,137 @@
+package wire
+
+import (
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"testing"
+
+	"kalmanstream/internal/netsim"
+	"kalmanstream/internal/predictor"
+	"kalmanstream/internal/telemetry"
+)
+
+// populate registers n random-walk Kalman streams on a fresh server with
+// a private registry.
+func populate(t testing.TB, n int) *Server {
+	t.Helper()
+	srv := NewServerWith(Options{Metrics: telemetry.New()})
+	spec := predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.05, R: 0.1}}
+	for i := 0; i < n; i++ {
+		if err := srv.Register(RegisterPayload{ID: fmt.Sprintf("s%05d", i), Spec: spec, Delta: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv
+}
+
+// TestTelemetryCardinalityIndependentOfPopulation: the registry holds
+// totals, so its size — and with it /metrics, the metrics frame and the
+// history store — does not depend on how many streams are registered.
+func TestTelemetryCardinalityIndependentOfPopulation(t *testing.T) {
+	var series [2]int
+	for i, n := range []int{1_000, 20_000} {
+		srv := populate(t, n)
+		for _, id := range []string{"s00000", "s00007", fmt.Sprintf("s%05d", n-1)} {
+			m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: 3, Value: []float64{1}}
+			if err := srv.Apply(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Apply(m); err != nil { // the same tick again: a duplicate
+				t.Fatal(err)
+			}
+			if _, err := srv.Query(QueryPayload{ID: id, Tick: 6}); err != nil {
+				t.Fatal(err)
+			}
+			info := mustInfo(t, srv, id)
+			if info.Corrections != 1 || info.Suppressed != 6 || info.Duplicates != 1 {
+				t.Fatalf("%s: record counts %+v, want 1 sent, 6 suppressed, 1 duplicate", id, info)
+			}
+		}
+		checkTotals(t, srv, 0)
+		if got := regTotal(srv.reg, "server_queries_total"); got != 3 {
+			t.Fatalf("server_queries_total sums to %d, want 3", got)
+		}
+
+		snap := srv.Registry().Snapshot()
+		series[i] = len(snap)
+		for _, smp := range snap {
+			if strings.Contains(smp.Labels, "stream=") {
+				t.Fatalf("%d streams: series %s%s carries a stream label", n, smp.Name, smp.Labels)
+			}
+		}
+		text, err := srv.MetricsText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(text) >= 64<<10 || len(text)+1 > MaxFrameSize {
+			t.Fatalf("%d streams: metrics text is %d bytes", n, len(text))
+		}
+	}
+	if series[0] != series[1] || series[0] >= 200 {
+		t.Fatalf("registry holds %d series at 1,000 streams and %d at 20,000, want equal and < 200", series[0], series[1])
+	}
+}
+
+// discardConn is a net.Conn that swallows writes.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestWriteFrameAddsNoAllocs: the connection writer's accounting is two
+// resolved handles, so an answer, pong or OK costs what the bare frame
+// write costs and no registry lookup.
+func TestWriteFrameAddsNoAllocs(t *testing.T) {
+	srv := NewServerWith(Options{Metrics: telemetry.New()})
+	cw := &connWriter{conn: discardConn{}, s: srv}
+	payload := make([]byte, 64)
+	var w io.Writer = discardConn{}
+	bare := testing.AllocsPerRun(200, func() {
+		if err := WriteFrame(w, FrameAnswer, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	got := testing.AllocsPerRun(200, func() {
+		if err := cw.writeFrame(FrameAnswer, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != bare {
+		t.Errorf("writeFrame allocates %.1f per frame, the bare frame write %.1f", got, bare)
+	}
+	if n := srv.telFramesOut.Value(); n != 201 {
+		t.Errorf("wire_frames_total{direction=out} = %d after 201 frames", n)
+	}
+	if n := srv.telBytesOut.Value(); n != 201*(5+64) {
+		t.Errorf("wire_bytes_total{direction=out} = %d, want %d", n, 201*(5+64))
+	}
+}
+
+// TestHealthStreamsAtScale sizes the one per-stream surface: the streams
+// table walks each shard once and asks no replica to predict, so it costs
+// a handful of allocations however many streams it lists — and lists them
+// in ID order.
+func TestHealthStreamsAtScale(t *testing.T) {
+	const n = 10_000
+	srv := populate(t, n)
+	if err := srv.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "s00042", Tick: 9, Value: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := srv.HealthStreams()
+	if len(rows) != n {
+		t.Fatalf("%d rows for %d streams", len(rows), n)
+	}
+	for i, row := range rows {
+		if want := fmt.Sprintf("s%05d", i); row.ID != want || row.Delta != 0.5 {
+			t.Fatalf("row %d is %+v, want stream %s with δ 0.5", i, row, want)
+		}
+	}
+	if r := rows[42]; r.Sent != 1 || r.Suppressed != 9 {
+		t.Fatalf("row s00042 is %+v, want 1 sent and 9 suppressed", r)
+	}
+	if avg := testing.AllocsPerRun(5, func() { srv.HealthStreams() }); avg > 4 {
+		t.Errorf("HealthStreams allocates %.0f times for %d streams, want ≤ 4", avg, n)
+	}
+}

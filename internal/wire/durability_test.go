@@ -116,8 +116,8 @@ func TestRecoveryByteIdenticalToControl(t *testing.T) {
 
 	// Replay reproduced the per-stream counters too.
 	for _, id := range ids {
-		w := control.Registry().Counter("corrections_sent_total", "stream", id).Value()
-		g := recovered.Registry().Counter("corrections_sent_total", "stream", id).Value()
+		w := mustInfo(t, control, id).Corrections
+		g := mustInfo(t, recovered, id).Corrections
 		if w != g {
 			t.Fatalf("stream %s: recovered sent=%d, control sent=%d", id, g, w)
 		}

@@ -39,6 +39,7 @@ type refStream struct {
 	tick    int64 // replica ticks stepped so far
 	ckpt    int64 // tick pinned by the last checkpoint
 	durable int   // how much of log a crash preserves; -1: not even the registration
+	carried int64 // corrections counted in the last checkpoint
 }
 
 // refDelta is what one operation adds to a stream's three counters.
@@ -145,8 +146,10 @@ func (r refModel) synced() {
 
 // crash models kill + recover: what was synced and the last checkpoint
 // survive; the unsynced tail and the ticks queries rolled through since
-// the checkpoint do not.
-func (r refModel) crash() {
+// the checkpoint do not. It returns the corrections the recovered records
+// carry out of the checkpoint rather than out of replay — the part of
+// their count the new process's registry never saw.
+func (r refModel) crash() (carried int64) {
 	for id, st := range r {
 		if st.durable < 0 {
 			delete(r, id)
@@ -156,20 +159,23 @@ func (r refModel) crash() {
 		if st.durable > 0 {
 			st.tick = max(st.tick, st.log[st.durable-1].at)
 		}
+		carried += st.carried
 	}
+	return carried
 }
 
 // modelRun drives one seeded random operation sequence against a durable
 // wire.Server and the reference, comparing answers, errors and counter
 // movements at every step.
 type modelRun struct {
-	t    *testing.T
-	seed int64
-	rng  *rand.Rand
-	dir  string
-	srv  *Server
-	ref  refModel
-	step int
+	t       *testing.T
+	seed    int64
+	rng     *rand.Rand
+	dir     string
+	srv     *Server
+	ref     refModel
+	step    int
+	carried int64 // see refModel.crash
 }
 
 var modelSpecs = []predictor.Spec{
@@ -186,13 +192,14 @@ func (r *modelRun) open() {
 	r.srv = srv
 }
 
+// counters reads a stream's three counts from its record; a stream the
+// server does not know has none.
 func (r *modelRun) counters(id string) refDelta {
-	reg := r.srv.Registry()
-	return refDelta{
-		sent:       reg.Counter("corrections_sent_total", "stream", id).Value(),
-		suppressed: reg.Counter("corrections_suppressed_total", "stream", id).Value(),
-		dup:        reg.Counter("wire_duplicates_dropped_total", "stream", id).Value(),
+	info, err := r.srv.srv.Info(id)
+	if err != nil {
+		return refDelta{}
 	}
+	return refDelta{sent: info.Corrections, suppressed: info.Suppressed, dup: info.Duplicates}
 }
 
 // check compares one operation's outcome on both sides.
@@ -309,7 +316,12 @@ func (r *modelRun) op() {
 		}
 		r.ref.synced()
 		for _, st := range r.ref {
-			st.ckpt = st.tick
+			st.ckpt, st.carried = st.tick, 0
+			for _, op := range st.log {
+				if op.m.Kind != netsim.KindHeartbeat {
+					st.carried++
+				}
+			}
 		}
 	default: // kill + recover, half the time with an unsynced tail to lose
 		if r.rng.Intn(2) == 0 {
@@ -320,10 +332,11 @@ func (r *modelRun) op() {
 		}
 		// Abandon the server without Close — nothing buffered may reach the
 		// disk — stopping only its goroutine so the run does not pile them up.
+		checkTotals(r.t, r.srv, r.carried)
 		close(r.srv.walStop)
 		<-r.srv.walDone
 		r.open()
-		r.ref.crash()
+		r.carried = r.ref.crash()
 		for id := range r.ref {
 			r.query(id, r.ref[id].tick-1) // the recovered replica, exactly where the log left it
 		}
@@ -347,6 +360,7 @@ func TestModelDifferential(t *testing.T) {
 		for r.step = 0; r.step < 150; r.step++ {
 			r.op()
 		}
+		checkTotals(t, r.srv, r.carried)
 		if err := r.srv.Close(); err != nil {
 			t.Fatalf("seed %d: close: %v", seed, err)
 		}
@@ -473,4 +487,6 @@ func TestConcurrentIngestHammer(t *testing.T) {
 	for w := range ids {
 		answersAt(t, ids[w], ticks, serial, srv)
 	}
+	checkTotals(t, srv, 0)
+	checkTotals(t, serial, 0)
 }

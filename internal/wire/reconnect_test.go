@@ -274,11 +274,12 @@ func TestReconnectHammer(t *testing.T) {
 	// No message applied twice: every applied correction consumed a
 	// distinct tick, so applies can never exceed the gate's sends. The
 	// duplicate counter absorbs replayed tails instead.
-	applied := reg.Counter("corrections_sent_total", "stream", "h").Value()
+	info := mustInfo(t, srv, "h")
+	applied := info.Corrections
 	if applied > sent {
 		t.Fatalf("server applied %d corrections for %d gate sends — a message was applied twice", applied, sent)
 	}
-	dupes := reg.Counter("wire_duplicates_dropped_total", "stream", "h").Value()
+	dupes := info.Duplicates
 	t.Logf("hammer: %d reconnects, %d gate sends, %d applied, %d duplicate frames dropped",
 		c.Reconnects(), sent, applied, dupes)
 	// And the stream still works end to end.
@@ -289,5 +290,4 @@ func TestReconnectHammer(t *testing.T) {
 	if ans.Tick != ticks-1 {
 		t.Fatalf("final query answered tick %d", ans.Tick)
 	}
-	_ = srv
 }

@@ -79,8 +79,8 @@ func (cw *connWriter) writeFrame(typ uint8, payload []byte) error {
 	if err := WriteFrame(cw.conn, typ, payload); err != nil {
 		return err
 	}
-	cw.s.reg.Counter("wire_bytes_total", "direction", "out").Add(int64(5 + len(payload)))
-	cw.s.reg.Counter("wire_frames_total", "direction", "out").Inc()
+	cw.s.telBytesOut.Add(int64(5 + len(payload)))
+	cw.s.telFramesOut.Inc()
 	return nil
 }
 
@@ -118,6 +118,12 @@ type Server struct {
 	telStale       *telemetry.Gauge
 	telStaleTotal  *telemetry.Counter
 	telResyncReqs  *telemetry.Counter
+
+	// Per-direction wire volume, resolved once: a registry lookup renders
+	// and sorts its labels, which is not a per-frame cost.
+	telBytesIn, telBytesOut   *telemetry.Counter
+	telFramesIn, telFramesOut *telemetry.Counter
+
 	// telFrame holds the per-kind handler latency histogram, indexed by
 	// frame type so the read loop observes without a registry lookup or
 	// label allocation. Only client→server kinds are populated; the rest
@@ -219,6 +225,10 @@ func NewServerWith(opts Options) *Server {
 		reg:            reg,
 		telConns:       reg.Counter("wire_connections_total"),
 		telConnsActive: reg.Gauge("wire_connections_active"),
+		telBytesIn:     reg.Counter("wire_bytes_total", "direction", "in"),
+		telBytesOut:    reg.Counter("wire_bytes_total", "direction", "out"),
+		telFramesIn:    reg.Counter("wire_frames_total", "direction", "in"),
+		telFramesOut:   reg.Counter("wire_frames_total", "direction", "out"),
 		telLatency:     reg.Histogram("query_latency_seconds", telemetry.LatencyBuckets),
 		telErrors:      reg.Counter("wire_errors_total"),
 		telStale:       reg.Gauge("streams_stale"),
@@ -237,8 +247,8 @@ func NewServerWith(opts Options) *Server {
 	reg.Help("wire_frame_handle_seconds", "inbound frame handling latency by frame kind")
 	reg.Help("wire_frames_coalesced_total", "batched correction frames received")
 	reg.Help("wire_corrections_per_frame", "messages carried per coalesced frame")
-	reg.Help("corrections_sent_total", "corrections applied per stream")
-	reg.Help("corrections_suppressed_total", "replica ticks advanced without a correction, per stream")
+	reg.Help("corrections_sent_total", "corrections applied")
+	reg.Help("corrections_suppressed_total", "replica ticks advanced without a correction")
 	reg.Help("wire_bytes_total", "bytes on the wire by direction")
 	reg.Help("query_latency_seconds", "wire query handling latency")
 	reg.Help("streams_stale", "streams currently silent past the watchdog deadline")
@@ -343,13 +353,11 @@ func (s *Server) Diag() *diag.Recorder { return s.diag }
 // HealthStreams snapshots every registered stream's cumulative counters
 // for the /debug/health payload, sorted by ID.
 func (s *Server) HealthStreams() []health.StreamStat {
-	ids := s.srv.StreamIDs()
-	out := make([]health.StreamStat, 0, len(ids))
-	for _, id := range ids {
-		if info, err := s.srv.Info(id); err == nil {
-			out = append(out, health.StreamStat{ID: id, Sent: info.Sent,
-				Suppressed: info.Suppressed, Delta: info.Delta, Stale: info.Stale})
-		}
+	infos := s.srv.Infos()
+	out := make([]health.StreamStat, len(infos))
+	for i, info := range infos {
+		out[i] = health.StreamStat{ID: info.ID, Sent: info.Corrections,
+			Suppressed: info.Suppressed, Delta: info.Delta, Stale: info.Stale}
 	}
 	return out
 }
@@ -573,8 +581,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.connMu.Unlock()
 	defer s.releaseConn(cw)
 
-	bytesIn := s.reg.Counter("wire_bytes_total", "direction", "in")
-	framesIn := s.reg.Counter("wire_frames_total", "direction", "in")
 	// One decode target per connection: DecodeInto reuses its Value
 	// storage and StreamID string, so a steady correction stream decodes
 	// without allocating.
@@ -589,8 +595,8 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 		// Frame overhead is 4 length bytes + 1 type byte.
-		bytesIn.Add(int64(5 + len(payload)))
-		framesIn.Inc()
+		s.telBytesIn.Add(int64(5 + len(payload)))
+		s.telFramesIn.Inc()
 		if err := s.dispatch(cw, typ, payload, &msg); err != nil {
 			s.telErrors.Inc()
 			if writeErr := cw.writeFrame(FrameError, []byte(err.Error())); writeErr != nil {

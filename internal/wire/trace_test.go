@@ -149,8 +149,11 @@ func TestTraceOverWire(t *testing.T) {
 		break
 	}
 
-	// Violation counters surface through the server's registry.
-	if got := srv.Registry().Counter("audit_delta_violations_total", "stream", "w").Value(); got != 0 {
+	// The audit's counters surface through the server's registry.
+	if got := regTotal(srv.Registry(), "audit_ticks_total"); got != ticks {
+		t.Fatalf("telemetry reports %d audited ticks, want %d", got, ticks)
+	}
+	if got := regTotal(srv.Registry(), "audit_delta_violations_total"); got != 0 {
 		t.Fatalf("telemetry reports %d violations", got)
 	}
 }

@@ -96,6 +96,54 @@ func cvSpec() predictor.Spec {
 		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.01, R: 0.1}}
 }
 
+// mustInfo reads one stream's record — where its per-stream numbers live.
+func mustInfo(t *testing.T, s *Server, id string) server.StreamInfo {
+	t.Helper()
+	info, err := s.srv.Info(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
+}
+
+// regTotal sums every series of one counter, as readers of the registry's
+// totals do.
+func regTotal(reg *telemetry.Registry, name string) int64 {
+	var n int64
+	for _, smp := range reg.Snapshot() {
+		if smp.Name == name {
+			n += int64(smp.Value)
+		}
+	}
+	return n
+}
+
+// checkTotals holds the registry's three totals against the sum of the
+// per-stream records. carried is the corrections the records brought out
+// of a checkpoint: that count is restored with the replica, while the
+// registry restarts at zero with the process.
+func checkTotals(t *testing.T, s *Server, carried int64) {
+	t.Helper()
+	var sum server.StreamInfo
+	for _, info := range s.srv.Infos() {
+		sum.Corrections += info.Corrections
+		sum.Suppressed += info.Suppressed
+		sum.Duplicates += info.Duplicates
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"corrections_sent_total", regTotal(s.reg, "corrections_sent_total"), sum.Corrections - carried},
+		{"corrections_suppressed_total", regTotal(s.reg, "corrections_suppressed_total"), sum.Suppressed},
+		{"wire_duplicates_dropped_total", regTotal(s.reg, "wire_duplicates_dropped_total"), sum.Duplicates},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s sums to %d, the stream records to %d", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestTCPEndToEnd(t *testing.T) {
 	_, addr, shutdown := startServer(t)
 	defer shutdown()
@@ -365,11 +413,12 @@ func TestRefusedFrameDoesNotPoisonDedupeGuard(t *testing.T) {
 	if err := srv.Apply(msg(5, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("corrections_sent_total", "stream", "s").Value(); got != 2 {
-		t.Fatalf("corrections_sent_total = %d, want 2", got)
+	info := mustInfo(t, srv, "s")
+	if info.Corrections != 2 {
+		t.Fatalf("corrections applied = %d, want 2", info.Corrections)
 	}
-	if got := reg.Counter("wire_duplicates_dropped_total", "stream", "s").Value(); got != 0 {
-		t.Fatalf("wire_duplicates_dropped_total = %d, want 0", got)
+	if info.Duplicates != 0 {
+		t.Fatalf("duplicates dropped = %d, want 0", info.Duplicates)
 	}
 }
 
@@ -406,8 +455,8 @@ func TestMetricsFrame(t *testing.T) {
 	defer c.Close()
 	// The source gate keeps its counters on telemetry.Default; reg holds
 	// only the server-side view (in production they are separate
-	// processes, and in-process sharing would double-count the shared
-	// per-stream series).
+	// processes, and in-process sharing would mix the gate's per-stream
+	// series into the server's totals of the same name).
 	ns, err := NewNetworkedSource(c, source.Config{
 		StreamID: "tel-stream", Spec: cvSpec(), Delta: 0.5,
 	})
@@ -433,24 +482,32 @@ func TestMetricsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`corrections_sent_total{stream="tel-stream"}`,
-		`corrections_suppressed_total{stream="tel-stream"}`,
+		"# TYPE corrections_sent_total counter",
+		"# TYPE corrections_suppressed_total counter",
 		`wire_bytes_total{direction="in"}`,
 		`wire_bytes_total{direction="out"}`,
 		"# TYPE query_latency_seconds histogram",
 		"query_latency_seconds_count 1",
-		`server_queries_total{stream="tel-stream"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, text)
 		}
 	}
+	if strings.Contains(text, `{stream="tel-stream"}`) {
+		t.Fatalf("metrics exposition has a per-stream series:\n%s", text)
+	}
+	if got := regTotal(reg, "server_queries_total"); got != 1 {
+		t.Fatalf("server_queries_total sums to %d, want 1", got)
+	}
 
 	// The server's view of suppression must reconcile with the source's
 	// gate: every advanced tick is either a correction or suppressed.
 	st := ns.Stats()
-	sent := reg.Counter("corrections_sent_total", "stream", "tel-stream").Value()
-	suppressed := reg.Counter("corrections_suppressed_total", "stream", "tel-stream").Value()
+	info := mustInfo(t, srv, "tel-stream")
+	sent, suppressed := info.Corrections, info.Suppressed
+	if sent != regTotal(reg, "corrections_sent_total") || suppressed != regTotal(reg, "corrections_suppressed_total") {
+		t.Fatalf("one stream's record (sent %d, suppressed %d) disagrees with the registry totals", sent, suppressed)
+	}
 	if sent != st.Sent {
 		t.Fatalf("server counted %d corrections, source sent %d", sent, st.Sent)
 	}
