@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the gate every change must
 # pass: vet, build, the full test suite under the race detector (the
-# sharded server, parallel tick pipeline, and wire server are concurrent
-# by design), and a short benchmark smoke so benchmark code cannot rot.
+# sharded server and the wire server are concurrent by design), and a
+# short benchmark smoke so benchmark code cannot rot.
 
 GO ?= go
 # Benchmark knobs for `make bench`; BENCH_OUT is the machine-readable
@@ -9,8 +9,8 @@ GO ?= go
 # that `make bench-compare` gates against.
 BENCHTIME ?= 1s
 BENCHCOUNT ?= 3
-BENCH_OUT ?= BENCH_PR10.json
-BENCH_BASE ?= BENCH_PR9.json
+BENCH_OUT ?= BENCH_PR14.json
+BENCH_BASE ?= BENCH_PR10.json
 # The regression gate: benchmarks matching this pattern may not regress
 # ns/op by more than BENCH_MAXREGRESS percent against BENCH_BASE.
 BENCH_GATE ?= SystemScale|MessageRoundTrip|MonitorTick|WindowSnapshot|TopKObserve|E8BudgetAllocation|WireCoalesced|HistoryRecord|WALAppend|LatencyRecord
@@ -77,13 +77,17 @@ bench-smoke:
 
 # loc prints the size ROADMAP tracks — lines of non-test Go outside
 # bench/ (and outside the bench's gitignored build directory) — then the
-# same per internal package. CI writes it to the job summary so every PR
-# shows its delta.
+# same per internal package, then the two sums PRs are gated on: the
+# wire+core+server trio of ROADMAP item 1, and the experiment drivers
+# (internal/harness + cmd/streamkf). CI writes it to the job summary so
+# every PR shows its delta.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 	@for d in internal/*/; do \
 		printf '%7d %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
 	done
+	@printf '%7d %s\n' "$$(find internal/wire internal/core internal/server -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "internal/wire + internal/core + internal/server"
+	@printf '%7d %s\n' "$$(find internal/harness cmd/streamkf -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "internal/harness + cmd/streamkf"
 
 # cover runs the full test suite with an atomic-mode coverage profile
 # and writes both the raw profile and the per-function summary under

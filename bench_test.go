@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"runtime"
 	"testing"
 
 	"kalmanstream/internal/core"
@@ -175,22 +174,6 @@ func BenchmarkProtocolTickStatic(b *testing.B) {
 	benchProtocolTick(b, predictor.Spec{Kind: predictor.KindStatic, Dim: 1})
 }
 
-// BenchmarkSystemScale1000Streams measures one full system tick —
-// Advance plus an Observe on each of 1000 Kalman-managed streams — the
-// number that sizes a deployment.
-func BenchmarkSystemScale1000Streams(b *testing.B) {
-	benchSystemScale(b, 1)
-}
-
-// BenchmarkSystemScaleParallel is the same workload with the tick
-// pipeline fanned out across GOMAXPROCS workers. On a multi-core runner
-// throughput scales with cores while msgs/stream-tick stays identical to
-// the serial run (parallelism must not change protocol decisions); on a
-// single-core runner it measures the pool's scheduling overhead.
-func BenchmarkSystemScaleParallel(b *testing.B) {
-	benchSystemScale(b, runtime.GOMAXPROCS(0))
-}
-
 // benchMonitor builds the SLO monitor wired into the scale benchmarks:
 // a counter, a gauge and a latency histogram under one SLO each — the
 // same shape kfserver configures — so the scale numbers include the
@@ -342,14 +325,16 @@ func benchWireCoalesced(b *testing.B, batch int) {
 	}
 }
 
-func benchSystemScale(b *testing.B, workers int) {
+// BenchmarkSystemScale1000Streams measures one full system tick —
+// Advance plus an Observe on each of 1000 Kalman-managed streams — the
+// number that sizes a deployment.
+func BenchmarkSystemScale1000Streams(b *testing.B) {
 	const nStreams = 1000
 	mon, reg := benchMonitor(b, 100)
-	sys, err := core.NewSystem(core.SystemConfig{Workers: workers, Health: mon, Telemetry: reg})
+	sys, err := core.NewSystem(core.SystemConfig{Health: mon, Telemetry: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer sys.Close()
 	handles := make([]*core.StreamHandle, nStreams)
 	gens := make([]stream.Stream, nStreams)
 	for i := 0; i < nStreams; i++ {

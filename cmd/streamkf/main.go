@@ -16,10 +16,10 @@ import (
 	"os"
 
 	"kalmanstream/internal/buildinfo"
+	"kalmanstream/internal/core"
 	"kalmanstream/internal/harness"
 	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 	"kalmanstream/internal/telemetry"
 )
@@ -355,12 +355,12 @@ func cmdReplay(args []string) error {
 	if d == 0 {
 		d = *deltaMult * vol
 	}
-	var norm source.Norm
+	var norm core.Norm
 	switch *normName {
 	case "linf":
-		norm = source.NormInf
+		norm = core.NormInf
 	case "l2":
-		norm = source.NormL2
+		norm = core.NormL2
 	default:
 		return fmt.Errorf("replay: unknown norm %q", *normName)
 	}

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math"
 
+	"kalmanstream/internal/core"
 	"kalmanstream/internal/harness"
-	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
-	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
 
@@ -64,7 +62,7 @@ func selfcheckSpecs() []predictor.Spec {
 
 func checkHardBound(seed int64) error {
 	for i, spec := range selfcheckSpecs() {
-		rs, err := harness.Run(spec, 1.5, source.NormInf,
+		rs, err := harness.Run(spec, 1.5, core.NormInf,
 			stream.NewRegimeSwitching(seed+int64(i), 500, 0.2, 4000))
 		if err != nil {
 			return err
@@ -79,12 +77,11 @@ func checkHardBound(seed int64) error {
 
 func checkLockstep(seed int64) error {
 	for i, spec := range selfcheckSpecs() {
-		srv := server.New()
-		if err := srv.Register("s", spec, 1); err != nil {
+		sys, err := core.NewSystem(core.SystemConfig{})
+		if err != nil {
 			return err
 		}
-		link := netsim.NewLink(func(m *netsim.Message) { _ = srv.Apply(m) }, netsim.LinkConfig{})
-		src, err := source.New(source.Config{StreamID: "s", Spec: spec, Delta: 1}, link.Send)
+		h, err := sys.Attach(core.StreamConfig{ID: "s", Predictor: spec, Delta: 1})
 		if err != nil {
 			return err
 		}
@@ -94,124 +91,116 @@ func checkLockstep(seed int64) error {
 			if !ok {
 				break
 			}
-			srv.Tick()
-			sent, err := src.Observe(p.Tick, p.Value)
+			if err := sys.Advance(); err != nil {
+				return err
+			}
+			sent, err := h.Observe(p.Value)
 			if err != nil {
 				return err
 			}
 			if sent {
 				continue
 			}
-			info, err := srv.Info("s")
-			if err != nil {
-				return err
+			if err := sameView(sys, h); err != nil {
+				return fmt.Errorf("predictor %d tick %d: %w", i, p.Tick, err)
 			}
-			sp := src.Prediction()
-			for k := range sp {
-				if sp[k] != info.Prediction[k] {
-					return fmt.Errorf("predictor %d tick %d: source %v vs server %v",
-						i, p.Tick, sp, info.Prediction)
-				}
-			}
+		}
+	}
+	return nil
+}
+
+// sameView fails unless the source's view of the replica equals the
+// server's, bit for bit.
+func sameView(sys *core.System, h *core.StreamHandle) error {
+	info, err := sys.Info(h.ID())
+	if err != nil {
+		return err
+	}
+	sp := h.Prediction()
+	for k := range sp {
+		if sp[k] != info.Prediction[k] {
+			return fmt.Errorf("source %v vs server %v", sp, info.Prediction)
 		}
 	}
 	return nil
 }
 
 func checkComposition(seed int64) error {
-	srv := server.New()
+	sys, err := core.NewSystem(core.SystemConfig{})
+	if err != nil {
+		return err
+	}
 	const n = 8
 	ids := make([]string, n)
-	srcs := make([]*source.Source, n)
+	handles := make([]*core.StreamHandle, n)
 	gens := make([]stream.Stream, n)
-	spec := predictor.Spec{Kind: predictor.KindKalman,
-		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.5, R: 0.01}}
 	for i := 0; i < n; i++ {
 		ids[i] = fmt.Sprintf("s%d", i)
-		if err := srv.Register(ids[i], spec, 1); err != nil {
-			return err
-		}
-		link := netsim.NewLink(func(m *netsim.Message) { _ = srv.Apply(m) }, netsim.LinkConfig{})
-		src, err := source.New(source.Config{StreamID: ids[i], Spec: spec, Delta: 1}, link.Send)
+		handles[i], err = sys.Attach(core.StreamConfig{ID: ids[i], Predictor: core.KalmanRandomWalk(0.5, 0.01), Delta: 1})
 		if err != nil {
 			return err
 		}
-		srcs[i] = src
 		gens[i] = stream.NewRandomWalk(seed+int64(i), 0, 0.7, 0.05, 2000)
 	}
 	for tick := 0; tick < 2000; tick++ {
-		srv.Tick()
-		var trueSum, estSum, bound float64
-		for i := range srcs {
+		if err := sys.Advance(); err != nil {
+			return err
+		}
+		var trueSum float64
+		for i, h := range handles {
 			p, ok := gens[i].Next()
 			if !ok {
 				return fmt.Errorf("stream ended early")
 			}
-			if _, err := srcs[i].Observe(p.Tick, p.Value); err != nil {
+			if _, err := h.Observe(p.Value); err != nil {
 				return err
 			}
 			trueSum += p.Value[0]
 		}
-		for _, id := range ids {
-			est, b, err := srv.Value(id)
-			if err != nil {
-				return err
-			}
-			estSum += est[0]
-			bound += b
+		sum, err := sys.Sum(ids)
+		if err != nil {
+			return err
 		}
-		if math.Abs(estSum-trueSum) > bound+1e-9 {
-			return fmt.Errorf("tick %d: |%g − %g| > %g", tick, estSum, trueSum, bound)
+		if math.Abs(sum.Estimate-trueSum) > sum.Bound+1e-9 {
+			return fmt.Errorf("tick %d: |%g − %g| > %g", tick, sum.Estimate, trueSum, sum.Bound)
 		}
 	}
 	return nil
 }
 
 func checkResync(seed int64) error {
-	spec := predictor.Spec{Kind: predictor.KindKalman,
-		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}}
-	srv := server.New()
-	if err := srv.Register("s", spec, 1); err != nil {
+	sys, err := core.NewSystem(core.SystemConfig{})
+	if err != nil {
 		return err
 	}
-	delivered := int64(0)
-	link := netsim.NewLink(func(m *netsim.Message) {
-		if err := srv.Apply(m); err == nil {
-			delivered++
-		}
-	}, netsim.LinkConfig{DropProb: 0.3, Seed: seed})
-	src, err := source.New(source.Config{StreamID: "s", Spec: spec, Delta: 1, ResyncEvery: 1}, link.Send)
+	h, err := sys.Attach(core.StreamConfig{
+		ID: "s", Predictor: core.KalmanConstantVelocity(0.05, 0.1), Delta: 1,
+		ResyncEvery: 1, LinkDropProb: 0.3, LinkSeed: seed,
+	})
 	if err != nil {
 		return err
 	}
 	gen := stream.NewSine(seed, 0, 10, 150, 0, 0.2, 3000)
-	last := int64(0)
-	checked := false
+	delivered := int64(0)
 	for {
 		p, ok := gen.Next()
 		if !ok {
 			break
 		}
-		srv.Tick()
-		if _, err := src.Observe(p.Tick, p.Value); err != nil {
+		if err := sys.Advance(); err != nil {
 			return err
 		}
-		if delivered > last {
-			last = delivered
-			info, err := srv.Info("s")
-			if err != nil {
-				return err
+		if _, err := h.Observe(p.Value); err != nil {
+			return err
+		}
+		if n := h.LinkStats().Messages; n > delivered {
+			delivered = n
+			if err := sameView(sys, h); err != nil {
+				return fmt.Errorf("tick %d: divergence right after delivered resync: %w", p.Tick, err)
 			}
-			sp := src.Prediction()
-			for k := range sp {
-				if sp[k] != info.Prediction[k] {
-					return fmt.Errorf("tick %d: divergence right after delivered resync", p.Tick)
-				}
-			}
-			checked = true
 		}
 	}
-	if !checked {
+	if delivered == 0 {
 		return fmt.Errorf("no resyncs delivered — check inconclusive")
 	}
 	return nil

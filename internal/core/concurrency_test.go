@@ -2,16 +2,15 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
 	"kalmanstream/internal/stream"
 )
 
-// TestConcurrentObserveQuerySubscribe drives a multi-worker System the
-// way the concurrency contract allows: Advance from one goroutine as the
-// tick barrier, then Observe on every stream, bounded-error queries, and
+// TestConcurrentObserveQuerySubscribe drives a System the way the
+// concurrency contract allows: Advance from one goroutine as the tick
+// barrier, then Observe on every stream, bounded-error queries, and
 // subscription churn all concurrently within the tick. Run under -race
 // (make check does) this validates the lock-striped server, the atomic
 // link counters, and the synchronized subscription set.
@@ -20,12 +19,10 @@ func TestConcurrentObserveQuerySubscribe(t *testing.T) {
 		nStreams = 12
 		ticks    = 120
 	)
-	sys, err := NewSystem(SystemConfig{Workers: 4})
+	sys, err := NewSystem(SystemConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
-
 	handles := make([]*StreamHandle, nStreams)
 	gens := make([]stream.Stream, nStreams)
 	ids := make([]string, nStreams)
@@ -104,125 +101,5 @@ func TestConcurrentObserveQuerySubscribe(t *testing.T) {
 	}
 	if sys.TotalMessages() == 0 {
 		t.Error("no corrections crossed any link")
-	}
-}
-
-// workloadResult captures everything observable about a run that
-// parallelism must not change.
-type workloadResult struct {
-	messages int64
-	bytes    int64
-	sent     []int64
-	maxSupp  []float64
-	errSum   []float64
-	finals   []float64
-}
-
-// runWorkload drives an E2-style workload — a δ grid across streams of
-// mixed dynamics, some with delayed uplinks — for the given worker count,
-// observing serially so the only varying factor is the Advance pipeline.
-func runWorkload(t *testing.T, workers int) workloadResult {
-	t.Helper()
-	const (
-		nStreams = 24
-		ticks    = 600
-	)
-	deltas := []float64{0.2, 0.5, 1, 2}
-	sys, err := NewSystem(SystemConfig{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-
-	handles := make([]*StreamHandle, nStreams)
-	gens := make([]stream.Stream, nStreams)
-	for i := range handles {
-		cfg := StreamConfig{
-			ID:        fmt.Sprintf("w%02d", i),
-			Predictor: KalmanConstantVelocity(0.05, 0.1),
-			Delta:     deltas[i%len(deltas)],
-		}
-		if i%5 == 0 {
-			cfg.LinkDelayTicks = 2 // exercise queued-delivery maturation
-		}
-		h, err := sys.Attach(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles[i] = h
-		if i%2 == 0 {
-			gens[i] = stream.NewRandomWalk(int64(i+1), 0, 1, 0.1, ticks+1)
-		} else {
-			gens[i] = stream.NewSine(int64(i+1), 0, 10, 150, 0, 0.3, ticks+1)
-		}
-	}
-
-	res := workloadResult{
-		sent:    make([]int64, nStreams),
-		maxSupp: make([]float64, nStreams),
-		errSum:  make([]float64, nStreams),
-		finals:  make([]float64, nStreams),
-	}
-	for tick := 0; tick < ticks; tick++ {
-		if err := sys.Advance(); err != nil {
-			t.Fatal(err)
-		}
-		for i, h := range handles {
-			p, ok := gens[i].Next()
-			if !ok {
-				t.Fatal("stream exhausted")
-			}
-			if _, err := h.Observe(p.Value); err != nil {
-				t.Fatal(err)
-			}
-			vec, _, err := sys.Vector(h.ID())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res.errSum[i] += math.Abs(vec[0] - p.Value[0])
-		}
-	}
-	for i, h := range handles {
-		st := h.Stats()
-		res.sent[i] = st.Sent
-		res.maxSupp[i] = st.MaxSuppressedDeviation
-		vec, _, err := sys.Vector(h.ID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.finals[i] = vec[0]
-	}
-	res.messages = sys.TotalMessages()
-	res.bytes = sys.TotalBytes()
-	return res
-}
-
-// TestParallelAdvanceEquivalence is the equivalence guard: the same
-// workload with Workers: 1 and Workers: 8 must produce identical message
-// counts, identical per-stream gate statistics, and bit-identical error
-// metrics — parallelism changes wall-clock time only.
-func TestParallelAdvanceEquivalence(t *testing.T) {
-	serial := runWorkload(t, 1)
-	parallel := runWorkload(t, 8)
-
-	if serial.messages != parallel.messages {
-		t.Errorf("TotalMessages: serial %d, parallel %d", serial.messages, parallel.messages)
-	}
-	if serial.bytes != parallel.bytes {
-		t.Errorf("TotalBytes: serial %d, parallel %d", serial.bytes, parallel.bytes)
-	}
-	for i := range serial.sent {
-		if serial.sent[i] != parallel.sent[i] {
-			t.Errorf("stream %d: sent %d vs %d", i, serial.sent[i], parallel.sent[i])
-		}
-		if serial.maxSupp[i] != parallel.maxSupp[i] {
-			t.Errorf("stream %d: max suppressed deviation %g vs %g", i, serial.maxSupp[i], parallel.maxSupp[i])
-		}
-		if serial.errSum[i] != parallel.errSum[i] {
-			t.Errorf("stream %d: accumulated error %g vs %g", i, serial.errSum[i], parallel.errSum[i])
-		}
-		if serial.finals[i] != parallel.finals[i] {
-			t.Errorf("stream %d: final estimate %g vs %g", i, serial.finals[i], parallel.finals[i])
-		}
 	}
 }

@@ -20,11 +20,7 @@ import (
 // after Attach, so cross-process recovery re-attaches first and the
 // in-process crash primitive is RestartServer.
 func (s *System) openWAL(cfg SystemConfig) error {
-	s.walOpts = wal.Options{
-		Dir:          cfg.WALDir,
-		SegmentBytes: cfg.WALSegmentBytes,
-		Registry:     cfg.Telemetry,
-	}
+	s.walOpts = wal.Options{Dir: cfg.WALDir, Registry: cfg.Telemetry}
 	log, err := wal.Open(s.walOpts)
 	if err != nil {
 		return err
@@ -77,7 +73,8 @@ func (s *System) CheckpointWAL() error {
 // buffer dies with it, exactly like SIGKILL), the directory is
 // reopened, and the durable state replays — checkpoint first, then the
 // records after its sequence. Replicas are then quietly caught up to
-// the system clock and the staleness watchdogs re-armed. Sources,
+// the system clock, and only then are the staleness watchdogs and the
+// answer archives re-armed, so no replayed tick is archived. Sources,
 // links, the auditor, and the clock are untouched: from the server's
 // perspective they are remote processes that survived the crash.
 //
@@ -105,6 +102,11 @@ func (s *System) RestartServer() (wal.RecoveryStats, error) {
 		}
 		if h.fb != nil {
 			if err := s.srv.SetWatchdog(id, h.wdDeadline, h.fb.Send); err != nil {
+				return stats, err
+			}
+		}
+		if h.histCap > 0 {
+			if err := s.srv.EnableHistory(id, h.histCap); err != nil {
 				return stats, err
 			}
 		}

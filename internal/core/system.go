@@ -191,19 +191,6 @@ type SystemConfig struct {
 	Allocator string
 	// AllocPeriod is the reallocation interval in ticks (default 200).
 	AllocPeriod int64
-	// Workers sets the parallelism of the per-tick pipeline: during
-	// Advance, replica time updates fan out across the server's lock
-	// stripes and link ticks across the attached streams, executed by
-	// this many persistent worker goroutines. 0 or 1 runs the exact
-	// serial pipeline. runtime.GOMAXPROCS(0) is the recommended setting
-	// on multi-core hosts. Results are bit-identical for any Workers
-	// value: per-stream state is independent, each stream is touched by
-	// exactly one task per phase, and the phases are barriers (see
-	// DESIGN.md, "Concurrency model").
-	Workers int
-	// Shards overrides the server's lock-stripe count (0 = the server
-	// default). More shards admit more tick-pipeline parallelism.
-	Shards int
 	// Trace attaches a lifecycle trace journal to every layer — gate,
 	// link, replica apply, query serve. Nil means trace.Default. While
 	// the journal is disabled (the default) each operation pays one
@@ -242,9 +229,6 @@ type SystemConfig struct {
 	// rebuilt mid-run (System.RestartServer) with byte-identical state.
 	// Empty leaves durability off.
 	WALDir string
-	// WALSegmentBytes overrides the log's segment-rotation threshold
-	// (0 = the wal package default).
-	WALSegmentBytes int
 	// CheckpointEveryTicks writes a predictor-snapshot checkpoint (and
 	// prunes the covered log prefix) every N ticks during Advance
 	// (0 = never; CheckpointWAL can still be called explicitly).
@@ -283,16 +267,14 @@ const FreshnessTickPeriod = time.Millisecond
 // Advance and Attach must come from a single goroutine, while Observe (on
 // distinct streams), queries, and Subscribe may run concurrently between
 // Advances — the replica cache is lock-striped and all counters are
-// atomic. With Workers > 1 the tick pipeline itself fans out across a
-// worker pool.
+// atomic.
 type System struct {
 	srv     *server.Server
 	eng     *query.Engine
 	coord   *resource.Coordinator
 	subs    *query.Subscriptions
 	handles map[string]*StreamHandle
-	// order holds handles in attach order: the deterministic partition
-	// base for parallel link ticks.
+	// order holds handles in attach order, the order links tick in.
 	order []*StreamHandle
 	tick  atomic.Int64
 
@@ -301,12 +283,6 @@ type System struct {
 	health  *health.Monitor
 	hist    *history.Store
 	diag    *diag.Recorder
-
-	workers    int
-	pool       *workerPool
-	shardTasks []func() // one per server shard, built once
-	linkTasks  []func() // chunked link ticks, rebuilt after Attach
-	linkDirty  bool
 
 	coalesce bool
 
@@ -331,9 +307,6 @@ type Event = query.Event
 // NewSystem constructs a System.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	srv := server.New()
-	if cfg.Shards > 0 {
-		srv = server.NewSharded(cfg.Shards)
-	}
 	tr := cfg.Trace
 	if tr == nil {
 		tr = trace.Default
@@ -345,7 +318,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		tr:       tr,
 		health:   cfg.Health,
 		hist:     cfg.TelemetryHistory,
-		workers:  cfg.Workers,
 		coalesce: cfg.CoalesceUplink,
 	}
 	if cfg.Audit {
@@ -361,17 +333,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		if s.auditor != nil {
 			d := s.diag
 			s.auditor.SetViolationHook(func(id string, _ int64) { d.ObserveViolation(id) })
-		}
-	}
-	if s.workers < 1 {
-		s.workers = 1
-	}
-	if s.workers > 1 {
-		s.pool = newWorkerPool(s.workers)
-		s.shardTasks = make([]func(), srv.NumShards())
-		for i := range s.shardTasks {
-			i := i
-			s.shardTasks[i] = func() { s.srv.TickShard(i) }
 		}
 	}
 	if cfg.WALDir != "" {
@@ -411,9 +372,11 @@ type StreamHandle struct {
 	// the watchdog is off.
 	fb   *netsim.Link
 	norm Norm // gate norm, reused by the precision auditor
-	// wdDeadline remembers the armed watchdog deadline (0 = off) so a
-	// server restart can re-arm it — watchdog state is volatile.
+	// wdDeadline remembers the armed watchdog deadline (0 = off) and
+	// histCap the answer archive's capacity (0 = off) so a server restart
+	// can re-arm them — both are volatile server state.
 	wdDeadline int64
+	histCap    int
 	// coal batches this stream's uplink deliveries when the system runs
 	// with CoalesceUplink; nil otherwise.
 	coal *netsim.Coalescer
@@ -529,7 +492,6 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 	}
 	s.handles[cfg.ID] = h
 	s.order = append(s.order, h)
-	s.linkDirty = true
 	return h, nil
 }
 
@@ -537,14 +499,6 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 // tick that just settled, the budget coordinator reallocates, every
 // replica takes its time update, and delayed messages mature. Call once
 // per tick, before that tick's Observe calls.
-//
-// Subscription polling and budget reallocation stay serialized — they
-// read across streams and their callback/reallocation order is part of
-// the observable contract. The replica time updates and link ticks are
-// embarrassingly parallel (no cross-stream coupling) and fan out across
-// the worker pool when Workers > 1, in two barrier phases: all replicas
-// step, then all links deliver matured messages. The per-stream effect is
-// identical to the serial pipeline.
 func (s *System) Advance() error {
 	t := s.tick.Load()
 	if s.walLog != nil {
@@ -565,20 +519,12 @@ func (s *System) Advance() error {
 			return err
 		}
 	}
-	if s.pool == nil {
-		s.srv.Tick()
-		for _, h := range s.order {
-			h.link.Tick()
-			if h.fb != nil {
-				h.fb.Tick()
-			}
+	s.srv.Tick()
+	for _, h := range s.order {
+		h.link.Tick()
+		if h.fb != nil {
+			h.fb.Tick()
 		}
-	} else {
-		s.pool.run(s.shardTasks)
-		if s.linkDirty {
-			s.rebuildLinkTasks()
-		}
-		s.pool.run(s.linkTasks)
 	}
 	if s.coalesce {
 		// Delayed messages matured into the per-stream batches during the
@@ -608,43 +554,8 @@ func (s *System) Advance() error {
 	return nil
 }
 
-// rebuildLinkTasks partitions the attach-ordered handle list into one
-// contiguous chunk per worker. Each link is ticked by exactly one task,
-// so per-link state needs no locking.
-func (s *System) rebuildLinkTasks() {
-	s.linkTasks = s.linkTasks[:0]
-	n := len(s.order)
-	chunk := (n + s.workers - 1) / s.workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		part := s.order[lo:hi]
-		s.linkTasks = append(s.linkTasks, func() {
-			for _, h := range part {
-				h.link.Tick()
-				if h.fb != nil {
-					h.fb.Tick()
-				}
-			}
-		})
-	}
-	s.linkDirty = false
-}
-
 // Tick returns the current clock value (number of Advance calls).
 func (s *System) Tick() int64 { return s.tick.Load() }
-
-// Close releases the worker pool's goroutines. A serial System
-// (Workers <= 1) needs no Close; calling it once is always safe, after
-// which Advance falls back to the serial pipeline.
-func (s *System) Close() {
-	if s.pool != nil {
-		s.pool.close()
-		s.pool = nil
-	}
-}
 
 // Observe feeds one measurement for the current tick through the
 // stream's precision gate, reporting whether a correction was sent. With
@@ -807,7 +718,11 @@ func (s *System) Unsubscribe(subID int) error { return s.subs.Unsubscribe(subID)
 // EnableHistory starts archiving a stream's settled per-tick answers in a
 // ring of the given capacity, enabling historical queries.
 func (s *System) EnableHistory(id string, capacity int) error {
-	return s.srv.EnableHistory(id, capacity)
+	if err := s.srv.EnableHistory(id, capacity); err != nil {
+		return err
+	}
+	s.handles[id].histCap = capacity
+	return nil
 }
 
 // HistoryAt returns the archived answer for a past tick.

@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"kalmanstream/internal/core"
 	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
 
@@ -59,7 +59,7 @@ func runE11(cfg Config) (*Result, error) {
 		fmt.Sprintf("E11a: regime-switching stream (segment=%d), δ=%.3g, T=%d", segLen, delta, cfg.Ticks),
 		"predictor", "msgs", "rmse", "suppression")
 	for _, c := range cases {
-		rs, err := Run(c.spec, delta, source.NormInf, mk())
+		rs, err := Run(c.spec, delta, core.NormInf, mk())
 		if err != nil {
 			return nil, err
 		}
@@ -89,11 +89,11 @@ func runE11(cfg Config) (*Result, error) {
 	for _, c := range classes {
 		v := measureVolatility(c.mk)
 		d := 2 * v
-		fixedRS, err := Run(predictor.Spec{Kind: predictor.KindKalman, Model: c.fixed}, d, source.NormInf, c.mk())
+		fixedRS, err := Run(predictor.Spec{Kind: predictor.KindKalman, Model: c.fixed}, d, core.NormInf, c.mk())
 		if err != nil {
 			return nil, err
 		}
-		bankRS, err := Run(defaultBank(0.04), d, source.NormInf, c.mk())
+		bankRS, err := Run(defaultBank(0.04), d, core.NormInf, c.mk())
 		if err != nil {
 			return nil, err
 		}

@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"kalmanstream/internal/core"
 	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
 
@@ -29,7 +29,7 @@ func runE1(cfg Config) (*Result, error) {
 		fmt.Sprintf("E1: sine+noise, T=%d, δ=%.3g (4× volatility)", cfg.Ticks, delta),
 		"method", "msgs", "suppression", "rmse", "max-err(suppr)", "violations")
 	for _, m := range baselineMethods(cvModel(0.05, 0.25)) {
-		rs, err := Run(m.spec, delta, source.NormInf, mk())
+		rs, err := Run(m.spec, delta, core.NormInf, mk())
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +78,7 @@ func runE2(cfg Config) (*Result, error) {
 			row := []string{metrics.F(d / vol)}
 			var cacheMsgs, kfMsgs int64
 			for _, m := range baselineMethods(c.model) {
-				rs, err := Run(m.spec, d, source.NormInf, c.mk())
+				rs, err := Run(m.spec, d, core.NormInf, c.mk())
 				if err != nil {
 					return nil, err
 				}
@@ -136,7 +136,7 @@ func runE3(cfg Config) (*Result, error) {
 			row := []string{metrics.F(d / vol)}
 			best, bestMsgs := "", int64(-1)
 			for _, m := range baselineMethods(c.model) {
-				rs, err := Run(m.spec, d, source.NormInf, c.mk())
+				rs, err := Run(m.spec, d, core.NormInf, c.mk())
 				if err != nil {
 					return nil, err
 				}
@@ -173,11 +173,11 @@ func runE4(cfg Config) (*Result, error) {
 		mk := func() stream.Stream { return stream.NewSine(cfg.Seed, 0, 10, 500, 0, noise, cfg.Ticks) }
 		cacheSpec := predictor.Spec{Kind: predictor.KindStatic, Dim: 1}
 		kfSpec := predictor.Spec{Kind: predictor.KindKalman, Model: cvModel(0.005, noise*noise+0.001)}
-		crs, err := Run(cacheSpec, delta, source.NormInf, mk())
+		crs, err := Run(cacheSpec, delta, core.NormInf, mk())
 		if err != nil {
 			return nil, err
 		}
-		krs, err := Run(kfSpec, delta, source.NormInf, mk())
+		krs, err := Run(kfSpec, delta, core.NormInf, mk())
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +221,7 @@ func runE5(cfg Config) (*Result, error) {
 		row := []string{c.label}
 		best, bestMsgs := "", int64(-1)
 		for _, m := range baselineMethods(c.model) {
-			rs, err := Run(m.spec, delta, source.NormInf, c.mk())
+			rs, err := Run(m.spec, delta, core.NormInf, c.mk())
 			if err != nil {
 				return nil, err
 			}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 
+	"kalmanstream/internal/core"
 	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/query"
 	"kalmanstream/internal/resource"
 	"kalmanstream/internal/server"
 	"kalmanstream/internal/source"
@@ -50,7 +50,7 @@ func runE6(cfg Config) (*Result, error) {
 		var cacheMsgs, kfMsgs int64
 		for _, m := range methods2D(fixNoise) {
 			st := stream.NewWaypoint2D(cfg.Seed, 1000, 5, 15, fixNoise, 20, cfg.Ticks)
-			rs, err := Run(m.spec, d, source.NormL2, st)
+			rs, err := Run(m.spec, d, core.NormL2, st)
 			if err != nil {
 				return nil, err
 			}
@@ -80,7 +80,7 @@ func runE6(cfg Config) (*Result, error) {
 		best, bestMsgs := "", int64(-1)
 		for _, m := range methods2D(noise) {
 			st := stream.NewWaypoint2D(cfg.Seed, 1000, 5, 15, noise, 20, cfg.Ticks)
-			rs, err := Run(m.spec, 10, source.NormL2, st)
+			rs, err := Run(m.spec, 10, core.NormL2, st)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +137,7 @@ func runE7(cfg Config) (*Result, error) {
 		fmt.Sprintf("E7: random walk q=%.3g r=%.3g, δ=%.3g, T=%d", trueQ, trueR, delta, cfg.Ticks),
 		"filter", "msgs", "rmse", "suppression")
 	for _, c := range cases {
-		rs, err := Run(c.spec, delta, source.NormInf, mk())
+		rs, err := Run(c.spec, delta, core.NormInf, mk())
 		if err != nil {
 			return nil, err
 		}
@@ -176,6 +176,11 @@ func runE8(cfg Config) (*Result, error) {
 	return &Result{ID: "E8", Title: "Budgeted precision", Tables: []*metrics.Table{tb}}, nil
 }
 
+// runBudget is the one loop that assembles server, links and sources by
+// hand instead of driving a core.System: TestIncrementalAllocatorsMatchE8Sweep
+// injects allocator instances, which SystemConfig (an allocator name) cannot
+// carry, and core ticks its coordinator at the start of Advance, one call
+// ahead of the end-of-tick phase the E8 table was recorded with.
 func runBudget(cfg Config, alloc resource.Allocator, budget float64, nStreams int) (achievedRate, meanDelta, maxDelta float64, rounds int64, err error) {
 	srv := server.New()
 	coord, err := resource.NewCoordinator(alloc, srv, resource.CoordinatorConfig{
@@ -265,29 +270,20 @@ func runBudget(cfg Config, alloc resource.Allocator, budget float64, nStreams in
 func runE9(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	const nStreams = 16
-	srv := server.New()
-	eng := query.New(srv)
+	sys, err := core.NewSystem(core.SystemConfig{})
+	if err != nil {
+		return nil, err
+	}
 	ids := make([]string, nStreams)
-	srcs := make([]*source.Source, nStreams)
+	handles := make([]*core.StreamHandle, nStreams)
 	gens := make([]stream.Stream, nStreams)
 	delta := 1.0
 	for i := 0; i < nStreams; i++ {
-		id := fmt.Sprintf("sensor%02d", i)
-		ids[i] = id
-		spec := predictor.Spec{Kind: predictor.KindKalman,
-			Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.25, R: 0.01}}
-		if err := srv.Register(id, spec, delta); err != nil {
-			return nil, err
-		}
-		link := netsim.NewLink(func(m *netsim.Message) {
-			_ = srv.Apply(m)
-			netsim.PutMessage(m)
-		}, netsim.LinkConfig{})
-		src, err := source.New(source.Config{StreamID: id, Spec: spec, Delta: delta}, link.Send)
+		ids[i] = fmt.Sprintf("sensor%02d", i)
+		handles[i], err = sys.Attach(core.StreamConfig{ID: ids[i], Predictor: core.KalmanRandomWalk(0.25, 0.01), Delta: delta})
 		if err != nil {
 			return nil, err
 		}
-		srcs[i] = src
 		gens[i] = stream.NewOU(cfg.Seed+int64(i), 20+float64(i), 0.02, 0.5, 0.1, cfg.Ticks)
 	}
 
@@ -297,23 +293,25 @@ func runE9(cfg Config) (*Result, error) {
 	var samples int64
 	var totalMsgs int64
 	for tick := int64(0); tick < cfg.Ticks; tick++ {
-		srv.Tick()
+		if err := sys.Advance(); err != nil {
+			return nil, err
+		}
 		var trueSum float64
 		for i, g := range gens {
 			p, ok := g.Next()
 			if !ok {
 				return nil, fmt.Errorf("harness: stream ended early")
 			}
-			if _, err := srcs[i].Observe(p.Tick, p.Value); err != nil {
+			if _, err := handles[i].Observe(p.Value); err != nil {
 				return nil, err
 			}
 			trueSum += p.Value[0]
 		}
-		sum, err := eng.Sum(ids, 0)
+		sum, err := sys.Sum(ids)
 		if err != nil {
 			return nil, err
 		}
-		avg, err := eng.Average(ids, 0)
+		avg, err := sys.Average(ids)
 		if err != nil {
 			return nil, err
 		}
@@ -325,8 +323,8 @@ func runE9(cfg Config) (*Result, error) {
 		avgBound += avg.Bound
 		samples++
 	}
-	for _, s := range srcs {
-		totalMsgs += s.Stats().Sent
+	for _, h := range handles {
+		totalMsgs += h.Stats().Sent
 	}
 
 	tb := metrics.NewTable(
@@ -385,13 +383,11 @@ func runE10(cfg Config) (*Result, error) {
 // cumulativeMessages runs the protocol and snapshots the message count at
 // n evenly spaced checkpoints.
 func cumulativeMessages(spec predictor.Spec, delta float64, st stream.Stream, ticks int64, n int) ([]int64, error) {
-	srv := server.New()
-	id := st.Name()
-	if err := srv.Register(id, spec, delta); err != nil {
+	sys, err := core.NewSystem(core.SystemConfig{})
+	if err != nil {
 		return nil, err
 	}
-	link := netsim.NewLink(func(m *netsim.Message) { _ = srv.Apply(m) }, netsim.LinkConfig{})
-	src, err := source.New(source.Config{StreamID: id, Spec: spec, Delta: delta}, link.Send)
+	h, err := sys.Attach(core.StreamConfig{ID: st.Name(), Predictor: spec, Delta: delta})
 	if err != nil {
 		return nil, err
 	}
@@ -402,17 +398,19 @@ func cumulativeMessages(spec predictor.Spec, delta float64, st stream.Stream, ti
 		if !ok {
 			break
 		}
-		srv.Tick()
-		if _, err := src.Observe(p.Tick, p.Value); err != nil {
+		if err := sys.Advance(); err != nil {
+			return nil, err
+		}
+		if _, err := h.Observe(p.Value); err != nil {
 			return nil, err
 		}
 		if p.Tick+1 == next {
-			out = append(out, src.Stats().Sent)
+			out = append(out, h.Stats().Sent)
 			next += ticks / int64(n)
 		}
 	}
 	for len(out) < n {
-		out = append(out, src.Stats().Sent)
+		out = append(out, h.Stats().Sent)
 	}
 	return out, nil
 }

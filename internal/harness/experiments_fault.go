@@ -3,11 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"kalmanstream/internal/core"
 	"kalmanstream/internal/metrics"
-	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
-	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
 
@@ -58,19 +56,15 @@ func runE13(cfg Config) (*Result, error) {
 // runLossy runs the protocol over a lossy link and reports the violation
 // rate on suppressed ticks plus delivered traffic.
 func runLossy(spec predictor.Spec, delta, drop float64, resyncEvery int64, st stream.Stream) (violRate float64, delivered, bytes int64, err error) {
-	srv := server.New()
-	id := st.Name()
-	if err := srv.Register(id, spec, delta); err != nil {
+	sys, err := core.NewSystem(core.SystemConfig{})
+	if err != nil {
 		return 0, 0, 0, err
 	}
-	link := netsim.NewLink(func(m *netsim.Message) { _ = srv.Apply(m) },
-		netsim.LinkConfig{DropProb: drop, Seed: 99})
-	src, err := source.New(source.Config{
-		StreamID:    id,
-		Spec:        spec,
-		Delta:       delta,
-		ResyncEvery: resyncEvery,
-	}, link.Send)
+	id := st.Name()
+	h, err := sys.Attach(core.StreamConfig{
+		ID: id, Predictor: spec, Delta: delta,
+		ResyncEvery: resyncEvery, LinkDropProb: drop, LinkSeed: 99,
+	})
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -80,8 +74,10 @@ func runLossy(spec predictor.Spec, delta, drop float64, resyncEvery int64, st st
 		if !ok {
 			break
 		}
-		srv.Tick()
-		sent, err := src.Observe(p.Tick, p.Value)
+		if err := sys.Advance(); err != nil {
+			return 0, 0, 0, err
+		}
+		sent, err := h.Observe(p.Value)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -89,15 +85,15 @@ func runLossy(spec predictor.Spec, delta, drop float64, resyncEvery int64, st st
 			continue
 		}
 		supp++
-		est, bound, err := srv.Value(id)
+		est, bound, err := sys.Vector(id)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		if source.NormInf.Deviation(p.Value, est) > bound+1e-9 {
+		if core.NormInf.Deviation(p.Value, est) > bound+1e-9 {
 			viol++
 		}
 	}
-	ls := link.Stats()
+	ls := h.LinkStats()
 	if supp == 0 {
 		return 0, ls.Messages, ls.Bytes, nil
 	}

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"kalmanstream/internal/core"
 	"kalmanstream/internal/metrics"
-	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/query"
-	"kalmanstream/internal/server"
-	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
 
@@ -72,13 +69,11 @@ func runE12(cfg Config) (*Result, error) {
 // and the fraction of ticks where the model interval was narrower than
 // the hard bound.
 func measureCoverage(spec predictor.Spec, delta, conf float64, st stream.Stream) (coverage, meanWidth, modelBinding float64, n int64, err error) {
-	srv := server.New()
-	if err := srv.Register("prob", spec, delta); err != nil {
+	sys, err := core.NewSystem(core.SystemConfig{})
+	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	eng := query.New(srv)
-	link := netsim.NewLink(func(m *netsim.Message) { _ = srv.Apply(m) }, netsim.LinkConfig{})
-	src, err := source.New(source.Config{StreamID: "prob", Spec: spec, Delta: delta}, link.Send)
+	h, err := sys.Attach(core.StreamConfig{ID: "prob", Predictor: spec, Delta: delta})
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -89,15 +84,17 @@ func measureCoverage(spec predictor.Spec, delta, conf float64, st stream.Stream)
 		if !ok {
 			break
 		}
-		srv.Tick()
-		sent, err := src.Observe(p.Tick, p.Value)
+		if err := sys.Advance(); err != nil {
+			return 0, 0, 0, 0, err
+		}
+		sent, err := h.Observe(p.Value)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
 		if sent {
 			continue
 		}
-		pa, err := eng.ProbValue("prob", 0, conf)
+		pa, err := sys.ProbValue("prob", conf)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}

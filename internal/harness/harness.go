@@ -10,11 +10,9 @@ import (
 	"sort"
 	"sync"
 
+	"kalmanstream/internal/core"
 	"kalmanstream/internal/metrics"
-	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
-	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 	"kalmanstream/internal/telemetry"
 	"kalmanstream/internal/trace"
@@ -192,28 +190,16 @@ func (r RunStats) SuppressionRatio() float64 {
 	return float64(r.Ticks-r.Messages) / float64(r.Ticks)
 }
 
-// Run drives one (predictor, δ) pair over a stream through the full
-// source/link/server pipeline and collects statistics.
-func Run(spec predictor.Spec, delta float64, norm source.Norm, st stream.Stream) (RunStats, error) {
-	srv := server.New()
-	id := st.Name()
-	if err := srv.Register(id, spec, delta); err != nil {
+// Run drives one (predictor, δ) pair over a stream through a one-stream
+// core.System — the composition the library ships — and collects
+// statistics.
+func Run(spec predictor.Spec, delta float64, norm core.Norm, st stream.Stream) (RunStats, error) {
+	sys, err := core.NewSystem(core.SystemConfig{})
+	if err != nil {
 		return RunStats{}, err
 	}
-	var applyErr error
-	link := netsim.NewLink(func(m *netsim.Message) {
-		if err := srv.Apply(m); err != nil && applyErr == nil {
-			applyErr = err
-		}
-		// The replica copied what it keeps; recycle the message.
-		netsim.PutMessage(m)
-	}, netsim.LinkConfig{})
-	src, err := source.New(source.Config{
-		StreamID:      id,
-		Spec:          spec,
-		Delta:         delta,
-		DeviationNorm: norm,
-	}, link.Send)
+	id := st.Name()
+	h, err := sys.Attach(core.StreamConfig{ID: id, Predictor: spec, Delta: delta, DeviationNorm: norm})
 	if err != nil {
 		return RunStats{}, err
 	}
@@ -221,22 +207,23 @@ func Run(spec predictor.Spec, delta float64, norm source.Norm, st stream.Stream)
 	stats := RunStats{Delta: delta}
 	// The auditor gets a private registry so experiment runs never bleed
 	// series into the process-wide default, and no journal — experiments
-	// need its counters, not its timeline.
+	// need its counters, not its timeline. It is fed from the one answer
+	// read below rather than armed as SystemConfig.Audit, which would
+	// read (and allocate) the same answer a second time every tick.
 	auditor := trace.NewAuditor(telemetry.New(), trace.NewJournal(1, 1))
 	for {
 		p, ok := st.Next()
 		if !ok {
 			break
 		}
-		srv.Tick()
-		sent, err := src.Observe(p.Tick, p.Value)
+		if err := sys.Advance(); err != nil {
+			return stats, err
+		}
+		sent, err := h.Observe(p.Value)
 		if err != nil {
 			return stats, err
 		}
-		if applyErr != nil {
-			return stats, applyErr
-		}
-		est, bound, err := srv.Value(id)
+		est, bound, err := sys.Vector(id)
 		if err != nil {
 			return stats, err
 		}
@@ -249,10 +236,9 @@ func Run(spec predictor.Spec, delta float64, norm source.Norm, st stream.Stream)
 		auditor.Check(id, p.Tick, dev, bound, !sent)
 		stats.Ticks++
 	}
-	s := src.Stats()
-	ls := link.Stats()
+	s := h.Stats()
 	stats.Messages = s.Sent
-	stats.Bytes = ls.Bytes
+	stats.Bytes = h.LinkStats().Bytes
 	stats.Heartbeats = s.Heartbeats
 	stats.Audit = auditor.Stats(id)
 	return stats, nil

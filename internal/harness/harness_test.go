@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,6 +105,28 @@ func TestAllExperimentsRunSmoke(t *testing.T) {
 				t.Fatal("rendering lacks id")
 			}
 		})
+	}
+}
+
+// TestExperimentsGolden is the reproduction gate at test scale: the whole
+// suite, rendered exactly as `streamkf run -ticks 2000 -seed 42 all`
+// prints it, must match the committed golden byte for byte. The full-size
+// twin is `make repro-check` against experiments_full.txt.
+func TestExperimentsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/all_ticks2000_seed42.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := RunAll(All(), Config{Ticks: 2000, Seed: 42}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, res := range results {
+		got.WriteString(res.String() + "\n")
+	}
+	if got.String() != string(want) {
+		t.Fatalf("experiment tables drifted from testdata/all_ticks2000_seed42.golden:\n%s", got.String())
 	}
 }
 

@@ -370,8 +370,8 @@ type LinkConfig struct {
 // Link is a unidirectional channel that counts all traffic and delivers
 // messages to a receiver callback, optionally after a delay and with
 // probabilistic loss. Send and Tick must each be called from a single
-// goroutine at a time (per link — distinct streams' links are driven
-// concurrently by the parallel tick pipeline), but the traffic counters
+// goroutine at a time (per link — distinct streams' links may be driven
+// concurrently, one observer goroutine a stream), but the traffic counters
 // are atomic, so Stats may be read from any goroutine at any moment.
 type Link struct {
 	recv   func(*Message)

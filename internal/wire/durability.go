@@ -44,8 +44,6 @@ type Durability struct {
 	// the protocol absorbs: reconnecting sources force a full resync and
 	// the monotonic-tick guard drops re-sent duplicates.
 	FlushEvery time.Duration
-	// SegmentBytes is the segment-rotation threshold (0 = wal default).
-	SegmentBytes int
 }
 
 // NewDurableServer opens (or recovers) the log directory in d.Dir,
@@ -56,12 +54,7 @@ func NewDurableServer(opts Options, d Durability) (*Server, error) {
 		return nil, fmt.Errorf("wire: durability needs a directory")
 	}
 	s := NewServerWith(opts)
-	log, err := wal.Open(wal.Options{
-		Dir:          d.Dir,
-		SegmentBytes: d.SegmentBytes,
-		Registry:     s.reg,
-		Logger:       opts.Logger,
-	})
+	log, err := wal.Open(wal.Options{Dir: d.Dir, Registry: s.reg, Logger: opts.Logger})
 	if err != nil {
 		return nil, err
 	}
