@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"sync"
 	"testing"
 
 	"kalmanstream/internal/core"
@@ -237,10 +238,11 @@ func BenchmarkWindowSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKObserve prices the flight recorder's hot-path feed: a
-// TryObserve on a resident stream ID (TryLock, map hit, in-place heap
-// sift) — the cost every dispatched correction pays when diagnostics
-// are armed. Must stay at 0 allocs/op.
+// BenchmarkTopKObserve prices a sketch feed that hits: a TryObserve on
+// a resident stream ID (TryLock, map hit, in-place heap sift), which is
+// all a population of at most K distinct IDs ever does. It says nothing
+// about a larger one — BenchmarkTopKObserveChurn prices the miss. Must
+// stay at 0 allocs/op.
 func BenchmarkTopKObserve(b *testing.B) {
 	tk := diag.NewTopK(128)
 	ids := make([]string, 128)
@@ -252,6 +254,100 @@ func BenchmarkTopKObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk.TryObserve(ids[i&127], 1)
+	}
+}
+
+// BenchmarkTopKObserveChurn prices a sketch feed that misses: 10,000
+// IDs in rotation through K = 128, so every TryObserve evicts the
+// minimum (map delete, map insert, a sift down the whole heap). This is
+// what each correction paid at population scale while corrections fed
+// the sketches, and what the violations and stale sketches can still be
+// made to pay, per event, by a fault that touches more than K streams.
+func BenchmarkTopKObserveChurn(b *testing.B) {
+	tk := diag.NewTopK(128)
+	ids := make([]string, 10_000)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("stream-%05d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tk.TryObserve(ids[i%len(ids)], 1)
+	}
+}
+
+// BenchmarkWireIngestManyStreams is the deployed server's ingest path
+// at population scale with the flight recorder armed: two goroutines,
+// as two connections' handlers would, each applying 64-record coalesced
+// frames over its half of 10,000 streams. ns/op is per correction
+// (encode, decode, shard lock, lazy advance, Kalman update — and
+// whatever arming the recorder adds, which must be nothing: the
+// single-stream benchmarks above it could not see a per-correction feed
+// that is cheap on a resident ID and contended, evicting and lossy at
+// 10,000).
+func BenchmarkWireIngestManyStreams(b *testing.B) {
+	const (
+		streams  = 10_000
+		workers  = 2
+		perFrame = 64
+		own      = streams / workers
+	)
+	reg := telemetry.New()
+	rec := diag.NewRecorder(diag.Options{Registry: reg})
+	srv := wire.NewServerWith(wire.Options{
+		Metrics: reg,
+		Logger:  slog.New(slog.DiscardHandler),
+		Diag:    rec,
+	})
+	spec := predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.1, R: 0.1}}
+	ids := make([]string, streams)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("c%d-s%04d", i%workers, i/workers)
+		if err := srv.Register(wire.RegisterPayload{ID: ids[i], Spec: spec, Delta: 0.5}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		n := b.N / workers
+		if w == 0 {
+			n += b.N % workers
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch netsim.Message
+			frame := make([]byte, 0, perFrame*40)
+			m := netsim.Message{Kind: netsim.KindCorrection, Value: make([]float64, 1)}
+			for sent := 0; sent < n; {
+				frame = frame[:0]
+				for r := 0; r < perFrame && sent < n; r, sent = r+1, sent+1 {
+					// One pass over the worker's streams per tick.
+					m.StreamID, m.Tick = ids[w+workers*(sent%own)], int64(sent/own)
+					m.Value[0] = float64(sent&15) * 0.25
+					frame, _ = m.AppendEncode(frame)
+				}
+				if _, err := srv.ApplyBatch(frame, &scratch); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if dropped := rec.Dropped(); dropped != 0 {
+		b.Fatalf("%d attribution events dropped on the ingest path", dropped)
+	}
+	var attributed int64
+	for _, row := range rec.Top(streams)[diag.SketchCorrections] {
+		attributed += row.Count
+	}
+	if attributed != int64(b.N) {
+		b.Fatalf("corrections table accounts for %d of %d corrections", attributed, b.N)
 	}
 }
 

@@ -33,14 +33,17 @@
 // alerts, per-stream counters) that `streamkf top` renders live.
 //
 // Forensics: the flight recorder (internal/diag) runs whenever -http is
-// set. It keeps top-k per-stream attribution sketches (corrections,
-// bytes, δ-violations, staleness events) fed allocation-free from the
-// hot paths, and freezes an incident bundle — alert, health snapshot,
-// offender tables, trace tail, recent logs, runtime profile deltas —
-// the moment any SLO pages. Bundles are browsable at /debug/bundle
-// (fetch with `streamkf bundle`), the live offender tables at
-// /debug/top, and two-sample allocation deltas at /debug/pprof/delta.
-// With -bundle-dir, bundles also spool to disk as JSON files.
+// set, and only then — without an HTTP surface nothing could read it or
+// page it. Its per-stream corrections and bytes tables are exact: read
+// from the stream records when asked for, they cost the ingest path
+// nothing. δ-violations and staleness events, which are rare and have no
+// record to read, feed two top-k sketches. The recorder freezes an
+// incident bundle — alert, health snapshot, offender tables, trace
+// tail, recent logs, runtime profile deltas — the moment any SLO pages.
+// Bundles are browsable at /debug/bundle (fetch with `streamkf bundle`),
+// the live offender tables at /debug/top, and two-sample allocation
+// deltas at /debug/pprof/delta. With -bundle-dir, bundles also spool to
+// disk as JSON files.
 //
 // History: with -http set the server also records every registry
 // series into the multi-resolution telemetry history (internal/history)
@@ -94,23 +97,35 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":9653", "listen address")
-	httpAddr := flag.String("http", "", "optional HTTP listen address serving /metrics, /debug/vars, /debug/trace, /debug/pprof/, and the health endpoints (e.g. :9654)")
-	traceOn := flag.Bool("trace", false, "enable the lifecycle trace journal (browse at /debug/trace)")
-	traceCap := flag.Int("trace-buf", trace.DefaultCapacity, "trace ring capacity per shard (newest events win)")
-	staleAfter := flag.Duration("stale-after", 0, "mark a stream stale and push resync requests after this much silence (0 = watchdog off)")
-	healthInterval := flag.Duration("health-interval", time.Second, "SLO monitor tick interval; one rolling window closes per tick (0 = monitor off)")
-	historyInterval := flag.Duration("history-interval", time.Second, "telemetry history scrape interval; drives the multi-resolution rings behind /debug/history (0 = history off)")
-	bundleDir := flag.String("bundle-dir", "", "spool incident bundles to this directory (empty = memory-only ring)")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory: append every applied message, recover on startup (empty = no durability)")
-	walFlush := flag.Duration("wal-flush", 0, "group-commit fsync cadence for the write-ahead log (0 = default 100ms)")
-	checkpointEvery := flag.Duration("checkpoint-every", 0, "write a predictor-snapshot checkpoint (pruning covered log segments) on this cadence (0 = never)")
-	logJSON := flag.Bool("logjson", false, "emit logs as JSON instead of text")
-	version := flag.Bool("version", false, "print the build's VCS revision and exit")
-	flag.Parse()
+	if err := run(os.Args[1:], nil); err != nil {
+		slog.Error("kfserver failed", "err", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole server: it parses args, serves until the listener is
+// closed, and shuts the server down cleanly. listening, when non-nil, is
+// handed the bound listener just before the accept loop starts — how a
+// test learns the port behind ":0", and closes it to stop the server.
+func run(args []string, listening func(net.Listener)) error {
+	fs := flag.NewFlagSet("kfserver", flag.ExitOnError)
+	addr := fs.String("addr", ":9653", "listen address")
+	httpAddr := fs.String("http", "", "optional HTTP listen address serving /metrics, /debug/vars, /debug/trace, /debug/pprof/, and the health endpoints (e.g. :9654)")
+	traceOn := fs.Bool("trace", false, "enable the lifecycle trace journal (browse at /debug/trace)")
+	traceCap := fs.Int("trace-buf", trace.DefaultCapacity, "trace ring capacity per shard (newest events win)")
+	staleAfter := fs.Duration("stale-after", 0, "mark a stream stale and push resync requests after this much silence (0 = watchdog off)")
+	healthInterval := fs.Duration("health-interval", time.Second, "SLO monitor tick interval; one rolling window closes per tick (0 = monitor off)")
+	historyInterval := fs.Duration("history-interval", time.Second, "telemetry history scrape interval; drives the multi-resolution rings behind /debug/history (0 = history off)")
+	bundleDir := fs.String("bundle-dir", "", "spool incident bundles to this directory (empty = memory-only ring)")
+	walDir := fs.String("wal-dir", "", "write-ahead log directory: append every applied message, recover on startup (empty = no durability)")
+	walFlush := fs.Duration("wal-flush", 0, "group-commit fsync cadence for the write-ahead log (0 = default 100ms)")
+	checkpointEvery := fs.Duration("checkpoint-every", 0, "write a predictor-snapshot checkpoint (pruning covered log segments) on this cadence (0 = never)")
+	logJSON := fs.Bool("logjson", false, "emit logs as JSON instead of text")
+	version := fs.Bool("version", false, "print the build's VCS revision and exit")
+	fs.Parse(args) // ExitOnError: a bad flag has already exited
 	if *version {
 		fmt.Println(buildinfo.Version("kfserver"))
-		return
+		return nil
 	}
 	// Publish build identity and process start/uptime on the registry so
 	// /metrics and /debug/vars can tell a restart from a counter reset.
@@ -128,21 +143,25 @@ func main() {
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
-		logger.Error("listen failed", "addr", *addr, "err", err)
-		os.Exit(1)
+		return fmt.Errorf("listen on %s: %w", *addr, err)
 	}
 	journal := trace.NewJournal(trace.DefaultShards, *traceCap)
 	journal.SetEnabled(*traceOn)
 
-	// The flight recorder attributes hot-path events (corrections,
-	// δ-violations, staleness) to streams and freezes incident bundles
-	// whenever an SLO pages.
-	rec := diag.NewRecorder(diag.Options{
-		SpoolDir: *bundleDir,
-		Registry: telemetry.Default,
-		Journal:  journal,
-		Logs:     ring,
-	})
+	// The flight recorder attributes events to streams and freezes
+	// incident bundles whenever an SLO pages. Its tables are served over
+	// HTTP and its bundles fired by the monitor, so like both it rides
+	// the -http flag: without one it is not built, and the server is
+	// handed a nil wire.Options.Diag.
+	var rec *diag.Recorder
+	if *httpAddr != "" {
+		rec = diag.NewRecorder(diag.Options{
+			SpoolDir: *bundleDir,
+			Registry: telemetry.Default,
+			Journal:  journal,
+			Logs:     ring,
+		})
+	}
 
 	// The SLO monitor only makes sense with somewhere to serve its
 	// verdicts, so it rides the -http flag. Wall-clock windows: one per
@@ -175,8 +194,7 @@ func main() {
 			Detector: det,
 		})
 		if err != nil {
-			logger.Error("history store failed", "err", err)
-			os.Exit(1)
+			return fmt.Errorf("history store: %w", err)
 		}
 		hist = h
 		if mon != nil {
@@ -207,8 +225,7 @@ func main() {
 			CheckpointEvery: *checkpointEvery,
 		})
 		if err != nil {
-			logger.Error("wal open failed", "dir", *walDir, "err", err)
-			os.Exit(1)
+			return fmt.Errorf("wal open in %s: %w", *walDir, err)
 		}
 		st := srv.RecoveryStats()
 		logger.Info("wal recovered", "dir", *walDir,
@@ -221,10 +238,12 @@ func main() {
 	// Close stops the watchdog and, when durable, the flusher — with a
 	// final sync so a graceful shutdown loses nothing.
 	defer srv.Close()
-	// Incident bundles carry the latency table and worst-exemplar trace.
-	rec.AttachFreshness(func() freshness.Snapshot {
-		return srv.Freshness().SnapshotNow(srv.ConnSkews)
-	})
+	if rec != nil {
+		// Incident bundles carry the latency table and worst-exemplar trace.
+		rec.AttachFreshness(func() freshness.Snapshot {
+			return srv.Freshness().SnapshotNow(srv.ConnSkews)
+		})
+	}
 	if mon != nil {
 		mon.Start(*healthInterval)
 		defer mon.Stop()
@@ -240,10 +259,13 @@ func main() {
 		go serveHTTP(*httpAddr, srv, logger)
 	}
 
-	if err := srv.Serve(l); err != nil {
-		logger.Error("serve failed", "err", err)
-		os.Exit(1)
+	if listening != nil {
+		listening(l)
 	}
+	if err := srv.Serve(l); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	return nil
 }
 
 // serveHTTP exposes the registry at /metrics (Prometheus text) and

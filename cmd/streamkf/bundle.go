@@ -96,25 +96,8 @@ func renderBundle(b *diag.Bundle) string {
 			b.Health.Severity, b.Health.ActiveAlerts, b.Health.Tick)
 	}
 
-	order := []string{diag.SketchCorrections, diag.SketchBytes, diag.SketchViolations, diag.SketchStale}
 	s.WriteString("\ntop offenders:\n")
-	for _, name := range order {
-		items := b.TopK[name]
-		if len(items) == 0 {
-			continue
-		}
-		fmt.Fprintf(&s, "  %-12s", name)
-		for i, it := range items {
-			if i > 0 {
-				s.WriteString("  ")
-			}
-			fmt.Fprintf(&s, "%s=%d", it.ID, it.Count)
-			if it.Err > 0 {
-				fmt.Fprintf(&s, "±%d", it.Err)
-			}
-		}
-		s.WriteString("\n")
-	}
+	writeOffenderTables(&s, b.TopK)
 
 	if b.Latency != nil {
 		s.WriteString("\nlatency at capture:\n")

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -96,40 +97,54 @@ func fetchOffenders(client *http.Client, url string) *diag.TopPayload {
 	return &payload
 }
 
-// renderOffenders formats the flight recorder's top-k attribution
-// tables as one compact pane: for each sketch, the worst streams with
-// their counts (and ± error bound once eviction has begun).
+// renderOffenders formats the flight recorder's attribution tables as
+// one compact pane. k and the drop count qualify the two sketched
+// tables only.
 func renderOffenders(top *diag.TopPayload) string {
-	order := []string{diag.SketchCorrections, diag.SketchBytes, diag.SketchViolations, diag.SketchStale}
 	var b strings.Builder
-	fmt.Fprintf(&b, "\ntop offenders (k=%d", top.K)
+	fmt.Fprintf(&b, "\ntop offenders (sketch k=%d", top.K)
 	if top.Dropped > 0 {
 		fmt.Fprintf(&b, ", %d events dropped", top.Dropped)
 	}
 	b.WriteString("):\n")
+	if !writeOffenderTables(&b, top.Sketches) {
+		b.WriteString("  (no events attributed yet)\n")
+	}
+	return b.String()
+}
+
+// writeOffenderTables writes one line per non-empty table — the worst
+// streams with their counts — and reports whether it wrote any. The
+// corrections and bytes tables a server reads from its stream records are
+// labelled exact; a sketched row carries its ± error bound once eviction
+// has begun (as do corrections and bytes rows from a recorder with no
+// records to read, which are then not labelled).
+func writeOffenderTables(b *strings.Builder, tables map[string][]diag.Item) bool {
 	any := false
-	for _, name := range order {
-		items := top.Sketches[name]
+	for _, name := range diag.TableOrder {
+		items := tables[name]
 		if len(items) == 0 {
 			continue
 		}
 		any = true
-		fmt.Fprintf(&b, "  %-12s", name)
+		label := name
+		if (name == diag.SketchCorrections || name == diag.SketchBytes) &&
+			!slices.ContainsFunc(items, func(it diag.Item) bool { return it.Err > 0 }) {
+			label += " (exact)"
+		}
+		fmt.Fprintf(b, "  %-20s", label)
 		for i, it := range items {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%s=%d", it.ID, it.Count)
+			fmt.Fprintf(b, "%s=%d", it.ID, it.Count)
 			if it.Err > 0 {
-				fmt.Fprintf(&b, "±%d", it.Err)
+				fmt.Fprintf(b, "±%d", it.Err)
 			}
 		}
 		b.WriteString("\n")
 	}
-	if !any {
-		b.WriteString("  (no events attributed yet)\n")
-	}
-	return b.String()
+	return any
 }
 
 // fetchLatency polls the freshness snapshot at /debug/latency. Any

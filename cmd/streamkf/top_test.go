@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"kalmanstream/internal/diag"
 	"kalmanstream/internal/health"
 )
 
@@ -90,5 +91,52 @@ func TestTopEndToEnd(t *testing.T) {
 
 	if err := cmdTop([]string{"-http", "127.0.0.1:1", "-interval", "10ms", "-n", "1"}); err == nil {
 		t.Error("top against a dead address should fail")
+	}
+}
+
+// TestRenderOffenders pins the offenders pane: the two tables a server
+// reads from its stream records are labelled exact and carry no ± column;
+// the two sketches show their bound once they have evicted; k and the drop
+// count are the sketches'.
+func TestRenderOffenders(t *testing.T) {
+	tables := map[string][]diag.Item{
+		diag.SketchCorrections: {{ID: "whale", Count: 60}, {ID: "s00000", Count: 3}},
+		diag.SketchBytes:       {{ID: "whale", Count: 1620}, {ID: "s00000", Count: 81}},
+		diag.SketchViolations:  {{ID: "s00007", Count: 9, Err: 2}, {ID: "s00003", Count: 1}},
+		diag.SketchStale:       nil,
+	}
+	got := renderOffenders(&diag.TopPayload{Sketches: tables, Dropped: 4, K: 128})
+	want := `
+top offenders (sketch k=128, 4 events dropped):
+  corrections (exact) whale=60  s00000=3
+  bytes (exact)       whale=1620  s00000=81
+  violations          s00007=9±2  s00003=1
+`
+	if got != want {
+		t.Errorf("offenders pane:\n%s\nwant:\n%s", got, want)
+	}
+
+	got = renderOffenders(&diag.TopPayload{Sketches: map[string][]diag.Item{}, K: 128})
+	want = `
+top offenders (sketch k=128):
+  (no events attributed yet)
+`
+	if got != want {
+		t.Errorf("empty offenders pane:\n%s\nwant:\n%s", got, want)
+	}
+
+	// The same tables inside an incident report; rows from a recorder
+	// that had no records to read keep their bound and lose the label.
+	tables[diag.SketchCorrections][1].Err = 1
+	report := renderBundle(&diag.Bundle{ID: "bundle-000001-page-streams-stale", Reason: "page:streams-stale", TopK: tables})
+	want = `
+top offenders:
+  corrections         whale=60  s00000=3±1
+  bytes (exact)       whale=1620  s00000=81
+  violations          s00007=9±2  s00003=1
+
+`
+	if !strings.Contains(report, want) {
+		t.Errorf("incident report:\n%s\nwant it to contain:\n%s", report, want)
 	}
 }

@@ -35,7 +35,7 @@ func systemTickAllocs(t *testing.T, rec *diag.Recorder) float64 {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 64; i++ { // warm: predictor state, sketch residency
+	for i := 0; i < 64; i++ { // warm: predictor state
 		step()
 	}
 	return testing.AllocsPerRun(2000, step)
@@ -51,8 +51,9 @@ func TestSystemTickZeroAllocWithDiag(t *testing.T) {
 	if armed > control {
 		t.Errorf("armed system tick allocates %.3f/op vs control %.3f/op — recorder added allocations", armed, control)
 	}
-	// The feed really ran: delivered corrections were attributed.
-	if c, ok := rec.Sketches()[diag.SketchCorrections].Count("s"); !ok || c == 0 {
-		t.Errorf("corrections sketch saw %d,%v events, want > 0", c, ok)
+	// Delivered corrections are attributed all the same: the table is
+	// read from the stream's record.
+	if got := rec.Top(1)[diag.SketchCorrections]; len(got) != 1 || got[0].ID != "s" || got[0].Count == 0 || got[0].Err != 0 {
+		t.Errorf("corrections table %+v, want one exact row for s", got)
 	}
 }

@@ -216,12 +216,14 @@ type SystemConfig struct {
 	// the per-stream answer archive (EnableHistory): this is the
 	// metrics trajectory, that is the data trajectory.
 	TelemetryHistory *history.Store
-	// Diag, when non-nil, arms the flight recorder's attribution feeds:
-	// applied corrections (with encoded bytes), δ violations from the
-	// auditor, and staleness marks from the watchdog are attributed
-	// per stream into its top-k sketches. All feeds are non-blocking
-	// and allocation-free, so an armed recorder leaves the tick
-	// pipeline's performance and results untouched.
+	// Diag, when non-nil, arms the flight recorder's attribution. Its
+	// corrections and bytes tables are read from the stream records
+	// when a bundle or Top asks (diag.Recorder.AttachStreams), so the
+	// apply path feeds nothing; δ violations from the auditor and
+	// staleness marks from the watchdog, which have no record to read,
+	// are pushed into its top-k sketches, non-blocking and
+	// allocation-free. An armed recorder leaves the tick pipeline's
+	// performance and results untouched.
 	Diag *diag.Recorder
 	// WALDir enables the durability layer: every applied message is
 	// appended to a write-ahead log in this directory and synced at each
@@ -329,6 +331,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	if cfg.Diag != nil {
 		s.diag = cfg.Diag
+		s.diag.AttachStreams(srv.WalkCounts)
 		srv.SetStaleHook(s.diag.ObserveStale)
 		if s.auditor != nil {
 			d := s.diag
@@ -387,9 +390,9 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 	if err := s.srv.Register(cfg.ID, cfg.Predictor, cfg.Delta); err != nil {
 		return nil, err
 	}
-	// apply is the terminal receiver: replica apply plus diag
-	// attribution. A delivery failure is a protocol bug, surfaced by
-	// panic rather than silently corrupting the replica.
+	// apply is the terminal receiver: replica apply plus the latency
+	// span. A delivery failure is a protocol bug, surfaced by panic
+	// rather than silently corrupting the replica.
 	apply := func(m *netsim.Message) {
 		if err := s.srv.Apply(m); err != nil {
 			panic(fmt.Sprintf("core: replica apply failed: %v", err))
@@ -399,9 +402,6 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 			// stamp was read from: a delayed link shows up as exactly its
 			// delay, deterministically.
 			s.fresh.RecordE2E(freshness.E2ESeconds(m.Stamp, s.stamp(), 0), m.Trace, m.StreamID)
-		}
-		if s.diag != nil && m.Kind == netsim.KindCorrection {
-			s.diag.ObserveCorrection(m.StreamID, m.EncodedSize())
 		}
 	}
 	var coal *netsim.Coalescer

@@ -39,8 +39,9 @@ type Bundle struct {
 	// Health is the monitor snapshot at capture time: burn rates,
 	// window tables, the recent transition log.
 	Health *health.Snapshot `json:"health,omitempty"`
-	// TopK holds the offender tables keyed by sketch name
-	// (corrections, bytes, violations, stale).
+	// TopK holds the offender tables keyed by table name: corrections
+	// and bytes, exact and at most K rows when read from the stream
+	// records; violations and stale, sketches.
 	TopK map[string][]Item `json:"topk"`
 	// History is the trailing telemetry history of the implicated
 	// series — the alert's SLO series plus the top offender streams'
@@ -100,7 +101,7 @@ func (r *Recorder) capture(reason string, alert *health.Transition) Bundle {
 		b.Health = &snap
 	}
 	if r.history != nil {
-		ex := r.history.ExcerptFor(r.implicatedSeries(b.Alert, b.Health), r.offenderStreams(), r.opts.HistoryTail)
+		ex := r.history.ExcerptFor(r.implicatedSeries(b.Alert, b.Health), r.offenderStreams(b.TopK), r.opts.HistoryTail)
 		b.History = &ex
 	}
 	if r.freshFn != nil {
@@ -164,13 +165,14 @@ func (r *Recorder) implicatedSeries(alert *health.Transition, snap *health.Snaps
 }
 
 // offenderStreams lists the top HistoryStreams stream IDs of every
-// attribution sketch — the streams most likely implicated in whatever
-// paged.
-func (r *Recorder) offenderStreams() []string {
+// attribution table in the bundle — the streams most likely implicated
+// in whatever paged.
+func (r *Recorder) offenderStreams(tables map[string][]Item) []string {
 	var ids []string
 	seen := make(map[string]bool)
-	for _, tk := range r.Sketches() {
-		for _, it := range tk.Top(r.opts.HistoryStreams) {
+	for _, name := range TableOrder {
+		rows := tables[name]
+		for _, it := range rows[:min(len(rows), r.opts.HistoryStreams)] {
 			if !seen[it.ID] {
 				seen[it.ID] = true
 				ids = append(ids, it.ID)

@@ -94,20 +94,26 @@ func (r *Recorder) listBundles() []BundleInfo {
 	return list
 }
 
-// TopPayload is the /debug/top document: every sketch's offender
-// table plus the drop counter that qualifies them.
+// TopPayload is the /debug/top document: every offender table plus
+// the two numbers that qualify the sketched ones.
 type TopPayload struct {
-	// Sketches maps sketch name → rows, count descending.
+	// Sketches maps table name → rows, count descending. On a server
+	// the corrections and bytes rows are exact, read from the stream
+	// records at request time; violations and stale are sketches.
 	Sketches map[string][]Item `json:"sketches"`
-	// Dropped is the number of attribution events lost to contention;
-	// nonzero means the tables slightly undercount.
+	// Dropped is the number of violation and staleness events lost to
+	// contention on their sketches; nonzero means those two tables
+	// slightly undercount. The record-backed tables drop nothing.
 	Dropped int64 `json:"dropped"`
-	// K is the sketch width (tables are exact when distinct ≤ K).
+	// K is the width of the violations and stale sketches (exact when
+	// distinct ≤ K), and the rows a record-backed table returns when
+	// asked for all (?n=0).
 	K int `json:"k"`
 }
 
 // TopHandler serves /debug/top: the live offender tables. ?n= bounds
-// rows per sketch (default 10, 0 = all).
+// rows per table (default 10; 0 = every resident item of a sketch and K
+// rows of a record-backed table).
 func TopHandler(r *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		n := 10
@@ -119,7 +125,7 @@ func TopHandler(r *Recorder) http.Handler {
 			}
 			n = v
 		}
-		payload := TopPayload{Sketches: r.Top(n), Dropped: r.Dropped(), K: r.corrections.K()}
+		payload := TopPayload{Sketches: r.Top(n), Dropped: r.Dropped(), K: r.opts.K}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -1,11 +1,14 @@
 // The flight recorder: always-on, fixed-memory attribution plus
-// synchronous incident capture. The design splits cleanly into a hot
-// half and a cold half. The hot half is four space-saving sketches fed
-// from the paths that already see every event — corrections and bytes
-// at the wire server's frame dispatch, δ-violations from the auditor,
-// staleness marks from the watchdog — each a TryLock away, never
-// blocking, with drops counted instead of waited out. The cold half
-// runs only when an SLO pages (or a chaos verdict fails): it freezes
+// synchronous incident capture. Attribution comes two ways. What the
+// server already counts per stream — corrections applied and their
+// encoded bytes, fields of the stream record — is pulled: a reader
+// attached with AttachStreams walks the records when somebody asks
+// and keeps the top rows, so the apply path feeds nothing and the
+// tables are exact at any population. What has no record to read — δ
+// violations from the auditor, staleness marks from the watchdog, both
+// rare — is pushed into two space-saving sketches, each a TryLock away,
+// never blocking, with drops counted instead of waited out. The cold
+// half runs only when an SLO pages (or a chaos verdict fails): it freezes
 // everything a responder would ask for — the firing alert, the health
 // window table, the trace-journal tail, the top-k offender tables, a
 // runtime profile delta, the recent log ring — into one self-contained
@@ -13,13 +16,16 @@
 //
 // H2O's autonomic argument (see PAPERS.md) is the motivation: a
 // control loop can only shed or throttle what it can attribute. The
-// sketches give attribution at millions-of-streams scale; the bundles
+// tables give attribution at millions-of-streams scale; the bundles
 // give the human (or the future controller) the moment-of-failure
 // state without replaying anything.
 
 package diag
 
 import (
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -30,7 +36,9 @@ import (
 	"kalmanstream/internal/trace"
 )
 
-// Sketch names used as keys in Bundle.TopK and /debug/top.
+// Table names used as keys in Bundle.TopK and /debug/top. Corrections
+// and bytes are exact (read from the stream records) once AttachStreams
+// has been called; violations and stale are sketches.
 const (
 	SketchCorrections = "corrections"
 	SketchBytes       = "bytes"
@@ -38,10 +46,14 @@ const (
 	SketchStale       = "stale"
 )
 
+// TableOrder lists the tables in the order every surface renders them.
+var TableOrder = [...]string{SketchCorrections, SketchBytes, SketchViolations, SketchStale}
+
 // Options configures a Recorder. The zero value is usable: 128-wide
 // sketches, memory-only spool of 16 bundles, 500-tick dedupe window.
 type Options struct {
-	// K is the width of each attribution sketch (default 128).
+	// K is the width of each attribution sketch, and the most rows a
+	// record-backed table returns (default 128).
 	K int
 	// SpoolDir, when non-empty, persists each bundle as a JSON file
 	// and prunes the directory to SpoolMax files.
@@ -91,6 +103,9 @@ type Recorder struct {
 	healthFn func() health.Snapshot
 	history  *history.Store
 	freshFn  func() freshness.Snapshot
+	// streams, when attached, is the walk over the server's stream
+	// records that the corrections and bytes tables are selected from.
+	streams func(visit func(id string, corrections, bytes int64))
 
 	mu          sync.Mutex
 	lastCapture int64 // monitor tick of the last page capture, -1 = never
@@ -169,9 +184,23 @@ func (r *Recorder) AttachHistory(st *history.Store) {
 	r.history = st
 }
 
+// AttachStreams points the corrections and bytes tables at the stream
+// records themselves: walk visits every stream with its applied
+// correction count and encoded bytes (server.Server.WalkCounts), and
+// Top selects its rows from one such walk. The apply path then feeds
+// the recorder nothing, nothing can be dropped, and every row is exact
+// (Err 0) however many streams there are.
+func (r *Recorder) AttachStreams(walk func(visit func(id string, corrections, bytes int64))) {
+	r.streams = walk
+}
+
 // ObserveCorrection attributes one applied correction of n encoded
-// bytes to stream id. Zero allocations and never blocks: contended
-// observations are dropped and counted.
+// bytes to stream id, into two sketches that Top serves only while no
+// reader is attached with AttachStreams. Neither server calls it any
+// more. It and its two sketches are kept because the deployed-path
+// benchmark compiles against it (bench/probes.go, diag.observe_ns) and
+// a change that claims a gain may not edit the benchmark; it goes when
+// a benchmark change drops that probe.
 func (r *Recorder) ObserveCorrection(id string, n int) {
 	if r == nil {
 		return
@@ -215,23 +244,75 @@ func (r *Recorder) drop() {
 // contention.
 func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
 
-// Sketches returns the live sketches keyed by name, for /debug/top.
-func (r *Recorder) Sketches() map[string]*TopK {
-	return map[string]*TopK{
-		SketchCorrections: r.corrections,
-		SketchBytes:       r.bytes,
-		SketchViolations:  r.violations,
-		SketchStale:       r.stale,
+// Top returns the top n rows of every table, keyed by table name,
+// count descending. n <= 0 means all resident items of a sketch and K
+// rows of a record-backed table, so a bundle stays bounded whatever the
+// population. With a reader attached the corrections and bytes tables
+// cost one walk over the stream records and O(n) memory, and rank ties
+// by ID; streams that have applied nothing are left out.
+func (r *Recorder) Top(n int) map[string][]Item {
+	out := map[string][]Item{
+		SketchViolations: r.violations.Top(n),
+		SketchStale:      r.stale.Top(n),
+	}
+	if r.streams == nil {
+		out[SketchCorrections] = r.corrections.Top(n)
+		out[SketchBytes] = r.bytes.Top(n)
+		return out
+	}
+	if n <= 0 {
+		n = r.opts.K
+	}
+	corrections, bytes := selection{n: n}, selection{n: n}
+	r.streams(func(id string, c, b int64) {
+		corrections.offer(id, c)
+		bytes.offer(id, b)
+	})
+	out[SketchCorrections] = corrections.rows()
+	out[SketchBytes] = bytes.rows()
+	return out
+}
+
+// selection keeps the n best of the items offered to it — count
+// descending, then ID — in memory proportional to n (or to the number
+// offered, if smaller): offers collect in a buffer that is sorted and
+// cut back to n whenever it reaches 2n, and from then on an item no
+// better than the n-th kept is refused without being stored.
+type selection struct {
+	n     int
+	buf   []Item
+	floor Item // the n-th best as of the last cut; zero, so below any offer, before it
+}
+
+func rankItems(a, b Item) int {
+	return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.ID, b.ID))
+}
+
+func (s *selection) offer(id string, count int64) {
+	it := Item{ID: id, Count: count}
+	if count <= 0 || rankItems(it, s.floor) >= 0 {
+		return
+	}
+	s.buf = append(s.buf, it)
+	if len(s.buf) == 2*s.n {
+		s.cut()
+		s.floor = s.buf[s.n-1]
 	}
 }
 
-// Top returns the top n rows of every sketch, keyed by sketch name.
-func (r *Recorder) Top(n int) map[string][]Item {
-	out := make(map[string][]Item, 4)
-	for name, tk := range r.Sketches() {
-		out[name] = tk.Top(n)
+func (s *selection) cut() {
+	slices.SortFunc(s.buf, rankItems)
+	if len(s.buf) > s.n {
+		s.buf = s.buf[:s.n]
 	}
-	return out
+}
+
+func (s *selection) rows() []Item {
+	s.cut()
+	if s.buf == nil {
+		return []Item{} // an empty table serves as [] not null, like a sketch's
+	}
+	return s.buf
 }
 
 // OnTransition is the health.Config.OnTransition hook: every

@@ -3,11 +3,14 @@ package diag
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -323,8 +326,8 @@ func TestTryObserveDropsUnderContention(t *testing.T) {
 // A zero-value-ish recorder works end to end with defaults.
 func TestRecorderDefaults(t *testing.T) {
 	r := NewRecorder(Options{Registry: telemetry.New()})
-	if r.corrections.K() != 128 || r.opts.SpoolMax != 16 || r.opts.DedupeTicks != 500 {
-		t.Errorf("defaults: k=%d spool=%d dedupe=%d", r.corrections.K(), r.opts.SpoolMax, r.opts.DedupeTicks)
+	if r.violations.K() != 128 || r.opts.SpoolMax != 16 || r.opts.DedupeTicks != 500 {
+		t.Errorf("defaults: k=%d spool=%d dedupe=%d", r.violations.K(), r.opts.SpoolMax, r.opts.DedupeTicks)
 	}
 	if d := r.DedupeWindow(); d != 500 {
 		t.Errorf("DedupeWindow = %d", d)
@@ -333,5 +336,91 @@ func TestRecorderDefaults(t *testing.T) {
 	b := r.CaptureNow("x")
 	if b.CapturedAt.Before(start.Add(-time.Second)) {
 		t.Errorf("capture time %v before test start", b.CapturedAt)
+	}
+}
+
+// population is a stand-in for the server's stream records: n streams
+// whose counts collide often (ties must rank by ID) and are sometimes
+// zero (a stream that applied nothing has no row).
+func population(n int) (walk func(visit func(id string, corrections, bytes int64)), rows []Item) {
+	rows = make([]Item, n)
+	for i := range rows {
+		rows[i] = Item{ID: fmt.Sprintf("s%05d", i), Count: int64(i*7919%n) % 50}
+	}
+	return func(visit func(id string, corrections, bytes int64)) {
+		for _, r := range rows {
+			visit(r.ID, r.Count, 29*r.Count)
+		}
+	}, rows
+}
+
+// With a reader attached the corrections and bytes tables are the exact
+// top rows of the records — whatever n is asked for, and whatever was
+// pushed into the sketches that served before the reader was attached.
+func TestTopSelectsFromStreamRecords(t *testing.T) {
+	const n = 10_000
+	r := NewRecorder(Options{K: 128, Registry: telemetry.New()})
+	r.ObserveCorrection("ghost", 1<<40)
+	walk, rows := population(n)
+	r.AttachStreams(walk)
+
+	want := make([]Item, 0, n)
+	for _, row := range rows {
+		if row.Count > 0 {
+			want = append(want, row)
+		}
+	}
+	slices.SortFunc(want, rankItems)
+	for _, ask := range []int{1, 10, 127, 128, 129, 1000, 2 * n, 0, -1} {
+		rowsWanted := ask
+		if ask <= 0 {
+			rowsWanted = 128 // K: "all" stays bounded
+		}
+		rowsWanted = min(rowsWanted, len(want))
+		top := r.Top(ask)
+		if got := top[SketchCorrections]; !slices.Equal(got, want[:rowsWanted]) {
+			t.Errorf("Top(%d) corrections: %d rows %+v..., want %d rows %+v...", ask, len(got), got[:min(3, len(got))], rowsWanted, want[:3])
+		}
+		got := top[SketchBytes]
+		if len(got) != rowsWanted {
+			t.Fatalf("Top(%d) bytes: %d rows, want %d", ask, len(got), rowsWanted)
+		}
+		for i, row := range got {
+			if row != (Item{ID: want[i].ID, Count: 29 * want[i].Count}) {
+				t.Fatalf("Top(%d) bytes row %d = %+v, want 29 × %+v", ask, i, row, want[i])
+			}
+		}
+	}
+
+	// A population with nothing applied serves empty tables, as [] in JSON.
+	r.AttachStreams(func(visit func(string, int64, int64)) { visit("idle", 0, 0) })
+	if got := r.Top(5)[SketchCorrections]; got == nil || len(got) != 0 {
+		t.Errorf("idle population: corrections table %#v, want empty and non-nil", got)
+	}
+}
+
+// Top's memory follows the rows asked for, not the population walked.
+func TestTopAllocatesByRowsNotPopulation(t *testing.T) {
+	const rows = 16
+	perCall := func(n int) (allocs float64, bytes uint64) {
+		r := NewRecorder(Options{Registry: telemetry.New()})
+		walk, _ := population(n)
+		r.AttachStreams(walk)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() { r.Top(rows) })
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	}
+	smallAllocs, _ := perCall(100)
+	allocs, bytes := perCall(10_000)
+	if allocs > smallAllocs {
+		t.Errorf("Top(%d) allocates %.0f times over 10,000 records and %.0f over 100", rows, allocs, smallAllocs)
+	}
+	// Two buffers of 2·rows items and a four-entry map; one Item per
+	// record would be 400 KB.
+	if bytes > 8<<10 {
+		t.Errorf("Top(%d) over 10,000 records allocates %d bytes a call", rows, bytes)
 	}
 }

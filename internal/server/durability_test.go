@@ -99,7 +99,9 @@ func snapshotAnswers(t *testing.T, s *Server, ids []string) map[string]answers {
 		// Suppressed counts ticks rolled by lazy advance since this process
 		// took the stream on: the global clock's Tick rolls none that way and
 		// replay rolls all of them, so it is no part of the recovered state.
-		info.Suppressed = 0
+		// Nor is Bytes: it counts what this process applied or replayed, and
+		// a checkpoint carries the correction count without it.
+		info.Suppressed, info.Bytes = 0, 0
 		_, sd, err := s.ValueDistribution(id)
 		if err != nil {
 			t.Fatal(err)

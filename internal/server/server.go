@@ -61,6 +61,11 @@ type StreamInfo struct {
 	// Corrections is the number of corrections applied — what the source
 	// sent and the link delivered. It is checkpointed with the replica.
 	Corrections int64
+	// Bytes is the encoded size of those same messages, summed — but since
+	// this process registered or recovered the stream: it is not
+	// checkpointed, so after a restart it covers replayed and new records
+	// only while Corrections carries on from the checkpoint.
+	Bytes int64
 	// Suppressed counts the ticks lazy advance (Ingest, QueryAt, replay)
 	// rolled the replica through without a correction — the global clock's
 	// Tick is not counted — and Duplicates the messages the dedupe guard
@@ -88,8 +93,9 @@ type streamState struct {
 	tick          int64
 	lastCorr      int64
 	corrections   int64
-	// suppressed and dups are the record's other two counts (see
-	// StreamInfo); the registry holds only their per-shard totals.
+	// bytes, suppressed and dups are the record's other counts (see
+	// StreamInfo); the registry holds only per-shard totals.
+	bytes      int64
 	suppressed int64
 	dups       int64
 	// lastValue holds the most recent correction's measurement and
@@ -474,6 +480,7 @@ func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Messa
 	st.lastCorr = m.Tick
 	if m.Kind != netsim.KindHeartbeat {
 		st.corrections++
+		st.bytes += int64(m.EncodedSize())
 		if st.lastValue == nil {
 			st.lastValue = make([]float64, len(value))
 		}
@@ -728,6 +735,7 @@ func (st *streamState) info() StreamInfo {
 		Tick:               st.tick,
 		LastCorrectionTick: st.lastCorr,
 		Corrections:        st.corrections,
+		Bytes:              st.bytes,
 		Suppressed:         st.suppressed,
 		Duplicates:         st.dups,
 		Staleness:          st.tick - 1 - st.lastCorr,
@@ -762,6 +770,22 @@ func (s *Server) Infos() []StreamInfo {
 	}
 	slices.SortFunc(out, func(a, b StreamInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
+}
+
+// WalkCounts calls visit with every stream's correction count and encoded
+// bytes (StreamInfo.Corrections and .Bytes), one shard at a time under that
+// shard's read lock and in no particular order: what a whole-population
+// reader — the flight recorder's offender tables — pulls on demand so that
+// the apply path feeds nothing. visit runs under the lock: it must be
+// cheap, must not block and must not call back into the server.
+func (s *Server) WalkCounts(visit func(id string, corrections, bytes int64)) {
+	for _, sh := range s.shards {
+		sh.mu.RLock()
+		for _, st := range sh.order {
+			visit(st.id, st.corrections, st.bytes)
+		}
+		sh.mu.RUnlock()
+	}
 }
 
 // StreamIDs returns the registered stream identifiers in sorted order.

@@ -357,3 +357,48 @@ func TestInfosIsInfoForEveryStream(t *testing.T) {
 		t.Fatalf("record of k = %+v", k)
 	}
 }
+
+// TestBytesCountedWithCorrections: the record's byte count covers exactly
+// the messages its correction count covers — corrections and resyncs, at
+// their encoded size, not heartbeats and not what the dedupe guard drops —
+// and WalkCounts hands a whole-population reader the same two numbers
+// Info reports, for every stream.
+func TestBytesCountedWithCorrections(t *testing.T) {
+	s := New()
+	for _, id := range []string{"a", "b", "idle"} {
+		if err := s.Register(id, staticSpec(), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msgs := []*netsim.Message{
+		{Kind: netsim.KindCorrection, StreamID: "a", Tick: 1, Value: []float64{4}},
+		{Kind: netsim.KindCorrection, StreamID: "a", Tick: 1, Value: []float64{4}}, // dropped: a duplicate
+		{Kind: netsim.KindHeartbeat, StreamID: "a", Tick: 2},
+		{Kind: netsim.KindResync, StreamID: "a", Tick: 3, Value: resyncValue(t, staticSpec(), 7)},
+		{Kind: netsim.KindCorrection, StreamID: "b", Tick: 0, Value: []float64{1}, Trace: 9, Stamp: 5},
+	}
+	for _, m := range msgs {
+		if _, _, err := s.Ingest(m, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string][2]int64{
+		"a":    {2, int64(msgs[0].EncodedSize() + msgs[3].EncodedSize())},
+		"b":    {1, int64(msgs[4].EncodedSize())},
+		"idle": {0, 0},
+	}
+	got := map[string][2]int64{}
+	s.WalkCounts(func(id string, corrections, bytes int64) { got[id] = [2]int64{corrections, bytes} })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("WalkCounts saw %v, want %v", got, want)
+	}
+	for id, w := range want {
+		info, err := s.Info(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Corrections != w[0] || info.Bytes != w[1] {
+			t.Errorf("%s: Info reports %d corrections, %d bytes, want %v", id, info.Corrections, info.Bytes, w)
+		}
+	}
+}

@@ -1,8 +1,9 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -80,32 +81,89 @@ type discardConn struct{ net.Conn }
 
 func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
 
-// TestWriteFrameAddsNoAllocs: the connection writer's accounting is two
-// resolved handles, so an answer, pong or OK costs what the bare frame
-// write costs and no registry lookup.
+// TestWriteFrameAddsNoAllocs: the connection writer assembles a reply in
+// its own buffer and accounts it on two resolved handles, so an answer,
+// pong or OK costs no allocation and no registry lookup.
 func TestWriteFrameAddsNoAllocs(t *testing.T) {
 	srv := NewServerWith(Options{Metrics: telemetry.New()})
 	cw := &connWriter{conn: discardConn{}, s: srv}
 	payload := make([]byte, 64)
-	var w io.Writer = discardConn{}
-	bare := testing.AllocsPerRun(200, func() {
-		if err := WriteFrame(w, FrameAnswer, payload); err != nil {
-			t.Fatal(err)
-		}
-	})
 	got := testing.AllocsPerRun(200, func() {
 		if err := cw.writeFrame(FrameAnswer, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got != bare {
-		t.Errorf("writeFrame allocates %.1f per frame, the bare frame write %.1f", got, bare)
+	if got != 0 {
+		t.Errorf("writeFrame allocates %.1f per frame, want 0", got)
 	}
 	if n := srv.telFramesOut.Value(); n != 201 {
 		t.Errorf("wire_frames_total{direction=out} = %d after 201 frames", n)
 	}
 	if n := srv.telBytesOut.Value(); n != 201*(5+64) {
 		t.Errorf("wire_bytes_total{direction=out} = %d, want %d", n, 201*(5+64))
+	}
+}
+
+// recordingConn is a net.Conn that keeps every Write it is handed.
+type recordingConn struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (c *recordingConn) Write(b []byte) (int, error) {
+	c.writes = append(c.writes, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+// TestWriteFrameIsOneWrite: a reply leaves the connection writer as one
+// Write — on a TCP_NODELAY socket, one segment — and reads back as the
+// frame it was. A payload too large to assemble still arrives whole, and
+// one past the frame limit is refused before anything is written.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	srv := NewServerWith(Options{Metrics: telemetry.New()})
+	conn := &recordingConn{}
+	cw := &connWriter{conn: conn, s: srv}
+	for _, f := range []struct {
+		typ     uint8
+		payload []byte
+	}{
+		{FrameAnswer, []byte(`{"id":"s","tick":7,"estimate":[1.5],"bound":0.5}`)},
+		{FrameOK, nil},
+		{FramePong, make([]byte, 8)},
+		{FrameError, []byte("wire: no such stream")},
+	} {
+		conn.writes = nil
+		if err := cw.writeFrame(f.typ, f.payload); err != nil {
+			t.Fatal(err)
+		}
+		if len(conn.writes) != 1 {
+			t.Fatalf("%s frame left in %d writes, want 1", FrameName(f.typ), len(conn.writes))
+		}
+		typ, payload, err := ReadFrame(bytes.NewReader(conn.writes[0]))
+		if err != nil || typ != f.typ || !bytes.Equal(payload, f.payload) {
+			t.Fatalf("%s frame read back as type %d, payload %q, err %v", FrameName(f.typ), typ, payload, err)
+		}
+	}
+
+	conn.writes = nil
+	big := bytes.Repeat([]byte("m"), maxAssembledPayload+1)
+	if err := cw.writeFrame(FrameMetricsReply, big); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := ReadFrame(bytes.NewReader(bytes.Join(conn.writes, nil)))
+	if err != nil || typ != FrameMetricsReply || !bytes.Equal(payload, big) {
+		t.Fatalf("large frame read back as type %d, %d bytes, err %v", typ, len(payload), err)
+	}
+	if cap(cw.buf) >= len(big) {
+		t.Errorf("connection buffer grew to %d bytes to hold a %d-byte reply", cap(cw.buf), len(big))
+	}
+
+	conn.writes = nil
+	if err := cw.writeFrame(FrameMetricsReply, make([]byte, MaxFrameSize)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame: err %v, want ErrFrameTooLarge", err)
+	}
+	if len(conn.writes) != 0 {
+		t.Errorf("oversized frame wrote %d times before being refused", len(conn.writes))
 	}
 }
 

@@ -55,6 +55,10 @@ type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
 	s    *Server
+	// buf is where a frame is assembled, under mu, so that it leaves in
+	// one Write: Go's TCP sockets are TCP_NODELAY, and a header written
+	// apart from its payload is a segment of its own.
+	buf []byte
 
 	// remote and skew identify the connection on the /debug/latency
 	// surface: skew accumulates the NTP-style offset samples from the
@@ -73,10 +77,30 @@ func (cw *connWriter) connOffsetNanos() float64 {
 	return cw.skew.OffsetNanos()
 }
 
+// maxAssembledPayload is the largest payload writeFrame copies behind
+// its header. Answers, acks, pongs and errors are far smaller; a metrics
+// snapshot can be far larger, and goes out as a two-element net.Buffers
+// (one writev on a TCP connection) rather than growing every
+// connection's buffer to the size of the biggest reply it ever sent.
+const maxAssembledPayload = 4 << 10
+
 func (cw *connWriter) writeFrame(typ uint8, payload []byte) error {
+	if len(payload)+1 > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	if err := WriteFrame(cw.conn, typ, payload); err != nil {
+	frame := append(cw.buf[:0], 0, 0, 0, 0, typ)
+	binary.BigEndian.PutUint32(frame, uint32(len(payload)+1))
+	var err error
+	if len(payload) <= maxAssembledPayload {
+		frame = append(frame, payload...)
+		_, err = cw.conn.Write(frame)
+	} else {
+		_, err = (&net.Buffers{frame, payload}).WriteTo(cw.conn)
+	}
+	cw.buf = frame[:0]
+	if err != nil {
 		return err
 	}
 	cw.s.telBytesOut.Add(int64(5 + len(payload)))
@@ -181,12 +205,14 @@ type Options struct {
 	// caller owns the monitor's clock: tick it from a System, or call
 	// Start for wall-clock windows.
 	Health *health.Monitor
-	// Diag, when non-nil, arms the flight recorder: corrections and
-	// their encoded bytes are attributed per stream on the frame
-	// dispatch path, δ violations from the auditor, staleness marks
-	// from the wall-clock watchdog. All feeds are TryLock-guarded and
-	// allocation-free, preserving the dispatch path's zero-alloc
-	// property (TestMessageDispatchZeroAllocWithDiag).
+	// Diag, when non-nil, arms the flight recorder. Its corrections and
+	// bytes tables are pulled: the recorder is handed a walk over the
+	// stream records (diag.Recorder.AttachStreams) and reads their
+	// counts when /debug/top or a bundle asks, so an armed dispatch path
+	// does exactly what an unarmed one does — its shard lock and nothing
+	// else (TestMessageDispatchZeroAllocWithDiag). Only the rare events
+	// with no record to read are pushed, TryLock-guarded: δ violations
+	// from the auditor, staleness marks from the wall-clock watchdog.
 	Diag *diag.Recorder
 	// History, when non-nil, is the multi-resolution telemetry history
 	// store recording this server's registry. The server only holds it
@@ -257,6 +283,7 @@ func NewServerWith(opts Options) *Server {
 	if opts.Diag != nil {
 		s.diag = opts.Diag
 		d := s.diag
+		d.AttachStreams(core.WalkCounts)
 		s.auditor.SetViolationHook(func(id string, _ int64) { d.ObserveViolation(id) })
 	}
 	if s.staleAfter > 0 {
@@ -500,18 +527,13 @@ func (s *Server) applyBatchConn(payload []byte, scratch *netsim.Message, offsetN
 	n := 0
 	rest := payload
 	for len(rest) > 0 {
-		recLen := len(rest)
 		var err error
 		rest, err = netsim.DecodeNext(scratch, rest)
 		if err != nil {
 			return n, fmt.Errorf("wire: batch record %d: %w", n, err)
 		}
-		recLen -= len(rest)
 		if err := s.ingest(scratch, now, offsetNs); err != nil {
 			return n, fmt.Errorf("wire: batch record %d: %w", n, err)
-		}
-		if s.diag != nil && scratch.Kind == netsim.KindCorrection {
-			s.diag.ObserveCorrection(scratch.StreamID, recLen)
 		}
 		n++
 	}
@@ -680,13 +702,7 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		// path costs exactly one frame — the property being measured.
 		// Apply copies what it keeps, so reusing msg across frames is
 		// safe.
-		if err := s.ingest(msg, s.clock(), cw.connOffsetNanos()); err != nil {
-			return err
-		}
-		if s.diag != nil && msg.Kind == netsim.KindCorrection {
-			s.diag.ObserveCorrection(msg.StreamID, len(payload))
-		}
-		return nil
+		return s.ingest(msg, s.clock(), cw.connOffsetNanos())
 	case FrameMessageBatch:
 		// Coalesced corrections: sub-records decode into the connection's
 		// scratch message (no per-correction allocation) and apply one by
