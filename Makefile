@@ -9,14 +9,15 @@ GO ?= go
 # that `make bench-compare` gates against.
 BENCHTIME ?= 1s
 BENCHCOUNT ?= 3
-BENCH_OUT ?= BENCH_PR15.json
+BENCH_OUT ?= BENCH_PR16.json
 BENCH_BASE ?= BENCH_PR10.json
 # The regression gate: benchmarks matching this pattern may not regress
 # ns/op by more than BENCH_MAXREGRESS percent against BENCH_BASE. A
 # benchmark BENCH_BASE does not have yet (WireIngestManyStreams and
-# TopKObserveChurn, first recorded in BENCH_PR15.json) is listed as "new"
-# and gates from the re-base that includes it.
-BENCH_GATE ?= SystemScale|MessageRoundTrip|MonitorTick|WindowSnapshot|TopKObserve|E8BudgetAllocation|WireCoalesced|WireIngestManyStreams|HistoryRecord|WALAppend|LatencyRecord
+# TopKObserveChurn, first recorded in BENCH_PR15.json; LazyAdvance and
+# KalmanPredictUpdateCV, first recorded in BENCH_PR16.json) is listed as
+# "new" and gates from the re-base that includes it.
+BENCH_GATE ?= SystemScale|MessageRoundTrip|MonitorTick|WindowSnapshot|TopKObserve|E8BudgetAllocation|WireCoalesced|WireIngestManyStreams|HistoryRecord|WALAppend|LatencyRecord|LazyAdvance|KalmanPredictUpdate
 BENCH_MAXREGRESS ?= 10
 
 .PHONY: check vet build test race benchsmoke bench bench-compare lint chaos-smoke recovery-smoke cover repro-check bench-smoke loc

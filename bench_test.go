@@ -106,8 +106,28 @@ func BenchmarkKalmanPredictUpdate1D(b *testing.B) {
 	}
 }
 
-// BenchmarkKalmanPredictUpdate2D measures the 4-state planar
-// constant-velocity filter cycle.
+// BenchmarkKalmanPredictUpdateCV measures one predict+update cycle of the
+// 2-state/1-observation constant-velocity filter: the shape every fifth
+// stream of the deployed-path benchmark's population (its cv2) runs, on
+// its fixed-size kernel.
+func BenchmarkKalmanPredictUpdateCV(b *testing.B) {
+	f := kalman.MustFilter(kalman.ConstantVelocity(1, 0.05, 0.1),
+		make([]float64, 2), kalman.InitialCovariance(2, 1))
+	z := []float64{1.5}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Predict()
+		if err := f.Update(z); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKalmanPredictUpdate2D measures the 4-state/2-observation
+// planar constant-velocity filter cycle (ConstantVelocity2D — not the
+// deployed-path benchmark's cv2, which is the 2-state shape above). It
+// has no kernel: this is the price of the generic mat path.
 func BenchmarkKalmanPredictUpdate2D(b *testing.B) {
 	f := kalman.MustFilter(kalman.ConstantVelocity2D(1, 0.1, 1),
 		make([]float64, 4), kalman.InitialCovariance(4, 1))
@@ -117,6 +137,44 @@ func BenchmarkKalmanPredictUpdate2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.Predict()
 		if err := f.Update(z); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLazyAdvance is the server's ingest at population scale, where
+// every correction first rolls a cold replica through the ticks its source
+// suppressed: Ingest at +8 ticks round-robin over 10,000 registered
+// streams, every fifth a constant-velocity one (the deployed-path
+// benchmark's mix and suppression ratio). ns/op is one correction — shard
+// lock, a 7-tick predict-only advance, the arrival tick's step and the
+// Kalman update — with the stream's state out of cache, which no
+// single-stream benchmark prices.
+func BenchmarkLazyAdvance(b *testing.B) {
+	const streams = 10_000
+	rw := predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.25, R: 0.0025}}
+	cv := predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}}
+	srv := server.New()
+	ids := make([]string, streams)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s%05d", i)
+		spec := rw
+		if i%5 == 4 {
+			spec = cv
+		}
+		if err := srv.Register(ids[i], spec, 0.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m := netsim.Message{Kind: netsim.KindCorrection, Value: make([]float64, 1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.StreamID, m.Tick = ids[i%streams], int64(i/streams)*8+7
+		m.Value[0] = float64(i&15) * 0.25
+		if _, _, err := srv.Ingest(&m, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

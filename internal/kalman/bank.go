@@ -106,9 +106,13 @@ func (b *Bank) SetWeights(w []float64) error {
 func (b *Bank) FilterAt(i int) *Filter { return b.filters[i] }
 
 // Predict advances every model one time step.
-func (b *Bank) Predict() {
+func (b *Bank) Predict() { b.PredictN(1) }
+
+// PredictN advances every model k time steps; the models share no state,
+// so each filter runs its own k-step loop.
+func (b *Bank) PredictN(k int64) {
 	for _, f := range b.filters {
-		f.Predict()
+		f.PredictN(k)
 	}
 }
 

@@ -7,6 +7,27 @@ import (
 	"kalmanstream/internal/mat"
 )
 
+// shape selects a filter's arithmetic, once, from its model's dimensions.
+// A shape with a kernel (kernels.go) steps and updates over fixed-size
+// locals and owns no scratch; every other shape runs the mat path.
+type shape uint8
+
+const (
+	shapeGeneric shape = iota // any n×m: the mat path, over scratch
+	shape1x1                  // RandomWalk
+	shape2x1                  // ConstantVelocity
+)
+
+func shapeOf(n, m int) shape {
+	switch {
+	case n == 1 && m == 1:
+		return shape1x1
+	case n == 2 && m == 1:
+		return shape2x1
+	}
+	return shapeGeneric
+}
+
 // Filter is a discrete-time linear Kalman filter over a Model.
 //
 // The usual cycle per tick is Predict (time update) followed, when a
@@ -14,12 +35,28 @@ import (
 // Update on a tick is exactly the suppression mechanism the stream system
 // exploits: the filter coasts on its dynamics.
 type Filter struct {
-	model *Model
+	// blk holds F | Q | H | R | P | x back to back, row-major: with the
+	// counters beside it, a lazy advance of a cold stream touches two or
+	// three cache lines. The fields a kernel reads come first for the same
+	// reason.
+	blk     []float64
+	shape   shape
+	ticks   uint64   // Predict steps since construction
+	updates uint64   // Update calls since construction
+	g       *scratch // the mat path's temporaries; nil for a kernel shape
+
+	// Views into blk for the mat path and the accessors: hdr are the five
+	// matrix headers in blk's order, model's fields and p point at them.
 	x     []float64   // state estimate
 	p     *mat.Matrix // estimate covariance
+	model Model
+	hdr   [5]mat.Matrix
+}
 
-	// Scratch buffers reused across steps to keep the hot loop
-	// allocation-free.
+// scratch is everything the mat path writes besides x and P, preallocated
+// so its hot loop runs without garbage. Only a filter whose shape has no
+// kernel owns one.
+type scratch struct {
 	xNext  []float64
 	ft     *mat.Matrix // Fᵀ
 	ht     *mat.Matrix // Hᵀ
@@ -38,38 +75,11 @@ type Filter struct {
 	leftNN *mat.Matrix // (I−KH)·P·(I−KH)ᵀ
 	krkNN  *mat.Matrix // K·R·Kᵀ
 	ky     []float64   // K·y
-
-	// scalar marks a 1-state/1-observation model, enabling the scalar
-	// fast paths in Predict and Update. Those paths mirror the general
-	// matrix code operation for operation (including the zero-operand
-	// skip in MulTo and the 0-initialized accumulators), so their
-	// results are bit-identical to the general path — replicas built
-	// from the same spec stay in lock-step regardless of which build
-	// first introduced the fast path.
-	scalar bool
-
-	ticks   uint64 // Predict calls since construction
-	updates uint64 // Update calls since construction
 }
 
-// NewFilter constructs a filter for model with initial state x0 and
-// initial covariance p0. The model and inputs are deep-copied, so a source
-// and a server can construct byte-identical replicas from the same spec.
-func NewFilter(model *Model, x0 []float64, p0 *mat.Matrix) (*Filter, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
+func newScratch(model *Model) *scratch {
 	n, m := model.StateDim(), model.ObsDim()
-	if len(x0) != n {
-		return nil, fmt.Errorf("kalman: initial state has length %d, want %d", len(x0), n)
-	}
-	if p0.Rows() != n || p0.Cols() != n {
-		return nil, fmt.Errorf("kalman: initial covariance is %d×%d, want %d×%d", p0.Rows(), p0.Cols(), n, n)
-	}
-	f := &Filter{
-		model:  model.Clone(),
-		x:      mat.VecClone(x0),
-		p:      p0.Clone(),
+	return &scratch{
 		xNext:  make([]float64, n),
 		ft:     mat.Transpose(model.F),
 		ht:     mat.Transpose(model.H),
@@ -88,7 +98,37 @@ func NewFilter(model *Model, x0 []float64, p0 *mat.Matrix) (*Filter, error) {
 		leftNN: mat.New(n, n),
 		krkNN:  mat.New(n, n),
 		ky:     make([]float64, n),
-		scalar: n == 1 && m == 1,
+	}
+}
+
+// NewFilter constructs a filter for model with initial state x0 and
+// initial covariance p0. The model and inputs are deep-copied, so a source
+// and a server can construct byte-identical replicas from the same spec.
+func NewFilter(model *Model, x0 []float64, p0 *mat.Matrix) (*Filter, error) {
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	n, m := model.StateDim(), model.ObsDim()
+	if len(x0) != n {
+		return nil, fmt.Errorf("kalman: initial state has length %d, want %d", len(x0), n)
+	}
+	if p0.Rows() != n || p0.Cols() != n {
+		return nil, fmt.Errorf("kalman: initial covariance is %d×%d, want %d×%d", p0.Rows(), p0.Cols(), n, n)
+	}
+	f := &Filter{blk: make([]float64, 3*n*n+m*n+m*m+n), shape: shapeOf(n, m)}
+	rest := f.blk
+	for i, src := range [5]*mat.Matrix{model.F, model.Q, model.H, model.R, p0} {
+		size := src.Rows() * src.Cols()
+		f.hdr[i] = mat.Over(src.Rows(), src.Cols(), rest[:size:size])
+		f.hdr[i].CopyFrom(src)
+		rest = rest[size:]
+	}
+	f.model = Model{Name: model.Name, F: &f.hdr[0], Q: &f.hdr[1], H: &f.hdr[2], R: &f.hdr[3]}
+	f.p = &f.hdr[4]
+	f.x = rest
+	copy(f.x, x0)
+	if f.shape == shapeGeneric {
+		f.g = newScratch(&f.model)
 	}
 	return f, nil
 }
@@ -119,43 +159,38 @@ func (f *Filter) ObsDim() int { return f.model.ObsDim() }
 //
 //	x ← F·x
 //	P ← F·P·Fᵀ + Q
-func (f *Filter) Predict() {
-	if f.scalar {
-		f.predictScalar()
+func (f *Filter) Predict() { f.PredictN(1) }
+
+// PredictN performs k time updates (none for k ≤ 0) and is bit-identical
+// to k Predict calls: the arithmetic is a literal k-iteration loop, with
+// only the dispatch, the operand loads and the stores hoisted out of it.
+// It is what makes a lazy advance over suppressed ticks one call.
+func (f *Filter) PredictN(k int64) {
+	if k <= 0 {
 		return
 	}
-	mat.MulVecTo(f.xNext, f.model.F, f.x)
-	copy(f.x, f.xNext)
-
-	mat.MulTo(f.tmpNN, f.model.F, f.p)  // F·P
-	mat.MulTo(f.tmpNN2, f.tmpNN, f.ft)  // F·P·Fᵀ
-	mat.AddTo(f.p, f.tmpNN2, f.model.Q) // + Q
-	mat.Symmetrize(f.p)
-	f.ticks++
+	switch f.shape {
+	case shape1x1:
+		f.predict1x1(k)
+	case shape2x1:
+		f.predict2x1(k)
+	default:
+		for i := int64(0); i < k; i++ {
+			f.predictGeneric()
+		}
+	}
+	f.ticks += uint64(k)
 }
 
-// predictScalar is Predict for 1×1 models with the exact operation
-// sequence of the matrix path: each product accumulates into a
-// 0-initialized sum (MulVecTo) and MulTo's zero-left-operand skip is
-// reproduced, so every intermediate is bit-identical to the general
-// code. Symmetrize is a no-op at 1×1.
-func (f *Filter) predictScalar() {
-	fv := f.model.F.Raw()[0]
-	var xn float64
-	xn += fv * f.x[0] // MulVecTo: 0 + F·x
-	f.x[0] = xn
+func (f *Filter) predictGeneric() {
+	g := f.g
+	mat.MulVecTo(g.xNext, f.model.F, f.x)
+	copy(f.x, g.xNext)
 
-	p := f.p.Raw()
-	var fp float64
-	if fv != 0 { // MulTo skips zero left operands
-		fp += fv * p[0]
-	}
-	var fpf float64
-	if fp != 0 {
-		fpf += fp * fv // Fᵀ = F at 1×1
-	}
-	p[0] = fpf + f.model.Q.Raw()[0]
-	f.ticks++
+	mat.MulTo(g.tmpNN, f.model.F, f.p)  // F·P
+	mat.MulTo(g.tmpNN2, g.tmpNN, g.ft)  // F·P·Fᵀ
+	mat.AddTo(f.p, g.tmpNN2, f.model.Q) // + Q
+	mat.Symmetrize(f.p)
 }
 
 // Update performs the measurement update with observation z using the
@@ -167,114 +202,65 @@ func (f *Filter) predictScalar() {
 //	x ← x + K·y
 //	P ← (I−KH)·P·(I−KH)ᵀ + K·R·Kᵀ
 //
-// Returns an error if the innovation covariance S is singular.
+// Returns an error if the innovation covariance S is singular; x and P
+// are then left as they were.
 func (f *Filter) Update(z []float64) error {
 	m := f.model.ObsDim()
 	if len(z) != m {
 		return fmt.Errorf("kalman: observation has length %d, want %d", len(z), m)
 	}
-	if f.scalar {
-		return f.updateScalar(z[0])
+	var err error
+	switch f.shape {
+	case shape1x1:
+		err = f.update1x1(z[0])
+	case shape2x1:
+		err = f.update2x1(z[0])
+	default:
+		err = f.updateGeneric(z)
 	}
-	// Innovation y = z − H·x.
-	mat.MulVecTo(f.hx, f.model.H, f.x)
-	for i := range f.innov {
-		f.innov[i] = z[i] - f.hx[i]
-	}
-	// S = H·P·Hᵀ + R.
-	mat.MulTo(f.tmpMN, f.model.H, f.p)   // H·P
-	mat.MulTo(f.tmpMM, f.tmpMN, f.ht)    // H·P·Hᵀ
-	mat.AddTo(f.sMM, f.tmpMM, f.model.R) // + R
-	if err := mat.InverseTo(f.sInv, f.sWork, f.sMM); err != nil {
+	if err != nil {
 		return fmt.Errorf("kalman: innovation covariance singular: %w", err)
 	}
-	// K = P·Hᵀ·S⁻¹.
-	mat.MulTo(f.tmpNM, f.p, f.ht)
-	mat.MulTo(f.gain, f.tmpNM, f.sInv)
-	// x ← x + K·y.
-	mat.MulVecTo(f.ky, f.gain, f.innov)
-	for i := range f.x {
-		f.x[i] += f.ky[i]
-	}
-	// Joseph form: P ← (I−KH)·P·(I−KH)ᵀ + K·R·Kᵀ, built entirely in
-	// scratch: K·H lands in tmpNN, (I−KH)ᵀ reuses tmpNN afterwards, and
-	// the transposed gain borrows tmpMN (both free by this point).
-	f.ikh.SetIdentity()
-	mat.MulTo(f.tmpNN, f.gain, f.model.H) // K·H
-	mat.SubTo(f.ikh, f.ikh, f.tmpNN)      // I − K·H
-	mat.MulTo(f.tmpNN2, f.ikh, f.p)       // (I−KH)·P
-	mat.TransposeTo(f.tmpNN, f.ikh)       // (I−KH)ᵀ
-	mat.MulTo(f.leftNN, f.tmpNN2, f.tmpNN)
-	mat.MulTo(f.tmpNM, f.gain, f.model.R) // K·R
-	mat.TransposeTo(f.tmpMN, f.gain)      // Kᵀ
-	mat.MulTo(f.krkNN, f.tmpNM, f.tmpMN)
-	mat.AddTo(f.p, f.leftNN, f.krkNN)
-	mat.Symmetrize(f.p)
 	f.updates++
 	return nil
 }
 
-// updateScalar is Update for 1×1 models, mirroring the matrix path's
-// operation order bit for bit (see predictScalar): 0-initialized
-// accumulators for every product, MulTo's zero-left-operand skip, the
-// partial-pivot singularity threshold, and InverseTo's 1·(1/s) scaling.
-func (f *Filter) updateScalar(z float64) error {
-	h := f.model.H.Raw()[0]
-	p := f.p.Raw()
-	var hx float64
-	hx += h * f.x[0] // MulVecTo: 0 + H·x
-	y := z - hx
-	// S = H·P·Hᵀ + R via two MulTo steps.
-	var hp float64
-	if h != 0 {
-		hp += h * p[0]
+func (f *Filter) updateGeneric(z []float64) error {
+	g := f.g
+	// Innovation y = z − H·x.
+	mat.MulVecTo(g.hx, f.model.H, f.x)
+	for i := range g.innov {
+		g.innov[i] = z[i] - g.hx[i]
 	}
-	var hph float64
-	if hp != 0 {
-		hph += hp * h
+	// S = H·P·Hᵀ + R.
+	mat.MulTo(g.tmpMN, f.model.H, f.p)   // H·P
+	mat.MulTo(g.tmpMM, g.tmpMN, g.ht)    // H·P·Hᵀ
+	mat.AddTo(g.sMM, g.tmpMM, f.model.R) // + R
+	if err := mat.InverseTo(g.sInv, g.sWork, g.sMM); err != nil {
+		return err
 	}
-	s := hph + f.model.R.Raw()[0]
-	if math.Abs(s) < 1e-14 {
-		return fmt.Errorf("kalman: innovation covariance singular: %w", mat.ErrSingular)
-	}
-	sInv := 1 * (1 / s) // InverseTo: identity row scaled by 1/pivot
 	// K = P·Hᵀ·S⁻¹.
-	var ph float64
-	if p[0] != 0 {
-		ph += p[0] * h
-	}
-	var k float64
-	if ph != 0 {
-		k += ph * sInv
-	}
+	mat.MulTo(g.tmpNM, f.p, g.ht)
+	mat.MulTo(g.gain, g.tmpNM, g.sInv)
 	// x ← x + K·y.
-	var ky float64
-	ky += k * y
-	f.x[0] += ky
-	// Joseph form at 1×1: P ← (1−kh)·P·(1−kh) + k·R·k.
-	var kh float64
-	if k != 0 {
-		kh += k * h
+	mat.MulVecTo(g.ky, g.gain, g.innov)
+	for i := range f.x {
+		f.x[i] += g.ky[i]
 	}
-	ikh := 1 - kh
-	var ip float64
-	if ikh != 0 {
-		ip += ikh * p[0]
-	}
-	var left float64
-	if ip != 0 {
-		left += ip * ikh
-	}
-	var kr float64
-	if k != 0 {
-		kr += k * f.model.R.Raw()[0]
-	}
-	var krk float64
-	if kr != 0 {
-		krk += kr * k
-	}
-	p[0] = left + krk
-	f.updates++
+	// Joseph form: P ← (I−KH)·P·(I−KH)ᵀ + K·R·Kᵀ, built entirely in
+	// scratch: K·H lands in tmpNN, (I−KH)ᵀ reuses tmpNN afterwards, and
+	// the transposed gain borrows tmpMN (both free by this point).
+	g.ikh.SetIdentity()
+	mat.MulTo(g.tmpNN, g.gain, f.model.H) // K·H
+	mat.SubTo(g.ikh, g.ikh, g.tmpNN)      // I − K·H
+	mat.MulTo(g.tmpNN2, g.ikh, f.p)       // (I−KH)·P
+	mat.TransposeTo(g.tmpNN, g.ikh)       // (I−KH)ᵀ
+	mat.MulTo(g.leftNN, g.tmpNN2, g.tmpNN)
+	mat.MulTo(g.tmpNM, g.gain, f.model.R) // K·R
+	mat.TransposeTo(g.tmpMN, g.gain)      // Kᵀ
+	mat.MulTo(g.krkNN, g.tmpNM, g.tmpMN)
+	mat.AddTo(f.p, g.leftNN, g.krkNN)
+	mat.Symmetrize(f.p)
 	return nil
 }
 
@@ -399,7 +385,7 @@ func (f *Filter) Updates() uint64 { return f.updates }
 // Clone returns an independent deep copy of the filter, preserving state,
 // covariance, and counters.
 func (f *Filter) Clone() *Filter {
-	c := MustFilter(f.model, f.x, f.p)
+	c := MustFilter(&f.model, f.x, f.p)
 	c.ticks = f.ticks
 	c.updates = f.updates
 	return c

@@ -21,10 +21,10 @@ func TestScalarFastPathBitIdentical(t *testing.T) {
 	} {
 		fast := newRWFilter(t, tc.q, tc.r)
 		slow := newRWFilter(t, tc.q, tc.r)
-		if !fast.scalar {
+		if fast.shape != shape1x1 {
 			t.Fatal("1×1 filter did not select the scalar fast path")
 		}
-		slow.scalar = false // force the general matrix path
+		forceGeneric(slow)
 
 		rng := rand.New(rand.NewSource(7))
 		x := 0.0
@@ -64,7 +64,7 @@ func TestScalarFastPathBitIdentical(t *testing.T) {
 func TestScalarSingularMatchesGeneral(t *testing.T) {
 	fast := newRWFilter(t, 0, 0) // Q=R=0 with P0 collapsing to 0 → S singular
 	slow := newRWFilter(t, 0, 0)
-	slow.scalar = false
+	forceGeneric(slow)
 	// Drive covariance to zero: with Q=0, R=0 the first update collapses P.
 	var fastErr, slowErr error
 	for i := 0; i < 10 && fastErr == nil && slowErr == nil; i++ {

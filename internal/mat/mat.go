@@ -608,3 +608,14 @@ func (m *Matrix) String() string {
 	}
 	return b.String()
 }
+
+// Over returns an r×c matrix header over data itself, row-major and not
+// copied, by value: a caller that lays several small matrices out in one
+// block (the Kalman filter's F, Q, H, R, P) holds the headers in place
+// and pays one allocation for all of them.
+func Over(r, c int, data []float64) Matrix {
+	if r <= 0 || c <= 0 || len(data) != r*c {
+		panic(fmt.Sprintf("mat: Over got %d values for a %d×%d matrix", len(data), r, c))
+	}
+	return Matrix{rows: r, cols: c, data: data}
+}

@@ -37,6 +37,11 @@ type Predictor interface {
 	Dim() int
 	// Step advances the predictor's clock by one tick (the time update).
 	Step()
+	// StepN advances the clock by k ticks (none for k ≤ 0) and leaves the
+	// predictor bit-identical to k Step calls — a lazy advance over
+	// suppressed ticks is one call, and replicas stay in lock-step whichever
+	// form either side used.
+	StepN(k int64)
 	// Predict returns the predictor's estimate of the current
 	// measurement. The returned slice is owned by the caller.
 	Predict() []float64
@@ -119,6 +124,9 @@ func (s *Static) Dim() int { return s.dim }
 // Step implements Predictor; a cached value does not evolve.
 func (s *Static) Step() {}
 
+// StepN implements Predictor.
+func (s *Static) StepN(int64) {}
+
 // Predict implements Predictor.
 func (s *Static) Predict() []float64 { return mat.VecClone(s.last) }
 
@@ -165,6 +173,9 @@ func (d *DeadReckoning) Dim() int { return d.dim }
 
 // Step implements Predictor.
 func (d *DeadReckoning) Step() { d.sinceTicks++ }
+
+// StepN implements Predictor.
+func (d *DeadReckoning) StepN(k int64) { d.sinceTicks += max(k, 0) }
 
 // Predict implements Predictor.
 func (d *DeadReckoning) Predict() []float64 {
@@ -222,6 +233,9 @@ func (e *EWMA) Dim() int { return e.dim }
 
 // Step implements Predictor.
 func (e *EWMA) Step() {}
+
+// StepN implements Predictor.
+func (e *EWMA) StepN(int64) {}
 
 // Predict implements Predictor.
 func (e *EWMA) Predict() []float64 { return mat.VecClone(e.level) }
@@ -288,6 +302,9 @@ func (h *Holt) Dim() int { return h.dim }
 
 // Step implements Predictor.
 func (h *Holt) Step() { h.sinceTicks++ }
+
+// StepN implements Predictor.
+func (h *Holt) StepN(k int64) { h.sinceTicks += max(k, 0) }
 
 // Predict implements Predictor.
 func (h *Holt) Predict() []float64 {
@@ -409,14 +426,12 @@ func (k *Kalman) Name() string { return k.name }
 // call and was the top allocation site of the whole E8 budget sweep.
 func (k *Kalman) Dim() int { return k.dim }
 
-// Step implements Predictor.
-func (k *Kalman) Step() {
-	if k.adaptive != nil {
-		k.adaptive.Predict()
-		return
-	}
-	k.filter.Predict()
-}
+// Step implements Predictor. (An adaptive filter's time update is the
+// wrapped filter's: adaptation happens in Correct only.)
+func (k *Kalman) Step() { k.filter.Predict() }
+
+// StepN implements Predictor: the k-iteration loop runs inside the filter.
+func (k *Kalman) StepN(n int64) { k.filter.PredictN(n) }
 
 // Predict implements Predictor.
 func (k *Kalman) Predict() []float64 { return k.filter.Observation() }
@@ -465,6 +480,9 @@ func (k *KalmanBank) Dim() int { return k.bank.ObsDim() }
 
 // Step implements Predictor.
 func (k *KalmanBank) Step() { k.bank.Predict() }
+
+// StepN implements Predictor: each model's filter loops on its own.
+func (k *KalmanBank) StepN(n int64) { k.bank.PredictN(n) }
 
 // Predict implements Predictor.
 func (k *KalmanBank) Predict() []float64 { return k.bank.Observation() }

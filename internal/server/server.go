@@ -369,13 +369,22 @@ func (s *Server) TickStream(id string) error {
 	return nil
 }
 
-// stepTo is the one time-update loop, under the shard write lock: it
-// rolls the replica forward to tick, archiving each settled answer and
-// running the tick watchdog on each new tick. The global clock, a
-// source's own clock (Ingest, QueryAt) and recovery replay all drive it;
-// recovered streams have neither history nor an armed watchdog, so replay
-// is quiet by construction.
+// stepTo is the one time update, under the shard write lock: it rolls the
+// replica forward to tick. The global clock, a source's own clock (Ingest,
+// QueryAt) and recovery replay all drive it. A stream with history or an
+// armed tick watchdog has a consumer for every intermediate tick — the
+// settled answer to archive, the silence to check — and steps one tick at
+// a time; any other stream (every recovered one, so replay is quiet by
+// construction) advances in one call, which the predictor contract makes
+// bit-identical.
 func (s *Server) stepTo(st *streamState, tick int64) {
+	if st.history == nil && st.wdDeadline <= 0 {
+		if tick > st.tick {
+			st.replica.StepN(tick - st.tick)
+			st.tick = tick
+		}
+		return
+	}
 	for st.tick < tick {
 		st.archive()
 		st.replica.Step()

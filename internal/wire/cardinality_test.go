@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -101,6 +103,53 @@ func TestWriteFrameAddsNoAllocs(t *testing.T) {
 	}
 	if n := srv.telBytesOut.Value(); n != 201*(5+64) {
 		t.Errorf("wire_bytes_total{direction=out} = %d, want %d", n, 201*(5+64))
+	}
+}
+
+// TestReadFrameIntoReusesOneBuffer: the connection handler's reader returns
+// what ReadFrame returns, frame for frame, out of one buffer — no
+// allocation once the buffer has seen its largest ordinary frame, and no
+// megabyte kept after an oversized one.
+func TestReadFrameIntoReusesOneBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	sizes := []int{0, 1900, 16, 3, 1900, maxKeptFrameBody + 1, 40, 0, 700}
+	for i, n := range sizes {
+		if err := WriteFrame(&stream, uint8(1+i%12), bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := stream.Bytes()
+	own, reused := bytes.NewReader(raw), bufio.NewReader(bytes.NewReader(raw))
+	var buf []byte
+	for i, n := range sizes {
+		wantTyp, want, err := ReadFrame(own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, got, err := readFrameInto(reused, &buf)
+		if err != nil || typ != wantTyp || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d: type %d, %d bytes, err %v; ReadFrame gave type %d, %d bytes", i, typ, len(got), err, wantTyp, len(want))
+		}
+		if i > 0 && sizes[i-1] > maxKeptFrameBody && cap(buf) > maxKeptFrameBody {
+			t.Errorf("frame %d: a %d-byte buffer outlived the oversized frame before it (this one has %d bytes)", i, cap(buf), n)
+		}
+	}
+	if _, _, err := readFrameInto(reused, &buf); err != io.EOF {
+		t.Fatalf("after the last frame: err %v, want io.EOF", err)
+	}
+
+	small := raw[:5+0+5+1900+5+16] // the first three frames
+	rd := bytes.NewReader(small)
+	got := testing.AllocsPerRun(100, func() {
+		rd.Reset(small)
+		for i := 0; i < 3; i++ {
+			if _, _, err := readFrameInto(rd, &buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if got != 0 {
+		t.Errorf("readFrameInto allocates %.1f per three warm frames, want 0", got)
 	}
 }
 

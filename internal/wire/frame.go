@@ -134,20 +134,44 @@ func WriteFrame(w io.Writer, typ uint8, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame from r.
+// ReadFrame reads one frame from r into a payload of its own.
 func ReadFrame(r io.Reader) (typ uint8, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	var buf []byte
+	return readFrameInto(r, &buf)
+}
+
+// maxKeptFrameBody is the largest body buffer readFrameInto carries from
+// one frame to the next (MaxFrameSize is sixteen times that): one oversized
+// frame must not pin its megabyte for the life of a connection.
+const maxKeptFrameBody = 64 << 10
+
+// readFrameInto is ReadFrame through a body buffer the caller reuses: *buf
+// is grown when a frame needs it and the payload aliases it, so the payload
+// is valid only until the next call on the same buffer. A connection that
+// reads every frame this way allocates nothing per frame once the buffer
+// has reached its largest ordinary frame.
+func readFrameInto(r io.Reader, buf *[]byte) (typ uint8, payload []byte, err error) {
+	if cap(*buf) > maxKeptFrameBody {
+		*buf = nil
+	}
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4)
+	}
+	lenBuf := (*buf)[:4]
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(lenBuf)
 	if n == 0 {
 		return 0, nil, fmt.Errorf("wire: zero-length frame")
 	}
 	if n > MaxFrameSize {
 		return 0, nil, ErrFrameTooLarge
 	}
-	body := make([]byte, n)
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	body := (*buf)[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, fmt.Errorf("wire: truncated frame: %w", err)
 	}

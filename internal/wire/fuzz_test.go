@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"testing"
 
 	"kalmanstream/internal/telemetry"
@@ -108,11 +107,18 @@ func FuzzReadFrameStream(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
 		r := bytes.NewReader(data)
+		// The connection handler's reader sees the same bytes through one
+		// reused buffer and must agree frame for frame, error for error.
+		reused := bytes.NewReader(data)
+		var buf []byte
 		for i := 0; i < n%16; i++ {
-			if _, _, err := ReadFrame(r); err != nil {
-				if err == io.EOF || err == ErrFrameTooLarge {
-					return
-				}
+			typ, payload, err := ReadFrame(r)
+			typ2, payload2, err2 := readFrameInto(reused, &buf)
+			if (err == nil) != (err2 == nil) || typ != typ2 || !bytes.Equal(payload, payload2) {
+				t.Fatalf("frame %d: ReadFrame (%d, %d bytes, %v), readFrameInto (%d, %d bytes, %v)",
+					i, typ, len(payload), err, typ2, len(payload2), err2)
+			}
+			if err != nil {
 				return // any structured error is acceptable; panics are not
 			}
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -605,10 +606,15 @@ func (s *Server) handleConn(conn net.Conn) {
 
 	// One decode target per connection: DecodeInto reuses its Value
 	// storage and StreamID string, so a steady correction stream decodes
-	// without allocating.
+	// without allocating. Frames arrive the same way — through one buffered
+	// reader (a batch and the frames queued behind it cost one read
+	// syscall, not two each) into one body buffer — so payload is valid
+	// only until the next read: every route arm copies what it keeps.
 	var msg netsim.Message
+	br := bufio.NewReader(conn)
+	var body []byte
 	for {
-		typ, payload, err := ReadFrame(conn)
+		typ, payload, err := readFrameInto(br, &body)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				s.telErrors.Inc()
