@@ -19,10 +19,16 @@ BENCH_BASE ?= BENCH_PR10.json
 # "new" and gates from the re-base that includes it.
 BENCH_GATE ?= SystemScale|MessageRoundTrip|MonitorTick|WindowSnapshot|TopKObserve|E8BudgetAllocation|WireCoalesced|WireIngestManyStreams|HistoryRecord|WALAppend|LatencyRecord|LazyAdvance|KalmanPredictUpdate
 BENCH_MAXREGRESS ?= 10
+# The size ratchet: `make loc-check` fails when `make loc`'s total (lines
+# of non-test Go outside bench/) exceeds this. A PR that spends lines on
+# purpose raises it in its own diff, where a reviewer sees it; a PR that
+# deletes lowers it to where it lands.
+LOC_MAX ?= 22597
+LOC_TOTAL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
-.PHONY: check vet build test race benchsmoke bench bench-compare lint chaos-smoke recovery-smoke cover repro-check bench-smoke loc
+.PHONY: check vet build test race benchsmoke bench bench-compare lint chaos-smoke recovery-smoke cover repro-check bench-smoke loc loc-check
 
-check: lint build race benchsmoke repro-check bench-smoke
+check: lint loc-check build race benchsmoke repro-check bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -30,8 +36,13 @@ vet:
 # lint is the exact command CI's lint job runs. staticcheck and
 # govulncheck are optional locally — the target skips (with a notice)
 # any tool not on PATH, so a stock Go toolchain can still run
-# `make lint` and CI, which installs both, gets the full set.
+# `make lint` and CI, which installs both, gets the full set. Two checks
+# need no tool: everything outside the frozen bench/ is gofmt-clean, and
+# internal/harness drives core.System only — importing a layer below it
+# is how a hand-rolled source+link+server loop grows back.
 lint: vet
+	@fmt="$$(gofmt -l . | grep -v '^bench/')"; if [ -n "$$fmt" ]; then echo "lint: gofmt -l lists:"; echo "$$fmt"; exit 1; fi
+	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/harness | grep -E 'internal/(server|netsim|source|resource)$$'
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -86,12 +97,15 @@ bench-smoke:
 # (internal/harness + cmd/streamkf). CI writes it to the job summary so
 # every PR shows its delta.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@$(LOC_TOTAL)
 	@for d in internal/*/; do \
 		printf '%7d %s\n' "$$(find $$d -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
 	done
 	@printf '%7d %s\n' "$$(find internal/wire internal/core internal/server -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "internal/wire + internal/core + internal/server"
 	@printf '%7d %s\n' "$$(find internal/harness cmd/streamkf -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "internal/harness + cmd/streamkf"
+
+loc-check:
+	@n=$$($(LOC_TOTAL)); if [ $$n -gt $(LOC_MAX) ]; then echo "loc-check: $$n non-test lines, ceiling is $(LOC_MAX) (raise LOC_MAX in the Makefile if the lines are spent on purpose)"; exit 1; fi
 
 # cover runs the full test suite with an atomic-mode coverage profile
 # and writes both the raw profile and the per-function summary under

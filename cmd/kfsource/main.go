@@ -195,7 +195,7 @@ func main() {
 		} else if text, err := client.Metrics(); err != nil {
 			logger.Warn("metrics fetch failed", "err", err)
 		} else {
-			fmt.Printf("audit: server-side %s\n", auditSummary(text, *id))
+			fmt.Printf("audit: server-wide %s\n", auditSummary(text))
 		}
 	}
 	if err := client.Close(); err != nil {
@@ -206,26 +206,23 @@ func main() {
 	}
 }
 
-// auditSummary pulls the stream's audit counters out of a Prometheus
-// text snapshot: audited ticks and δ violations. On a loss-free TCP link
-// violations must read 0 — the server independently confirming that
-// every suppressed tick stayed within the promised bound.
-func auditSummary(metricsText, id string) string {
-	want := fmt.Sprintf("{stream=%q}", id)
+// auditSummary pulls the auditor's totals out of a Prometheus text
+// snapshot: audited ticks and δ violations across every traced source
+// the server has heard from (this one alone, when it is the server's
+// only source). On a loss-free TCP link violations must read 0 — the
+// server independently confirming that every suppressed tick stayed
+// within the promised bound.
+func auditSummary(metricsText string) string {
 	var ticks, violations string
 	for _, line := range strings.Split(metricsText, "\n") {
-		switch {
-		case strings.HasPrefix(line, "audit_ticks_total"+want):
-			ticks = strings.TrimSpace(strings.TrimPrefix(line, "audit_ticks_total"+want))
-		case strings.HasPrefix(line, "audit_delta_violations_total"+want):
-			violations = strings.TrimSpace(strings.TrimPrefix(line, "audit_delta_violations_total"+want))
+		if v, ok := strings.CutPrefix(line, "audit_ticks_total "); ok {
+			ticks = v
+		} else if v, ok := strings.CutPrefix(line, "audit_delta_violations_total "); ok {
+			violations = v
 		}
 	}
-	if ticks == "" {
+	if ticks == "" || ticks == "0" {
 		return "no audit data (gate events not ingested)"
-	}
-	if violations == "" {
-		violations = "0"
 	}
 	return fmt.Sprintf("audited %s ticks, %s δ violations", ticks, violations)
 }

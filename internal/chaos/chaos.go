@@ -212,16 +212,10 @@ type Config struct {
 	// Trace optionally attaches a lifecycle journal (nil = none; runs
 	// stay quiet on trace.Default).
 	Trace *trace.Journal
-	// NewStream overrides the generator (default a seeded sine wave).
-	NewStream func(seed, ticks int64) stream.Stream
 	// DisableHealth turns the SLO monitor off — the unarmed control arm
 	// for asserting that monitoring is a pure observer (armed and
 	// unarmed runs must produce byte-identical summaries).
 	DisableHealth bool
-	// DeltaBudget is the δ-violation error budget per audited tick for
-	// the burn-rate SLO (default 0.02: a sustained 4% violation ratio
-	// burns at 2× and warns, 20% burns at 10× and pages).
-	DeltaBudget float64
 	// Streams is the number of concurrently attached streams (default
 	// 1 — the classic single-stream run). Streams are named "chaos-1"
 	// through "chaos-N", each with its own generator and link seeds, so
@@ -231,11 +225,6 @@ type Config struct {
 	// arm for asserting that diagnostics are a pure observer (armed and
 	// unarmed loss-free runs must produce byte-identical summaries).
 	DisableDiag bool
-	// Coalesce batches uplink deliveries through the coalesced message
-	// codec (core.SystemConfig.CoalesceUplink). Coalescing is asserted to
-	// be a pure transport change: a run with it on produces byte-identical
-	// summaries to the same run with it off, faults and all.
-	Coalesce bool
 	// BundleDir, when set, spools captured incident bundles to disk
 	// (the chaos-smoke CI artifact).
 	BundleDir string
@@ -274,14 +263,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = 25
-	}
-	if c.NewStream == nil {
-		c.NewStream = func(seed, ticks int64) stream.Stream {
-			return stream.NewSine(seed, 50, 10, 300, 0, 0.2, ticks)
-		}
-	}
-	if c.DeltaBudget <= 0 {
-		c.DeltaBudget = 0.02
 	}
 	if c.Streams <= 0 {
 		c.Streams = 1
@@ -475,6 +456,11 @@ func (r Report) RecoverySummary() string {
 // StreamID is the stream a chaos run attaches.
 const StreamID = "chaos-1"
 
+// deltaBudget is the δ-violation error budget per audited tick for the
+// burn-rate SLO: a sustained 4% violation ratio burns at 2× and warns,
+// 20% burns at 10× and pages.
+const deltaBudget = 0.02
+
 // FreshnessP99Bound is the chaos runs' gate→apply latency objective:
 // 2.5ms of virtual time. The simulation delivers un-delayed corrections
 // within their tick (span ≈ 0), while a delay fault of d ≥ 5 ticks
@@ -573,7 +559,6 @@ func Run(cfg Config) (Report, error) {
 		Telemetry:            reg,
 		Health:               mon,
 		Diag:                 rec,
-		CoalesceUplink:       cfg.Coalesce,
 		TelemetryHistory:     hist,
 		WALDir:               cfg.WALDir,
 		CheckpointEveryTicks: cfg.CheckpointEveryTicks,
@@ -609,7 +594,7 @@ func Run(cfg Config) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		gens[i] = cfg.NewStream(cfg.Seed+7919*int64(i), cfg.Ticks)
+		gens[i] = stream.NewSine(cfg.Seed+7919*int64(i), 50, 10, 300, 0, 0.2, cfg.Ticks)
 	}
 
 	// Registry mirrors of the watchdog's view, maintained every tick in
@@ -626,7 +611,7 @@ func Run(cfg Config) (Report, error) {
 
 	if mon != nil {
 		// The staleness objective has a zero budget — any window with a
-		// stream stale pages. The δ objective burns against DeltaBudget.
+		// stream stale pages. The δ objective burns against deltaBudget.
 		auditor := sys.Auditor()
 		wiring := []error{
 			mon.TrackGaugeFunc("streams_stale", func() float64 {
@@ -642,7 +627,7 @@ func Run(cfg Config) (Report, error) {
 			mon.TrackCounterFunc("audit_delta_violations", auditor.TotalViolations),
 			mon.GaugeSLO("staleness", "streams_stale", 0, health.Thresholds{}),
 			mon.RatioSLO("delta-burn", "audit_delta_violations", "audit_ticks",
-				cfg.DeltaBudget, health.Thresholds{}),
+				deltaBudget, health.Thresholds{}),
 		}
 		if f := sys.Freshness(); f != nil {
 			// The freshness objective: p99 gate→apply latency under the

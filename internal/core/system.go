@@ -171,20 +171,22 @@ type StreamConfig struct {
 	// are enabled, and leaves the watchdog off otherwise; a negative
 	// value forces it off.
 	WatchdogDeadline int64
-	// FeedbackDelayTicks, FeedbackDropProb, and FeedbackSeed impair the
-	// server→source feedback link the watchdog's resync requests travel
-	// on. The watchdog re-requests every deadline's worth of continued
-	// silence, so a lossy feedback channel delays recovery rather than
-	// defeating it.
-	FeedbackDelayTicks int
-	FeedbackDropProb   float64
-	FeedbackSeed       int64
+	// FeedbackDropProb and FeedbackSeed impair the server→source
+	// feedback link the watchdog's resync requests travel on. The
+	// watchdog re-requests every deadline's worth of continued silence,
+	// so a lossy feedback channel delays recovery rather than defeating
+	// it.
+	FeedbackDropProb float64
+	FeedbackSeed     int64
 }
 
 // SystemConfig configures a System.
 type SystemConfig struct {
 	// Budget enables budget management when positive: the total
 	// correction traffic target in messages per tick across all streams.
+	// The coordinator is ticked by Advance for the tick that just
+	// settled, so an allocation window of AllocPeriod ticks closes in the
+	// Advance after its last tick's Observes.
 	BudgetPerTick float64
 	// Allocator picks the budget allocator: "uniform", "fair-share",
 	// "water-filling" (default), or "aimd".
@@ -244,16 +246,6 @@ type SystemConfig struct {
 	// exact, reproducible latency envelope of about d ms. No clock skew
 	// exists in-process, so no skew correction applies.
 	Freshness bool
-	// CoalesceUplink routes every uplink delivery through the batched
-	// message codec: a stream's matured messages encode into a pending
-	// per-stream batch instead of applying one at a time, and the system
-	// flushes at exactly the points where the effects become observable —
-	// inside Observe before the audit check, and at the end of Advance's
-	// link phase. The in-process twin of the wire layer's
-	// FrameMessageBatch, asserted to be a pure transport change: same
-	// messages, same order, same replica states, byte-identical run
-	// summaries (see chaos.Config.Coalesce).
-	CoalesceUplink bool
 }
 
 // FreshnessTickPeriod is the virtual duration of one system tick under
@@ -286,8 +278,6 @@ type System struct {
 	hist    *history.Store
 	diag    *diag.Recorder
 
-	coalesce bool
-
 	// Freshness wiring (nil when SystemConfig.Freshness was unset):
 	// stamp is the shared virtual clock sources stamp with, fresh the
 	// recorder closing spans at apply.
@@ -315,12 +305,11 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	srv.SetTrace(tr)
 	s := &System{
-		srv:      srv,
-		handles:  make(map[string]*StreamHandle),
-		tr:       tr,
-		health:   cfg.Health,
-		hist:     cfg.TelemetryHistory,
-		coalesce: cfg.CoalesceUplink,
+		srv:     srv,
+		handles: make(map[string]*StreamHandle),
+		tr:      tr,
+		health:  cfg.Health,
+		hist:    cfg.TelemetryHistory,
 	}
 	if cfg.Audit {
 		s.auditor = trace.NewAuditor(cfg.Telemetry, tr)
@@ -380,9 +369,6 @@ type StreamHandle struct {
 	// can re-arm them — both are volatile server state.
 	wdDeadline int64
 	histCap    int
-	// coal batches this stream's uplink deliveries when the system runs
-	// with CoalesceUplink; nil otherwise.
-	coal *netsim.Coalescer
 }
 
 // Attach registers a stream and returns its source-side handle.
@@ -390,10 +376,10 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 	if err := s.srv.Register(cfg.ID, cfg.Predictor, cfg.Delta); err != nil {
 		return nil, err
 	}
-	// apply is the terminal receiver: replica apply plus the latency
+	// recv is the terminal receiver: replica apply plus the latency
 	// span. A delivery failure is a protocol bug, surfaced by panic
 	// rather than silently corrupting the replica.
-	apply := func(m *netsim.Message) {
+	recv := func(m *netsim.Message) {
 		if err := s.srv.Apply(m); err != nil {
 			panic(fmt.Sprintf("core: replica apply failed: %v", err))
 		}
@@ -403,23 +389,8 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 			// delay, deterministically.
 			s.fresh.RecordE2E(freshness.E2ESeconds(m.Stamp, s.stamp(), 0), m.Trace, m.StreamID)
 		}
-	}
-	var coal *netsim.Coalescer
-	recv := func(m *netsim.Message) {
-		apply(m)
 		// The replica copied what it keeps; recycle the pooled message.
 		netsim.PutMessage(m)
-	}
-	if s.coalesce {
-		// Batched transport: deliveries encode into the pending batch
-		// (which recycles the message) and apply at the next flush —
-		// Observe and Advance flush before any effect is observable.
-		coal = netsim.NewCoalescer(apply, 0, 0)
-		recv = func(m *netsim.Message) {
-			if err := coal.Add(m); err != nil {
-				panic(fmt.Sprintf("core: coalescing uplink message failed: %v", err))
-			}
-		}
 	}
 	link := netsim.NewLink(recv, netsim.LinkConfig{
 		DelayTicks: cfg.LinkDelayTicks,
@@ -445,7 +416,7 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 		_ = s.srv.Unregister(cfg.ID)
 		return nil, err
 	}
-	h := &StreamHandle{sys: s, src: src, link: link, norm: cfg.DeviationNorm, coal: coal}
+	h := &StreamHandle{sys: s, src: src, link: link, norm: cfg.DeviationNorm}
 	// Arm the staleness watchdog: explicit deadline wins; otherwise it is
 	// derived from the gate's heartbeat interval (twice HeartbeatEvery,
 	// so one lost heartbeat never trips it). Without heartbeats a silent
@@ -457,11 +428,10 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 	}
 	if deadline > 0 {
 		h.fb = netsim.NewLink(src.HandleFeedback, netsim.LinkConfig{
-			DelayTicks: cfg.FeedbackDelayTicks,
-			DropProb:   cfg.FeedbackDropProb,
-			Seed:       cfg.FeedbackSeed,
-			Name:       "feedback",
-			Trace:      s.tr,
+			DropProb: cfg.FeedbackDropProb,
+			Seed:     cfg.FeedbackSeed,
+			Name:     "feedback",
+			Trace:    s.tr,
 		})
 		if err := s.srv.SetWatchdog(cfg.ID, deadline, h.fb.Send); err != nil {
 			_ = s.srv.Unregister(cfg.ID)
@@ -495,10 +465,12 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 	return h, nil
 }
 
-// Advance moves the system clock one tick: subscriptions fire for the
-// tick that just settled, the budget coordinator reallocates, every
-// replica takes its time update, and delayed messages mature. Call once
-// per tick, before that tick's Observe calls.
+// Advance moves the system clock one tick: subscriptions fire and the
+// budget coordinator is ticked for the tick that just settled (so the
+// first Advance does neither, and a run's last tick is settled by one
+// more Advance after its Observes), every replica takes its time update,
+// and delayed messages mature. Call once per tick, before that tick's
+// Observe calls.
 func (s *System) Advance() error {
 	t := s.tick.Load()
 	if s.walLog != nil {
@@ -510,13 +482,16 @@ func (s *System) Advance() error {
 		}
 	}
 	if t > 0 {
+		// Both see tick t-1 with every Observe in: subscriptions fire on
+		// its settled answers, and the coordinator's window counts its
+		// corrections (resource.Coordinator.Tick: "after sources observed").
 		if err := s.subs.Poll(t - 1); err != nil {
 			return err
 		}
-	}
-	if s.coord != nil {
-		if err := s.coord.Tick(); err != nil {
-			return err
+		if s.coord != nil {
+			if err := s.coord.Tick(); err != nil {
+				return err
+			}
 		}
 	}
 	s.srv.Tick()
@@ -524,15 +499,6 @@ func (s *System) Advance() error {
 		h.link.Tick()
 		if h.fb != nil {
 			h.fb.Tick()
-		}
-	}
-	if s.coalesce {
-		// Delayed messages matured into the per-stream batches during the
-		// link phase; apply them all before the tick is observable. The
-		// flush order is attach order — the same order the serial link
-		// loop applies deliveries in.
-		for _, h := range s.order {
-			h.coal.Flush()
 		}
 	}
 	s.tick.Add(1)
@@ -554,6 +520,15 @@ func (s *System) Advance() error {
 	return nil
 }
 
+// AllocRounds returns the number of budget reallocations performed (0
+// without budget management).
+func (s *System) AllocRounds() int64 {
+	if s.coord == nil {
+		return 0
+	}
+	return s.coord.Rounds()
+}
+
 // Tick returns the current clock value (number of Advance calls).
 func (s *System) Tick() int64 { return s.tick.Load() }
 
@@ -565,13 +540,6 @@ func (s *System) Tick() int64 { return s.tick.Load() }
 func (h *StreamHandle) Observe(value []float64) (sent bool, err error) {
 	tick := h.sys.tick.Load() - 1
 	sent, err = h.src.Observe(tick, value)
-	if h.coal != nil {
-		// A zero-delay link delivered this observation's correction into
-		// the batch synchronously; flush so queries — and the audit check
-		// below — see exactly the replica state the unbatched transport
-		// would produce.
-		h.coal.Flush()
-	}
 	if err != nil || h.sys.auditor == nil {
 		return sent, err
 	}

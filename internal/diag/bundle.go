@@ -101,7 +101,7 @@ func (r *Recorder) capture(reason string, alert *health.Transition) Bundle {
 		b.Health = &snap
 	}
 	if r.history != nil {
-		ex := r.history.ExcerptFor(r.implicatedSeries(b.Alert, b.Health), r.offenderStreams(b.TopK), r.opts.HistoryTail)
+		ex := r.history.ExcerptFor(r.implicatedSeries(b.Alert, b.Health), r.offenderStreams(b.TopK), historyTail)
 		b.History = &ex
 	}
 	if r.freshFn != nil {
@@ -113,8 +113,8 @@ func (r *Recorder) capture(reason string, alert *health.Transition) Bundle {
 	}
 	if j := r.opts.Journal; j != nil {
 		tail := j.Snapshot()
-		if len(tail) > r.opts.TraceTail {
-			tail = tail[len(tail)-r.opts.TraceTail:]
+		if len(tail) > traceTail {
+			tail = tail[len(tail)-traceTail:]
 		}
 		b.TraceTail = tail
 	}
@@ -164,7 +164,7 @@ func (r *Recorder) implicatedSeries(alert *health.Transition, snap *health.Snaps
 	return names
 }
 
-// offenderStreams lists the top HistoryStreams stream IDs of every
+// offenderStreams lists the top historyStreams stream IDs of every
 // attribution table in the bundle — the streams most likely implicated
 // in whatever paged.
 func (r *Recorder) offenderStreams(tables map[string][]Item) []string {
@@ -172,7 +172,7 @@ func (r *Recorder) offenderStreams(tables map[string][]Item) []string {
 	seen := make(map[string]bool)
 	for _, name := range TableOrder {
 		rows := tables[name]
-		for _, it := range rows[:min(len(rows), r.opts.HistoryStreams)] {
+		for _, it := range rows[:min(len(rows), historyStreams)] {
 			if !seen[it.ID] {
 				seen[it.ID] = true
 				ids = append(ids, it.ID)

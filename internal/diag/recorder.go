@@ -49,6 +49,18 @@ const (
 // TableOrder lists the tables in the order every surface renders them.
 var TableOrder = [...]string{SketchCorrections, SketchBytes, SketchViolations, SketchStale}
 
+// What one bundle embeds.
+const (
+	// traceTail bounds the journal tail, in events.
+	traceTail = 256
+	// historyTail bounds the trailing finest-tier history buckets per
+	// implicated series (the store itself attaches via AttachHistory).
+	historyTail = 120
+	// historyStreams is how many top offender streams (per sketch)
+	// contribute their labeled series to the embedded history.
+	historyStreams = 4
+)
+
 // Options configures a Recorder. The zero value is usable: 128-wide
 // sketches, memory-only spool of 16 bundles, 500-tick dedupe window.
 type Options struct {
@@ -65,9 +77,6 @@ type Options struct {
 	// further page transitions within this many monitor ticks join the
 	// same incident and do not capture again (default 500).
 	DedupeTicks int64
-	// TraceTail bounds the journal tail embedded in a bundle
-	// (default 256 events).
-	TraceTail int
 	// Registry receives diag_bundles_captured_total and
 	// diag_events_dropped_total (nil means telemetry.Default).
 	Registry *telemetry.Registry
@@ -75,14 +84,6 @@ type Options struct {
 	Journal *trace.Journal
 	// Logs, when non-nil, contributes recent log records.
 	Logs *RingHandler
-	// HistoryTail bounds the trailing finest-tier history buckets
-	// embedded per implicated series (default 120). The store itself
-	// attaches via AttachHistory.
-	HistoryTail int
-	// HistoryStreams is how many top offender streams (per sketch)
-	// contribute their labeled series to the embedded history
-	// (default 4).
-	HistoryStreams int
 }
 
 // Recorder is the flight recorder. All Observe* methods are safe for
@@ -126,15 +127,6 @@ func NewRecorder(opts Options) *Recorder {
 	if opts.DedupeTicks <= 0 {
 		opts.DedupeTicks = 500
 	}
-	if opts.TraceTail <= 0 {
-		opts.TraceTail = 256
-	}
-	if opts.HistoryTail <= 0 {
-		opts.HistoryTail = 120
-	}
-	if opts.HistoryStreams <= 0 {
-		opts.HistoryStreams = 4
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = telemetry.Default
@@ -176,7 +168,7 @@ func (r *Recorder) AttachFreshness(fn func() freshness.Snapshot) {
 }
 
 // AttachHistory points bundle capture at a telemetry history store:
-// every bundle embeds the trailing HistoryTail finest-tier buckets of
+// every bundle embeds the trailing historyTail finest-tier buckets of
 // the implicated series — the paging SLO's tracked series plus the top
 // offender streams' labeled series — so the bundle shows the ramp
 // before the cliff, not just the cliff.
@@ -332,17 +324,6 @@ func (r *Recorder) OnTransition(t health.Transition) {
 	r.lastCapture = t.Tick
 	r.mu.Unlock()
 	r.capture("page:"+t.SLO, &t)
-}
-
-// HealthHook chains OnTransition with next, for callers that already
-// install their own transition hook.
-func (r *Recorder) HealthHook(next func(health.Transition)) func(health.Transition) {
-	return func(t health.Transition) {
-		r.OnTransition(t)
-		if next != nil {
-			next(t)
-		}
-	}
 }
 
 // CaptureNow captures a bundle unconditionally (chaos verdict

@@ -45,10 +45,10 @@ func TestTopKExactWhenDistinctAtMostK(t *testing.T) {
 // explicit tie and watching who goes.
 func TestTopKDeterministicEviction(t *testing.T) {
 	tk := NewTopK(3)
-	tk.Observe("old", 1)  // seq 1
-	tk.Observe("mid", 1)  // seq 2
-	tk.Observe("new", 1)  // seq 3
-	tk.Observe("x", 1)    // full table, all counts tied at 1 → evict "new"
+	tk.Observe("old", 1) // seq 1
+	tk.Observe("mid", 1) // seq 2
+	tk.Observe("new", 1) // seq 3
+	tk.Observe("x", 1)   // full table, all counts tied at 1 → evict "new"
 	if _, ok := tk.Count("new"); ok {
 		t.Fatal("newest tied entry survived; eviction order is not newest-first")
 	}

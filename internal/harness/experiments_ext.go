@@ -6,11 +6,7 @@ import (
 
 	"kalmanstream/internal/core"
 	"kalmanstream/internal/metrics"
-	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/resource"
-	"kalmanstream/internal/server"
-	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
 
@@ -160,11 +156,7 @@ func runE8(cfg Config) (*Result, error) {
 		"budget/tick", "allocator", "achieved/tick", "mean δ", "max δ", "realloc rounds")
 	for _, budget := range budgets {
 		for _, allocName := range []string{"uniform", "fair-share", "water-filling", "aimd"} {
-			alloc, err := resource.ByName(allocName)
-			if err != nil {
-				return nil, err
-			}
-			achieved, meanD, maxD, rounds, err := runBudget(cfg, alloc, budget, nStreams)
+			achieved, meanD, maxD, rounds, err := runBudget(cfg, allocName, budget, nStreams)
 			if err != nil {
 				return nil, err
 			}
@@ -176,48 +168,27 @@ func runE8(cfg Config) (*Result, error) {
 	return &Result{ID: "E8", Title: "Budgeted precision", Tables: []*metrics.Table{tb}}, nil
 }
 
-// runBudget is the one loop that assembles server, links and sources by
-// hand instead of driving a core.System: TestIncrementalAllocatorsMatchE8Sweep
-// injects allocator instances, which SystemConfig (an allocator name) cannot
-// carry, and core ticks its coordinator at the start of Advance, one call
-// ahead of the end-of-tick phase the E8 table was recorded with.
-func runBudget(cfg Config, alloc resource.Allocator, budget float64, nStreams int) (achievedRate, meanDelta, maxDelta float64, rounds int64, err error) {
-	srv := server.New()
-	coord, err := resource.NewCoordinator(alloc, srv, resource.CoordinatorConfig{
-		BudgetPerTick: budget,
-		Period:        500,
-	})
+// runBudget drives nStreams heterogeneous random walks under a shared
+// message budget and reports the second-half achieved rate, the final
+// δ spread and the number of reallocation rounds.
+func runBudget(cfg Config, allocName string, budget float64, nStreams int) (achievedRate, meanDelta, maxDelta float64, rounds int64, err error) {
+	sys, err := core.NewSystem(core.SystemConfig{BudgetPerTick: budget, Allocator: allocName, AllocPeriod: 500})
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	srcs := make([]*source.Source, nStreams)
+	handles := make([]*core.StreamHandle, nStreams)
 	gens := make([]stream.Stream, nStreams)
-	var applyErr error
 	for i := 0; i < nStreams; i++ {
-		id := fmt.Sprintf("s%02d", i)
 		// Volatilities log-spaced over two decades.
 		sigma := 0.1 * math.Pow(100, float64(i)/float64(nStreams-1))
-		spec := predictor.Spec{Kind: predictor.KindKalman,
-			Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: sigma * sigma, R: 0.01}}
-		if err := srv.Register(id, spec, sigma); err != nil {
+		handles[i], err = sys.Attach(core.StreamConfig{
+			ID:        fmt.Sprintf("s%02d", i),
+			Predictor: core.KalmanRandomWalk(sigma*sigma, 0.01),
+			Delta:     sigma,
+		})
+		if err != nil {
 			return 0, 0, 0, 0, err
 		}
-		link := netsim.NewLink(func(m *netsim.Message) {
-			if aerr := srv.Apply(m); aerr != nil && applyErr == nil {
-				applyErr = aerr
-			}
-			// The replica copied what it keeps; recycle the message so
-			// the budget loop's send path stays allocation-free.
-			netsim.PutMessage(m)
-		}, netsim.LinkConfig{})
-		src, serr := source.New(source.Config{StreamID: id, Spec: spec, Delta: sigma}, link.Send)
-		if serr != nil {
-			return 0, 0, 0, 0, serr
-		}
-		if err := coord.Manage(src, resource.ManagedOptions{}); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		srcs[i] = src
 		g := stream.NewRandomWalk(cfg.Seed+int64(i), 0, sigma, sigma/20, cfg.Ticks)
 		// Points are consumed within the loop iteration, never retained.
 		g.ReuseBuffers()
@@ -227,42 +198,37 @@ func runBudget(cfg Config, alloc resource.Allocator, budget float64, nStreams in
 	half := cfg.Ticks / 2
 	var sentAtHalf int64
 	for tick := int64(0); tick < cfg.Ticks; tick++ {
-		srv.Tick()
+		if err := sys.Advance(); err != nil {
+			return 0, 0, 0, 0, err
+		}
 		for i, g := range gens {
 			p, ok := g.Next()
 			if !ok {
 				return 0, 0, 0, 0, fmt.Errorf("harness: stream ended early")
 			}
-			if _, err := srcs[i].Observe(p.Tick, p.Value); err != nil {
+			if _, err := handles[i].Observe(p.Value); err != nil {
 				return 0, 0, 0, 0, err
 			}
 		}
-		if err := coord.Tick(); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if applyErr != nil {
-			return 0, 0, 0, 0, applyErr
-		}
 		if tick == half {
-			for _, s := range srcs {
-				sentAtHalf += s.Stats().Sent
-			}
+			sentAtHalf = sys.TotalMessages()
 		}
 	}
-	var totalSent int64
-	for _, s := range srcs {
-		totalSent += s.Stats().Sent
+	// Settle the last tick: the coordinator is ticked for tick t by the
+	// Advance that follows it, and the final window closes on this one.
+	if err := sys.Advance(); err != nil {
+		return 0, 0, 0, 0, err
 	}
-	deltas := coord.Deltas()
 	var sumD float64
-	for _, d := range deltas {
+	for _, h := range handles {
+		d := h.Delta()
 		sumD += d
 		if d > maxDelta {
 			maxDelta = d
 		}
 	}
-	achievedRate = float64(totalSent-sentAtHalf) / float64(cfg.Ticks-half)
-	return achievedRate, sumD / float64(len(deltas)), maxDelta, coord.Rounds(), nil
+	achievedRate = float64(sys.TotalMessages()-sentAtHalf) / float64(cfg.Ticks-half)
+	return achievedRate, sumD / float64(nStreams), maxDelta, sys.AllocRounds(), nil
 }
 
 // runE9: aggregate queries over a fleet; report how tight the composed

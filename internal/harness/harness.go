@@ -174,14 +174,6 @@ func (r RunStats) AuditClean() bool {
 		r.Audit.Suppressed == r.Ticks-r.Messages
 }
 
-// RecoveredWithin is the bounded-staleness assertion for impaired-link
-// runs: after the last fault clears at clearTick, the online audit must
-// go quiet — no δ violation at or past clearTick+window. A run with no
-// violations at all trivially recovered.
-func (r RunStats) RecoveredWithin(clearTick, window int64) bool {
-	return r.Audit.LastViolationTick < clearTick+window
-}
-
 // SuppressionRatio is the fraction of ticks with no message.
 func (r RunStats) SuppressionRatio() float64 {
 	if r.Ticks == 0 {

@@ -47,11 +47,6 @@ type Config struct {
 	// after its computed severity has stayed below the current one for
 	// this many consecutive window evaluations (default 2).
 	ResolveAfter int
-	// EWMAAlpha smooths per-window counter rates (default 0.3).
-	EWMAAlpha float64
-	// MaxTransitions bounds the in-memory transition log (default 64,
-	// newest win).
-	MaxTransitions int
 	// Logger receives alert transitions as structured records (default
 	// slog.Default()).
 	Logger *slog.Logger
@@ -65,6 +60,13 @@ type Config struct {
 	// chaos harness asserts that faults fire the right alerts).
 	OnTransition func(Transition)
 }
+
+const (
+	// ewmaAlpha smooths per-window counter rates.
+	ewmaAlpha = 0.3
+	// maxTransitions bounds the in-memory transition log (newest win).
+	maxTransitions = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.WindowTicks <= 0 {
@@ -87,12 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResolveAfter <= 0 {
 		c.ResolveAfter = 2
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.3
-	}
-	if c.MaxTransitions <= 0 {
-		c.MaxTransitions = 64
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default
@@ -151,7 +147,7 @@ func NewMonitor(cfg Config) *Monitor {
 	m := &Monitor{
 		cfg:          cfg,
 		alertsActive: cfg.Registry.Gauge("health_alerts_active"),
-		transitions:  make([]Transition, 0, cfg.MaxTransitions),
+		transitions:  make([]Transition, 0, maxTransitions),
 		counterIdx:   make(map[string]*counterTrack),
 		gaugeIdx:     make(map[string]*gaugeTrack),
 		histIdx:      make(map[string]*histTrack),
@@ -391,7 +387,7 @@ func (m *Monitor) Tick() {
 func (m *Monitor) closeWindow() {
 	slot := int(m.closed % int64(m.cfg.Windows))
 	for _, t := range m.counters {
-		t.close(slot, m.cfg.WindowTicks, m.cfg.EWMAAlpha)
+		t.close(slot, m.cfg.WindowTicks)
 	}
 	for _, t := range m.gauges {
 		t.close(slot)

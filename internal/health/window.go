@@ -32,7 +32,7 @@ func (t *counterTrack) read() int64 {
 }
 
 // close finalizes the current window into slot.
-func (t *counterTrack) close(slot int, windowTicks int, alpha float64) {
+func (t *counterTrack) close(slot int, windowTicks int) {
 	v := t.read()
 	d := float64(v - t.last)
 	t.last = v
@@ -42,7 +42,7 @@ func (t *counterTrack) close(slot int, windowTicks int, alpha float64) {
 		t.ewma = rate
 		t.ewmaSet = true
 	} else {
-		t.ewma = alpha*rate + (1-alpha)*t.ewma
+		t.ewma = ewmaAlpha*rate + (1-ewmaAlpha)*t.ewma
 	}
 }
 

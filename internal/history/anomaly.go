@@ -5,7 +5,7 @@
 // and the MAD (median absolute deviation) are outlier-resistant where
 // mean/stddev are not, so a traffic spike cannot mask itself by
 // inflating its own baseline. The estimate σ̂ = 1.4826·MAD makes the
-// score comparable to a Gaussian z; a MinMAD floor keeps near-constant
+// score comparable to a Gaussian z; a minMAD floor keeps near-constant
 // series (MAD ≈ 0) from flagging every tiny wobble as infinite z.
 //
 // Findings land in a fixed ring and on the history_anomalies_total
@@ -48,15 +48,17 @@ type DetectorConfig struct {
 	MinHistory int
 	// Z is the robust z-score threshold (default 6).
 	Z float64
-	// MinMAD floors the deviation estimate (default 1 — one event per
-	// bucket), so near-constant counters don't flag on noise.
-	MinMAD float64
-	// MaxFindings bounds the in-memory finding ring (default 64,
-	// newest win).
-	MaxFindings int
 	// Registry hosts history_anomalies_total (default telemetry.Default).
 	Registry *telemetry.Registry
 }
+
+const (
+	// minMAD floors the deviation estimate at one event per bucket, so
+	// near-constant counters don't flag on noise.
+	minMAD = 1.0
+	// maxFindings bounds the in-memory finding ring (newest win).
+	maxFindings = 64
+)
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.Window <= 0 {
@@ -70,12 +72,6 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	}
 	if c.Z <= 0 {
 		c.Z = 6
-	}
-	if c.MinMAD <= 0 {
-		c.MinMAD = 1
-	}
-	if c.MaxFindings <= 0 {
-		c.MaxFindings = 64
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.Default
@@ -109,7 +105,7 @@ func NewDetector(cfg DetectorConfig) *Detector {
 		cfg:      cfg,
 		tel:      cfg.Registry.Counter("history_anomalies_total"),
 		scratch:  make([]float64, 0, cfg.Window),
-		findings: make([]Finding, 0, cfg.MaxFindings),
+		findings: make([]Finding, 0, maxFindings),
 	}
 	cfg.Registry.Help("history_anomalies_total", "counter buckets flagged by the robust z-score anomaly detector")
 	return d
@@ -149,8 +145,8 @@ func (d *Detector) observe(tick int64, s *seriesState) {
 	slices.Sort(d.scratch)
 	mad := medianSorted(d.scratch)
 	sigma := madToSigma * mad
-	if sigma < d.cfg.MinMAD {
-		sigma = d.cfg.MinMAD
+	if sigma < minMAD {
+		sigma = minMAD
 	}
 	z := math.Abs(x-med) / sigma
 	if z < d.cfg.Z {

@@ -45,7 +45,7 @@ type Adaptive struct {
 	qScale     float64
 	minQScale  float64
 	maxQScale  float64
-	adaptEvery int
+	adaptEvery int // noise is re-estimated every Window/4 updates
 	steps      int
 
 	adaptR bool
@@ -57,9 +57,6 @@ type AdaptiveConfig struct {
 	// Window is the number of recent innovations used for estimation.
 	// Defaults to 64.
 	Window int
-	// AdaptEvery re-estimates noise every this many updates. Defaults to
-	// Window/4.
-	AdaptEvery int
 	// AdaptR enables measurement-noise estimation.
 	AdaptR bool
 	// AdaptQ enables process-noise scaling.
@@ -72,12 +69,6 @@ type AdaptiveConfig struct {
 func NewAdaptive(filter *Filter, cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 64
-	}
-	if cfg.AdaptEvery <= 0 {
-		cfg.AdaptEvery = cfg.Window / 4
-		if cfg.AdaptEvery == 0 {
-			cfg.AdaptEvery = 1
-		}
 	}
 	if cfg.MinQScale <= 0 {
 		cfg.MinQScale = 1.0 / 1024
@@ -99,7 +90,7 @@ func NewAdaptive(filter *Filter, cfg AdaptiveConfig) (*Adaptive, error) {
 		qScale:     1,
 		minQScale:  cfg.MinQScale,
 		maxQScale:  cfg.MaxQScale,
-		adaptEvery: cfg.AdaptEvery,
+		adaptEvery: max(cfg.Window/4, 1),
 		adaptR:     cfg.AdaptR,
 		adaptQ:     cfg.AdaptQ,
 	}, nil

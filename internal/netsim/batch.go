@@ -4,11 +4,7 @@ package netsim
 // batch is simply the concatenation of AppendEncode outputs; DecodeNext
 // walks the concatenation back out without copying or per-message
 // allocation. The wire layer ships such batches as one coalesced frame
-// (one syscall per burst instead of one per correction), and the core
-// coalescer uses the same codec in-process to prove batching is a pure
-// transport change.
-
-import "fmt"
+// (one syscall per burst instead of one per correction).
 
 // Batch accumulates messages into one self-delimiting payload.
 // The zero value is ready to use. Not safe for concurrent use.
@@ -70,73 +66,4 @@ func DecodeBatch(buf []byte, scratch *Message, apply func(*Message) error) (int,
 		buf = rest
 	}
 	return n, nil
-}
-
-// Coalescer batches delivered messages through the batched codec before
-// applying them: each added message is encoded into the pending batch
-// (and recycled to the message pool), and Flush round-trips the batch
-// through DecodeBatch into the apply callback. Semantically it is the
-// identity transport — same messages, same order, same values — which is
-// exactly what the chaos harness asserts when it runs armed with
-// coalescing on. Not safe for concurrent use.
-type Coalescer struct {
-	apply   func(*Message)
-	batch   Batch
-	scratch Message
-	// MaxMessages / MaxBytes bound the pending batch; Add flushes first
-	// when either would be exceeded. Zero means unbounded (explicit
-	// Flush only).
-	maxMessages int
-	maxBytes    int
-
-	flushes  int64
-	messages int64
-}
-
-// NewCoalescer returns a coalescer applying batched messages via apply.
-// maxMessages and maxBytes bound the pending batch (zero = unbounded).
-func NewCoalescer(apply func(*Message), maxMessages, maxBytes int) *Coalescer {
-	return &Coalescer{apply: apply, maxMessages: maxMessages, maxBytes: maxBytes}
-}
-
-// Add encodes m into the pending batch and recycles m. Delivery to the
-// apply callback happens at the next Flush (or immediately when the
-// batch bounds are hit).
-func (c *Coalescer) Add(m *Message) error {
-	if c.maxMessages > 0 && c.batch.Count() >= c.maxMessages ||
-		c.maxBytes > 0 && c.batch.Len()+m.EncodedSize() > c.maxBytes && c.batch.Count() > 0 {
-		c.Flush()
-	}
-	err := c.batch.Add(m)
-	PutMessage(m)
-	return err
-}
-
-// Flush decodes the pending batch and applies every message in order.
-func (c *Coalescer) Flush() {
-	if c.batch.Count() == 0 {
-		return
-	}
-	n, err := DecodeBatch(c.batch.Bytes(), &c.scratch, func(m *Message) error {
-		c.apply(m)
-		return nil
-	})
-	if err != nil {
-		// Impossible by construction — the batch holds only encodings this
-		// coalescer produced. Fail loudly rather than silently dropping
-		// corrections.
-		panic(fmt.Sprintf("netsim: coalescer flush failed after %d messages: %v", n, err))
-	}
-	c.flushes++
-	c.messages += int64(n)
-	c.batch.Reset()
-}
-
-// Pending returns the number of messages awaiting flush.
-func (c *Coalescer) Pending() int { return c.batch.Count() }
-
-// Stats returns the number of flushes performed and total messages
-// delivered through them.
-func (c *Coalescer) Stats() (flushes, messages int64) {
-	return c.flushes, c.messages
 }

@@ -96,74 +96,6 @@ func TestBatchTruncatedPayload(t *testing.T) {
 	}
 }
 
-// TestCoalescerIsIdentityTransport: the coalescer must deliver exactly
-// the messages added, in order, with identical values — batching is a
-// transport optimization, never a semantic change.
-func TestCoalescerIsIdentityTransport(t *testing.T) {
-	want := batchMessages(50)
-	var got []Message
-	c := NewCoalescer(func(m *Message) {
-		cp := *m
-		cp.Value = append([]float64(nil), m.Value...)
-		got = append(got, cp)
-	}, 8, 0) // auto-flush every 8 messages
-	for _, w := range want {
-		m := GetMessage()
-		m.Kind, m.StreamID, m.Tick, m.Trace = w.Kind, w.StreamID, w.Tick, w.Trace
-		m.Value = append(m.Value[:0], w.Value...)
-		if err := c.Add(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Flush()
-	c.Flush() // idempotent on empty batch
-	if len(got) != len(want) {
-		t.Fatalf("delivered %d messages, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		g := got[i]
-		if g.Kind != w.Kind || g.StreamID != w.StreamID || g.Tick != w.Tick || g.Trace != w.Trace {
-			t.Fatalf("message %d: got %+v want %+v", i, g, *w)
-		}
-		for j := range w.Value {
-			if math.Float64bits(g.Value[j]) != math.Float64bits(w.Value[j]) {
-				t.Fatalf("message %d value %d: %g want %g", i, j, g.Value[j], w.Value[j])
-			}
-		}
-	}
-	flushes, messages := c.Stats()
-	if messages != int64(len(want)) {
-		t.Fatalf("stats count %d messages, want %d", messages, len(want))
-	}
-	// 50 messages at 8 per auto-flush: 6 full flushes + the final partial.
-	if flushes != 7 {
-		t.Fatalf("flushes %d, want 7", flushes)
-	}
-}
-
-// TestCoalescerByteBound: the size bound must flush before the batch
-// would exceed MaxBytes, never drop or reorder.
-func TestCoalescerByteBound(t *testing.T) {
-	var delivered int
-	one := Message{Kind: KindCorrection, StreamID: "s", Tick: 1, Value: []float64{1}}
-	c := NewCoalescer(func(m *Message) { delivered++ }, 0, 3*one.EncodedSize())
-	for i := 0; i < 10; i++ {
-		m := GetMessage()
-		m.Kind, m.StreamID, m.Tick = KindCorrection, "s", int64(i)
-		m.Value = append(m.Value[:0], 1)
-		if err := c.Add(m); err != nil {
-			t.Fatal(err)
-		}
-		if c.batch.Len() > 3*one.EncodedSize() {
-			t.Fatalf("pending batch %d bytes exceeds bound %d", c.batch.Len(), 3*one.EncodedSize())
-		}
-	}
-	c.Flush()
-	if delivered != 10 {
-		t.Fatalf("delivered %d, want 10", delivered)
-	}
-}
-
 // TestMessagePoolConcurrent hammers the message pool from many
 // goroutines, each running encode→batch→decode round trips on pooled
 // messages. Run under -race this is the satellite's proof that the

@@ -35,7 +35,6 @@ type Coordinator struct {
 	srv           *server.Server
 	budgetPerTick float64
 	period        int64
-	smoothing     float64
 	downlink      func(*netsim.Message)
 	streams       []*managed
 	tick          int64
@@ -65,9 +64,6 @@ type CoordinatorConfig struct {
 	BudgetPerTick float64
 	// Period is the reallocation interval in ticks (default 200).
 	Period int64
-	// Smoothing is the EMA factor for cost estimates in (0, 1]
-	// (default 0.4).
-	Smoothing float64
 	// Downlink transmits delta-update messages to sources; nil means
 	// apply silently (still correct, but the reverse-path traffic goes
 	// unaccounted).
@@ -76,6 +72,9 @@ type CoordinatorConfig struct {
 	// gauge; nil means telemetry.Default.
 	Telemetry *telemetry.Registry
 }
+
+// costSmoothing is the EMA factor for per-stream cost estimates.
+const costSmoothing = 0.4
 
 // NewCoordinator returns a coordinator using alloc over srv.
 func NewCoordinator(alloc Allocator, srv *server.Server, cfg CoordinatorConfig) (*Coordinator, error) {
@@ -91,9 +90,6 @@ func NewCoordinator(alloc Allocator, srv *server.Server, cfg CoordinatorConfig) 
 	if cfg.Period <= 0 {
 		cfg.Period = 200
 	}
-	if cfg.Smoothing <= 0 || cfg.Smoothing > 1 {
-		cfg.Smoothing = 0.4
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.Default
@@ -103,7 +99,6 @@ func NewCoordinator(alloc Allocator, srv *server.Server, cfg CoordinatorConfig) 
 		srv:             srv,
 		budgetPerTick:   cfg.BudgetPerTick,
 		period:          cfg.Period,
-		smoothing:       cfg.Smoothing,
 		downlink:        cfg.Downlink,
 		telRounds:       reg.Counter("coordinator_reallocations_total"),
 		telDeltaUpdates: reg.Counter("coordinator_delta_updates_total"),
@@ -176,7 +171,7 @@ func (c *Coordinator) reallocate() error {
 			MaxDelta: m.opts.MaxDelta,
 		}
 		m.lastSent = sent
-		m.cost = EstimateCost(m.cost, w, c.smoothing)
+		m.cost = EstimateCost(m.cost, w, costSmoothing)
 		w.CostEstimate = m.cost
 		windows[i] = w
 		windowMsgs += w.Msgs

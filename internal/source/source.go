@@ -90,9 +90,9 @@ type Config struct {
 	// resyncs are pure (bytes) overhead; on lossy links they bound how
 	// long a divergence can persist.
 	ResyncEvery int64
-	// Telemetry receives the gate's per-stream runtime counters
-	// (corrections_sent_total, corrections_suppressed_total, …); nil means
-	// telemetry.Default.
+	// Telemetry receives the gate's runtime totals (corrections_sent_total,
+	// corrections_suppressed_total, …), one series per name shared by
+	// every source on the registry; nil means telemetry.Default.
 	Telemetry *telemetry.Registry
 	// Trace receives gate-decision lifecycle events and allocates the
 	// trace IDs shipped in-band on corrections; nil means trace.Default.
@@ -171,14 +171,15 @@ type Source struct {
 	maxSuppDevBits atomic.Uint64
 
 	// Telemetry handles, resolved once at construction so the per-tick
-	// cost is a few atomic adds.
+	// cost is a few atomic adds. The registry holds totals: every source
+	// on one registry shares these series, and a stream's own numbers are
+	// the atomics above (Stats).
 	telSent           *telemetry.Counter
 	telSuppressed     *telemetry.Counter
 	telHeartbeats     *telemetry.Counter
 	telResyncs        *telemetry.Counter
 	telResyncRequests *telemetry.Counter
 	telDeviation      *telemetry.Histogram
-	telDelta          *telemetry.Gauge
 }
 
 // New constructs a source whose corrections are transmitted via send.
@@ -205,20 +206,18 @@ func New(cfg Config, send func(*netsim.Message)) (*Source, error) {
 		tr = trace.Default
 	}
 	s := &Source{
-		cfg:           cfg,
-		replica:       replica,
-		send:          send,
-		tr:            tr,
-		dim:           replica.Dim(),
-		telSent:           reg.Counter("corrections_sent_total", "stream", cfg.StreamID),
-		telSuppressed:     reg.Counter("corrections_suppressed_total", "stream", cfg.StreamID),
-		telHeartbeats:     reg.Counter("heartbeats_total", "stream", cfg.StreamID),
-		telResyncs:        reg.Counter("resyncs_total", "stream", cfg.StreamID),
-		telResyncRequests: reg.Counter("resync_requests_total", "stream", cfg.StreamID),
-		telDeviation:      reg.Histogram("gate_deviation_ratio", telemetry.RatioBuckets, "stream", cfg.StreamID),
-		telDelta:          reg.Gauge("stream_delta", "stream", cfg.StreamID),
+		cfg:               cfg,
+		replica:           replica,
+		send:              send,
+		tr:                tr,
+		dim:               replica.Dim(),
+		telSent:           reg.Counter("corrections_sent_total"),
+		telSuppressed:     reg.Counter("corrections_suppressed_total"),
+		telHeartbeats:     reg.Counter("heartbeats_total"),
+		telResyncs:        reg.Counter("resyncs_total"),
+		telResyncRequests: reg.Counter("resync_requests_total"),
+		telDeviation:      reg.Histogram("gate_deviation_ratio", telemetry.RatioBuckets),
 	}
-	s.telDelta.Set(cfg.Delta)
 	if into, ok := replica.(predictor.IntoPredictor); ok {
 		s.intoReplica = into
 		s.predScratch = make([]float64, s.dim)
@@ -379,7 +378,6 @@ func (s *Source) SetDelta(delta float64) error {
 		return fmt.Errorf("source %s: negative delta %g", s.cfg.StreamID, delta)
 	}
 	s.cfg.Delta = delta
-	s.telDelta.Set(delta)
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package source
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -339,5 +341,50 @@ func TestObserveDisabledTraceZeroAlloc(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("suppressed tick with tracing disabled allocated %.1f times per op, want ≤1 (Predict clone only)", allocs)
+	}
+}
+
+// TestTelemetryCardinalityIndependentOfPopulation is the source-side twin
+// of the wire server's test of the same name: the registry holds totals,
+// so N sources on one registry register the same series as one, and the
+// totals are the sums of the per-source Stats.
+func TestTelemetryCardinalityIndependentOfPopulation(t *testing.T) {
+	var series [2]int
+	for i, n := range []int{1, 500} {
+		reg := telemetry.New()
+		var sent, suppressed int64
+		for j := 0; j < n; j++ {
+			s, err := New(Config{StreamID: fmt.Sprintf("s%03d", j), Spec: staticSpec(), Delta: 1, Telemetry: reg},
+				func(m *netsim.Message) { netsim.PutMessage(m) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tick, z := range []float64{10, 10.5, 10.2} { // sent, suppressed, suppressed
+				if _, err := s.Observe(int64(tick), []float64{z}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.SetDelta(2); err != nil {
+				t.Fatal(err)
+			}
+			sent += s.Stats().Sent
+			suppressed += s.Stats().Suppressed
+		}
+		snap := reg.Snapshot()
+		series[i] = len(snap)
+		for _, smp := range snap {
+			if strings.Contains(smp.Labels, "stream=") {
+				t.Fatalf("%d sources: series %s%s carries a stream label", n, smp.Name, smp.Labels)
+			}
+		}
+		if got := reg.Counter("corrections_sent_total").Value(); got != sent || sent != int64(n) {
+			t.Fatalf("%d sources: corrections_sent_total = %d, Stats sum to %d, want %d", n, got, sent, n)
+		}
+		if got := reg.Counter("corrections_suppressed_total").Value(); got != suppressed || suppressed != 2*int64(n) {
+			t.Fatalf("%d sources: corrections_suppressed_total = %d, Stats sum to %d, want %d", n, got, suppressed, 2*n)
+		}
+	}
+	if series[0] != series[1] {
+		t.Fatalf("registry holds %d series for 1 source and %d for 500, want equal", series[0], series[1])
 	}
 }

@@ -52,10 +52,6 @@ type auditStream struct {
 	violations   atomic.Int64
 	maxRatioBits atomic.Uint64
 	lastViolTick atomic.Int64 // highest violation tick + 1 (0 = none)
-
-	telTicks      *telemetry.Counter
-	telViolations *telemetry.Counter
-	telRatio      *telemetry.Histogram
 }
 
 // Auditor maintains per-stream realized-error accounting. Check is safe
@@ -64,15 +60,16 @@ type auditStream struct {
 type Auditor struct {
 	mu      sync.RWMutex
 	streams map[string]*auditStream
-	reg     *telemetry.Registry
 	journal *Journal
 
-	// Cross-stream aggregates, maintained inline by Check so a health
-	// monitor can read system-wide totals with a single atomic load
-	// instead of locking and summing per-stream state.
-	totalTicks      atomic.Int64
-	totalSuppressed atomic.Int64
-	totalViolations atomic.Int64
+	// Cross-stream totals, maintained inline by Check: the registry
+	// series are the aggregates, so a health monitor reads system-wide
+	// numbers with a single atomic load instead of locking and summing
+	// per-stream state. Auditors built over one registry share them.
+	telTicks      *telemetry.Counter
+	telSuppressed *telemetry.Counter
+	telViolations *telemetry.Counter
+	telRatio      *telemetry.Histogram
 
 	// onViolation, when set, fires inline for every δ violation — the
 	// diag flight recorder's per-stream attribution feed. Install it
@@ -88,17 +85,24 @@ func (a *Auditor) SetViolationHook(fn func(streamID string, tick int64)) {
 	a.onViolation = fn
 }
 
-// NewAuditor returns an auditor exporting per-stream series
-// (audit_ticks_total, audit_delta_violations_total, audit_error_ratio)
-// through reg (nil means telemetry.Default) and recording violation
-// events to journal (nil means no journal events).
+// NewAuditor returns an auditor exporting its totals (audit_ticks_total,
+// audit_suppressed_total, audit_delta_violations_total,
+// audit_error_ratio) through reg (nil means telemetry.Default) and
+// recording violation events to journal (nil means no journal events).
 func NewAuditor(reg *telemetry.Registry, journal *Journal) *Auditor {
 	if reg == nil {
 		reg = telemetry.Default
 	}
 	reg.Help("audit_delta_violations_total", "suppressed ticks whose realized error exceeded the δ bound")
 	reg.Help("audit_error_ratio", "realized error/δ per audited tick")
-	return &Auditor{streams: make(map[string]*auditStream), reg: reg, journal: journal}
+	return &Auditor{
+		streams:       make(map[string]*auditStream),
+		journal:       journal,
+		telTicks:      reg.Counter("audit_ticks_total"),
+		telSuppressed: reg.Counter("audit_suppressed_total"),
+		telViolations: reg.Counter("audit_delta_violations_total"),
+		telRatio:      reg.Histogram("audit_error_ratio", telemetry.RatioBuckets),
+	}
 }
 
 func (a *Auditor) stream(id string) *auditStream {
@@ -113,12 +117,7 @@ func (a *Auditor) stream(id string) *auditStream {
 	if st = a.streams[id]; st != nil {
 		return st
 	}
-	st = &auditStream{
-		id:            id,
-		telTicks:      a.reg.Counter("audit_ticks_total", "stream", id),
-		telViolations: a.reg.Counter("audit_delta_violations_total", "stream", id),
-		telRatio:      a.reg.Histogram("audit_error_ratio", telemetry.RatioBuckets, "stream", id),
-	}
+	st = &auditStream{id: id}
 	a.streams[id] = st
 	return st
 }
@@ -131,16 +130,15 @@ func (a *Auditor) stream(id string) *auditStream {
 func (a *Auditor) Check(streamID string, tick int64, deviation, bound float64, suppressed bool) {
 	st := a.stream(streamID)
 	st.ticks.Add(1)
-	a.totalTicks.Add(1)
-	st.telTicks.Inc()
+	a.telTicks.Inc()
 	if bound > 0 {
-		st.telRatio.Observe(deviation / bound)
+		a.telRatio.Observe(deviation / bound)
 	}
 	if !suppressed {
 		return
 	}
 	st.suppressed.Add(1)
-	a.totalSuppressed.Add(1)
+	a.telSuppressed.Inc()
 	if ratio := ratioOf(deviation, bound); ratio > 0 {
 		for {
 			old := st.maxRatioBits.Load()
@@ -154,8 +152,7 @@ func (a *Auditor) Check(streamID string, tick int64, deviation, bound float64, s
 	}
 	if deviation > bound {
 		st.violations.Add(1)
-		a.totalViolations.Add(1)
-		st.telViolations.Inc()
+		a.telViolations.Inc()
 		// CAS-max on tick+1 so the zero value still means "no violation"
 		// for streams whose first violation is tick 0.
 		for {
@@ -243,10 +240,10 @@ func (a *Auditor) All() []AuditStats {
 
 // TotalTicks returns the number of audited ticks across all streams —
 // a lock-free aggregate suitable as a health-monitor rate source.
-func (a *Auditor) TotalTicks() int64 { return a.totalTicks.Load() }
+func (a *Auditor) TotalTicks() int64 { return a.telTicks.Value() }
 
 // TotalSuppressed returns the suppressed-tick count across all streams.
-func (a *Auditor) TotalSuppressed() int64 { return a.totalSuppressed.Load() }
+func (a *Auditor) TotalSuppressed() int64 { return a.telSuppressed.Value() }
 
 // TotalViolations returns the δ-violation count across all streams.
-func (a *Auditor) TotalViolations() int64 { return a.totalViolations.Load() }
+func (a *Auditor) TotalViolations() int64 { return a.telViolations.Value() }

@@ -42,10 +42,10 @@ func TestAuditorCountsAndViolations(t *testing.T) {
 	}
 
 	// The violation must surface in telemetry and the journal.
-	if got := reg.Counter("audit_delta_violations_total", "stream", "s").Value(); got != 1 {
+	if got := reg.Counter("audit_delta_violations_total").Value(); got != 1 {
 		t.Fatalf("telemetry violations = %d, want 1", got)
 	}
-	if got := reg.Counter("audit_ticks_total", "stream", "s").Value(); got != 4 {
+	if got := reg.Counter("audit_ticks_total").Value(); got != 4 {
 		t.Fatalf("telemetry ticks = %d, want 4", got)
 	}
 	evs := j.StreamEvents("s")
@@ -112,5 +112,56 @@ func TestAuditorConcurrent(t *testing.T) {
 	}
 	if ticks != workers*perW {
 		t.Fatalf("total audited ticks = %d, want %d", ticks, workers*perW)
+	}
+}
+
+// TestAuditorTotalsAreRegistryCounters: under the concurrent hammer the
+// three Total* readers, the registry's unlabelled series and the sum of
+// the per-stream records are one set of numbers, and the registry's size
+// does not depend on how many streams were audited.
+func TestAuditorTotalsAreRegistryCounters(t *testing.T) {
+	reg := telemetry.New()
+	a := NewAuditor(reg, nil)
+	series := len(reg.Snapshot())
+	const (
+		workers = 8
+		perW    = 2000
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := string(rune('a' + w%4))
+			for i := 0; i < perW; i++ {
+				// Every 5th tick ships; every 3rd suppressed one violates.
+				a.Check(id, int64(i), 0.4+float64(i%3/2), 0.5, i%5 != 0)
+			}
+		}(w)
+	}
+	wg.Wait()
+	var sum AuditStats
+	for _, st := range a.All() {
+		sum.Ticks += st.Ticks
+		sum.Suppressed += st.Suppressed
+		sum.Violations += st.Violations
+	}
+	if sum.Ticks != workers*perW || sum.Suppressed == 0 || sum.Violations == 0 || sum.Violations == sum.Suppressed {
+		t.Fatalf("hammer did not mix outcomes: %+v", sum)
+	}
+	for _, c := range []struct {
+		series      string
+		total, want int64
+	}{
+		{"audit_ticks_total", a.TotalTicks(), sum.Ticks},
+		{"audit_suppressed_total", a.TotalSuppressed(), sum.Suppressed},
+		{"audit_delta_violations_total", a.TotalViolations(), sum.Violations},
+	} {
+		if got := reg.Counter(c.series).Value(); got != c.want || c.total != c.want {
+			t.Errorf("%s: registry %d, Total reader %d, sum over All() %d", c.series, got, c.total, c.want)
+		}
+	}
+	if got := len(reg.Snapshot()); got != series {
+		t.Errorf("auditing 4 streams grew the registry from %d to %d series", series, got)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/telemetry"
+	"kalmanstream/internal/trace"
 )
 
 // populate registers n random-walk Kalman streams on a fresh server with
@@ -56,6 +58,23 @@ func TestTelemetryCardinalityIndependentOfPopulation(t *testing.T) {
 		checkTotals(t, srv, 0)
 		if got := regTotal(srv.reg, "server_queries_total"); got != 3 {
 			t.Fatalf("server_queries_total sums to %d, want 3", got)
+		}
+		// Every stream also ships one gate decision in-band, as a traced
+		// source would: the auditor's verdicts are totals too.
+		evs := make([]trace.Event, n)
+		for j := range evs {
+			evs[j] = trace.Event{StreamID: fmt.Sprintf("s%05d", j), Tick: 7, Stage: trace.StageGate,
+				Outcome: trace.OutcomeSuppressed, Value: 0.1, Aux: 0.5}
+		}
+		batch, err := json.Marshal(evs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.dispatch(&connWriter{conn: discardConn{}, s: srv}, FrameTrace, batch, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Auditor().TotalTicks(); got != int64(n) || len(srv.Auditor().All()) != n {
+			t.Fatalf("auditor saw %d ticks on %d streams, want %d on %d", got, len(srv.Auditor().All()), n, n)
 		}
 
 		snap := srv.Registry().Snapshot()

@@ -36,10 +36,6 @@ type ReconnectPolicy struct {
 	// dial doubles it, capped at MaxDelay (default 2s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Jitter randomizes each delay by ±Jitter fraction (default 0.2) so
-	// a fleet of sources does not redial in lockstep after a server
-	// restart.
-	Jitter float64
 	// Seed seeds the jitter RNG; zero means 1, keeping tests
 	// deterministic.
 	Seed int64
@@ -48,8 +44,12 @@ type ReconnectPolicy struct {
 // DefaultDialAttempts is the redial budget when MaxAttempts is zero.
 const DefaultDialAttempts = 8
 
+// dialJitter randomizes each backoff delay by ±this fraction so a fleet
+// of sources does not redial in lockstep after a server restart.
+const dialJitter = 0.2
+
 func (p ReconnectPolicy) enabled() bool {
-	return p.MaxAttempts != 0 || p.BaseDelay != 0 || p.MaxDelay != 0 || p.Jitter != 0 || p.Seed != 0
+	return p.MaxAttempts != 0 || p.BaseDelay != 0 || p.MaxDelay != 0 || p.Seed != 0
 }
 
 func (p ReconnectPolicy) normalized() ReconnectPolicy {
@@ -61,9 +61,6 @@ func (p ReconnectPolicy) normalized() ReconnectPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.Jitter <= 0 {
-		p.Jitter = 0.2
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -266,7 +263,7 @@ func (c *Client) logw(msg string, args ...any) {
 
 // dialWithBackoff dials until a connection succeeds or the attempt
 // budget runs out: delay doubles from BaseDelay to MaxDelay, randomized
-// by ±Jitter.
+// by ±dialJitter.
 func (c *Client) dialWithBackoff() (net.Conn, error) {
 	delay := c.policy.BaseDelay
 	var lastErr error
@@ -280,10 +277,7 @@ func (c *Client) dialWithBackoff() (net.Conn, error) {
 			return conn, nil
 		}
 		lastErr = err
-		sleep := delay
-		if j := c.policy.Jitter; j > 0 {
-			sleep = time.Duration(float64(delay) * (1 + j*(2*c.rng.Float64()-1)))
-		}
+		sleep := time.Duration(float64(delay) * (1 + dialJitter*(2*c.rng.Float64()-1)))
 		c.logw("wire: dial failed, backing off", "addr", c.addr, "attempt", attempt+1, "sleep", sleep.Round(time.Millisecond), "err", err)
 		time.Sleep(sleep)
 		if delay *= 2; delay > c.policy.MaxDelay {
@@ -662,10 +656,6 @@ func (c *Client) Ping() (time.Duration, error) {
 	c.lastRTT = rtt
 	return rtt, nil
 }
-
-// LastRTT returns the round trip the most recent successful Ping
-// measured (0 before the first).
-func (c *Client) LastRTT() time.Duration { return c.lastRTT }
 
 // SendTrace ships a batch of lifecycle trace events; fire-and-forget,
 // like corrections. An empty batch writes nothing. A retried batch can

@@ -77,7 +77,7 @@ func TestTraceOverWire(t *testing.T) {
 
 	const ticks = 200
 	for i := 0; i < ticks; i++ {
-		z := []float64{3 * math.Sin(float64(i)/25) + 0.05*math.Cos(float64(i))}
+		z := []float64{3*math.Sin(float64(i)/25) + 0.05*math.Cos(float64(i))}
 		if _, err := ns.Observe(int64(i), z); err != nil {
 			t.Fatal(err)
 		}
