@@ -25,12 +25,13 @@
 // log/slog records on stderr.
 //
 // Health: with -http set the server also runs the SLO monitor
-// (internal/health) over its own telemetry — δ audit error ratio,
-// staleness, and frame-handling p99 — evaluating multi-window burn
-// rates every -health-interval. /healthz answers liveness, /readyz
-// fails while any PAGE alert is active, and /debug/health serves the
-// full JSON snapshot (per-SLO burn rates, window series, active
-// alerts, per-stream counters) that `streamkf top` renders live.
+// (internal/health) over its own telemetry — four SLOs: δ audit error
+// ratio, staleness, frame-handling p99 and freshness p99 — evaluating
+// multi-window burn rates each time the telemetry history's 60-tick
+// tier closes a window. /healthz answers liveness, /readyz fails while
+// any PAGE alert is active, and /debug/health serves the full JSON
+// snapshot (per-SLO burn rates and window ratios, active alerts,
+// per-stream counters) that `streamkf top` renders live.
 //
 // Forensics: the flight recorder (internal/diag) runs whenever -http is
 // set, and only then — without an HTTP surface nothing could read it or
@@ -50,7 +51,9 @@
 // at -history-interval, serves range queries and anomaly findings at
 // /debug/history (rendered by `streamkf graph` and the `streamkf top`
 // history pane), and embeds the trailing history of the implicated
-// series in every incident bundle.
+// series in every incident bundle. One ticker drives both layers: each
+// -history-interval the store records, then the monitor evaluates the
+// windows it closed (with -history-interval 0 neither runs).
 //
 // Durability: with -wal-dir the server appends every applied message
 // to a write-ahead log (internal/wal) in that directory, group-committed
@@ -66,7 +69,7 @@
 // Usage:
 //
 //	kfserver [-addr :9653] [-http :9654] [-trace] [-logjson]
-//	         [-stale-after 5s] [-health-interval 1s] [-history-interval 1s]
+//	         [-stale-after 5s] [-history-interval 1s]
 //	         [-bundle-dir dir]
 //	         [-wal-dir dir] [-wal-flush 100ms] [-checkpoint-every 30s]
 //
@@ -114,8 +117,7 @@ func run(args []string, listening func(net.Listener)) error {
 	traceOn := fs.Bool("trace", false, "enable the lifecycle trace journal (browse at /debug/trace)")
 	traceCap := fs.Int("trace-buf", trace.DefaultCapacity, "trace ring capacity per shard (newest events win)")
 	staleAfter := fs.Duration("stale-after", 0, "mark a stream stale and push resync requests after this much silence (0 = watchdog off)")
-	healthInterval := fs.Duration("health-interval", time.Second, "SLO monitor tick interval; one rolling window closes per tick (0 = monitor off)")
-	historyInterval := fs.Duration("history-interval", time.Second, "telemetry history scrape interval; drives the multi-resolution rings behind /debug/history (0 = history off)")
+	historyInterval := fs.Duration("history-interval", time.Second, "telemetry history scrape interval, the one clock of /debug/history and the SLO monitor (60 intervals per window; 0 = both off)")
 	bundleDir := fs.String("bundle-dir", "", "spool incident bundles to this directory (empty = memory-only ring)")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory: append every applied message, recover on startup (empty = no durability)")
 	walFlush := fs.Duration("wal-flush", 0, "group-commit fsync cadence for the write-ahead log (0 = default 100ms)")
@@ -163,14 +165,25 @@ func run(args []string, listening func(net.Listener)) error {
 		})
 	}
 
-	// The SLO monitor only makes sense with somewhere to serve its
-	// verdicts, so it rides the -http flag. Wall-clock windows: one per
-	// health-interval, fast span 1m / slow span 15m at the 1s default
-	// (Google-SRE multi-window burn rates).
+	// The SLO monitor and the telemetry history it reads only make sense
+	// with somewhere to serve them, so they ride the -http flag. The
+	// history keeps multi-resolution rings over the whole registry and
+	// feeds /debug/history, `streamkf graph`, and the excerpts embedded
+	// in incident bundles; the monitor's windows are its 60-tick tier,
+	// fast span 1m / slow span 15m at the 1s default (Google-SRE
+	// multi-window burn rates).
 	var mon *health.Monitor
-	if *httpAddr != "" && *healthInterval > 0 {
+	var hist *history.Store
+	if *httpAddr != "" && *historyInterval > 0 {
+		hist, err = history.NewStore(history.Config{
+			Registry: telemetry.Default,
+			Detector: history.NewDetector(history.DetectorConfig{Registry: telemetry.Default}),
+		})
+		if err != nil {
+			return fmt.Errorf("history store: %w", err)
+		}
 		mon = health.NewMonitor(health.Config{
-			WindowTicks:  60, // sampled every interval, one window per minute
+			WindowTicks:  60, // one window per minute at the 1s default
 			Windows:      64,
 			FastWindows:  1,
 			SlowWindows:  15,
@@ -180,30 +193,6 @@ func run(args []string, listening func(net.Listener)) error {
 			OnTransition: rec.OnTransition,
 		})
 		rec.AttachHealth(mon)
-	}
-
-	// The telemetry history keeps multi-resolution rings over the whole
-	// registry and feeds /debug/history, `streamkf graph`, and the
-	// history excerpts embedded in incident bundles. Like the monitor it
-	// rides -http: without an HTTP surface nothing can read it back.
-	var hist *history.Store
-	if *httpAddr != "" && *historyInterval > 0 {
-		det := history.NewDetector(history.DetectorConfig{Registry: telemetry.Default})
-		h, err := history.NewStore(history.Config{
-			Registry: telemetry.Default,
-			Detector: det,
-		})
-		if err != nil {
-			return fmt.Errorf("history store: %w", err)
-		}
-		hist = h
-		if mon != nil {
-			// Register the anomaly counter before the monitor's first
-			// window closes — late tracks are rejected (see health docs).
-			if err := det.RegisterHealth(mon); err != nil {
-				logger.Warn("anomaly track rejected", "err", err)
-			}
-		}
 		rec.AttachHistory(hist)
 	}
 	opts := wire.Options{
@@ -244,13 +233,8 @@ func run(args []string, listening func(net.Listener)) error {
 			return srv.Freshness().SnapshotNow(srv.ConnSkews)
 		})
 	}
-	if mon != nil {
-		mon.Start(*healthInterval)
-		defer mon.Stop()
-	}
 	if hist != nil {
-		hist.Start(*historyInterval)
-		defer hist.Stop()
+		defer tickEvery(*historyInterval, hist, mon)()
 	}
 	logger.Info("listening", "addr", l.Addr().String(), "trace", *traceOn,
 		"stale-after", staleAfter.String(), "health", mon != nil)
@@ -266,6 +250,31 @@ func run(args []string, listening func(net.Listener)) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
+}
+
+// tickEvery is the server's one observability clock: every interval the
+// history store records the registry, then the monitor evaluates the
+// windows that recording closed. It returns the stop function.
+func tickEvery(interval time.Duration, hist *history.Store, mon *health.Monitor) (stop func()) {
+	t := time.NewTicker(interval)
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				hist.Tick()
+				mon.Tick()
+			}
+		}
+	}()
+	return func() {
+		t.Stop()
+		close(done)
+		<-exited
+	}
 }
 
 // serveHTTP exposes the registry at /metrics (Prometheus text) and

@@ -1,13 +1,18 @@
 package main
 
 import (
+	"encoding/json"
 	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"kalmanstream/internal/health"
+	"kalmanstream/internal/history"
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
+	"kalmanstream/internal/telemetry"
 	"kalmanstream/internal/wire"
 )
 
@@ -73,5 +78,95 @@ func TestServeWithoutHTTP(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not return after its listener closed")
+	}
+}
+
+// TestServeHTTPHealthOnHistoryClock runs the main path with -http and a
+// 10ms -history-interval: the one ticker records the history and then
+// evaluates the monitor, so within seconds /debug/health reports a
+// closed 60-tick window and the four SLOs, each naming the registry
+// series it burns against; /readyz is 200; and /debug/history lists the
+// 60-tick tier those windows are.
+func TestServeHTTPHealthOnHistoryClock(t *testing.T) {
+	// A free loopback port for -http: serveHTTP binds it by address.
+	hl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpAddr := hl.Addr().String()
+	hl.Close()
+	// The server registers on telemetry.Default; leave it empty for the
+	// next test (TestServeWithoutHTTP asserts no diag_ series).
+	defer telemetry.Default.Reset()
+
+	listening := make(chan net.Listener, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-http", httpAddr, "-history-interval", "10ms"},
+			func(l net.Listener) { listening <- l })
+	}()
+	var l net.Listener
+	select {
+	case l = <-listening:
+	case err := <-done:
+		t.Fatalf("server exited before listening: %v", err)
+	}
+	defer func() {
+		l.Close()
+		if err := <-done; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	get := func(path string, v any) int {
+		resp, err := http.Get("http://" + httpAddr + path)
+		if err != nil {
+			return 0 // not serving yet
+		}
+		defer resp.Body.Close()
+		if v != nil {
+			if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+				t.Fatalf("decode %s: %v", path, err)
+			}
+		}
+		return resp.StatusCode
+	}
+	var payload health.DebugPayload
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		payload = health.DebugPayload{}
+		if get("/debug/health", &payload) == 200 && payload.WindowsClosed >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no health window closed within 10s at -history-interval 10ms: %+v", payload.Snapshot)
+		}
+	}
+	want := map[string]string{
+		"audit-error-ratio": "audit_delta_violations_total audit_ticks_total",
+		"streams-stale":     "streams_stale",
+		"frame-p99":         `wire_frame_handle_seconds{kind="message"}`,
+		"freshness-p99":     "wire_e2e_latency_seconds",
+	}
+	if len(payload.SLOs) != len(want) {
+		t.Errorf("/debug/health lists %d SLOs, want %d", len(payload.SLOs), len(want))
+	}
+	for _, s := range payload.SLOs {
+		if got := strings.Join(s.Series, " "); got != want[s.Name] {
+			t.Errorf("SLO %q reads %q, want %q", s.Name, got, want[s.Name])
+		}
+	}
+	if code := get("/readyz", nil); code != 200 {
+		t.Errorf("/readyz = %d, want 200", code)
+	}
+	var dump history.DumpPayload
+	if code := get("/debug/history", &dump); code != 200 {
+		t.Fatalf("/debug/history = %d", code)
+	}
+	found := false
+	for _, tier := range dump.Tiers {
+		found = found || tier.Every == int64(payload.WindowTicks)
+	}
+	if payload.WindowTicks != 60 || !found {
+		t.Errorf("monitor windows are %d ticks; history tiers %+v", payload.WindowTicks, dump.Tiers)
 	}
 }

@@ -27,12 +27,11 @@ func cmdChaos(args []string) error {
 	schedule := fs.String("schedule", "", "fault schedule as name:from:until:kind[:p] entries separated by commas; kinds: drop, delay, dup, reorder, partition, fbdrop (empty = built-in scenario)")
 	out := fs.String("out", "", "also write the summary to this file")
 	healthOut := fs.String("health-out", "", "also write the SLO monitor's alert log to this file")
-	noHealth := fs.Bool("no-health", false, "disarm the SLO monitor (the unarmed control arm)")
+	noHealth := fs.Bool("no-health", false, "disarm the SLO monitor and the telemetry history it reads (the unarmed control arm)")
 	bundleDir := fs.String("bundle-dir", "", "spool incident bundles captured during the run to this directory")
 	noDiag := fs.Bool("no-diag", false, "disarm the flight recorder (no bundles, no attribution)")
-	noHistory := fs.Bool("no-history", false, "disarm the telemetry history store (the unarmed control arm)")
 	noFreshness := fs.Bool("no-freshness", false, "disarm freshness stamping (the unstamped control arm)")
-	historyOut := fs.String("history-out", "", "write the run's full finest-tier telemetry-history dump to this file as JSON")
+	historyOut := fs.String("history-out", "", "write the run's full finest-tier telemetry-history dump to this file as JSON (none under -no-health)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -59,7 +58,6 @@ func cmdChaos(args []string) error {
 		Schedule:         sched,
 		DisableHealth:    *noHealth,
 		DisableDiag:      *noDiag,
-		DisableHistory:   *noHistory,
 		DisableFreshness: *noFreshness,
 		BundleDir:        *bundleDir,
 	})

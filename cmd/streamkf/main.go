@@ -93,7 +93,7 @@ commands:
                                     bound, replica lock-step, composition)
                                     on this machine's floating point
   chaos [-ticks N] [-seed S] [-schedule SPEC] [-out FILE] [-bundle-dir DIR]
-        [-history-out FILE] [-no-history] [-no-freshness]
+        [-history-out FILE] [-no-health] [-no-freshness]
                                     drive a deterministic fault schedule
                                     (loss, delay, reorder, duplicate,
                                     partition) through the pipeline and

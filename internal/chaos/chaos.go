@@ -212,9 +212,11 @@ type Config struct {
 	// Trace optionally attaches a lifecycle journal (nil = none; runs
 	// stay quiet on trace.Default).
 	Trace *trace.Journal
-	// DisableHealth turns the SLO monitor off — the unarmed control arm
-	// for asserting that monitoring is a pure observer (armed and
-	// unarmed runs must produce byte-identical summaries).
+	// DisableHealth turns the SLO monitor and the telemetry history
+	// store its windows live in off — the unarmed control arm for
+	// asserting that monitoring and retrospective recording are pure
+	// observers (armed and unarmed runs must produce byte-identical
+	// summaries).
 	DisableHealth bool
 	// Streams is the number of concurrently attached streams (default
 	// 1 — the classic single-stream run). Streams are named "chaos-1"
@@ -228,11 +230,6 @@ type Config struct {
 	// BundleDir, when set, spools captured incident bundles to disk
 	// (the chaos-smoke CI artifact).
 	BundleDir string
-	// DisableHistory turns the telemetry history store off — the
-	// unarmed control arm for asserting that retrospective recording is
-	// a pure observer (armed and unarmed runs must produce
-	// byte-identical summaries).
-	DisableHistory bool
 	// WALDir enables the durability layer (core.SystemConfig.WALDir):
 	// required for schedules with Restart faults, and asserted to be a
 	// pure observer otherwise — a run with the log on produces a
@@ -324,7 +321,7 @@ type Report struct {
 	// gates on.
 	UnbundledPages int
 	// History is the full finest-tier telemetry-history dump at run
-	// end (nil when history was disabled) — the chaos-smoke artifact
+	// end (nil when health was disabled) — the chaos-smoke artifact
 	// behind `streamkf chaos -history-out`. Never rendered by the
 	// summaries, so the byte-identity control arms stay valid.
 	History *history.DumpPayload
@@ -513,14 +510,18 @@ func Run(cfg Config) (Report, error) {
 		})
 	}
 	var mon *health.Monitor
+	var hist *history.Store
 	if !cfg.DisableHealth {
 		// Tick-driven windows one heartbeat wide: the fast span reacts
 		// within two heartbeats, the slow span confirms over eight, and
 		// hysteresis needs two clean windows — so an alert clears within
 		// ~4 windows (4× HeartbeatEvery ticks) of heal, inside the same
-		// bounded-staleness budget the recovery verdict uses.
+		// bounded-staleness budget the recovery verdict uses. The windows
+		// are the buckets of the history store's heartbeat-wide tier; its
+		// 1-tick tier is what bundles and the -history-out dump replay.
+		window := max(cfg.HeartbeatEvery, 1)
 		mon = health.NewMonitor(health.Config{
-			WindowTicks:  int(cfg.HeartbeatEvery),
+			WindowTicks:  int(window),
 			Windows:      64,
 			FastWindows:  2,
 			SlowWindows:  8,
@@ -532,24 +533,18 @@ func Run(cfg Config) (Report, error) {
 				rec.OnTransition(t) // nil-safe; captures a bundle on page
 			},
 		})
-		if rec != nil {
-			rec.AttachHealth(mon)
+		tiers := []history.Tier{{Every: 1, Len: 120}}
+		if window > 1 {
+			tiers = append(tiers, history.Tier{Every: window, Len: 64})
 		}
-	}
-	var hist *history.Store
-	var det *history.Detector
-	if !cfg.DisableHistory {
-		// The history store rides every run by default: like the
-		// recorder it is asserted to be a pure observer
-		// (TestHistoryRunByteIdentical) — it reads the registry once per
-		// Advance and changes nothing the verdict depends on.
-		det = history.NewDetector(history.DetectorConfig{Registry: reg})
-		h, herr := history.NewStore(history.Config{Registry: reg, Detector: det})
-		if herr != nil {
-			return Report{}, herr
+		h, err := history.NewStore(history.Config{Registry: reg, Tiers: tiers,
+			Detector: history.NewDetector(history.DetectorConfig{Registry: reg})})
+		if err != nil {
+			return Report{}, err
 		}
 		hist = h
 		if rec != nil {
+			rec.AttachHealth(mon)
 			rec.AttachHistory(hist)
 		}
 	}
@@ -597,13 +592,10 @@ func Run(cfg Config) (Report, error) {
 		gens[i] = stream.NewSine(cfg.Seed+7919*int64(i), 50, 10, 300, 0, 0.2, cfg.Ticks)
 	}
 
-	// Registry mirrors of the watchdog's view, maintained every tick in
-	// every arm: the monitor-side gauge track alone never lands in the
-	// registry, and the history store (hence the bundle excerpts cut
-	// from it) can only replay what the registry held. The series name
-	// matches the monitor track so an excerpt for the staleness SLO
-	// finds its ramp.
-	staleGauge := reg.Gauge("streams_stale")
+	// Per-stream mirrors of the watchdog's view, set after each tick's
+	// Observes: they put the impaired streams' own series into the
+	// bundles' history excerpts. (The streams_stale total the staleness
+	// SLO burns against is published by the system itself.)
 	streamStale := make([]*telemetry.Gauge, len(ids))
 	for i, id := range ids {
 		streamStale[i] = reg.Gauge("stream_stale", "stream", id)
@@ -612,39 +604,19 @@ func Run(cfg Config) (Report, error) {
 	if mon != nil {
 		// The staleness objective has a zero budget — any window with a
 		// stream stale pages. The δ objective burns against deltaBudget.
-		auditor := sys.Auditor()
 		wiring := []error{
-			mon.TrackGaugeFunc("streams_stale", func() float64 {
-				n := 0.0
-				for _, h := range handles {
-					if h.Stale() {
-						n++
-					}
-				}
-				return n
-			}),
-			mon.TrackCounterFunc("audit_ticks", auditor.TotalTicks),
-			mon.TrackCounterFunc("audit_delta_violations", auditor.TotalViolations),
 			mon.GaugeSLO("staleness", "streams_stale", 0, health.Thresholds{}),
-			mon.RatioSLO("delta-burn", "audit_delta_violations", "audit_ticks",
+			mon.RatioSLO("delta-burn", "audit_delta_violations_total", "audit_ticks_total",
 				deltaBudget, health.Thresholds{}),
 		}
-		if f := sys.Freshness(); f != nil {
+		if sys.Freshness() != nil {
 			// The freshness objective: p99 gate→apply latency under the
 			// bound. A healthy sim delivers within the tick (span ~0); a
 			// delay burst pushes every span to its delay in virtual
 			// milliseconds, burning the 1% budget at ~100× — the
 			// degradation envelope the delay verdict asserts.
-			wiring = append(wiring,
-				mon.TrackHistogram(freshness.SeriesE2ELatency, f.E2E()),
-				mon.LatencySLO("freshness-p99", freshness.SeriesE2ELatency, 0.99,
-					FreshnessP99Bound, health.Thresholds{}),
-			)
-		}
-		if det != nil {
-			// Before the monitor's first window closes — late tracks are
-			// rejected (see health.Monitor docs).
-			wiring = append(wiring, det.RegisterHealth(mon))
+			wiring = append(wiring, mon.LatencySLO("freshness-p99", freshness.SeriesE2ELatency, 0.99,
+				FreshnessP99Bound, health.Thresholds{}))
 		}
 		for _, err := range wiring {
 			if err != nil {
@@ -710,7 +682,6 @@ run:
 		if err := sys.Advance(); err != nil {
 			return rep, err
 		}
-		nStale := 0.0
 		for i, h := range handles {
 			p, ok := gens[i].Next()
 			if !ok {
@@ -727,13 +698,11 @@ run:
 				wasStale[i] = stale
 			}
 			if stale {
-				nStale++
 				streamStale[i].Set(1)
 			} else {
 				streamStale[i].Set(0)
 			}
 		}
-		staleGauge.Set(nStale)
 		rep.Ticks++
 	}
 

@@ -94,9 +94,9 @@ func TestBlackoutBundleEmbedsHistory(t *testing.T) {
 	}
 }
 
-// The history store must be a pure observer: a loss-free run with it
-// armed is byte-identical to the unarmed control across all three
-// summaries.
+// The history store (and the monitor reading it) must be a pure
+// observer: a loss-free run with them armed is byte-identical to the
+// unarmed control across all three summaries.
 func TestHistoryRunByteIdentical(t *testing.T) {
 	cfg := Config{Ticks: 3000, Streams: 2}
 	armed, err := Run(cfg)
@@ -104,7 +104,7 @@ func TestHistoryRunByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl := cfg
-	ctrl.DisableHistory = true
+	ctrl.DisableHealth = true
 	control, err := Run(ctrl)
 	if err != nil {
 		t.Fatal(err)

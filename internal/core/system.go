@@ -206,17 +206,19 @@ type SystemConfig struct {
 	// Telemetry receives the auditor's counters and histograms when
 	// Audit is set; nil means telemetry.Default.
 	Telemetry *telemetry.Registry
-	// Health, when non-nil, is ticked once per Advance: the monitor's
-	// rolling windows then share the system clock, which keeps chaos and
-	// test runs deterministic. Wall-clock deployments use
-	// health.Monitor.Start instead and leave this nil.
+	// Health, when non-nil, is bound to TelemetryHistory — its windows
+	// are that store's WindowTicks-wide tier, so Health without it is an
+	// error — and ticked once per Advance right after the store: alerts
+	// share the system clock, which keeps chaos and test runs
+	// deterministic.
 	Health *health.Monitor
-	// TelemetryHistory, when non-nil, is ticked once per Advance (after
-	// Health), recording multi-resolution history of every series in
-	// the telemetry registry it was built over. Wall-clock deployments
-	// use history.Store.Start instead and leave this nil. Distinct from
-	// the per-stream answer archive (EnableHistory): this is the
-	// metrics trajectory, that is the data trajectory.
+	// TelemetryHistory, when non-nil, is ticked once per Advance,
+	// recording multi-resolution history of every series in the
+	// registry it was built over (Telemetry, for the series this system
+	// publishes: just before each tick Advance sets streams_stale there
+	// from the server's watchdog verdicts). Distinct from the per-stream
+	// answer archive (EnableHistory): this is the metrics trajectory,
+	// that is the data trajectory.
 	TelemetryHistory *history.Store
 	// Diag, when non-nil, arms the flight recorder's attribution. Its
 	// corrections and bytes tables are read from the stream records
@@ -276,7 +278,9 @@ type System struct {
 	auditor *trace.Auditor
 	health  *health.Monitor
 	hist    *history.Store
-	diag    *diag.Recorder
+	// telStale is streams_stale, published for hist (nil without it).
+	telStale *telemetry.Gauge
+	diag     *diag.Recorder
 
 	// Freshness wiring (nil when SystemConfig.Freshness was unset):
 	// stamp is the shared virtual clock sources stamp with, fresh the
@@ -313,6 +317,19 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	if cfg.Audit {
 		s.auditor = trace.NewAuditor(cfg.Telemetry, tr)
+	}
+	if s.hist != nil {
+		reg := cfg.Telemetry
+		if reg == nil {
+			reg = telemetry.Default
+		}
+		s.telStale = reg.Gauge("streams_stale")
+		reg.Help("streams_stale", "streams currently silent past the watchdog deadline")
+	}
+	if s.health != nil {
+		if err := s.health.Bind(s.hist); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.Freshness {
 		s.fresh = freshness.NewRecorder(cfg.Telemetry)
@@ -509,13 +526,14 @@ func (s *System) Advance() error {
 			return err
 		}
 	}
+	if s.hist != nil {
+		// One clock: the store records the settled tick, then the
+		// monitor evaluates the windows it just closed.
+		s.telStale.Set(float64(s.srv.StaleCount()))
+		s.hist.Tick()
+	}
 	if s.health != nil {
 		s.health.Tick()
-	}
-	if s.hist != nil {
-		// After health: a bundle captured from a health transition sees
-		// history through the previous tick, never a half-recorded one.
-		s.hist.Tick()
 	}
 	return nil
 }

@@ -148,7 +148,7 @@ func (r *Recorder) capture(reason string, alert *health.Transition) Bundle {
 }
 
 // implicatedSeries names the series whose history belongs in the
-// bundle: the paging SLO's tracked series when an alert fired, or —
+// bundle: the paging SLO's series when an alert fired, or —
 // for unconditional captures — every series any declared SLO watches.
 func (r *Recorder) implicatedSeries(alert *health.Transition, snap *health.Snapshot) []string {
 	if snap == nil {

@@ -169,7 +169,7 @@ func (r *Recorder) AttachFreshness(fn func() freshness.Snapshot) {
 
 // AttachHistory points bundle capture at a telemetry history store:
 // every bundle embeds the trailing historyTail finest-tier buckets of
-// the implicated series — the paging SLO's tracked series plus the top
+// the implicated series — the paging SLO's series plus the top
 // offender streams' labeled series — so the bundle shows the ramp
 // before the cliff, not just the cliff.
 func (r *Recorder) AttachHistory(st *history.Store) {

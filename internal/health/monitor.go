@@ -1,43 +1,44 @@
-// Package health is the stream-health and SLO layer: a stdlib-only
-// rolling-window time-series engine over internal/telemetry handles,
-// plus a burn-rate SLO evaluator with multi-window alerting.
+// Package health is the stream-health and SLO layer: burn-rate
+// objectives over registry series, with multi-window alerting, evaluated
+// on the windows the telemetry history store (internal/history) already
+// keeps.
 //
 // The rest of the observability stack (telemetry counters, the trace
 // journal, the precision auditor) is cumulative: it can say how many δ
 // violations have ever happened, but not whether they are happening
 // *now*, or how fast the error budget is being spent. The Monitor
-// closes that gap. It is driven by ticks — core.System ticks it once
-// per Advance, a wire server once per wall-clock interval — and every
-// WindowTicks ticks it closes a window: each tracked counter records
-// its delta, each gauge its window maximum, each histogram its bucket
-// deltas, and every declared SLO recomputes its fast/slow burn rates
-// and steps its alert state machine (see slo.go).
+// closes that gap without a second time-series engine: its windows are
+// the buckets of the one store tier whose width is WindowTicks, bound
+// once (Bind) by the composition that ticks both — core.System per
+// Advance, kfserver per -history-interval — store first, then monitor.
+// Each time that tier has closed a new bucket, every declared SLO
+// recomputes its fast/slow burn rates and steps its alert state machine
+// (see slo.go).
 //
 // The steady-state tick path — no alert transitions — performs no
-// allocation; rings are sized at track time and evaluation is pure
-// arithmetic, so a Monitor can ride a per-tick hot loop (guarded by
+// allocation; evaluation is arithmetic over the store's rings, so a
+// Monitor can ride a per-tick hot loop (guarded by
 // TestMonitorTickZeroAlloc and BenchmarkMonitorTick).
 package health
 
 import (
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
-	"time"
 
+	"kalmanstream/internal/history"
 	"kalmanstream/internal/telemetry"
 )
 
 // Config parameterizes a Monitor. The zero value is usable: every
 // field has a default.
 type Config struct {
-	// WindowTicks is the number of Tick calls per window (default 1:
-	// every tick closes a window — the natural setting for a wall-clock
-	// driver ticking once per second).
+	// WindowTicks is the window width in store ticks (default 1): the
+	// monitor reads the store tier whose buckets are this wide.
 	WindowTicks int
-	// Windows is the ring length — how many closed windows of history
-	// each tracked series keeps (default 64).
+	// Windows is how far back the monitor looks, in windows (default
+	// 64): the burn-rate spans are clipped to it, Snapshot shows the last
+	// Windows of them, and the tier must retain at least this many.
 	Windows int
 	// FastWindows and SlowWindows are the burn-rate spans, in windows
 	// (defaults 2 and 12). The fast span reacts, the slow span confirms.
@@ -61,12 +62,8 @@ type Config struct {
 	OnTransition func(Transition)
 }
 
-const (
-	// ewmaAlpha smooths per-window counter rates.
-	ewmaAlpha = 0.3
-	// maxTransitions bounds the in-memory transition log (newest win).
-	maxTransitions = 64
-)
+// maxTransitions bounds the in-memory transition log (newest win).
+const maxTransitions = 64
 
 func (c Config) withDefaults() Config {
 	if c.WindowTicks <= 0 {
@@ -96,33 +93,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Monitor is the rolling-window health engine. Track* and *SLO calls
-// declare what to watch — before the first window closes. A series
-// registered later would contribute zero-filled ring slots to every
-// burn-rate span until its ring wrapped, silently corrupting the very
-// alerts it was meant to feed, so the Track* methods reject late
-// registration with an explicit error instead. Tick drives the engine.
-// All methods are safe for concurrent use.
+// Monitor is the burn-rate engine. *SLO calls declare what to watch, Bind
+// names the store whose tier holds the windows, and Tick evaluates. All
+// methods are safe for concurrent use.
 type Monitor struct {
 	mu  sync.Mutex
 	cfg Config
 
-	tick         int64 // total Tick calls
-	tickInWindow int
-	closed       int64 // number of closed windows
-	head         int   // ring slot of the most recent closed window
+	store *history.Store
+	tier  int
 
-	counters []*counterTrack
-	gauges   []*gaugeTrack
-	hists    []*histTrack
-	slos     []*sloState
+	// tick and closed are the store tick and tier bucket count as of the
+	// last evaluation — the clock transitions are stamped with.
+	tick   int64
+	closed int64
 
-	// Name indexes over the track slices, built at declaration time so
-	// SLO wiring and duplicate checks are O(1) instead of a linear scan
-	// over every tracked series.
-	counterIdx map[string]*counterTrack
-	gaugeIdx   map[string]*gaugeTrack
-	histIdx    map[string]*histTrack
+	slos []*sloState
 
 	// pending buffers transitions fired during the current Tick so the
 	// OnTransition hook can run after the lock is released (nil in the
@@ -133,29 +119,38 @@ type Monitor struct {
 
 	transitions []Transition // ring, newest overwrite oldest
 	transCount  int64        // total transitions ever recorded
-
-	stopOnce  sync.Once
-	startOnce sync.Once
-	stopCh    chan struct{}
-	doneCh    chan struct{}
-	interval  time.Duration
 }
 
-// NewMonitor returns a Monitor with nothing tracked yet.
+// NewMonitor returns a Monitor with no objectives and no store yet.
 func NewMonitor(cfg Config) *Monitor {
 	cfg = cfg.withDefaults()
 	m := &Monitor{
 		cfg:          cfg,
 		alertsActive: cfg.Registry.Gauge("health_alerts_active"),
 		transitions:  make([]Transition, 0, maxTransitions),
-		counterIdx:   make(map[string]*counterTrack),
-		gaugeIdx:     make(map[string]*gaugeTrack),
-		histIdx:      make(map[string]*histTrack),
-		stopCh:       make(chan struct{}),
-		doneCh:       make(chan struct{}),
 	}
 	cfg.Registry.Help("health_alerts_active", "SLO alerts currently in WARN or PAGE state")
 	return m
+}
+
+// Bind points the monitor at the store it reads: its windows are the
+// buckets of st's WindowTicks-wide tier, which must keep at least
+// Windows of them. A monitor is bound once, by whatever ticks both.
+func (m *Monitor) Bind(st *history.Store) error {
+	if st == nil {
+		return fmt.Errorf("health: the monitor reads a telemetry history store, and none is attached")
+	}
+	k, err := st.TierFor(int64(m.cfg.WindowTicks), m.cfg.Windows)
+	if err != nil {
+		return fmt.Errorf("health: %w", err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.store != nil {
+		return fmt.Errorf("health: monitor already bound to a store")
+	}
+	m.store, m.tier = st, k
+	return nil
 }
 
 // logger resolves the transition logger.
@@ -166,136 +161,15 @@ func (m *Monitor) logger() *slog.Logger {
 	return slog.Default()
 }
 
-// taken reports whether a name is already claimed by any track, via
-// the declaration-time indexes.
-func (m *Monitor) taken(name string) bool {
-	return m.counterIdx[name] != nil || m.gaugeIdx[name] != nil || m.histIdx[name] != nil
-}
-
-// checkTrackable guards the Track* paths: duplicate names are rejected,
-// and so is registration after the first window has closed — a late
-// series would evaluate against zero-filled ring slots for a full ring
-// wrap, skewing every burn rate computed over it. Caller holds mu.
-func (m *Monitor) checkTrackable(name string) error {
-	if m.taken(name) {
-		return fmt.Errorf("health: series %q already tracked", name)
-	}
-	if m.closed > 0 {
-		return fmt.Errorf("health: series %q registered after %d windows already closed; track series before the monitor's first window closes", name, m.closed)
-	}
-	return nil
-}
-
-// TrackCounter follows a telemetry counter under the given series name.
-func (m *Monitor) TrackCounter(name string, c *telemetry.Counter) error {
-	return m.trackCounter(name, c, nil)
-}
-
-// TrackCounterFunc follows a cumulative value produced by fn — the
-// bridge for counters that live outside the telemetry registry (e.g.
-// the precision auditor's cross-stream aggregates). fn must be safe for
-// concurrent use and cheap: it runs on every window close.
-func (m *Monitor) TrackCounterFunc(name string, fn func() int64) error {
-	return m.trackCounter(name, nil, fn)
-}
-
-func (m *Monitor) trackCounter(name string, c *telemetry.Counter, fn func() int64) error {
-	if c == nil && fn == nil {
-		return fmt.Errorf("health: track %q: nil source", name)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkTrackable(name); err != nil {
-		return err
-	}
-	t := &counterTrack{name: name, src: c, fn: fn, ring: make([]float64, m.cfg.Windows)}
-	t.last = t.read()
-	m.counters = append(m.counters, t)
-	m.counterIdx[name] = t
-	return nil
-}
-
-// TrackGauge follows a telemetry gauge, recording each window's
-// maximum observed value (sampled once per tick).
-func (m *Monitor) TrackGauge(name string, g *telemetry.Gauge) error {
-	return m.trackGauge(name, g, nil)
-}
-
-// TrackGaugeFunc follows an instantaneous value produced by fn, with
-// the same contract as TrackCounterFunc — except fn runs every tick
-// (window maxima need per-tick samples).
-func (m *Monitor) TrackGaugeFunc(name string, fn func() float64) error {
-	return m.trackGauge(name, nil, fn)
-}
-
-func (m *Monitor) trackGauge(name string, g *telemetry.Gauge, fn func() float64) error {
-	if g == nil && fn == nil {
-		return fmt.Errorf("health: track %q: nil source", name)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkTrackable(name); err != nil {
-		return err
-	}
-	t := &gaugeTrack{name: name, src: g, fn: fn, ring: make([]float64, m.cfg.Windows)}
-	m.gauges = append(m.gauges, t)
-	m.gaugeIdx[name] = t
-	return nil
-}
-
-// TrackHistogram follows a telemetry histogram, recording per-window
-// bucket-count deltas so windowed quantiles can be computed later.
-func (m *Monitor) TrackHistogram(name string, h *telemetry.Histogram) error {
-	if h == nil {
-		return fmt.Errorf("health: track %q: nil source", name)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.checkTrackable(name); err != nil {
-		return err
-	}
-	nb := h.NumBuckets()
-	t := &histTrack{
-		name:    name,
-		src:     h,
-		bounds:  h.Bounds(),
-		nb:      nb,
-		last:    make([]int64, nb),
-		scratch: make([]int64, nb),
-		ring:    make([]int64, nb*m.cfg.Windows),
-	}
-	h.ReadBuckets(t.last)
-	m.hists = append(m.hists, t)
-	m.histIdx[name] = t
-	return nil
-}
-
-// findCounter/findGauge/findHist resolve tracked series by name
-// through the indexes maintained at declaration time.
-func (m *Monitor) findCounter(name string) *counterTrack { return m.counterIdx[name] }
-
-func (m *Monitor) findGauge(name string) *gaugeTrack { return m.gaugeIdx[name] }
-
-func (m *Monitor) findHist(name string) *histTrack { return m.histIdx[name] }
-
 // RatioSLO declares "bad/total must stay below budget": e.g. a δ-audit
 // objective with bad = audit_delta_violations_total, total =
-// audit_ticks_total, budget = 0.01. Both series must already be
-// tracked counters.
+// audit_ticks_total, budget = 0.01. Both name registry counters.
 func (m *Monitor) RatioSLO(name, badSeries, totalSeries string, budget float64, th Thresholds) error {
 	if budget <= 0 {
 		return fmt.Errorf("health: SLO %q: ratio budget must be positive", name)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	bad, total := m.findCounter(badSeries), m.findCounter(totalSeries)
-	if bad == nil || total == nil {
-		return fmt.Errorf("health: SLO %q: untracked counter series (%q, %q)", name, badSeries, totalSeries)
-	}
-	return m.addSLO(&sloState{
-		name: name, kind: sloRatio, budget: budget, th: th.withDefaults(),
-		bad: bad, total: total,
-	})
+	return m.addSLO(&sloState{name: name, kind: sloRatio, budget: budget, th: th.withDefaults(),
+		series: []string{badSeries, totalSeries}})
 }
 
 // GaugeSLO declares "the gauge must stay at or below max": e.g.
@@ -304,45 +178,28 @@ func (m *Monitor) RatioSLO(name, badSeries, totalSeries string, budget float64, 
 // fast, so the alert severity is governed purely by how many windows
 // (fast and slow spans) have seen the condition.
 func (m *Monitor) GaugeSLO(name, series string, max float64, th Thresholds) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g := m.findGauge(series)
-	if g == nil {
-		return fmt.Errorf("health: SLO %q: untracked gauge series %q", name, series)
-	}
-	return m.addSLO(&sloState{
-		name: name, kind: sloGauge, th: th.withDefaults(),
-		g: g, gaugeMax: max,
-	})
+	return m.addSLO(&sloState{name: name, kind: sloGauge, th: th.withDefaults(),
+		series: []string{series}, gaugeMax: max})
 }
 
 // LatencySLO declares "the q-quantile must stay below bound": e.g. p99
-// wire_frame_handle_seconds < 1ms. The error budget is 1−q (a p99
-// objective tolerates 1% of events above the bound), and events above
-// the bound are counted from the histogram's buckets — for exact
-// accounting, bound should sit on a bucket edge.
+// wire_frame_handle_seconds{kind="message"} < 10ms. The error budget is
+// 1−q (a p99 objective tolerates 1% of events above the bound), and
+// events above the bound are counted from the histogram's buckets — for
+// exact accounting, bound should sit on a bucket edge; a bound past
+// every finite edge counts nothing.
 func (m *Monitor) LatencySLO(name, series string, q, bound float64, th Thresholds) error {
 	if q <= 0 || q >= 1 {
 		return fmt.Errorf("health: SLO %q: quantile %v outside (0,1)", name, q)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.findHist(series)
-	if h == nil {
-		return fmt.Errorf("health: SLO %q: untracked histogram series %q", name, series)
-	}
-	good := sort.SearchFloat64s(h.bounds, bound)
-	if good >= len(h.bounds) {
-		return fmt.Errorf("health: SLO %q: bound %v above every bucket of %q", name, bound, series)
-	}
-	return m.addSLO(&sloState{
-		name: name, kind: sloLatency, budget: 1 - q, th: th.withDefaults(),
-		h: h, quantile: q, bound: bound, goodBucket: good,
-	})
+	return m.addSLO(&sloState{name: name, kind: sloLatency, budget: 1 - q, th: th.withDefaults(),
+		series: []string{series}, bound: bound, goodBucket: -1})
 }
 
-// addSLO appends an objective; caller holds mu.
+// addSLO appends an objective under a unique name.
 func (m *Monitor) addSLO(s *sloState) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, prev := range m.slos {
 		if prev.name == s.name {
 			return fmt.Errorf("health: SLO %q already declared", s.name)
@@ -352,20 +209,14 @@ func (m *Monitor) addSLO(s *sloState) error {
 	return nil
 }
 
-// Tick advances the monitor one step: gauges sample, and every
-// WindowTicks ticks the current window closes and the SLOs re-evaluate.
-// Call it once per core.System.Advance, or once per wall-clock interval
-// via Start. The no-transition path performs no allocation.
+// Tick evaluates the SLOs if the store's tier has closed a bucket since
+// the last evaluation, and is a no-op otherwise (or while unbound). Call
+// it right after the store's Tick, from the same driver. The
+// no-transition path performs no allocation.
 func (m *Monitor) Tick() {
 	m.mu.Lock()
-	m.tick++
-	for _, g := range m.gauges {
-		g.sample()
-	}
-	m.tickInWindow++
-	if m.tickInWindow >= m.cfg.WindowTicks {
-		m.tickInWindow = 0
-		m.closeWindow()
+	if m.store != nil {
+		m.store.Read(m.tier, m.evaluate)
 	}
 	// Deliver transitions after releasing the lock so the hook may call
 	// back into the Monitor (e.g. the flight recorder snapshotting the
@@ -382,58 +233,21 @@ func (m *Monitor) Tick() {
 	}
 }
 
-// closeWindow finalizes the open window and runs the SLO evaluation.
-// Caller holds mu.
-func (m *Monitor) closeWindow() {
-	slot := int(m.closed % int64(m.cfg.Windows))
-	for _, t := range m.counters {
-		t.close(slot, m.cfg.WindowTicks)
+// evaluate runs one evaluation per newly closed bucket. Caller holds mu.
+func (m *Monitor) evaluate(v history.View) {
+	if v.Closed() == m.closed {
+		return
 	}
-	for _, t := range m.gauges {
-		t.close(slot)
-	}
-	for _, t := range m.hists {
-		t.close(slot)
-	}
-	m.closed++
-	m.head = slot
+	m.tick, m.closed = v.Tick(), v.Closed()
 	if m.closed < int64(m.cfg.FastWindows) {
 		return // not enough history to evaluate any burn rate yet
 	}
-	m.evalSLOs()
-}
-
-// span returns the effective span length, clipped to available history.
-func (m *Monitor) span(want int) int {
-	if int64(want) > m.closed {
-		return int(m.closed)
-	}
-	return want
-}
-
-// burnOver computes one objective's burn rate over the most recent n
-// closed windows. Caller holds mu.
-func (m *Monitor) burnOver(s *sloState, n int) float64 {
-	var bad, total float64
-	w := m.cfg.Windows
-	for j := 0; j < n; j++ {
-		slot := (m.head - j + w) % w
-		b, t := s.badTotal(slot)
-		bad += b
-		total += t
-	}
-	return burnRate(bad, total, s.budget)
-}
-
-// evalSLOs recomputes burn rates and steps each alert state machine.
-// Caller holds mu.
-func (m *Monitor) evalSLOs() {
 	fast := m.span(m.cfg.FastWindows)
 	slow := m.span(m.cfg.SlowWindows)
 	active := 0
 	for _, s := range m.slos {
-		s.burnFast = m.burnOver(s, fast)
-		s.burnSlow = m.burnOver(s, slow)
+		s.burnFast = burnOver(v, s, fast)
+		s.burnSlow = burnOver(v, s, slow)
 		want := s.wanted(s.burnFast, s.burnSlow)
 		switch {
 		case want > s.sev:
@@ -457,6 +271,26 @@ func (m *Monitor) evalSLOs() {
 		}
 	}
 	m.alertsActive.Set(float64(active))
+}
+
+// span returns the effective span length, clipped to available history.
+func (m *Monitor) span(want int) int {
+	if int64(want) > m.closed {
+		return int(m.closed)
+	}
+	return want
+}
+
+// burnOver computes one objective's burn rate over the most recent n
+// windows, summed newest first.
+func burnOver(v history.View, s *sloState, n int) float64 {
+	var bad, total float64
+	for j := int64(0); j < int64(n); j++ {
+		b, t := s.badTotal(v, j)
+		bad += b
+		total += t
+	}
+	return burnRate(bad, total, s.budget)
 }
 
 // transition applies one alert state change and emits it. Caller holds
@@ -524,38 +358,4 @@ func (m *Monitor) Severity() Severity {
 		}
 	}
 	return worst
-}
-
-// Start launches a wall-clock driver calling Tick every interval —
-// the mode a wire server uses, where no tick pipeline exists.
-// Idempotent; Stop shuts it down.
-func (m *Monitor) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	m.startOnce.Do(func() {
-		m.interval = interval
-		go func() {
-			defer close(m.doneCh)
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-m.stopCh:
-					return
-				case <-t.C:
-					m.Tick()
-				}
-			}
-		}()
-	})
-}
-
-// Stop halts the wall-clock driver and waits for it to exit. Safe to
-// call multiple times and without a prior Start.
-func (m *Monitor) Stop() {
-	m.stopOnce.Do(func() { close(m.stopCh) })
-	if m.interval > 0 {
-		<-m.doneCh
-	}
 }

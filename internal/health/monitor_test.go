@@ -4,143 +4,51 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
+	"kalmanstream/internal/history"
 	"kalmanstream/internal/telemetry"
 )
 
-// quiet returns a config that logs nowhere and records transitions.
-func quiet(cfg Config, sink *[]Transition) Config {
+// rig builds a monitor over reg (quiet, transitions into sink when set)
+// bound to a store whose one tier is the monitor's windows, and returns
+// the driver every composition runs: the store's tick, then the monitor's.
+func rig(t testing.TB, reg *telemetry.Registry, cfg Config, sink *[]Transition) (*Monitor, *history.Store, func()) {
+	t.Helper()
+	cfg.Registry = reg
 	cfg.Logger = slog.New(slog.DiscardHandler)
 	if sink != nil {
 		cfg.OnTransition = func(tr Transition) { *sink = append(*sink, tr) }
 	}
-	return cfg
-}
-
-// TestCounterWindows checks the rolling ring: per-window deltas, rates,
-// and the EWMA.
-func TestCounterWindows(t *testing.T) {
-	reg := telemetry.New()
-	c := reg.Counter("events_total")
-	m := NewMonitor(quiet(Config{WindowTicks: 10, Windows: 4, Registry: reg}, nil))
-	if err := m.TrackCounter("events", c); err != nil {
+	m := NewMonitor(cfg)
+	st, err := history.NewStore(history.Config{Registry: reg,
+		Tiers: []history.Tier{{Every: int64(m.cfg.WindowTicks), Len: m.cfg.Windows}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	deltas := []int64{100, 0, 50, 20, 30} // five windows; ring keeps 4
-	for _, d := range deltas {
-		c.Add(d)
-		for i := 0; i < 10; i++ {
-			m.Tick()
-		}
-	}
-	snap := m.Snapshot()
-	if snap.WindowsClosed != 5 || snap.Tick != 50 {
-		t.Fatalf("closed %d windows over %d ticks, want 5 over 50", snap.WindowsClosed, snap.Tick)
-	}
-	if len(snap.Series) != 1 || snap.Series[0].Name != "events" {
-		t.Fatalf("series = %+v", snap.Series)
-	}
-	got := snap.Series[0].Windows
-	want := []float64{0, 5, 2, 3} // rates per tick: deltas[1:]/10, oldest first
-	if len(got) != len(want) {
-		t.Fatalf("got %d windows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("window %d rate = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if snap.Series[0].EWMA <= 0 {
-		t.Errorf("EWMA = %v, want > 0", snap.Series[0].EWMA)
-	}
-}
-
-// TestGaugeWindowMax checks that a gauge spike inside a window marks
-// that window even if the gauge recovers before the close.
-func TestGaugeWindowMax(t *testing.T) {
-	reg := telemetry.New()
-	g := reg.Gauge("stale")
-	m := NewMonitor(quiet(Config{WindowTicks: 5, Windows: 4, Registry: reg}, nil))
-	if err := m.TrackGauge("stale", g); err != nil {
+	if err := m.Bind(st); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if i == 2 {
-			g.Set(3) // spike mid-window
-		}
-		if i == 3 {
-			g.Set(0) // recovered before close
-		}
-		m.Tick()
-	}
-	snap := m.Snapshot()
-	if got := snap.Series[0].Windows; len(got) != 1 || got[0] != 3 {
-		t.Fatalf("gauge window = %v, want [3]", got)
-	}
-}
-
-// TestWindowedQuantiles checks histogram windowing: quantiles reflect
-// only the fast span, not all history.
-func TestWindowedQuantiles(t *testing.T) {
-	reg := telemetry.New()
-	h := reg.Histogram("lat", []float64{1, 2, 4, 8})
-	m := NewMonitor(quiet(Config{WindowTicks: 1, Windows: 8, FastWindows: 2, Registry: reg}, nil))
-	if err := m.TrackHistogram("lat", h); err != nil {
-		t.Fatal(err)
-	}
-	// Old window: slow observations. They must age out of the fast span.
-	for i := 0; i < 100; i++ {
-		h.Observe(7)
-	}
-	m.Tick()
-	m.Tick()
-	m.Tick() // two empty windows push the slow data out of the fast span
-	for i := 0; i < 100; i++ {
-		h.Observe(0.5)
-	}
-	m.Tick()
-	snap := m.Snapshot()
-	var got SeriesSnapshot
-	for _, s := range snap.Series {
-		if s.Name == "lat" {
-			got = s
-		}
-	}
-	if got.P99 > 1 {
-		t.Errorf("windowed p99 = %v, want <= 1 (old slow data must have aged out)", got.P99)
-	}
-	if got.P50 <= 0 {
-		t.Errorf("windowed p50 = %v, want > 0", got.P50)
-	}
+	return m, st, func() { st.Tick(); m.Tick() }
 }
 
 // TestBurnRateTable drives a deterministic violation schedule through a
 // ratio SLO and asserts the exact transition sequence — multi-window
 // gating (fast alone must not trip), escalation, and hysteresis
-// de-bounce on the way down.
+// de-bounce on the way down — with the burns the rings engine computed.
 func TestBurnRateTable(t *testing.T) {
 	reg := telemetry.New()
 	bad := reg.Counter("bad_total")
 	total := reg.Counter("all_total")
 	var log []Transition
-	m := NewMonitor(quiet(Config{
-		WindowTicks: 1, Windows: 16, FastWindows: 2, SlowWindows: 4,
-		ResolveAfter: 2, Registry: reg,
-	}, &log))
-	if err := m.TrackCounter("bad", bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.TrackCounter("total", total); err != nil {
-		t.Fatal(err)
-	}
+	m, _, tick := rig(t, reg, Config{
+		WindowTicks: 1, Windows: 16, FastWindows: 2, SlowWindows: 4, ResolveAfter: 2,
+	}, &log)
 	// budget 0.05 with warn 2 / page 10: WARN at a 10% bad ratio over
 	// both spans, PAGE at 50%.
-	if err := m.RatioSLO("bad-ratio", "bad", "total", 0.05, Thresholds{WarnBurn: 2, PageBurn: 10}); err != nil {
+	if err := m.RatioSLO("bad-ratio", "bad_total", "all_total", 0.05, Thresholds{WarnBurn: 2, PageBurn: 10}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -149,21 +57,22 @@ func TestBurnRateTable(t *testing.T) {
 	for _, b := range schedule {
 		bad.Add(b)
 		total.Add(100)
-		m.Tick()
+		tick()
 	}
 
 	type step struct {
-		window int64
-		from   Severity
-		to     Severity
+		window     int64
+		from       Severity
+		to         Severity
+		fast, slow float64
 	}
 	// w4 (bad 20): fast burn 2 but slow burn 1 — multi-window gate holds.
 	// w5: fast 4, slow 2 → WARN. w7: fast 18, slow 11 → PAGE.
 	// w9, w10: want OK; hysteresis (ResolveAfter 2) resolves at w10.
 	want := []step{
-		{window: 5, from: SevOK, to: SevWarn},
-		{window: 7, from: SevWarn, to: SevPage},
-		{window: 10, from: SevPage, to: SevOK},
+		{window: 5, from: SevOK, to: SevWarn, fast: 4, slow: 2},
+		{window: 7, from: SevWarn, to: SevPage, fast: 18, slow: 11},
+		{window: 10, from: SevPage, to: SevOK, fast: 0, slow: 5},
 	}
 	if len(log) != len(want) {
 		t.Fatalf("got %d transitions %+v, want %d", len(log), log, len(want))
@@ -173,6 +82,10 @@ func TestBurnRateTable(t *testing.T) {
 		if tr.Window != w.window || tr.From != w.from || tr.To != w.to {
 			t.Errorf("transition %d = %s→%s at window %d, want %s→%s at %d",
 				i, tr.From, tr.To, tr.Window, w.from, w.to, w.window)
+		}
+		if tr.Tick != w.window || tr.BurnFast != w.fast || tr.BurnSlow != w.slow {
+			t.Errorf("transition %d at tick %d burns (%v, %v), want tick %d burns (%v, %v)",
+				i, tr.Tick, tr.BurnFast, tr.BurnSlow, w.window, w.fast, w.slow)
 		}
 	}
 	if got := reg.Gauge("health_alerts_active").Value(); got != 0 {
@@ -187,26 +100,22 @@ func TestGaugeSLOZeroBudget(t *testing.T) {
 	reg := telemetry.New()
 	g := reg.Gauge("stale")
 	var log []Transition
-	m := NewMonitor(quiet(Config{
-		WindowTicks: 1, Windows: 16, FastWindows: 2, SlowWindows: 8,
-		ResolveAfter: 2, Registry: reg,
-	}, &log))
-	if err := m.TrackGauge("stale", g); err != nil {
-		t.Fatal(err)
-	}
+	m, _, tick := rig(t, reg, Config{
+		WindowTicks: 1, Windows: 16, FastWindows: 2, SlowWindows: 8, ResolveAfter: 2,
+	}, &log)
 	if err := m.GaugeSLO("staleness", "stale", 0, Thresholds{}); err != nil {
 		t.Fatal(err)
 	}
-	m.Tick()
-	m.Tick() // two clean windows
+	tick()
+	tick() // two clean windows
 	g.Set(2)
-	m.Tick() // bad window → PAGE immediately
+	tick() // bad window → PAGE immediately
 	if len(log) != 1 || log[0].To != SevPage {
 		t.Fatalf("transitions after staleness = %+v, want one OK→PAGE", log)
 	}
 	g.Set(0)
 	for i := 0; i < 4; i++ {
-		m.Tick() // fast span clean after 2, hysteresis resolves after 2 more
+		tick() // fast span clean after 2, hysteresis resolves after 2 more
 	}
 	if len(log) != 2 || log[1].To != SevOK {
 		t.Fatalf("transitions after recovery = %+v, want PAGE→OK appended", log)
@@ -216,18 +125,39 @@ func TestGaugeSLOZeroBudget(t *testing.T) {
 	}
 }
 
+// TestGaugeWindowSpike: a gauge that spikes and recovers between two
+// window closes still marks that window — the window reads the tier
+// bucket's maximum, not the value at the close.
+func TestGaugeWindowSpike(t *testing.T) {
+	reg := telemetry.New()
+	g := reg.Gauge("stale")
+	var log []Transition
+	m, _, tick := rig(t, reg, Config{WindowTicks: 5, Windows: 4, FastWindows: 1, SlowWindows: 1}, &log)
+	if err := m.GaugeSLO("staleness", "stale", 0, Thresholds{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		g.Set(0)
+		if i == 2 {
+			g.Set(3) // spike on the third tick, gone by the fourth
+		}
+		tick()
+	}
+	if len(log) != 1 || log[0].To != SevPage || log[0].Tick != 5 {
+		t.Fatalf("transitions = %+v, want one page at the window's close (tick 5)", log)
+	}
+	if w := m.Snapshot().SLOs[0].Windows; len(w) != 1 || w[0] != 1 {
+		t.Errorf("window bad ratios = %v, want [1]", w)
+	}
+}
+
 // TestLatencySLO checks the quantile objective: a latency regression
 // past the bound fires, staying under it does not.
 func TestLatencySLO(t *testing.T) {
 	reg := telemetry.New()
 	h := reg.Histogram("lat", []float64{0.001, 0.01, 0.1, 1})
 	var log []Transition
-	m := NewMonitor(quiet(Config{
-		WindowTicks: 1, Windows: 8, FastWindows: 2, SlowWindows: 4, Registry: reg,
-	}, &log))
-	if err := m.TrackHistogram("lat", h); err != nil {
-		t.Fatal(err)
-	}
+	m, _, tick := rig(t, reg, Config{WindowTicks: 1, Windows: 8, FastWindows: 2, SlowWindows: 4}, &log)
 	// p99 < 10ms: budget 1%, so sustained 10%-slow traffic burns at 10x.
 	if err := m.LatencySLO("frame-p99", "lat", 0.99, 0.01, Thresholds{}); err != nil {
 		t.Fatal(err)
@@ -237,7 +167,7 @@ func TestLatencySLO(t *testing.T) {
 			h.Observe(0.0005)
 		}
 		h.Observe(0.05) // exactly 1% slow: burning at 1x budget, no alert
-		m.Tick()
+		tick()
 	}
 	if len(log) != 0 {
 		t.Fatalf("within-budget traffic fired %+v", log)
@@ -249,33 +179,45 @@ func TestLatencySLO(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			h.Observe(0.05) // 15% slow: burn 15 → PAGE
 		}
-		m.Tick()
+		tick()
 	}
 	if len(log) == 0 || log[len(log)-1].To != SevPage {
 		t.Fatalf("latency regression transitions = %+v, want PAGE", log)
 	}
 }
 
-// TestSLOValidation exercises declaration error paths.
-func TestSLOValidation(t *testing.T) {
+// TestSLOOnLateCounterPages: an SLO may name counters the registry has
+// not created yet. Windows closed before they exist hold no events, and
+// the first window they appear in counts everything they counted, so the
+// objective evaluates — and pages — from that window on.
+func TestSLOOnLateCounterPages(t *testing.T) {
 	reg := telemetry.New()
-	m := NewMonitor(quiet(Config{Registry: reg}, nil))
-	if err := m.RatioSLO("x", "nope", "nope", 0.1, Thresholds{}); err == nil {
-		t.Error("RatioSLO accepted untracked series")
-	}
-	if err := m.GaugeSLO("x", "nope", 0, Thresholds{}); err == nil {
-		t.Error("GaugeSLO accepted untracked series")
-	}
-	if err := m.LatencySLO("x", "nope", 0.99, 1, Thresholds{}); err == nil {
-		t.Error("LatencySLO accepted untracked series")
-	}
-	c := reg.Counter("c")
-	if err := m.TrackCounter("c", c); err != nil {
+	var log []Transition
+	m, _, tick := rig(t, reg, Config{WindowTicks: 5, Windows: 8, FastWindows: 1, SlowWindows: 2}, &log)
+	if err := m.RatioSLO("late-ratio", "late_bad_total", "late_all_total", 0.01, Thresholds{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.TrackCounter("c", c); err == nil {
-		t.Error("duplicate track accepted")
+	for i := 0; i < 4*5; i++ {
+		tick() // four windows close before the counters exist
 	}
+	bad, all := reg.Counter("late_bad_total"), reg.Counter("late_all_total")
+	for i := 0; i < 5; i++ {
+		bad.Add(50)
+		all.Add(100)
+		tick()
+	}
+	if len(log) != 1 || log[0].To != SevPage || log[0].Window != 5 || log[0].Tick != 25 {
+		t.Fatalf("transitions = %+v, want one page at window 5 (tick 25)", log)
+	}
+	if log[0].BurnFast != 50 || log[0].BurnSlow != 50 {
+		t.Errorf("burns (%v, %v), want (50, 50): every late event counted", log[0].BurnFast, log[0].BurnSlow)
+	}
+}
+
+// TestSLOValidation exercises declaration and binding error paths.
+func TestSLOValidation(t *testing.T) {
+	reg := telemetry.New()
+	m := NewMonitor(Config{Registry: reg, WindowTicks: 10, Windows: 8})
 	if err := m.RatioSLO("r", "c", "c", 0, Thresholds{}); err == nil {
 		t.Error("RatioSLO accepted zero budget")
 	}
@@ -285,60 +227,44 @@ func TestSLOValidation(t *testing.T) {
 	if err := m.RatioSLO("r", "c", "c", 0.5, Thresholds{}); err == nil {
 		t.Error("duplicate SLO accepted")
 	}
-	h := reg.Histogram("h", []float64{1, 2})
-	if err := m.TrackHistogram("h", h); err != nil {
-		t.Fatal(err)
+	if err := m.LatencySLO("lat", "h", 1, 0.1, Thresholds{}); err == nil {
+		t.Error("LatencySLO accepted quantile 1")
 	}
-	if err := m.LatencySLO("lat", "h", 0.99, 100, Thresholds{}); err == nil {
-		t.Error("LatencySLO accepted a bound above every bucket")
+	store := func(tiers ...history.Tier) *history.Store {
+		st, err := history.NewStore(history.Config{Registry: reg, Tiers: tiers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-}
-
-// TestTrackAfterWindowCloseRejected pins the late-registration contract:
-// once the monitor has closed a window, a new series would evaluate
-// against zero-filled ring slots until its ring wrapped, so Track*
-// must return a clear error instead of silently accepting it (the
-// history anomaly detector registers its track at startup and relies
-// on this error to catch misordered wiring).
-func TestTrackAfterWindowCloseRejected(t *testing.T) {
-	reg := telemetry.New()
-	m := NewMonitor(quiet(Config{Registry: reg, WindowTicks: 1}, nil))
-	if err := m.TrackCounter("early", reg.Counter("early_total")); err != nil {
-		t.Fatal(err)
+	if err := m.Bind(nil); err == nil {
+		t.Error("Bind accepted no store")
 	}
-	m.Tick() // closes the first window
-	if err := m.TrackCounter("late_c", reg.Counter("late_total")); err == nil {
-		t.Error("TrackCounter accepted a series after the first window closed")
+	if err := m.Bind(store(history.Tier{Every: 1, Len: 8}, history.Tier{Every: 5, Len: 8})); err == nil {
+		t.Error("Bind accepted a store without a 10-tick tier")
 	}
-	if err := m.TrackGaugeFunc("late_g", func() float64 { return 0 }); err == nil {
-		t.Error("TrackGaugeFunc accepted a series after the first window closed")
+	if err := m.Bind(store(history.Tier{Every: 1, Len: 8}, history.Tier{Every: 10, Len: 4})); err == nil {
+		t.Error("Bind accepted a 10-tick tier shorter than Windows")
 	}
-	if err := m.TrackHistogram("late_h", reg.Histogram("late_seconds", []float64{1})); err == nil {
-		t.Error("TrackHistogram accepted a series after the first window closed")
+	if err := m.Bind(store(history.Tier{Every: 1, Len: 8}, history.Tier{Every: 10, Len: 8})); err != nil {
+		t.Fatalf("Bind rejected a fitting tier: %v", err)
+	}
+	if err := m.Bind(store(history.Tier{Every: 10, Len: 8})); err == nil {
+		t.Error("a second Bind was accepted")
 	}
 }
 
 // TestMonitorTickZeroAlloc pins the acceptance bound: the steady-state
-// no-alert tick path — including a window close and full SLO
-// evaluation every tick — performs zero allocations.
+// no-alert driver step — the store's tick, then the monitor's window
+// evaluation over every SLO kind each tick — performs zero allocations.
 func TestMonitorTickZeroAlloc(t *testing.T) {
 	reg := telemetry.New()
 	c := reg.Counter("good_total")
 	bad := reg.Counter("bad_total")
-	g := reg.Gauge("stale")
+	reg.Gauge("stale")
 	h := reg.Histogram("lat", telemetry.LatencyBuckets)
-	m := NewMonitor(quiet(Config{WindowTicks: 1, Windows: 32, Registry: reg}, nil))
-	for name, err := range map[string]error{
-		"total": m.TrackCounter("total", c),
-		"bad":   m.TrackCounter("bad", bad),
-		"stale": m.TrackGauge("stale", g),
-		"lat":   m.TrackHistogram("lat", h),
-	} {
-		if err != nil {
-			t.Fatalf("track %s: %v", name, err)
-		}
-	}
-	if err := m.RatioSLO("ratio", "bad", "total", 0.01, Thresholds{}); err != nil {
+	m, _, tick := rig(t, reg, Config{WindowTicks: 1, Windows: 32}, nil)
+	if err := m.RatioSLO("ratio", "bad_total", "good_total", 0.01, Thresholds{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.GaugeSLO("staleness", "stale", 0, Thresholds{}); err != nil {
@@ -347,36 +273,40 @@ func TestMonitorTickZeroAlloc(t *testing.T) {
 	if err := m.LatencySLO("latency", "lat", 0.99, 0.01, Thresholds{}); err != nil {
 		t.Fatal(err)
 	}
-	avg := testing.AllocsPerRun(1000, func() {
+	step := func() {
 		c.Add(10)
+		bad.Add(0)
 		h.Observe(0.0001)
-		m.Tick()
-	})
-	if avg != 0 {
-		t.Errorf("steady-state Tick allocates %.2f per run, want 0", avg)
+		tick()
+	}
+	for i := 0; i < 4; i++ {
+		step() // the store sees every series and sizes its scratch
+	}
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Errorf("steady-state driver step allocates %.2f per run, want 0", avg)
+	}
+	if a := testing.AllocsPerRun(1000, m.Tick); a != 0 {
+		t.Errorf("a monitor Tick with no new bucket allocates %.2f, want 0", a)
 	}
 }
 
 // TestConcurrentTickObserveSnapshot hammers window advance, telemetry
 // observation, and snapshotting from separate goroutines — the -race
-// coverage for the rolling-window engine.
+// coverage for the monitor's reads of the store.
 func TestConcurrentTickObserveSnapshot(t *testing.T) {
 	reg := telemetry.New()
 	c := reg.Counter("events")
 	g := reg.Gauge("level")
 	h := reg.Histogram("lat", telemetry.LatencyBuckets)
-	m := NewMonitor(quiet(Config{WindowTicks: 4, Windows: 8, Registry: reg}, nil))
-	if err := m.TrackCounter("events", c); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.TrackGauge("level", g); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.TrackHistogram("lat", h); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RatioSLO("ratio", "events", "events", 0.5, Thresholds{}); err != nil {
-		t.Fatal(err)
+	m, _, tick := rig(t, reg, Config{WindowTicks: 4, Windows: 8}, nil)
+	for _, err := range []error{
+		m.RatioSLO("ratio", "events", "events", 0.5, Thresholds{}),
+		m.GaugeSLO("level", "level", 3, Thresholds{}),
+		m.LatencySLO("lat", "lat", 0.99, 1e-3, Thresholds{}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	const iters = 5000
@@ -398,17 +328,16 @@ func TestConcurrentTickObserveSnapshot(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			m.Tick()
+			tick()
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters/50; i++ {
-			snap := m.Snapshot()
-			for _, s := range snap.Series {
+			for _, s := range m.Snapshot().SLOs {
 				for _, v := range s.Windows {
-					if math.IsNaN(v) {
-						t.Error("NaN in window series")
+					if v < 0 || v > 1 {
+						t.Errorf("SLO %s window bad ratio %v outside [0,1]", s.Name, v)
 						return
 					}
 				}
@@ -426,10 +355,7 @@ func TestConcurrentTickObserveSnapshot(t *testing.T) {
 func TestHandlers(t *testing.T) {
 	reg := telemetry.New()
 	g := reg.Gauge("stale")
-	m := NewMonitor(quiet(Config{WindowTicks: 1, Windows: 8, FastWindows: 1, SlowWindows: 2, Registry: reg}, nil))
-	if err := m.TrackGauge("stale", g); err != nil {
-		t.Fatal(err)
-	}
+	m, _, tick := rig(t, reg, Config{WindowTicks: 1, Windows: 8, FastWindows: 1, SlowWindows: 2}, nil)
 	if err := m.GaugeSLO("staleness", "stale", 0, Thresholds{}); err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +374,7 @@ func TestHandlers(t *testing.T) {
 	}
 
 	g.Set(1)
-	m.Tick() // staleness pages
+	tick() // staleness pages
 	rec = httptest.NewRecorder()
 	ready.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
 	if rec.Code != 503 {
@@ -479,19 +405,7 @@ func TestHandlers(t *testing.T) {
 	if len(payload.Transitions) == 0 || payload.Transitions[0].ToName != "page" {
 		t.Errorf("transitions = %+v, want OK→page", payload.Transitions)
 	}
-}
-
-// TestStartStopWallClock smoke-tests the wall-clock driver.
-func TestStartStopWallClock(t *testing.T) {
-	m := NewMonitor(quiet(Config{Registry: telemetry.New()}, nil))
-	m.Start(time.Millisecond)
-	defer m.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if m.Snapshot().Tick > 0 {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	if len(payload.SLOs) != 1 || len(payload.SLOs[0].Series) != 1 || payload.SLOs[0].Series[0] != "stale" {
+		t.Errorf("SLO rows = %+v, want one naming its registry series", payload.SLOs)
 	}
-	t.Fatal("wall-clock driver never ticked")
 }

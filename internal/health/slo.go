@@ -1,5 +1,5 @@
-// The SLO evaluator: objectives over tracked windows, multi-window
-// burn rates, and the alert state machine.
+// The SLO evaluator: objectives over the store tier's windows,
+// multi-window burn rates, and the alert state machine.
 //
 // Every objective reduces to an error budget: a ratio of bad events to
 // total events the service is allowed to spend (Olston et al. frame
@@ -16,7 +16,12 @@
 
 package health
 
-import "math"
+import (
+	"math"
+	"sort"
+
+	"kalmanstream/internal/history"
+)
 
 // Severity is an alert level. Ordering is meaningful: higher is worse.
 type Severity uint8
@@ -115,14 +120,13 @@ type sloState struct {
 	budget float64 // allowed bad/total ratio; 0 means "any bad event trips"
 	th     Thresholds
 
-	// Sources, by kind.
-	bad, total *counterTrack // sloRatio
-	g          *gaugeTrack   // sloGauge
-	gaugeMax   float64       // sloGauge: window max above this is a bad window
-	h          *histTrack    // sloLatency
-	quantile   float64       // sloLatency: the promised percentile (e.g. 0.99)
-	bound      float64       // sloLatency: the promised latency at that percentile
-	goodBucket int           // sloLatency: last bucket index still within bound
+	// series names the registry series evaluated, as `name` or
+	// `name{labels}`: bad then total for sloRatio, one otherwise. The
+	// flight recorder pulls the same names' history into a bundle.
+	series     []string
+	gaugeMax   float64 // sloGauge: window max above this is a bad window
+	bound      float64 // sloLatency: the promised latency at the quantile
+	goodBucket int     // sloLatency: last bucket within bound (-1 until the series is seen)
 
 	// Alert state.
 	sev        Severity
@@ -132,42 +136,37 @@ type sloState struct {
 	burnSlow   float64
 }
 
-// seriesNames lists the tracked series this objective evaluates — bad
-// then total for ratio SLOs. Consumers (the flight recorder) use these
-// to look up the matching telemetry history for an incident bundle.
-func (s *sloState) seriesNames() []string {
+// badTotal reads the objective's bad and total event counts in the j-th
+// newest window. A series with no bucket there (not yet created) had no
+// events; a gauge window with none counts as a good window.
+func (s *sloState) badTotal(v history.View, j int64) (bad, total float64) {
+	w := v.Bucket(s.series[0], j)
 	switch s.kind {
 	case sloRatio:
-		return []string{s.bad.name, s.total.name}
+		t := v.Bucket(s.series[1], j)
+		if w != nil {
+			bad = w[0] // counter bucket: [delta]
+		}
+		if t != nil {
+			total = t[0]
+		}
+		return bad, total
 	case sloGauge:
-		return []string{s.g.name}
-	case sloLatency:
-		return []string{s.h.name}
-	}
-	return nil
-}
-
-// badTotal accumulates the objective's bad and total event counts over
-// the given closed-window slot.
-func (s *sloState) badTotal(slot int) (bad, total float64) {
-	switch s.kind {
-	case sloRatio:
-		return s.bad.ring[slot], s.total.ring[slot]
-	case sloGauge:
-		if s.g.ring[slot] > s.gaugeMax {
+		if len(w) > 2 && w[2] > s.gaugeMax { // gauge bucket: [last, min, max]
 			return 1, 1
 		}
 		return 0, 1
 	case sloLatency:
-		w := s.h.window(slot)
-		var t, b int64
-		for i, c := range w {
-			t += c
-			if i > s.goodBucket {
-				b += c
-			}
+		if len(w) < 3 {
+			return 0, 0
 		}
-		return float64(b), float64(t)
+		if s.goodBucket < 0 {
+			s.goodBucket = sort.SearchFloat64s(v.Bounds(s.series[0]), s.bound)
+		}
+		// Histogram bucket: [countΔ, sumΔ, cumulative bucketΔ…, +Inf].
+		cum := w[2:]
+		total = cum[len(cum)-1]
+		return total - cum[s.goodBucket], total
 	}
 	return 0, 0
 }

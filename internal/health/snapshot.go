@@ -4,24 +4,11 @@
 
 package health
 
-import "math"
+import (
+	"math"
 
-// SeriesSnapshot is one tracked series' windowed history, oldest first.
-type SeriesSnapshot struct {
-	Name string `json:"name"`
-	// Kind is "counter", "gauge", or "histogram".
-	Kind string `json:"kind"`
-	// Windows holds per-window aggregates oldest→newest: counter
-	// per-tick rates, gauge maxima, histogram observation counts.
-	Windows []float64 `json:"windows,omitempty"`
-	// EWMA smooths the counter rate (counters only).
-	EWMA float64 `json:"ewma,omitempty"`
-	// P50/P95/P99 are windowed quantiles over the fast span
-	// (histograms only).
-	P50 float64 `json:"p50,omitempty"`
-	P95 float64 `json:"p95,omitempty"`
-	P99 float64 `json:"p99,omitempty"`
-}
+	"kalmanstream/internal/history"
+)
 
 // SLOSnapshot is one objective's current verdict.
 type SLOSnapshot struct {
@@ -38,25 +25,26 @@ type SLOSnapshot struct {
 	BurnSlow float64 `json:"burn_slow"`
 	// SinceTick is the tick the current non-OK state began (0 when OK).
 	SinceTick int64 `json:"since_tick,omitempty"`
-	// Series names the tracked series this objective evaluates (bad then
-	// total for ratio SLOs) — the key the flight recorder uses to pull
-	// the matching telemetry history into an incident bundle.
+	// Series names the registry series this objective evaluates (bad
+	// then total for ratio SLOs), as `name` or `name{labels}` — the specs
+	// the flight recorder pulls the matching history for.
 	Series []string `json:"series,omitempty"`
 	// Windows holds the per-window bad ratio oldest→newest — the
 	// δ-violation sparkline `streamkf top` renders.
 	Windows []float64 `json:"windows,omitempty"`
 }
 
-// Snapshot is the monitor's full JSON view.
+// Snapshot is the monitor's full JSON view. Tick and WindowsClosed are
+// the store's tick and its window tier's bucket count; the series
+// themselves are served by /debug/history.
 type Snapshot struct {
-	Tick          int64            `json:"tick"`
-	WindowsClosed int64            `json:"windows_closed"`
-	WindowTicks   int              `json:"window_ticks"`
-	ActiveAlerts  int              `json:"active_alerts"`
-	Severity      string           `json:"severity"`
-	Series        []SeriesSnapshot `json:"series"`
-	SLOs          []SLOSnapshot    `json:"slos"`
-	Transitions   []Transition     `json:"transitions,omitempty"`
+	Tick          int64         `json:"tick"`
+	WindowsClosed int64         `json:"windows_closed"`
+	WindowTicks   int           `json:"window_ticks"`
+	ActiveAlerts  int           `json:"active_alerts"`
+	Severity      string        `json:"severity"`
+	SLOs          []SLOSnapshot `json:"slos"`
+	Transitions   []Transition  `json:"transitions,omitempty"`
 }
 
 // jsonBurn clamps +Inf burn rates to a large finite sentinel:
@@ -69,65 +57,17 @@ func jsonBurn(v float64) float64 {
 	return v
 }
 
-// Snapshot captures the monitor state: every tracked series' window
-// history, every SLO's burn rates and severity, and the recent
-// transition log (oldest first).
+// Snapshot captures the monitor state: every SLO's burn rates, severity
+// and last Windows windows, and the recent transition log (oldest
+// first).
 func (m *Monitor) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	n := int(m.closed)
-	if n > m.cfg.Windows {
-		n = m.cfg.Windows
-	}
-	w := m.cfg.Windows
-	// slots lists the last n closed windows oldest→newest.
-	slots := make([]int, n)
-	for j := 0; j < n; j++ {
-		slots[j] = (m.head - (n - 1 - j) + w*2) % w
-	}
-	fastSlots := slots
-	if f := m.span(m.cfg.FastWindows); f < n {
-		fastSlots = slots[n-f:]
-	}
-
-	snap := Snapshot{
-		Tick:          m.tick,
-		WindowsClosed: m.closed,
-		WindowTicks:   m.cfg.WindowTicks,
-	}
-	for _, t := range m.counters {
-		s := SeriesSnapshot{Name: t.name, Kind: "counter", EWMA: t.ewma, Windows: make([]float64, n)}
-		for j, slot := range slots {
-			s.Windows[j] = t.ring[slot] / float64(m.cfg.WindowTicks)
-		}
-		snap.Series = append(snap.Series, s)
-	}
-	for _, t := range m.gauges {
-		s := SeriesSnapshot{Name: t.name, Kind: "gauge", Windows: make([]float64, n)}
-		for j, slot := range slots {
-			s.Windows[j] = t.ring[slot]
-		}
-		snap.Series = append(snap.Series, s)
-	}
-	for _, t := range m.hists {
-		s := SeriesSnapshot{Name: t.name, Kind: "histogram", Windows: make([]float64, n)}
-		for j, slot := range slots {
-			var c int64
-			for _, v := range t.window(slot) {
-				c += v
-			}
-			s.Windows[j] = float64(c)
-		}
-		scratch := make([]int64, t.nb)
-		s.P50 = t.quantileOver(fastSlots, 0.50, scratch)
-		s.P95 = t.quantileOver(fastSlots, 0.95, scratch)
-		s.P99 = t.quantileOver(fastSlots, 0.99, scratch)
-		snap.Series = append(snap.Series, s)
-	}
+	snap := Snapshot{WindowTicks: m.cfg.WindowTicks, SLOs: make([]SLOSnapshot, len(m.slos))}
 	worst := SevOK
-	for _, s := range m.slos {
-		ss := SLOSnapshot{
+	for i, s := range m.slos {
+		snap.SLOs[i] = SLOSnapshot{
 			Name:      s.name,
 			Kind:      s.kind.String(),
 			Severity:  s.sev.String(),
@@ -135,24 +75,29 @@ func (m *Monitor) Snapshot() Snapshot {
 			BurnFast:  jsonBurn(s.burnFast),
 			BurnSlow:  jsonBurn(s.burnSlow),
 			SinceTick: s.sinceTick,
-			Series:    s.seriesNames(),
-			Windows:   make([]float64, n),
-		}
-		for j, slot := range slots {
-			bad, total := s.badTotal(slot)
-			if total > 0 {
-				ss.Windows[j] = bad / total
-			}
+			Series:    s.series,
 		}
 		if s.sev > SevOK {
 			snap.ActiveAlerts++
 		}
-		if s.sev > worst {
-			worst = s.sev
-		}
-		snap.SLOs = append(snap.SLOs, ss)
+		worst = max(worst, s.sev)
 	}
 	snap.Severity = worst.String()
+	if m.store != nil {
+		m.store.Read(m.tier, func(v history.View) {
+			snap.Tick, snap.WindowsClosed = v.Tick(), v.Closed()
+			n := min(v.Closed(), int64(m.cfg.Windows))
+			for i, s := range m.slos {
+				w := make([]float64, n)
+				for j := range w { // oldest first
+					if bad, total := s.badTotal(v, n-1-int64(j)); total > 0 {
+						w[j] = bad / total
+					}
+				}
+				snap.SLOs[i].Windows = w
+			}
+		})
+	}
 
 	// Transition log, oldest first.
 	if c := int64(len(m.transitions)); c > 0 {

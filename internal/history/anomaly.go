@@ -9,8 +9,7 @@
 // series (MAD ≈ 0) from flagging every tiny wobble as infinite z.
 //
 // Findings land in a fixed ring and on the history_anomalies_total
-// counter, which registers with the health monitor as a tracked series
-// — so `streamkf top` sparklines anomaly bursts like any other rate.
+// counter, which the store records like any other series.
 
 package history
 
@@ -20,7 +19,6 @@ import (
 	"sort"
 	"sync"
 
-	"kalmanstream/internal/health"
 	"kalmanstream/internal/telemetry"
 )
 
@@ -109,14 +107,6 @@ func NewDetector(cfg DetectorConfig) *Detector {
 	}
 	cfg.Registry.Help("history_anomalies_total", "counter buckets flagged by the robust z-score anomaly detector")
 	return d
-}
-
-// RegisterHealth tracks the anomaly counter on a health monitor, so
-// anomaly bursts ride the same windowed machinery as every other
-// series. Must run before the monitor's first window closes — the
-// monitor returns an explicit error otherwise.
-func (d *Detector) RegisterHealth(m *health.Monitor) error {
-	return m.TrackCounter("history_anomalies", d.tel)
 }
 
 // observe scores the just-closed tier-0 bucket of one counter series.

@@ -26,8 +26,8 @@ package history
 
 import (
 	"fmt"
+	"strings"
 	"sync"
-	"time"
 
 	"kalmanstream/internal/telemetry"
 )
@@ -159,9 +159,10 @@ type seriesState struct {
 }
 
 // Store records multi-resolution history for every series in a
-// registry. Tick drives it (once per core.System.Advance, or per
-// wall-clock interval via Start); Query/Dump/ExcerptFor read it. All
-// methods are safe for concurrent use.
+// registry. Tick drives it (once per core.System.Advance, or once per
+// -history-interval in kfserver); Query/Dump/ExcerptFor read it, and so
+// does the health monitor, whose burn-rate windows are one tier's
+// buckets (Read). All methods are safe for concurrent use.
 type Store struct {
 	mu  sync.Mutex
 	cfg Config
@@ -175,12 +176,6 @@ type Store struct {
 
 	telSeries  *telemetry.Gauge
 	telDropped *telemetry.Gauge
-
-	stopOnce  sync.Once
-	startOnce sync.Once
-	stopCh    chan struct{}
-	doneCh    chan struct{}
-	interval  time.Duration
 }
 
 // NewStore builds a Store over cfg.Registry. It returns an error only
@@ -196,16 +191,75 @@ func NewStore(cfg Config) (*Store, error) {
 		series:     make(map[seriesKey]*seriesState),
 		telSeries:  cfg.Registry.Gauge("history_series"),
 		telDropped: cfg.Registry.Gauge("history_series_dropped"),
-		stopCh:     make(chan struct{}),
-		doneCh:     make(chan struct{}),
 	}
 	cfg.Registry.Help("history_series", "distinct series tracked by the telemetry history store")
 	cfg.Registry.Help("history_series_dropped", "registry series not tracked because the history store hit MaxSeries")
 	return st, nil
 }
 
-// Tiers returns the store's resolution cascade.
-func (st *Store) Tiers() []Tier { return st.cfg.Tiers }
+// TierFor returns the index of the tier whose buckets are every ticks
+// wide, which must retain at least n of them.
+func (st *Store) TierFor(every int64, n int) (int, error) {
+	for k, t := range st.cfg.Tiers {
+		if t.Every != every {
+			continue
+		}
+		if t.Len < n {
+			return 0, fmt.Errorf("history: the %d-tick tier keeps %d buckets, fewer than %d", every, t.Len, n)
+		}
+		return k, nil
+	}
+	return 0, fmt.Errorf("history: no %d-tick tier in %v", every, st.cfg.Tiers)
+}
+
+// View is one tier as a windowed reader — the health monitor — sees it.
+// It is valid only inside the Read call that hands it out, which holds
+// the store lock, so every bucket read through it is of the same tick.
+type View struct {
+	st   *Store
+	tier int
+}
+
+// Read calls fn with a View of tier k.
+func (st *Store) Read(k int, fn func(View)) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	fn(View{st, k})
+}
+
+// Tick is the store tick; Closed counts the buckets the tier has closed.
+func (v View) Tick() int64   { return v.st.tick }
+func (v View) Closed() int64 { return v.st.closed[v.tier] }
+
+// Bucket returns the j-th most recent closed bucket (j = 0 newest) of the
+// series spec names — `name` or `name{labels}`, labels rendered as the
+// registry renders them — in its kind's ring layout (see gaugeStride). It
+// is nil when the series has no such bucket: it is not tracked (yet), or
+// it was created after that bucket closed.
+func (v View) Bucket(spec string, j int64) []float64 {
+	s := v.st.series[keyOf(spec)]
+	if s == nil || j >= s.rings[v.tier].avail() {
+		return nil
+	}
+	return s.rings[v.tier].bucketAt(j)
+}
+
+// Bounds returns a histogram series' finite upper bounds (nil for any
+// other or untracked series).
+func (v View) Bounds(spec string) []float64 {
+	if s := v.st.series[keyOf(spec)]; s != nil {
+		return s.bounds
+	}
+	return nil
+}
+
+// keyOf parses a series spec, `name` or `name{labels}`.
+func keyOf(spec string) seriesKey {
+	if i := strings.IndexByte(spec, '{'); i >= 0 {
+		return seriesKey{spec[:i], spec[i:]}
+	}
+	return seriesKey{spec, ""}
+}
 
 // Tick scrapes the registry, folds per-tick deltas into every tier's
 // open bucket, and closes each tier whose boundary the tick lands on.
@@ -378,38 +432,4 @@ func (s *seriesState) closeTier(k int) {
 		}
 	}
 	r.n++
-}
-
-// Start launches a wall-clock driver calling Tick every interval — the
-// mode a wire server uses, where no tick pipeline exists. Idempotent;
-// Stop shuts it down.
-func (st *Store) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	st.startOnce.Do(func() {
-		st.interval = interval
-		go func() {
-			defer close(st.doneCh)
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-st.stopCh:
-					return
-				case <-t.C:
-					st.Tick()
-				}
-			}
-		}()
-	})
-}
-
-// Stop halts the wall-clock driver and waits for it to exit. Safe to
-// call multiple times and without a prior Start.
-func (st *Store) Stop() {
-	st.stopOnce.Do(func() { close(st.stopCh) })
-	if st.interval > 0 {
-		<-st.doneCh
-	}
 }

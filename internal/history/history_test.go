@@ -2,6 +2,7 @@ package history
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -308,22 +309,27 @@ func TestConcurrentRecordQuery(t *testing.T) {
 	wg.Wait()
 }
 
+// TestExcerptMatching: a spec names one series exactly — `name` the
+// unlabeled one, `name{labels}` that label set and no other — and a
+// stream ID pulls every series labeled with it.
 func TestExcerptMatching(t *testing.T) {
 	reg := telemetry.New()
-	reg.Counter("audit_ticks_total", "stream", "s1").Inc()
+	reg.Counter("audit_ticks_total").Inc()
+	reg.Counter("audit_ticks_total", "shard", "1").Inc()
+	reg.Histogram("frame_seconds", []float64{1}, "kind", "message").Observe(0.5)
+	reg.Histogram("frame_seconds", []float64{1}, "kind", "query").Observe(0.5)
 	reg.Counter("other_total").Inc()
 	reg.Gauge("queue", "stream", "s9").Set(1)
 	st := mustStore(t, Config{Registry: reg, Tiers: []Tier{{Every: 1, Len: 8}}})
 	st.Tick()
-	// Monitor-local name "audit_ticks" must bridge to the registry's
-	// "audit_ticks_total"; stream ID "s9" must pull the labeled gauge.
-	ex := st.ExcerptFor([]string{"audit_ticks"}, []string{"s9"}, 8)
-	names := map[string]bool{}
+	ex := st.ExcerptFor([]string{"audit_ticks", "audit_ticks_total", `frame_seconds{kind="message"}`}, []string{"s9"}, 8)
+	var got []string
 	for _, s := range ex.Series {
-		names[s.Name] = true
+		got = append(got, s.Name+s.Labels)
 	}
-	if !names["audit_ticks_total"] || !names["queue"] || names["other_total"] {
-		t.Errorf("excerpt picked %v, want audit_ticks_total and queue only", names)
+	want := []string{"audit_ticks_total", `frame_seconds{kind="message"}`, `queue{stream="s9"}`}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("excerpt picked %v, want %v", got, want)
 	}
 }
 

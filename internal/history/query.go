@@ -260,16 +260,15 @@ type Excerpt struct {
 }
 
 // ExcerptFor extracts the last n finest-tier buckets of every series
-// matching one of the wanted names (exactly, or with a "_total"
-// suffix — bridging monitor-local series names like "audit_ticks" to
-// their registry counters) or labeled with one of the wanted stream
-// IDs.
-func (st *Store) ExcerptFor(names, streams []string, n int) Excerpt {
+// named by one of the specs — `name` or `name{labels}`, the form an SLO
+// names its series in, matched exactly — or labeled with one of the
+// wanted stream IDs.
+func (st *Store) ExcerptFor(specs, streams []string, n int) Excerpt {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	ex := Excerpt{Tick: st.tick}
 	for _, s := range st.order {
-		if !matchSeries(s, names, streams) {
+		if !matchSeries(s, specs, streams) {
 			continue
 		}
 		ex.Series = append(ex.Series, st.rangeOf(s, 0, n))
@@ -278,9 +277,9 @@ func (st *Store) ExcerptFor(names, streams []string, n int) Excerpt {
 	return ex
 }
 
-func matchSeries(s *seriesState, names, streams []string) bool {
-	for _, want := range names {
-		if s.name == want || s.name == want+"_total" {
+func matchSeries(s *seriesState, specs, streams []string) bool {
+	for _, spec := range specs {
+		if keyOf(spec) == (seriesKey{s.name, s.labels}) {
 			return true
 		}
 	}

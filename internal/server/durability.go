@@ -196,4 +196,5 @@ func (s *Server) Reset() {
 		sh.size.Store(0)
 		sh.mu.Unlock()
 	}
+	s.stale.Store(0)
 }

@@ -158,6 +158,9 @@ type shard struct {
 type Server struct {
 	shards []*shard
 	tr     *trace.Journal
+	// stale counts the streams the watchdog has marked, kept where the
+	// verdict is set and cleared (StaleCount).
+	stale atomic.Int64
 
 	// onStale, when set, fires once per newly-stale stream from the
 	// watchdog, under the shard lock — see SetStaleHook.
@@ -318,11 +321,14 @@ func (s *Server) register(id string, spec predictor.Spec, delta float64, adopt b
 
 // Unregister removes a stream.
 func (s *Server) Unregister(id string) error {
-	sh, _, err := s.lock(id)
+	sh, st, err := s.lock(id)
 	if err != nil {
 		return err
 	}
 	defer sh.mu.Unlock()
+	if st.stale {
+		s.stale.Add(-1)
+	}
 	delete(sh.streams, id)
 	for i, st := range sh.order {
 		if st.id == id {

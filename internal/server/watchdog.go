@@ -52,6 +52,10 @@ func (s *Server) WatchdogDeadline(id string) (int64, error) {
 	return st.wdDeadline, nil
 }
 
+// StaleCount returns how many streams the watchdog currently has marked
+// stale — the streams_stale gauge's value.
+func (s *Server) StaleCount() int64 { return s.stale.Load() }
+
 // StaleStreams returns the IDs of streams currently marked stale, in
 // unspecified order.
 func (s *Server) StaleStreams() []string {
@@ -95,6 +99,7 @@ func (s *Server) watchdogCheck(st *streamState, silent, deadline int64, unit flo
 	}
 	if !st.stale {
 		st.stale, marked = true, true
+		s.stale.Add(1)
 		if s.onStale != nil {
 			s.onStale(st.id)
 		}
@@ -136,15 +141,12 @@ type Silent struct {
 // stream not heard from for more than deadline nanoseconds before now is
 // checked, one shard-lock hold per shard. Nothing is pushed under a lock
 // (a slow peer must not stall a shard): the caller sends the requests the
-// findings name. stale counts every stream currently marked.
-func (s *Server) ScanSilent(now, deadline int64) (found []Silent, stale int) {
+// findings name.
+func (s *Server) ScanSilent(now, deadline int64) (found []Silent) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, st := range sh.order {
 			marked, request := s.watchdogCheck(st, now-st.heard, deadline, 1e-9)
-			if st.stale {
-				stale++
-			}
 			if marked || request {
 				f := Silent{ID: st.id, For: now - st.heard, Marked: marked}
 				if request {
@@ -155,7 +157,7 @@ func (s *Server) ScanSilent(now, deadline int64) (found []Silent, stale int) {
 		}
 		sh.mu.Unlock()
 	}
-	return found, stale
+	return found
 }
 
 // ReleaseOwner detaches a closing connection from the streams it owns so
@@ -181,6 +183,7 @@ func (s *Server) watchdogRecover(st *streamState) {
 		return
 	}
 	st.stale = false
+	s.stale.Add(-1)
 	st.wdLastReq = 0
 	s.watchdogEvent(st, trace.OutcomeRecovered, st.tick-1-st.lastCorr, st.wdDeadline, 1)
 }

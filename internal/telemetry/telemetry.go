@@ -248,8 +248,7 @@ func (h *Histogram) Bounds() []float64 {
 
 // ReadBuckets fills dst with the raw (non-cumulative) per-bucket counts
 // and returns it. dst must have length NumBuckets; the call performs no
-// allocation, which is what lets a rolling-window sampler diff bucket
-// counts on every tick.
+// allocation.
 func (h *Histogram) ReadBuckets(dst []int64) []int64 {
 	if len(dst) != len(h.buckets) {
 		panic(fmt.Sprintf("telemetry: ReadBuckets dst length %d, want %d", len(dst), len(h.buckets)))

@@ -53,7 +53,10 @@ func NewDurableServer(opts Options, d Durability) (*Server, error) {
 	if d.Dir == "" {
 		return nil, fmt.Errorf("wire: durability needs a directory")
 	}
-	s := NewServerWith(opts)
+	s, err := newServer(opts)
+	if err != nil {
+		return nil, err
+	}
 	log, err := wal.Open(wal.Options{Dir: d.Dir, Registry: s.reg, Logger: opts.Logger})
 	if err != nil {
 		return nil, err

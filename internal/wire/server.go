@@ -201,10 +201,11 @@ type Options struct {
 	// networked source drives its own clock, so a silent stream's tick
 	// counter does not advance and tick staleness cannot be observed.
 	StaleAfter time.Duration
-	// Health, when non-nil, receives the server's default SLOs (δ audit
-	// error ratio, staleness, frame-handle p99) via ConfigureHealth. The
-	// caller owns the monitor's clock: tick it from a System, or call
-	// Start for wall-clock windows.
+	// Health, when non-nil, receives the server's four default SLOs (δ
+	// audit error ratio, staleness, frame-handle p99, freshness p99) and
+	// is bound to History, whose tier holds its windows: Health without
+	// History is a construction error. The caller owns the one clock:
+	// tick History, then Health (kfserver does, every -history-interval).
 	Health *health.Monitor
 	// Diag, when non-nil, arms the flight recorder. Its corrections and
 	// bytes tables are pulled: the recorder is handed a walk over the
@@ -216,9 +217,8 @@ type Options struct {
 	// from the auditor, staleness marks from the wall-clock watchdog.
 	Diag *diag.Recorder
 	// History, when non-nil, is the multi-resolution telemetry history
-	// store recording this server's registry. The server only holds it
-	// for the HTTP layer (/debug/history) — the caller owns its clock,
-	// via history.Store.Start or a System tick.
+	// store recording this server's registry, served at /debug/history
+	// and read by Health. The caller ticks it.
 	History *history.Store
 }
 
@@ -228,8 +228,17 @@ func NewServer() *Server { return NewServerWith(Options{}) }
 
 // NewServerWith returns an empty wire server with explicit observability
 // wiring (tests use a private registry so assertions don't race other
-// tests sharing the default one).
+// tests sharing the default one). It panics on a Health without a
+// History to read; NewDurableServer returns that as an error.
 func NewServerWith(opts Options) *Server {
+	s, err := newServer(opts)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+func newServer(opts Options) (*Server, error) {
 	reg := opts.Metrics
 	if reg == nil {
 		reg = telemetry.Default
@@ -287,23 +296,20 @@ func NewServerWith(opts Options) *Server {
 		d.AttachStreams(core.WalkCounts)
 		s.auditor.SetViolationHook(func(id string, _ int64) { d.ObserveViolation(id) })
 	}
+	if opts.Health != nil {
+		if err := s.configureHealth(opts.Health); err != nil {
+			return nil, fmt.Errorf("wire: health wiring: %w", err)
+		}
+	}
 	if s.staleAfter > 0 {
 		go s.watchdogLoop()
 	} else {
 		close(s.watchdogDone)
 	}
-	if opts.Health != nil {
-		if err := s.ConfigureHealth(opts.Health); err != nil {
-			// Only reachable when the monitor already tracks one of the
-			// server's series names — a programming error, not a runtime
-			// condition.
-			panic(fmt.Sprintf("wire: health wiring failed: %v", err))
-		}
-	}
-	return s
+	return s, nil
 }
 
-// Default SLO parameters wired by ConfigureHealth: the audit error
+// Default SLO parameters wired by configureHealth: the audit error
 // budget (fraction of audited ticks allowed to violate δ), and the
 // frame-handle latency objective (p99 under 10ms — generous for an
 // in-memory apply, tight enough to catch lock contention or a
@@ -318,8 +324,8 @@ const (
 	DefaultFreshnessP99Bound = 2.5e-2
 )
 
-// ConfigureHealth points a monitor at the server's own signals and
-// declares the default objectives from the SLO layer:
+// configureHealth binds a monitor to the server's history store and
+// declares the four default objectives over the server's own series:
 //
 //   - audit-error-ratio: δ violations per audited tick stay under
 //     DefaultAuditErrorBudget (burn-rate alerting on the precision
@@ -327,46 +333,31 @@ const (
 //   - streams-stale: no stream sits past the watchdog deadline
 //     (zero-budget, so any stale window pages);
 //   - frame-p99: correction-frame handling p99 under
-//     DefaultFrameP99Bound seconds.
-//
-// The monitor's clock is the caller's: tick it per system tick or call
-// Start for wall-clock windows.
-func (s *Server) ConfigureHealth(m *health.Monitor) error {
-	if err := m.TrackCounterFunc("audit_ticks", s.auditor.TotalTicks); err != nil {
+//     DefaultFrameP99Bound seconds;
+//   - freshness-p99: stamped gate→apply latency p99 under
+//     DefaultFreshnessP99Bound seconds.
+func (s *Server) configureHealth(m *health.Monitor) error {
+	if err := m.Bind(s.hist); err != nil {
 		return err
 	}
-	if err := m.TrackCounterFunc("audit_delta_violations", s.auditor.TotalViolations); err != nil {
-		return err
-	}
-	if err := m.TrackGauge("streams_stale", s.telStale); err != nil {
-		return err
-	}
-	if err := m.TrackHistogram("wire_frame_handle_seconds", s.telFrame[FrameMessage]); err != nil {
-		return err
-	}
-	if err := m.RatioSLO("audit-error-ratio", "audit_delta_violations", "audit_ticks",
-		DefaultAuditErrorBudget, health.Thresholds{}); err != nil {
-		return err
-	}
-	if err := m.GaugeSLO("streams-stale", "streams_stale", 0, health.Thresholds{}); err != nil {
-		return err
-	}
-	if err := m.LatencySLO("frame-p99", "wire_frame_handle_seconds", 0.99,
-		DefaultFrameP99Bound, health.Thresholds{}); err != nil {
-		return err
-	}
-	if err := m.TrackHistogram(freshness.SeriesE2ELatency, s.fresh.E2E()); err != nil {
-		return err
-	}
-	if err := m.LatencySLO("freshness-p99", freshness.SeriesE2ELatency, 0.99,
-		DefaultFreshnessP99Bound, health.Thresholds{}); err != nil {
-		return err
+	for _, err := range []error{
+		m.RatioSLO("audit-error-ratio", "audit_delta_violations_total", "audit_ticks_total",
+			DefaultAuditErrorBudget, health.Thresholds{}),
+		m.GaugeSLO("streams-stale", "streams_stale", 0, health.Thresholds{}),
+		m.LatencySLO("frame-p99", `wire_frame_handle_seconds{kind="message"}`, 0.99,
+			DefaultFrameP99Bound, health.Thresholds{}),
+		m.LatencySLO("freshness-p99", freshness.SeriesE2ELatency, 0.99,
+			DefaultFreshnessP99Bound, health.Thresholds{}),
+	} {
+		if err != nil {
+			return err
+		}
 	}
 	s.monitor = m
 	return nil
 }
 
-// Health returns the monitor wired by ConfigureHealth (nil when health
+// Health returns the monitor passed via Options.Health (nil when health
 // is off).
 func (s *Server) Health() *health.Monitor { return s.monitor }
 
@@ -423,8 +414,8 @@ func (s *Server) watchdogLoop() {
 // requests pushed to the owning connections, again every deadline while
 // the silence lasts.
 func (s *Server) scanStale() {
-	found, stale := s.srv.ScanSilent(s.clock(), int64(s.staleAfter))
-	s.telStale.Set(float64(stale))
+	found := s.srv.ScanSilent(s.clock(), int64(s.staleAfter))
+	s.telStale.Set(float64(s.srv.StaleCount()))
 	for _, f := range found {
 		if f.Marked {
 			s.telStaleTotal.Inc()
