@@ -23,7 +23,7 @@ BENCH_MAXREGRESS ?= 10
 # of non-test Go outside bench/) exceeds this. A PR that spends lines on
 # purpose raises it in its own diff, where a reviewer sees it; a PR that
 # deletes lowers it to where it lands.
-LOC_MAX ?= 22217
+LOC_MAX ?= 22161
 LOC_TOTAL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 # The same ratchet on the observability six — ROADMAP's "consolidating
 # engines" aim, whose target is ≤ 4,400.
@@ -40,17 +40,23 @@ vet:
 # lint is the exact command CI's lint job runs. staticcheck and
 # govulncheck are optional locally — the target skips (with a notice)
 # any tool not on PATH, so a stock Go toolchain can still run
-# `make lint` and CI, which installs both, gets the full set. Three
+# `make lint` and CI, which installs both, gets the full set. Four
 # checks need no tool: everything outside the frozen bench/ is
 # gofmt-clean; internal/harness drives core.System only — importing a
 # layer below it is how a hand-rolled source+link+server loop grows
 # back; and internal/history never imports internal/health — the monitor
 # reads the store, so a store that tracks health is a second engine
-# growing back.
+# growing back. And core.NewNode is the one composition of the protocol
+# node: outside internal/core (and tests and bench/) no code builds a
+# server.Server, opens or recovers a WAL, installs the durability hooks,
+# binds a monitor or cross-attaches the flight recorder — each such call
+# is a second composition starting.
 lint: vet
 	@fmt="$$(gofmt -l . | grep -v '^bench/')"; if [ -n "$$fmt" ]; then echo "lint: gofmt -l lists:"; echo "$$fmt"; exit 1; fi
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/harness | grep -E 'internal/(server|netsim|source|resource)$$'
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/history | grep -E 'internal/health$$'
+	@! grep -rnE --include='*.go' 'server\.New\(\)|wal\.Open\(|\.Recover\(|Set(Apply|Register)Hook\(|\.Bind\(|\.Attach(Streams|Health|History|Freshness)\(' . \
+		| grep -vE '^\./(bench|internal/core|\.bench_build)/|_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*(//|func )'
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -51,9 +51,11 @@
 // at -history-interval, serves range queries and anomaly findings at
 // /debug/history (rendered by `streamkf graph` and the `streamkf top`
 // history pane), and embeds the trailing history of the implicated
-// series in every incident bundle. One ticker drives both layers: each
-// -history-interval the store records, then the monitor evaluates the
-// windows it closed (with -history-interval 0 neither runs).
+// series in every incident bundle. One ticker drives every duty: the
+// server's one wall-clock goroutine runs the watchdog scan, the WAL sync
+// and checkpoint cadences, and — each -history-interval — the store's
+// recording, then the monitor's evaluation of the windows it closed
+// (with -history-interval 0 neither of those two runs).
 //
 // Durability: with -wal-dir the server appends every applied message
 // to a write-ahead log (internal/wal) in that directory, group-committed
@@ -147,6 +149,7 @@ func run(args []string, listening func(net.Listener)) error {
 	if err != nil {
 		return fmt.Errorf("listen on %s: %w", *addr, err)
 	}
+	defer l.Close() // for the early returns; Serve returns once it is closed
 	journal := trace.NewJournal(trace.DefaultShards, *traceCap)
 	journal.SetEnabled(*traceOn)
 
@@ -192,17 +195,16 @@ func run(args []string, listening func(net.Listener)) error {
 			Logger:       logger.With("component", "health"),
 			OnTransition: rec.OnTransition,
 		})
-		rec.AttachHealth(mon)
-		rec.AttachHistory(hist)
 	}
 	opts := wire.Options{
-		Logger:     logger,
-		Metrics:    telemetry.Default,
-		Trace:      journal,
-		StaleAfter: *staleAfter,
-		Health:     mon,
-		Diag:       rec,
-		History:    hist,
+		Logger:       logger,
+		Metrics:      telemetry.Default,
+		Trace:        journal,
+		StaleAfter:   *staleAfter,
+		Health:       mon,
+		Diag:         rec,
+		History:      hist,
+		HistoryEvery: *historyInterval,
 	}
 	var srv *wire.Server
 	if *walDir != "" {
@@ -224,23 +226,23 @@ func run(args []string, listening func(net.Listener)) error {
 	} else {
 		srv = wire.NewServerWith(opts)
 	}
-	// Close stops the watchdog and, when durable, the flusher — with a
-	// final sync so a graceful shutdown loses nothing.
+	// Close stops the server's one clock — the goroutine that runs the
+	// watchdog scan, the WAL sync and checkpoint cadences, and the history
+	// and monitor ticks — with a final sync so a graceful shutdown loses
+	// nothing.
 	defer srv.Close()
-	if rec != nil {
-		// Incident bundles carry the latency table and worst-exemplar trace.
-		rec.AttachFreshness(func() freshness.Snapshot {
-			return srv.Freshness().SnapshotNow(srv.ConnSkews)
-		})
-	}
-	if hist != nil {
-		defer tickEvery(*historyInterval, hist, mon)()
-	}
 	logger.Info("listening", "addr", l.Addr().String(), "trace", *traceOn,
 		"stale-after", staleAfter.String(), "health", mon != nil)
 
 	if *httpAddr != "" {
-		go serveHTTP(*httpAddr, srv, logger)
+		hs := &http.Server{Addr: *httpAddr, Handler: httpMux(srv, mon, rec, hist, logger)}
+		defer hs.Close()
+		go func() {
+			logger.Info("http listening", "addr", *httpAddr)
+			if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+				logger.Error("http serve failed", "addr", *httpAddr, "err", err)
+			}
+		}()
 	}
 
 	if listening != nil {
@@ -252,38 +254,13 @@ func run(args []string, listening func(net.Listener)) error {
 	return nil
 }
 
-// tickEvery is the server's one observability clock: every interval the
-// history store records the registry, then the monitor evaluates the
-// windows that recording closed. It returns the stop function.
-func tickEvery(interval time.Duration, hist *history.Store, mon *health.Monitor) (stop func()) {
-	t := time.NewTicker(interval)
-	done, exited := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(exited)
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				hist.Tick()
-				mon.Tick()
-			}
-		}
-	}()
-	return func() {
-		t.Stop()
-		close(done)
-		<-exited
-	}
-}
-
-// serveHTTP exposes the registry at /metrics (Prometheus text) and
+// httpMux exposes the registry at /metrics (Prometheus text) and
 // /debug/vars (JSON), the lifecycle journal and precision audit at
 // /debug/trace, the Go runtime profiles at /debug/pprof/, and — when
 // the SLO monitor is running — /healthz, /readyz, and /debug/health.
 // Exposition failures mid-write are connection errors, not server
 // state; they are logged and the connection dropped.
-func serveHTTP(addr string, srv *wire.Server, logger *slog.Logger) {
+func httpMux(srv *wire.Server, mon *health.Monitor, rec *diag.Recorder, hist *history.Store, logger *slog.Logger) http.Handler {
 	reg := srv.Registry()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -300,16 +277,16 @@ func serveHTTP(addr string, srv *wire.Server, logger *slog.Logger) {
 	})
 	mux.Handle("/debug/trace", trace.Handler(srv.Trace(), srv.Auditor()))
 	mux.Handle("/debug/latency", freshness.Handler(srv.Freshness(), srv.ConnSkews))
-	if mon := srv.Health(); mon != nil {
+	if mon != nil {
 		mux.Handle("/healthz", health.LivenessHandler())
 		mux.Handle("/readyz", health.ReadyHandler(mon))
 		mux.Handle("/debug/health", health.Handler(mon, srv.HealthStreams))
 	}
-	if rec := srv.Diag(); rec != nil {
+	if rec != nil {
 		mux.Handle("/debug/bundle", diag.BundleHandler(rec))
 		mux.Handle("/debug/top", diag.TopHandler(rec))
 	}
-	if hist := srv.HistoryStore(); hist != nil {
+	if hist != nil {
 		mux.Handle("/debug/history", history.Handler(hist))
 	}
 	mux.Handle("/debug/pprof/delta", diag.DeltaHandler())
@@ -320,8 +297,5 @@ func serveHTTP(addr string, srv *wire.Server, logger *slog.Logger) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	logger.Info("http listening", "addr", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		logger.Error("http serve failed", "addr", addr, "err", err)
-	}
+	return mux
 }

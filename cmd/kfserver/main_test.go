@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"net"
 	"net/http"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -23,17 +26,7 @@ import (
 // the server's own metrics (reachable over the wire without HTTP) account
 // for it, and closing the listener shuts the server down cleanly.
 func TestServeWithoutHTTP(t *testing.T) {
-	listening := make(chan net.Listener, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0"}, func(l net.Listener) { listening <- l })
-	}()
-	var l net.Listener
-	select {
-	case l = <-listening:
-	case err := <-done:
-		t.Fatalf("server exited before listening: %v", err)
-	}
+	l, done := serve(t, "-addr", "127.0.0.1:0")
 
 	c, err := wire.Dial(l.Addr().String())
 	if err != nil {
@@ -99,18 +92,7 @@ func TestServeHTTPHealthOnHistoryClock(t *testing.T) {
 	// next test (TestServeWithoutHTTP asserts no diag_ series).
 	defer telemetry.Default.Reset()
 
-	listening := make(chan net.Listener, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-http", httpAddr, "-history-interval", "10ms"},
-			func(l net.Listener) { listening <- l })
-	}()
-	var l net.Listener
-	select {
-	case l = <-listening:
-	case err := <-done:
-		t.Fatalf("server exited before listening: %v", err)
-	}
+	l, done := serve(t, "-addr", "127.0.0.1:0", "-http", httpAddr, "-history-interval", "10ms")
 	defer func() {
 		l.Close()
 		if err := <-done; err != nil {
@@ -168,5 +150,119 @@ func TestServeHTTPHealthOnHistoryClock(t *testing.T) {
 	}
 	if payload.WindowTicks != 60 || !found {
 		t.Errorf("monitor windows are %d ticks; history tiers %+v", payload.WindowTicks, dump.Tiers)
+	}
+}
+
+// serve starts run with args on a goroutine and returns the bound
+// listener — closing it stops the server — and run's result.
+func serve(t *testing.T, args ...string) (net.Listener, <-chan error) {
+	t.Helper()
+	listening := make(chan net.Listener, 1)
+	done := make(chan error, 1)
+	go func() { done <- run(args, func(l net.Listener) { listening <- l }) }()
+	select {
+	case l := <-listening:
+		return l, done
+	case err := <-done:
+		t.Fatalf("server exited before listening: %v", err)
+		return nil, nil
+	}
+}
+
+// eventually polls cond every 10ms for up to 10s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within 10s", what)
+		}
+	}
+}
+
+// TestServeDurableOneClock runs the deployed flag set — WAL, checkpoints,
+// the watchdog, -http on a 10ms history clock — and sees every duty the
+// server's one goroutine runs land: a checkpoint on disk, streams_stale 1
+// once the stream falls silent, a closed health window. Closing the
+// listener returns run with no goroutine left, and a second run on the
+// same directory answers from the recovered replica bit for bit.
+func TestServeDurableOneClock(t *testing.T) {
+	defer telemetry.Default.Reset()
+	hl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpAddr := hl.Addr().String()
+	hl.Close()
+	dir := t.TempDir()
+	args := []string{"-addr", "127.0.0.1:0", "-wal-dir", dir, "-wal-flush", "10ms",
+		"-checkpoint-every", "50ms", "-stale-after", "100ms", "-http", httpAddr, "-history-interval", "10ms"}
+	web := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	base := runtime.NumGoroutine()
+
+	l, done := serve(t, args...)
+	c, err := wire.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}}
+	if err := c.Register("s", spec, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	for tick, v := range []float64{1, 2.5} {
+		if err := c.SendCorrection(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: int64(tick), Value: []float64{v}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := c.Query("s", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "checkpoint on disk", func() bool {
+		ckpts, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+		return len(ckpts) > 0
+	})
+	eventually(t, "streams_stale 1 in the metrics frame", func() bool {
+		text, err := c.Metrics()
+		return err == nil && strings.Contains(text, "\nstreams_stale 1\n")
+	})
+	eventually(t, "a closed health window", func() bool {
+		resp, err := web.Get("http://" + httpAddr + "/debug/health")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var payload health.DebugPayload
+		return json.NewDecoder(resp.Body).Decode(&payload) == nil && payload.WindowsClosed >= 1
+	})
+	c.Close()
+	l.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	eventually(t, "goroutines back to where they started", func() bool { return runtime.NumGoroutine() <= base })
+
+	l, done = serve(t, args...)
+	defer func() {
+		l.Close()
+		if err := <-done; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	c, err = wire.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := c.Query("s", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := got.Bound == want.Bound && len(got.Estimate) == len(want.Estimate)
+	for i := range got.Estimate {
+		same = same && math.Float64bits(got.Estimate[i]) == math.Float64bits(want.Estimate[i])
+	}
+	if !same {
+		t.Errorf("recovered answer %+v, before the restart %+v", got, want)
 	}
 }

@@ -543,11 +543,9 @@ func Run(cfg Config) (Report, error) {
 			return Report{}, err
 		}
 		hist = h
-		if rec != nil {
-			rec.AttachHealth(mon)
-			rec.AttachHistory(hist)
-		}
 	}
+	// The system's node binds the monitor to the store and points the
+	// recorder's bundles at both and at the latency table.
 	sys, err := core.NewSystem(core.SystemConfig{
 		Trace:                tr,
 		Audit:                true,
@@ -561,13 +559,6 @@ func Run(cfg Config) (Report, error) {
 	})
 	if err != nil {
 		return Report{}, err
-	}
-	if rec != nil {
-		if f := sys.Freshness(); f != nil {
-			// Bundles captured mid-burst then carry the latency table and
-			// the worst exemplar's resolved trace chain.
-			rec.AttachFreshness(func() freshness.Snapshot { return f.SnapshotNow(nil) })
-		}
 	}
 	ids := streamIDs(cfg.Streams)
 	handles := make([]*core.StreamHandle, len(ids))

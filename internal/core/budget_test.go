@@ -22,7 +22,7 @@ func e8Sweep(t *testing.T, alloc resource.Allocator, budget float64, ticks, seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.coord, err = resource.NewCoordinator(alloc, sys.srv, resource.CoordinatorConfig{BudgetPerTick: budget, Period: 500})
+	sys.node.coord, err = resource.NewCoordinator(alloc, sys.node.srv, resource.CoordinatorConfig{BudgetPerTick: budget, Period: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

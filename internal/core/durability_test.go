@@ -59,3 +59,30 @@ func TestRestartServerKeepsHistoryEnabled(t *testing.T) {
 		t.Fatal("pre-crash tick archived by recovery replay")
 	}
 }
+
+// TestRestartKeepsNorm: the node logs a registration once, through the
+// server's register hook, with the gate norm in it — so a restart that
+// replays the log (no checkpoint yet) rebuilds the stream on the same
+// geometry the spatial queries rely on.
+func TestRestartKeepsNorm(t *testing.T) {
+	sys, err := NewSystem(SystemConfig{WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Attach(StreamConfig{ID: "car", Predictor: StaticCache(2), Delta: 1, DeviationNorm: NormL2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Advance(); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := sys.RestartServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.RecordsReplayed != 1 || stats.CheckpointStreams != 0 {
+		t.Fatalf("recovery %+v, want the one register record replayed", stats)
+	}
+	if info, err := sys.Info("car"); err != nil || info.Norm != NormL2 {
+		t.Fatalf("recovered norm %v (err %v), want L2", info.Norm, err)
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/telemetry"
 	"kalmanstream/internal/trace"
-	"kalmanstream/internal/wal"
 )
 
 // PredictorSpec describes the replicated prediction procedure for a
@@ -206,47 +205,35 @@ type SystemConfig struct {
 	// Telemetry receives the auditor's counters and histograms when
 	// Audit is set; nil means telemetry.Default.
 	Telemetry *telemetry.Registry
-	// Health, when non-nil, is bound to TelemetryHistory — its windows
-	// are that store's WindowTicks-wide tier, so Health without it is an
-	// error — and ticked once per Advance right after the store: alerts
-	// share the system clock, which keeps chaos and test runs
-	// deterministic.
-	Health *health.Monitor
-	// TelemetryHistory, when non-nil, is ticked once per Advance,
-	// recording multi-resolution history of every series in the
-	// registry it was built over (Telemetry, for the series this system
-	// publishes: just before each tick Advance sets streams_stale there
-	// from the server's watchdog verdicts). Distinct from the per-stream
-	// answer archive (EnableHistory): this is the metrics trajectory,
-	// that is the data trajectory.
+	// TelemetryHistory, when non-nil, records every series of the
+	// registry it was built over once per Advance (Telemetry's, for this
+	// system's own: streams_stale is set from the watchdog's verdicts just
+	// before), and then Health, bound to its WindowTicks-wide tier, is
+	// ticked: alerts share the system clock, which keeps chaos and test
+	// runs deterministic. Health without it is an error. This is the
+	// metrics trajectory; EnableHistory's answer archive is the data one.
+	Health           *health.Monitor
 	TelemetryHistory *history.Store
-	// Diag, when non-nil, arms the flight recorder's attribution. Its
-	// corrections and bytes tables are read from the stream records
-	// when a bundle or Top asks (diag.Recorder.AttachStreams), so the
-	// apply path feeds nothing; δ violations from the auditor and
-	// staleness marks from the watchdog, which have no record to read,
-	// are pushed into its top-k sketches, non-blocking and
-	// allocation-free. An armed recorder leaves the tick pipeline's
-	// performance and results untouched.
+	// Diag, when non-nil, arms the flight recorder (NodeConfig.Diag); it
+	// leaves the tick pipeline's performance and results untouched.
 	Diag *diag.Recorder
-	// WALDir enables the durability layer: every applied message is
-	// appended to a write-ahead log in this directory and synced at each
-	// tick boundary, so the server half of the system can be killed and
-	// rebuilt mid-run (System.RestartServer) with byte-identical state.
-	// Empty leaves durability off.
+	// WALDir enables the durability layer: every registration and applied
+	// message is appended to a write-ahead log in this directory (recovered
+	// at construction) and synced at each tick boundary, so the server half
+	// of the system can be killed and rebuilt mid-run
+	// (System.RestartServer) with byte-identical state. Empty leaves
+	// durability off.
 	WALDir string
 	// CheckpointEveryTicks writes a predictor-snapshot checkpoint (and
 	// prunes the covered log prefix) every N ticks during Advance
 	// (0 = never; CheckpointWAL can still be called explicitly).
 	CheckpointEveryTicks int64
 	// Freshness arms end-to-end latency spans inside the simulation:
-	// every shipped message is stamped at the gate with a deterministic
+	// every shipped message is stamped at the gate on a deterministic
 	// virtual clock (tick × FreshnessTickPeriod) and the span closes at
-	// replica apply, landing in wire_e2e_latency_seconds on the Telemetry
-	// registry with the correction's trace and stream identity as bucket
-	// exemplars. A chaos link delay of d ticks therefore produces an
-	// exact, reproducible latency envelope of about d ms. No clock skew
-	// exists in-process, so no skew correction applies.
+	// replica apply, in wire_e2e_latency_seconds on Telemetry with trace
+	// and stream exemplars — so a chaos link delay of d ticks is an exact,
+	// reproducible latency of about d ms.
 	Freshness bool
 }
 
@@ -257,41 +244,23 @@ type SystemConfig struct {
 // the delay magnitudes chaos injects.
 const FreshnessTickPeriod = time.Millisecond
 
-// System is a stream resource manager: the server-side replica cache plus
-// the attached sources, driven by a shared tick clock. The driving
-// protocol is one Advance per tick followed by that tick's Observe calls;
-// Advance and Attach must come from a single goroutine, while Observe (on
-// distinct streams), queries, and Subscribe may run concurrently between
-// Advances — the replica cache is lock-striped and all counters are
-// atomic.
+// System is a stream resource manager: the protocol node (the server-side
+// replica cache and everything that hangs off it) plus the attached
+// sources and their netsim links, driven by a shared tick clock. The
+// driving protocol is one Advance per tick followed by that tick's Observe
+// calls; Advance and Attach must come from a single goroutine, while
+// Observe (on distinct streams), queries, and Subscribe may run
+// concurrently between Advances — the replica cache is lock-striped and
+// all counters are atomic.
 type System struct {
-	srv     *server.Server
-	eng     *query.Engine
-	coord   *resource.Coordinator
-	subs    *query.Subscriptions
+	node    *Node
 	handles map[string]*StreamHandle
 	// order holds handles in attach order, the order links tick in.
 	order []*StreamHandle
 	tick  atomic.Int64
-
-	tr      *trace.Journal
-	auditor *trace.Auditor
-	health  *health.Monitor
-	hist    *history.Store
-	// telStale is streams_stale, published for hist (nil without it).
-	telStale *telemetry.Gauge
-	diag     *diag.Recorder
-
-	// Freshness wiring (nil when SystemConfig.Freshness was unset):
-	// stamp is the shared virtual clock sources stamp with, fresh the
-	// recorder closing spans at apply.
-	fresh *freshness.Recorder
+	// stamp is the virtual clock sources stamp with under
+	// SystemConfig.Freshness (nil without it).
 	stamp freshness.Clock
-
-	// Durability wiring (nil/zero when SystemConfig.WALDir was unset).
-	walLog       *wal.Log
-	walOpts      wal.Options // kept to reopen the directory in RestartServer
-	walCkptEvery int64
 }
 
 // Predicate is a continuous range condition on a stream.
@@ -300,74 +269,20 @@ type Predicate = query.Predicate
 // Event reports a predicate's truth-state transition.
 type Event = query.Event
 
-// NewSystem constructs a System.
+// NewSystem constructs a System: its node, on the tick clock.
 func NewSystem(cfg SystemConfig) (*System, error) {
-	srv := server.New()
-	tr := cfg.Trace
-	if tr == nil {
-		tr = trace.Default
+	node, err := NewNode(NodeConfig{
+		Telemetry: cfg.Telemetry, Trace: cfg.Trace, Audit: cfg.Audit, Freshness: cfg.Freshness,
+		History: cfg.TelemetryHistory, HistoryEvery: 1, Health: cfg.Health, Diag: cfg.Diag,
+		WALDir: cfg.WALDir, CheckpointEvery: cfg.CheckpointEveryTicks,
+		BudgetPerTick: cfg.BudgetPerTick, Allocator: cfg.Allocator, AllocPeriod: cfg.AllocPeriod,
+	})
+	if err != nil {
+		return nil, err
 	}
-	srv.SetTrace(tr)
-	s := &System{
-		srv:     srv,
-		handles: make(map[string]*StreamHandle),
-		tr:      tr,
-		health:  cfg.Health,
-		hist:    cfg.TelemetryHistory,
-	}
-	if cfg.Audit {
-		s.auditor = trace.NewAuditor(cfg.Telemetry, tr)
-	}
-	if s.hist != nil {
-		reg := cfg.Telemetry
-		if reg == nil {
-			reg = telemetry.Default
-		}
-		s.telStale = reg.Gauge("streams_stale")
-		reg.Help("streams_stale", "streams currently silent past the watchdog deadline")
-	}
-	if s.health != nil {
-		if err := s.health.Bind(s.hist); err != nil {
-			return nil, err
-		}
-	}
+	s := &System{node: node, handles: make(map[string]*StreamHandle)}
 	if cfg.Freshness {
-		s.fresh = freshness.NewRecorder(cfg.Telemetry)
 		s.stamp = freshness.TickClock(&s.tick, FreshnessTickPeriod)
-	}
-	if cfg.Diag != nil {
-		s.diag = cfg.Diag
-		s.diag.AttachStreams(srv.WalkCounts)
-		srv.SetStaleHook(s.diag.ObserveStale)
-		if s.auditor != nil {
-			d := s.diag
-			s.auditor.SetViolationHook(func(id string, _ int64) { d.ObserveViolation(id) })
-		}
-	}
-	if cfg.WALDir != "" {
-		if err := s.openWAL(cfg); err != nil {
-			return nil, err
-		}
-	}
-	s.eng = query.New(s.srv)
-	s.subs = s.eng.NewSubscriptions()
-	if cfg.BudgetPerTick > 0 {
-		name := cfg.Allocator
-		if name == "" {
-			name = "water-filling"
-		}
-		alloc, err := resource.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		coord, err := resource.NewCoordinator(alloc, s.srv, resource.CoordinatorConfig{
-			BudgetPerTick: cfg.BudgetPerTick,
-			Period:        cfg.AllocPeriod,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.coord = coord
 	}
 	return s, nil
 }
@@ -388,23 +303,26 @@ type StreamHandle struct {
 	histCap    int
 }
 
-// Attach registers a stream and returns its source-side handle.
+// Attach registers a stream and returns its source-side handle. With a
+// write-ahead log the registration, gate norm included, is logged before
+// the stream becomes visible.
 func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
-	if err := s.srv.Register(cfg.ID, cfg.Predictor, cfg.Delta); err != nil {
+	n := s.node
+	if err := n.srv.RegisterNorm(cfg.ID, cfg.Predictor, cfg.Delta, cfg.DeviationNorm); err != nil {
 		return nil, err
 	}
 	// recv is the terminal receiver: replica apply plus the latency
 	// span. A delivery failure is a protocol bug, surfaced by panic
 	// rather than silently corrupting the replica.
 	recv := func(m *netsim.Message) {
-		if err := s.srv.Apply(m); err != nil {
+		if err := n.srv.Apply(m); err != nil {
 			panic(fmt.Sprintf("core: replica apply failed: %v", err))
 		}
-		if s.fresh != nil && m.Stamp != 0 && m.Kind != netsim.KindHeartbeat {
+		if n.fresh != nil && m.Stamp != 0 && m.Kind != netsim.KindHeartbeat {
 			// Close the gate→apply span on the same virtual clock the
 			// stamp was read from: a delayed link shows up as exactly its
 			// delay, deterministically.
-			s.fresh.RecordE2E(freshness.E2ESeconds(m.Stamp, s.stamp(), 0), m.Trace, m.StreamID)
+			n.fresh.RecordE2E(freshness.E2ESeconds(m.Stamp, s.stamp(), 0), m.Trace, m.StreamID)
 		}
 		// The replica copied what it keeps; recycle the pooled message.
 		netsim.PutMessage(m)
@@ -413,7 +331,7 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 		DelayTicks: cfg.LinkDelayTicks,
 		DropProb:   cfg.LinkDropProb,
 		Seed:       cfg.LinkSeed,
-		Trace:      s.tr,
+		Trace:      n.tr,
 	})
 	src, err := source.New(source.Config{
 		StreamID:       cfg.ID,
@@ -422,15 +340,11 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 		DeviationNorm:  cfg.DeviationNorm,
 		HeartbeatEvery: cfg.HeartbeatEvery,
 		ResyncEvery:    cfg.ResyncEvery,
-		Trace:          s.tr,
+		Trace:          n.tr,
 		Stamp:          s.stamp,
 	}, link.Send)
 	if err != nil {
-		_ = s.srv.Unregister(cfg.ID)
-		return nil, err
-	}
-	if err := s.srv.SetNorm(cfg.ID, cfg.DeviationNorm); err != nil {
-		_ = s.srv.Unregister(cfg.ID)
+		_ = n.srv.Unregister(cfg.ID)
 		return nil, err
 	}
 	h := &StreamHandle{sys: s, src: src, link: link, norm: cfg.DeviationNorm}
@@ -448,32 +362,21 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 			DropProb: cfg.FeedbackDropProb,
 			Seed:     cfg.FeedbackSeed,
 			Name:     "feedback",
-			Trace:    s.tr,
+			Trace:    n.tr,
 		})
-		if err := s.srv.SetWatchdog(cfg.ID, deadline, h.fb.Send); err != nil {
-			_ = s.srv.Unregister(cfg.ID)
+		if err := n.srv.SetWatchdog(cfg.ID, deadline, h.fb.Send); err != nil {
+			_ = n.srv.Unregister(cfg.ID)
 			return nil, err
 		}
 		h.wdDeadline = deadline
 	}
-	if s.walLog != nil {
-		// Durable registration: the replayed messages that follow in the
-		// log have no stream to land on without it. Norm rides along —
-		// unlike the wire protocol, core sets it out of band.
-		if err := s.walLog.AppendRegister(wal.RegisterRecord{
-			ID: cfg.ID, Spec: cfg.Predictor, Delta: cfg.Delta, Norm: int(cfg.DeviationNorm),
-		}); err != nil {
-			_ = s.srv.Unregister(cfg.ID)
-			return nil, err
-		}
-	}
-	if s.coord != nil {
-		if err := s.coord.Manage(src, resource.ManagedOptions{
+	if n.coord != nil {
+		if err := n.coord.Manage(src, resource.ManagedOptions{
 			Weight:   cfg.Weight,
 			MinDelta: cfg.MinDelta,
 			MaxDelta: cfg.MaxDelta,
 		}); err != nil {
-			_ = s.srv.Unregister(cfg.ID)
+			_ = n.srv.Unregister(cfg.ID)
 			return nil, err
 		}
 	}
@@ -482,36 +385,22 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 	return h, nil
 }
 
-// Advance moves the system clock one tick: subscriptions fire and the
-// budget coordinator is ticked for the tick that just settled (so the
-// first Advance does neither, and a run's last tick is settled by one
-// more Advance after its Observes), every replica takes its time update,
-// and delayed messages mature. Call once per tick, before that tick's
+// Advance moves the system clock one tick, in one fixed order: the log's
+// group commit (everything applied since the last Advance — the previous
+// tick's link deliveries and Observe corrections — becomes durable), then
+// subscriptions fire and the budget coordinator is ticked for the tick
+// that just settled (so the first Advance does neither, and a run's last
+// tick is settled by one more Advance after its Observes), every replica
+// takes its time update, delayed messages mature, the clock moves, and
+// the node's duties run on the new tick (Node.Tick: checkpoint cadence,
+// streams_stale, store, monitor). Call once per tick, before that tick's
 // Observe calls.
 func (s *System) Advance() error {
 	t := s.tick.Load()
-	if s.walLog != nil {
-		// Tick-boundary group commit: everything applied since the last
-		// Advance — the previous tick's link deliveries and Observe
-		// corrections — becomes durable before the clock moves.
-		if err := s.walLog.Sync(); err != nil {
-			return err
-		}
+	if err := s.node.settle(t); err != nil {
+		return err
 	}
-	if t > 0 {
-		// Both see tick t-1 with every Observe in: subscriptions fire on
-		// its settled answers, and the coordinator's window counts its
-		// corrections (resource.Coordinator.Tick: "after sources observed").
-		if err := s.subs.Poll(t - 1); err != nil {
-			return err
-		}
-		if s.coord != nil {
-			if err := s.coord.Tick(); err != nil {
-				return err
-			}
-		}
-	}
-	s.srv.Tick()
+	s.node.srv.Tick()
 	for _, h := range s.order {
 		h.link.Tick()
 		if h.fb != nil {
@@ -519,32 +408,19 @@ func (s *System) Advance() error {
 		}
 	}
 	s.tick.Add(1)
-	if s.walLog != nil && s.walCkptEvery > 0 && s.tick.Load()%s.walCkptEvery == 0 {
-		// Advance runs with no concurrent Observes (the driving protocol),
-		// so the captured states and sequence agree.
-		if err := s.CheckpointWAL(); err != nil {
-			return err
-		}
-	}
-	if s.hist != nil {
-		// One clock: the store records the settled tick, then the
-		// monitor evaluates the windows it just closed.
-		s.telStale.Set(float64(s.srv.StaleCount()))
-		s.hist.Tick()
-	}
-	if s.health != nil {
-		s.health.Tick()
-	}
-	return nil
+	// Advance runs with no concurrent Observes (the driving protocol), so
+	// a checkpoint's captured states and sequence agree.
+	_, err := s.node.Tick(t + 1)
+	return err
 }
 
 // AllocRounds returns the number of budget reallocations performed (0
 // without budget management).
 func (s *System) AllocRounds() int64 {
-	if s.coord == nil {
+	if s.node.coord == nil {
 		return 0
 	}
-	return s.coord.Rounds()
+	return s.node.coord.Rounds()
 }
 
 // Tick returns the current clock value (number of Advance calls).
@@ -558,14 +434,14 @@ func (s *System) Tick() int64 { return s.tick.Load() }
 func (h *StreamHandle) Observe(value []float64) (sent bool, err error) {
 	tick := h.sys.tick.Load() - 1
 	sent, err = h.src.Observe(tick, value)
-	if err != nil || h.sys.auditor == nil {
+	if err != nil || h.sys.node.auditor == nil {
 		return sent, err
 	}
-	est, bound, aerr := h.sys.srv.PeekValue(h.src.StreamID())
+	est, bound, aerr := h.sys.node.srv.PeekValue(h.src.StreamID())
 	if aerr != nil {
 		return sent, aerr
 	}
-	h.sys.auditor.Check(h.src.StreamID(), tick, h.norm.Deviation(value, est), bound, !sent)
+	h.sys.node.auditor.Check(h.src.StreamID(), tick, h.norm.Deviation(value, est), bound, !sent)
 	return sent, nil
 }
 
@@ -577,7 +453,7 @@ func (h *StreamHandle) SetDelta(delta float64) error {
 	if err := h.src.SetDelta(delta); err != nil {
 		return err
 	}
-	return h.sys.srv.SetDelta(h.src.StreamID(), delta)
+	return h.sys.node.srv.SetDelta(h.src.StreamID(), delta)
 }
 
 // Stats returns the gate counters for the stream.
@@ -607,7 +483,7 @@ func (h *StreamHandle) FeedbackLink() *netsim.Link { return h.fb }
 // Stale reports whether the server's staleness watchdog currently has
 // this stream marked silent past its deadline.
 func (h *StreamHandle) Stale() bool {
-	info, err := h.sys.srv.Info(h.src.StreamID())
+	info, err := h.sys.node.srv.Info(h.src.StreamID())
 	return err == nil && info.Stale
 }
 
@@ -620,74 +496,74 @@ func (h *StreamHandle) ID() string { return h.src.StreamID() }
 func (h *StreamHandle) Prediction() []float64 { return h.src.Prediction() }
 
 // Value answers a bounded point query for component 0 of a stream.
-func (s *System) Value(id string) (Answer, error) { return s.eng.Value(id, 0) }
+func (s *System) Value(id string) (Answer, error) { return s.node.eng.Value(id, 0) }
 
 // ValueAt answers a bounded point query for a specific component.
 func (s *System) ValueAt(id string, component int) (Answer, error) {
-	return s.eng.Value(id, component)
+	return s.node.eng.Value(id, component)
 }
 
 // Vector answers the full estimate vector and bound for a stream.
-func (s *System) Vector(id string) ([]float64, float64, error) { return s.srv.Value(id) }
+func (s *System) Vector(id string) ([]float64, float64, error) { return s.node.srv.Value(id) }
 
 // Sum answers Σ over streams with a composed bound.
-func (s *System) Sum(ids []string) (Answer, error) { return s.eng.Sum(ids, 0) }
+func (s *System) Sum(ids []string) (Answer, error) { return s.node.eng.Sum(ids, 0) }
 
 // Average answers the mean over streams with a composed bound.
-func (s *System) Average(ids []string) (Answer, error) { return s.eng.Average(ids, 0) }
+func (s *System) Average(ids []string) (Answer, error) { return s.node.eng.Average(ids, 0) }
 
 // Min answers the minimum with a guaranteed enclosure.
-func (s *System) Min(ids []string) (Answer, Interval, error) { return s.eng.Min(ids, 0) }
+func (s *System) Min(ids []string) (Answer, Interval, error) { return s.node.eng.Min(ids, 0) }
 
 // Max answers the maximum with a guaranteed enclosure.
-func (s *System) Max(ids []string) (Answer, Interval, error) { return s.eng.Max(ids, 0) }
+func (s *System) Max(ids []string) (Answer, Interval, error) { return s.node.eng.Max(ids, 0) }
 
 // Within answers a range predicate with certainty tracking.
 func (s *System) Within(id string, lo, hi float64) (Tristate, error) {
-	return s.eng.Within(id, 0, lo, hi)
+	return s.node.eng.Within(id, 0, lo, hi)
 }
 
 // ProbValue answers a probabilistic point query at the given confidence
 // level (e.g. 0.95) from the replica's predictive distribution. Requires
 // a Kalman-family predictor.
 func (s *System) ProbValue(id string, confidence float64) (ProbAnswer, error) {
-	return s.eng.ProbValue(id, 0, confidence)
+	return s.node.eng.ProbValue(id, 0, confidence)
 }
 
 // WeightedSum answers Σ wᵢ·vᵢ over streams with the composed bound
 // Σ |wᵢ|·δᵢ.
 func (s *System) WeightedSum(ids []string, weights []float64) (Answer, error) {
-	return s.eng.WeightedSum(ids, weights, 0)
+	return s.node.eng.WeightedSum(ids, weights, 0)
 }
 
 // Distance answers a 2-D L2-gated stream's Euclidean distance to a point
 // with a guaranteed bound.
 func (s *System) Distance(id string, px, py float64) (Answer, error) {
-	return s.eng.Distance(id, px, py)
+	return s.node.eng.Distance(id, px, py)
 }
 
 // WithinRadius answers a geofence predicate on a 2-D L2-gated stream;
 // True and False are certain.
 func (s *System) WithinRadius(id string, px, py, radius float64) (Tristate, error) {
-	return s.eng.WithinRadius(id, px, py, radius)
+	return s.node.eng.WithinRadius(id, px, py, radius)
 }
 
 // Separation answers the distance between two 2-D L2-gated streams with
 // the composed bound.
 func (s *System) Separation(idA, idB string) (Answer, error) {
-	return s.eng.Separation(idA, idB)
+	return s.node.eng.Separation(idA, idB)
 }
 
 // CloserThan answers a proximity predicate between two 2-D L2-gated
 // streams; True and False are certain.
 func (s *System) CloserThan(idA, idB string, distance float64) (Tristate, error) {
-	return s.eng.CloserThan(idA, idB, distance)
+	return s.node.eng.CloserThan(idA, idB, distance)
 }
 
 // Window returns a sliding window over a stream component for windowed
 // aggregates; call its Sample method once per tick.
 func (s *System) Window(id string, component, size int) (*query.Window, error) {
-	return s.eng.NewWindow(id, component, size)
+	return s.node.eng.NewWindow(id, component, size)
 }
 
 // Subscribe registers a continuous predicate on component 0 of a stream;
@@ -695,16 +571,16 @@ func (s *System) Window(id string, component, size int) (*query.Window, error) {
 // each tick settles (during the next Advance). Notifications carrying
 // True or False are certain; Unknown marks a δ-straddled range edge.
 func (s *System) Subscribe(id string, lo, hi float64, fn func(Event)) (int, error) {
-	return s.subs.Subscribe(Predicate{StreamID: id, Lo: lo, Hi: hi}, fn)
+	return s.node.subs.Subscribe(Predicate{StreamID: id, Lo: lo, Hi: hi}, fn)
 }
 
 // Unsubscribe removes a subscription.
-func (s *System) Unsubscribe(subID int) error { return s.subs.Unsubscribe(subID) }
+func (s *System) Unsubscribe(subID int) error { return s.node.subs.Unsubscribe(subID) }
 
 // EnableHistory starts archiving a stream's settled per-tick answers in a
 // ring of the given capacity, enabling historical queries.
 func (s *System) EnableHistory(id string, capacity int) error {
-	if err := s.srv.EnableHistory(id, capacity); err != nil {
+	if err := s.node.srv.EnableHistory(id, capacity); err != nil {
 		return err
 	}
 	s.handles[id].histCap = capacity
@@ -713,42 +589,38 @@ func (s *System) EnableHistory(id string, capacity int) error {
 
 // HistoryAt returns the archived answer for a past tick.
 func (s *System) HistoryAt(id string, tick int64) (server.HistoryEntry, error) {
-	return s.srv.HistoryAt(id, tick)
+	return s.node.srv.HistoryAt(id, tick)
 }
 
 // HistoryAverage answers the mean over past ticks [from, to] with the
 // composed bound.
 func (s *System) HistoryAverage(id string, from, to int64) (Answer, error) {
-	return s.eng.HistoryAverage(id, 0, from, to)
+	return s.node.eng.HistoryAverage(id, 0, from, to)
 }
 
 // HistoryExtremes returns guaranteed enclosures of the true minimum and
 // maximum over past ticks [from, to].
 func (s *System) HistoryExtremes(id string, from, to int64) (minIv, maxIv Interval, err error) {
-	return s.eng.HistoryExtremes(id, 0, from, to)
+	return s.node.eng.HistoryExtremes(id, 0, from, to)
 }
 
 // StreamIDs lists attached streams in sorted order.
-func (s *System) StreamIDs() []string { return s.srv.StreamIDs() }
+func (s *System) StreamIDs() []string { return s.node.srv.StreamIDs() }
 
 // Info returns the server-side diagnostic snapshot for a stream.
-func (s *System) Info(id string) (server.StreamInfo, error) { return s.srv.Info(id) }
+func (s *System) Info(id string) (server.StreamInfo, error) { return s.node.srv.Info(id) }
 
 // Auditor returns the online precision auditor, or nil when SystemConfig
 // .Audit was not set.
-func (s *System) Auditor() *trace.Auditor { return s.auditor }
-
-// Diag returns the flight recorder, or nil when SystemConfig.Diag was
-// not set.
-func (s *System) Diag() *diag.Recorder { return s.diag }
+func (s *System) Auditor() *trace.Auditor { return s.node.auditor }
 
 // Freshness returns the latency recorder, or nil when
 // SystemConfig.Freshness was not set.
-func (s *System) Freshness() *freshness.Recorder { return s.fresh }
+func (s *System) Freshness() *freshness.Recorder { return s.node.fresh }
 
 // TraceJournal returns the journal every layer of this system records
 // lifecycle events on (trace.Default unless SystemConfig.Trace was set).
-func (s *System) TraceJournal() *trace.Journal { return s.tr }
+func (s *System) TraceJournal() *trace.Journal { return s.node.tr }
 
 // TotalMessages sums correction traffic across all uplinks.
 func (s *System) TotalMessages() int64 {

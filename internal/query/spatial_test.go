@@ -17,10 +17,7 @@ func spatialFixture(t *testing.T, positions map[string][2]float64) *Engine {
 	t.Helper()
 	srv := server.New()
 	for id, pos := range positions {
-		if err := srv.Register(id, predictor.Spec{Kind: predictor.KindStatic, Dim: 2}, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.SetNorm(id, source.NormL2); err != nil {
+		if err := srv.RegisterNorm(id, predictor.Spec{Kind: predictor.KindStatic, Dim: 2}, 1, source.NormL2); err != nil {
 			t.Fatal(err)
 		}
 		srv.Tick()
@@ -103,10 +100,7 @@ func TestSpatialRejectsWrongNormOrDim(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1-D with L2 gate.
-	if err := srv.Register("scalar", predictor.Spec{Kind: predictor.KindStatic, Dim: 1}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.SetNorm("scalar", source.NormL2); err != nil {
+	if err := srv.RegisterNorm("scalar", predictor.Spec{Kind: predictor.KindStatic, Dim: 1}, 1, source.NormL2); err != nil {
 		t.Fatal(err)
 	}
 	e := New(srv)
@@ -154,10 +148,7 @@ func TestGeofenceBoundsHoldThroughProtocol(t *testing.T) {
 	spec := predictor.Spec{Kind: predictor.KindKalman,
 		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity2D, Q: 0.5, R: 1}}
 	delta := 8.0
-	if err := srv.Register("car", spec, delta); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.SetNorm("car", source.NormL2); err != nil {
+	if err := srv.RegisterNorm("car", spec, delta, source.NormL2); err != nil {
 		t.Fatal(err)
 	}
 	link := netsim.NewLink(func(m *netsim.Message) { _ = srv.Apply(m) }, netsim.LinkConfig{})

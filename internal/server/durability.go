@@ -3,8 +3,8 @@
 // server owns no files — it exposes apply and register hooks fired under
 // the shard lock (so a stream's records are logged in exactly the order
 // they took effect), the checkpoint cut, and the one recovery routine;
-// the wal package owns the files, and the wire/core drivers decide when
-// to sync, checkpoint and recover.
+// the wal package owns the files, and core.Node decides when to sync,
+// checkpoint and recover.
 
 package server
 
@@ -30,15 +30,14 @@ import (
 // re-log the records it is reading.
 func (s *Server) SetApplyHook(fn func(tick int64, m *netsim.Message)) { s.onApply = fn }
 
-// SetRegisterHook installs fn, called under the shard write lock before a
-// newly registered stream becomes visible; an error aborts the
-// registration. Because the stream's first message needs the same lock,
-// its register record always precedes its messages in the log. Same
-// contract as SetApplyHook; an adopted re-registration changes no durable
-// state and does not fire it, and neither does Recover.
-func (s *Server) SetRegisterHook(fn func(id string, spec predictor.Spec, delta float64) error) {
-	s.onRegister = fn
-}
+// SetRegisterHook installs fn, called under the shard write lock with the
+// registration (norm included) before a newly registered stream becomes
+// visible; an error aborts the registration. Because the stream's first
+// message needs the same lock, its register record always precedes its
+// messages in the log. Same contract as SetApplyHook; an adopted
+// re-registration changes no durable state and does not fire it, and
+// neither does Recover.
+func (s *Server) SetRegisterHook(fn func(rec wal.RegisterRecord) error) { s.onRegister = fn }
 
 // Checkpoint takes the checkpoint cut: with every shard read-locked (in
 // index order) no apply or registration is in flight, so log.Seq() and
@@ -108,10 +107,7 @@ func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 				if err != nil {
 					return err
 				}
-				if err := s.register(rec.ID, rec.Spec, rec.Delta, false, nil, now); err != nil {
-					return err
-				}
-				return s.SetNorm(rec.ID, source.Norm(rec.Norm))
+				return s.register(rec.ID, rec.Spec, rec.Delta, source.Norm(rec.Norm), false, nil, now)
 			case wal.RecMessage:
 				if err := netsim.DecodeInto(&scratch, payload); err != nil {
 					return err
@@ -131,7 +127,7 @@ func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 // cannot fire spurious resync requests. now is when the stream counts as
 // last heard (see Recover).
 func (s *Server) RestoreStream(cs wal.StreamState, now int64) error {
-	if err := s.register(cs.ID, cs.Spec, cs.RegisterDelta, false, nil, now); err != nil {
+	if err := s.register(cs.ID, cs.Spec, cs.RegisterDelta, source.Norm(cs.Norm), false, nil, now); err != nil {
 		return err
 	}
 	sh := s.shardFor(cs.ID)
@@ -139,7 +135,6 @@ func (s *Server) RestoreStream(cs wal.StreamState, now int64) error {
 	defer sh.mu.Unlock()
 	st := sh.streams[cs.ID]
 	st.delta = cs.Delta
-	st.norm = source.Norm(cs.Norm)
 	st.tick = cs.Tick
 	st.lastCorr = cs.LastCorr
 	st.corrections = cs.Corrections
@@ -185,10 +180,12 @@ func (s *Server) CatchUp(id string, tick int64) error {
 	return nil
 }
 
-// Reset drops every stream while keeping telemetry, trace, and hook
-// wiring — the in-process stand-in for a crashed server about to
-// recover from its log.
+// Reset drops every stream and disarms the durability hooks while keeping
+// telemetry, trace and the stale hook — the in-process stand-in for a
+// crashed server about to recover from its log, which has no log to
+// append to until recovery re-arms them.
 func (s *Server) Reset() {
+	s.onApply, s.onRegister = nil, nil
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.streams = make(map[string]*streamState)

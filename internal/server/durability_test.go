@@ -161,12 +161,13 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	ids := []string{"alpha", "beta", "gamma"}
 	ctrl := New()
 	for _, id := range ids {
-		if err := ctrl.Register(id, kalmanSpec(), 0.5); err != nil {
+		norm := source.NormInf
+		if id == "beta" {
+			norm = source.NormL2
+		}
+		if err := ctrl.RegisterNorm(id, kalmanSpec(), 0.5, norm); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := ctrl.SetNorm("beta", source.NormL2); err != nil {
-		t.Fatal(err)
 	}
 	if err := ctrl.SetDelta("gamma", 0.25); err != nil {
 		t.Fatal(err)

@@ -27,6 +27,7 @@ import (
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/telemetry"
 	"kalmanstream/internal/trace"
+	"kalmanstream/internal/wal"
 )
 
 // Sentinel errors, matchable with errors.Is.
@@ -172,7 +173,7 @@ type Server struct {
 	// onRegister, when set, fires before a new stream becomes visible,
 	// under the shard lock — the log's registration hook. See
 	// SetRegisterHook.
-	onRegister func(id string, spec predictor.Spec, delta float64) error
+	onRegister func(rec wal.RegisterRecord) error
 }
 
 // SetStaleHook installs fn to be called each time the watchdog marks a
@@ -267,7 +268,16 @@ func (s *Server) SetTrace(j *trace.Journal) {
 // initial δ must match the source's; in the wire protocol they are carried
 // by the registration payload, so mismatch is impossible by construction.
 func (s *Server) Register(id string, spec predictor.Spec, delta float64) error {
-	return s.register(id, spec, delta, false, nil, 0)
+	return s.register(id, spec, delta, source.NormInf, false, nil, 0)
+}
+
+// RegisterNorm is Register for a gate on another deviation norm. The norm
+// determines the geometry of the δ bound (per-component box for NormInf,
+// Euclidean ball for NormL2), which spatial queries must respect; it is
+// part of the registration, so the durability hook logs it with the
+// stream and recovery rebuilds the same geometry.
+func (s *Server) RegisterNorm(id string, spec predictor.Spec, delta float64, norm source.Norm) error {
+	return s.register(id, spec, delta, norm, false, nil, 0)
 }
 
 // Adopt is Register for a source on its own clock (a wire connection):
@@ -279,10 +289,10 @@ func (s *Server) Register(id string, spec predictor.Spec, delta float64) error {
 // is demonstrably alive, and a forced resync follows on its next
 // correction). A different spec or δ is a conflict and is rejected.
 func (s *Server) Adopt(id string, spec predictor.Spec, delta float64, owner any, now int64) error {
-	return s.register(id, spec, delta, true, owner, now)
+	return s.register(id, spec, delta, source.NormInf, true, owner, now)
 }
 
-func (s *Server) register(id string, spec predictor.Spec, delta float64, adopt bool, owner any, now int64) error {
+func (s *Server) register(id string, spec predictor.Spec, delta float64, norm source.Norm, adopt bool, owner any, now int64) error {
 	if id == "" {
 		return fmt.Errorf("server: empty stream id")
 	}
@@ -307,12 +317,12 @@ func (s *Server) register(id string, spec predictor.Spec, delta float64, adopt b
 		return fmt.Errorf("server: building replica for %s: %w", id, err)
 	}
 	if s.onRegister != nil {
-		if err := s.onRegister(id, spec, delta); err != nil {
+		if err := s.onRegister(wal.RegisterRecord{ID: id, Spec: spec, Delta: delta, Norm: int(norm)}); err != nil {
 			return fmt.Errorf("server: logging registration of %s: %w", id, err)
 		}
 	}
 	st := &streamState{id: id, replica: replica, spec: spec, registerDelta: delta,
-		delta: delta, lastCorr: -1, lastValueTick: -1, owner: owner, heard: now}
+		delta: delta, norm: norm, lastCorr: -1, lastValueTick: -1, owner: owner, heard: now}
 	sh.streams[id] = st
 	sh.order = append(sh.order, st)
 	sh.size.Store(int64(len(sh.streams)))
@@ -692,20 +702,7 @@ func (s *Server) ValueDistribution(id string) (estimate, stddev []float64, err e
 	return st.replica.Predict(), stddev, nil
 }
 
-// SetNorm records the deviation norm the stream's gate uses. The norm
-// determines the geometry of the δ bound (per-component box for NormInf,
-// Euclidean ball for NormL2), which spatial queries must respect.
-func (s *Server) SetNorm(id string, norm source.Norm) error {
-	sh, st, err := s.lock(id)
-	if err != nil {
-		return err
-	}
-	defer sh.mu.Unlock()
-	st.norm = norm
-	return nil
-}
-
-// Norm returns the stream's gate norm.
+// Norm returns the stream's gate norm (see RegisterNorm).
 func (s *Server) Norm(id string) (source.Norm, error) {
 	sh, st, err := s.get(id)
 	if err != nil {

@@ -208,7 +208,7 @@ func TestInfoUnknown(t *testing.T) {
 	}
 }
 
-func TestSetNormAndNorm(t *testing.T) {
+func TestRegisterNormAndNorm(t *testing.T) {
 	s := New()
 	if err := s.Register("a", staticSpec(), 1); err != nil {
 		t.Fatal(err)
@@ -217,19 +217,19 @@ func TestSetNormAndNorm(t *testing.T) {
 	if err != nil || n != source.NormInf {
 		t.Fatalf("default norm = %v, %v", n, err)
 	}
-	if err := s.SetNorm("a", source.NormL2); err != nil {
+	if err := s.RegisterNorm("b", staticSpec(), 1, source.NormL2); err != nil {
 		t.Fatal(err)
 	}
-	n, err = s.Norm("a")
+	n, err = s.Norm("b")
 	if err != nil || n != source.NormL2 {
 		t.Fatalf("norm = %v, %v", n, err)
 	}
-	info, err := s.Info("a")
+	info, err := s.Info("b")
 	if err != nil || info.Norm != source.NormL2 {
 		t.Fatalf("info norm = %v, %v", info.Norm, err)
 	}
-	if err := s.SetNorm("ghost", source.NormL2); err == nil {
-		t.Error("unknown stream accepted")
+	if err := s.RegisterNorm("b", staticSpec(), 1, source.NormInf); err == nil {
+		t.Error("re-registration with another norm accepted")
 	}
 	if _, err := s.Norm("ghost"); err == nil {
 		t.Error("unknown stream norm answered")

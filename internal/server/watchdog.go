@@ -92,7 +92,8 @@ func (s *Server) watchdogEvent(st *streamState, outcome trace.Outcome, silent, d
 // shard write lock: a stream silent past the deadline is marked (once per
 // episode), and a resync request is due now and again every deadline's
 // worth of continued silence — the feedback channel may itself be lossy —
-// as long as there is someone to ask. marked reports a new verdict.
+// as long as there is someone to ask. Both are journaled here, for either
+// clock; marked reports a new verdict, request one the caller delivers.
 func (s *Server) watchdogCheck(st *streamState, silent, deadline int64, unit float64) (marked, request bool) {
 	if silent <= deadline {
 		return false, false
@@ -108,6 +109,7 @@ func (s *Server) watchdogCheck(st *streamState, silent, deadline int64, unit flo
 	if (st.feedback != nil || st.owner != nil) && silent-st.wdLastReq >= deadline {
 		st.wdLastReq = silent
 		request = true
+		s.watchdogEvent(st, trace.OutcomeResyncRequested, silent, deadline, unit)
 	}
 	return marked, request
 }
@@ -119,7 +121,6 @@ func (s *Server) watchdogTick(st *streamState) {
 	if _, request := s.watchdogCheck(st, silent, st.wdDeadline, 1); !request {
 		return
 	}
-	s.watchdogEvent(st, trace.OutcomeResyncRequested, silent, st.wdDeadline, 1)
 	st.feedback(&netsim.Message{
 		Kind:     netsim.KindResyncRequest,
 		StreamID: st.id,

@@ -56,7 +56,7 @@ func TestTelemetryCardinalityIndependentOfPopulation(t *testing.T) {
 			}
 		}
 		checkTotals(t, srv, 0)
-		if got := regTotal(srv.reg, "server_queries_total"); got != 3 {
+		if got := regTotal(srv.Registry(), "server_queries_total"); got != 3 {
 			t.Fatalf("server_queries_total sums to %d, want 3", got)
 		}
 		// Every stream also ships one gate decision in-band, as a traced

@@ -21,7 +21,7 @@ func TestMessageDispatchZeroAllocWithDiag(t *testing.T) {
 	reg := telemetry.New()
 	rec := diag.NewRecorder(diag.Options{K: 16, Registry: reg})
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler), Diag: rec})
-	defer srv.StopWatchdog()
+	defer srv.Close()
 	if err := srv.Register(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTopTablesExactAtPopulation(t *testing.T) {
 	reg := telemetry.New()
 	rec := diag.NewRecorder(diag.Options{K: k, Registry: reg})
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler), Diag: rec})
-	defer srv.StopWatchdog()
+	defer srv.Close()
 	ids := make([]string, streams)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("s%05d", i)

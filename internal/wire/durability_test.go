@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"log/slog"
 	"math"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -277,5 +280,71 @@ func TestRecoveredServerServesConnections(t *testing.T) {
 	// recovered stream instead of conflicting.
 	if err := c.Register("s", durSpec(), 0.5); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// settledGoroutines waits for the goroutine count to stop moving — an
+// earlier test's connection handlers may still be exiting — and returns it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestFailedDurableOpenLeavesNoGoroutine: a server whose log cannot be
+// opened is never built, so nothing of it runs — not even the clock an
+// armed watchdog would have had.
+func TestFailedDurableOpenLeavesNoGoroutine(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := settledGoroutines()
+	for i := 0; i < 5; i++ {
+		if _, err := NewDurableServer(Options{Metrics: telemetry.New(), StaleAfter: time.Second},
+			Durability{Dir: file}); err == nil {
+			t.Fatal("a log opened inside a regular file")
+		}
+	}
+	if n := settledGoroutines(); n > base {
+		t.Fatalf("%d goroutines after 5 failed opens, %d before", n, base)
+	}
+}
+
+// TestCloseLeavesNoGoroutine: a bare server runs no goroutine; a durable
+// one with the watchdog, both log cadences and the history clock (with
+// health) armed runs exactly one for all of them; Close stops it.
+func TestCloseLeavesNoGoroutine(t *testing.T) {
+	base := settledGoroutines()
+	bare := NewServerWith(Options{Metrics: telemetry.New()})
+	if n := settledGoroutines(); n != base {
+		t.Fatalf("bare server: %d goroutines, %d before", n, base)
+	}
+	if err := bare.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	mon, st, _ := healthRig(t, reg, nil)
+	srv, err := NewDurableServer(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler),
+		StaleAfter: time.Second, Health: mon, History: st, HistoryEvery: time.Second},
+		Durability{Dir: t.TempDir(), FlushEvery: time.Second, CheckpointEvery: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := settledGoroutines(); n != base+1 {
+		t.Fatalf("armed server: %d goroutines, want %d", n, base+1)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := settledGoroutines(); n > base {
+		t.Fatalf("%d goroutines after Close, %d before", n, base)
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestFrameHandleHistogram(t *testing.T) {
 	reg := telemetry.New()
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler)})
-	defer srv.StopWatchdog()
+	defer srv.Close()
 	if err := srv.Register(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFrameHandleHistogram(t *testing.T) {
 func TestMessageDispatchZeroAlloc(t *testing.T) {
 	reg := telemetry.New()
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler)})
-	defer srv.StopWatchdog()
+	defer srv.Close()
 	if err := srv.Register(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +118,7 @@ func TestConfigureHealth(t *testing.T) {
 		t.Fatal("a server with Health and no History was built")
 	}
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler), Health: mon, History: st})
-	defer srv.StopWatchdog()
-	if srv.Health() != mon {
-		t.Fatal("Health() does not return the configured monitor")
-	}
+	defer srv.Close()
 	if err := srv.Register(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +179,7 @@ func TestFrameP99BundleEmbedsMessageKindOnly(t *testing.T) {
 	rec.AttachHistory(st)
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler),
 		Health: mon, History: st, Diag: rec})
-	defer srv.StopWatchdog()
+	defer srv.Close()
 	tick()
 	for _, kind := range []string{"message", "query", "register"} {
 		slow := reg.Histogram("wire_frame_handle_seconds", telemetry.LatencyBuckets, "kind", kind)

@@ -333,8 +333,8 @@ func (r *modelRun) op() {
 		// Abandon the server without Close — nothing buffered may reach the
 		// disk — stopping only its goroutine so the run does not pile them up.
 		checkTotals(r.t, r.srv, r.carried)
-		close(r.srv.walStop)
-		<-r.srv.walDone
+		close(r.srv.stop)
+		<-r.srv.done
 		r.open()
 		r.carried = r.ref.crash()
 		for id := range r.ref {

@@ -67,7 +67,7 @@ func startTrackedServer(t *testing.T, opts Options) (*Server, *trackingListener,
 		_ = srv.Serve(tl)
 	}()
 	return srv, tl, func() {
-		srv.StopWatchdog()
+		srv.Close()
 		tl.Close()
 		tl.killConns()
 		<-done

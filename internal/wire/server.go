@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kalmanstream/internal/core"
 	"kalmanstream/internal/diag"
 	"kalmanstream/internal/freshness"
 	"kalmanstream/internal/health"
@@ -50,8 +51,8 @@ type AnswerPayload struct {
 }
 
 // connWriter serializes frame writes to one connection: the handler
-// goroutine writes responses and the watchdog goroutine pushes resync
-// requests, so every write must go through the mutex.
+// goroutine writes responses and the server's wall-clock goroutine
+// pushes resync requests, so every write must go through the mutex.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -112,35 +113,24 @@ func (cw *connWriter) writeFrame(typ uint8, payload []byte) error {
 // Server accepts source and query connections and owns framing, the
 // connections and JSON; everything per stream — the replica, its tick,
 // the dedupe guard, the watchdog verdict, the owning connection — is one
-// record in the lock-striped server.Server, driven here from the wall
-// clock. Register, Apply, ApplyBatch and Query take no lock of this type:
-// each costs one shard-lock hold, so connections working on different
-// streams proceed in parallel. Per-stream operations are linearizable; a
+// record in the protocol node (core.Node) it drives from the wall clock.
+// Register, Apply, ApplyBatch and Query take no lock of this type: each
+// costs one shard-lock hold, so connections working on different streams
+// proceed in parallel. Per-stream operations are linearizable; a
 // coalesced frame is applied record by record and is not atomic across
 // streams for a reader on another connection (a connection's own frames
 // are handled in order by one goroutine).
 type Server struct {
-	srv *server.Server
+	node *core.Node
+	srv  *server.Server // node.Server(), resolved once for the data path
 
-	staleAfter    time.Duration
-	watchdogStop  chan struct{}
-	watchdogDone  chan struct{}
-	watchdogClose sync.Once
-
-	// Logger receives structured connection diagnostics; nil means
-	// slog.Default().
-	Logger *slog.Logger
-
-	reg     *telemetry.Registry
-	tr      *trace.Journal
-	auditor *trace.Auditor
+	logger  *slog.Logger
 	connSeq atomic.Int64
 
 	telConns       *telemetry.Counter
 	telConnsActive *telemetry.Gauge
 	telLatency     *telemetry.Histogram
 	telErrors      *telemetry.Counter
-	telStale       *telemetry.Gauge
 	telStaleTotal  *telemetry.Counter
 	telResyncReqs  *telemetry.Counter
 
@@ -158,29 +148,20 @@ type Server struct {
 	telBatches     *telemetry.Counter
 	telBatchedMsgs *telemetry.Histogram
 
-	monitor *health.Monitor
-	diag    *diag.Recorder
-	hist    *history.Store
-
-	// fresh records the time dimension: skew-corrected gate→apply spans
-	// for stamped corrections and staleness-at-query. clock is the
-	// server's arrival clock (monotonic-anchored wall time), which also
-	// times the watchdog. conns is the live connection set, published for
-	// /debug/latency skew rows; connMu guards it and is taken only on
-	// connect, disconnect and that endpoint.
-	fresh  *freshness.Recorder
+	// clock is the server's arrival clock (monotonic-anchored wall time):
+	// it stamps applies and query ages, and drives the node's duties.
+	// conns is the live connection set, published for /debug/latency skew
+	// rows; connMu guards it and is taken only on connect, disconnect and
+	// that endpoint.
 	clock  freshness.Clock
 	connMu sync.Mutex
 	conns  map[*connWriter]struct{}
 
-	// wal is the durability log (nil when the server is not durable).
-	// NewDurableServer sets it only after recovery has replayed the
-	// directory, so replay paths never append.
-	wal          *wal.Log
-	walStop      chan struct{}
-	walDone      chan struct{}
-	walClose     sync.Once
-	lastRecovery wal.RecoveryStats
+	// stop and done bracket the one wall-clock goroutine (both nil when
+	// no duty is armed, and none runs); Close is the one shutdown.
+	stop, done chan struct{}
+	closeOnce  sync.Once
+	closeErr   error
 }
 
 // Options configures a wire server beyond the defaults.
@@ -204,22 +185,21 @@ type Options struct {
 	// Health, when non-nil, receives the server's four default SLOs (δ
 	// audit error ratio, staleness, frame-handle p99, freshness p99) and
 	// is bound to History, whose tier holds its windows: Health without
-	// History is a construction error. The caller owns the one clock:
-	// tick History, then Health (kfserver does, every -history-interval).
+	// History is a construction error.
 	Health *health.Monitor
-	// Diag, when non-nil, arms the flight recorder. Its corrections and
-	// bytes tables are pulled: the recorder is handed a walk over the
-	// stream records (diag.Recorder.AttachStreams) and reads their
-	// counts when /debug/top or a bundle asks, so an armed dispatch path
-	// does exactly what an unarmed one does — its shard lock and nothing
-	// else (TestMessageDispatchZeroAllocWithDiag). Only the rare events
-	// with no record to read are pushed, TryLock-guarded: δ violations
-	// from the auditor, staleness marks from the wall-clock watchdog.
+	// Diag, when non-nil, arms the flight recorder (core.NodeConfig.Diag):
+	// its tables read the stream records when asked, so an armed dispatch
+	// path does exactly what an unarmed one does
+	// (TestMessageDispatchZeroAllocWithDiag).
 	Diag *diag.Recorder
 	// History, when non-nil, is the multi-resolution telemetry history
 	// store recording this server's registry, served at /debug/history
-	// and read by Health. The caller ticks it.
+	// and read by Health.
 	History *history.Store
+	// HistoryEvery ticks History, then Health, on the server's one
+	// wall-clock goroutine (kfserver's -history-interval). Zero leaves
+	// both to the caller.
+	HistoryEvery time.Duration
 }
 
 // NewServer returns an empty wire server instrumented against
@@ -231,49 +211,76 @@ func NewServer() *Server { return NewServerWith(Options{}) }
 // tests sharing the default one). It panics on a Health without a
 // History to read; NewDurableServer returns that as an error.
 func NewServerWith(opts Options) *Server {
-	s, err := newServer(opts)
+	s, err := newServer(opts, Durability{})
 	if err != nil {
 		panic(err)
 	}
 	return s
 }
 
-func newServer(opts Options) (*Server, error) {
-	reg := opts.Metrics
-	if reg == nil {
-		reg = telemetry.Default
+// DefaultFlushEvery is the group-commit fsync cadence when
+// Durability.FlushEvery is zero: short enough that a crash loses a
+// barely-visible sliver of traffic, long enough to amortize the fsync
+// over many corrections.
+const DefaultFlushEvery = 100 * time.Millisecond
+
+// Durability configures the write-ahead log for NewDurableServer.
+type Durability struct {
+	// Dir is the log directory. Required.
+	Dir string
+	// CheckpointEvery writes a full predictor-snapshot checkpoint (and
+	// prunes covered segments) on this cadence. Zero disables periodic
+	// checkpoints; Checkpoint can still be called explicitly.
+	CheckpointEvery time.Duration
+	// FlushEvery is the group-commit fsync cadence (0 =
+	// DefaultFlushEvery). A crash loses at most this much traffic, which
+	// the protocol absorbs: reconnecting sources force a full resync and
+	// the monotonic-tick guard drops re-sent duplicates.
+	FlushEvery time.Duration
+}
+
+// NewDurableServer opens (or recovers) the log directory in d.Dir and
+// replays it into a fresh server before it can accept a single frame;
+// from then on every registration and applied message is logged, and the
+// server's goroutine syncs and checkpoints. Call Close on shutdown.
+func NewDurableServer(opts Options, d Durability) (*Server, error) {
+	if d.Dir == "" {
+		return nil, fmt.Errorf("wire: durability needs a directory")
 	}
-	tr := opts.Trace
-	if tr == nil {
-		tr = trace.Default
+	return newServer(opts, d)
+}
+
+// newServer builds the node, then the connection layer around it, and
+// starts the one wall-clock goroutine only once both exist — and only
+// when some duty is armed: a bare server runs none.
+func newServer(opts Options, d Durability) (*Server, error) {
+	s := &Server{logger: opts.Logger, clock: freshness.WallClock(), conns: make(map[*connWriter]struct{})}
+	flush := d.FlushEvery
+	if flush <= 0 {
+		flush = DefaultFlushEvery
 	}
-	core := server.New()
-	core.SetTelemetry(reg)
-	core.SetTrace(tr)
-	s := &Server{
-		srv:            core,
-		tr:             tr,
-		auditor:        trace.NewAuditor(reg, tr),
-		staleAfter:     opts.StaleAfter,
-		watchdogStop:   make(chan struct{}),
-		watchdogDone:   make(chan struct{}),
-		Logger:         opts.Logger,
-		reg:            reg,
-		telConns:       reg.Counter("wire_connections_total"),
-		telConnsActive: reg.Gauge("wire_connections_active"),
-		telBytesIn:     reg.Counter("wire_bytes_total", "direction", "in"),
-		telBytesOut:    reg.Counter("wire_bytes_total", "direction", "out"),
-		telFramesIn:    reg.Counter("wire_frames_total", "direction", "in"),
-		telFramesOut:   reg.Counter("wire_frames_total", "direction", "out"),
-		telLatency:     reg.Histogram("query_latency_seconds", telemetry.LatencyBuckets),
-		telErrors:      reg.Counter("wire_errors_total"),
-		telStale:       reg.Gauge("streams_stale"),
-		telStaleTotal:  reg.Counter("watchdog_stale_total"),
-		telResyncReqs:  reg.Counter("watchdog_resync_requests_total"),
-		fresh:          freshness.NewRecorder(reg),
-		clock:          freshness.WallClock(),
-		conns:          make(map[*connWriter]struct{}),
+	node, err := core.NewNode(core.NodeConfig{
+		Telemetry: opts.Metrics, Trace: opts.Trace, Logger: opts.Logger,
+		Clock: s.clock, ConnSkews: s.ConnSkews, Audit: true, Freshness: true,
+		History: opts.History, HistoryEvery: int64(opts.HistoryEvery), Health: opts.Health, Diag: opts.Diag,
+		WALDir: d.Dir, FlushEvery: int64(flush), CheckpointEvery: int64(d.CheckpointEvery),
+		StaleAfter: int64(opts.StaleAfter),
+	})
+	if err != nil {
+		return nil, err
 	}
+	reg := node.Registry()
+	s.node, s.srv = node, node.Server()
+	s.telConns = reg.Counter("wire_connections_total")
+	s.telConnsActive = reg.Gauge("wire_connections_active")
+	s.telBytesIn = reg.Counter("wire_bytes_total", "direction", "in")
+	s.telBytesOut = reg.Counter("wire_bytes_total", "direction", "out")
+	s.telFramesIn = reg.Counter("wire_frames_total", "direction", "in")
+	s.telFramesOut = reg.Counter("wire_frames_total", "direction", "out")
+	s.telLatency = reg.Histogram("query_latency_seconds", telemetry.LatencyBuckets)
+	s.telErrors = reg.Counter("wire_errors_total")
+	s.telStaleTotal = reg.Counter("watchdog_stale_total")
+	s.telResyncReqs = reg.Counter("watchdog_resync_requests_total")
 	s.telBatches = reg.Counter("wire_frames_coalesced_total")
 	s.telBatchedMsgs = reg.Histogram("wire_corrections_per_frame", telemetry.BatchSizeBuckets)
 	for _, typ := range []uint8{FrameRegister, FrameMessage, FrameQuery, FrameMetrics, FrameTrace, FrameMessageBatch, FramePing} {
@@ -287,33 +294,24 @@ func newServer(opts Options) (*Server, error) {
 	reg.Help("corrections_suppressed_total", "replica ticks advanced without a correction")
 	reg.Help("wire_bytes_total", "bytes on the wire by direction")
 	reg.Help("query_latency_seconds", "wire query handling latency")
-	reg.Help("streams_stale", "streams currently silent past the watchdog deadline")
 	reg.Help("watchdog_resync_requests_total", "resync requests pushed to sources")
-	s.hist = opts.History
-	if opts.Diag != nil {
-		s.diag = opts.Diag
-		d := s.diag
-		d.AttachStreams(core.WalkCounts)
-		s.auditor.SetViolationHook(func(id string, _ int64) { d.ObserveViolation(id) })
-	}
 	if opts.Health != nil {
-		if err := s.configureHealth(opts.Health); err != nil {
+		if err := declareSLOs(opts.Health); err != nil {
+			_ = node.Close()
 			return nil, fmt.Errorf("wire: health wiring: %w", err)
 		}
 	}
-	if s.staleAfter > 0 {
-		go s.watchdogLoop()
-	} else {
-		close(s.watchdogDone)
+	if p := node.Period(); p > 0 {
+		s.stop, s.done = make(chan struct{}), make(chan struct{})
+		go s.run(time.Duration(p))
 	}
 	return s, nil
 }
 
-// Default SLO parameters wired by configureHealth: the audit error
-// budget (fraction of audited ticks allowed to violate δ), and the
-// frame-handle latency objective (p99 under 10ms — generous for an
-// in-memory apply, tight enough to catch lock contention or a
-// scheduling collapse).
+// Default SLO parameters wired by declareSLOs: the audit error budget
+// (fraction of audited ticks allowed to violate δ), and the frame-handle
+// latency objective (p99 under 10ms — generous for an in-memory apply,
+// tight enough to catch lock contention or a scheduling collapse).
 const (
 	DefaultAuditErrorBudget = 0.01
 	DefaultFrameP99Bound    = 1e-2
@@ -324,23 +322,14 @@ const (
 	DefaultFreshnessP99Bound = 2.5e-2
 )
 
-// configureHealth binds a monitor to the server's history store and
-// declares the four default objectives over the server's own series:
-//
-//   - audit-error-ratio: δ violations per audited tick stay under
-//     DefaultAuditErrorBudget (burn-rate alerting on the precision
-//     promise itself);
-//   - streams-stale: no stream sits past the watchdog deadline
-//     (zero-budget, so any stale window pages);
-//   - frame-p99: correction-frame handling p99 under
-//     DefaultFrameP99Bound seconds;
-//   - freshness-p99: stamped gate→apply latency p99 under
-//     DefaultFreshnessP99Bound seconds.
-func (s *Server) configureHealth(m *health.Monitor) error {
-	if err := m.Bind(s.hist); err != nil {
-		return err
-	}
-	for _, err := range []error{
+// declareSLOs declares the four default objectives over the server's own
+// series on the monitor the node bound to its history store: δ violations
+// per audited tick under DefaultAuditErrorBudget (audit-error-ratio), no
+// stream past the watchdog deadline (streams-stale: zero budget, so any
+// stale window pages), and correction-frame handling and stamped
+// gate→apply latency p99 under their bounds (frame-p99, freshness-p99).
+func declareSLOs(m *health.Monitor) error {
+	return errors.Join(
 		m.RatioSLO("audit-error-ratio", "audit_delta_violations_total", "audit_ticks_total",
 			DefaultAuditErrorBudget, health.Thresholds{}),
 		m.GaugeSLO("streams-stale", "streams_stale", 0, health.Thresholds{}),
@@ -348,26 +337,8 @@ func (s *Server) configureHealth(m *health.Monitor) error {
 			DefaultFrameP99Bound, health.Thresholds{}),
 		m.LatencySLO("freshness-p99", freshness.SeriesE2ELatency, 0.99,
 			DefaultFreshnessP99Bound, health.Thresholds{}),
-	} {
-		if err != nil {
-			return err
-		}
-	}
-	s.monitor = m
-	return nil
+	)
 }
-
-// Health returns the monitor passed via Options.Health (nil when health
-// is off).
-func (s *Server) Health() *health.Monitor { return s.monitor }
-
-// HistoryStore returns the telemetry history store passed via
-// Options.History (nil when history is off).
-func (s *Server) HistoryStore() *history.Store { return s.hist }
-
-// Diag returns the flight recorder armed via Options.Diag (nil when
-// diagnostics are off).
-func (s *Server) Diag() *diag.Recorder { return s.diag }
 
 // HealthStreams snapshots every registered stream's cumulative counters
 // for the /debug/health payload, sorted by ID.
@@ -381,84 +352,93 @@ func (s *Server) HealthStreams() []health.StreamStat {
 	return out
 }
 
-// StopWatchdog stops the staleness scanner and waits for it to exit.
-// Safe to call multiple times, and on a server without a watchdog.
-func (s *Server) StopWatchdog() {
-	s.watchdogClose.Do(func() { close(s.watchdogStop) })
-	<-s.watchdogDone
-}
-
-// watchdogLoop scans stream health four times per deadline — often
-// enough that detection lag stays well under half a deadline.
-func (s *Server) watchdogLoop() {
-	defer close(s.watchdogDone)
-	interval := s.staleAfter / 4
-	if interval <= 0 {
-		interval = s.staleAfter
-	}
-	t := time.NewTicker(interval)
+// run is the server's one wall-clock goroutine. Every period — the
+// cadence of the fastest armed duty — it runs the node's due duties
+// (core.Node.Tick: WAL sync, checkpoint, silence scan, streams_stale,
+// history store, monitor) and then the resync pushes the scan owes.
+func (s *Server) run(period time.Duration) {
+	defer close(s.done)
+	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.watchdogStop:
+		case <-s.stop:
 			return
 		case <-t.C:
-			s.scanStale()
+			silent, err := s.node.Tick(s.clock())
+			if err != nil {
+				s.logw("wire: node duty failed", "err", err)
+			}
+			s.pushResyncs(silent)
 		}
 	}
 }
 
-// scanStale runs one watchdog pass: streams silent past the deadline are
-// marked under their shard lock, then — outside every lock, so a slow
-// peer cannot stall the scan — the new verdicts are reported and resync
-// requests pushed to the owning connections, again every deadline while
-// the silence lasts.
-func (s *Server) scanStale() {
-	found := s.srv.ScanSilent(s.clock(), int64(s.staleAfter))
-	s.telStale.Set(float64(s.srv.StaleCount()))
+// pushResyncs reports the scan's new stale verdicts and pushes the resync
+// requests it owes to the owning connections, outside every lock, so a
+// slow peer cannot stall a shard.
+func (s *Server) pushResyncs(found []server.Silent) {
 	for _, f := range found {
 		if f.Marked {
 			s.telStaleTotal.Inc()
-			s.diag.ObserveStale(f.ID)
 			s.logw("wire: stream stale", "stream", f.ID, "silent", time.Duration(f.For).Round(time.Millisecond))
 		}
 		if f.Owner == nil {
 			continue
 		}
 		s.telResyncReqs.Inc()
-		if s.tr.Enabled() {
-			s.tr.Record(trace.Event{
-				StreamID: f.ID,
-				Stage:    trace.StageWatchdog,
-				Outcome:  trace.OutcomeResyncRequested,
-				Value:    s.staleAfter.Seconds(),
-			})
-		}
 		if err := f.Owner.(*connWriter).writeFrame(FrameResyncRequest, []byte(f.ID)); err != nil {
 			s.logw("wire: resync-request push failed", "stream", f.ID, "err", err)
 		}
 	}
 }
 
+// Close is the server's one shutdown: it stops the wall-clock goroutine,
+// then syncs and closes the write-ahead log, so a graceful shutdown loses
+// nothing. Safe on a bare server and safe to call twice.
+func (s *Server) Close() error {
+	s.closeOnce.Do(func() {
+		if s.stop != nil {
+			close(s.stop)
+			<-s.done
+		}
+		s.closeErr = s.node.Close()
+	})
+	return s.closeErr
+}
+
+// RecoveryStats reports what the constructor's recovery pass restored
+// and replayed (zero value when the directory was empty or the server
+// is not durable).
+func (s *Server) RecoveryStats() wal.RecoveryStats { return s.node.RecoveryStats() }
+
+// WAL returns the server's write-ahead log (nil when not durable).
+func (s *Server) WAL() *wal.Log { return s.node.WAL() }
+
+// Checkpoint captures every stream's state at one instant (see
+// server.Checkpoint) and writes it durably, pruning the log prefix it
+// covers; the cut takes every shard lock, the write none.
+func (s *Server) Checkpoint() error { return s.node.Checkpoint() }
+
 // StaleStreams returns the IDs of streams the wall-clock watchdog
 // currently has marked stale.
 func (s *Server) StaleStreams() []string { return s.srv.StaleStreams() }
 
 // Registry returns the server's telemetry registry.
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
+func (s *Server) Registry() *telemetry.Registry { return s.node.Registry() }
 
 // Trace returns the server's lifecycle trace journal.
-func (s *Server) Trace() *trace.Journal { return s.tr }
+func (s *Server) Trace() *trace.Journal { return s.node.Trace() }
 
 // Auditor returns the server's online precision auditor. It consumes the
 // gate events sources ship via FrameTrace, counting δ violations —
 // suppressed ticks whose deviation exceeded the bound the server was
 // promising at the time.
-func (s *Server) Auditor() *trace.Auditor { return s.auditor }
+func (s *Server) Auditor() *trace.Auditor { return s.node.Auditor() }
 
 // logw emits one structured diagnostic record at Warn level.
 func (s *Server) logw(msg string, args ...any) {
-	l := s.Logger
+	l := s.logger
 	if l == nil {
 		l = slog.Default()
 	}
@@ -496,7 +476,7 @@ func (s *Server) ingest(m *netsim.Message, now int64, offsetNs float64) error {
 		// The source stamped its gate time: close the span. An unstamped
 		// message pays exactly one branch here, keeping the warm apply
 		// path allocation-free.
-		s.fresh.RecordE2E(freshness.E2ESeconds(m.Stamp, s.clock(), offsetNs), m.Trace, m.StreamID)
+		s.node.Freshness().RecordE2E(freshness.E2ESeconds(m.Stamp, s.clock(), offsetNs), m.Trace, m.StreamID)
 	}
 	return nil
 }
@@ -547,7 +527,7 @@ func (s *Server) Query(q QueryPayload) (AnswerPayload, error) {
 	if bound > 0 {
 		age = float64(s.clock()-heard) / 1e9
 	}
-	s.fresh.RecordStaleness(age, lastTrace, q.ID)
+	s.node.Freshness().RecordStaleness(age, lastTrace, q.ID)
 	return AnswerPayload{ID: q.ID, Tick: q.Tick, Estimate: est, Bound: bound}, nil
 }
 
@@ -555,7 +535,7 @@ func (s *Server) Query(q QueryPayload) (AnswerPayload, error) {
 // form (also served over the wire via FrameMetrics).
 func (s *Server) MetricsText() ([]byte, error) {
 	var b bytes.Buffer
-	if err := s.reg.WritePrometheus(&b); err != nil {
+	if err := s.node.Registry().WritePrometheus(&b); err != nil {
 		return nil, err
 	}
 	return b.Bytes(), nil
@@ -638,7 +618,7 @@ func (s *Server) releaseConn(cw *connWriter) {
 
 // Freshness returns the server's latency recorder (the HTTP layer serves
 // it at /debug/latency).
-func (s *Server) Freshness() *freshness.Recorder { return s.fresh }
+func (s *Server) Freshness() *freshness.Recorder { return s.node.Freshness() }
 
 // ConnSkews snapshots every live connection's clock-skew estimate for
 // the /debug/latency surface. Connections that have never pinged are
@@ -735,8 +715,8 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		// only while tracing is enabled; the auditor always consumes gate
 		// decisions so δ-violation counters work without the ring.
 		for i := range evs {
-			s.tr.Ingest(evs[i])
-			s.auditor.Ingest(evs[i])
+			s.node.Trace().Ingest(evs[i])
+			s.node.Auditor().Ingest(evs[i])
 		}
 		return nil
 	case FramePing:
@@ -751,7 +731,7 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		rttNs := int64(binary.BigEndian.Uint64(payload[8:16]))
 		if cw.skew != nil {
 			off := cw.skew.Observe(s.clock(), sendNs, rttNs)
-			s.fresh.SetSkew(off / 1e9)
+			s.node.Freshness().SetSkew(off / 1e9)
 		}
 		return cw.writeFrame(FramePong, payload[:8])
 	case FrameMetrics:

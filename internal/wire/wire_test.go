@@ -134,9 +134,9 @@ func checkTotals(t *testing.T, s *Server, carried int64) {
 		name      string
 		got, want int64
 	}{
-		{"corrections_sent_total", regTotal(s.reg, "corrections_sent_total"), sum.Corrections - carried},
-		{"corrections_suppressed_total", regTotal(s.reg, "corrections_suppressed_total"), sum.Suppressed},
-		{"wire_duplicates_dropped_total", regTotal(s.reg, "wire_duplicates_dropped_total"), sum.Duplicates},
+		{"corrections_sent_total", regTotal(s.Registry(), "corrections_sent_total"), sum.Corrections - carried},
+		{"corrections_suppressed_total", regTotal(s.Registry(), "corrections_suppressed_total"), sum.Suppressed},
+		{"wire_duplicates_dropped_total", regTotal(s.Registry(), "wire_duplicates_dropped_total"), sum.Duplicates},
 	} {
 		if c.got != c.want {
 			t.Fatalf("%s sums to %d, the stream records to %d", c.name, c.got, c.want)
