@@ -22,6 +22,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"kalmanstream/internal/mat"
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/source"
@@ -475,8 +476,14 @@ func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, 
 
 // applyAt is the one apply body, under the shard write lock: step the
 // replica to tick, perform the message's state update, count it, and —
-// live, as opposed to replayed from the log — fire the durability hook.
+// live, as opposed to replayed from the log — fire the durability hook. A
+// live message carrying a NaN or ±Inf is refused before anything moves:
+// the filter would carry it into every later answer. A refused message
+// never reaches the log; replay restores the log as written.
 func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Message, live bool) error {
+	if live && !mat.VecIsFinite(m.Value) {
+		return fmt.Errorf("server: %s %s at tick %d carries a non-finite value", m.StreamID, m.Kind, m.Tick)
+	}
 	steps := tick - st.tick
 	s.stepTo(st, tick)
 	value := m.Value

@@ -48,10 +48,6 @@ const DefaultDialAttempts = 8
 // of sources does not redial in lockstep after a server restart.
 const dialJitter = 0.2
 
-func (p ReconnectPolicy) enabled() bool {
-	return p.MaxAttempts != 0 || p.BaseDelay != 0 || p.MaxDelay != 0 || p.Seed != 0
-}
-
 func (p ReconnectPolicy) normalized() ReconnectPolicy {
 	if p.MaxAttempts == 0 {
 		p.MaxAttempts = DefaultDialAttempts
@@ -81,6 +77,9 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	// rbuf is the body buffer every reply is read into (a reply is valid
+	// until the next read), qbuf the one a binary query is encoded into.
+	rbuf, qbuf []byte
 
 	addr      string
 	policy    ReconnectPolicy
@@ -174,14 +173,19 @@ func (c *Client) EnableCoalescing(cfg CoalesceConfig) {
 	c.lastFlush = time.Now()
 }
 
-// Dial connects to a wire server with no reconnect policy.
+// Dial connects to a wire server with no reconnect policy. It fails with
+// ErrNoHello against a server that predates the protocol hello.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := NewClient(conn)
-	c.addr = addr
+	c := &Client{addr: addr}
+	c.initTelemetry()
+	if err := c.attach(conn); err != nil {
+		conn.Close()
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -197,25 +201,34 @@ func DialReconnecting(addr string, policy ReconnectPolicy) (*Client, error) {
 	}
 	c.rng = rand.New(rand.NewSource(c.policy.Seed))
 	c.initTelemetry()
-	conn, err := c.dialWithBackoff()
-	if err != nil {
+	if err := c.dialWithBackoff(); err != nil {
 		return nil, err
 	}
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	c.bw = bufio.NewWriter(conn)
 	return c, nil
 }
 
-// NewClient wraps an established connection.
-func NewClient(conn net.Conn) *Client {
-	c := &Client{
-		conn: conn,
-		br:   bufio.NewReader(conn),
-		bw:   bufio.NewWriter(conn),
+// attach makes conn the client's connection and opens it with the hello,
+// before any other frame — a redial's registration replay included.
+func (c *Client) attach(conn net.Conn) error {
+	c.conn, c.br, c.bw = conn, bufio.NewReader(conn), bufio.NewWriter(conn)
+	if err := WriteFrame(c.bw, FrameHello, appendHello(nil, serverCaps)); err != nil {
+		return err
 	}
-	c.initTelemetry()
-	return c
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	reply, err := c.expect(FrameHello)
+	if errors.Is(err, ErrServer) {
+		return fmt.Errorf("%w: %w", ErrNoHello, err)
+	}
+	if err != nil {
+		return err
+	}
+	// Every bit asked for is needed: there is no JSON query fallback.
+	if caps, err := decodeHello(reply); err != nil || caps != serverCaps {
+		return fmt.Errorf("%w: hello reply %x, want capabilities %#x", ErrServer, reply, serverCaps)
+	}
+	return nil
 }
 
 func (c *Client) initTelemetry() {
@@ -261,20 +274,27 @@ func (c *Client) logw(msg string, args ...any) {
 	l.Warn(msg, args...)
 }
 
-// dialWithBackoff dials until a connection succeeds or the attempt
-// budget runs out: delay doubles from BaseDelay to MaxDelay, randomized
-// by ±dialJitter.
-func (c *Client) dialWithBackoff() (net.Conn, error) {
+// dialWithBackoff dials and attaches until a connection's hello succeeds
+// or the attempt budget runs out: delay doubles from BaseDelay to
+// MaxDelay, randomized by ±dialJitter. A hello the server refuses is
+// final.
+func (c *Client) dialWithBackoff() error {
 	delay := c.policy.BaseDelay
 	var lastErr error
 	for attempt := 0; c.policy.MaxAttempts < 0 || attempt < c.policy.MaxAttempts; attempt++ {
 		if c.closed {
-			return nil, net.ErrClosed
+			return net.ErrClosed
 		}
 		c.telRedials.Inc()
 		conn, err := net.Dial("tcp", c.addr)
 		if err == nil {
-			return conn, nil
+			if err = c.attach(conn); err == nil {
+				return nil
+			}
+			conn.Close()
+			if errors.Is(err, ErrServer) {
+				return err
+			}
 		}
 		lastErr = err
 		sleep := time.Duration(float64(delay) * (1 + dialJitter*(2*c.rng.Float64()-1)))
@@ -284,7 +304,7 @@ func (c *Client) dialWithBackoff() (net.Conn, error) {
 			delay = c.policy.MaxDelay
 		}
 	}
-	return nil, fmt.Errorf("wire: dial %s: gave up after %d attempts: %w", c.addr, c.policy.MaxAttempts, lastErr)
+	return fmt.Errorf("wire: dial %s: gave up after %d attempts: %w", c.addr, c.policy.MaxAttempts, lastErr)
 }
 
 // redial replaces the dead connection, replays registrations so the
@@ -300,19 +320,15 @@ func (c *Client) redial() error {
 	}
 redial:
 	for {
-		conn, err := c.dialWithBackoff()
-		if err != nil {
+		if err := c.dialWithBackoff(); err != nil {
 			return err
 		}
-		c.conn = conn
-		c.br.Reset(conn)
-		c.bw.Reset(conn)
 		for _, p := range c.regs {
 			if err := c.registerOnce(p); err != nil {
 				if errors.Is(err, ErrServer) {
 					return err
 				}
-				conn.Close()
+				c.conn.Close()
 				continue redial
 			}
 		}
@@ -360,10 +376,11 @@ func (c *Client) handleResyncRequest(payload []byte) {
 
 // expect reads one frame and decodes the common OK/Error/Answer shapes.
 // FrameResyncRequest pushes may arrive at any read point (the only
-// unprompted server frame); they are dispatched and skipped.
+// unprompted server frame); they are dispatched and skipped. The payload
+// is valid until the client's next read.
 func (c *Client) expect(want uint8) ([]byte, error) {
 	for {
-		typ, payload, err := ReadFrame(c.br)
+		typ, payload, err := readFrameInto(c.br, &c.rbuf)
 		if err != nil {
 			return nil, err
 		}
@@ -413,7 +430,7 @@ func (c *Client) PollFeedback() (int, error) {
 		if err := c.conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
 			return n, c.pollRecover(err)
 		}
-		typ, payload, err := ReadFrame(c.br)
+		typ, payload, err := readFrameInto(c.br, &c.rbuf)
 		c.conn.SetReadDeadline(time.Time{})
 		if err != nil {
 			return n, c.pollRecover(err)
@@ -590,23 +607,21 @@ func (c *Client) Query(id string, tick int64) (AnswerPayload, error) {
 	if err := c.FlushCorrections(); err != nil {
 		return AnswerPayload{}, err
 	}
-	buf, err := json.Marshal(QueryPayload{ID: id, Tick: tick})
-	if err != nil {
-		return AnswerPayload{}, err
-	}
-	var ans AnswerPayload
-	err = c.withRetry(func() error {
-		if err := WriteFrame(c.bw, FrameQuery, buf); err != nil {
+	ans := AnswerPayload{ID: id, Tick: tick}
+	c.qbuf = appendQueryBin(c.qbuf[:0], tick, id)
+	err := c.withRetry(func() error {
+		if err := WriteFrame(c.bw, FrameQueryBin, c.qbuf); err != nil {
 			return err
 		}
 		if err := c.bw.Flush(); err != nil {
 			return err
 		}
-		payload, err := c.expect(FrameAnswer)
+		payload, err := c.expect(FrameAnswerBin)
 		if err != nil {
 			return err
 		}
-		return json.Unmarshal(payload, &ans)
+		ans.Bound, ans.Estimate, err = decodeAnswerBin(payload)
+		return err
 	})
 	if err != nil {
 		return AnswerPayload{}, err

@@ -4,9 +4,17 @@
 // cmd/kfsource are thin mains over this package.
 //
 // Framing: every frame is [uint32 length][uint8 type][payload]; length
-// covers type+payload. Registrations and query answers are JSON (rare,
-// debuggable); corrections reuse the compact binary encoding from
-// internal/netsim (frequent, small).
+// covers type+payload. Registrations are JSON (rare, debuggable);
+// corrections reuse the compact binary encoding from internal/netsim, and
+// queries and their answers are fixed binary layouts (both frequent,
+// small).
+//
+// Hello: a connection's first frame may be FrameHello, carrying the
+// capability word of the wire changes the peer speaks; the server answers
+// with the subset it speaks too, and the connection uses exactly that set.
+// Each versioned change spends one bit. A peer that never sends a hello is
+// spoken to in the original protocol, byte for byte — JSON queries
+// included.
 //
 // Clocks: a networked source ticks on its own schedule, and suppressed
 // ticks — the whole point of the protocol — produce no traffic, so the
@@ -22,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Frame types.
@@ -30,9 +39,11 @@ const (
 	FrameRegister uint8 = iota + 1
 	// FrameMessage carries a netsim binary message (client → server).
 	FrameMessage
-	// FrameQuery carries a JSON QueryPayload (client → server).
+	// FrameQuery carries a JSON QueryPayload (client → server). Only a
+	// peer that never sent a hello queries this way.
 	FrameQuery
-	// FrameAnswer carries a JSON AnswerPayload (server → client).
+	// FrameAnswer carries a JSON AnswerPayload (server → client), the
+	// reply to FrameQuery.
 	FrameAnswer
 	// FrameOK acknowledges a registration (server → client).
 	FrameOK
@@ -74,7 +85,78 @@ const (
 	FramePing
 	// FramePong echoes the ping's client_send_ns (server → client).
 	FramePong
+	// FrameHello carries a 4-byte big-endian capability word, both
+	// directions: the client's word as its first frame, the server's
+	// reply the client's word ANDed with its own. A hello anywhere but
+	// first is refused.
+	FrameHello
+	// FrameQueryBin carries [tick int64][stream id bytes] (client →
+	// server), on a connection that negotiated CapBinaryQuery.
+	FrameQueryBin
+	// FrameAnswerBin carries [bound float64][estimate float64 × n]
+	// (server → client), the reply to FrameQueryBin; n is implied by the
+	// payload length.
+	FrameAnswerBin
 )
+
+// Capability bits of the FrameHello word, one per versioned wire change.
+const (
+	// CapBinaryQuery: queries travel as FrameQueryBin/FrameAnswerBin.
+	CapBinaryQuery uint32 = 1 << iota
+)
+
+// serverCaps is every capability this package speaks; a client asks for
+// all of them.
+const serverCaps = CapBinaryQuery
+
+// ErrNoHello is returned by a dial whose server refused the protocol hello:
+// it predates it, and must be upgraded before its clients.
+var ErrNoHello = errors.New("wire: server does not speak the protocol hello (upgrade kfserver first)")
+
+func appendHello(dst []byte, caps uint32) []byte {
+	return binary.BigEndian.AppendUint32(dst, caps)
+}
+
+func decodeHello(payload []byte) (uint32, error) {
+	if len(payload) != 4 {
+		return 0, fmt.Errorf("wire: bad hello payload length %d", len(payload))
+	}
+	return binary.BigEndian.Uint32(payload), nil
+}
+
+func appendQueryBin(dst []byte, tick int64, id string) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(tick))
+	return append(dst, id...)
+}
+
+// decodeQueryBin splits a FrameQueryBin payload; id aliases payload.
+func decodeQueryBin(payload []byte) (tick int64, id []byte, err error) {
+	if len(payload) < 8 {
+		return 0, nil, fmt.Errorf("wire: bad binary query payload length %d", len(payload))
+	}
+	return int64(binary.BigEndian.Uint64(payload)), payload[8:], nil
+}
+
+func appendAnswerBin(dst []byte, bound float64, est []float64) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(bound))
+	for _, v := range est {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
+}
+
+// decodeAnswerBin reads a FrameAnswerBin payload into a fresh estimate.
+func decodeAnswerBin(payload []byte) (bound float64, est []float64, err error) {
+	if len(payload) < 8 || len(payload)%8 != 0 {
+		return 0, nil, fmt.Errorf("wire: bad binary answer payload length %d", len(payload))
+	}
+	bound = math.Float64frombits(binary.BigEndian.Uint64(payload))
+	est = make([]float64, len(payload)/8-1)
+	for i := range est {
+		est[i] = math.Float64frombits(binary.BigEndian.Uint64(payload[8+8*i:]))
+	}
+	return bound, est, nil
+}
 
 // FrameName returns a short human-readable name for a frame type, used
 // as a telemetry label and in logs.
@@ -106,6 +188,12 @@ func FrameName(typ uint8) string {
 		return "ping"
 	case FramePong:
 		return "pong"
+	case FrameHello:
+		return "hello"
+	case FrameQueryBin:
+		return "query-bin"
+	case FrameAnswerBin:
+		return "answer-bin"
 	default:
 		return fmt.Sprintf("unknown(%d)", typ)
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"kalmanstream/internal/telemetry"
@@ -88,6 +89,44 @@ func FuzzTraceBatch(f *testing.F) {
 			// ingested ones; recorded count must never be below the batch.
 			if got < uint64(len(evs)) {
 				t.Fatalf("ingested %d events, journal recorded %d", len(evs), got)
+			}
+		}
+	})
+}
+
+// FuzzQueryBinFrames feeds arbitrary payloads to the hello, binary query
+// and binary answer decoders: none may panic, whatever one accepts must
+// re-encode to the same bytes, and an answer must survive encode → decode
+// bit for bit — NaN payloads and signed zeros included.
+func FuzzQueryBinFrames(f *testing.F) {
+	f.Add(appendHello(nil, CapBinaryQuery))
+	f.Add(appendQueryBin(nil, 70, "cap-s"))
+	f.Add(appendAnswerBin(nil, 0.5, []float64{0.27, math.Copysign(0, -1), math.Inf(-1), math.NaN()}))
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if caps, err := decodeHello(data); err == nil && !bytes.Equal(appendHello(nil, caps), data) {
+			t.Fatalf("hello %x re-encodes as %x", data, appendHello(nil, caps))
+		}
+		if tick, id, err := decodeQueryBin(data); err == nil && !bytes.Equal(appendQueryBin(nil, tick, string(id)), data) {
+			t.Fatalf("query %x re-encodes differently", data)
+		}
+		bound, est, err := decodeAnswerBin(data)
+		if err != nil {
+			return
+		}
+		enc := appendAnswerBin(nil, bound, est)
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("answer %x re-encodes as %x", data, enc)
+		}
+		bound2, est2, err := decodeAnswerBin(enc)
+		if err != nil || math.Float64bits(bound2) != math.Float64bits(bound) || len(est2) != len(est) {
+			t.Fatalf("answer did not survive encode → decode: %v", err)
+		}
+		for i := range est {
+			if math.Float64bits(est2[i]) != math.Float64bits(est[i]) {
+				t.Fatalf("estimate %d: %x became %x", i, math.Float64bits(est[i]), math.Float64bits(est2[i]))
 			}
 		}
 	})

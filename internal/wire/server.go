@@ -20,6 +20,7 @@ import (
 	"kalmanstream/internal/freshness"
 	"kalmanstream/internal/health"
 	"kalmanstream/internal/history"
+	"kalmanstream/internal/mat"
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/server"
@@ -68,6 +69,15 @@ type connWriter struct {
 	// the connection is published, and never mutated after.
 	remote string
 	skew   *freshness.SkewEstimator
+
+	// caps is the capability word the connection's hello negotiated (0
+	// for a peer that never sent one), frames counts the frames handled,
+	// the current one included, so a hello is only accepted first, and
+	// answer is where a reply payload is encoded. The handler goroutine
+	// alone touches them.
+	caps   uint32
+	frames int64
+	answer []byte
 }
 
 // connOffsetNanos reads the connection's smoothed clock-skew estimate
@@ -141,9 +151,10 @@ type Server struct {
 
 	// telFrame holds the per-kind handler latency histogram, indexed by
 	// frame type so the read loop observes without a registry lookup or
-	// label allocation. Only client→server kinds are populated; the rest
+	// label allocation. Only client→server kinds are populated (a binary
+	// query shares the JSON query's series, a hello has none); the rest
 	// stay nil and the loop skips them.
-	telFrame [FramePong + 1]*telemetry.Histogram
+	telFrame [FrameAnswerBin + 1]*telemetry.Histogram
 
 	telBatches     *telemetry.Counter
 	telBatchedMsgs *telemetry.Histogram
@@ -287,6 +298,7 @@ func newServer(opts Options, d Durability) (*Server, error) {
 		s.telFrame[typ] = reg.Histogram("wire_frame_handle_seconds",
 			telemetry.LatencyBuckets, "kind", FrameName(typ))
 	}
+	s.telFrame[FrameQueryBin] = s.telFrame[FrameQuery]
 	reg.Help("wire_frame_handle_seconds", "inbound frame handling latency by frame kind")
 	reg.Help("wire_frames_coalesced_total", "batched correction frames received")
 	reg.Help("wire_corrections_per_frame", "messages carried per coalesced frame")
@@ -647,6 +659,7 @@ func (s *Server) ConnSkews() []freshness.ConnSkew {
 // per-kind wire_frame_handle_seconds series. Unknown kinds have no
 // series (nil slot) and are not timed.
 func (s *Server) dispatch(cw *connWriter, typ uint8, payload []byte, msg *netsim.Message) error {
+	cw.frames++
 	var h *telemetry.Histogram
 	if int(typ) < len(s.telFrame) {
 		h = s.telFrame[typ]
@@ -658,6 +671,50 @@ func (s *Server) dispatch(cw *connWriter, typ uint8, payload []byte, msg *netsim
 	err := s.route(cw, typ, payload, msg)
 	h.Observe(time.Since(start).Seconds())
 	return err
+}
+
+// hello answers a connection's first frame with the capabilities both
+// sides speak, and the connection uses exactly those from here on.
+func (s *Server) hello(cw *connWriter, payload []byte) error {
+	if cw.frames != 1 {
+		return errors.New("wire: hello must be a connection's first frame")
+	}
+	caps, err := decodeHello(payload)
+	if err != nil {
+		return err
+	}
+	cw.caps = caps & serverCaps
+	return cw.writeFrame(FrameHello, appendHello(cw.answer[:0], cw.caps))
+}
+
+// timedQuery is Query observed into query_latency_seconds, both query
+// arms' one body.
+func (s *Server) timedQuery(id string, tick int64) (AnswerPayload, error) {
+	start := time.Now()
+	ans, err := s.Query(QueryPayload{ID: id, Tick: tick})
+	s.telLatency.Observe(time.Since(start).Seconds())
+	return ans, err
+}
+
+// queryBin answers a FrameQueryBin. A non-finite estimate is refused, as
+// the JSON arm's encoder refuses it.
+func (s *Server) queryBin(cw *connWriter, payload []byte) error {
+	if cw.caps&CapBinaryQuery == 0 {
+		return errors.New("wire: binary query on a connection that did not negotiate it")
+	}
+	tick, id, err := decodeQueryBin(payload)
+	if err != nil {
+		return err
+	}
+	ans, err := s.timedQuery(string(id), tick)
+	if err != nil {
+		return err
+	}
+	if !mat.VecIsFinite(ans.Estimate) {
+		return fmt.Errorf("wire: stream %q has a non-finite estimate %v", ans.ID, ans.Estimate)
+	}
+	cw.answer = appendAnswerBin(cw.answer[:0], ans.Bound, ans.Estimate)
+	return cw.writeFrame(FrameAnswerBin, cw.answer)
 }
 
 func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Message) error {
@@ -690,14 +747,21 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 			s.telBatchedMsgs.Observe(float64(n))
 		}
 		return err
+	case FrameHello:
+		return s.hello(cw, payload)
+	case FrameQueryBin:
+		return s.queryBin(cw, payload)
 	case FrameQuery:
+		// The original query arm, kept byte for byte for a peer that
+		// did not negotiate binary queries.
+		if cw.caps&CapBinaryQuery != 0 {
+			return errors.New("wire: JSON query on a connection that negotiated binary queries")
+		}
 		var q QueryPayload
 		if err := json.Unmarshal(payload, &q); err != nil {
 			return fmt.Errorf("wire: bad query payload: %w", err)
 		}
-		start := time.Now()
-		ans, err := s.Query(q)
-		s.telLatency.Observe(time.Since(start).Seconds())
+		ans, err := s.timedQuery(q.ID, q.Tick)
 		if err != nil {
 			return err
 		}
