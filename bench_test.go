@@ -181,17 +181,18 @@ func BenchmarkLazyAdvance(b *testing.B) {
 }
 
 // BenchmarkMessageEncodeDecode measures the wire codec round trip for a
-// typical scalar correction.
+// typical scalar correction into fresh storage each time: a new buffer, a
+// new message.
 func BenchmarkMessageEncodeDecode(b *testing.B) {
 	m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "sensor-01", Tick: 123456, Value: []float64{42.5}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err := m.Encode()
+		buf, err := m.AppendEncode(make([]byte, 0, m.EncodedSize()))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := netsim.Decode(buf); err != nil {
+		if err := netsim.DecodeInto(&netsim.Message{}, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

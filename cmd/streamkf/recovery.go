@@ -236,9 +236,15 @@ func cmdRecovery(args []string) error {
 		RestartMillis:     restartMillis,
 	}
 
-	// Re-send the full history: the monotonic-tick guard drops what the
-	// log preserved and lands only the lost tail — a reconnecting
+	// Re-register on the new connection and re-send the full history: the
+	// server adopts each recovered replica, the monotonic-tick guard drops
+	// what the log preserved and lands only the lost tail — a reconnecting
 	// source's behaviour. Then both servers take the post-kill workload.
+	for _, id := range ids {
+		if err := c2.Register(id, spec, 0.5); err != nil {
+			return fmt.Errorf("recovery: re-register %s: %w", id, err)
+		}
+	}
 	for tick := int64(0); tick < kill; tick++ {
 		if err := send(tick, c2, false); err != nil {
 			return err

@@ -33,7 +33,7 @@ func TestNodeTickCadences(t *testing.T) {
 	if p := n.Period(); p != 10 {
 		t.Fatalf("Period = %d, want the flush cadence 10", p)
 	}
-	if err := n.Server().Adopt("s", StaticCache(1), 1, nil, now); err != nil {
+	if _, err := n.Server().Adopt("s", StaticCache(1), 1, nil, now); err != nil {
 		t.Fatal(err)
 	}
 	scans := 0

@@ -9,7 +9,7 @@ import (
 // matches must not allocate, and must still round-trip exactly.
 func TestDecodeIntoReusesStorage(t *testing.T) {
 	m := &Message{Kind: KindCorrection, StreamID: "sensor-07", Tick: 99, Value: []float64{1.5, -2.25, 3}}
-	buf, err := m.Encode()
+	buf, err := encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestDecodeIntoReusesStorage(t *testing.T) {
 	prev := &dst.Value[0]
 	prevID := dst.StreamID
 	m.Value = []float64{4, 5, 6}
-	buf2, err := m.Encode()
+	buf2, err := encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDecodeIntoGrowsValue(t *testing.T) {
 	for i := range m.Value {
 		m.Value[i] = float64(i) * 1.25
 	}
-	buf, err := m.Encode()
+	buf, err := encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package netsim
 
 // Batched message codec. The netsim encoding is self-delimiting, so a
-// batch is simply the concatenation of AppendEncode outputs; DecodeNext
-// walks the concatenation back out without copying or per-message
-// allocation. The wire layer ships such batches as one coalesced frame
-// (one syscall per burst instead of one per correction).
+// batch is simply the concatenation of record encodings — AppendEncode's,
+// or AppendEncodeHandle's on a connection that names streams by handle;
+// DecodeNext (DecodeNextHandle) walks the concatenation back out without
+// copying or per-message allocation. The wire layer ships such batches as
+// one coalesced frame (one syscall per burst instead of one per
+// correction).
 
 // Batch accumulates messages into one self-delimiting payload.
 // The zero value is ready to use. Not safe for concurrent use.
@@ -17,6 +19,16 @@ type Batch struct {
 // Add appends m's encoding to the batch.
 func (b *Batch) Add(m *Message) error {
 	buf, err := m.AppendEncode(b.buf)
+	return b.add(m, buf, err)
+}
+
+// AddHandle appends m's handle-form encoding, naming its stream by h.
+func (b *Batch) AddHandle(m *Message, h uint32) error {
+	buf, err := m.AppendEncodeHandle(b.buf, h)
+	return b.add(m, buf, err)
+}
+
+func (b *Batch) add(m *Message, buf []byte, err error) error {
 	if err != nil {
 		return err
 	}
@@ -45,25 +57,4 @@ func (b *Batch) Bytes() []byte { return b.buf }
 func (b *Batch) Reset() {
 	b.buf = b.buf[:0]
 	b.count = 0
-}
-
-// DecodeBatch decodes every message in a batch payload front to back,
-// invoking apply for each. The scratch message is reused across
-// sub-records, so a steady stream of batches decodes without allocating;
-// apply must copy anything it keeps. It returns the number of messages
-// applied before the first error (decode or apply), if any.
-func DecodeBatch(buf []byte, scratch *Message, apply func(*Message) error) (int, error) {
-	n := 0
-	for len(buf) > 0 {
-		rest, err := DecodeNext(scratch, buf)
-		if err != nil {
-			return n, err
-		}
-		if err := apply(scratch); err != nil {
-			return n, err
-		}
-		n++
-		buf = rest
-	}
-	return n, nil
 }

@@ -1,8 +1,12 @@
 package netsim
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -29,7 +33,7 @@ func batchMessages(n int) []*Message {
 }
 
 // TestBatchRoundTrip: a batch is the concatenation of self-delimiting
-// encodings; DecodeBatch must walk every message back out in order with
+// encodings; DecodeNext must walk every message back out in order with
 // identical fields.
 func TestBatchRoundTrip(t *testing.T) {
 	msgs := batchMessages(23)
@@ -47,7 +51,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	var scratch Message
 	i := 0
-	n, err := DecodeBatch(b.Bytes(), &scratch, func(m *Message) error {
+	n, err := decodeBatch(b.Bytes(), &scratch, func(m *Message) error {
 		want := msgs[i]
 		if m.Kind != want.Kind || m.StreamID != want.StreamID ||
 			m.Tick != want.Tick || m.Trace != want.Trace {
@@ -76,8 +80,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchTruncatedPayload: DecodeBatch must stop with an error (not
-// panic, not loop) when the payload is cut mid-record.
+// TestBatchTruncatedPayload: the DecodeNext walk must stop with an error
+// (not panic, not loop) when the payload is cut mid-record.
 func TestBatchTruncatedPayload(t *testing.T) {
 	var b Batch
 	for _, m := range batchMessages(4) {
@@ -87,7 +91,7 @@ func TestBatchTruncatedPayload(t *testing.T) {
 	}
 	payload := b.Bytes()
 	var scratch Message
-	n, err := DecodeBatch(payload[:len(payload)-3], &scratch, func(*Message) error { return nil })
+	n, err := decodeBatch(payload[:len(payload)-3], &scratch, func(*Message) error { return nil })
 	if err == nil {
 		t.Fatal("truncated batch decoded cleanly")
 	}
@@ -125,7 +129,7 @@ func TestMessagePoolConcurrent(t *testing.T) {
 					}
 					PutMessage(m)
 				}
-				n, err := DecodeBatch(b.Bytes(), &scratch, func(m *Message) error {
+				n, err := decodeBatch(b.Bytes(), &scratch, func(m *Message) error {
 					if m.StreamID != fmt.Sprintf("w%d", w) || len(m.Value) != 2 || m.Value[0] != float64(w) {
 						return fmt.Errorf("worker %d: cross-goroutine corruption: %+v", w, m)
 					}
@@ -147,4 +151,98 @@ func TestMessagePoolConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// TestHandleFormMatchesIDForm: a handle-form record is the id form with
+// [idLen u16][id] replaced by [handle u32] — kind byte, flags, trace,
+// stamp, tick and values unchanged — and decodes to the same fields.
+func TestHandleFormMatchesIDForm(t *testing.T) {
+	var hb, ib Batch
+	msgs := batchMessages(12)
+	for i, m := range msgs {
+		if i%4 == 1 {
+			m.Stamp = int64(1e9 + i)
+		}
+		h := uint32(i * 977)
+		idForm, err := encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hForm, err := m.AppendEncodeHandle(nil, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := len(idForm) - 2 - len(m.StreamID) - 8 - 2 - 8*len(m.Value)
+		want := binary.BigEndian.AppendUint32(append([]byte(nil), idForm[:head]...), h)
+		want = append(want, idForm[head+2+len(m.StreamID):]...)
+		if !bytes.Equal(hForm, want) {
+			t.Fatalf("record %d: handle form % x, want % x", i, hForm, want)
+		}
+		ref, err := decode(idForm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Message{StreamID: "untouched"}
+		gotH, rest, err := DecodeNextHandle(&got, hForm)
+		if err != nil || len(rest) != 0 || gotH != h {
+			t.Fatalf("record %d: handle %d, %d bytes left, %v", i, gotH, len(rest), err)
+		}
+		if got.StreamID != "untouched" {
+			t.Fatalf("record %d: DecodeNextHandle set StreamID %q", i, got.StreamID)
+		}
+		got.StreamID = ref.StreamID
+		if !reflect.DeepEqual(&got, ref) {
+			t.Fatalf("record %d: handle form decodes to %+v, id form to %+v", i, got, *ref)
+		}
+		for cut := 0; cut < len(hForm); cut++ {
+			if _, _, err := DecodeNextHandle(&got, hForm[:cut]); err == nil {
+				t.Fatalf("record %d cut to %d bytes decoded", i, cut)
+			}
+		}
+		if err := errors.Join(hb.AddHandle(m, h), ib.Add(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hb.Count() != len(msgs) || hb.LastTick() != ib.LastTick() || hb.Len() >= ib.Len() {
+		t.Fatalf("handle batch %d records, last tick %d, %d bytes; id batch %d bytes", hb.Count(), hb.LastTick(), hb.Len(), ib.Len())
+	}
+}
+
+// TestDecodeNextIDZeroAlloc: walking a batch over many distinct streams
+// with DecodeNextID and resolving each by its id bytes allocates nothing,
+// where DecodeNext copies every id that differs from the previous one.
+func TestDecodeNextIDZeroAlloc(t *testing.T) {
+	var b Batch
+	known := map[string]int{}
+	for i := 0; i < 64; i++ {
+		id := fmt.Sprintf("sensor-%04d", i)
+		known[id] = i
+		if err := b.Add(&Message{Kind: KindCorrection, StreamID: id, Tick: int64(i), Value: []float64{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var scratch Message
+	scratch.Value = make([]float64, 0, 1)
+	walk := func() {
+		n := 0
+		for rest := b.Bytes(); len(rest) > 0; n++ {
+			id, next, err := DecodeNextID(&scratch, rest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if known[string(id)] != n {
+				t.Fatalf("record %d resolved to %d", n, known[string(id)])
+			}
+			rest = next
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, walk); allocs != 0 {
+		t.Errorf("DecodeNextID over 64 streams allocates %.1f per batch, want 0", allocs)
+	}
+	copies := testing.AllocsPerRun(100, func() {
+		if _, err := decodeBatch(b.Bytes(), &scratch, func(*Message) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("per 64-record batch: DecodeNextID 0 allocations, DecodeNext %.0f", copies)
 }

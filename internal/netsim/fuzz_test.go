@@ -26,7 +26,7 @@ func FuzzDecode(f *testing.F) {
 		{Kind: KindCorrection, StreamID: "both", Tick: 4, Value: []float64{8}, Trace: 7, Stamp: 1_000_000_001},
 	}
 	for _, m := range seed {
-		buf, err := m.Encode()
+		buf, err := encode(m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -37,11 +37,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
+		m, err := decode(data)
 		if err != nil {
 			return
 		}
-		out, err := m.Encode()
+		out, err := encode(m)
 		if err != nil {
 			t.Fatalf("decoded message failed to re-encode: %v", err)
 		}
@@ -64,11 +64,11 @@ func FuzzStampedFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind uint8, id string, tick int64, val float64, tr uint64, stamp int64) {
 		m := &Message{Kind: MessageKind(kind), StreamID: id, Tick: tick, Value: []float64{val}, Trace: tr, Stamp: stamp}
-		buf, err := m.Encode()
+		buf, err := encode(m)
 		if err != nil {
 			return // invalid kind, oversized id, or negative stamp — rejected, nothing to check
 		}
-		got, err := Decode(buf)
+		got, err := decode(buf)
 		if err != nil {
 			t.Fatalf("encoded message failed to decode: %v", err)
 		}
@@ -84,7 +84,7 @@ func FuzzStampedFrame(f *testing.F) {
 		// — no leftover flag bit, no reserved bytes.
 		bare := *m
 		bare.Stamp = 0
-		bareBuf, err := bare.Encode()
+		bareBuf, err := encode(&bare)
 		if err != nil {
 			t.Fatalf("unstamped sibling failed to encode: %v", err)
 		}

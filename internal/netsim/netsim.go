@@ -8,11 +8,12 @@
 // within precision bounds. The simulator counts those exactly; the TCP
 // demo in internal/wire shows the same messages crossing a real socket.
 //
-// The codec has two tiers. Encode/Decode are the convenient forms that
-// allocate their results. AppendEncode/DecodeInto are the hot-path forms:
-// they reuse caller-provided buffers (plus GetBuffer/PutBuffer's pooled
-// encode buffers), so a steady-state correction round trip performs zero
-// heap allocations.
+// The codec reuses caller-provided storage: AppendEncode appends to the
+// caller's buffer (GetBuffer/PutBuffer pool them) and DecodeInto/DecodeNext
+// decode into the caller's Message, so a steady-state correction round
+// trip performs zero heap allocations. A record names its stream by id;
+// the handle form (AppendEncodeHandle/DecodeNextHandle) names it by a
+// per-connection uint32 instead, and is otherwise the same bytes.
 package netsim
 
 import (
@@ -101,7 +102,7 @@ const (
 	stampedFlag = 0x40
 )
 
-// EncodedSize returns the exact number of bytes Encode will produce.
+// EncodedSize returns the exact number of bytes AppendEncode appends.
 func (m *Message) EncodedSize() int {
 	// kind(1) [+ trace(8)] [+ stamp(8)] + idLen(2) + id + tick(8) + valLen(2) + 8·len(Value)
 	n := 1 + 2 + len(m.StreamID) + 8 + 2 + 8*len(m.Value)
@@ -122,6 +123,31 @@ func (m *Message) AppendEncode(buf []byte) ([]byte, error) {
 	if len(m.StreamID) > math.MaxUint16 {
 		return nil, fmt.Errorf("netsim: stream id too long (%d bytes)", len(m.StreamID))
 	}
+	buf, err := m.appendHead(buf)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.StreamID)))
+	buf = append(buf, m.StreamID...)
+	return m.appendTail(buf), nil
+}
+
+// AppendEncodeHandle is AppendEncode in the handle form: the record names
+// its stream by h, a handle the receiving connection assigned, so
+// [idLen u16][id] becomes [handle u32] and every other byte is the same.
+// m.StreamID is not encoded.
+func (m *Message) AppendEncodeHandle(buf []byte, h uint32) ([]byte, error) {
+	buf, err := m.appendHead(buf)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.BigEndian.AppendUint32(buf, h)
+	return m.appendTail(buf), nil
+}
+
+// appendHead appends what precedes the stream's name: the kind byte with
+// its flags, then the trace ID and the stamp when set.
+func (m *Message) appendHead(buf []byte) ([]byte, error) {
 	if len(m.Value) > math.MaxUint16 {
 		return nil, fmt.Errorf("netsim: value too long (%d elements)", len(m.Value))
 	}
@@ -142,31 +168,86 @@ func (m *Message) AppendEncode(buf []byte) ([]byte, error) {
 	if m.Stamp != 0 {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(m.Stamp))
 	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.StreamID)))
-	buf = append(buf, m.StreamID...)
+	return buf, nil
+}
+
+// appendTail appends what follows the stream's name: the tick and the
+// values.
+func (m *Message) appendTail(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(m.Tick))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Value)))
 	for _, v := range m.Value {
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	return buf, nil
-}
-
-// Encode serializes the message to a freshly allocated compact binary
-// form.
-func (m *Message) Encode() ([]byte, error) {
-	return m.AppendEncode(make([]byte, 0, m.EncodedSize()))
+	return buf
 }
 
 // DecodeNext parses one message from the front of buf into m and returns
 // the unconsumed remainder. The encoding is self-delimiting, so a batch
 // of concatenated AppendEncode outputs decodes by calling DecodeNext in a
-// loop — the coalesced wire frame's zero-copy dispatch path. Storage
-// reuse matches DecodeInto. On error m is left in an unspecified state.
+// loop. Storage reuse matches DecodeInto. On error m is left in an
+// unspecified state.
 func DecodeNext(m *Message, buf []byte) ([]byte, error) {
-	if len(buf) < 3 {
-		return nil, fmt.Errorf("netsim: message truncated (%d bytes)", len(buf))
+	id, rest, err := DecodeNextID(m, buf)
+	if err != nil {
+		return nil, err
 	}
+	// string([]byte) == string compares without converting, so the id
+	// allocates only when it actually changed.
+	if m.StreamID != string(id) {
+		m.StreamID = string(id)
+	}
+	return rest, nil
+}
+
+// DecodeNextID is DecodeNext that leaves m.StreamID alone and returns the
+// record's id bytes instead, aliasing buf: a receiver that resolves the
+// stream from those bytes (a map index by string(id) does not allocate)
+// decodes a batch over many streams without allocating.
+func DecodeNextID(m *Message, buf []byte) (id, rest []byte, err error) {
+	if len(buf) < 3 {
+		return nil, nil, fmt.Errorf("netsim: message truncated (%d bytes)", len(buf))
+	}
+	if buf, err = decodeHead(m, buf); err != nil {
+		return nil, nil, err
+	}
+	if len(buf) < 2 {
+		return nil, nil, fmt.Errorf("netsim: message truncated (no id length)")
+	}
+	idLen := int(binary.BigEndian.Uint16(buf[:2]))
+	rest = buf[2:]
+	if len(rest) < idLen+8+2 {
+		return nil, nil, fmt.Errorf("netsim: message truncated after header")
+	}
+	if rest, err = decodeTail(m, rest[idLen:]); err != nil {
+		return nil, nil, err
+	}
+	return buf[2 : 2+idLen], rest, nil
+}
+
+// DecodeNextHandle parses one handle-form record (AppendEncodeHandle) from
+// the front of buf into m and returns its handle and the unconsumed
+// remainder. m.StreamID is left alone: the handle names the stream only to
+// the connection that assigned it.
+func DecodeNextHandle(m *Message, buf []byte) (h uint32, rest []byte, err error) {
+	if len(buf) < 5 {
+		return 0, nil, fmt.Errorf("netsim: message truncated (%d bytes)", len(buf))
+	}
+	if buf, err = decodeHead(m, buf); err != nil {
+		return 0, nil, err
+	}
+	if len(buf) < 4+8+2 {
+		return 0, nil, fmt.Errorf("netsim: message truncated after header")
+	}
+	if rest, err = decodeTail(m, buf[4:]); err != nil {
+		return 0, nil, err
+	}
+	return binary.BigEndian.Uint32(buf), rest, nil
+}
+
+// decodeHead parses the kind byte and the trace ID and stamp it flags,
+// returning what follows them.
+func decodeHead(m *Message, buf []byte) ([]byte, error) {
 	kind := buf[0]
 	traced := kind&tracedFlag != 0
 	stamped := kind&stampedFlag != 0
@@ -205,20 +286,12 @@ func DecodeNext(m *Message, buf []byte) ([]byte, error) {
 		}
 		buf = buf[8:]
 	}
-	if len(buf) < 2 {
-		return nil, fmt.Errorf("netsim: message truncated (no id length)")
-	}
-	idLen := int(binary.BigEndian.Uint16(buf[:2]))
-	rest := buf[2:]
-	if len(rest) < idLen+8+2 {
-		return nil, fmt.Errorf("netsim: message truncated after header")
-	}
-	// string([]byte) == string compares without converting, so the id
-	// allocates only when it actually changed.
-	if id := rest[:idLen]; m.StreamID != string(id) {
-		m.StreamID = string(id)
-	}
-	rest = rest[idLen:]
+	return buf, nil
+}
+
+// decodeTail parses the tick and the values from the front of rest, which
+// holds at least the tick and the value count.
+func decodeTail(m *Message, rest []byte) ([]byte, error) {
 	m.Tick = int64(binary.BigEndian.Uint64(rest[:8]))
 	valLen := int(binary.BigEndian.Uint16(rest[8:10]))
 	rest = rest[10:]
@@ -240,7 +313,7 @@ func DecodeNext(m *Message, buf []byte) ([]byte, error) {
 	return rest[8*valLen:], nil
 }
 
-// DecodeInto parses a message produced by Encode into m, reusing m's
+// DecodeInto parses a message produced by AppendEncode into m, reusing m's
 // storage where possible: the Value slice is reused when its capacity
 // suffices, and the StreamID string is kept when the bytes are unchanged
 // (the overwhelmingly common case — one decoder per connection or link
@@ -256,15 +329,6 @@ func DecodeInto(m *Message, buf []byte) error {
 		return fmt.Errorf("netsim: %d trailing bytes after message", len(rest))
 	}
 	return nil
-}
-
-// Decode parses a message produced by Encode into a fresh Message.
-func Decode(buf []byte) (*Message, error) {
-	m := &Message{}
-	if err := DecodeInto(m, buf); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // Clone returns a deep copy of the message (the Value slice is copied).

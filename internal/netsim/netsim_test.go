@@ -8,6 +8,36 @@ import (
 	"testing/quick"
 )
 
+// encode is AppendEncode into a buffer of its own.
+func encode(m *Message) ([]byte, error) { return m.AppendEncode(nil) }
+
+// decode is DecodeInto a Message of its own.
+func decode(buf []byte) (*Message, error) {
+	m := &Message{}
+	if err := DecodeInto(m, buf); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeBatch walks a batch payload with DecodeNext, as the wire server
+// does, calling apply for every record until the first error; it returns
+// how many records applied.
+func decodeBatch(buf []byte, scratch *Message, apply func(*Message) error) (int, error) {
+	n := 0
+	for len(buf) > 0 {
+		var err error
+		if buf, err = DecodeNext(scratch, buf); err != nil {
+			return n, err
+		}
+		if err := apply(scratch); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	msgs := []*Message{
 		{Kind: KindCorrection, StreamID: "sensor-1", Tick: 42, Value: []float64{1.5, -2.25}},
@@ -16,14 +46,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Kind: KindCorrection, StreamID: "", Tick: math.MaxInt64, Value: []float64{math.Inf(1), math.NaN()}},
 	}
 	for i, m := range msgs {
-		buf, err := m.Encode()
+		buf, err := encode(m)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if len(buf) != m.EncodedSize() {
 			t.Errorf("case %d: encoded %d bytes, EncodedSize says %d", i, len(buf), m.EncodedSize())
 		}
-		got, err := Decode(buf)
+		got, err := decode(buf)
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -51,7 +81,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3}, // value truncated
 	}
 	for i, c := range cases {
-		if _, err := Decode(c); err == nil {
+		if _, err := decode(c); err == nil {
 			t.Errorf("case %d: garbage decoded without error", i)
 		}
 	}
@@ -59,11 +89,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestEncodeRejectsOversize(t *testing.T) {
 	m := &Message{Kind: KindCorrection, StreamID: string(make([]byte, 70000))}
-	if _, err := m.Encode(); err == nil {
+	if _, err := encode(m); err == nil {
 		t.Fatal("oversized stream id accepted")
 	}
 	m2 := &Message{Kind: KindCorrection, Value: make([]float64, 70000)}
-	if _, err := m2.Encode(); err == nil {
+	if _, err := encode(m2); err == nil {
 		t.Fatal("oversized value accepted")
 	}
 }
@@ -88,11 +118,11 @@ func TestPropEncodeDecodeRoundTrip(t *testing.T) {
 		if len(m.Value) == 0 {
 			m.Value = nil
 		}
-		buf, err := m.Encode()
+		buf, err := encode(m)
 		if err != nil {
 			return false
 		}
-		got, err := Decode(buf)
+		got, err := decode(buf)
 		if err != nil {
 			return false
 		}

@@ -17,14 +17,14 @@ func TestStampRoundTrip(t *testing.T) {
 		{Kind: KindResync, StreamID: "r", Tick: 7, Value: []float64{1, 2, 3}, Stamp: 123456789},
 	}
 	for _, m := range cases {
-		buf, err := m.Encode()
+		buf, err := encode(m)
 		if err != nil {
 			t.Fatalf("%+v: %v", m, err)
 		}
 		if len(buf) != m.EncodedSize() {
 			t.Fatalf("%+v: encoded %d bytes, EncodedSize says %d", m, len(buf), m.EncodedSize())
 		}
-		got, err := Decode(buf)
+		got, err := decode(buf)
 		if err != nil {
 			t.Fatalf("%+v: decode: %v", m, err)
 		}
@@ -39,7 +39,7 @@ func TestStampRoundTrip(t *testing.T) {
 // to before the stamp field existed (same layout, no flag bit).
 func TestUnstampedEncodingUnchanged(t *testing.T) {
 	m := &Message{Kind: KindCorrection, StreamID: "s1", Tick: 3, Value: []float64{2.5}}
-	buf, err := m.Encode()
+	buf, err := encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestUnstampedEncodingUnchanged(t *testing.T) {
 // forms: a stamp flag with a zero or negative stamp.
 func TestStampCanonicalForm(t *testing.T) {
 	m := &Message{Kind: KindCorrection, StreamID: "s", Tick: 1, Value: []float64{1}, Stamp: 7}
-	buf, err := m.Encode()
+	buf, err := encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +69,17 @@ func TestStampCanonicalForm(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		buf[i] = 0
 	}
-	if _, err := Decode(buf); err == nil || !strings.Contains(err.Error(), "non-positive stamp") {
+	if _, err := decode(buf); err == nil || !strings.Contains(err.Error(), "non-positive stamp") {
 		t.Fatalf("zero-stamp flagged message accepted (err=%v)", err)
 	}
 	// A negative stamp (top bit set) is equally non-canonical.
 	buf[1] = 0x80
-	if _, err := Decode(buf); err == nil || !strings.Contains(err.Error(), "non-positive stamp") {
+	if _, err := decode(buf); err == nil || !strings.Contains(err.Error(), "non-positive stamp") {
 		t.Fatalf("negative-stamp message accepted (err=%v)", err)
 	}
 	// And the encoder refuses to produce one.
 	m.Stamp = -1
-	if _, err := m.Encode(); err == nil {
+	if _, err := encode(m); err == nil {
 		t.Fatal("encoder accepted a negative stamp")
 	}
 }

@@ -7,18 +7,18 @@ import (
 )
 
 // TestTraceIDRoundTrip checks the in-band trace extension: a nonzero
-// trace ID survives encode/decode (both tiers), an untraced message's
+// trace ID survives encode/decode, an untraced message's
 // encoding is byte-identical to the pre-trace format, and the two forms
 // never confuse each other.
 func TestTraceIDRoundTrip(t *testing.T) {
 	traced := &Message{Kind: KindCorrection, StreamID: "s-1", Tick: 42, Value: []float64{1.5, -2}, Trace: 0xABCDEF0123456789}
 	plain := &Message{Kind: KindCorrection, StreamID: "s-1", Tick: 42, Value: []float64{1.5, -2}}
 
-	bt, err := traced.Encode()
+	bt, err := encode(traced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := plain.Encode()
+	bp, err := encode(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 		t.Fatalf("traced encoding is %d bytes, want %d (plain %d + 8)", len(bt), len(bp)+8, len(bp))
 	}
 	if traced.EncodedSize() != len(bt) || plain.EncodedSize() != len(bp) {
-		t.Fatal("EncodedSize disagrees with Encode")
+		t.Fatal("EncodedSize disagrees with AppendEncode")
 	}
 	// The untraced encoding must not carry the flag bit — byte-for-byte
 	// compatible with the original format.
@@ -34,7 +34,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 		t.Fatal("untraced message encoded with the traced flag")
 	}
 
-	got, err := Decode(bt)
+	got, err := decode(bt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	// be rejected.
 	bad := append([]byte{bt[0]}, make([]byte, 8)...)
 	bad = append(bad, bt[9:]...)
-	if _, err := Decode(bad); err == nil {
+	if _, err := decode(bad); err == nil {
 		t.Fatal("decoder accepted traced flag with zero trace id")
 	}
 }

@@ -107,7 +107,8 @@ func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 				if err != nil {
 					return err
 				}
-				return s.register(rec.ID, rec.Spec, rec.Delta, source.Norm(rec.Norm), false, nil, now)
+				_, err = s.register(rec.ID, rec.Spec, rec.Delta, source.Norm(rec.Norm), false, nil, now)
+				return err
 			case wal.RecMessage:
 				if err := netsim.DecodeInto(&scratch, payload); err != nil {
 					return err
@@ -127,13 +128,12 @@ func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 // cannot fire spurious resync requests. now is when the stream counts as
 // last heard (see Recover).
 func (s *Server) RestoreStream(cs wal.StreamState, now int64) error {
-	if err := s.register(cs.ID, cs.Spec, cs.RegisterDelta, source.Norm(cs.Norm), false, nil, now); err != nil {
+	st, err := s.register(cs.ID, cs.Spec, cs.RegisterDelta, source.Norm(cs.Norm), false, nil, now)
+	if err != nil {
 		return err
 	}
-	sh := s.shardFor(cs.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := sh.streams[cs.ID]
+	st.sh.mu.Lock()
+	defer st.sh.mu.Unlock()
 	st.delta = cs.Delta
 	st.tick = cs.Tick
 	st.lastCorr = cs.LastCorr
@@ -183,11 +183,15 @@ func (s *Server) CatchUp(id string, tick int64) error {
 // Reset drops every stream and disarms the durability hooks while keeping
 // telemetry, trace and the stale hook — the in-process stand-in for a
 // crashed server about to recover from its log, which has no log to
-// append to until recovery re-arms them.
+// append to until recovery re-arms them. A Ref to a dropped stream is
+// refused from then on.
 func (s *Server) Reset() {
 	s.onApply, s.onRegister = nil, nil
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+		for _, st := range sh.order {
+			st.dead = true
+		}
 		sh.streams = make(map[string]*streamState)
 		sh.order = nil
 		sh.size.Store(0)

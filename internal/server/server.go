@@ -63,8 +63,9 @@ type StreamInfo struct {
 	// Corrections is the number of corrections applied — what the source
 	// sent and the link delivered. It is checkpointed with the replica.
 	Corrections int64
-	// Bytes is the encoded size of those same messages, summed — but since
-	// this process registered or recovered the stream: it is not
+	// Bytes is the encoded size of those same messages in the id form (the
+	// form the log stores, whichever form the wire carried), summed — but
+	// since this process registered or recovered the stream: it is not
 	// checkpointed, so after a restart it covers replayed and new records
 	// only while Corrections carries on from the checkpoint.
 	Bytes int64
@@ -83,7 +84,12 @@ type StreamInfo struct {
 }
 
 type streamState struct {
-	id      string
+	id string
+	// sh is the shard the record lives in, so a Ref reaches its lock
+	// without hashing the id; dead marks a record Unregister or Reset
+	// dropped, under that lock, so a stale Ref is refused.
+	sh      *shard
+	dead    bool
 	replica predictor.Predictor
 	// spec and registerDelta preserve the original registration so the
 	// durability layer can checkpoint a re-buildable description of the
@@ -127,6 +133,13 @@ type streamState struct {
 	heard      int64
 	owner      any
 }
+
+// Ref is an opaque resolved reference to one stream record, returned by
+// Adopt: IngestRef reaches the record through it with no hash, no map
+// probe and no key compare. A Ref outlives its record harmlessly — once
+// Unregister or Reset drops the record, IngestRef refuses the Ref with
+// ErrUnknownStream.
+type Ref struct{ st *streamState }
 
 // shardTotals is one lock stripe's share of the registry totals (label
 // shard). The handles live where the lock already is: they are bumped
@@ -202,8 +215,9 @@ func NewSharded(n int) *Server {
 }
 
 // fnv1a is the 32-bit FNV-1a hash of id, inlined so shard routing does
-// not allocate (hash/fnv's New32a returns a heap handle).
-func fnv1a(id string) uint32 {
+// not allocate (hash/fnv's New32a returns a heap handle). It takes the id
+// as a string or as the bytes it was decoded from.
+func fnv1a[K string | []byte](id K) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -217,7 +231,7 @@ func fnv1a(id string) uint32 {
 }
 
 // shardFor routes a stream ID to its lock stripe.
-func (s *Server) shardFor(id string) *shard {
+func shardFor[K string | []byte](s *Server, id K) *shard {
 	return s.shards[fnv1a(id)%uint32(len(s.shards))]
 }
 
@@ -269,7 +283,8 @@ func (s *Server) SetTrace(j *trace.Journal) {
 // initial δ must match the source's; in the wire protocol they are carried
 // by the registration payload, so mismatch is impossible by construction.
 func (s *Server) Register(id string, spec predictor.Spec, delta float64) error {
-	return s.register(id, spec, delta, source.NormInf, false, nil, 0)
+	_, err := s.register(id, spec, delta, source.NormInf, false, nil, 0)
+	return err
 }
 
 // RegisterNorm is Register for a gate on another deviation norm. The norm
@@ -278,7 +293,8 @@ func (s *Server) Register(id string, spec predictor.Spec, delta float64) error {
 // part of the registration, so the durability hook logs it with the
 // stream and recovery rebuilds the same geometry.
 func (s *Server) RegisterNorm(id string, spec predictor.Spec, delta float64, norm source.Norm) error {
-	return s.register(id, spec, delta, norm, false, nil, 0)
+	_, err := s.register(id, spec, delta, norm, false, nil, 0)
+	return err
 }
 
 // Adopt is Register for a source on its own clock (a wire connection):
@@ -288,46 +304,48 @@ func (s *Server) RegisterNorm(id string, spec predictor.Spec, delta float64, nor
 // advanced state survives the connection, which is what lets a reconnect
 // resume mid-stream — and the announcement counts as traffic (the source
 // is demonstrably alive, and a forced resync follows on its next
-// correction). A different spec or δ is a conflict and is rejected.
-func (s *Server) Adopt(id string, spec predictor.Spec, delta float64, owner any, now int64) error {
-	return s.register(id, spec, delta, source.NormInf, true, owner, now)
+// correction). A different spec or δ is a conflict and is rejected. The
+// returned Ref resolves the record for IngestRef.
+func (s *Server) Adopt(id string, spec predictor.Spec, delta float64, owner any, now int64) (Ref, error) {
+	st, err := s.register(id, spec, delta, source.NormInf, true, owner, now)
+	return Ref{st}, err
 }
 
-func (s *Server) register(id string, spec predictor.Spec, delta float64, norm source.Norm, adopt bool, owner any, now int64) error {
+func (s *Server) register(id string, spec predictor.Spec, delta float64, norm source.Norm, adopt bool, owner any, now int64) (*streamState, error) {
 	if id == "" {
-		return fmt.Errorf("server: empty stream id")
+		return nil, fmt.Errorf("server: empty stream id")
 	}
 	if delta < 0 {
-		return fmt.Errorf("server: negative delta %g for %s", delta, id)
+		return nil, fmt.Errorf("server: negative delta %g for %s", delta, id)
 	}
-	sh := s.shardFor(id)
+	sh := shardFor(s, id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if st, ok := sh.streams[id]; ok {
 		if !adopt {
-			return fmt.Errorf("server: stream %q already registered", id)
+			return nil, fmt.Errorf("server: stream %q already registered", id)
 		}
 		if !reflect.DeepEqual(st.spec, spec) || st.registerDelta != delta {
-			return fmt.Errorf("server: stream %q re-registered with a different spec or delta", id)
+			return nil, fmt.Errorf("server: stream %q re-registered with a different spec or delta", id)
 		}
 		st.owner, st.heard, st.wdLastReq = owner, now, 0
-		return nil
+		return st, nil
 	}
 	replica, err := spec.Build()
 	if err != nil {
-		return fmt.Errorf("server: building replica for %s: %w", id, err)
+		return nil, fmt.Errorf("server: building replica for %s: %w", id, err)
 	}
 	if s.onRegister != nil {
 		if err := s.onRegister(wal.RegisterRecord{ID: id, Spec: spec, Delta: delta, Norm: int(norm)}); err != nil {
-			return fmt.Errorf("server: logging registration of %s: %w", id, err)
+			return nil, fmt.Errorf("server: logging registration of %s: %w", id, err)
 		}
 	}
-	st := &streamState{id: id, replica: replica, spec: spec, registerDelta: delta,
+	st := &streamState{id: id, sh: sh, replica: replica, spec: spec, registerDelta: delta,
 		delta: delta, norm: norm, lastCorr: -1, lastValueTick: -1, owner: owner, heard: now}
 	sh.streams[id] = st
 	sh.order = append(sh.order, st)
 	sh.size.Store(int64(len(sh.streams)))
-	return nil
+	return st, nil
 }
 
 // Unregister removes a stream.
@@ -340,6 +358,7 @@ func (s *Server) Unregister(id string) error {
 	if st.stale {
 		s.stale.Add(-1)
 	}
+	st.dead = true
 	delete(sh.streams, id)
 	for i, st := range sh.order {
 		if st.id == id {
@@ -451,11 +470,46 @@ func checkAdvance(st *streamState, tick int64) error {
 // correction twice would double-step the replica. recovered reports that
 // the message cleared a stale verdict.
 func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, err error) {
-	sh, st, err := s.lock(m.StreamID)
+	return ingestBy(s, m.StreamID, m, now)
+}
+
+// IngestID is Ingest for a message whose stream is named by id, the bytes
+// it was decoded from (netsim.DecodeNextID), rather than by m.StreamID:
+// the record is found without converting them, so a batch over many
+// streams decodes and applies without allocating.
+func (s *Server) IngestID(id []byte, m *netsim.Message, now int64) (applied, recovered bool, err error) {
+	return ingestBy(s, id, m, now)
+}
+
+// IngestRef is Ingest for the record ref resolves (see Adopt): no hash, no
+// map probe, no key compare. A Ref whose record was dropped is refused
+// with ErrUnknownStream.
+func (s *Server) IngestRef(ref Ref, m *netsim.Message, now int64) (applied, recovered bool, err error) {
+	st := ref.st
+	st.sh.mu.Lock()
+	defer st.sh.mu.Unlock()
+	if st.dead {
+		return false, false, fmt.Errorf("server: %w: %q was dropped", ErrUnknownStream, st.id)
+	}
+	return s.ingestLocked(st, m, now)
+}
+
+func ingestBy[K string | []byte](s *Server, id K, m *netsim.Message, now int64) (applied, recovered bool, err error) {
+	sh, st, err := lockBy(s, id)
 	if err != nil {
 		return false, false, err
 	}
 	defer sh.mu.Unlock()
+	return s.ingestLocked(st, m, now)
+}
+
+// ingestLocked is the one ingest body, under the record's shard write
+// lock, however the record was found. m.StreamID becomes the record's own
+// id string first — no allocation — so the log, exemplars, trace events
+// and error texts name the stream whichever way the message named it.
+func (s *Server) ingestLocked(st *streamState, m *netsim.Message, now int64) (applied, recovered bool, err error) {
+	m.StreamID = st.id
+	sh := st.sh
 	if m.Tick <= st.lastCorr {
 		st.dups++
 		if sh.tel != nil {
@@ -562,7 +616,7 @@ func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Messa
 // get looks a stream up under the shard read lock and returns the state
 // together with its shard, still locked; the caller must RUnlock.
 func (s *Server) get(id string) (*shard, *streamState, error) {
-	sh := s.shardFor(id)
+	sh := shardFor(s, id)
 	sh.mu.RLock()
 	st, ok := sh.streams[id]
 	if !ok {
@@ -573,13 +627,17 @@ func (s *Server) get(id string) (*shard, *streamState, error) {
 }
 
 // lock is get under the shard write lock; the caller must Unlock.
-func (s *Server) lock(id string) (*shard, *streamState, error) {
-	sh := s.shardFor(id)
+func (s *Server) lock(id string) (*shard, *streamState, error) { return lockBy(s, id) }
+
+// lockBy is lock for an id given as a string or as bytes; a map index by
+// string(id) does not allocate.
+func lockBy[K string | []byte](s *Server, id K) (*shard, *streamState, error) {
+	sh := shardFor(s, id)
 	sh.mu.Lock()
-	st, ok := sh.streams[id]
+	st, ok := sh.streams[string(id)]
 	if !ok {
 		sh.mu.Unlock()
-		return nil, nil, fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
+		return nil, nil, fmt.Errorf("server: %w: %q", ErrUnknownStream, string(id))
 	}
 	return sh, st, nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math/bits"
 	"math/rand"
 	"net"
 	"time"
@@ -19,9 +20,10 @@ import (
 	"kalmanstream/internal/trace"
 )
 
-// ErrServer wraps errors the server reported via FrameError. They are
-// protocol-level rejections (unknown stream, conflicting registration),
-// not transport failures, so the reconnect machinery never retries them.
+// ErrServer wraps errors the server reported via FrameError or pushed via
+// FrameRefused. They are protocol-level rejections (unknown stream,
+// conflicting registration, a non-finite correction), not transport
+// failures, so the reconnect machinery never retries them.
 var ErrServer = errors.New("wire: server error")
 
 // ReconnectPolicy shapes the client's automatic redial behaviour.
@@ -85,8 +87,14 @@ type Client struct {
 	policy    ReconnectPolicy
 	reconnect bool
 	closed    bool
-	regs      []RegisterPayload // replayed after a redial, in order
+	regs      []RegisterPayload // replayed after a redial, in first-registration order
 	rng       *rand.Rand
+	// handles maps each stream registered on this client to the handle the
+	// server assigned it, which its corrections carry instead of the id; a
+	// redial's replay reproduces every one. refused is the first refusal
+	// the server pushed (FrameRefused) that no call has reported yet.
+	handles map[string]uint32
+	refused error
 
 	// OnResyncRequest is invoked when the server pushes a
 	// FrameResyncRequest for a stream (its staleness watchdog asking the
@@ -174,7 +182,8 @@ func (c *Client) EnableCoalescing(cfg CoalesceConfig) {
 }
 
 // Dial connects to a wire server with no reconnect policy. It fails with
-// ErrNoHello against a server that predates the protocol hello.
+// ErrNoHello against a server that predates the protocol hello or any of
+// its capabilities.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -224,9 +233,15 @@ func (c *Client) attach(conn net.Conn) error {
 	if err != nil {
 		return err
 	}
-	// Every bit asked for is needed: there is no JSON query fallback.
-	if caps, err := decodeHello(reply); err != nil || caps != serverCaps {
-		return fmt.Errorf("%w: hello reply %x, want capabilities %#x", ErrServer, reply, serverCaps)
+	caps, err := decodeHello(reply)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrServer, err)
+	}
+	// Every bit asked for is needed: there is no JSON query fallback and
+	// no id-form correction fallback.
+	if missing := serverCaps &^ caps; missing != 0 {
+		bit := bits.TrailingZeros32(missing)
+		return fmt.Errorf("%w: %w: hello granted %#x, missing bit %d (%s)", ErrNoHello, ErrServer, caps, bit, capNames[bit])
 	}
 	return nil
 }
@@ -308,9 +323,12 @@ func (c *Client) dialWithBackoff() error {
 }
 
 // redial replaces the dead connection, replays registrations so the
-// server re-adopts the surviving replicas, and fires OnReconnect. A
-// replay rejected by the server (spec conflict) is fatal; a transport
-// failure mid-replay restarts the dial loop.
+// server re-adopts the surviving replicas, and fires OnReconnect. The
+// replay runs in first-registration order, so the new connection assigns
+// every stream the handle it had — corrections already encoded in the
+// write ring stay valid — and a reply naming another handle is fatal, as
+// is a replay the server rejects (spec conflict); a transport failure
+// mid-replay restarts the dial loop.
 func (c *Client) redial() error {
 	if c.closed {
 		return net.ErrClosed
@@ -324,12 +342,16 @@ redial:
 			return err
 		}
 		for _, p := range c.regs {
-			if err := c.registerOnce(p); err != nil {
+			h, err := c.registerOnce(p)
+			if err != nil {
 				if errors.Is(err, ErrServer) {
 					return err
 				}
 				c.conn.Close()
 				continue redial
+			}
+			if want := c.handles[p.ID]; h != want {
+				return fmt.Errorf("%w: redial assigned stream %q handle %d, want %d", ErrServer, p.ID, h, want)
 			}
 		}
 		break
@@ -374,10 +396,29 @@ func (c *Client) handleResyncRequest(payload []byte) {
 	}
 }
 
+// noteRefused keeps a refusal the server pushed until a call reports it
+// (see surface); a later one while the first is pending is dropped.
+func (c *Client) noteRefused(payload []byte) {
+	if c.refused == nil {
+		c.refused = fmt.Errorf("%w: %s", ErrServer, payload)
+	}
+}
+
+// surface returns err, or, when the operation itself succeeded, the
+// pending refusal — once. SendCorrection, FlushCorrections, SendTrace
+// and PollFeedback report refusals; no reply ever does.
+func (c *Client) surface(err error) error {
+	if err != nil {
+		return err
+	}
+	err, c.refused = c.refused, nil
+	return err
+}
+
 // expect reads one frame and decodes the common OK/Error/Answer shapes.
-// FrameResyncRequest pushes may arrive at any read point (the only
-// unprompted server frame); they are dispatched and skipped. The payload
-// is valid until the client's next read.
+// The server's pushes may arrive at any read point: FrameResyncRequest is
+// dispatched and FrameRefused noted, and both are skipped. The payload is
+// valid until the client's next read.
 func (c *Client) expect(want uint8) ([]byte, error) {
 	for {
 		typ, payload, err := readFrameInto(c.br, &c.rbuf)
@@ -389,6 +430,8 @@ func (c *Client) expect(want uint8) ([]byte, error) {
 			return payload, nil
 		case FrameResyncRequest:
 			c.handleResyncRequest(payload)
+		case FrameRefused:
+			c.noteRefused(payload)
 		case FrameError:
 			return nil, fmt.Errorf("%w: %s", ErrServer, payload)
 		default:
@@ -401,7 +444,8 @@ func (c *Client) expect(want uint8) ([]byte, error) {
 // send path: a source's steady state is all writes, so watchdog resync
 // requests would otherwise sit in the socket until the next query. It
 // peeks for a buffered frame header under a millisecond deadline; a
-// timeout means no feedback. Returns how many pushes were handled.
+// timeout means no feedback. Returns how many pushes were handled, and
+// the pending refusal of a correction, batch or trace frame, if any.
 //
 // Polling is also where a reconnecting client usually discovers a dead
 // connection — writes into a broken socket succeed locally, reads fail
@@ -420,7 +464,7 @@ func (c *Client) PollFeedback() (int, error) {
 				if errors.As(err, &ne) && ne.Timeout() {
 					// Peek leaves partial bytes buffered, so frame sync
 					// survives a timeout.
-					return n, nil
+					return n, c.surface(nil)
 				}
 				return n, c.pollRecover(err)
 			}
@@ -438,6 +482,9 @@ func (c *Client) PollFeedback() (int, error) {
 		switch typ {
 		case FrameResyncRequest:
 			c.handleResyncRequest(payload)
+			n++
+		case FrameRefused:
+			c.noteRefused(payload)
 			n++
 		case FrameError:
 			return n, fmt.Errorf("%w: %s", ErrServer, payload)
@@ -461,30 +508,43 @@ func (c *Client) pollRecover(err error) error {
 }
 
 // registerOnce performs one register round-trip on the current
-// connection, without retry (redial replays use it directly).
-func (c *Client) registerOnce(p RegisterPayload) error {
+// connection, without retry (redial replays use it directly), and returns
+// the handle the server assigned the stream.
+func (c *Client) registerOnce(p RegisterPayload) (uint32, error) {
 	buf, err := json.Marshal(p)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if err := WriteFrame(c.bw, FrameRegister, buf); err != nil {
-		return err
+		return 0, err
 	}
 	if err := c.bw.Flush(); err != nil {
-		return err
+		return 0, err
 	}
-	_, err = c.expect(FrameOK)
-	return err
+	reply, err := c.expect(FrameOK)
+	if err != nil {
+		return 0, err
+	}
+	return decodeHandle(reply)
 }
 
-// Register announces a stream. A reconnecting client remembers the
-// registration and replays it after every redial; the server treats an
-// identical re-register as a resume and keeps the replica.
+// Register announces a stream; the client's corrections can name it from
+// then on. A reconnecting client remembers the registration and replays
+// it after every redial; the server treats an identical re-register as a
+// resume and keeps the replica.
 func (c *Client) Register(id string, spec predictor.Spec, delta float64) error {
 	p := RegisterPayload{ID: id, Spec: spec, Delta: delta}
-	if err := c.withRetry(func() error { return c.registerOnce(p) }); err != nil {
+	var h uint32
+	if err := c.withRetry(func() (err error) { h, err = c.registerOnce(p); return err }); err != nil {
 		return err
 	}
+	if old, ok := c.handles[id]; ok && old != h {
+		return fmt.Errorf("%w: stream %q re-registered as handle %d, was %d", ErrServer, id, h, old)
+	}
+	if c.handles == nil {
+		c.handles = make(map[string]uint32)
+	}
+	c.handles[id] = h
 	if c.reconnect {
 		replaced := false
 		for i := range c.regs {
@@ -501,44 +561,51 @@ func (c *Client) Register(id string, spec predictor.Spec, delta float64) error {
 	return nil
 }
 
-// SendCorrection ships a correction message; fire-and-forget. The
-// encoding goes through a pooled buffer, so the steady-state send path
-// performs no allocations. On a reconnecting client a flush failure
-// redials and re-sends; the server's monotonic-tick guard discards the
-// copy if the original did arrive.
+// SendCorrection ships a correction message; fire-and-forget. Its stream
+// must have been registered on this client: the record names it by the
+// handle the server assigned. The encoding goes through a pooled buffer,
+// so the steady-state send path performs no allocations. On a
+// reconnecting client a flush failure redials and re-sends; the server's
+// monotonic-tick guard discards the copy if the original did arrive. A
+// refusal the server pushed since the last report is returned here (see
+// FrameRefused), after the send.
 //
 // With coalescing enabled the correction lands in the write ring
 // instead and ships with the next flush; the message is fully encoded
 // before SendCorrection returns either way, so the caller may recycle m
 // immediately.
 func (c *Client) SendCorrection(m *netsim.Message) error {
+	h, ok := c.handles[m.StreamID]
+	if !ok {
+		return fmt.Errorf("wire: stream %q is not registered on this connection", m.StreamID)
+	}
 	if c.coalesce {
-		return c.sendCoalesced(m)
+		return c.surface(c.sendCoalesced(m, h))
 	}
 	bp := netsim.GetBuffer()
 	defer netsim.PutBuffer(bp)
-	buf, err := m.AppendEncode(*bp)
+	buf, err := m.AppendEncodeHandle(*bp, h)
 	if err != nil {
 		return err
 	}
 	*bp = buf[:0]
-	return c.withRetry(func() error {
+	return c.surface(c.withRetry(func() error {
 		if err := WriteFrame(c.bw, FrameMessage, buf); err != nil {
 			return err
 		}
 		return c.bw.Flush()
-	})
+	}))
 }
 
-// sendCoalesced adds m to the write ring, flushing first when the
-// tick-boundary or deadline policy demands it and after when a size
-// bound trips.
-func (c *Client) sendCoalesced(m *netsim.Message) error {
+// sendCoalesced adds m, named by handle h, to the write ring, flushing
+// first when the tick-boundary or deadline policy demands it and after
+// when a size bound trips.
+func (c *Client) sendCoalesced(m *netsim.Message, h uint32) error {
 	if c.batch.Count() > 0 {
 		boundary := c.batchCfg.FlushTickBoundary && m.Tick != c.batch.LastTick()
 		overdue := c.batchCfg.FlushAfter > 0 && time.Since(c.lastFlush) >= c.batchCfg.FlushAfter
 		if boundary || overdue {
-			if err := c.FlushCorrections(); err != nil {
+			if err := c.flush(); err != nil {
 				return err
 			}
 		}
@@ -546,25 +613,27 @@ func (c *Client) sendCoalesced(m *netsim.Message) error {
 	if c.batch.Count() == 0 {
 		c.batchStart = time.Now()
 	}
-	if err := c.batch.Add(m); err != nil {
+	if err := c.batch.AddHandle(m, h); err != nil {
 		return err
 	}
 	c.telRingOcc.Set(float64(c.batch.Count()))
 	if c.batch.Count() >= c.batchCfg.MaxCorrections || c.batch.Len() >= c.batchCfg.MaxBytes {
-		return c.FlushCorrections()
+		return c.flush()
 	}
 	return nil
 }
 
-// FlushCorrections ships the pending coalesced batch, if any: one
-// FrameMessageBatch for several corrections, the legacy FrameMessage
-// when only one is pending (a batch of one is byte-identical to a
-// single message encoding, so old servers still interoperate with a
-// sparse coalescing client). On transport failure the batch stays
-// pending — a redial retry re-sends it whole, and the server's
-// monotonic-tick guard drops any corrections that did land the first
-// time.
-func (c *Client) FlushCorrections() error {
+// FlushCorrections ships the pending coalesced batch, if any, and then
+// reports a refusal the server pushed since the last report.
+func (c *Client) FlushCorrections() error { return c.surface(c.flush()) }
+
+// flush ships the pending coalesced batch, if any: one FrameMessageBatch
+// for several corrections, a FrameMessage when only one is pending (a
+// batch of one is byte-identical to a single message encoding). On
+// transport failure the batch stays pending — a redial retry re-sends it
+// whole, and the server's monotonic-tick guard drops any corrections that
+// did land the first time.
+func (c *Client) flush() error {
 	n := c.batch.Count()
 	if n == 0 {
 		return nil
@@ -604,7 +673,7 @@ func (c *Client) PendingCorrections() int { return c.batch.Count() }
 // the queried tick, and a correction arriving after that advance for an
 // earlier tick would apply against the wrong state).
 func (c *Client) Query(id string, tick int64) (AnswerPayload, error) {
-	if err := c.FlushCorrections(); err != nil {
+	if err := c.flush(); err != nil {
 		return AnswerPayload{}, err
 	}
 	ans := AnswerPayload{ID: id, Tick: tick}
@@ -637,7 +706,7 @@ func (c *Client) Query(id string, tick int64) (AnswerPayload, error) {
 // trip. Pending coalesced corrections flush first so the probe's
 // position in the stream is well-defined.
 func (c *Client) Ping() (time.Duration, error) {
-	if err := c.FlushCorrections(); err != nil {
+	if err := c.flush(); err != nil {
 		return 0, err
 	}
 	if c.pingClock == nil {
@@ -684,19 +753,19 @@ func (c *Client) SendTrace(evs []trace.Event) error {
 	// Gate events describe corrections that may still sit in the write
 	// ring; flush them first so the server's auditor never sees a trace
 	// for a correction it has not applied.
-	if err := c.FlushCorrections(); err != nil {
+	if err := c.flush(); err != nil {
 		return err
 	}
 	buf, err := json.Marshal(evs)
 	if err != nil {
 		return err
 	}
-	return c.withRetry(func() error {
+	return c.surface(c.withRetry(func() error {
 		if err := WriteFrame(c.bw, FrameTrace, buf); err != nil {
 			return err
 		}
 		return c.bw.Flush()
-	})
+	}))
 }
 
 // Metrics fetches the server's telemetry snapshot as Prometheus text —
@@ -704,7 +773,7 @@ func (c *Client) SendTrace(evs []trace.Event) error {
 // Pending coalesced corrections flush first so the snapshot reflects
 // everything sent before it.
 func (c *Client) Metrics() (string, error) {
-	if err := c.FlushCorrections(); err != nil {
+	if err := c.flush(); err != nil {
 		return "", err
 	}
 	var text string

@@ -5,9 +5,10 @@
 //
 // Framing: every frame is [uint32 length][uint8 type][payload]; length
 // covers type+payload. Registrations are JSON (rare, debuggable);
-// corrections reuse the compact binary encoding from internal/netsim, and
-// queries and their answers are fixed binary layouts (both frequent,
-// small).
+// corrections reuse the compact binary encoding from internal/netsim —
+// naming their stream by a per-connection handle rather than its id once
+// the hello granted CapStreamHandles — and queries and their answers are
+// fixed binary layouts (both frequent, small).
 //
 // Hello: a connection's first frame may be FrameHello, carrying the
 // capability word of the wire changes the peer speaks; the server answers
@@ -45,7 +46,8 @@ const (
 	// FrameAnswer carries a JSON AnswerPayload (server → client), the
 	// reply to FrameQuery.
 	FrameAnswer
-	// FrameOK acknowledges a registration (server → client).
+	// FrameOK acknowledges a registration (server → client): empty, or
+	// [handle uint32] on a connection that negotiated CapStreamHandles.
 	FrameOK
 	// FrameError carries a UTF-8 error string (server → client).
 	FrameError
@@ -97,21 +99,36 @@ const (
 	// (server → client), the reply to FrameQueryBin; n is implied by the
 	// payload length.
 	FrameAnswerBin
+	// FrameRefused carries a UTF-8 error string (server → client), pushed
+	// on a CapStreamHandles connection when a fire-and-forget frame — a
+	// correction, a batch, a trace batch — is refused. It answers no
+	// request, so FrameError there only ever answers the request just sent.
+	FrameRefused
 )
 
 // Capability bits of the FrameHello word, one per versioned wire change.
 const (
 	// CapBinaryQuery: queries travel as FrameQueryBin/FrameAnswerBin.
 	CapBinaryQuery uint32 = 1 << iota
+	// CapStreamHandles: the FrameOK answering a FrameRegister carries the
+	// stream's handle, [handle uint32], its index in the connection's
+	// handle table; correction records name their stream by that handle
+	// (netsim's handle form); a refused fire-and-forget frame is pushed as
+	// FrameRefused.
+	CapStreamHandles
 )
 
 // serverCaps is every capability this package speaks; a client asks for
 // all of them.
-const serverCaps = CapBinaryQuery
+const serverCaps = CapBinaryQuery | CapStreamHandles
 
-// ErrNoHello is returned by a dial whose server refused the protocol hello:
-// it predates it, and must be upgraded before its clients.
-var ErrNoHello = errors.New("wire: server does not speak the protocol hello (upgrade kfserver first)")
+// capNames names the capability bits, bit i at index i.
+var capNames = [...]string{"CapBinaryQuery", "CapStreamHandles"}
+
+// ErrNoHello is returned by a dial whose server refused the protocol hello
+// or did not grant every capability the client needs: it predates them,
+// and must be upgraded before its clients.
+var ErrNoHello = errors.New("wire: server does not speak the protocol hello this client needs (upgrade kfserver first)")
 
 func appendHello(dst []byte, caps uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, caps)
@@ -120,6 +137,15 @@ func appendHello(dst []byte, caps uint32) []byte {
 func decodeHello(payload []byte) (uint32, error) {
 	if len(payload) != 4 {
 		return 0, fmt.Errorf("wire: bad hello payload length %d", len(payload))
+	}
+	return binary.BigEndian.Uint32(payload), nil
+}
+
+// decodeHandle reads the handle a FrameOK carries on a CapStreamHandles
+// connection.
+func decodeHandle(payload []byte) (uint32, error) {
+	if len(payload) != 4 {
+		return 0, fmt.Errorf("wire: bad register reply length %d", len(payload))
 	}
 	return binary.BigEndian.Uint32(payload), nil
 }
@@ -194,6 +220,8 @@ func FrameName(typ uint8) string {
 		return "query-bin"
 	case FrameAnswerBin:
 		return "answer-bin"
+	case FrameRefused:
+		return "refused"
 	default:
 		return fmt.Sprintf("unknown(%d)", typ)
 	}

@@ -25,7 +25,7 @@ func TestFrameHandleHistogram(t *testing.T) {
 	var msg netsim.Message
 	cw := &connWriter{conn: nil, s: srv}
 	m := netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: 0, Value: []float64{1}}
-	payload, err := m.Encode()
+	payload, err := m.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestConfigureHealth(t *testing.T) {
 	cw := &connWriter{conn: nil, s: srv}
 	for at := int64(0); at < 8; at++ {
 		m := netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: at, Value: []float64{1}}
-		payload, _ := m.Encode()
+		payload, _ := m.AppendEncode(nil)
 		if err := srv.dispatch(cw, FrameMessage, payload, &msg); err != nil {
 			t.Fatal(err)
 		}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"kalmanstream/internal/netsim"
+	"kalmanstream/internal/server"
 	"kalmanstream/internal/telemetry"
 )
 
@@ -67,20 +68,54 @@ func (p *rawPeer) expect(want uint8) []byte {
 	return payload
 }
 
-func (p *rawPeer) register(id string, delta float64) {
+// hello opens the connection asking for caps and returns the grant.
+func (p *rawPeer) hello(caps uint32) uint32 {
+	p.t.Helper()
+	p.send(FrameHello, appendHello(nil, caps))
+	got, err := decodeHello(p.expect(FrameHello))
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	return got
+}
+
+// register registers id and returns the FrameOK payload: empty, or the
+// stream's handle on a connection that negotiated CapStreamHandles.
+func (p *rawPeer) register(id string, delta float64) []byte {
 	p.t.Helper()
 	buf, err := json.Marshal(RegisterPayload{ID: id, Spec: cvSpec(), Delta: delta})
 	if err != nil {
 		p.t.Fatal(err)
 	}
 	p.send(FrameRegister, buf)
-	p.expect(FrameOK)
+	return p.expect(FrameOK)
+}
+
+// registerHandle is register on a handle connection.
+func (p *rawPeer) registerHandle(id string) uint32 {
+	p.t.Helper()
+	h, err := decodeHandle(p.register(id, 0.5))
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	return h
 }
 
 func (p *rawPeer) correct(id string, tick int64, v float64) {
 	p.t.Helper()
 	m := netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: tick, Value: []float64{v}}
-	buf, err := m.Encode()
+	buf, err := m.AppendEncode(nil)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.send(FrameMessage, buf)
+}
+
+// correctHandle is correct in the handle form.
+func (p *rawPeer) correctHandle(h uint32, tick int64, v float64) {
+	p.t.Helper()
+	m := netsim.Message{Kind: netsim.KindCorrection, Tick: tick, Value: []float64{v}}
+	buf, err := m.AppendEncodeHandle(nil, h)
 	if err != nil {
 		p.t.Fatal(err)
 	}
@@ -118,11 +153,30 @@ func startQuietServer(t *testing.T) (*Server, string) {
 // capless_server.bin every byte a server of that protocol (commit
 // 3dff7db) sent back. Both were recorded once; never regenerate them.
 func TestCapabilityLessPeerReplay(t *testing.T) {
-	client, err := os.ReadFile("testdata/capless_client.bin")
+	replaySession(t, "testdata/capless_client.bin", "testdata/capless_server.bin")
+}
+
+// A peer whose hello asks for bit 0 alone — a client built before stream
+// handles — gets the binary-query protocol as it was, byte for byte:
+// id-form corrections, an empty FrameOK, and a refused correction
+// answered with FrameError. testdata/bit0_client.bin is such a peer's
+// session — the hello, a register, one correction, a 64-record batch, a
+// binary query, a correction for an unregistered stream — and
+// bit0_server.bin every byte the server sent back before handles existed
+// (commit 0f755f9). Both were recorded once; never regenerate them.
+func TestBit0PeerReplay(t *testing.T) {
+	replaySession(t, "testdata/bit0_client.bin", "testdata/bit0_server.bin")
+}
+
+// replaySession sends one recorded client session to a fresh server and
+// requires the recorded replies, byte for byte.
+func replaySession(t *testing.T, clientFile, serverFile string) {
+	t.Helper()
+	client, err := os.ReadFile(clientFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/capless_server.bin")
+	want, err := os.ReadFile(serverFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +253,11 @@ func (l *teeListener) snapshot() []*teeConn {
 
 // fakeOldServer answers every frame as a server that predates the hello
 // does: FrameError naming the unknown frame type.
-func fakeOldServer(t *testing.T) string {
+func fakeOldServer(t *testing.T) string { return fakeServer(t, false, 0) }
+
+// fakeServer is fakeOldServer, except that with hello set it answers a
+// hello as a server that speaks exactly caps does.
+func fakeServer(t *testing.T, hello bool, caps uint32) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -215,9 +273,15 @@ func fakeOldServer(t *testing.T) string {
 			go func() {
 				defer conn.Close()
 				for {
-					typ, _, err := ReadFrame(conn)
+					typ, payload, err := ReadFrame(conn)
 					if err != nil {
 						return
+					}
+					if ask, err := decodeHello(payload); hello && typ == FrameHello && err == nil {
+						if WriteFrame(conn, FrameHello, appendHello(nil, ask&caps)) != nil {
+							return
+						}
+						continue
 					}
 					msg := fmt.Sprintf("wire: unexpected frame type %d (%s)", typ, FrameName(typ))
 					if WriteFrame(conn, FrameError, []byte(msg)) != nil {
@@ -236,17 +300,98 @@ func TestHelloNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t.Run("grants bit 0 and nothing it does not speak", func(t *testing.T) {
-		for _, ask := range []uint32{0, CapBinaryQuery, math.MaxUint32} {
+	t.Run("grants bits 0 and 1 and nothing it does not speak", func(t *testing.T) {
+		for _, ask := range []uint32{0, CapBinaryQuery, CapStreamHandles, CapBinaryQuery | CapStreamHandles, 1 << 2, math.MaxUint32} {
 			p := dialRaw(t, addr)
-			p.send(FrameHello, appendHello(nil, ask))
-			got, err := decodeHello(p.expect(FrameHello))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := ask & CapBinaryQuery; got != want {
+			if got, want := p.hello(ask), ask&(CapBinaryQuery|CapStreamHandles); got != want {
 				t.Fatalf("asked %#x, granted %#x, want %#x", ask, got, want)
 			}
+		}
+	})
+
+	t.Run("handles: one per stream per connection, refused when unknown or dead", func(t *testing.T) {
+		for _, id := range []string{"h0", "h1", "h2"} {
+			if err := srv.Register(RegisterPayload{ID: id, Spec: cvSpec(), Delta: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, q := dialRaw(t, addr), dialRaw(t, addr)
+		p.hello(serverCaps)
+		q.hello(serverCaps)
+		// Handles are the connection's own: in its registration order, the
+		// same handle for a registration again.
+		if got := []uint32{p.registerHandle("h1"), p.registerHandle("h0"), p.registerHandle("h1")}; got[0] != 0 || got[1] != 1 || got[2] != 0 {
+			t.Fatalf("handles %v, want [0 1 0]", got)
+		}
+		if h := q.registerHandle("h0"); h != 0 {
+			t.Fatalf("another connection's first stream has handle %d, want 0", h)
+		}
+		// landed requires the correction at tick to have reached id.
+		landed := func(id string, tick int64, v float64) {
+			t.Helper()
+			ans, err := srv.Query(QueryPayload{ID: id, Tick: tick})
+			if err != nil || ans.Bound != 0 || ans.Estimate[0] != v {
+				t.Fatalf("%s@%d: %+v, %v; want exactly %v", id, tick, ans, err, v)
+			}
+		}
+		p.correctHandle(0, 4, 7) // h1
+		p.correctHandle(1, 4, 9) // h0
+		p.ping()
+		landed("h1", 4, 7)
+		landed("h0", 4, 9)
+		refused := func(what string, frame func()) {
+			t.Helper()
+			frame()
+			p.send(FramePing, make([]byte, 16))
+			if msg := p.expect(FrameRefused); !strings.Contains(string(msg), "unknown stream") {
+				t.Fatalf("%s: refusal %q", what, msg)
+			}
+			p.expect(FramePong)
+		}
+		// A handle this connection never assigned, though the stream it
+		// would name on another connection exists.
+		refused("out-of-range handle", func() { p.correctHandle(2, 5, 1) })
+		// A batch stops at its bad record: the records before it apply.
+		var b netsim.Batch
+		for i, h := range []uint32{1, 7, 0} {
+			if err := b.AddHandle(&netsim.Message{Kind: netsim.KindCorrection, Tick: 5, Value: []float64{float64(i)}}, h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refused("batch with an unknown handle", func() { p.send(FrameMessageBatch, b.Bytes()) })
+		if a, b := mustInfo(t, srv, "h1"), mustInfo(t, srv, "h0"); a.Corrections != 1 || b.Corrections != 2 {
+			t.Fatalf("after the batch: h1 %d corrections (want 1), h0 %d (want 2)", a.Corrections, b.Corrections)
+		}
+		// A dropped stream's handle is dead, even once the id is back.
+		if err := srv.srv.Unregister("h1"); err != nil {
+			t.Fatal(err)
+		}
+		refused("dead handle", func() { p.correctHandle(0, 6, 1) })
+		if err := srv.Register(RegisterPayload{ID: "h1", Spec: cvSpec(), Delta: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		refused("dead handle after re-registration elsewhere", func() { p.correctHandle(0, 6, 1) })
+		if h := p.registerHandle("h1"); h != 0 {
+			t.Fatalf("re-registered h1 has handle %d, want its first, 0", h)
+		}
+		p.correctHandle(0, 6, 3)
+		p.ping()
+		landed("h1", 6, 3)
+	})
+
+	t.Run("capability-less and bit-0 peers keep id-form records and an empty FrameOK", func(t *testing.T) {
+		for _, ask := range []uint32{0, CapBinaryQuery} {
+			p := dialRaw(t, addr)
+			p.hello(ask)
+			if ok := p.register("h2", 0.5); len(ok) != 0 {
+				t.Fatalf("hello %#x: FrameOK carries %x", ask, ok)
+			}
+			p.correct("nope", 1, 1)
+			p.send(FramePing, make([]byte, 16))
+			if msg := p.expect(FrameError); string(msg) != `server: unknown stream: "nope"` {
+				t.Fatalf("hello %#x: refusal %q", ask, msg)
+			}
+			p.expect(FramePong)
 		}
 	})
 
@@ -290,6 +435,18 @@ func TestHelloNegotiation(t *testing.T) {
 		}
 	})
 
+	t.Run("dial against a server that predates stream handles", func(t *testing.T) {
+		bit0 := fakeServer(t, true, CapBinaryQuery)
+		for _, dial := range []func() (*Client, error){
+			func() (*Client, error) { return Dial(bit0) },
+			func() (*Client, error) { return DialReconnecting(bit0, testPolicy()) },
+		} {
+			if _, err := dial(); !errors.Is(err, ErrNoHello) || !strings.Contains(err.Error(), "missing bit 1 (CapStreamHandles)") {
+				t.Fatalf("dial err = %v, want ErrNoHello naming bit 1", err)
+			}
+		}
+	})
+
 	t.Run("redial says hello before replaying registrations", func(t *testing.T) {
 		srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})
 		defer srv.Close()
@@ -313,22 +470,75 @@ func TestHelloNegotiation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		c.EnableCoalescing(CoalesceConfig{MaxCorrections: 8})
 		first := tl.snapshot()
 		if len(first) != 1 {
 			t.Fatalf("%d connections before the sever", len(first))
 		}
+		// Corrections encoded into the write ring before the sever name
+		// their streams by the old connection's handles; they ship on the
+		// new one, so the replay must have reproduced those handles.
+		for _, m := range []*netsim.Message{
+			{Kind: netsim.KindCorrection, StreamID: "a", Tick: 4, Value: []float64{1}},
+			{Kind: netsim.KindCorrection, StreamID: "b", Tick: 4, Value: []float64{2}},
+		} {
+			if err := c.SendCorrection(m); err != nil {
+				t.Fatal(err)
+			}
+		}
 		first[0].Close()
-		if _, err := c.Query("a", 4); err != nil {
-			t.Fatal(err)
+		for deadline := time.Now().Add(5 * time.Second); c.Reconnects() == 0; {
+			if _, err := c.PollFeedback(); err != nil {
+				t.Fatal(err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("polling never noticed the severed connection")
+			}
+		}
+		if n := c.PendingCorrections(); n != 2 {
+			t.Fatalf("%d corrections pending across the redial, want 2", n)
+		}
+		for id, want := range map[string]float64{"a": 1, "b": 2} {
+			ans, err := c.Query(id, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ans.Bound != 0 || ans.Estimate[0] != want {
+				t.Fatalf("%s after the redial: %+v, want exactly %v", id, ans, want)
+			}
 		}
 		if c.Reconnects() != 1 {
 			t.Fatalf("reconnects = %d, want 1", c.Reconnects())
 		}
 		conns := tl.snapshot()
-		for i, want := range []string{"hello register register", "hello register register query-bin"} {
+		for i, want := range []string{"hello register register", "hello register register message-batch query-bin query-bin"} {
 			if got := strings.Join(conns[i].frames(), " "); got != want {
 				t.Fatalf("connection %d carried %q, want %q", i, got, want)
 			}
+		}
+		if got := c.handles; len(got) != 2 || got["a"] != 0 || got["b"] != 1 {
+			t.Fatalf("client handles %v, want a:0 b:1", got)
+		}
+	})
+
+	t.Run("redial refuses a replay that reassigns a handle", func(t *testing.T) {
+		_, addr := startQuietServer(t)
+		c, err := DialReconnecting(addr, testPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		quiet(c)
+		for _, id := range []string{"a", "b"} {
+			if err := c.Register(id, cvSpec(), 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.regs[0], c.regs[1] = c.regs[1], c.regs[0] // a replay out of first-registration order
+		c.conn.Close()
+		err = c.SendCorrection(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "a", Tick: 1, Value: []float64{1}})
+		if err == nil || !strings.Contains(err.Error(), `redial assigned stream "b" handle 0, want 1`) {
+			t.Fatalf("send across a handle-shuffling redial: %v", err)
 		}
 	})
 }
@@ -463,5 +673,142 @@ func TestNonFiniteCorrectionRefused(t *testing.T) {
 	}
 	if got, want := mustInfo(t, poisoned, "n"), mustInfo(t, control, "n"); got.Corrections != want.Corrections || got.Duplicates != 0 {
 		t.Fatalf("stream record %+v, control %+v", got, want)
+	}
+}
+
+// A refused correction is a push, not a reply. Before stream handles the
+// server answered a refused fire-and-forget frame with FrameError, which
+// the client took as the reply to the request it sent next — and from
+// then on every answer belonged to the previous query. On a handle
+// connection the refusal arrives as FrameRefused, every reply answers its
+// own request, and the refusal is reported once, by the next correction
+// send (or PollFeedback, FlushCorrections, SendTrace).
+func TestRefusedCorrectionDoesNotShiftReplies(t *testing.T) {
+	srv, addr := startQuietServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	send := func(id string, tick int64, v float64) error {
+		return c.SendCorrection(&netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: tick, Value: []float64{v}})
+	}
+	for _, id := range []string{"a", "b"} {
+		if err := c.Register(id, cvSpec(), 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for tick := int64(0); tick < 3; tick++ {
+		if err := errors.Join(send("a", tick, 0), send("b", tick, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := send("a", 3, math.NaN()); err != nil {
+		t.Fatalf("the refused send itself: %v", err)
+	}
+	for _, id := range []string{"a", "b", "a"} {
+		got, err := c.Query(id, 5)
+		if err != nil {
+			t.Fatalf("query %s after a refused correction: %v", id, err)
+		}
+		want, err := srv.Query(QueryPayload{ID: id, Tick: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != id || got.Bound != want.Bound || math.Float64bits(got.Estimate[0]) != math.Float64bits(want.Estimate[0]) {
+			t.Fatalf("query %s answered %+v, the server holds %+v", id, got, want)
+		}
+	}
+	if err := send("b", 6, 101); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("next send reported %v, want the refusal", err)
+	}
+	if err := send("b", 7, 102); err != nil {
+		t.Fatalf("refusal reported twice: %v", err)
+	}
+	if _, err := c.Query("b", 7); err != nil { // a barrier: the sends above have been handled
+		t.Fatal(err)
+	}
+	if info := mustInfo(t, srv, "b"); info.Corrections != 5 {
+		t.Fatalf("b took %d corrections, want 5: the send that reported the refusal ships too", info.Corrections)
+	}
+	// Found by polling instead: a correction too far ahead.
+	if err := send("a", 7+server.MaxAdvancePerMessage, 1); err != nil {
+		t.Fatal(err)
+	}
+	var polled error
+	for deadline := time.Now().Add(5 * time.Second); polled == nil && time.Now().Before(deadline); {
+		_, polled = c.PollFeedback()
+	}
+	if !errors.Is(polled, ErrServer) || !strings.Contains(polled.Error(), "would advance") {
+		t.Fatalf("PollFeedback reported %v, want the refusal", polled)
+	}
+	if err := send("b", 8, 1); err != nil {
+		t.Fatalf("a refusal PollFeedback reported came back: %v", err)
+	}
+	if err := send("unregistered", 9, 1); err == nil || !strings.Contains(err.Error(), "not registered on this connection") {
+		t.Fatalf("a correction for a stream this client never registered: %v", err)
+	}
+}
+
+// TestBatchDispatchZeroAlloc is the many-stream twin of
+// TestMessageDispatchZeroAlloc: a warm 64-record FrameMessageBatch over 64
+// distinct streams goes through dispatch — decode, resolve, lock, lazy
+// advance, apply — without an allocation, by handle on a handle connection
+// and by id bytes on a capability-less one (before handles, one id string
+// per record).
+func TestBatchDispatchZeroAlloc(t *testing.T) {
+	const streams = 64
+	srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})
+	defer srv.Close()
+	handles := &connWriter{conn: discardConn{}, s: srv}
+	if err := srv.dispatch(handles, FrameHello, appendHello(nil, serverCaps), nil); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, streams)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("sensor-%04d", i)
+		reg, _ := json.Marshal(RegisterPayload{ID: ids[i], Spec: cvSpec(), Delta: 0.5})
+		if err := srv.dispatch(handles, FrameRegister, reg, nil); err != nil {
+			t.Fatal(err)
+		}
+		if h := handles.handles[ids[i]]; h != uint32(i) {
+			t.Fatalf("%s has handle %d, want %d", ids[i], h, i)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		cw   *connWriter
+	}{{"handle", handles}, {"id", &connWriter{conn: discardConn{}, s: srv}}} {
+		var msg netsim.Message
+		m := netsim.Message{Kind: netsim.KindCorrection, Value: []float64{0}}
+		var frame []byte
+		tick := int64(0)
+		if c.name == "id" {
+			tick = 1000
+		}
+		batch := func() {
+			frame = frame[:0]
+			for i, id := range ids {
+				m.StreamID, m.Tick, m.Value[0] = id, tick, float64(i)
+				if c.cw.handleForm() {
+					frame, _ = m.AppendEncodeHandle(frame, uint32(i))
+				} else {
+					frame, _ = m.AppendEncode(frame)
+				}
+			}
+			tick++
+			if err := srv.dispatch(c.cw, FrameMessageBatch, frame, &msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 8 {
+			batch()
+		}
+		if allocs := testing.AllocsPerRun(200, batch); allocs != 0 {
+			t.Errorf("%s-form 64-record batch dispatch allocates %.2f per frame, want 0", c.name, allocs)
+		}
+	}
+	if info := mustInfo(t, srv, ids[63]); info.Corrections != 2*209 || info.Duplicates != 0 {
+		t.Fatalf("%s: %d corrections, %d duplicates; want %d, 0", ids[63], info.Corrections, info.Duplicates, 2*209)
 	}
 }

@@ -1,15 +1,18 @@
 package wire
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -166,16 +169,41 @@ func (r refModel) crash() (carried int64) {
 
 // modelRun drives one seeded random operation sequence against a durable
 // wire.Server and the reference, comparing answers, errors and counter
-// movements at every step.
+// movements at every step. Registrations and corrections go through conn,
+// a connection that negotiated every capability, so every record names
+// its stream by handle.
 type modelRun struct {
 	t       *testing.T
 	seed    int64
 	rng     *rand.Rand
 	dir     string
 	srv     *Server
+	conn    *connWriter
 	ref     refModel
 	step    int
 	carried int64 // see refModel.crash
+}
+
+// handleConn is a connection that negotiated every capability, driven
+// through dispatch in process: its replies are discarded, its handle
+// table read directly.
+func handleConn(t testing.TB, srv *Server) *connWriter {
+	t.Helper()
+	cw := &connWriter{conn: discardConn{}, s: srv}
+	if err := srv.dispatch(cw, FrameHello, appendHello(nil, serverCaps), nil); err != nil {
+		t.Fatal(err)
+	}
+	return cw
+}
+
+// registerOn registers p over the connection cw.
+func registerOn(t testing.TB, srv *Server, cw *connWriter, p RegisterPayload) error {
+	t.Helper()
+	buf, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv.dispatch(cw, FrameRegister, buf, nil)
 }
 
 var modelSpecs = []predictor.Spec{
@@ -189,7 +217,27 @@ func (r *modelRun) open() {
 	if err != nil {
 		r.t.Fatalf("seed %d step %d: opening durable server: %v", r.seed, r.step, err)
 	}
-	r.srv = srv
+	r.srv, r.conn = srv, handleConn(r.t, srv)
+}
+
+func (r *modelRun) register(id string, spec predictor.Spec, delta float64) error {
+	return registerOn(r.t, r.srv, r.conn, RegisterPayload{ID: id, Spec: spec, Delta: delta})
+}
+
+// apply sends m as a FrameMessage in the handle form; a stream with no
+// handle on the connection gets one the connection never assigned, which
+// the server refuses as an unknown stream.
+func (r *modelRun) apply(m *netsim.Message) error {
+	h, ok := r.conn.handles[m.StreamID]
+	if !ok {
+		h = uint32(len(r.conn.refs)) + 7
+	}
+	buf, err := m.AppendEncodeHandle(nil, h)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	var scratch netsim.Message
+	return r.srv.dispatch(r.conn, FrameMessage, buf, &scratch)
 }
 
 // counters reads a stream's three counts from its record; a stream the
@@ -219,7 +267,7 @@ func (r *modelRun) send(m *netsim.Message) {
 	r.t.Helper()
 	before := r.counters(m.StreamID)
 	want, wantErr := r.ref.message(m)
-	r.check(fmt.Sprintf("%s %s@%d", m.Kind, m.StreamID, m.Tick), m.StreamID, before, r.srv.Apply(m), wantErr, want)
+	r.check(fmt.Sprintf("%s %s@%d", m.Kind, m.StreamID, m.Tick), m.StreamID, before, r.apply(m), wantErr, want)
 }
 
 func (r *modelRun) query(id string, tick int64) {
@@ -276,15 +324,13 @@ func (r *modelRun) op() {
 		if id == "ghost" {
 			return
 		}
-		r.check("register "+id, id, r.counters(id),
-			r.srv.Register(RegisterPayload{ID: id, Spec: spec, Delta: 0.5}), r.ref.register(id, spec, 0.5), refDelta{})
+		r.check("register "+id, id, r.counters(id), r.register(id, spec, 0.5), r.ref.register(id, spec, 0.5), refDelta{})
 	case p < 11: // conflicting re-registration (or a first one with another δ)
 		if id == "ghost" {
 			return
 		}
 		other := modelSpecs[(int(id[1]-'0')+1)%len(modelSpecs)]
-		r.check("register* "+id, id, r.counters(id),
-			r.srv.Register(RegisterPayload{ID: id, Spec: other, Delta: 0.75}), r.ref.register(id, other, 0.75), refDelta{})
+		r.check("register* "+id, id, r.counters(id), r.register(id, other, 0.75), r.ref.register(id, other, 0.75), refDelta{})
 	case p < 45: // the next correction, a few ticks on
 		r.send(&netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: last + 1 + int64(r.rng.Intn(6)), Value: []float64{r.rng.NormFloat64() * 10}})
 	case p < 50: // heartbeat
@@ -337,8 +383,11 @@ func (r *modelRun) op() {
 		<-r.srv.done
 		r.open()
 		r.carried = r.ref.crash()
-		for id := range r.ref {
+		for _, id := range slices.Sorted(maps.Keys(r.ref)) {
 			r.query(id, r.ref[id].tick-1) // the recovered replica, exactly where the log left it
+			// A source reconnecting to the new process registers again, and
+			// its corrections name the stream by the new connection's handle.
+			r.check("re-register "+id, id, r.counters(id), r.register(id, r.ref[id].spec, r.ref[id].delta), nil, refDelta{})
 		}
 	}
 }
@@ -368,12 +417,13 @@ func TestModelDifferential(t *testing.T) {
 }
 
 // TestConcurrentIngestHammer is the -race net under the striped ingest
-// path: goroutines owning disjoint streams interleave ApplyBatch and Query
-// (each reads only ticks it has already flushed, as the client contract
-// says) while the watchdog scan, checkpoints, HealthStreams and a
-// connection that keeps re-registering every stream and hanging up run
-// beside them. Per-stream operations are linearizable, so the final
-// answers must bit-equal a serial run of the same frames.
+// path: goroutines owning disjoint streams, each on a connection of its
+// own that names them by handle, interleave batch frames and Query (each
+// reads only ticks it has already flushed, as the client contract says)
+// while the watchdog scan, checkpoints, HealthStreams and a connection
+// that keeps re-registering every stream and hanging up run beside them.
+// Per-stream operations are linearizable, so the final answers must
+// bit-equal a serial run of the same corrections in the id form.
 func TestConcurrentIngestHammer(t *testing.T) {
 	const workers, perWorker, ticks = 4, 8, 500
 	quietLog := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -392,30 +442,34 @@ func TestConcurrentIngestHammer(t *testing.T) {
 	go func() { _ = srv.Serve(l) }()
 
 	// Every worker's frames are fixed up front: one batch per tick over a
-	// random subset of its streams.
+	// random subset of its streams, in the handle form for its connection
+	// and in the id form for the serial server.
 	ids := make([][]string, workers)
-	frames := make([][][]byte, workers)
+	conns := make([]*connWriter, workers)
+	frames, idFrames := make([][][]byte, workers), make([][][]byte, workers)
 	for w := range ids {
 		rng := rand.New(rand.NewSource(int64(w)))
+		conns[w] = handleConn(t, srv)
 		for i := 0; i < perWorker; i++ {
 			id := fmt.Sprintf("w%d-s%d", w, i)
 			ids[w] = append(ids[w], id)
 			p := RegisterPayload{ID: id, Spec: modelSpecs[i%len(modelSpecs)], Delta: 0.5}
-			if err := errors.Join(srv.Register(p), serial.Register(p)); err != nil {
+			if err := errors.Join(registerOn(t, srv, conns[w], p), serial.Register(p)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for tick := int64(0); tick < ticks; tick++ {
-			var b netsim.Batch
+			var b, ib netsim.Batch
 			for _, id := range ids[w] {
 				if rng.Intn(3) == 0 {
 					m := netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: tick, Value: []float64{rng.NormFloat64()}}
-					if err := b.Add(&m); err != nil {
+					if err := errors.Join(b.AddHandle(&m, conns[w].handles[id]), ib.Add(&m)); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 			frames[w] = append(frames[w], append([]byte(nil), b.Bytes()...))
+			idFrames[w] = append(idFrames[w], append([]byte(nil), ib.Bytes()...))
 		}
 	}
 
@@ -461,7 +515,7 @@ func TestConcurrentIngestHammer(t *testing.T) {
 			defer work.Done()
 			var scratch netsim.Message
 			for tick, f := range frames[w] {
-				if _, err := srv.ApplyBatch(f, &scratch); err != nil {
+				if err := srv.dispatch(conns[w], FrameMessageBatch, f, &scratch); err != nil {
 					t.Error(err)
 					return
 				}
@@ -478,7 +532,7 @@ func TestConcurrentIngestHammer(t *testing.T) {
 
 	var scratch netsim.Message
 	for w := range ids {
-		for _, f := range frames[w] {
+		for _, f := range idFrames[w] {
 			if _, err := serial.ApplyBatch(f, &scratch); err != nil {
 				t.Fatal(err)
 			}

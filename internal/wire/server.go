@@ -73,11 +73,38 @@ type connWriter struct {
 	// caps is the capability word the connection's hello negotiated (0
 	// for a peer that never sent one), frames counts the frames handled,
 	// the current one included, so a hello is only accepted first, and
-	// answer is where a reply payload is encoded. The handler goroutine
-	// alone touches them.
-	caps   uint32
-	frames int64
-	answer []byte
+	// answer is where a reply payload is encoded. On a CapStreamHandles
+	// connection refs is the handle table — handle h names the record
+	// refs[h] resolves — and handles maps a registered id to its handle,
+	// consulted at registration only. The handler goroutine alone touches
+	// them all, so none takes a lock.
+	caps    uint32
+	frames  int64
+	answer  []byte
+	refs    []server.Ref
+	handles map[string]uint32
+}
+
+// handleForm reports whether the connection's correction records name
+// their stream by handle; nil is an in-process caller, which names it by
+// id.
+func (cw *connWriter) handleForm() bool { return cw != nil && cw.caps&CapStreamHandles != 0 }
+
+// handle returns id's handle on this connection, assigning the next one on
+// its first registration here; a registration again keeps the handle, and
+// points it at ref, the record the server resolved this time.
+func (cw *connWriter) handle(id string, ref server.Ref) uint32 {
+	h, ok := cw.handles[id]
+	if !ok {
+		if cw.handles == nil {
+			cw.handles = make(map[string]uint32)
+		}
+		h = uint32(len(cw.refs))
+		cw.handles[id] = h
+		cw.refs = append(cw.refs, ref)
+	}
+	cw.refs[h] = ref
+	return h
 }
 
 // connOffsetNanos reads the connection's smoothed clock-skew estimate
@@ -462,7 +489,8 @@ func (s *Server) logw(msg string, args ...any) {
 // server.Adopt). Exposed for in-process use and tests: the stream has no
 // owning connection; connections register via FrameRegister.
 func (s *Server) Register(p RegisterPayload) error {
-	return s.srv.Adopt(p.ID, p.Spec, p.Delta, nil, s.clock())
+	_, err := s.srv.Adopt(p.ID, p.Spec, p.Delta, nil, s.clock())
+	return err
 }
 
 // Apply ingests a correction, rolling the replica to the message's tick
@@ -470,14 +498,52 @@ func (s *Server) Register(p RegisterPayload) error {
 // reconnecting source may replay a tail the server already applied, and
 // applying a correction twice would double-step the replica.
 func (s *Server) Apply(m *netsim.Message) error {
-	return s.ingest(m, s.clock(), 0)
+	applied, recovered, err := s.srv.Ingest(m, s.clock())
+	return s.ingested(m, 0, applied, recovered, err)
 }
 
-// ingest applies one message that arrived at now on a connection whose
-// clock-skew estimate is offsetNs (nanoseconds, 0 for in-process callers
-// where no skew exists).
-func (s *Server) ingest(m *netsim.Message, now int64, offsetNs float64) error {
-	applied, recovered, err := s.srv.Ingest(m, now)
+// ingestRecord decodes the correction record at the front of buf into msg
+// — in the handle form on a connection that negotiated CapStreamHandles,
+// the id form otherwise — applies it, and returns the rest of buf. With
+// whole set the record must be all of buf, and is refused before it
+// applies when it is not. now is the arrival time and offsetNs the
+// connection's clock-skew estimate.
+func (s *Server) ingestRecord(cw *connWriter, msg *netsim.Message, buf []byte, whole bool, now int64, offsetNs float64) ([]byte, error) {
+	var (
+		h    uint32
+		id   []byte
+		rest []byte
+		err  error
+	)
+	handles := cw.handleForm()
+	if handles {
+		h, rest, err = netsim.DecodeNextHandle(msg, buf)
+	} else {
+		id, rest, err = netsim.DecodeNextID(msg, buf)
+	}
+	if err == nil && whole && len(rest) != 0 {
+		err = fmt.Errorf("netsim: %d trailing bytes after message", len(rest))
+	}
+	if err != nil {
+		return nil, err
+	}
+	var applied, recovered bool
+	switch {
+	case !handles:
+		applied, recovered, err = s.srv.IngestID(id, msg, now)
+	case int(h) < len(cw.refs):
+		applied, recovered, err = s.srv.IngestRef(cw.refs[h], msg, now)
+	default:
+		err = fmt.Errorf("wire: %w: no handle %d on this connection", server.ErrUnknownStream, h)
+	}
+	return rest, s.ingested(msg, offsetNs, applied, recovered, err)
+}
+
+// ingested finishes one ingest of m on a connection whose clock-skew
+// estimate is offsetNs (nanoseconds, 0 for in-process callers where no
+// skew exists): it reports a cleared stale verdict and closes a stamped
+// message's latency span.
+func (s *Server) ingested(m *netsim.Message, offsetNs float64, applied, recovered bool, err error) error {
 	if err != nil {
 		return err
 	}
@@ -501,25 +567,20 @@ func (s *Server) ingest(m *netsim.Message, now int64, offsetNs float64) error {
 // semantics of the same messages arriving as individual frames on a link
 // that then died.
 func (s *Server) ApplyBatch(payload []byte, scratch *netsim.Message) (int, error) {
-	return s.applyBatchConn(payload, scratch, 0)
+	return s.applyBatch(nil, payload, scratch)
 }
 
-// applyBatchConn is ApplyBatch with the ingesting connection's skew
-// estimate threaded through to each record's latency span.
-func (s *Server) applyBatchConn(payload []byte, scratch *netsim.Message, offsetNs float64) (int, error) {
-	now := s.clock()
+// applyBatch is ApplyBatch for the records of a connection (nil: in
+// process), in its record form and with its skew estimate threaded
+// through to each record's latency span.
+func (s *Server) applyBatch(cw *connWriter, payload []byte, scratch *netsim.Message) (int, error) {
+	now, offsetNs := s.clock(), cw.connOffsetNanos()
 	n := 0
-	rest := payload
-	for len(rest) > 0 {
+	for rest := payload; len(rest) > 0; n++ {
 		var err error
-		rest, err = netsim.DecodeNext(scratch, rest)
-		if err != nil {
+		if rest, err = s.ingestRecord(cw, scratch, rest, false, now, offsetNs); err != nil {
 			return n, fmt.Errorf("wire: batch record %d: %w", n, err)
 		}
-		if err := s.ingest(scratch, now, offsetNs); err != nil {
-			return n, fmt.Errorf("wire: batch record %d: %w", n, err)
-		}
-		n++
 	}
 	return n, nil
 }
@@ -587,9 +648,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.connMu.Unlock()
 	defer s.releaseConn(cw)
 
-	// One decode target per connection: DecodeInto reuses its Value
-	// storage and StreamID string, so a steady correction stream decodes
-	// without allocating. Frames arrive the same way — through one buffered
+	// One decode target per connection: the record decoders reuse its
+	// Value storage and the ingest points its StreamID at the stream
+	// record's own id, so a steady correction stream, over one stream or
+	// many, decodes without allocating. Frames arrive the same way — through one buffered
 	// reader (a batch and the frames queued behind it cost one read
 	// syscall, not two each) into one body buffer — so payload is valid
 	// only until the next read: every route arm copies what it keeps.
@@ -610,7 +672,14 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.telFramesIn.Inc()
 		if err := s.dispatch(cw, typ, payload, &msg); err != nil {
 			s.telErrors.Inc()
-			if writeErr := cw.writeFrame(FrameError, []byte(err.Error())); writeErr != nil {
+			// A refused fire-and-forget frame answers no request: on a handle
+			// connection it is pushed as FrameRefused, so FrameError only
+			// ever answers the request the peer just sent.
+			reply := FrameError
+			if cw.handleForm() && (typ == FrameMessage || typ == FrameMessageBatch || typ == FrameTrace) {
+				reply = FrameRefused
+			}
+			if writeErr := cw.writeFrame(reply, []byte(err.Error())); writeErr != nil {
 				s.logw("wire: write error frame failed",
 					"remote", conn.RemoteAddr().String(), "conn", connID, "err", writeErr)
 				return
@@ -724,24 +793,27 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		if err := json.Unmarshal(payload, &p); err != nil {
 			return fmt.Errorf("wire: bad register payload: %w", err)
 		}
-		if err := s.srv.Adopt(p.ID, p.Spec, p.Delta, cw, s.clock()); err != nil {
+		ref, err := s.srv.Adopt(p.ID, p.Spec, p.Delta, cw, s.clock())
+		if err != nil {
 			return err
 		}
-		return cw.writeFrame(FrameOK, nil)
+		if !cw.handleForm() {
+			return cw.writeFrame(FrameOK, nil)
+		}
+		cw.answer = binary.BigEndian.AppendUint32(cw.answer[:0], cw.handle(p.ID, ref))
+		return cw.writeFrame(FrameOK, cw.answer)
 	case FrameMessage:
-		if err := netsim.DecodeInto(msg, payload); err != nil {
-			return err
-		}
 		// Corrections are fire-and-forget: no ack, so a source's send
 		// path costs exactly one frame — the property being measured.
 		// Apply copies what it keeps, so reusing msg across frames is
 		// safe.
-		return s.ingest(msg, s.clock(), cw.connOffsetNanos())
+		_, err := s.ingestRecord(cw, msg, payload, true, s.clock(), cw.connOffsetNanos())
+		return err
 	case FrameMessageBatch:
 		// Coalesced corrections: sub-records decode into the connection's
 		// scratch message (no per-correction allocation) and apply one by
-		// one inside applyBatchConn.
-		n, err := s.applyBatchConn(payload, msg, cw.connOffsetNanos())
+		// one inside applyBatch.
+		n, err := s.applyBatch(cw, payload, msg)
 		if n > 0 {
 			s.telBatches.Inc()
 			s.telBatchedMsgs.Observe(float64(n))

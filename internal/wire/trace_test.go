@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"errors"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -159,8 +161,9 @@ func TestTraceOverWire(t *testing.T) {
 }
 
 // TestSendTraceEmptyAndBad covers the degenerate frames: empty batches
-// write nothing, and a malformed payload earns a FrameError without
-// killing the connection.
+// write nothing, and a malformed payload is refused — pushed as
+// FrameRefused, reported once by the next FlushCorrections — without
+// killing the connection or shifting a reply.
 func TestSendTraceEmptyAndBad(t *testing.T) {
 	srv, addr, shutdown := startTracedServer(t)
 	defer shutdown()
@@ -180,13 +183,16 @@ func TestSendTraceEmptyAndBad(t *testing.T) {
 	if err := conn.bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// The connection must still serve: a metrics round trip proves the
-	// error was answered in order and the loop survived.
-	if _, err := conn.Metrics(); err == nil {
-		t.Fatal("bad trace frame produced no error reply")
-	}
+	// The connection must still serve, and the metrics round trip gets
+	// the metrics reply, not the refusal.
 	if _, err := conn.Metrics(); err != nil {
-		t.Fatalf("connection dead after bad trace frame: %v", err)
+		t.Fatalf("metrics after a bad trace frame: %v", err)
+	}
+	if err := conn.FlushCorrections(); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "bad trace payload") {
+		t.Fatalf("bad trace frame reported as %v, want its refusal", err)
+	}
+	if err := conn.FlushCorrections(); err != nil {
+		t.Fatalf("refusal reported twice: %v", err)
 	}
 	if n := srv.Trace().Recorded(); n != 0 {
 		t.Fatalf("bad payloads recorded %d events", n)
