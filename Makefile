@@ -23,7 +23,7 @@ BENCH_MAXREGRESS ?= 10
 # of non-test Go outside bench/) exceeds this. A PR that spends lines on
 # purpose raises it in its own diff, where a reviewer sees it; a PR that
 # deletes lowers it to where it lands.
-LOC_MAX ?= 22627
+LOC_MAX ?= 22705
 LOC_TOTAL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 # The same ratchet on the observability six — ROADMAP's "consolidating
 # engines" aim, whose target is ≤ 4,400.
@@ -50,13 +50,17 @@ vet:
 # node: outside internal/core (and tests and bench/) no code builds a
 # server.Server, opens or recovers a WAL, installs the durability hooks,
 # binds a monitor or cross-attaches the flight recorder — each such call
-# is a second composition starting.
+# is a second composition starting. Nothing outside bench/ (and tests)
+# calls server.Server's Apply, TickStream or Value: aliases over the one
+# ingest, step and serve bodies, kept only for the benchmark module.
 lint: vet
 	@fmt="$$(gofmt -l . | grep -v '^bench/')"; if [ -n "$$fmt" ]; then echo "lint: gofmt -l lists:"; echo "$$fmt"; exit 1; fi
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/harness | grep -E 'internal/(server|netsim|source|resource)$$'
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/history | grep -E 'internal/health$$'
 	@! grep -rnE --include='*.go' 'server\.New\(\)|wal\.Open\(|\.Recover\(|Set(Apply|Register)Hook\(|\.Bind\(|\.Attach(Streams|Health|History|Freshness)\(' . \
 		| grep -vE '^\./(bench|internal/core|\.bench_build)/|_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*(//|func )'
+	@! grep -rnE --include='*.go' '(\bsrv|Server\(\))\.(Apply|Value)\(|\.TickStream\(' . \
+		| grep -vE '^\./(bench|\.bench_build)/|_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*(//|func )'
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

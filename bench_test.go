@@ -23,6 +23,7 @@ import (
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/server"
+	"kalmanstream/internal/server/servertest"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 	"kalmanstream/internal/telemetry"
@@ -545,7 +546,7 @@ func BenchmarkSystemScale1000Streams(b *testing.B) {
 }
 
 func benchProtocolTick(b *testing.B, spec predictor.Spec) {
-	srv := server.New()
+	srv := servertest.New()
 	if err := srv.Register("s", spec, 1); err != nil {
 		b.Fatal(err)
 	}

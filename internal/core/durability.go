@@ -34,15 +34,16 @@ func (s *System) CheckpointWAL() error { return s.node.Checkpoint() }
 // and its bookkeeping is dropped (anything still in the group-commit
 // buffer dies with it, exactly like SIGKILL), and the node reopens and
 // recovers the directory as it does at construction — checkpoint first,
-// then the records after its sequence. Replicas are then quietly caught
-// up to the system clock, and only then are the staleness watchdogs and
-// the answer archives re-armed, so no replayed tick is archived. Sources,
+// then the records after its sequence. Replicas are then rolled up to the
+// system clock, and only then are the staleness watchdogs and the answer
+// archives re-armed, so no replayed tick is archived and silence still
+// counts from each stream's last applied message. Sources,
 // links, the auditor, and the clock are untouched: from the server's
 // perspective they are remote processes that survived the crash.
 //
 // Call between ticks, like CheckpointWAL. Budget-managed δ adjustments
 // made after the last checkpoint are not in the log (they flow through
-// the coordinator, not Apply) and recover to their checkpointed values.
+// the coordinator, not ingest) and recover to their checkpointed values.
 func (s *System) RestartServer() (wal.RecoveryStats, error) {
 	n := s.node
 	if n.wal == nil {
@@ -52,14 +53,13 @@ func (s *System) RestartServer() (wal.RecoveryStats, error) {
 	if err := n.openWAL(); err != nil {
 		return wal.RecoveryStats{}, err
 	}
-	now := s.tick.Load()
 	for _, h := range s.order {
 		id := h.src.StreamID()
-		if err := n.srv.CatchUp(id, now); err != nil {
+		if err := s.roll(id); err != nil {
 			return n.recovery, err
 		}
 		if h.fb != nil {
-			if err := n.srv.SetWatchdog(id, h.wdDeadline, h.fb.Send); err != nil {
+			if err := n.srv.SetWatchdog(id, h.wdDeadline, h.fb); err != nil {
 				return n.recovery, err
 			}
 		}

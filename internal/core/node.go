@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sync/atomic"
 
 	"kalmanstream/internal/diag"
 	"kalmanstream/internal/freshness"
@@ -63,8 +64,7 @@ type NodeConfig struct {
 	WALDir                      string
 	FlushEvery, CheckpointEvery int64
 	// StaleAfter arms the silence scan (server.ScanSilent) every
-	// StaleAfter/4; the tick driver arms each stream's tick watchdog
-	// instead.
+	// StaleAfter/4, with StaleAfter as every stream's deadline.
 	StaleAfter int64
 	// The budget coordinator (see SystemConfig); BudgetPerTick 0 = off.
 	BudgetPerTick float64
@@ -88,12 +88,12 @@ type Node struct {
 	health   *health.Monitor
 	hist     *history.Store
 	telStale *telemetry.Gauge // streams_stale, nil when not published
+	tick     *atomic.Int64    // the tick clock, set by System
 
 	walDir   string
 	wal      *wal.Log
 	recovery wal.RecoveryStats
 
-	staleAfter                  int64
 	flush, ckpt, scan, snapshot cadence
 }
 
@@ -117,8 +117,7 @@ var errNoWAL = errors.New("core: node has no write-ahead log")
 // a failed construction leaves nothing open.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{srv: server.New(), reg: cfg.Telemetry, tr: cfg.Trace, logger: cfg.Logger,
-		clock: cfg.Clock, health: cfg.Health, hist: cfg.History,
-		walDir: cfg.WALDir, staleAfter: cfg.StaleAfter}
+		clock: cfg.Clock, health: cfg.Health, hist: cfg.History, walDir: cfg.WALDir}
 	if n.reg == nil {
 		n.reg = telemetry.Default
 	}
@@ -127,6 +126,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if n.clock != nil {
 		n.srv.SetTelemetry(n.reg)
+		n.srv.SetStaleAfter(cfg.StaleAfter)
 	}
 	n.srv.SetTrace(n.tr)
 	if cfg.Audit {
@@ -160,7 +160,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			d.AttachFreshness(func() freshness.Snapshot { return n.fresh.SnapshotNow(cfg.ConnSkews) })
 		}
 	}
-	n.eng = query.New(n.srv)
+	n.eng = query.New(n.srv, n.readTick)
 	n.subs = n.eng.NewSubscriptions()
 	if cfg.BudgetPerTick > 0 {
 		name := cfg.Allocator
@@ -194,6 +194,15 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.ckpt = cadence{cfg.CheckpointEvery, now + cfg.CheckpointEvery}
 	}
 	return n, nil
+}
+
+// readTick is the tick reads answer at: the tick being observed, or -1 —
+// where each replica stands — on the wall clock.
+func (n *Node) readTick() int64 {
+	if n.tick == nil {
+		return -1
+	}
+	return n.tick.Load() - 1
 }
 
 // now reads the driver's clock; the tick driver recovers at 0.
@@ -273,7 +282,7 @@ func (n *Node) Tick(now int64) ([]server.Silent, error) {
 	}
 	var silent []server.Silent
 	if n.scan.due(now) {
-		silent = n.srv.ScanSilent(now, n.staleAfter)
+		silent = n.srv.ScanSilent(now)
 	}
 	if n.telStale != nil {
 		n.telStale.Set(float64(n.srv.StaleCount()))

@@ -251,13 +251,18 @@ const FreshnessTickPeriod = time.Millisecond
 // calls; Advance and Attach must come from a single goroutine, while
 // Observe (on distinct streams), queries, and Subscribe may run
 // concurrently between Advances — the replica cache is lock-striped and
-// all counters are atomic.
+// all counters are atomic. Replicas advance lazily, as under the wire
+// server: a delivery and every read roll the stream to the current tick.
 type System struct {
 	node    *Node
 	handles map[string]*StreamHandle
 	// order holds handles in attach order, the order links tick in.
 	order []*StreamHandle
 	tick  atomic.Int64
+	// arrival is the tick a link delivery lands at, the one being observed:
+	// Advance moves it before the links deliver, and tick (the clock they
+	// are stamped and aged on) after.
+	arrival atomic.Int64
 	// stamp is the virtual clock sources stamp with under
 	// SystemConfig.Freshness (nil without it).
 	stamp freshness.Clock
@@ -281,6 +286,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	s := &System{node: node, handles: make(map[string]*StreamHandle)}
+	node.tick = &s.tick
 	if cfg.Freshness {
 		s.stamp = freshness.TickClock(&s.tick, FreshnessTickPeriod)
 	}
@@ -292,8 +298,8 @@ type StreamHandle struct {
 	sys  *System
 	src  *source.Source
 	link *netsim.Link
-	// fb is the server→source feedback link (resync requests); nil when
-	// the watchdog is off.
+	// fb is the server→source feedback link (resync requests), the
+	// stream's owner in the server record; nil when the watchdog is off.
 	fb   *netsim.Link
 	norm Norm // gate norm, reused by the precision auditor
 	// wdDeadline remembers the armed watchdog deadline (0 = off) and
@@ -303,22 +309,27 @@ type StreamHandle struct {
 	histCap    int
 }
 
-// Attach registers a stream and returns its source-side handle. With a
-// write-ahead log the registration, gate norm included, is logged before
-// the stream becomes visible.
+// Attach registers a stream, joining at the current tick, and returns its
+// source-side handle. With a write-ahead log the registration, gate norm
+// included, is logged before the stream becomes visible.
 func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 	n := s.node
-	if err := n.srv.RegisterNorm(cfg.ID, cfg.Predictor, cfg.Delta, cfg.DeviationNorm); err != nil {
+	if err := n.srv.RegisterAt(cfg.ID, cfg.Predictor, cfg.Delta, cfg.DeviationNorm, s.tick.Load()); err != nil {
 		return nil, err
 	}
-	// recv is the terminal receiver: replica apply plus the latency
-	// span. A delivery failure is a protocol bug, surfaced by panic
-	// rather than silently corrupting the replica.
+	// recv is the terminal receiver: a roll to the arrival tick, the one
+	// ingest, and an applied message's latency span. A delivery failure is
+	// a protocol bug, surfaced by panic rather than corrupting the replica.
 	recv := func(m *netsim.Message) {
-		if err := n.srv.Apply(m); err != nil {
+		err := n.srv.Roll(m.StreamID, s.arrival.Load())
+		applied := false
+		if err == nil {
+			applied, _, err = n.srv.Ingest(m, m.Tick+1)
+		}
+		if err != nil {
 			panic(fmt.Sprintf("core: replica apply failed: %v", err))
 		}
-		if n.fresh != nil && m.Stamp != 0 && m.Kind != netsim.KindHeartbeat {
+		if applied && n.fresh != nil && m.Stamp != 0 && m.Kind != netsim.KindHeartbeat {
 			// Close the gate→apply span on the same virtual clock the
 			// stamp was read from: a delayed link shows up as exactly its
 			// delay, deterministically.
@@ -364,7 +375,7 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 			Name:     "feedback",
 			Trace:    n.tr,
 		})
-		if err := n.srv.SetWatchdog(cfg.ID, deadline, h.fb.Send); err != nil {
+		if err := n.srv.SetWatchdog(cfg.ID, deadline, h.fb); err != nil {
 			_ = n.srv.Unregister(cfg.ID)
 			return nil, err
 		}
@@ -390,17 +401,23 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 // tick's link deliveries and Observe corrections — becomes durable), then
 // subscriptions fire and the budget coordinator is ticked for the tick
 // that just settled (so the first Advance does neither, and a run's last
-// tick is settled by one more Advance after its Observes), every replica
-// takes its time update, delayed messages mature, the clock moves, and
-// the node's duties run on the new tick (Node.Tick: checkpoint cadence,
-// streams_stale, store, monitor). Call once per tick, before that tick's
-// Observe calls.
+// tick is settled by one more Advance after its Observes), the watchdog
+// scans for silence at the new tick and sends the resync requests it owes
+// on the streams' feedback links, delayed messages mature and land on the
+// new tick, the clock moves, and the node's duties run on the new tick
+// (Node.Tick: checkpoint cadence, streams_stale, store, monitor). Call
+// once per tick, before that tick's Observe calls.
 func (s *System) Advance() error {
 	t := s.tick.Load()
 	if err := s.node.settle(t); err != nil {
 		return err
 	}
-	s.node.srv.Tick()
+	for _, f := range s.node.srv.ScanSilent(t + 1) {
+		if fb, ok := f.Owner.(*netsim.Link); ok {
+			fb.Send(&netsim.Message{Kind: netsim.KindResyncRequest, StreamID: f.ID, Tick: t + 1})
+		}
+	}
+	s.arrival.Store(t)
 	for _, h := range s.order {
 		h.link.Tick()
 		if h.fb != nil {
@@ -437,7 +454,7 @@ func (h *StreamHandle) Observe(value []float64) (sent bool, err error) {
 	if err != nil || h.sys.node.auditor == nil {
 		return sent, err
 	}
-	est, bound, aerr := h.sys.node.srv.PeekValue(h.src.StreamID())
+	est, bound, aerr := h.sys.node.srv.PeekValue(h.src.StreamID(), tick)
 	if aerr != nil {
 		return sent, aerr
 	}
@@ -451,6 +468,9 @@ func (h *StreamHandle) Delta() float64 { return h.src.Delta() }
 // SetDelta changes the stream's precision bound at both endpoints.
 func (h *StreamHandle) SetDelta(delta float64) error {
 	if err := h.src.SetDelta(delta); err != nil {
+		return err
+	}
+	if err := h.sys.roll(h.src.StreamID()); err != nil {
 		return err
 	}
 	return h.sys.node.srv.SetDelta(h.src.StreamID(), delta)
@@ -483,7 +503,7 @@ func (h *StreamHandle) FeedbackLink() *netsim.Link { return h.fb }
 // Stale reports whether the server's staleness watchdog currently has
 // this stream marked silent past its deadline.
 func (h *StreamHandle) Stale() bool {
-	info, err := h.sys.node.srv.Info(h.src.StreamID())
+	info, err := h.sys.Info(h.src.StreamID())
 	return err == nil && info.Stale
 }
 
@@ -504,7 +524,10 @@ func (s *System) ValueAt(id string, component int) (Answer, error) {
 }
 
 // Vector answers the full estimate vector and bound for a stream.
-func (s *System) Vector(id string) ([]float64, float64, error) { return s.node.srv.Value(id) }
+func (s *System) Vector(id string) ([]float64, float64, error) {
+	est, bound, _, _, err := s.node.srv.QueryAt(id, s.node.readTick())
+	return est, bound, err
+}
 
 // Sum answers Σ over streams with a composed bound.
 func (s *System) Sum(ids []string) (Answer, error) { return s.node.eng.Sum(ids, 0) }
@@ -580,6 +603,9 @@ func (s *System) Unsubscribe(subID int) error { return s.node.subs.Unsubscribe(s
 // EnableHistory starts archiving a stream's settled per-tick answers in a
 // ring of the given capacity, enabling historical queries.
 func (s *System) EnableHistory(id string, capacity int) error {
+	if err := s.roll(id); err != nil {
+		return err
+	}
 	if err := s.node.srv.EnableHistory(id, capacity); err != nil {
 		return err
 	}
@@ -589,6 +615,9 @@ func (s *System) EnableHistory(id string, capacity int) error {
 
 // HistoryAt returns the archived answer for a past tick.
 func (s *System) HistoryAt(id string, tick int64) (server.HistoryEntry, error) {
+	if err := s.roll(id); err != nil {
+		return server.HistoryEntry{}, err
+	}
 	return s.node.srv.HistoryAt(id, tick)
 }
 
@@ -608,7 +637,12 @@ func (s *System) HistoryExtremes(id string, from, to int64) (minIv, maxIv Interv
 func (s *System) StreamIDs() []string { return s.node.srv.StreamIDs() }
 
 // Info returns the server-side diagnostic snapshot for a stream.
-func (s *System) Info(id string) (server.StreamInfo, error) { return s.node.srv.Info(id) }
+func (s *System) Info(id string) (server.StreamInfo, error) {
+	return s.node.srv.Info(id, s.node.readTick())
+}
+
+// roll brings a stream to the current tick (server.Roll).
+func (s *System) roll(id string) error { return s.node.srv.Roll(id, s.node.readTick()) }
 
 // Auditor returns the online precision auditor, or nil when SystemConfig
 // .Audit was not set.

@@ -6,15 +6,15 @@ import (
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
+	"kalmanstream/internal/server/servertest"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
 
 // historyEngine builds a server with history and feeds a corrected ramp.
-func historyEngine(t *testing.T) (*server.Server, *Engine) {
+func historyEngine(t *testing.T) (*servertest.Clock, *Engine) {
 	t.Helper()
-	srv := server.New()
+	srv := servertest.New()
 	if err := srv.Register("h", predictor.Spec{Kind: predictor.KindStatic, Dim: 1}, 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func historyEngine(t *testing.T) (*server.Server, *Engine) {
 		}
 	}
 	srv.Tick()
-	return srv, New(srv)
+	return srv, New(srv.Server, srv.At)
 }
 
 func TestHistoryAverage(t *testing.T) {
@@ -79,7 +79,7 @@ func TestHistoryExtremes(t *testing.T) {
 // bound.
 func TestHistoryBoundsHoldThroughProtocol(t *testing.T) {
 	const n = 2000
-	srv := server.New()
+	srv := servertest.New()
 	spec := predictor.Spec{Kind: predictor.KindKalman,
 		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}}
 	delta := 1.0
@@ -107,9 +107,12 @@ func TestHistoryBoundsHoldThroughProtocol(t *testing.T) {
 		}
 		measurements = append(measurements, p.Value[0])
 	}
-	srv.Tick() // settle the final tick
+	srv.Tick()
+	if err := srv.Roll("s", srv.At()); err != nil { // settle the final tick
+		t.Fatal(err)
+	}
 
-	e := New(srv)
+	e := New(srv.Server, srv.At)
 	for tick := int64(0); tick < n; tick++ {
 		entry, err := srv.HistoryAt("s", tick)
 		if err != nil {

@@ -6,14 +6,14 @@ import (
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
+	"kalmanstream/internal/server/servertest"
 )
 
 // probFixture registers one Kalman stream, feeds it a few corrections,
 // and advances one tick so queries see a coasting prediction.
-func probFixture(t *testing.T, delta float64) (*server.Server, *Engine) {
+func probFixture(t *testing.T, delta float64) (*servertest.Clock, *Engine) {
 	t.Helper()
-	srv := server.New()
+	srv := servertest.New()
 	spec := predictor.Spec{Kind: predictor.KindKalman,
 		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.25, R: 0.04}}
 	if err := srv.Register("k", spec, delta); err != nil {
@@ -27,7 +27,7 @@ func probFixture(t *testing.T, delta float64) (*server.Server, *Engine) {
 		}
 	}
 	srv.Tick()
-	return srv, New(srv)
+	return srv, New(srv.Server, srv.At)
 }
 
 func TestProbValueBasics(t *testing.T) {
@@ -140,7 +140,7 @@ func TestProbValueValidation(t *testing.T) {
 }
 
 func TestValueDistributionBank(t *testing.T) {
-	srv := server.New()
+	srv := servertest.New()
 	spec := predictor.Spec{Kind: predictor.KindKalmanBank, Models: []predictor.ModelSpec{
 		{Kind: predictor.ModelRandomWalk, Q: 0.5, R: 0.1},
 		{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1},
@@ -153,7 +153,7 @@ func TestValueDistributionBank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, std, err := srv.ValueDistribution("bank")
+	est, std, err := srv.ValueDistribution("bank", srv.At())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,14 +63,23 @@ func (t Tristate) String() string {
 // Engine answers queries against a server.
 type Engine struct {
 	srv *server.Server
+	at  func() int64
 }
 
-// New returns an engine over srv.
-func New(srv *server.Server) *Engine { return &Engine{srv: srv} }
+// New returns an engine over srv that answers at the tick at returns: every
+// read first rolls the stream to it (server.QueryAt, server.Roll), so an
+// answer is the one a query at that tick gets.
+func New(srv *server.Server, at func() int64) *Engine { return &Engine{srv: srv, at: at} }
+
+// answer is a stream's point answer at the engine's tick.
+func (e *Engine) answer(id string) ([]float64, float64, error) {
+	est, bound, _, _, err := e.srv.QueryAt(id, e.at())
+	return est, bound, err
+}
 
 // value fetches the estimate and bound for one component of one stream.
 func (e *Engine) value(id string, component int) (float64, float64, error) {
-	est, bound, err := e.srv.Value(id)
+	est, bound, err := e.answer(id)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -204,7 +213,7 @@ func (e *Engine) ProbValue(id string, component int, confidence float64) (ProbAn
 	if confidence <= 0 || confidence >= 1 {
 		return ProbAnswer{}, fmt.Errorf("query: confidence %g outside (0, 1)", confidence)
 	}
-	est, std, err := e.srv.ValueDistribution(id)
+	est, std, err := e.srv.ValueDistribution(id, e.at())
 	if err != nil {
 		return ProbAnswer{}, err
 	}
@@ -219,7 +228,7 @@ func (e *Engine) ProbValue(id string, component int, confidence float64) (ProbAn
 	// Intersect with the hard bound currently in force: on a suppressed
 	// tick the measurement is certainly within ±δ of the prediction, and
 	// on a correction tick the server knows the value exactly (bound 0).
-	hardEst, hardBound, err := e.srv.Value(id)
+	hardEst, hardBound, err := e.answer(id)
 	if err != nil {
 		return ProbAnswer{}, err
 	}
@@ -238,11 +247,20 @@ func (e *Engine) ProbValue(id string, component int, confidence float64) (ProbAn
 	}, nil
 }
 
+// history reads the archived answers for ticks [from, to] once the stream
+// has rolled to the engine's tick, which settles every tick before it.
+func (e *Engine) history(id string, from, to int64) ([]server.HistoryEntry, error) {
+	if err := e.srv.Roll(id, e.at()); err != nil {
+		return nil, err
+	}
+	return e.srv.HistoryRange(id, from, to)
+}
+
 // HistoryAverage answers the mean of a stream component over past ticks
 // [from, to] from the server's archived answers, with the composed bound.
 // Requires history to be enabled on the stream and the range retained.
 func (e *Engine) HistoryAverage(id string, component int, from, to int64) (Answer, error) {
-	entries, err := e.srv.HistoryRange(id, from, to)
+	entries, err := e.history(id, from, to)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -261,7 +279,7 @@ func (e *Engine) HistoryAverage(id string, component int, from, to int64) (Answe
 // HistoryExtremes returns guaranteed enclosures of the true minimum and
 // maximum of a stream component over past ticks [from, to].
 func (e *Engine) HistoryExtremes(id string, component int, from, to int64) (minIv, maxIv Interval, err error) {
-	entries, err := e.srv.HistoryRange(id, from, to)
+	entries, err := e.history(id, from, to)
 	if err != nil {
 		return Interval{}, Interval{}, err
 	}

@@ -8,16 +8,16 @@ import (
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
+	"kalmanstream/internal/server/servertest"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
 
 // fixture registers streams "a","b","c" with static replicas, δ as given,
 // and corrects them to the given values.
-func fixture(t *testing.T, values map[string]float64, deltas map[string]float64) (*server.Server, *Engine) {
+func fixture(t *testing.T, values map[string]float64, deltas map[string]float64) (*servertest.Clock, *Engine) {
 	t.Helper()
-	srv := server.New()
+	srv := servertest.New()
 	for id, v := range values {
 		if err := srv.Register(id, predictor.Spec{Kind: predictor.KindStatic, Dim: 1}, deltas[id]); err != nil {
 			t.Fatal(err)
@@ -31,7 +31,7 @@ func fixture(t *testing.T, values map[string]float64, deltas map[string]float64)
 	// Advance past the correction tick so queries see the δ-bounded
 	// replica prediction rather than the exact just-shipped measurement.
 	srv.Tick()
-	return srv, New(srv)
+	return srv, New(srv.Server, srv.At)
 }
 
 func TestValue(t *testing.T) {
@@ -213,7 +213,7 @@ func TestPropAggregateBoundsHold(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nStreams := 2 + rng.Intn(5)
-		srv := server.New()
+		srv := servertest.New()
 		var srcs []*source.Source
 		var gens []stream.Stream
 		ids := make([]string, nStreams)
@@ -234,7 +234,7 @@ func TestPropAggregateBoundsHold(t *testing.T) {
 			srcs = append(srcs, src)
 			gens = append(gens, stream.NewRandomWalk(seed+int64(i), rng.Float64()*100, 1, 0.1, 300))
 		}
-		eng := New(srv)
+		eng := New(srv.Server, srv.At)
 		for tick := 0; tick < 300; tick++ {
 			srv.Tick()
 			var trueSum float64

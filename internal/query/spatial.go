@@ -26,7 +26,7 @@ func (e *Engine) l2Position(id string) (x, y, bound float64, err error) {
 	if norm != source.NormL2 {
 		return 0, 0, 0, fmt.Errorf("query: stream %q uses the %s gate; spatial queries need L2", id, norm)
 	}
-	est, b, err := e.srv.Value(id)
+	est, b, err := e.answer(id)
 	if err != nil {
 		return 0, 0, 0, err
 	}

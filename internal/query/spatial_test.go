@@ -6,7 +6,7 @@ import (
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
+	"kalmanstream/internal/server/servertest"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
@@ -15,9 +15,9 @@ import (
 // given positions with δ=1 and settles them.
 func spatialFixture(t *testing.T, positions map[string][2]float64) *Engine {
 	t.Helper()
-	srv := server.New()
+	srv := servertest.New()
 	for id, pos := range positions {
-		if err := srv.RegisterNorm(id, predictor.Spec{Kind: predictor.KindStatic, Dim: 2}, 1, source.NormL2); err != nil {
+		if err := srv.RegisterAt(id, predictor.Spec{Kind: predictor.KindStatic, Dim: 2}, 1, source.NormL2, 0); err != nil {
 			t.Fatal(err)
 		}
 		srv.Tick()
@@ -28,7 +28,7 @@ func spatialFixture(t *testing.T, positions map[string][2]float64) *Engine {
 		}
 	}
 	srv.Tick()
-	return New(srv)
+	return New(srv.Server, srv.At)
 }
 
 func TestDistance(t *testing.T) {
@@ -94,16 +94,16 @@ func TestSeparationAndCloserThan(t *testing.T) {
 }
 
 func TestSpatialRejectsWrongNormOrDim(t *testing.T) {
-	srv := server.New()
+	srv := servertest.New()
 	// 2-D but Linf gate.
 	if err := srv.Register("box", predictor.Spec{Kind: predictor.KindStatic, Dim: 2}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// 1-D with L2 gate.
-	if err := srv.RegisterNorm("scalar", predictor.Spec{Kind: predictor.KindStatic, Dim: 1}, 1, source.NormL2); err != nil {
+	if err := srv.RegisterAt("scalar", predictor.Spec{Kind: predictor.KindStatic, Dim: 1}, 1, source.NormL2, 0); err != nil {
 		t.Fatal(err)
 	}
-	e := New(srv)
+	e := New(srv.Server, srv.At)
 	if _, err := e.Distance("box", 0, 0); err == nil {
 		t.Error("Linf-gated stream accepted for spatial query")
 	}
@@ -144,11 +144,11 @@ func TestWeightedSum(t *testing.T) {
 // the full protocol and verifies that every *certain* geofence verdict is
 // actually correct against the true position.
 func TestGeofenceBoundsHoldThroughProtocol(t *testing.T) {
-	srv := server.New()
+	srv := servertest.New()
 	spec := predictor.Spec{Kind: predictor.KindKalman,
 		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity2D, Q: 0.5, R: 1}}
 	delta := 8.0
-	if err := srv.RegisterNorm("car", spec, delta, source.NormL2); err != nil {
+	if err := srv.RegisterAt("car", spec, delta, source.NormL2, 0); err != nil {
 		t.Fatal(err)
 	}
 	link := netsim.NewLink(func(m *netsim.Message) { _ = srv.Apply(m) }, netsim.LinkConfig{})
@@ -157,7 +157,7 @@ func TestGeofenceBoundsHoldThroughProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(srv)
+	e := New(srv.Server, srv.At)
 	gen := stream.NewWaypoint2D(5, 1000, 3, 10, 1, 10, 5000)
 	cx, cy, radius := 500.0, 500.0, 300.0
 	var certain, unknown int64

@@ -5,17 +5,17 @@ import (
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
+	"kalmanstream/internal/server/servertest"
 )
 
 // subFixture: one static stream with δ=1, correctable at will.
-func subFixture(t *testing.T) (*server.Server, *Subscriptions, func(v float64)) {
+func subFixture(t *testing.T) (*servertest.Clock, *Subscriptions, func(v float64)) {
 	t.Helper()
-	srv := server.New()
+	srv := servertest.New()
 	if err := srv.Register("s", predictor.Spec{Kind: predictor.KindStatic, Dim: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	subs := New(srv).NewSubscriptions()
+	subs := New(srv.Server, srv.At).NewSubscriptions()
 	tick := int64(0)
 	correct := func(v float64) {
 		srv.Tick()

@@ -6,7 +6,7 @@ import (
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
+	"kalmanstream/internal/server/servertest"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 	"kalmanstream/internal/telemetry"
@@ -18,9 +18,9 @@ import (
 // count, coordinator).
 func budgetFixture(t *testing.T, alloc Allocator, budget float64, nStreams int, ticks int64) (int64, int64, *Coordinator, []*source.Source) {
 	t.Helper()
-	srv := server.New()
+	srv := servertest.New()
 	var deltaUpdates int64
-	coord, err := NewCoordinator(alloc, srv, CoordinatorConfig{
+	coord, err := NewCoordinator(alloc, srv.Server, CoordinatorConfig{
 		BudgetPerTick: budget,
 		Period:        200,
 		Downlink:      func(*netsim.Message) { deltaUpdates++ },
@@ -76,21 +76,21 @@ func budgetFixture(t *testing.T, alloc Allocator, budget float64, nStreams int, 
 }
 
 func TestNewCoordinatorValidation(t *testing.T) {
-	srv := server.New()
-	if _, err := NewCoordinator(nil, srv, CoordinatorConfig{BudgetPerTick: 1}); err == nil {
+	srv := servertest.New()
+	if _, err := NewCoordinator(nil, srv.Server, CoordinatorConfig{BudgetPerTick: 1}); err == nil {
 		t.Error("nil allocator accepted")
 	}
 	if _, err := NewCoordinator(Uniform{}, nil, CoordinatorConfig{BudgetPerTick: 1}); err == nil {
 		t.Error("nil server accepted")
 	}
-	if _, err := NewCoordinator(Uniform{}, srv, CoordinatorConfig{BudgetPerTick: 0}); err == nil {
+	if _, err := NewCoordinator(Uniform{}, srv.Server, CoordinatorConfig{BudgetPerTick: 0}); err == nil {
 		t.Error("zero budget accepted")
 	}
 }
 
 func TestManageValidation(t *testing.T) {
-	srv := server.New()
-	coord, err := NewCoordinator(Uniform{}, srv, CoordinatorConfig{BudgetPerTick: 1})
+	srv := servertest.New()
+	coord, err := NewCoordinator(Uniform{}, srv.Server, CoordinatorConfig{BudgetPerTick: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestDeltaUpdatesFlowDownlink(t *testing.T) {
 }
 
 func TestServerAndSourceDeltasStayInSync(t *testing.T) {
-	srv := server.New()
-	coord, err := NewCoordinator(WaterFilling{}, srv, CoordinatorConfig{BudgetPerTick: 0.1, Period: 50})
+	srv := servertest.New()
+	coord, err := NewCoordinator(WaterFilling{}, srv.Server, CoordinatorConfig{BudgetPerTick: 0.1, Period: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +208,8 @@ func TestServerAndSourceDeltasStayInSync(t *testing.T) {
 // gauge for the last closed window.
 func TestCoordinatorTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	srv := server.New()
-	coord, err := NewCoordinator(FairShare{}, srv, CoordinatorConfig{
+	srv := servertest.New()
+	coord, err := NewCoordinator(FairShare{}, srv.Server, CoordinatorConfig{
 		BudgetPerTick: 0.05,
 		Period:        100,
 		Telemetry:     reg,

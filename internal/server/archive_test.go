@@ -1,17 +1,18 @@
-package server
+package server_test
 
 import (
 	"testing"
 
 	"kalmanstream/internal/netsim"
+	"kalmanstream/internal/server/servertest"
 )
 
 // historyFixture registers a static stream with history and feeds ticks
-// 0..n-1 with value = tick (each tick corrected).
-func historyFixture(t *testing.T, capacity, n int) *Server {
+// 0..n-1 with value = tick (each tick corrected), then settles the last.
+func historyFixture(t *testing.T, capacity, n int) *servertest.Clock {
 	t.Helper()
-	s := New()
-	if err := s.Register("a", staticSpec(), 0.5); err != nil {
+	s := servertest.New()
+	if err := s.Register("a", static1, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EnableHistory("a", capacity); err != nil {
@@ -25,16 +26,19 @@ func historyFixture(t *testing.T, capacity, n int) *Server {
 			t.Fatal(err)
 		}
 	}
-	s.Tick() // settle the final tick into history
+	s.Tick()
+	if err := s.Roll("a", s.At()); err != nil { // settle the final tick into history
+		t.Fatal(err)
+	}
 	return s
 }
 
 func TestEnableHistoryValidation(t *testing.T) {
-	s := New()
+	s := servertest.New()
 	if err := s.EnableHistory("nope", 4); err == nil {
 		t.Error("unknown stream accepted")
 	}
-	if err := s.Register("a", staticSpec(), 1); err != nil {
+	if err := s.Register("a", static1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EnableHistory("a", 0); err == nil {
@@ -67,8 +71,8 @@ func TestHistoryRecordsSettledAnswers(t *testing.T) {
 }
 
 func TestHistorySuppressedTicksCarryDelta(t *testing.T) {
-	s := New()
-	if err := s.Register("a", staticSpec(), 0.5); err != nil {
+	s := servertest.New()
+	if err := s.Register("a", static1, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EnableHistory("a", 16); err != nil {
@@ -80,7 +84,10 @@ func TestHistorySuppressedTicksCarryDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Tick() // tick 1: suppressed
-	s.Tick() // settle tick 1
+	s.Tick()
+	if err := s.Roll("a", s.At()); err != nil { // settle tick 1
+		t.Fatal(err)
+	}
 	e0, err := s.HistoryAt("a", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +142,8 @@ func TestHistoryRange(t *testing.T) {
 }
 
 func TestHistoryErrorsWithoutEnable(t *testing.T) {
-	s := New()
-	if err := s.Register("a", staticSpec(), 1); err != nil {
+	s := servertest.New()
+	if err := s.Register("a", static1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.HistoryAt("a", 0); err == nil {
@@ -154,8 +161,8 @@ func TestHistoryErrorsWithoutEnable(t *testing.T) {
 }
 
 func TestHistoryBeforeAnyTick(t *testing.T) {
-	s := New()
-	if err := s.Register("a", staticSpec(), 1); err != nil {
+	s := servertest.New()
+	if err := s.Register("a", static1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.EnableHistory("a", 4); err != nil {
@@ -164,7 +171,10 @@ func TestHistoryBeforeAnyTick(t *testing.T) {
 	if n, _ := s.HistoryLen("a"); n != 0 {
 		t.Fatalf("len before ticks = %d", n)
 	}
-	s.Tick() // advancing from tick 0 archives nothing (no tick settled)
+	s.Tick()
+	if _, _, err := s.Value("a"); err != nil { // rolling from tick 0 archives nothing (no tick settled)
+		t.Fatal(err)
+	}
 	if n, _ := s.HistoryLen("a"); n != 0 {
 		t.Fatalf("len after first tick = %d", n)
 	}

@@ -87,8 +87,9 @@ func (s *Server) Checkpoint(log *wal.Log) *wal.Checkpoint {
 // nothing it replays is logged again. Every recovered stream starts
 // unowned and last heard at now: it is exactly as live as the server is,
 // so restarting never declares the whole population stale and blasts
-// resync requests at it. Watchdogs are left disarmed; a tick driver
-// catches the replicas up (CatchUp) and re-arms them afterwards.
+// resync requests at it. Watchdogs armed per stream (SetWatchdog) are left
+// disarmed: on the tick clock the caller rolls the replicas up to its tick
+// and re-arms them afterwards.
 func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 	var scratch netsim.Message
 	return log.Restore(
@@ -107,7 +108,7 @@ func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 				if err != nil {
 					return err
 				}
-				_, err = s.register(rec.ID, rec.Spec, rec.Delta, source.Norm(rec.Norm), false, nil, now)
+				_, err = s.register(rec.ID, rec.Spec, rec.Delta, source.Norm(rec.Norm), false, nil, 0, now)
 				return err
 			case wal.RecMessage:
 				if err := netsim.DecodeInto(&scratch, payload); err != nil {
@@ -123,19 +124,15 @@ func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 // RestoreStream re-creates one stream from a checkpoint state: the
 // replica is rebuilt from the registered spec, its snapshot restored,
 // and every piece of server bookkeeping set to the captured values.
-// The watchdog is left disarmed — re-arm it (and only then resume
-// ticking) after recovery completes, so a replayed silent stretch
-// cannot fire spurious resync requests. now is when the stream counts as
-// last heard (see Recover).
+// now is when the stream counts as last heard (see Recover).
 func (s *Server) RestoreStream(cs wal.StreamState, now int64) error {
-	st, err := s.register(cs.ID, cs.Spec, cs.RegisterDelta, source.Norm(cs.Norm), false, nil, now)
+	st, err := s.register(cs.ID, cs.Spec, cs.RegisterDelta, source.Norm(cs.Norm), false, nil, cs.Tick, now)
 	if err != nil {
 		return err
 	}
 	st.sh.mu.Lock()
 	defer st.sh.mu.Unlock()
 	st.delta = cs.Delta
-	st.tick = cs.Tick
 	st.lastCorr = cs.LastCorr
 	st.corrections = cs.Corrections
 	st.lastValueTick = cs.LastValueTick
@@ -165,19 +162,6 @@ func (s *Server) ReplayMessage(tick int64, m *netsim.Message) error {
 	}
 	defer sh.mu.Unlock()
 	return s.applyAt(sh, st, tick, m, false)
-}
-
-// CatchUp steps a stream's replica forward to the target tick — the
-// recovery epilogue that brings replayed streams level with the system
-// clock before watchdogs re-arm and ticking resumes.
-func (s *Server) CatchUp(id string, tick int64) error {
-	sh, st, err := s.lock(id)
-	if err != nil {
-		return err
-	}
-	defer sh.mu.Unlock()
-	s.stepTo(st, tick)
-	return nil
 }
 
 // Reset drops every stream and disarms the durability hooks while keeping

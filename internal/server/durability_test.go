@@ -43,9 +43,10 @@ func resyncValue(t *testing.T, spec predictor.Spec, value float64) []float64 {
 	return append([]float64{value}, ref.(predictor.Snapshotter).Snapshot()...)
 }
 
-// driveWorkload runs a deterministic mixed workload (ticks, corrections,
-// resyncs, heartbeats) against s, invoking seen for every applied
-// message so tests can capture the equivalent of a WAL.
+// driveWorkload runs a deterministic mixed workload (corrections, resyncs,
+// heartbeats, each ingested at its own tick) against s, invoking seen for
+// every applied message so tests can capture the equivalent of a WAL, and
+// leaves every stream rolled through tick 59.
 func driveWorkload(t *testing.T, s *Server, ids []string, spec predictor.Spec, seen func(tick int64, m *netsim.Message)) {
 	t.Helper()
 	if seen != nil {
@@ -65,12 +66,16 @@ func driveWorkload(t *testing.T, s *Server, ids []string, spec predictor.Spec, s
 				m = &netsim.Message{Kind: netsim.KindHeartbeat, StreamID: id, Tick: tick}
 			}
 			if m != nil {
-				if err := s.Apply(m); err != nil {
+				if _, _, err := s.Ingest(m, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		s.Tick()
+	}
+	for _, id := range ids {
+		if err := s.Roll(id, 59); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.SetApplyHook(nil)
 }
@@ -88,21 +93,21 @@ func snapshotAnswers(t *testing.T, s *Server, ids []string) map[string]answers {
 	t.Helper()
 	out := make(map[string]answers, len(ids))
 	for _, id := range ids {
-		est, bound, err := s.PeekValue(id)
+		est, bound, err := s.PeekValue(id, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := s.Info(id)
+		info, err := s.Info(id, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Suppressed counts ticks rolled by lazy advance since this process
-		// took the stream on: the global clock's Tick rolls none that way and
-		// replay rolls all of them, so it is no part of the recovered state.
+		// Suppressed counts ticks rolled since this process took the stream
+		// on: replay rolls them without counting, so it is no part of the
+		// recovered state.
 		// Nor is Bytes: it counts what this process applied or replayed, and
 		// a checkpoint carries the correction count without it.
 		info.Suppressed, info.Bytes = 0, 0
-		_, sd, err := s.ValueDistribution(id)
+		_, sd, err := s.ValueDistribution(id, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,29 +127,33 @@ func TestApplyHookFiresForAllAppliedKinds(t *testing.T) {
 		got = append(got, m.Kind)
 		ticks = append(ticks, tick)
 	})
-	s.Tick()
-	s.Tick()
 	msgs := []*netsim.Message{
 		{Kind: netsim.KindCorrection, StreamID: "a", Tick: 1, Value: []float64{4}},
 		{Kind: netsim.KindHeartbeat, StreamID: "a", Tick: 2},
-		{Kind: netsim.KindResync, StreamID: "a", Tick: 2, Value: resyncValue(t, staticSpec(), 7)},
+		{Kind: netsim.KindResync, StreamID: "a", Tick: 3, Value: resyncValue(t, staticSpec(), 7)},
+	}
+	if err := s.Roll("a", 3); err != nil { // they all land at tick 3
+		t.Fatal(err)
 	}
 	for _, m := range msgs {
-		if err := s.Apply(m); err != nil {
+		if _, _, err := s.Ingest(m, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A failed apply must not fire the hook.
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "nope", Tick: 2}); err == nil {
+	// Neither a failed apply nor a dropped duplicate fires the hook.
+	if _, _, err := s.Ingest(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "nope", Tick: 4}, 0); err == nil {
 		t.Fatal("apply to unknown stream succeeded")
+	}
+	if applied, _, err := s.Ingest(msgs[0], 0); err != nil || applied {
+		t.Fatalf("duplicate applied %v, err %v", applied, err)
 	}
 	want := []netsim.MessageKind{netsim.KindCorrection, netsim.KindHeartbeat, netsim.KindResync}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("hook kinds = %v, want %v", got, want)
 	}
 	for i, tick := range ticks {
-		if tick != 2 {
-			t.Fatalf("hook tick[%d] = %d, want server tick 2", i, tick)
+		if tick != 4 {
+			t.Fatalf("hook tick[%d] = %d, want server tick 4", i, tick)
 		}
 	}
 	// Replay must stay silent.
@@ -165,7 +174,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		if id == "beta" {
 			norm = source.NormL2
 		}
-		if err := ctrl.RegisterNorm(id, kalmanSpec(), 0.5, norm); err != nil {
+		if err := ctrl.RegisterAt(id, kalmanSpec(), 0.5, norm, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +214,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 
 // TestReplayReproducesControl is the in-process statement of the PR's
 // core guarantee: registering the same streams and replaying the logged
-// (tick, message) pairs, then catching up to the control's clock,
+// (tick, message) pairs, then rolling up to the control's clock,
 // yields byte-identical answers to a server that never died.
 func TestReplayReproducesControl(t *testing.T) {
 	ids := []string{"alpha", "beta"}
@@ -241,11 +250,11 @@ func TestReplayReproducesControl(t *testing.T) {
 		}
 	}
 	for _, id := range ids {
-		info, err := ctrl.Info(id)
+		info, err := ctrl.Info(id, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := recovered.CatchUp(id, info.Tick); err != nil {
+		if err := recovered.Roll(id, info.Tick-1); err != nil {
 			t.Fatal(err)
 		}
 	}

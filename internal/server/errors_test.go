@@ -1,30 +1,32 @@
-package server
+package server_test
 
 import (
 	"errors"
 	"testing"
 
 	"kalmanstream/internal/netsim"
+	"kalmanstream/internal/server"
+	"kalmanstream/internal/server/servertest"
 )
 
 func TestSentinelErrorsMatchable(t *testing.T) {
-	s := New()
-	if _, _, err := s.Value("ghost"); !errors.Is(err, ErrUnknownStream) {
+	s := servertest.New()
+	if _, _, err := s.Value("ghost"); !errors.Is(err, server.ErrUnknownStream) {
 		t.Errorf("Value: %v not ErrUnknownStream", err)
 	}
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "ghost"}); !errors.Is(err, ErrUnknownStream) {
+	if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "ghost"}); !errors.Is(err, server.ErrUnknownStream) {
 		t.Errorf("Apply: %v not ErrUnknownStream", err)
 	}
-	if err := s.Register("a", staticSpec(), 1); err != nil {
+	if err := s.Register("a", static1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.HistoryAt("a", 0); !errors.Is(err, ErrHistoryDisabled) {
+	if _, err := s.HistoryAt("a", 0); !errors.Is(err, server.ErrHistoryDisabled) {
 		t.Errorf("HistoryAt without enable: %v not ErrHistoryDisabled", err)
 	}
 	if err := s.EnableHistory("a", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.HistoryAt("a", 0); !errors.Is(err, ErrHistoryMiss) {
+	if _, err := s.HistoryAt("a", 0); !errors.Is(err, server.ErrHistoryMiss) {
 		t.Errorf("HistoryAt unsettled tick: %v not ErrHistoryMiss", err)
 	}
 	// Eviction also yields ErrHistoryMiss.
@@ -35,7 +37,7 @@ func TestSentinelErrorsMatchable(t *testing.T) {
 		}
 	}
 	s.Tick()
-	if _, err := s.HistoryAt("a", 0); !errors.Is(err, ErrHistoryMiss) {
+	if _, err := s.HistoryAt("a", 0); !errors.Is(err, server.ErrHistoryMiss) {
 		t.Errorf("HistoryAt evicted tick: %v not ErrHistoryMiss", err)
 	}
 }

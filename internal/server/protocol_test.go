@@ -8,7 +8,7 @@ import (
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
-	"kalmanstream/internal/server"
+	"kalmanstream/internal/server/servertest"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 )
@@ -18,7 +18,7 @@ import (
 // suppressed tick. It returns the number of messages sent.
 func runProtocol(t *testing.T, spec predictor.Spec, delta float64, norm source.Norm, st stream.Stream) int64 {
 	t.Helper()
-	srv := server.New()
+	srv := servertest.New()
 	id := st.Name()
 	if err := srv.Register(id, spec, delta); err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestPropHardBoundRandomConfigs(t *testing.T) {
 			st = stream.NewRegimeSwitching(seed, 100, 0.2, 800)
 		}
 
-		srv := server.New()
+		srv := servertest.New()
 		if err := srv.Register("s", spec, delta); err != nil {
 			return false
 		}

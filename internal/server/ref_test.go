@@ -65,12 +65,12 @@ func TestIngestRefIsIngest(t *testing.T) {
 	}
 	for i := 0; i < streams; i++ {
 		id := fmt.Sprintf("s%d", i)
-		want, err := byID.Info(id)
+		want, err := byID.Info(id, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range []*Server{byBytes, byRef} {
-			got, err := s.Info(id)
+			got, err := s.Info(id, -1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestDeadRefRefused(t *testing.T) {
 		if _, _, err := s.IngestRef(old, m(2), 0); !errors.Is(err, ErrUnknownStream) {
 			t.Fatalf("old Ref after re-registration: %v", err)
 		}
-		if info, _ := s.Info("d"); info.Corrections != 0 {
+		if info, _ := s.Info("d", -1); info.Corrections != 0 {
 			t.Fatalf("re-registered stream took %d corrections through the old Ref", info.Corrections)
 		}
 		if _, _, err := s.IngestRef(fresh, m(3), 0); err != nil {

@@ -7,8 +7,9 @@
 // one RWMutex per shard), so operations on different streams proceed
 // concurrently: per-stream replica state has no cross-stream coupling, and
 // the shard lock is only ever held for the nanoseconds a tiny state update
-// takes. Queries take a shard read lock; corrections and ticks take the
-// write lock. A serial caller pays one uncontended lock per operation.
+// takes. Snapshots take a shard read lock; ingest and every read that
+// rolls a replica forward take the write lock. A serial caller pays one
+// uncontended lock per operation.
 package server
 
 import (
@@ -55,7 +56,8 @@ type StreamInfo struct {
 	// Norm is the deviation norm the stream's gate uses; it defines what
 	// the δ bound means geometrically.
 	Norm source.Norm
-	// Tick is the server's clock for this stream (number of Tick calls).
+	// Tick is how far the replica has been rolled: ticks [0, Tick) have
+	// been stepped.
 	Tick int64
 	// LastCorrectionTick is the tick of the most recent correction, or
 	// -1 before the first.
@@ -69,10 +71,10 @@ type StreamInfo struct {
 	// checkpointed, so after a restart it covers replayed and new records
 	// only while Corrections carries on from the checkpoint.
 	Bytes int64
-	// Suppressed counts the ticks lazy advance (Ingest, QueryAt, replay)
-	// rolled the replica through without a correction — the global clock's
-	// Tick is not counted — and Duplicates the messages the dedupe guard
-	// dropped, both since this process registered or recovered the stream.
+	// Suppressed counts the ticks lazy advance (ingest and every rolling
+	// read) took the replica through without a correction, and Duplicates
+	// the messages the dedupe guard dropped, both since this process
+	// registered or recovered the stream.
 	Suppressed, Duplicates int64
 	// Staleness is Tick − LastCorrectionTick.
 	Staleness int64
@@ -120,16 +122,15 @@ type streamState struct {
 	// linking subsequent query events back to the state they serve from.
 	lastTrace uint64
 
-	// Staleness-watchdog state (see watchdog.go). wdDeadline <= 0 means
-	// the tick watchdog is disarmed; wdLastReq is the silence at which the
-	// last resync request was issued, so requests repeat every deadline of
-	// continued silence. For a source on its own clock, heard is when it
-	// last sent anything (the driver's nanoseconds) and owner the opaque
-	// push target: the connection that registered it, nil once that is gone.
+	// Staleness-watchdog state (see watchdog.go), in the clock's unit.
+	// wdDeadline <= 0 means the watchdog is disarmed; heard is when the
+	// stream last sent anything; wdLastReq is the silence at which the last
+	// resync request was issued, so requests repeat every deadline of
+	// continued silence; owner is the opaque push target the requests go
+	// to — a connection, a feedback link — nil when there is none.
 	wdDeadline int64
 	wdLastReq  int64
 	stale      bool
-	feedback   func(*netsim.Message)
 	heard      int64
 	owner      any
 }
@@ -159,9 +160,9 @@ type shard struct {
 	// loop walks this slice instead of ranging the map, which is both
 	// cheaper and deterministic.
 	order []*streamState
-	// size mirrors len(streams) so Tick can skip empty shards without
-	// taking their locks (len of a map is not safe to read concurrently
-	// with writes).
+	// size mirrors len(streams) so Len and ShardSizes read it without
+	// taking the lock (len of a map is not safe to read concurrently with
+	// writes).
 	size atomic.Int64
 	// tel is nil unless the hosting server has a registry.
 	tel *shardTotals
@@ -180,6 +181,10 @@ type Server struct {
 	// onStale, when set, fires once per newly-stale stream from the
 	// watchdog, under the shard lock — see SetStaleHook.
 	onStale func(id string)
+	// staleAfter is every new record's deadline (SetStaleAfter), and unit
+	// the watchdog's unit in trace events' (1 for ticks, 1e-9 for ns → s).
+	staleAfter int64
+	unit       float64
 	// onApply, when set, fires after every successfully applied message,
 	// under the shard lock — the write-ahead log's append hook. See
 	// SetApplyHook.
@@ -207,7 +212,7 @@ func NewSharded(n int) *Server {
 	if n < 1 {
 		n = 1
 	}
-	s := &Server{shards: make([]*shard, n), tr: trace.Default}
+	s := &Server{shards: make([]*shard, n), tr: trace.Default, unit: 1}
 	for i := range s.shards {
 		s.shards[i] = &shard{streams: make(map[string]*streamState)}
 	}
@@ -283,17 +288,16 @@ func (s *Server) SetTrace(j *trace.Journal) {
 // initial δ must match the source's; in the wire protocol they are carried
 // by the registration payload, so mismatch is impossible by construction.
 func (s *Server) Register(id string, spec predictor.Spec, delta float64) error {
-	_, err := s.register(id, spec, delta, source.NormInf, false, nil, 0)
-	return err
+	return s.RegisterAt(id, spec, delta, source.NormInf, 0)
 }
 
-// RegisterNorm is Register for a gate on another deviation norm. The norm
-// determines the geometry of the δ bound (per-component box for NormInf,
-// Euclidean ball for NormL2), which spatial queries must respect; it is
-// part of the registration, so the durability hook logs it with the
-// stream and recovery rebuilds the same geometry.
-func (s *Server) RegisterNorm(id string, spec predictor.Spec, delta float64, norm source.Norm) error {
-	_, err := s.register(id, spec, delta, norm, false, nil, 0)
+// RegisterAt is Register for a stream that joins the tick clock at tick
+// (its replica steps none of [0, tick), and it counts as heard then) and
+// whose gate uses norm. The norm is the geometry of the δ bound
+// (per-component box for NormInf, Euclidean ball for NormL2), which
+// spatial queries must respect, so the durability hook logs it too.
+func (s *Server) RegisterAt(id string, spec predictor.Spec, delta float64, norm source.Norm, tick int64) error {
+	_, err := s.register(id, spec, delta, norm, false, nil, tick, tick)
 	return err
 }
 
@@ -307,11 +311,11 @@ func (s *Server) RegisterNorm(id string, spec predictor.Spec, delta float64, nor
 // correction). A different spec or δ is a conflict and is rejected. The
 // returned Ref resolves the record for IngestRef.
 func (s *Server) Adopt(id string, spec predictor.Spec, delta float64, owner any, now int64) (Ref, error) {
-	st, err := s.register(id, spec, delta, source.NormInf, true, owner, now)
+	st, err := s.register(id, spec, delta, source.NormInf, true, owner, 0, now)
 	return Ref{st}, err
 }
 
-func (s *Server) register(id string, spec predictor.Spec, delta float64, norm source.Norm, adopt bool, owner any, now int64) (*streamState, error) {
+func (s *Server) register(id string, spec predictor.Spec, delta float64, norm source.Norm, adopt bool, owner any, tick, now int64) (*streamState, error) {
 	if id == "" {
 		return nil, fmt.Errorf("server: empty stream id")
 	}
@@ -341,7 +345,8 @@ func (s *Server) register(id string, spec predictor.Spec, delta float64, norm so
 		}
 	}
 	st := &streamState{id: id, sh: sh, replica: replica, spec: spec, registerDelta: delta,
-		delta: delta, norm: norm, lastCorr: -1, lastValueTick: -1, owner: owner, heard: now}
+		delta: delta, norm: norm, tick: tick, lastCorr: -1, lastValueTick: -1, owner: owner, heard: now,
+		wdDeadline: s.staleAfter}
 	sh.streams[id] = st
 	sh.order = append(sh.order, st)
 	sh.size.Store(int64(len(sh.streams)))
@@ -370,51 +375,14 @@ func (s *Server) Unregister(id string) error {
 	return nil
 }
 
-// Tick advances every replica by one time step. The harness calls this
-// once per global tick, before delivering that tick's messages. For
-// parallel fan-out, call TickShard for every shard index instead — the
-// per-stream effect is identical.
-func (s *Server) Tick() {
-	for i := range s.shards {
-		s.TickShard(i)
-	}
-}
-
-// TickShard advances every replica in one shard by one time step. Distinct
-// shards can tick concurrently: streams never share state across shards.
-func (s *Server) TickShard(i int) {
-	sh := s.shards[i]
-	if sh.size.Load() == 0 {
-		return
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, st := range sh.order {
-		s.stepTo(st, st.tick+1)
-	}
-}
-
-// TickStream advances a single stream's replica by one time step.
-func (s *Server) TickStream(id string) error {
-	sh, st, err := s.lock(id)
-	if err != nil {
-		return err
-	}
-	defer sh.mu.Unlock()
-	s.stepTo(st, st.tick+1)
-	return nil
-}
-
 // stepTo is the one time update, under the shard write lock: it rolls the
-// replica forward to tick. The global clock, a source's own clock (Ingest,
-// QueryAt) and recovery replay all drive it. A stream with history or an
-// armed tick watchdog has a consumer for every intermediate tick — the
-// settled answer to archive, the silence to check — and steps one tick at
-// a time; any other stream (every recovered one, so replay is quiet by
-// construction) advances in one call, which the predictor contract makes
-// bit-identical.
-func (s *Server) stepTo(st *streamState, tick int64) {
-	if st.history == nil && st.wdDeadline <= 0 {
+// replica forward so that ticks [0, tick) have been stepped. A stream with
+// history has a consumer for every intermediate tick — the settled answer
+// to archive — and steps one tick at a time; any other (every recovered
+// one, so replay is quiet by construction) advances in one call, which the
+// predictor contract makes bit-identical.
+func (st *streamState) stepTo(tick int64) {
+	if st.history == nil {
 		if tick > st.tick {
 			st.replica.StepN(tick - st.tick)
 			st.tick = tick
@@ -425,23 +393,65 @@ func (s *Server) stepTo(st *streamState, tick int64) {
 		st.archive()
 		st.replica.Step()
 		st.tick++
-		if st.wdDeadline > 0 {
-			s.watchdogTick(st)
-		}
 	}
 }
 
-// Apply ingests a protocol message (normally a correction) at the
-// stream's current tick: the global-clock driver has already stepped the
-// replica, and applies exactly what the link delivers — duplicates and
-// reordered messages included.
+// at write-locks id's record and rolls it so that ticks [0, tick] have
+// been stepped (a tick behind it leaves it be), counting the ticks rolled
+// through as suppressed: they carried no correction, or theirs is still in
+// flight. The caller must Unlock.
+func (s *Server) at(id string, tick int64) (*shard, *streamState, error) {
+	sh, st, err := s.lock(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkAdvance(st, tick); err != nil {
+		sh.mu.Unlock()
+		return nil, nil, err
+	}
+	if steps := tick + 1 - st.tick; steps > 0 {
+		st.stepTo(tick + 1)
+		st.suppressed += steps
+		if sh.tel != nil {
+			sh.tel.suppressed.Add(steps)
+		}
+	}
+	return sh, st, nil
+}
+
+// Roll is the step half alone: on the tick clock, before a delivery (to
+// the arrival tick), an archive read or a δ change.
+func (s *Server) Roll(id string, tick int64) error {
+	sh, _, err := s.at(id, tick)
+	if err != nil {
+		return err
+	}
+	sh.mu.Unlock()
+	return nil
+}
+
+// Apply, TickStream and Value alias the one ingest, step and serve bodies
+// for the benchmark module alone (make lint). Apply is Ingest at time 0.
 func (s *Server) Apply(m *netsim.Message) error {
-	sh, st, err := s.lock(m.StreamID)
+	_, _, err := s.Ingest(m, 0)
+	return err
+}
+
+// TickStream steps a stream one tick past where it stands.
+func (s *Server) TickStream(id string) error {
+	sh, st, err := s.lock(id)
 	if err != nil {
 		return err
 	}
 	defer sh.mu.Unlock()
-	return s.applyAt(sh, st, st.tick, m, true)
+	st.stepTo(st.tick + 1)
+	return nil
+}
+
+// Value answers where the stream stands: a QueryAt that rolls nothing.
+func (s *Server) Value(id string) (estimate []float64, bound float64, err error) {
+	estimate, bound, _, _, err = s.QueryAt(id, -1)
+	return estimate, bound, err
 }
 
 // MaxAdvancePerMessage bounds how far a single correction or query may
@@ -461,12 +471,14 @@ func checkAdvance(st *streamState, tick int64) error {
 	return nil
 }
 
-// Ingest applies a message from a source on its own clock, all in one
-// shard-lock hold: the replica is first rolled forward so that ticks
-// [0, m.Tick] have been stepped, and now (the driver's nanoseconds) is
-// noted as the last time the stream was heard. A message at or before the
-// last applied tick is dropped and counted (applied false): a reconnecting
-// source may replay a tail the server already applied, and applying a
+// Ingest applies a message, all in one shard-lock hold: the replica is
+// first rolled forward so that ticks [0, m.Tick] have been stepped, and now
+// is noted as the last time the stream was heard — wall-clock
+// nanoseconds, or m.Tick+1 on the tick clock, where the caller Rolls to
+// the arrival tick first so a delayed message lands where it arrived. A
+// message at or before the last applied tick is dropped and counted
+// (applied false): a reconnecting source may replay a tail the server
+// already applied, a link may duplicate or reorder, and applying a
 // correction twice would double-step the replica. recovered reports that
 // the message cleared a stale verdict.
 func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, err error) {
@@ -504,9 +516,10 @@ func ingestBy[K string | []byte](s *Server, id K, m *netsim.Message, now int64) 
 }
 
 // ingestLocked is the one ingest body, under the record's shard write
-// lock, however the record was found. m.StreamID becomes the record's own
-// id string first — no allocation — so the log, exemplars, trace events
-// and error texts name the stream whichever way the message named it.
+// lock, however the record was found and on either clock. m.StreamID
+// becomes the record's own id string first — no allocation — so the log,
+// exemplars, trace events and error texts name the stream whichever way
+// the message named it.
 func (s *Server) ingestLocked(st *streamState, m *netsim.Message, now int64) (applied, recovered bool, err error) {
 	m.StreamID = st.id
 	sh := st.sh
@@ -524,6 +537,9 @@ func (s *Server) ingestLocked(st *streamState, m *netsim.Message, now int64) (ap
 	if err := s.applyAt(sh, st, max(st.tick, m.Tick+1), m, true); err != nil {
 		return false, false, err
 	}
+	if recovered {
+		s.watchdogRecover(st, now)
+	}
 	st.heard = now
 	return true, recovered, nil
 }
@@ -539,7 +555,7 @@ func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Messa
 		return fmt.Errorf("server: %s %s at tick %d carries a non-finite value", m.StreamID, m.Kind, m.Tick)
 	}
 	steps := tick - st.tick
-	s.stepTo(st, tick)
+	st.stepTo(tick)
 	value := m.Value
 	switch m.Kind {
 	case netsim.KindCorrection:
@@ -606,7 +622,6 @@ func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Messa
 			}
 		}
 	}
-	s.watchdogRecover(st)
 	if live && s.onApply != nil {
 		s.onApply(st.tick, m)
 	}
@@ -642,46 +657,20 @@ func lockBy[K string | []byte](s *Server, id K) (*shard, *streamState, error) {
 	return sh, st, nil
 }
 
-// Value answers a point query: the current estimate for the stream and
-// the absolute error bound the suppression protocol guarantees on it. On
-// a tick where a correction arrived the answer is the shipped measurement
-// itself with bound 0 (the server knows the exact value); on suppressed
-// ticks the answer is the replica's prediction with the stream's δ bound.
-func (s *Server) Value(id string) (estimate []float64, bound float64, err error) {
-	sh, st, err := s.get(id)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer sh.mu.RUnlock()
-	estimate, bound = s.serve(sh, st)
-	return estimate, bound, nil
-}
-
-// QueryAt is Value as of tick for a source on its own clock, all in one
-// shard-lock hold: the replica is first rolled forward so that ticks
-// [0, tick] have been stepped (a query behind the replica reads it where
-// it stands). lastTrace is the trace ID of the most recent traced
-// correction applied (0 when none) — the state the answer is served from —
-// and heard the time the stream last sent anything, in the driver's
-// nanoseconds: what the freshness layer needs to age the answer.
+// QueryAt answers a point query as of tick in one shard-lock hold: the
+// replica is rolled to tick (at), then the answer is the estimate and the
+// absolute error bound the protocol guarantees on it — on a tick where a
+// correction arrived, the shipped measurement itself with bound 0; on
+// suppressed ticks, the replica's prediction with the stream's δ. lastTrace
+// is the trace ID of the last traced correction applied (0 when none) — the
+// state the answer is served from — and heard when the stream last sent
+// anything, in the clock's unit: what freshness needs to age the answer.
 func (s *Server) QueryAt(id string, tick int64) (estimate []float64, bound float64, lastTrace uint64, heard int64, err error) {
-	sh, st, err := s.lock(id)
+	sh, st, err := s.at(id, tick)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
 	defer sh.mu.Unlock()
-	if err := checkAdvance(st, tick); err != nil {
-		return nil, 0, 0, 0, err
-	}
-	if steps := tick + 1 - st.tick; steps > 0 {
-		s.stepTo(st, tick+1)
-		// Ticks a query rolls through produced no correction — the gate
-		// suppressed them (or their corrections are still in flight).
-		st.suppressed += steps
-		if sh.tel != nil {
-			sh.tel.suppressed.Add(steps)
-		}
-	}
 	estimate, bound = s.serve(sh, st)
 	return estimate, bound, st.lastTrace, st.heard, nil
 }
@@ -716,8 +705,8 @@ func (s *Server) serve(sh *shard, st *streamState) (estimate []float64, bound fl
 	return estimate, bound
 }
 
-// answer is the one point-answer body (Value, QueryAt, PeekValue and the
-// history archive share it): the shipped measurement with bound 0 on the
+// answer is the one point-answer body (QueryAt, PeekValue and the history
+// archive share it): the shipped measurement with bound 0 on the
 // tick a correction arrived, the replica's prediction with the δ bound
 // otherwise.
 func (st *streamState) answer() ([]float64, float64) {
@@ -729,31 +718,31 @@ func (st *streamState) answer() ([]float64, float64) {
 	return st.replica.Predict(), st.delta
 }
 
-// PeekValue answers the same point query as Value but records no
+// PeekValue answers the same point query as QueryAt but records no
 // telemetry and no trace events — the precision auditor's side channel,
 // so auditing a tick is invisible to the observability it feeds.
-func (s *Server) PeekValue(id string) (estimate []float64, bound float64, err error) {
-	sh, st, err := s.get(id)
+func (s *Server) PeekValue(id string, tick int64) (estimate []float64, bound float64, err error) {
+	sh, st, err := s.at(id, tick)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer sh.mu.RUnlock()
+	defer sh.mu.Unlock()
 	estimate, bound = st.answer()
 	return estimate, bound, nil
 }
 
-// ValueDistribution answers a probabilistic point query: the current
-// estimate together with the replica's own predictive standard deviation
+// ValueDistribution answers a probabilistic point query as of tick (the
+// replica rolled there first, as by QueryAt): the estimate together with the replica's own predictive standard deviation
 // per component. Unlike the δ bound — a hard worst-case guarantee — the
 // distribution supports confidence intervals ("95% interval"), at the
 // price of being a model statement rather than a promise. Only predictors
 // implementing predictor.Uncertainty (the Kalman family) support it.
-func (s *Server) ValueDistribution(id string) (estimate, stddev []float64, err error) {
-	sh, st, err := s.get(id)
+func (s *Server) ValueDistribution(id string, tick int64) (estimate, stddev []float64, err error) {
+	sh, st, err := s.at(id, tick)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer sh.mu.RUnlock()
+	defer sh.mu.Unlock()
 	u, ok := st.replica.(predictor.Uncertainty)
 	if !ok {
 		return nil, nil, fmt.Errorf("server: stream %q predictor (%s) has no predictive distribution",
@@ -767,7 +756,7 @@ func (s *Server) ValueDistribution(id string) (estimate, stddev []float64, err e
 	return st.replica.Predict(), stddev, nil
 }
 
-// Norm returns the stream's gate norm (see RegisterNorm).
+// Norm returns the stream's gate norm (see RegisterAt).
 func (s *Server) Norm(id string) (source.Norm, error) {
 	sh, st, err := s.get(id)
 	if err != nil {
@@ -820,13 +809,14 @@ func (st *streamState) info() StreamInfo {
 	}
 }
 
-// Info returns a diagnostic snapshot for one stream.
-func (s *Server) Info(id string) (StreamInfo, error) {
-	sh, st, err := s.get(id)
+// Info returns a diagnostic snapshot of one stream as of tick (rolled
+// there first, as every read is; -1 reads it where it stands).
+func (s *Server) Info(id string, tick int64) (StreamInfo, error) {
+	sh, st, err := s.at(id, tick)
 	if err != nil {
 		return StreamInfo{}, err
 	}
-	defer sh.mu.RUnlock()
+	defer sh.mu.Unlock()
 	info := st.info()
 	info.Prediction = st.replica.Predict()
 	return info, nil

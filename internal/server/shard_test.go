@@ -42,43 +42,8 @@ func TestShardDistribution(t *testing.T) {
 	}
 }
 
-// TestShardedTickEquivalentToTick drives one server with global Tick and
-// another with per-shard TickShard calls; the per-stream clocks must
-// agree — the property the parallel pipeline relies on.
-func TestShardedTickEquivalentToTick(t *testing.T) {
-	a, b := New(), New()
-	ids := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	for _, id := range ids {
-		if err := a.Register(id, staticSpec(), 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Register(id, staticSpec(), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for tick := 0; tick < 10; tick++ {
-		a.Tick()
-		for i := 0; i < b.NumShards(); i++ {
-			b.TickShard(i)
-		}
-	}
-	for _, id := range ids {
-		ia, err := a.Info(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ib, err := b.Info(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ia.Tick != ib.Tick {
-			t.Errorf("%s: Tick %d vs %d", id, ia.Tick, ib.Tick)
-		}
-	}
-}
-
 // TestConcurrentRegisterApplyQuery hammers the sharded registry from many
-// goroutines — registration, corrections, ticks, and queries on disjoint
+// goroutines — registration, rolls, ingest, and queries on disjoint
 // streams — and must pass under -race.
 func TestConcurrentRegisterApplyQuery(t *testing.T) {
 	s := New()
@@ -95,22 +60,22 @@ func TestConcurrentRegisterApplyQuery(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := s.TickStream(id); err != nil {
+				if err := s.Roll(id, 0); err != nil {
 					t.Error(err)
 					return
 				}
-				err := s.Apply(&netsim.Message{
+				_, _, err := s.Ingest(&netsim.Message{
 					Kind: netsim.KindCorrection, StreamID: id, Tick: 0, Value: []float64{float64(i)},
-				})
+				}, 0)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, _, err := s.Value(id); err != nil {
+				if _, _, _, _, err := s.QueryAt(id, 1); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Info(id); err != nil {
+				if _, err := s.Info(id, -1); err != nil {
 					t.Error(err)
 					return
 				}

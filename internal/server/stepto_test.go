@@ -26,15 +26,16 @@ func bitEqual(a, b []float64) bool {
 
 // TestStepToPathsEquivalent drives the two forms of stepTo with one
 // message and query sequence. Three servers hold the same stream: one with
-// history enabled and one with the tick watchdog armed — each has a
-// consumer for every intermediate tick, so both advance one tick at a
-// time — and a plain one that advances in a single StepN call. All three
-// must give bit-equal answers wherever they are asked and end with equal
-// counters, equal replica tick counts and equal checkpoints; a fourth
-// plain server queried on every tick must answer what the history server
-// archived for that tick; and the per-tick consumers must have seen every
-// tick: history holds each settled tick once, the watchdog asked for a
-// resync exactly when the silence crossed each multiple of its deadline.
+// history enabled — a consumer for every intermediate tick, so it advances
+// one tick at a time — one with the watchdog armed, heard on the tick
+// clock and scanned for silence on every tick, and a plain one; the
+// last two advance in single StepN calls. All three must give bit-equal
+// answers wherever they are asked and end with equal counters, equal
+// replica tick counts and equal checkpoints; a fourth plain server queried
+// on every tick must answer what the history server archived for that
+// tick; history holds each settled tick once; and the per-tick scan asked
+// for a resync exactly when the silence crossed each multiple of the
+// deadline.
 func TestStepToPathsEquivalent(t *testing.T) {
 	const (
 		id       = "s"
@@ -67,17 +68,27 @@ func TestStepToPathsEquivalent(t *testing.T) {
 			if err := hist.EnableHistory(id, lastTick+2); err != nil {
 				t.Fatal(err)
 			}
-			var requests []int64
-			err := wd.SetWatchdog(id, deadline, func(m *netsim.Message) {
-				if m.Kind != netsim.KindResyncRequest || m.StreamID != id {
-					t.Errorf("watchdog pushed %v for %q", m.Kind, m.StreamID)
-				}
-				requests = append(requests, m.Tick)
-			})
-			if err != nil {
+			if err := wd.SetWatchdog(id, deadline, "owner"); err != nil {
 				t.Fatal(err)
 			}
 			trio := []*Server{plain, hist, wd}
+			// scanTo runs the watchdog's scan on every tick up to through,
+			// before anything arriving on tick through-1 lands — where
+			// core.System's Advance runs it.
+			var requests []int64
+			scanned := int64(0)
+			scanTo := func(through int64) {
+				for ; scanned < through; scanned++ {
+					for _, f := range wd.ScanSilent(scanned + 1) {
+						if f.ID != id {
+							t.Errorf("scan found %q", f.ID)
+						}
+						if f.Owner != nil {
+							requests = append(requests, scanned+1)
+						}
+					}
+				}
+			}
 
 			// wantRequests models the watchdog from the outside: heard is the
 			// tick of the last applied message, reached the furthest tick the
@@ -122,8 +133,16 @@ func TestStepToPathsEquivalent(t *testing.T) {
 					m = &netsim.Message{Kind: netsim.KindResync, StreamID: id, Tick: tick, Value: resyncValue(t, spec, truth)}
 				}
 				if m != nil {
+					scanTo(tick + 1)
 					for _, s := range append(trio, every) {
-						if applied, _, err := s.Ingest(m, 0); err != nil || !applied {
+						var applied bool
+						var err error
+						if s == wd {
+							applied, _, err = s.Ingest(m, tick+1)
+						} else {
+							applied, _, err = s.Ingest(m, 0)
+						}
+						if err != nil || !applied {
 							t.Fatalf("tick %d: ingest %v: applied %v, err %v", tick, m.Kind, applied, err)
 						}
 					}
@@ -131,6 +150,7 @@ func TestStepToPathsEquivalent(t *testing.T) {
 					heard = tick
 				}
 				if m == nil || rng.Intn(2) == 0 {
+					scanTo(tick + 1)
 					var est [3][]float64
 					var bound [3]float64
 					for i, s := range trio {
@@ -155,12 +175,14 @@ func TestStepToPathsEquivalent(t *testing.T) {
 				tick += []int64{1, 1, 2, 3, 8, 25, 200}[rng.Intn(7)]
 			}
 
+			scanTo(reached)
+
 			// Equal records, equal totals, equal replicas.
 			regs := []*telemetry.Registry{plainReg, histReg, wdReg}
 			var infos [3]StreamInfo
 			var cps [3]any
 			for i, s := range trio {
-				info, err := s.Info(id)
+				info, err := s.Info(id, -1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,7 +230,7 @@ func TestStepToPathsEquivalent(t *testing.T) {
 						tick, e.Estimate, e.Bound, perTick[tick], perTickBound[tick])
 				}
 			}
-			// The watchdog saw every tick of every silence.
+			// The scan saw every tick of every silence.
 			if len(wantRequests) == 0 || !reflect.DeepEqual(requests, wantRequests) {
 				t.Errorf("resync requests at ticks %v, want %v", requests, wantRequests)
 			}

@@ -1,10 +1,10 @@
-package server
+package server_test
 
 import (
 	"testing"
 
 	"kalmanstream/internal/netsim"
-	"kalmanstream/internal/predictor"
+	"kalmanstream/internal/server/servertest"
 	"kalmanstream/internal/trace"
 )
 
@@ -15,9 +15,9 @@ import (
 func TestApplyAndQueryTracing(t *testing.T) {
 	j := trace.NewJournal(1, 64)
 	j.SetEnabled(true)
-	s := New()
+	s := servertest.New()
 	s.SetTrace(j)
-	if err := s.Register("s", predictor.Spec{Kind: predictor.KindStatic, Dim: 1}, 0.5); err != nil {
+	if err := s.Register("s", static1, 0.5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +56,7 @@ func TestApplyAndQueryTracing(t *testing.T) {
 
 	// PeekValue is the auditor's side channel: no events.
 	before := j.Recorded()
-	if _, _, err := s.PeekValue("s"); err != nil {
+	if _, _, err := s.PeekValue("s", s.At()); err != nil {
 		t.Fatal(err)
 	}
 	if j.Recorded() != before {
@@ -86,9 +86,9 @@ func TestApplyAndQueryTracing(t *testing.T) {
 // with the journal off (the default), server operations leave no events.
 func TestTracingDisabledRecordsNothing(t *testing.T) {
 	j := trace.NewJournal(1, 8)
-	s := New()
+	s := servertest.New()
 	s.SetTrace(j)
-	if err := s.Register("s", predictor.Spec{Kind: predictor.KindStatic, Dim: 1}, 1); err != nil {
+	if err := s.Register("s", static1, 1); err != nil {
 		t.Fatal(err)
 	}
 	s.Tick()

@@ -6,96 +6,65 @@
 // watchdog detects that condition per stream, surfaces it (the record's
 // stale verdict, the stale hook, a trace event), and issues resync
 // requests upstream until a correction, resync, or heartbeat arrives and
-// clears it. The transitions are written once and measure silence in the
-// driver's unit: ticks since the last applied message on the global clock
-// (checked as the replica steps), nanoseconds since the stream was last
-// heard for a source on its own clock, whose tick counter stands still
-// while it is silent (checked by ScanSilent). See DESIGN.md, "Fault
-// tolerance & recovery".
+// clears it. There is one pass, ScanSilent, and one measure of silence,
+// now − heard, in the clock's unit: ticks since the last applied
+// message's tick on the tick clock, nanoseconds since the stream was last
+// heard on the wall clock. See DESIGN.md, "Fault tolerance & recovery".
 
 package server
 
-import (
-	"kalmanstream/internal/netsim"
-	"kalmanstream/internal/trace"
-)
+import "kalmanstream/internal/trace"
 
-// SetWatchdog arms the tick watchdog for a stream: once the stream
-// has been silent (no correction, resync, or heartbeat applied) for more
-// than deadlineTicks ticks it is marked stale, and a KindResyncRequest
-// message is handed to feedback — once immediately, then again every
-// deadlineTicks while the silence lasts, so a lost request does not
-// strand the stream. feedback may be nil (detect-only mode: the stream
-// is still marked and counted). deadlineTicks <= 0 disarms.
-//
-// feedback is invoked with the stream's shard lock held; it must not
-// call back into the server. Handing the message to a netsim.Link whose
-// receiver is the source's HandleFeedback satisfies that.
-func (s *Server) SetWatchdog(id string, deadlineTicks int64, feedback func(*netsim.Message)) error {
+// SetStaleAfter puts the watchdog on a wall clock: every stream registered
+// or recovered from now on gets a deadline of that many nanoseconds (0 =
+// none), and trace events report seconds. Call it before Register.
+func (s *Server) SetStaleAfter(deadline int64) { s.staleAfter, s.unit = deadline, 1e-9 }
+
+// SetWatchdog arms one stream's watchdog on the tick clock: once silent
+// (no correction, resync or heartbeat applied) for more than deadline
+// ticks, ScanSilent marks it stale and names owner, the push target of its
+// KindResyncRequest — at once, then every deadline while the silence
+// lasts. owner may be nil (detect-only); deadline <= 0 disarms. Silence
+// counts from the last applied message's tick, also for a stream just
+// recovered from the log: a restart makes no stream more or less silent.
+func (s *Server) SetWatchdog(id string, deadline int64, owner any) error {
 	sh, st, err := s.lock(id)
 	if err != nil {
 		return err
 	}
 	defer sh.mu.Unlock()
-	st.wdDeadline = deadlineTicks
-	st.feedback = feedback
+	st.wdDeadline, st.owner = deadline, owner
+	st.heard = max(st.heard, st.lastCorr+1)
 	return nil
-}
-
-// WatchdogDeadline returns the stream's armed deadline (0 = disarmed).
-func (s *Server) WatchdogDeadline(id string) (int64, error) {
-	sh, st, err := s.get(id)
-	if err != nil {
-		return 0, err
-	}
-	defer sh.mu.RUnlock()
-	return st.wdDeadline, nil
 }
 
 // StaleCount returns how many streams the watchdog currently has marked
 // stale — the streams_stale gauge's value.
 func (s *Server) StaleCount() int64 { return s.stale.Load() }
 
-// StaleStreams returns the IDs of streams currently marked stale, in
-// unspecified order.
-func (s *Server) StaleStreams() []string {
-	var out []string
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id, st := range sh.streams {
-			if st.stale {
-				out = append(out, id)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// watchdogEvent records one watchdog transition; silent and deadline are
-// in the driver's unit, unit its size in the unit the journal reports
-// (1 for ticks, 1e-9 for nanoseconds → seconds).
-func (s *Server) watchdogEvent(st *streamState, outcome trace.Outcome, silent, deadline int64, unit float64) {
+// watchdogEvent records one watchdog transition, silence and deadline
+// converted from the clock's unit to the journal's (ticks, or seconds).
+func (s *Server) watchdogEvent(st *streamState, outcome trace.Outcome, silent int64) {
 	if s.tr.Enabled() {
 		s.tr.Record(trace.Event{
 			StreamID: st.id,
 			Tick:     st.tick,
 			Stage:    trace.StageWatchdog,
 			Outcome:  outcome,
-			Value:    float64(silent) * unit,
-			Aux:      float64(deadline) * unit,
+			Value:    float64(silent) * s.unit,
+			Aux:      float64(st.wdDeadline) * s.unit,
 		})
 	}
 }
 
 // watchdogCheck is the one mark-stale / request-again decision, under the
-// shard write lock: a stream silent past the deadline is marked (once per
+// shard write lock: a stream silent past its deadline is marked (once per
 // episode), and a resync request is due now and again every deadline's
 // worth of continued silence — the feedback channel may itself be lossy —
-// as long as there is someone to ask. Both are journaled here, for either
-// clock; marked reports a new verdict, request one the caller delivers.
-func (s *Server) watchdogCheck(st *streamState, silent, deadline int64, unit float64) (marked, request bool) {
-	if silent <= deadline {
+// as long as there is someone to ask. Both are journaled here; marked
+// reports a new verdict, request one the caller delivers.
+func (s *Server) watchdogCheck(st *streamState, silent int64) (marked, request bool) {
+	if silent <= st.wdDeadline {
 		return false, false
 	}
 	if !st.stale {
@@ -104,33 +73,19 @@ func (s *Server) watchdogCheck(st *streamState, silent, deadline int64, unit flo
 		if s.onStale != nil {
 			s.onStale(st.id)
 		}
-		s.watchdogEvent(st, trace.OutcomeStale, silent, deadline, unit)
+		s.watchdogEvent(st, trace.OutcomeStale, silent)
 	}
-	if (st.feedback != nil || st.owner != nil) && silent-st.wdLastReq >= deadline {
+	if st.owner != nil && silent-st.wdLastReq >= st.wdDeadline {
 		st.wdLastReq = silent
 		request = true
-		s.watchdogEvent(st, trace.OutcomeResyncRequested, silent, deadline, unit)
+		s.watchdogEvent(st, trace.OutcomeResyncRequested, silent)
 	}
 	return marked, request
 }
 
-// watchdogTick runs once per armed stream per tick (from stepTo, after the
-// replica stepped). It is a single comparison for a healthy stream.
-func (s *Server) watchdogTick(st *streamState) {
-	silent := st.tick - 1 - st.lastCorr
-	if _, request := s.watchdogCheck(st, silent, st.wdDeadline, 1); !request {
-		return
-	}
-	st.feedback(&netsim.Message{
-		Kind:     netsim.KindResyncRequest,
-		StreamID: st.id,
-		Tick:     st.tick,
-	})
-}
-
-// Silent is one finding of the wall-clock scan: a stream silent For
-// nanoseconds, past the deadline, that this scan Marked stale, that owes
-// its source a resync request on Owner (nil when none is due), or both.
+// Silent is one finding of the scan: a stream silent For (in the clock's
+// unit) past its deadline, that this scan Marked stale, that owes its
+// source a resync request on Owner (nil when none is due), or both.
 type Silent struct {
 	ID     string
 	For    int64
@@ -138,16 +93,18 @@ type Silent struct {
 	Owner  any
 }
 
-// ScanSilent is the watchdog pass for sources on their own clocks: every
-// stream not heard from for more than deadline nanoseconds before now is
-// checked, one shard-lock hold per shard. Nothing is pushed under a lock
-// (a slow peer must not stall a shard): the caller sends the requests the
-// findings name.
-func (s *Server) ScanSilent(now, deadline int64) (found []Silent) {
+// ScanSilent is the watchdog pass, on either clock: every armed stream is
+// checked against its deadline, one shard-lock hold per shard. Nothing is
+// pushed under a lock (a slow peer must not stall a shard): the caller
+// sends the KindResyncRequests the findings name.
+func (s *Server) ScanSilent(now int64) (found []Silent) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, st := range sh.order {
-			marked, request := s.watchdogCheck(st, now-st.heard, deadline, 1e-9)
+			if st.wdDeadline <= 0 {
+				continue
+			}
+			marked, request := s.watchdogCheck(st, now-st.heard)
 			if marked || request {
 				f := Silent{ID: st.id, For: now - st.heard, Marked: marked}
 				if request {
@@ -177,14 +134,11 @@ func (s *Server) ReleaseOwner(owner any) {
 	}
 }
 
-// watchdogRecover clears the stale mark when traffic arrives, under the
-// shard write lock (called from the apply body).
-func (s *Server) watchdogRecover(st *streamState) {
-	if !st.stale {
-		return
-	}
+// watchdogRecover clears a stale mark when traffic arrives at now, under
+// the shard write lock, before the ingest body moves heard.
+func (s *Server) watchdogRecover(st *streamState, now int64) {
 	st.stale = false
 	s.stale.Add(-1)
 	st.wdLastReq = 0
-	s.watchdogEvent(st, trace.OutcomeRecovered, st.tick-1-st.lastCorr, st.wdDeadline, 1)
+	s.watchdogEvent(st, trace.OutcomeRecovered, now-st.heard)
 }

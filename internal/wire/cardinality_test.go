@@ -10,6 +10,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
@@ -97,10 +98,11 @@ func TestTelemetryCardinalityIndependentOfPopulation(t *testing.T) {
 	}
 }
 
-// discardConn is a net.Conn that swallows writes.
+// discardConn is a net.Conn that swallows writes, deadlines included.
 type discardConn struct{ net.Conn }
 
-func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+func (discardConn) Write(b []byte) (int, error)      { return len(b), nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestWriteFrameAddsNoAllocs: the connection writer assembles a reply in
 // its own buffer and accounts it on two resolved handles, so an answer,

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"log/slog"
 	"math"
 	"net"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -346,5 +348,81 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 	}
 	if n := settledGoroutines(); n > base {
 		t.Fatalf("%d goroutines after Close, %d before", n, base)
+	}
+}
+
+// TestStalledPeerDoesNotStallWALSync: a peer that registers, falls silent
+// and never reads wedges its own connection — the handler blocks on a
+// reply the peer never takes — but not the node's duty goroutine. The
+// resync request the watchdog owes that peer is dropped and counted
+// rather than waited for, and the log keeps syncing on its cadence for
+// everyone else.
+func TestStalledPeerDoesNotStallWALSync(t *testing.T) {
+	const flush = 10 * time.Millisecond
+	reg := telemetry.New()
+	srv, err := NewDurableServer(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler),
+		StaleAfter: 40 * time.Millisecond}, Durability{Dir: t.TempDir(), FlushEvery: flush})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() { _ = srv.Serve(l) }()
+	if err := srv.Register(RegisterPayload{ID: "live", Spec: durSpec(), Delta: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+
+	mute, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	_ = mute.(*net.TCPConn).SetReadBuffer(4096)
+	reg1, _ := json.Marshal(RegisterPayload{ID: "mute", Spec: durSpec(), Delta: 0.5})
+	if err := WriteFrame(mute, FrameRegister, reg1); err != nil {
+		t.Fatal(err)
+	}
+	// Metrics snapshots it never reads fill both socket buffers.
+	go func() {
+		_ = mute.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		for WriteFrame(mute, FrameMetrics, nil) == nil {
+		}
+	}()
+	// The handler is wedged once it holds its connection for good: blocked
+	// writing a reply the peer never reads. By then mute has been silent
+	// past its deadline, and every scan owes it a push.
+	held := 0
+	waitFor(t, "the mute peer's handler to wedge", func() bool {
+		srv.connMu.Lock()
+		defer srv.connMu.Unlock()
+		held++
+		for cw := range srv.conns {
+			if cw.mu.TryLock() {
+				cw.mu.Unlock()
+				held = 0
+			}
+		}
+		return held >= 50 && slices.Contains(staleIDs(srv), "mute")
+	})
+
+	fsyncs := reg.Histogram("wal_fsync_seconds", telemetry.LatencyBuckets)
+	const window = 300 * time.Millisecond
+	before := fsyncs.Count()
+	for start, tick := time.Now(), int64(0); time.Since(start) < window; tick++ {
+		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "live", Tick: tick, Value: []float64{1}}
+		if err := srv.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := fsyncs.Count() - before; n < int64(window/flush)/3 {
+		t.Fatalf("%d fsyncs in %v at a %v cadence: the stalled peer stalled the log", n, window, flush)
+	}
+	if reg.Counter("wire_pushes_dropped_total").Value() == 0 {
+		t.Fatal("no resync push to the stalled peer was dropped")
 	}
 }

@@ -369,8 +369,8 @@ func FuzzHandleFrames(f *testing.F) {
 			}
 		}
 		for _, id := range names {
-			a, aerr := srv.srv.Info(id)
-			b, berr := control.srv.Info(id)
+			a, aerr := srv.srv.Info(id, -1)
+			b, berr := control.srv.Info(id, -1)
 			if (aerr == nil) != (berr == nil) {
 				t.Fatalf("%s: %v, control %v", id, aerr, berr)
 			}

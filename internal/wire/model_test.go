@@ -243,7 +243,7 @@ func (r *modelRun) apply(m *netsim.Message) error {
 // counters reads a stream's three counts from its record; a stream the
 // server does not know has none.
 func (r *modelRun) counters(id string) refDelta {
-	info, err := r.srv.srv.Info(id)
+	info, err := r.srv.srv.Info(id, -1)
 	if err != nil {
 		return refDelta{}
 	}
@@ -493,7 +493,7 @@ func TestConcurrentIngestHammer(t *testing.T) {
 		}()
 	}
 	beside(srv.Checkpoint)
-	beside(func() error { srv.HealthStreams(); srv.StaleStreams(); return nil })
+	beside(func() error { srv.HealthStreams(); staleIDs(srv); return nil })
 	beside(func() error {
 		c, err := Dial(l.Addr().String())
 		if err != nil {

@@ -53,7 +53,7 @@ type AnswerPayload struct {
 
 // connWriter serializes frame writes to one connection: the handler
 // goroutine writes responses and the server's wall-clock goroutine
-// pushes resync requests, so every write must go through the mutex.
+// pushes resync requests (push), so every write must go through the mutex.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
@@ -124,11 +124,39 @@ func (cw *connWriter) connOffsetNanos() float64 {
 const maxAssembledPayload = 4 << 10
 
 func (cw *connWriter) writeFrame(typ uint8, payload []byte) error {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	return cw.writeLocked(typ, payload)
+}
+
+// pushTimeout bounds a push, which the node's one duty goroutine makes (WAL
+// sync and checkpoints share it): a push that cannot take the connection
+// at once — its handler is mid-write, where a peer that stopped reading
+// wedges it — or cannot finish within pushTimeout is dropped, and the
+// watchdog asks again a deadline later. A failed push closes the
+// connection, since a partly written frame leaves it unusable.
+const pushTimeout = 50 * time.Millisecond
+
+// push writes one server-initiated frame, reporting whether it went out.
+func (cw *connWriter) push(typ uint8, payload []byte) bool {
+	if !cw.mu.TryLock() {
+		return false
+	}
+	defer cw.mu.Unlock()
+	_ = cw.conn.SetWriteDeadline(time.Now().Add(pushTimeout))
+	if err := cw.writeLocked(typ, payload); err != nil {
+		_ = cw.conn.Close()
+		return false
+	}
+	_ = cw.conn.SetWriteDeadline(time.Time{})
+	return true
+}
+
+// writeLocked assembles and writes one frame; the caller holds mu.
+func (cw *connWriter) writeLocked(typ uint8, payload []byte) error {
 	if len(payload)+1 > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
 	frame := append(cw.buf[:0], 0, 0, 0, 0, typ)
 	binary.BigEndian.PutUint32(frame, uint32(len(payload)+1))
 	var err error
@@ -170,6 +198,7 @@ type Server struct {
 	telErrors      *telemetry.Counter
 	telStaleTotal  *telemetry.Counter
 	telResyncReqs  *telemetry.Counter
+	telPushDrops   *telemetry.Counter
 
 	// Per-direction wire volume, resolved once: a registry lookup renders
 	// and sorts its labels, which is not a per-frame cost.
@@ -319,6 +348,7 @@ func newServer(opts Options, d Durability) (*Server, error) {
 	s.telErrors = reg.Counter("wire_errors_total")
 	s.telStaleTotal = reg.Counter("watchdog_stale_total")
 	s.telResyncReqs = reg.Counter("watchdog_resync_requests_total")
+	s.telPushDrops = reg.Counter("wire_pushes_dropped_total")
 	s.telBatches = reg.Counter("wire_frames_coalesced_total")
 	s.telBatchedMsgs = reg.Histogram("wire_corrections_per_frame", telemetry.BatchSizeBuckets)
 	for _, typ := range []uint8{FrameRegister, FrameMessage, FrameQuery, FrameMetrics, FrameTrace, FrameMessageBatch, FramePing} {
@@ -334,6 +364,7 @@ func newServer(opts Options, d Durability) (*Server, error) {
 	reg.Help("wire_bytes_total", "bytes on the wire by direction")
 	reg.Help("query_latency_seconds", "wire query handling latency")
 	reg.Help("watchdog_resync_requests_total", "resync requests pushed to sources")
+	reg.Help("wire_pushes_dropped_total", "server pushes dropped: connection busy or write past the push deadline")
 	if opts.Health != nil {
 		if err := declareSLOs(opts.Health); err != nil {
 			_ = node.Close()
@@ -415,7 +446,8 @@ func (s *Server) run(period time.Duration) {
 
 // pushResyncs reports the scan's new stale verdicts and pushes the resync
 // requests it owes to the owning connections, outside every lock, so a
-// slow peer cannot stall a shard.
+// slow peer cannot stall a shard, and each within pushTimeout, so a peer
+// that stopped reading cannot stall the node's duties.
 func (s *Server) pushResyncs(found []server.Silent) {
 	for _, f := range found {
 		if f.Marked {
@@ -425,10 +457,12 @@ func (s *Server) pushResyncs(found []server.Silent) {
 		if f.Owner == nil {
 			continue
 		}
-		s.telResyncReqs.Inc()
-		if err := f.Owner.(*connWriter).writeFrame(FrameResyncRequest, []byte(f.ID)); err != nil {
-			s.logw("wire: resync-request push failed", "stream", f.ID, "err", err)
+		if !f.Owner.(*connWriter).push(FrameResyncRequest, []byte(f.ID)) {
+			s.telPushDrops.Inc()
+			s.logw("wire: resync-request push dropped", "stream", f.ID)
+			continue
 		}
+		s.telResyncReqs.Inc()
 	}
 }
 
@@ -458,10 +492,6 @@ func (s *Server) WAL() *wal.Log { return s.node.WAL() }
 // server.Checkpoint) and writes it durably, pruning the log prefix it
 // covers; the cut takes every shard lock, the write none.
 func (s *Server) Checkpoint() error { return s.node.Checkpoint() }
-
-// StaleStreams returns the IDs of streams the wall-clock watchdog
-// currently has marked stale.
-func (s *Server) StaleStreams() []string { return s.srv.StaleStreams() }
 
 // Registry returns the server's telemetry registry.
 func (s *Server) Registry() *telemetry.Registry { return s.node.Registry() }

@@ -2,12 +2,14 @@ package wire
 
 import (
 	"errors"
+	"log/slog"
 	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/telemetry"
 	"kalmanstream/internal/trace"
@@ -196,5 +198,52 @@ func TestSendTraceEmptyAndBad(t *testing.T) {
 	}
 	if n := srv.Trace().Recorded(); n != 0 {
 		t.Fatalf("bad payloads recorded %d events", n)
+	}
+}
+
+// TestWatchdogTraceInWallClockUnits: on the wall clock every watchdog
+// event reports the stream's silence and its deadline in seconds — the
+// recovery event too, which measures the silence the correction ended
+// from when the stream was last heard.
+func TestWatchdogTraceInWallClockUnits(t *testing.T) {
+	const staleAfter = 30 * time.Millisecond
+	j := trace.NewJournal(1, 64)
+	j.SetEnabled(true)
+	srv := NewServerWith(Options{Metrics: telemetry.New(), Trace: j, StaleAfter: staleAfter,
+		Logger: slog.New(slog.DiscardHandler)})
+	defer srv.Close()
+	if err := srv.Register(RegisterPayload{ID: "w", Spec: cvSpec(), Delta: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(tick int64) {
+		t.Helper()
+		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "w", Tick: tick, Value: []float64{1}}
+		if err := srv.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(0)
+	waitFor(t, "the stream to go stale", func() bool { return len(staleIDs(srv)) == 1 })
+	apply(1)
+	var stale, recovered *trace.Event
+	for _, ev := range j.StreamEvents("w") {
+		switch ev.Outcome {
+		case trace.OutcomeStale:
+			stale = &ev
+		case trace.OutcomeRecovered:
+			recovered = &ev
+		}
+	}
+	if stale == nil || recovered == nil {
+		t.Fatalf("journal holds stale %v, recovered %v", stale, recovered)
+	}
+	for _, ev := range []*trace.Event{stale, recovered} {
+		if ev.Stage != trace.StageWatchdog || math.Abs(ev.Aux-staleAfter.Seconds()) > 1e-12 {
+			t.Errorf("%s event: deadline %v, want %v s", ev.Outcome, ev.Aux, staleAfter.Seconds())
+		}
+	}
+	if stale.Value <= staleAfter.Seconds() || recovered.Value < stale.Value || recovered.Value > 5 {
+		t.Errorf("silence: %v s when marked, %v s when it ended; deadline %v s",
+			stale.Value, recovered.Value, staleAfter.Seconds())
 	}
 }

@@ -99,7 +99,7 @@ func cvSpec() predictor.Spec {
 // mustInfo reads one stream's record — where its per-stream numbers live.
 func mustInfo(t *testing.T, s *Server, id string) server.StreamInfo {
 	t.Helper()
-	info, err := s.srv.Info(id)
+	info, err := s.srv.Info(id, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
