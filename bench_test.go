@@ -364,7 +364,10 @@ func BenchmarkTopKObserveChurn(b *testing.B) {
 // whatever arming the recorder adds, which must be nothing: the
 // single-stream benchmarks above it could not see a per-correction feed
 // that is cheap on a resident ID and contended, evicting and lossy at
-// 10,000).
+// 10,000). The frames are the in-process id form ApplyBatch takes, and
+// every record changes stream, so decoding allocates its id string: 1
+// alloc/op (8 B). A connection's handle-form batch allocates nothing
+// (TestBatchDispatchZeroAlloc).
 func BenchmarkWireIngestManyStreams(b *testing.B) {
 	const (
 		streams  = 10_000

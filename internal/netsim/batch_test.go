@@ -207,42 +207,3 @@ func TestHandleFormMatchesIDForm(t *testing.T) {
 		t.Fatalf("handle batch %d records, last tick %d, %d bytes; id batch %d bytes", hb.Count(), hb.LastTick(), hb.Len(), ib.Len())
 	}
 }
-
-// TestDecodeNextIDZeroAlloc: walking a batch over many distinct streams
-// with DecodeNextID and resolving each by its id bytes allocates nothing,
-// where DecodeNext copies every id that differs from the previous one.
-func TestDecodeNextIDZeroAlloc(t *testing.T) {
-	var b Batch
-	known := map[string]int{}
-	for i := 0; i < 64; i++ {
-		id := fmt.Sprintf("sensor-%04d", i)
-		known[id] = i
-		if err := b.Add(&Message{Kind: KindCorrection, StreamID: id, Tick: int64(i), Value: []float64{1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var scratch Message
-	scratch.Value = make([]float64, 0, 1)
-	walk := func() {
-		n := 0
-		for rest := b.Bytes(); len(rest) > 0; n++ {
-			id, next, err := DecodeNextID(&scratch, rest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if known[string(id)] != n {
-				t.Fatalf("record %d resolved to %d", n, known[string(id)])
-			}
-			rest = next
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, walk); allocs != 0 {
-		t.Errorf("DecodeNextID over 64 streams allocates %.1f per batch, want 0", allocs)
-	}
-	copies := testing.AllocsPerRun(100, func() {
-		if _, err := decodeBatch(b.Bytes(), &scratch, func(*Message) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("per 64-record batch: DecodeNextID 0 allocations, DecodeNext %.0f", copies)
-}

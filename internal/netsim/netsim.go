@@ -187,42 +187,29 @@ func (m *Message) appendTail(buf []byte) []byte {
 // of concatenated AppendEncode outputs decodes by calling DecodeNext in a
 // loop. Storage reuse matches DecodeInto. On error m is left in an
 // unspecified state.
-func DecodeNext(m *Message, buf []byte) ([]byte, error) {
-	id, rest, err := DecodeNextID(m, buf)
-	if err != nil {
+func DecodeNext(m *Message, buf []byte) (rest []byte, err error) {
+	if len(buf) < 3 {
+		return nil, fmt.Errorf("netsim: message truncated (%d bytes)", len(buf))
+	}
+	if buf, err = decodeHead(m, buf); err != nil {
+		return nil, err
+	}
+	if len(buf) < 2 {
+		return nil, fmt.Errorf("netsim: message truncated (no id length)")
+	}
+	idLen := int(binary.BigEndian.Uint16(buf[:2]))
+	if len(buf) < 2+idLen+8+2 {
+		return nil, fmt.Errorf("netsim: message truncated after header")
+	}
+	if rest, err = decodeTail(m, buf[2+idLen:]); err != nil {
 		return nil, err
 	}
 	// string([]byte) == string compares without converting, so the id
 	// allocates only when it actually changed.
-	if m.StreamID != string(id) {
+	if id := buf[2 : 2+idLen]; m.StreamID != string(id) {
 		m.StreamID = string(id)
 	}
 	return rest, nil
-}
-
-// DecodeNextID is DecodeNext that leaves m.StreamID alone and returns the
-// record's id bytes instead, aliasing buf: a receiver that resolves the
-// stream from those bytes (a map index by string(id) does not allocate)
-// decodes a batch over many streams without allocating.
-func DecodeNextID(m *Message, buf []byte) (id, rest []byte, err error) {
-	if len(buf) < 3 {
-		return nil, nil, fmt.Errorf("netsim: message truncated (%d bytes)", len(buf))
-	}
-	if buf, err = decodeHead(m, buf); err != nil {
-		return nil, nil, err
-	}
-	if len(buf) < 2 {
-		return nil, nil, fmt.Errorf("netsim: message truncated (no id length)")
-	}
-	idLen := int(binary.BigEndian.Uint16(buf[:2]))
-	rest = buf[2:]
-	if len(rest) < idLen+8+2 {
-		return nil, nil, fmt.Errorf("netsim: message truncated after header")
-	}
-	if rest, err = decodeTail(m, rest[idLen:]); err != nil {
-		return nil, nil, err
-	}
-	return buf[2 : 2+idLen], rest, nil
 }
 
 // DecodeNextHandle parses one handle-form record (AppendEncodeHandle) from

@@ -9,21 +9,19 @@ import (
 	"kalmanstream/internal/netsim"
 )
 
-// TestIngestRefIsIngest: the three ways of naming a record — its id
-// string, its id bytes, the Ref Adopt returned — run one ingest body, so
-// the same messages leave three servers bit-identical: same answers, same
-// counts, duplicates dropped alike, the same refusals, and m.StreamID set
-// to the record's id however the message named it.
+// TestIngestRefIsIngest: the two ways of naming a record — its id string,
+// the Ref Adopt returned — run one ingest body, so the same messages leave
+// two servers bit-identical: same answers, same counts, duplicates dropped
+// alike, the same refusals, and m.StreamID set to the record's id however
+// the message named it.
 func TestIngestRefIsIngest(t *testing.T) {
 	const streams = 4
-	byID, byBytes, byRef := New(), New(), New()
+	byID, byRef := New(), New()
 	refs := make([]Ref, streams)
 	for i := range refs {
 		id := fmt.Sprintf("s%d", i)
-		for _, s := range []*Server{byID, byBytes} {
-			if _, err := s.Adopt(id, kalmanSpec(), 0.5, nil, 0); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := byID.Adopt(id, kalmanSpec(), 0.5, nil, 0); err != nil {
+			t.Fatal(err)
 		}
 		ref, err := byRef.Adopt(id, kalmanSpec(), 0.5, nil, 0)
 		if err != nil {
@@ -45,22 +43,15 @@ func TestIngestRefIsIngest(t *testing.T) {
 		if n%50 == 49 {
 			v = math.NaN() // refused
 		}
-		mk := func() *netsim.Message {
-			return &netsim.Message{Kind: netsim.KindCorrection, Tick: tick, Value: []float64{v}}
-		}
-		a, b, c := mk(), mk(), mk()
-		a.StreamID = id
-		b.StreamID, c.StreamID = "stale name", "stale name"
+		a := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: tick, Value: []float64{v}}
+		c := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "stale name", Tick: tick, Value: []float64{v}}
 		appA, recA, errA := byID.Ingest(a, int64(n))
-		appB, recB, errB := byBytes.IngestID([]byte(id), b, int64(n))
 		appC, recC, errC := byRef.IngestRef(refs[i], c, int64(n))
-		if appA != appB || appA != appC || recA != recB || recA != recC ||
-			fmt.Sprint(errA) != fmt.Sprint(errB) || fmt.Sprint(errA) != fmt.Sprint(errC) {
-			t.Fatalf("message %d: Ingest (%v %v %v), IngestID (%v %v %v), IngestRef (%v %v %v)",
-				n, appA, recA, errA, appB, recB, errB, appC, recC, errC)
+		if appA != appC || recA != recC || fmt.Sprint(errA) != fmt.Sprint(errC) {
+			t.Fatalf("message %d: Ingest (%v %v %v), IngestRef (%v %v %v)", n, appA, recA, errA, appC, recC, errC)
 		}
-		if b.StreamID != id || c.StreamID != id {
-			t.Fatalf("message %d: StreamID after IngestID %q, after IngestRef %q, want %q", n, b.StreamID, c.StreamID, id)
+		if c.StreamID != id {
+			t.Fatalf("message %d: StreamID after IngestRef %q, want %q", n, c.StreamID, id)
 		}
 	}
 	for i := 0; i < streams; i++ {
@@ -69,20 +60,18 @@ func TestIngestRefIsIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []*Server{byBytes, byRef} {
-			got, err := s.Info(id, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Corrections != want.Corrections || got.Duplicates != want.Duplicates || got.Tick != want.Tick ||
-				math.Float64bits(got.Prediction[0]) != math.Float64bits(want.Prediction[0]) {
-				t.Fatalf("%s: %+v, by id %+v", id, got, want)
-			}
+		got, err := byRef.Info(id, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Corrections != want.Corrections || got.Duplicates != want.Duplicates || got.Tick != want.Tick ||
+			math.Float64bits(got.Prediction[0]) != math.Float64bits(want.Prediction[0]) {
+			t.Fatalf("%s: %+v, by id %+v", id, got, want)
 		}
 	}
-	if _, _, err := byBytes.IngestID([]byte("nope"), &netsim.Message{Kind: netsim.KindCorrection}, 0); !errors.Is(err, ErrUnknownStream) ||
+	if _, _, err := byID.Ingest(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "nope"}, 0); !errors.Is(err, ErrUnknownStream) ||
 		err.Error() != `server: unknown stream: "nope"` {
-		t.Fatalf("unknown id bytes: %v", err)
+		t.Fatalf("unknown id: %v", err)
 	}
 }
 
@@ -131,17 +120,14 @@ func TestDeadRefRefused(t *testing.T) {
 	}
 }
 
-// TestIngestIDZeroAlloc: resolving a record from the id bytes a batch
-// record was decoded from — and by Ref — allocates nothing per message,
-// across many streams as for one.
-func TestIngestIDZeroAlloc(t *testing.T) {
+// TestIngestRefZeroAlloc: resolving a record by Ref allocates nothing per
+// message, across many streams as for one.
+func TestIngestRefZeroAlloc(t *testing.T) {
 	s := New()
 	const streams = 64
-	ids := make([][]byte, streams)
 	refs := make([]Ref, streams)
-	for i := range ids {
-		ids[i] = []byte(fmt.Sprintf("sensor-%04d", i))
-		ref, err := s.Adopt(string(ids[i]), kalmanSpec(), 0.5, nil, 0)
+	for i := range refs {
+		ref, err := s.Adopt(fmt.Sprintf("sensor-%04d", i), kalmanSpec(), 0.5, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,13 +136,8 @@ func TestIngestIDZeroAlloc(t *testing.T) {
 	m := &netsim.Message{Kind: netsim.KindCorrection, Value: []float64{1}}
 	n := 0
 	step := func() {
-		i := n % streams
 		m.Tick = int64(n / streams)
-		ingest := func() (bool, bool, error) { return s.IngestID(ids[i], m, 0) }
-		if n%2 == 1 {
-			ingest = func() (bool, bool, error) { return s.IngestRef(refs[i], m, 0) }
-		}
-		if _, _, err := ingest(); err != nil {
+		if _, _, err := s.IngestRef(refs[n%streams], m, 0); err != nil {
 			t.Fatal(err)
 		}
 		n++
@@ -165,6 +146,6 @@ func TestIngestIDZeroAlloc(t *testing.T) {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
-		t.Errorf("IngestID/IngestRef over %d streams allocate %.2f per message, want 0", streams, allocs)
+		t.Errorf("IngestRef over %d streams allocates %.2f per message, want 0", streams, allocs)
 	}
 }

@@ -220,9 +220,8 @@ func NewSharded(n int) *Server {
 }
 
 // fnv1a is the 32-bit FNV-1a hash of id, inlined so shard routing does
-// not allocate (hash/fnv's New32a returns a heap handle). It takes the id
-// as a string or as the bytes it was decoded from.
-func fnv1a[K string | []byte](id K) uint32 {
+// not allocate (hash/fnv's New32a returns a heap handle).
+func fnv1a(id string) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -236,7 +235,7 @@ func fnv1a[K string | []byte](id K) uint32 {
 }
 
 // shardFor routes a stream ID to its lock stripe.
-func shardFor[K string | []byte](s *Server, id K) *shard {
+func shardFor(s *Server, id string) *shard {
 	return s.shards[fnv1a(id)%uint32(len(s.shards))]
 }
 
@@ -482,15 +481,12 @@ func checkAdvance(st *streamState, tick int64) error {
 // correction twice would double-step the replica. recovered reports that
 // the message cleared a stale verdict.
 func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, err error) {
-	return ingestBy(s, m.StreamID, m, now)
-}
-
-// IngestID is Ingest for a message whose stream is named by id, the bytes
-// it was decoded from (netsim.DecodeNextID), rather than by m.StreamID:
-// the record is found without converting them, so a batch over many
-// streams decodes and applies without allocating.
-func (s *Server) IngestID(id []byte, m *netsim.Message, now int64) (applied, recovered bool, err error) {
-	return ingestBy(s, id, m, now)
+	sh, st, err := s.lock(m.StreamID)
+	if err != nil {
+		return false, false, err
+	}
+	defer sh.mu.Unlock()
+	return s.ingestLocked(st, m, now)
 }
 
 // IngestRef is Ingest for the record ref resolves (see Adopt): no hash, no
@@ -503,15 +499,6 @@ func (s *Server) IngestRef(ref Ref, m *netsim.Message, now int64) (applied, reco
 	if st.dead {
 		return false, false, fmt.Errorf("server: %w: %q was dropped", ErrUnknownStream, st.id)
 	}
-	return s.ingestLocked(st, m, now)
-}
-
-func ingestBy[K string | []byte](s *Server, id K, m *netsim.Message, now int64) (applied, recovered bool, err error) {
-	sh, st, err := lockBy(s, id)
-	if err != nil {
-		return false, false, err
-	}
-	defer sh.mu.Unlock()
 	return s.ingestLocked(st, m, now)
 }
 
@@ -642,17 +629,13 @@ func (s *Server) get(id string) (*shard, *streamState, error) {
 }
 
 // lock is get under the shard write lock; the caller must Unlock.
-func (s *Server) lock(id string) (*shard, *streamState, error) { return lockBy(s, id) }
-
-// lockBy is lock for an id given as a string or as bytes; a map index by
-// string(id) does not allocate.
-func lockBy[K string | []byte](s *Server, id K) (*shard, *streamState, error) {
+func (s *Server) lock(id string) (*shard, *streamState, error) {
 	sh := shardFor(s, id)
 	sh.mu.Lock()
-	st, ok := sh.streams[string(id)]
+	st, ok := sh.streams[id]
 	if !ok {
 		sh.mu.Unlock()
-		return nil, nil, fmt.Errorf("server: %w: %q", ErrUnknownStream, string(id))
+		return nil, nil, fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
 	}
 	return sh, st, nil
 }

@@ -71,7 +71,7 @@ func TestTelemetryCardinalityIndependentOfPopulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.dispatch(&connWriter{conn: discardConn{}, s: srv}, FrameTrace, batch, nil); err != nil {
+		if err := srv.dispatch(handleConn(t, srv), FrameTrace, batch, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := srv.Auditor().TotalTicks(); got != int64(n) || len(srv.Auditor().All()) != n {
@@ -112,7 +112,7 @@ func TestWriteFrameAddsNoAllocs(t *testing.T) {
 	cw := &connWriter{conn: discardConn{}, s: srv}
 	payload := make([]byte, 64)
 	got := testing.AllocsPerRun(200, func() {
-		if err := cw.writeFrame(FrameAnswer, payload); err != nil {
+		if err := cw.writeFrame(FrameAnswerBin, payload); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -197,7 +197,7 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 		typ     uint8
 		payload []byte
 	}{
-		{FrameAnswer, []byte(`{"id":"s","tick":7,"estimate":[1.5],"bound":0.5}`)},
+		{FrameAnswerBin, appendAnswerBin(nil, 0.5, []float64{1.5})},
 		{FrameOK, nil},
 		{FramePong, make([]byte, 8)},
 		{FrameError, []byte("wire: no such stream")},

@@ -237,8 +237,8 @@ func (c *Client) attach(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrServer, err)
 	}
-	// Every bit asked for is needed: there is no JSON query fallback and
-	// no id-form correction fallback.
+	// Every bit asked for is needed: they are the protocol floor, and
+	// nothing below it is spoken.
 	if missing := serverCaps &^ caps; missing != 0 {
 		bit := bits.TrailingZeros32(missing)
 		return fmt.Errorf("%w: %w: hello granted %#x, missing bit %d (%s)", ErrNoHello, ErrServer, caps, bit, capNames[bit])

@@ -22,20 +22,17 @@ func TestMessageDispatchZeroAllocWithDiag(t *testing.T) {
 	rec := diag.NewRecorder(diag.Options{K: 16, Registry: reg})
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler), Diag: rec})
 	defer srv.Close()
-	if err := srv.Register(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
-		t.Fatal(err)
-	}
 
 	var msg netsim.Message
-	cw := &connWriter{conn: nil, s: srv}
+	cw := streamConn(t, srv)
 	m := netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Value: []float64{1}}
-	buf := make([]byte, 0, m.EncodedSize())
+	var buf []byte
 	tick := int64(0)
 	// Warm: first apply grows predictor state.
 	for ; tick < 8; tick++ {
 		m.Tick = tick
 		buf = buf[:0]
-		buf, _ = m.AppendEncode(buf)
+		buf, _ = m.AppendEncodeHandle(buf, 0)
 		if err := srv.dispatch(cw, FrameMessage, buf, &msg); err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +41,7 @@ func TestMessageDispatchZeroAllocWithDiag(t *testing.T) {
 		m.Tick = tick
 		tick++
 		buf = buf[:0]
-		buf, _ = m.AppendEncode(buf)
+		buf, _ = m.AppendEncodeHandle(buf, 0)
 		if err := srv.dispatch(cw, FrameMessage, buf, &msg); err != nil {
 			t.Fatal(err)
 		}
@@ -52,14 +49,15 @@ func TestMessageDispatchZeroAllocWithDiag(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("armed correction dispatch allocates %.2f per frame, want 0", avg)
 	}
-	// Every dispatched correction is attributed, and exactly.
+	// Every dispatched correction is attributed, and exactly, at the size
+	// of its id form (the form the log stores).
 	want := mustInfo(t, srv, "s")
 	top := rec.Top(1)
 	if got := top[diag.SketchCorrections]; len(got) != 1 || got[0] != (diag.Item{ID: "s", Count: want.Corrections}) || want.Corrections < 500 {
 		t.Errorf("corrections table %+v, want one exact row of the record's %d (>= 500)", got, want.Corrections)
 	}
-	if got := top[diag.SketchBytes]; len(got) != 1 || got[0] != (diag.Item{ID: "s", Count: want.Corrections * int64(len(buf))}) {
-		t.Errorf("bytes table %+v, want %d corrections of %d bytes", got, want.Corrections, len(buf))
+	if got := top[diag.SketchBytes]; len(got) != 1 || got[0] != (diag.Item{ID: "s", Count: want.Corrections * int64(m.EncodedSize())}) {
+		t.Errorf("bytes table %+v, want %d corrections of %d bytes", got, want.Corrections, m.EncodedSize())
 	}
 }
 

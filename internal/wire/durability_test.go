@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"math"
 	"net"
@@ -383,7 +384,7 @@ func TestStalledPeerDoesNotStallWALSync(t *testing.T) {
 	defer mute.Close()
 	_ = mute.(*net.TCPConn).SetReadBuffer(4096)
 	reg1, _ := json.Marshal(RegisterPayload{ID: "mute", Spec: durSpec(), Delta: 0.5})
-	if err := WriteFrame(mute, FrameRegister, reg1); err != nil {
+	if err := errors.Join(WriteFrame(mute, FrameHello, appendHello(nil, serverCaps)), WriteFrame(mute, FrameRegister, reg1)); err != nil {
 		t.Fatal(err)
 	}
 	// Metrics snapshots it never reads fill both socket buffers.

@@ -5,17 +5,17 @@
 //
 // Framing: every frame is [uint32 length][uint8 type][payload]; length
 // covers type+payload. Registrations are JSON (rare, debuggable);
-// corrections reuse the compact binary encoding from internal/netsim —
-// naming their stream by a per-connection handle rather than its id once
-// the hello granted CapStreamHandles — and queries and their answers are
-// fixed binary layouts (both frequent, small).
+// corrections reuse the compact binary encoding from internal/netsim,
+// naming their stream by a per-connection handle rather than its id, and
+// queries and their answers are fixed binary layouts (both frequent,
+// small).
 //
-// Hello: a connection's first frame may be FrameHello, carrying the
+// Hello: a connection's first frame must be FrameHello, carrying the
 // capability word of the wire changes the peer speaks; the server answers
-// with the subset it speaks too, and the connection uses exactly that set.
-// Each versioned change spends one bit. A peer that never sends a hello is
-// spoken to in the original protocol, byte for byte — JSON queries
-// included.
+// with the subset it speaks too. Each versioned change spends one bit.
+// Bits 0|1 are the protocol floor: a connection whose first frame is not a
+// hello asking for both gets one FrameError naming the floor and is
+// closed.
 //
 // Clocks: a networked source ticks on its own schedule, and suppressed
 // ticks — the whole point of the protocol — produce no traffic, so the
@@ -40,14 +40,12 @@ const (
 	FrameRegister uint8 = iota + 1
 	// FrameMessage carries a netsim binary message (client → server).
 	FrameMessage
-	// FrameQuery carries a JSON QueryPayload (client → server). Only a
-	// peer that never sent a hello queries this way.
-	FrameQuery
-	// FrameAnswer carries a JSON AnswerPayload (server → client), the
-	// reply to FrameQuery.
-	FrameAnswer
-	// FrameOK acknowledges a registration (server → client): empty, or
-	// [handle uint32] on a connection that negotiated CapStreamHandles.
+	// 3 and 4 are retired, never to be reused: they carried the JSON query
+	// and its answer to peers below the protocol floor.
+	_
+	_
+	// FrameOK acknowledges a registration (server → client): [handle
+	// uint32], the stream's handle on the connection.
 	FrameOK
 	// FrameError carries a UTF-8 error string (server → client).
 	FrameError
@@ -66,9 +64,10 @@ const (
 	FrameTrace
 	// FrameResyncRequest carries a raw stream-id payload (server →
 	// client): the staleness watchdog asking the stream's source to
-	// resynchronize. It is the only frame the server pushes unprompted,
-	// so clients must tolerate it at any read point (Client.expect skips
-	// and dispatches it; Client.PollFeedback drains between queries).
+	// resynchronize. The server pushes it unprompted, as it does
+	// FrameRefused, so clients must tolerate both at any read point
+	// (Client.expect skips and dispatches them; Client.PollFeedback drains
+	// between queries).
 	FrameResyncRequest
 	// FrameMessageBatch carries several concatenated netsim binary
 	// messages in one frame (client → server). The encoding is
@@ -93,16 +92,16 @@ const (
 	// first is refused.
 	FrameHello
 	// FrameQueryBin carries [tick int64][stream id bytes] (client →
-	// server), on a connection that negotiated CapBinaryQuery.
+	// server).
 	FrameQueryBin
 	// FrameAnswerBin carries [bound float64][estimate float64 × n]
 	// (server → client), the reply to FrameQueryBin; n is implied by the
 	// payload length.
 	FrameAnswerBin
 	// FrameRefused carries a UTF-8 error string (server → client), pushed
-	// on a CapStreamHandles connection when a fire-and-forget frame — a
-	// correction, a batch, a trace batch — is refused. It answers no
-	// request, so FrameError there only ever answers the request just sent.
+	// when a fire-and-forget frame — a correction, a batch, a trace batch —
+	// is refused. It answers no request, so FrameError only ever answers
+	// the request just sent.
 	FrameRefused
 )
 
@@ -118,8 +117,9 @@ const (
 	CapStreamHandles
 )
 
-// serverCaps is every capability this package speaks; a client asks for
-// all of them.
+// serverCaps is every capability this package speaks, and the protocol
+// floor: a client asks for all of them, and the server refuses a
+// connection whose hello does not.
 const serverCaps = CapBinaryQuery | CapStreamHandles
 
 // capNames names the capability bits, bit i at index i.
@@ -192,10 +192,6 @@ func FrameName(typ uint8) string {
 		return "register"
 	case FrameMessage:
 		return "message"
-	case FrameQuery:
-		return "query"
-	case FrameAnswer:
-		return "answer"
 	case FrameOK:
 		return "ok"
 	case FrameError:

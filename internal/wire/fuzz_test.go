@@ -11,6 +11,7 @@ import (
 	"net"
 	"slices"
 	"testing"
+	"time"
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/server"
@@ -23,7 +24,7 @@ import (
 // through WriteFrame.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
-	if err := WriteFrame(&good, FrameQuery, []byte(`{"id":"x","tick":3}`)); err != nil {
+	if err := WriteFrame(&good, FrameQueryBin, appendQueryBin(nil, 3, "x")); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
@@ -234,6 +235,26 @@ func (p *pipePeer) roundTrip(typ uint8, payload []byte) []recvFrame {
 	return nil
 }
 
+// sendLast sends one frame and returns every frame the server wrote before
+// it hung up, once its handler has returned; a server still listening a
+// second later fails the test.
+func (p *pipePeer) sendLast(typ uint8, payload []byte) []recvFrame {
+	p.t.Helper()
+	if err := errors.Join(p.conn.SetReadDeadline(time.Now().Add(time.Second)), WriteFrame(p.conn, typ, payload)); err != nil {
+		p.t.Fatal(err)
+	}
+	var got []recvFrame
+	for f := range p.frames {
+		got = append(got, f)
+	}
+	select {
+	case <-p.handled:
+	case <-time.After(time.Second):
+		p.t.Fatalf("%s: the server did not hang up, after %v", FrameName(typ), got)
+	}
+	return got
+}
+
 // expectOne requires exactly one frame of type want.
 func expectOne(t *testing.T, what string, got []recvFrame, want uint8) []byte {
 	t.Helper()
@@ -285,25 +306,34 @@ func idForm(t *testing.T, buf []byte, names []string) []byte {
 	return out
 }
 
-// FuzzHandleFrames drives a handle connection — the server's real handler,
-// over a pipe — with a fuzz-chosen mix of late hellos, registrations,
-// unregistrations, well-formed handle-form records (any handle, flag bits
-// flipped, the last one truncated) and raw bytes, as single messages and
-// as batches. Nothing may panic; a hello earns FrameError and a
-// registration a FrameOK carrying the stream's handle on this connection;
-// a correction frame earns nothing or one FrameRefused, never a reply a
-// request could take for its own; every decodable handle-form record
-// decodes to the same fields as its id form; and a control server fed the
-// id form refuses exactly the frames the handle connection refused and
-// ends in bit-identical state.
+// FuzzHandleFrames drives a connection — the server's real handler, over a
+// pipe — from a fuzz-chosen first frame on. Only a hello asking for bits
+// 0|1 opens it, granted exactly those; any other first frame earns one
+// FrameError and ends the handler. An open connection then takes a
+// fuzz-chosen mix of late hellos, registrations, unregistrations,
+// well-formed handle-form records (any handle, flag bits flipped, the last
+// one truncated) and raw bytes, as single messages and as batches. Nothing
+// may panic; a late hello earns FrameError and a registration a FrameOK
+// carrying the stream's handle on this connection; a correction frame
+// earns nothing or one FrameRefused, never a reply a request could take
+// for its own; every decodable handle-form record decodes to the same
+// fields as its id form; and a control server fed the id form in process
+// refuses exactly the frames the connection refused and ends in
+// bit-identical state.
 func FuzzHandleFrames(f *testing.F) {
-	f.Add([]byte{1, 0, 1, 1, 2, 12, 0, 0, 0, 5, 0, 0, 1, 0, 0, 0, 0, 1, 0, 7, 0, 0, 0, 0})
-	f.Add([]byte{1, 2, 2, 0x88, 0, 0, 0, 3, 0, 0, 9, 0x40, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{0, 3, 1, 1, 4, 1, 2, 12, 1, 1, 0, 3, 0, 0, 2, 0x80, 0, 0, 0, 0})
-	f.Add([]byte{1, 1, 3, 0x90, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 1, 0, 0, 0})
-	f.Add([]byte{1, 0, 2, 0x4c, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 3, 1, 0, 1, 1, 2, 12, 0, 0, 0, 5, 0, 0, 1, 0, 0, 0, 0, 1, 0, 7, 0, 0, 0, 0})
+	f.Add([]byte{0, 3, 1, 2, 2, 0x88, 0, 0, 0, 3, 0, 0, 9, 0x40, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 3, 0, 3, 1, 1, 4, 1, 2, 12, 1, 1, 0, 3, 0, 0, 2, 0x80, 0, 0, 0, 0})
+	f.Add([]byte{0, 3, 1, 1, 3, 0x90, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 1, 0, 0, 0})
+	f.Add([]byte{0, 0x83, 1, 0, 2, 0x4c, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 1, 1, 0})
+	f.Add([]byte{2*FrameRegister + 1, '{', 1, 0})
+	f.Add([]byte{2*FramePing + 1, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
 		quiet := slog.New(slog.DiscardHandler)
 		srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: quiet})
 		defer srv.Close()
@@ -311,10 +341,21 @@ func FuzzHandleFrames(f *testing.F) {
 		defer control.Close()
 		p := pipeTo(t, srv)
 		defer p.close()
-		if caps, err := decodeHello(expectOne(t, "hello", p.roundTrip(FrameHello, appendHello(nil, serverCaps)), FrameHello)); err != nil || caps != serverCaps {
+		// The first frame: for an even data[0], a hello whose word's low 15
+		// bits are data[0]>>1 and data[1]; for an odd one, a frame of type
+		// data[0]>>1 carrying data[1].
+		typ, payload := FrameHello, appendHello(nil, uint32(data[0]>>1)<<8|uint32(data[1]))
+		if data[0]&1 != 0 {
+			typ, payload = data[0]>>1, data[1:2]
+		}
+		data = data[2:]
+		if caps, err := decodeHello(payload); typ != FrameHello || err != nil || caps&serverCaps != serverCaps {
+			expectOne(t, "first frame "+FrameName(typ), p.sendLast(typ, payload), FrameError)
+			return
+		}
+		if caps, err := decodeHello(expectOne(t, "hello", p.roundTrip(typ, payload), FrameHello)); err != nil || caps != serverCaps {
 			t.Fatalf("hello granted %#x, %v", caps, err)
 		}
-		ctl := &connWriter{conn: discardConn{}, s: control}
 		var scratch netsim.Message
 		var names []string // handle → stream, this connection's table
 		for ops := 0; len(data) >= 2 && ops < 32; ops++ {
@@ -359,7 +400,7 @@ func FuzzHandleFrames(f *testing.F) {
 					typ = FrameMessage
 				}
 				got := p.roundTrip(typ, payload)
-				if cerr := control.dispatch(ctl, typ, idForm(t, payload, names), &scratch); cerr != nil {
+				if cerr := applyIDForm(control, typ, idForm(t, payload, names), &scratch); cerr != nil {
 					if msg := expectOne(t, "refused "+FrameName(typ), got, FrameRefused); len(msg) == 0 {
 						t.Fatal("an empty refusal")
 					}
@@ -380,6 +421,24 @@ func FuzzHandleFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// applyIDForm is the control's in-process ingest of an id-form payload: a
+// batch through ApplyBatch, a single message — which must be the whole
+// payload — through DecodeNext, then Apply.
+func applyIDForm(s *Server, typ uint8, payload []byte, scratch *netsim.Message) error {
+	if typ == FrameMessageBatch {
+		_, err := s.ApplyBatch(payload, scratch)
+		return err
+	}
+	rest, err := netsim.DecodeNext(scratch, payload)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("netsim: %d trailing bytes after message", len(rest))
+	}
+	if err != nil {
+		return err
+	}
+	return s.Apply(scratch)
 }
 
 // handleRecords builds handle-form records from raw, 8 bytes each: a

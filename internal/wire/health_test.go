@@ -12,20 +12,28 @@ import (
 	"kalmanstream/internal/telemetry"
 )
 
+// streamConn is a handle connection with stream "s" registered on it, as
+// handle 0.
+func streamConn(t *testing.T, srv *Server) *connWriter {
+	t.Helper()
+	cw := handleConn(t, srv)
+	if err := registerOn(t, srv, cw, RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
+		t.Fatal(err)
+	}
+	return cw
+}
+
 // TestFrameHandleHistogram checks that each inbound frame kind lands in
 // its own wire_frame_handle_seconds series.
 func TestFrameHandleHistogram(t *testing.T) {
 	reg := telemetry.New()
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler)})
 	defer srv.Close()
-	if err := srv.Register(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
-		t.Fatal(err)
-	}
 
 	var msg netsim.Message
-	cw := &connWriter{conn: nil, s: srv}
-	m := netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: 0, Value: []float64{1}}
-	payload, err := m.AppendEncode(nil)
+	cw := streamConn(t, srv)
+	m := netsim.Message{Kind: netsim.KindCorrection, Tick: 0, Value: []float64{1}}
+	payload, err := m.AppendEncodeHandle(nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +44,7 @@ func TestFrameHandleHistogram(t *testing.T) {
 		t.Fatal(err) // duplicate tick: dropped, still timed
 	}
 
-	want := map[string]int64{`{kind="message"}`: 2}
+	want := map[string]int64{`{kind="message"}`: 2, `{kind="register"}`: 1}
 	for _, s := range reg.Snapshot() {
 		if s.Name != "wire_frame_handle_seconds" {
 			continue
@@ -59,20 +67,17 @@ func TestMessageDispatchZeroAlloc(t *testing.T) {
 	reg := telemetry.New()
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler)})
 	defer srv.Close()
-	if err := srv.Register(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
-		t.Fatal(err)
-	}
 
 	var msg netsim.Message
-	cw := &connWriter{conn: nil, s: srv}
-	m := netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Value: []float64{1}}
-	buf := make([]byte, 0, m.EncodedSize())
+	cw := streamConn(t, srv)
+	m := netsim.Message{Kind: netsim.KindCorrection, Value: []float64{1}}
+	var buf []byte
 	tick := int64(0)
 	// Warm the path: first apply grows predictor state.
 	for ; tick < 8; tick++ {
 		m.Tick = tick
 		buf = buf[:0]
-		buf, _ = m.AppendEncode(buf)
+		buf, _ = m.AppendEncodeHandle(buf, 0)
 		if err := srv.dispatch(cw, FrameMessage, buf, &msg); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +86,7 @@ func TestMessageDispatchZeroAlloc(t *testing.T) {
 		m.Tick = tick
 		tick++
 		buf = buf[:0]
-		buf, _ = m.AppendEncode(buf)
+		buf, _ = m.AppendEncodeHandle(buf, 0)
 		if err := srv.dispatch(cw, FrameMessage, buf, &msg); err != nil {
 			t.Fatal(err)
 		}
@@ -119,16 +124,13 @@ func TestConfigureHealth(t *testing.T) {
 	}
 	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler), Health: mon, History: st})
 	defer srv.Close()
-	if err := srv.Register(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 1}); err != nil {
-		t.Fatal(err)
-	}
 
 	// Clean traffic: corrections arrive, nothing pages.
 	var msg netsim.Message
-	cw := &connWriter{conn: nil, s: srv}
+	cw := streamConn(t, srv)
 	for at := int64(0); at < 8; at++ {
-		m := netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: at, Value: []float64{1}}
-		payload, _ := m.AppendEncode(nil)
+		m := netsim.Message{Kind: netsim.KindCorrection, Tick: at, Value: []float64{1}}
+		payload, _ := m.AppendEncodeHandle(nil, 0)
 		if err := srv.dispatch(cw, FrameMessage, payload, &msg); err != nil {
 			t.Fatal(err)
 		}

@@ -79,39 +79,22 @@ func (p *rawPeer) hello(caps uint32) uint32 {
 	return got
 }
 
-// register registers id and returns the FrameOK payload: empty, or the
-// stream's handle on a connection that negotiated CapStreamHandles.
-func (p *rawPeer) register(id string, delta float64) []byte {
+// registerHandle registers id and returns its handle on the connection.
+func (p *rawPeer) registerHandle(id string) uint32 {
 	p.t.Helper()
-	buf, err := json.Marshal(RegisterPayload{ID: id, Spec: cvSpec(), Delta: delta})
+	buf, err := json.Marshal(RegisterPayload{ID: id, Spec: cvSpec(), Delta: 0.5})
 	if err != nil {
 		p.t.Fatal(err)
 	}
 	p.send(FrameRegister, buf)
-	return p.expect(FrameOK)
-}
-
-// registerHandle is register on a handle connection.
-func (p *rawPeer) registerHandle(id string) uint32 {
-	p.t.Helper()
-	h, err := decodeHandle(p.register(id, 0.5))
+	h, err := decodeHandle(p.expect(FrameOK))
 	if err != nil {
 		p.t.Fatal(err)
 	}
 	return h
 }
 
-func (p *rawPeer) correct(id string, tick int64, v float64) {
-	p.t.Helper()
-	m := netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: tick, Value: []float64{v}}
-	buf, err := m.AppendEncode(nil)
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	p.send(FrameMessage, buf)
-}
-
-// correctHandle is correct in the handle form.
+// correctHandle sends one handle-form correction.
 func (p *rawPeer) correctHandle(h uint32, tick int64, v float64) {
 	p.t.Helper()
 	m := netsim.Message{Kind: netsim.KindCorrection, Tick: tick, Value: []float64{v}}
@@ -146,37 +129,42 @@ func startQuietServer(t *testing.T) (*Server, string) {
 	return srv, l.Addr().String()
 }
 
-// A peer that never sends a hello gets the protocol byte for byte as it
-// was before the hello existed. testdata/capless_client.bin is such a
-// peer's whole session — a register, one correction, one 64-record batch,
-// a JSON query, a JSON query for an unknown stream, a ping — and
-// capless_server.bin every byte a server of that protocol (commit
-// 3dff7db) sent back. Both were recorded once; never regenerate them.
-func TestCapabilityLessPeerReplay(t *testing.T) {
-	replaySession(t, "testdata/capless_client.bin", "testdata/capless_server.bin")
-}
-
-// A peer whose hello asks for bit 0 alone — a client built before stream
-// handles — gets the binary-query protocol as it was, byte for byte:
-// id-form corrections, an empty FrameOK, and a refused correction
-// answered with FrameError. testdata/bit0_client.bin is such a peer's
-// session — the hello, a register, one correction, a 64-record batch, a
-// binary query, a correction for an unregistered stream — and
-// bit0_server.bin every byte the server sent back before handles existed
-// (commit 0f755f9). Both were recorded once; never regenerate them.
-func TestBit0PeerReplay(t *testing.T) {
-	replaySession(t, "testdata/bit0_client.bin", "testdata/bit0_server.bin")
-}
-
-// replaySession sends one recorded client session to a fresh server and
-// requires the recorded replies, byte for byte.
-func replaySession(t *testing.T, clientFile, serverFile string) {
-	t.Helper()
-	client, err := os.ReadFile(clientFile)
+// A peer that meets the protocol floor gets the bytes it got before the
+// floor existed. testdata/floor_client.bin is such a peer's whole session —
+// a hello asking for bits 0|1, two registrations, a handle-form correction,
+// a 64-record handle-form batch, a binary query, a binary query for an
+// unknown stream, a correction on a handle the connection never assigned,
+// a ping — and floor_server.bin every byte the server sent back before the
+// floor (commit ea1f00a). Both were recorded once; never regenerate them.
+func TestFloorPeerReplay(t *testing.T) {
+	want, err := os.ReadFile("testdata/floor_server.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(serverFile)
+	if got := replaySession(t, "testdata/floor_client.bin"); !bytes.Equal(got, want) {
+		t.Fatalf("replies differ from the recorded session:\n got %q\nwant %q", got, want)
+	}
+}
+
+// A peer below the floor is refused at its first frame. testdata/
+// capless_client.bin is the session of a peer that never sent a hello
+// (recorded at commit 3dff7db, before the hello existed), and
+// bit0_client.bin one whose hello asked for bit 0 alone (recorded at
+// commit 0f755f9, before stream handles). Neither is ever regenerated.
+// Each now earns exactly one FrameError naming the floor, then EOF.
+func TestCapabilityLessPeerReplay(t *testing.T) {
+	refusedAtFloor(t, replaySession(t, "testdata/capless_client.bin"))
+}
+
+func TestBit0PeerReplay(t *testing.T) {
+	refusedAtFloor(t, replaySession(t, "testdata/bit0_client.bin"))
+}
+
+// replaySession sends one recorded client session to a fresh server and
+// returns every byte it sent back before closing.
+func replaySession(t *testing.T, clientFile string) []byte {
+	t.Helper()
+	client, err := os.ReadFile(clientFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +180,70 @@ func replaySession(t *testing.T, clientFile, serverFile string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("replies differ from the recorded session:\n got %q\nwant %q", got, want)
+	return got
+}
+
+// refusedAtFloor requires replies to be one FrameError naming the protocol
+// floor and nothing after it.
+func refusedAtFloor(t *testing.T, replies []byte) {
+	t.Helper()
+	r := bytes.NewReader(replies)
+	typ, msg, err := ReadFrame(r)
+	if err != nil || typ != FrameError || !strings.Contains(string(msg), "protocol floor") {
+		t.Fatalf("first reply %s %q (%v), want a FrameError naming the protocol floor", FrameName(typ), msg, err)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes after the refusal, want EOF", r.Len())
+	}
+}
+
+// TestProtocolFloor: a connection's first frame must be a hello asking for
+// bits 0|1. Any other first frame — a frame that is not a hello, a hello
+// missing either bit — earns one FrameError naming the floor, and the
+// server closes the connection; a hello asking for more is granted exactly
+// 0|1, and the connection works.
+func TestProtocolFloor(t *testing.T) {
+	srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})
+	defer srv.Close()
+	reg, _ := json.Marshal(RegisterPayload{ID: "s", Spec: cvSpec(), Delta: 0.5})
+	for _, first := range []struct {
+		name    string
+		typ     uint8
+		payload []byte
+	}{
+		{"register", FrameRegister, reg},
+		{"binary query", FrameQueryBin, appendQueryBin(nil, 3, "s")},
+		{"ping", FramePing, make([]byte, 16)},
+		{"hello 0", FrameHello, appendHello(nil, 0)},
+		{"hello bit 0", FrameHello, appendHello(nil, CapBinaryQuery)},
+		{"hello bit 1", FrameHello, appendHello(nil, CapStreamHandles)},
+	} {
+		p := pipeTo(t, srv)
+		if msg := expectOne(t, first.name, p.sendLast(first.typ, first.payload), FrameError); !strings.Contains(string(msg), "protocol floor") {
+			t.Fatalf("%s: refusal %q does not name the floor", first.name, msg)
+		}
+		p.close()
+	}
+	if len(srv.srv.Infos()) != 0 {
+		t.Fatal("a refused first frame registered a stream")
+	}
+
+	p := pipeTo(t, srv)
+	defer p.close()
+	granted := expectOne(t, "hello 0|1|1<<7", p.roundTrip(FrameHello, appendHello(nil, serverCaps|1<<7)), FrameHello)
+	if caps, err := decodeHello(granted); err != nil || caps != CapBinaryQuery|CapStreamHandles {
+		t.Fatalf("hello 0|1|1<<7 granted %#x (%v), want exactly 0|1", caps, err)
+	}
+	if h, err := decodeHandle(expectOne(t, "register", p.roundTrip(FrameRegister, reg), FrameOK)); err != nil || h != 0 {
+		t.Fatalf("register: handle %d (%v), want 0", h, err)
+	}
+	rec, _ := (&netsim.Message{Kind: netsim.KindCorrection, Tick: 3, Value: []float64{2}}).AppendEncodeHandle(nil, 0)
+	if got := p.roundTrip(FrameMessage, rec); len(got) != 0 {
+		t.Fatalf("correction earned %v", got)
+	}
+	bound, est, err := decodeAnswerBin(expectOne(t, "query", p.roundTrip(FrameQueryBin, appendQueryBin(nil, 3, "s")), FrameAnswerBin))
+	if err != nil || bound != 0 || len(est) != 1 || est[0] != 2 {
+		t.Fatalf("query: %v ± %v (%v), want the correction, exactly", est, bound, err)
 	}
 }
 
@@ -301,9 +351,9 @@ func TestHelloNegotiation(t *testing.T) {
 	}
 
 	t.Run("grants bits 0 and 1 and nothing it does not speak", func(t *testing.T) {
-		for _, ask := range []uint32{0, CapBinaryQuery, CapStreamHandles, CapBinaryQuery | CapStreamHandles, 1 << 2, math.MaxUint32} {
+		for _, ask := range []uint32{CapBinaryQuery | CapStreamHandles, serverCaps | 1<<2, math.MaxUint32} {
 			p := dialRaw(t, addr)
-			if got, want := p.hello(ask), ask&(CapBinaryQuery|CapStreamHandles); got != want {
+			if got, want := p.hello(ask), CapBinaryQuery|CapStreamHandles; got != want {
 				t.Fatalf("asked %#x, granted %#x, want %#x", ask, got, want)
 			}
 		}
@@ -379,48 +429,25 @@ func TestHelloNegotiation(t *testing.T) {
 		landed("h1", 6, 3)
 	})
 
-	t.Run("capability-less and bit-0 peers keep id-form records and an empty FrameOK", func(t *testing.T) {
-		for _, ask := range []uint32{0, CapBinaryQuery} {
-			p := dialRaw(t, addr)
-			p.hello(ask)
-			if ok := p.register("h2", 0.5); len(ok) != 0 {
-				t.Fatalf("hello %#x: FrameOK carries %x", ask, ok)
-			}
-			p.correct("nope", 1, 1)
-			p.send(FramePing, make([]byte, 16))
-			if msg := p.expect(FrameError); string(msg) != `server: unknown stream: "nope"` {
-				t.Fatalf("hello %#x: refusal %q", ask, msg)
-			}
-			p.expect(FramePong)
-		}
-	})
-
 	t.Run("late hello refused", func(t *testing.T) {
 		p := dialRaw(t, addr)
-		p.ping()
-		p.send(FrameHello, appendHello(nil, CapBinaryQuery))
+		p.hello(serverCaps)
+		p.send(FrameHello, appendHello(nil, serverCaps))
 		if msg := p.expect(FrameError); !strings.Contains(string(msg), "first frame") {
 			t.Fatalf("late hello: %q", msg)
 		}
-		p.send(FrameQueryBin, appendQueryBin(nil, 3, "s"))
-		p.expect(FrameError) // the refused hello granted nothing
-		again := dialRaw(t, addr)
-		again.send(FrameHello, appendHello(nil, CapBinaryQuery))
-		again.expect(FrameHello)
-		again.send(FrameHello, appendHello(nil, CapBinaryQuery))
-		again.expect(FrameError)
+		p.ping() // the refusal answered the hello; the connection still serves
 	})
 
 	t.Run("binary query without a hello refused", func(t *testing.T) {
 		p := dialRaw(t, addr)
 		p.send(FrameQueryBin, appendQueryBin(nil, 3, "s"))
-		if msg := p.expect(FrameError); !strings.Contains(string(msg), "did not negotiate") {
+		if msg := p.expect(FrameError); !strings.Contains(string(msg), "protocol floor") {
 			t.Fatalf("binary query without hello: %q", msg)
 		}
-		// The connection still speaks JSON queries.
-		q, _ := json.Marshal(QueryPayload{ID: "s", Tick: 3})
-		p.send(FrameQuery, q)
-		p.expect(FrameAnswer)
+		if typ, payload, err := ReadFrame(p.br); err != io.EOF {
+			t.Fatalf("after the refusal: %s %q, %v; want EOF", FrameName(typ), payload, err)
+		}
 	})
 
 	t.Run("dial against a server that predates the hello", func(t *testing.T) {
@@ -545,7 +572,7 @@ func TestHelloNegotiation(t *testing.T) {
 
 // TestQueryDispatchAllocs extends the zero-alloc dispatch guard to
 // queries: a warm binary query allocates the stream id's string and the
-// estimate's copy, and nothing else. The JSON arm is measured beside it.
+// estimate's copy, and nothing else.
 func TestQueryDispatchAllocs(t *testing.T) {
 	const id = "sensor-0001" // a one-byte id's string would come from the runtime's static table
 	srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})
@@ -559,64 +586,47 @@ func TestQueryDispatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	measure := func(cw *connWriter, typ uint8, payload []byte) float64 {
-		for i := 0; i < 8; i++ {
-			if err := srv.dispatch(cw, typ, payload, nil); err != nil {
-				t.Fatal(err)
-			}
+	cw, q := handleConn(t, srv), appendQueryBin(nil, 100, id)
+	query := func() {
+		if err := srv.dispatch(cw, FrameQueryBin, q, nil); err != nil {
+			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(500, func() {
-			if err := srv.dispatch(cw, typ, payload, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
-
-	bin := &connWriter{conn: discardConn{}, s: srv}
-	if err := srv.dispatch(bin, FrameHello, appendHello(nil, CapBinaryQuery), nil); err != nil {
-		t.Fatal(err)
+	for range 8 {
+		query()
 	}
-	binAllocs := measure(bin, FrameQueryBin, appendQueryBin(nil, 100, id))
-	if binAllocs != 2 {
-		t.Errorf("binary query dispatch allocates %.2f per frame, want exactly 2 (id string, estimate copy)", binAllocs)
+	if allocs := testing.AllocsPerRun(500, query); allocs != 2 {
+		t.Errorf("binary query dispatch allocates %.2f per frame, want exactly 2 (id string, estimate copy)", allocs)
 	}
-	q, err := json.Marshal(QueryPayload{ID: id, Tick: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonAllocs := measure(&connWriter{conn: discardConn{}, s: srv}, FrameQuery, q)
-	if jsonAllocs < 9 {
-		t.Errorf("JSON query dispatch allocates %.2f per frame; the contrast expects ≥ 9", jsonAllocs)
-	}
-	t.Logf("query dispatch allocations: binary %.0f, JSON %.0f", binAllocs, jsonAllocs)
 }
 
 // One NaN or ±Inf correction must not poison a replica: it is refused with
-// a FrameError, before the replica steps, the dedupe guard moves or the
-// log sees it, so every later answer is bit-identical to a server that
-// never saw it — on the JSON arm, the binary arm and in process.
+// a FrameRefused push, before the replica steps, the dedupe guard moves or
+// the log sees it, so every later answer is bit-identical to a server that
+// never saw it — over the socket and in process.
 func TestNonFiniteCorrectionRefused(t *testing.T) {
 	poisoned, paddr := startQuietServer(t)
 	control, caddr := startQuietServer(t)
 	pp, cp := dialRaw(t, paddr), dialRaw(t, caddr)
 	for _, p := range []*rawPeer{pp, cp} {
-		p.register("n", 0.5)
-		p.correct("n", 0, 1)
+		p.hello(serverCaps)
+		p.registerHandle("n")
+		p.correctHandle(0, 0, 1)
 	}
 	for _, bad := range []struct {
 		tick int64
 		v    float64
 	}{{1, math.NaN()}, {2, math.Inf(1)}} {
-		pp.correct("n", bad.tick, bad.v)
+		pp.correctHandle(0, bad.tick, bad.v)
 		pp.send(FramePing, make([]byte, 16))
-		if msg := pp.expect(FrameError); !strings.Contains(string(msg), "non-finite") {
-			t.Fatalf("tick %d %v: error %q", bad.tick, bad.v, msg)
+		if msg := pp.expect(FrameRefused); !strings.Contains(string(msg), "non-finite") {
+			t.Fatalf("tick %d %v: refusal %q", bad.tick, bad.v, msg)
 		}
 		pp.expect(FramePong)
 	}
 	for _, p := range []*rawPeer{pp, cp} {
-		p.correct("n", 2, 2)
-		p.correct("n", 3, 2.5)
+		p.correctHandle(0, 2, 2)
+		p.correctHandle(0, 3, 2.5)
 		p.ping()
 	}
 
@@ -642,12 +652,6 @@ func TestNonFiniteCorrectionRefused(t *testing.T) {
 		return true
 	}
 	for tick := int64(3); tick < 12; tick++ {
-		q, _ := json.Marshal(QueryPayload{ID: "n", Tick: tick})
-		pp.send(FrameQuery, q)
-		cp.send(FrameQuery, q)
-		if got, want := pp.expect(FrameAnswer), cp.expect(FrameAnswer); !bytes.Equal(got, want) {
-			t.Fatalf("tick %d JSON answer %s, control %s", tick, got, want)
-		}
 		got, err := pc.Query("n", tick)
 		if err != nil {
 			t.Fatal(err)
@@ -752,63 +756,45 @@ func TestRefusedCorrectionDoesNotShiftReplies(t *testing.T) {
 
 // TestBatchDispatchZeroAlloc is the many-stream twin of
 // TestMessageDispatchZeroAlloc: a warm 64-record FrameMessageBatch over 64
-// distinct streams goes through dispatch — decode, resolve, lock, lazy
-// advance, apply — without an allocation, by handle on a handle connection
-// and by id bytes on a capability-less one (before handles, one id string
-// per record).
+// distinct streams goes through dispatch — decode, resolve by handle,
+// lock, lazy advance, apply — without an allocation.
 func TestBatchDispatchZeroAlloc(t *testing.T) {
 	const streams = 64
 	srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})
 	defer srv.Close()
-	handles := &connWriter{conn: discardConn{}, s: srv}
-	if err := srv.dispatch(handles, FrameHello, appendHello(nil, serverCaps), nil); err != nil {
-		t.Fatal(err)
-	}
+	cw := handleConn(t, srv)
 	ids := make([]string, streams)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("sensor-%04d", i)
-		reg, _ := json.Marshal(RegisterPayload{ID: ids[i], Spec: cvSpec(), Delta: 0.5})
-		if err := srv.dispatch(handles, FrameRegister, reg, nil); err != nil {
+		if err := registerOn(t, srv, cw, RegisterPayload{ID: ids[i], Spec: cvSpec(), Delta: 0.5}); err != nil {
 			t.Fatal(err)
 		}
-		if h := handles.handles[ids[i]]; h != uint32(i) {
+		if h := cw.handles[ids[i]]; h != uint32(i) {
 			t.Fatalf("%s has handle %d, want %d", ids[i], h, i)
 		}
 	}
-	for _, c := range []struct {
-		name string
-		cw   *connWriter
-	}{{"handle", handles}, {"id", &connWriter{conn: discardConn{}, s: srv}}} {
-		var msg netsim.Message
-		m := netsim.Message{Kind: netsim.KindCorrection, Value: []float64{0}}
-		var frame []byte
-		tick := int64(0)
-		if c.name == "id" {
-			tick = 1000
+	var msg netsim.Message
+	m := netsim.Message{Kind: netsim.KindCorrection, Value: []float64{0}}
+	var frame []byte
+	tick := int64(0)
+	batch := func() {
+		frame = frame[:0]
+		for i := range ids {
+			m.Tick, m.Value[0] = tick, float64(i)
+			frame, _ = m.AppendEncodeHandle(frame, uint32(i))
 		}
-		batch := func() {
-			frame = frame[:0]
-			for i, id := range ids {
-				m.StreamID, m.Tick, m.Value[0] = id, tick, float64(i)
-				if c.cw.handleForm() {
-					frame, _ = m.AppendEncodeHandle(frame, uint32(i))
-				} else {
-					frame, _ = m.AppendEncode(frame)
-				}
-			}
-			tick++
-			if err := srv.dispatch(c.cw, FrameMessageBatch, frame, &msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for range 8 {
-			batch()
-		}
-		if allocs := testing.AllocsPerRun(200, batch); allocs != 0 {
-			t.Errorf("%s-form 64-record batch dispatch allocates %.2f per frame, want 0", c.name, allocs)
+		tick++
+		if err := srv.dispatch(cw, FrameMessageBatch, frame, &msg); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if info := mustInfo(t, srv, ids[63]); info.Corrections != 2*209 || info.Duplicates != 0 {
-		t.Fatalf("%s: %d corrections, %d duplicates; want %d, 0", ids[63], info.Corrections, info.Duplicates, 2*209)
+	for range 8 {
+		batch()
+	}
+	if allocs := testing.AllocsPerRun(200, batch); allocs != 0 {
+		t.Errorf("64-record batch dispatch allocates %.2f per frame, want 0", allocs)
+	}
+	if info := mustInfo(t, srv, ids[63]); info.Corrections != 209 || info.Duplicates != 0 {
+		t.Fatalf("%s: %d corrections, %d duplicates; want 209, 0", ids[63], info.Corrections, info.Duplicates)
 	}
 }

@@ -70,25 +70,17 @@ type connWriter struct {
 	remote string
 	skew   *freshness.SkewEstimator
 
-	// caps is the capability word the connection's hello negotiated (0
-	// for a peer that never sent one), frames counts the frames handled,
-	// the current one included, so a hello is only accepted first, and
-	// answer is where a reply payload is encoded. On a CapStreamHandles
-	// connection refs is the handle table — handle h names the record
-	// refs[h] resolves — and handles maps a registered id to its handle,
-	// consulted at registration only. The handler goroutine alone touches
-	// them all, so none takes a lock.
-	caps    uint32
+	// frames counts the frames handled, the current one included, so the
+	// first is held to the protocol floor, and answer is where a reply
+	// payload is encoded. refs is the handle table — handle h names the
+	// record refs[h] resolves — and handles maps a registered id to its
+	// handle, consulted at registration only. The handler goroutine alone
+	// touches them all, so none takes a lock.
 	frames  int64
 	answer  []byte
 	refs    []server.Ref
 	handles map[string]uint32
 }
-
-// handleForm reports whether the connection's correction records name
-// their stream by handle; nil is an in-process caller, which names it by
-// id.
-func (cw *connWriter) handleForm() bool { return cw != nil && cw.caps&CapStreamHandles != 0 }
 
 // handle returns id's handle on this connection, assigning the next one on
 // its first registration here; a registration again keeps the handle, and
@@ -110,7 +102,7 @@ func (cw *connWriter) handle(id string, ref server.Ref) uint32 {
 // connOffsetNanos reads the connection's smoothed clock-skew estimate
 // (0 before any ping, or on a connWriter built without an estimator).
 func (cw *connWriter) connOffsetNanos() float64 {
-	if cw == nil || cw.skew == nil {
+	if cw.skew == nil {
 		return 0
 	}
 	return cw.skew.OffsetNanos()
@@ -208,8 +200,8 @@ type Server struct {
 	// telFrame holds the per-kind handler latency histogram, indexed by
 	// frame type so the read loop observes without a registry lookup or
 	// label allocation. Only client→server kinds are populated (a binary
-	// query shares the JSON query's series, a hello has none); the rest
-	// stay nil and the loop skips them.
+	// query keeps the series kind="query" the retired JSON query had, a
+	// hello has none); the rest stay nil and the loop skips them.
 	telFrame [FrameAnswerBin + 1]*telemetry.Histogram
 
 	telBatches     *telemetry.Counter
@@ -351,11 +343,13 @@ func newServer(opts Options, d Durability) (*Server, error) {
 	s.telPushDrops = reg.Counter("wire_pushes_dropped_total")
 	s.telBatches = reg.Counter("wire_frames_coalesced_total")
 	s.telBatchedMsgs = reg.Histogram("wire_corrections_per_frame", telemetry.BatchSizeBuckets)
-	for _, typ := range []uint8{FrameRegister, FrameMessage, FrameQuery, FrameMetrics, FrameTrace, FrameMessageBatch, FramePing} {
-		s.telFrame[typ] = reg.Histogram("wire_frame_handle_seconds",
-			telemetry.LatencyBuckets, "kind", FrameName(typ))
+	for _, typ := range []uint8{FrameRegister, FrameMessage, FrameQueryBin, FrameMetrics, FrameTrace, FrameMessageBatch, FramePing} {
+		kind := FrameName(typ)
+		if typ == FrameQueryBin {
+			kind = "query"
+		}
+		s.telFrame[typ] = reg.Histogram("wire_frame_handle_seconds", telemetry.LatencyBuckets, "kind", kind)
 	}
-	s.telFrame[FrameQueryBin] = s.telFrame[FrameQuery]
 	reg.Help("wire_frame_handle_seconds", "inbound frame handling latency by frame kind")
 	reg.Help("wire_frames_coalesced_total", "batched correction frames received")
 	reg.Help("wire_corrections_per_frame", "messages carried per coalesced frame")
@@ -532,40 +526,23 @@ func (s *Server) Apply(m *netsim.Message) error {
 	return s.ingested(m, 0, applied, recovered, err)
 }
 
-// ingestRecord decodes the correction record at the front of buf into msg
-// — in the handle form on a connection that negotiated CapStreamHandles,
-// the id form otherwise — applies it, and returns the rest of buf. With
-// whole set the record must be all of buf, and is refused before it
-// applies when it is not. now is the arrival time and offsetNs the
-// connection's clock-skew estimate.
+// ingestRecord decodes the handle-form correction record at the front of
+// buf into msg, applies it to the record the connection's handle names,
+// and returns the rest of buf. With whole set the record must be all of
+// buf, and is refused before it applies when it is not. now is the arrival
+// time and offsetNs the connection's clock-skew estimate.
 func (s *Server) ingestRecord(cw *connWriter, msg *netsim.Message, buf []byte, whole bool, now int64, offsetNs float64) ([]byte, error) {
-	var (
-		h    uint32
-		id   []byte
-		rest []byte
-		err  error
-	)
-	handles := cw.handleForm()
-	if handles {
-		h, rest, err = netsim.DecodeNextHandle(msg, buf)
-	} else {
-		id, rest, err = netsim.DecodeNextID(msg, buf)
-	}
+	h, rest, err := netsim.DecodeNextHandle(msg, buf)
 	if err == nil && whole && len(rest) != 0 {
 		err = fmt.Errorf("netsim: %d trailing bytes after message", len(rest))
 	}
 	if err != nil {
 		return nil, err
 	}
-	var applied, recovered bool
-	switch {
-	case !handles:
-		applied, recovered, err = s.srv.IngestID(id, msg, now)
-	case int(h) < len(cw.refs):
-		applied, recovered, err = s.srv.IngestRef(cw.refs[h], msg, now)
-	default:
-		err = fmt.Errorf("wire: %w: no handle %d on this connection", server.ErrUnknownStream, h)
+	if int(h) >= len(cw.refs) {
+		return nil, fmt.Errorf("wire: %w: no handle %d on this connection", server.ErrUnknownStream, h)
 	}
+	applied, recovered, err := s.srv.IngestRef(cw.refs[h], msg, now)
 	return rest, s.ingested(msg, offsetNs, applied, recovered, err)
 }
 
@@ -589,20 +566,29 @@ func (s *Server) ingested(m *netsim.Message, offsetNs float64, applied, recovere
 	return nil
 }
 
-// ApplyBatch ingests one coalesced frame payload: concatenated netsim
-// message encodings, decoded in place into scratch and applied one by
-// one, each under its own stream's shard lock. It returns how many
-// messages were applied. A decode or apply error aborts the rest of the
-// batch; everything before the failure stays applied, which matches the
-// semantics of the same messages arriving as individual frames on a link
-// that then died.
+// ApplyBatch ingests one coalesced payload of id-form records, in process:
+// concatenated netsim message encodings, decoded in place into scratch and
+// applied one by one, each under its own stream's shard lock. It returns
+// how many messages were applied. A decode or apply error aborts the rest
+// of the batch; everything before the failure stays applied, which matches
+// the semantics of the same messages arriving as individual frames on a
+// link that then died.
 func (s *Server) ApplyBatch(payload []byte, scratch *netsim.Message) (int, error) {
-	return s.applyBatch(nil, payload, scratch)
+	n := 0
+	for rest := payload; len(rest) > 0; n++ {
+		var err error
+		if rest, err = netsim.DecodeNext(scratch, rest); err == nil {
+			err = s.Apply(scratch)
+		}
+		if err != nil {
+			return n, fmt.Errorf("wire: batch record %d: %w", n, err)
+		}
+	}
+	return n, nil
 }
 
-// applyBatch is ApplyBatch for the records of a connection (nil: in
-// process), in its record form and with its skew estimate threaded
-// through to each record's latency span.
+// applyBatch is ApplyBatch for a connection's handle-form records, with
+// its skew estimate threaded through to each record's latency span.
 func (s *Server) applyBatch(cw *connWriter, payload []byte, scratch *netsim.Message) (int, error) {
 	now, offsetNs := s.clock(), cw.connOffsetNanos()
 	n := 0
@@ -702,16 +688,21 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.telFramesIn.Inc()
 		if err := s.dispatch(cw, typ, payload, &msg); err != nil {
 			s.telErrors.Inc()
-			// A refused fire-and-forget frame answers no request: on a handle
-			// connection it is pushed as FrameRefused, so FrameError only
-			// ever answers the request the peer just sent.
+			// A first frame below the protocol floor gets one FrameError and
+			// the connection closes. Past it, a refused fire-and-forget frame
+			// answers no request: it is pushed as FrameRefused, so FrameError
+			// only ever answers the request the peer just sent.
+			floor := cw.frames == 1
 			reply := FrameError
-			if cw.handleForm() && (typ == FrameMessage || typ == FrameMessageBatch || typ == FrameTrace) {
+			if !floor && (typ == FrameMessage || typ == FrameMessageBatch || typ == FrameTrace) {
 				reply = FrameRefused
 			}
 			if writeErr := cw.writeFrame(reply, []byte(err.Error())); writeErr != nil {
 				s.logw("wire: write error frame failed",
 					"remote", conn.RemoteAddr().String(), "conn", connID, "err", writeErr)
+				return
+			}
+			if floor {
 				return
 			}
 		}
@@ -755,10 +746,13 @@ func (s *Server) ConnSkews() []freshness.ConnSkew {
 }
 
 // dispatch routes one inbound frame, timing the handler into the
-// per-kind wire_frame_handle_seconds series. Unknown kinds have no
-// series (nil slot) and are not timed.
+// per-kind wire_frame_handle_seconds series. A connection's first frame
+// goes to hello instead. Unknown kinds have no series (nil slot) and are
+// not timed.
 func (s *Server) dispatch(cw *connWriter, typ uint8, payload []byte, msg *netsim.Message) error {
-	cw.frames++
+	if cw.frames++; cw.frames == 1 {
+		return s.hello(cw, typ, payload)
+	}
 	var h *telemetry.Histogram
 	if int(typ) < len(s.telFrame) {
 		h = s.telFrame[typ]
@@ -772,40 +766,34 @@ func (s *Server) dispatch(cw *connWriter, typ uint8, payload []byte, msg *netsim
 	return err
 }
 
-// hello answers a connection's first frame with the capabilities both
-// sides speak, and the connection uses exactly those from here on.
-func (s *Server) hello(cw *connWriter, payload []byte) error {
-	if cw.frames != 1 {
-		return errors.New("wire: hello must be a connection's first frame")
+// errBelowFloor refuses a connection whose first frame is not a hello
+// asking for every capability the server speaks.
+var errBelowFloor = errors.New("wire: below the protocol floor: a connection's first frame must be a hello asking for bits 0|1 (CapBinaryQuery|CapStreamHandles)")
+
+// hello holds a connection's first frame to the protocol floor and grants
+// the capabilities both sides speak: the AND of the two words, which the
+// floor makes exactly serverCaps.
+func (s *Server) hello(cw *connWriter, typ uint8, payload []byte) error {
+	if typ != FrameHello {
+		return errBelowFloor
 	}
 	caps, err := decodeHello(payload)
-	if err != nil {
-		return err
+	if err != nil || caps&serverCaps != serverCaps {
+		return errBelowFloor
 	}
-	cw.caps = caps & serverCaps
-	return cw.writeFrame(FrameHello, appendHello(cw.answer[:0], cw.caps))
+	return cw.writeFrame(FrameHello, appendHello(cw.answer[:0], serverCaps))
 }
 
-// timedQuery is Query observed into query_latency_seconds, both query
-// arms' one body.
-func (s *Server) timedQuery(id string, tick int64) (AnswerPayload, error) {
-	start := time.Now()
-	ans, err := s.Query(QueryPayload{ID: id, Tick: tick})
-	s.telLatency.Observe(time.Since(start).Seconds())
-	return ans, err
-}
-
-// queryBin answers a FrameQueryBin. A non-finite estimate is refused, as
-// the JSON arm's encoder refuses it.
+// queryBin answers a FrameQueryBin, observed into query_latency_seconds. A
+// non-finite estimate is refused: the answer would not be a bound.
 func (s *Server) queryBin(cw *connWriter, payload []byte) error {
-	if cw.caps&CapBinaryQuery == 0 {
-		return errors.New("wire: binary query on a connection that did not negotiate it")
-	}
 	tick, id, err := decodeQueryBin(payload)
 	if err != nil {
 		return err
 	}
-	ans, err := s.timedQuery(string(id), tick)
+	start := time.Now()
+	ans, err := s.Query(QueryPayload{ID: string(id), Tick: tick})
+	s.telLatency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return err
 	}
@@ -827,9 +815,6 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		if err != nil {
 			return err
 		}
-		if !cw.handleForm() {
-			return cw.writeFrame(FrameOK, nil)
-		}
 		cw.answer = binary.BigEndian.AppendUint32(cw.answer[:0], cw.handle(p.ID, ref))
 		return cw.writeFrame(FrameOK, cw.answer)
 	case FrameMessage:
@@ -850,28 +835,9 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		}
 		return err
 	case FrameHello:
-		return s.hello(cw, payload)
+		return errors.New("wire: hello must be a connection's first frame")
 	case FrameQueryBin:
 		return s.queryBin(cw, payload)
-	case FrameQuery:
-		// The original query arm, kept byte for byte for a peer that
-		// did not negotiate binary queries.
-		if cw.caps&CapBinaryQuery != 0 {
-			return errors.New("wire: JSON query on a connection that negotiated binary queries")
-		}
-		var q QueryPayload
-		if err := json.Unmarshal(payload, &q); err != nil {
-			return fmt.Errorf("wire: bad query payload: %w", err)
-		}
-		ans, err := s.timedQuery(q.ID, q.Tick)
-		if err != nil {
-			return err
-		}
-		buf, err := json.Marshal(ans)
-		if err != nil {
-			return err
-		}
-		return cw.writeFrame(FrameAnswer, buf)
 	case FrameTrace:
 		var evs []trace.Event
 		if err := json.Unmarshal(payload, &evs); err != nil {

@@ -18,14 +18,14 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, FrameQuery, payload); err != nil {
+	if err := WriteFrame(&buf, FrameQueryBin, payload); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != FrameQuery || string(got) != string(payload) {
+	if typ != FrameQueryBin || string(got) != string(payload) {
 		t.Fatalf("round trip: type %d payload %q", typ, got)
 	}
 }
@@ -58,7 +58,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 10, FrameQuery, 'x'}) // announces 10, has 2
+	buf.Write([]byte{0, 0, 0, 10, FrameQueryBin, 'x'}) // announces 10, has 2
 	if _, _, err := ReadFrame(&buf); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
