@@ -23,11 +23,11 @@ BENCH_MAXREGRESS ?= 10
 # of non-test Go outside bench/) exceeds this. A PR that spends lines on
 # purpose raises it in its own diff, where a reviewer sees it; a PR that
 # deletes lowers it to where it lands.
-LOC_MAX ?= 22637
+LOC_MAX ?= 22572
 LOC_TOTAL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 # The same ratchet on the observability six — ROADMAP's "consolidating
 # engines" aim, whose target is ≤ 4,400.
-OBS_MAX ?= 4855
+OBS_MAX ?= 4828
 OBS_TOTAL = find internal/diag internal/health internal/history internal/trace internal/telemetry internal/freshness -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
 .PHONY: check vet build test race benchsmoke bench bench-compare lint chaos-smoke recovery-smoke cover repro-check bench-smoke loc loc-check
@@ -49,18 +49,24 @@ vet:
 # growing back. And core.NewNode is the one composition of the protocol
 # node: outside internal/core (and tests and bench/) no code builds a
 # server.Server, opens or recovers a WAL, installs the durability hooks,
-# binds a monitor or cross-attaches the flight recorder — each such call
-# is a second composition starting. Nothing outside bench/ (and tests)
-# calls server.Server's Apply, TickStream or Value: aliases over the one
-# ingest, step and serve bodies, kept only for the benchmark module.
+# binds a monitor or attaches anything to the flight recorder (any
+# Attach<Name>) — each such call is a second composition starting. Nothing
+# outside bench/ (and tests) calls server.Server's Apply, TickStream or
+# Value: aliases over the one ingest, step and serve bodies, kept only for
+# the benchmark module. And the flight recorder is pulled, not pushed:
+# outside internal/diag, the root bench_test.go and bench/ nothing calls
+# its one push left, ObserveCorrection, or builds a sketch (NewTopK), so no
+# data path feeds it again; both go with the benchmark's diag probe.
 lint: vet
 	@fmt="$$(gofmt -l . | grep -v '^bench/')"; if [ -n "$$fmt" ]; then echo "lint: gofmt -l lists:"; echo "$$fmt"; exit 1; fi
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/harness | grep -E 'internal/(server|netsim|source|resource)$$'
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/history | grep -E 'internal/health$$'
-	@! grep -rnE --include='*.go' 'server\.New\(\)|wal\.Open\(|\.Recover\(|Set(Apply|Register)Hook\(|\.Bind\(|\.Attach(Streams|Health|History|Freshness)\(' . \
+	@! grep -rnE --include='*.go' 'server\.New\(\)|wal\.Open\(|\.Recover\(|Set(Apply|Register)Hook\(|\.Bind\(|\.Attach[A-Z][A-Za-z]*\(' . \
 		| grep -vE '^\./(bench|internal/core|\.bench_build)/|_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*(//|func )'
 	@! grep -rnE --include='*.go' '(\bsrv|Server\(\))\.(Apply|Value)\(|\.TickStream\(' . \
 		| grep -vE '^\./(bench|\.bench_build)/|_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*(//|func )'
+	@! grep -rnE --include='*.go' '(ObserveCorrection|NewTopK)\(' . \
+		| grep -vE '^\./(bench|internal/diag|\.bench_build)/|^\./bench_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*(//|func )'
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -341,8 +341,8 @@ func BenchmarkTopKObserve(b *testing.B) {
 // IDs in rotation through K = 128, so every TryObserve evicts the
 // minimum (map delete, map insert, a sift down the whole heap). This is
 // what each correction paid at population scale while corrections fed
-// the sketches, and what the violations and stale sketches can still be
-// made to pay, per event, by a fault that touches more than K streams.
+// the sketches, and what each δ violation and stale mark paid while those
+// were pushed too, by a fault that touched more than K streams.
 func BenchmarkTopKObserveChurn(b *testing.B) {
 	tk := diag.NewTopK(128)
 	ids := make([]string, 10_000)
@@ -435,8 +435,8 @@ func BenchmarkWireIngestManyStreams(b *testing.B) {
 }
 
 // BenchmarkWireCoalesced sweeps the correction write ring over a real
-// TCP connection: batch=1 is the legacy one-frame-per-correction path,
-// larger batches coalesce that many corrections per FrameMessageBatch.
+// TCP connection: batch=1 is a client that never enabled coalescing, a
+// ring of one that ships one frame per correction; larger batches coalesce that many corrections per FrameMessageBatch.
 // ns/op is the full end-to-end cost per correction (client encode +
 // framing + syscalls + server decode + replica apply); corr/flush
 // confirms the ring actually fills. The batch=16/32 rows against

@@ -18,7 +18,6 @@ import (
 	"kalmanstream/internal/buildinfo"
 	"kalmanstream/internal/core"
 	"kalmanstream/internal/harness"
-	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/stream"
 	"kalmanstream/internal/telemetry"
@@ -210,19 +209,19 @@ func cmdRun(args []string) error {
 }
 
 // telemetryTable renders the default registry's current state as a
-// metrics.Table: one row per series, with histogram rows summarized by
+// harness.Table: one row per series, with histogram rows summarized by
 // count, mean, and tail quantiles.
-func telemetryTable(id string) *metrics.Table {
-	tb := metrics.NewTable(fmt.Sprintf("%s telemetry (runtime counters)", id),
+func telemetryTable(id string) *harness.Table {
+	tb := harness.NewTable(fmt.Sprintf("%s telemetry (runtime counters)", id),
 		"metric", "labels", "value", "count", "mean", "p95")
 	for _, s := range telemetry.Default.Snapshot() {
 		switch s.Kind {
 		case telemetry.KindHistogram:
-			tb.AddRow(s.Name, s.Labels, "", metrics.I(s.Count), metrics.F(s.Mean()), metrics.F(s.Quantile(0.95)))
+			tb.AddRow(s.Name, s.Labels, "", harness.I(s.Count), harness.F(s.Mean()), harness.F(s.Quantile(0.95)))
 		case telemetry.KindGauge:
-			tb.AddRow(s.Name, s.Labels, metrics.F(s.Value), "", "", "")
+			tb.AddRow(s.Name, s.Labels, harness.F(s.Value), "", "", "")
 		default:
-			tb.AddRow(s.Name, s.Labels, metrics.I(int64(s.Value)), "", "", "")
+			tb.AddRow(s.Name, s.Labels, harness.I(int64(s.Value)), "", "", "")
 		}
 	}
 	if tb.Rows() == 0 {
@@ -372,7 +371,7 @@ func cmdReplay(args []string) error {
 			methods = append(methods, "kalman-bank")
 		}
 	}
-	tb := metrics.NewTable(
+	tb := harness.NewTable(
 		fmt.Sprintf("replay %s: %d points, dim %d, volatility %.4g, δ=%.4g (%s gate)",
 			*file, len(points), dim, vol, d, norm),
 		"method", "msgs", "suppression", "bytes", "rmse", "max-err(suppr)", "violations")
@@ -385,8 +384,8 @@ func cmdReplay(args []string) error {
 		if err != nil {
 			return fmt.Errorf("replay %s: %w", m, err)
 		}
-		tb.AddRow(m, metrics.I(rs.Messages), metrics.Pct(rs.SuppressionRatio()), metrics.I(rs.Bytes),
-			metrics.F(rs.Err.RMSE()), metrics.F(rs.SuppressedErr.MaxAbs()), metrics.I(rs.Violations.Count))
+		tb.AddRow(m, harness.I(rs.Messages), harness.Pct(rs.SuppressionRatio()), harness.I(rs.Bytes),
+			harness.F(rs.Err.RMSE()), harness.F(rs.SuppressedErr.MaxAbs()), harness.I(rs.Violations.Count))
 	}
 	_, err = tb.WriteTo(os.Stdout)
 	return err

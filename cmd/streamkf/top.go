@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -98,15 +97,11 @@ func fetchOffenders(client *http.Client, url string) *diag.TopPayload {
 }
 
 // renderOffenders formats the flight recorder's attribution tables as
-// one compact pane. k and the drop count qualify the two sketched
-// tables only.
+// one compact pane. Every row a server serves is exact, read from its
+// records; k is the most rows a table holds.
 func renderOffenders(top *diag.TopPayload) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "\ntop offenders (sketch k=%d", top.K)
-	if top.Dropped > 0 {
-		fmt.Fprintf(&b, ", %d events dropped", top.Dropped)
-	}
-	b.WriteString("):\n")
+	fmt.Fprintf(&b, "\ntop offenders (exact, k=%d):\n", top.K)
 	if !writeOffenderTables(&b, top.Sketches) {
 		b.WriteString("  (no events attributed yet)\n")
 	}
@@ -114,11 +109,9 @@ func renderOffenders(top *diag.TopPayload) string {
 }
 
 // writeOffenderTables writes one line per non-empty table — the worst
-// streams with their counts — and reports whether it wrote any. The
-// corrections and bytes tables a server reads from its stream records are
-// labelled exact; a sketched row carries its ± error bound once eviction
-// has begun (as do corrections and bytes rows from a recorder with no
-// records to read, which are then not labelled).
+// streams with their counts — and reports whether it wrote any. A row
+// from a sketch (a recorder with no records to read) carries its ± error
+// bound once eviction has begun.
 func writeOffenderTables(b *strings.Builder, tables map[string][]diag.Item) bool {
 	any := false
 	for _, name := range diag.TableOrder {
@@ -127,12 +120,7 @@ func writeOffenderTables(b *strings.Builder, tables map[string][]diag.Item) bool
 			continue
 		}
 		any = true
-		label := name
-		if (name == diag.SketchCorrections || name == diag.SketchBytes) &&
-			!slices.ContainsFunc(items, func(it diag.Item) bool { return it.Err > 0 }) {
-			label += " (exact)"
-		}
-		fmt.Fprintf(b, "  %-20s", label)
+		fmt.Fprintf(b, "  %-12s", name)
 		for i, it := range items {
 			if i > 0 {
 				b.WriteString("  ")

@@ -94,23 +94,22 @@ func TestTopEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRenderOffenders pins the offenders pane: the two tables a server
-// reads from its stream records are labelled exact and carry no ± column;
-// the two sketches show their bound once they have evicted; k and the drop
-// count are the sketches'.
+// TestRenderOffenders pins the offenders pane: every table a server serves
+// is exact, so the pane says so once, in its header, beside k; a row that
+// did come from a sketch still shows its bound.
 func TestRenderOffenders(t *testing.T) {
 	tables := map[string][]diag.Item{
 		diag.SketchCorrections: {{ID: "whale", Count: 60}, {ID: "s00000", Count: 3}},
 		diag.SketchBytes:       {{ID: "whale", Count: 1620}, {ID: "s00000", Count: 81}},
-		diag.SketchViolations:  {{ID: "s00007", Count: 9, Err: 2}, {ID: "s00003", Count: 1}},
+		diag.SketchViolations:  {{ID: "s00007", Count: 9}, {ID: "s00003", Count: 1}},
 		diag.SketchStale:       nil,
 	}
-	got := renderOffenders(&diag.TopPayload{Sketches: tables, Dropped: 4, K: 128})
+	got := renderOffenders(&diag.TopPayload{Sketches: tables, K: 128})
 	want := `
-top offenders (sketch k=128, 4 events dropped):
-  corrections (exact) whale=60  s00000=3
-  bytes (exact)       whale=1620  s00000=81
-  violations          s00007=9±2  s00003=1
+top offenders (exact, k=128):
+  corrections whale=60  s00000=3
+  bytes       whale=1620  s00000=81
+  violations  s00007=9  s00003=1
 `
 	if got != want {
 		t.Errorf("offenders pane:\n%s\nwant:\n%s", got, want)
@@ -118,22 +117,21 @@ top offenders (sketch k=128, 4 events dropped):
 
 	got = renderOffenders(&diag.TopPayload{Sketches: map[string][]diag.Item{}, K: 128})
 	want = `
-top offenders (sketch k=128):
+top offenders (exact, k=128):
   (no events attributed yet)
 `
 	if got != want {
 		t.Errorf("empty offenders pane:\n%s\nwant:\n%s", got, want)
 	}
 
-	// The same tables inside an incident report; rows from a recorder
-	// that had no records to read keep their bound and lose the label.
+	// The same tables inside an incident report, one row from a sketch.
 	tables[diag.SketchCorrections][1].Err = 1
 	report := renderBundle(&diag.Bundle{ID: "bundle-000001-page-streams-stale", Reason: "page:streams-stale", TopK: tables})
 	want = `
 top offenders:
-  corrections         whale=60  s00000=3±1
-  bytes (exact)       whale=1620  s00000=81
-  violations          s00007=9±2  s00003=1
+  corrections whale=60  s00000=3±1
+  bytes       whale=1620  s00000=81
+  violations  s00007=9  s00003=1
 
 `
 	if !strings.Contains(report, want) {

@@ -53,9 +53,8 @@ type NodeConfig struct {
 	History      *history.Store
 	HistoryEvery int64
 	Health       *health.Monitor
-	// Diag's tables read the stream records, δ violations and staleness
-	// marks are pushed into its sketches, and its bundles embed Health,
-	// History and the latency table.
+	// Diag's tables read the stream records and the auditor's counts, and
+	// its bundles embed Health, History and the latency table.
 	Diag *diag.Recorder
 	// WALDir, when set, is opened and recovered by NewNode, which then logs
 	// every registration and applied message; the log syncs every
@@ -146,9 +145,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if d := cfg.Diag; d != nil {
 		d.AttachStreams(n.srv.WalkCounts)
-		n.srv.SetStaleHook(d.ObserveStale)
 		if n.auditor != nil {
-			n.auditor.SetViolationHook(func(id string, _ int64) { d.ObserveViolation(id) })
+			d.AttachAuditor(n.auditor.WalkViolations)
 		}
 		if n.health != nil {
 			d.AttachHealth(n.health)

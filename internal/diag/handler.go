@@ -94,26 +94,19 @@ func (r *Recorder) listBundles() []BundleInfo {
 	return list
 }
 
-// TopPayload is the /debug/top document: every offender table plus
-// the two numbers that qualify the sketched ones.
+// TopPayload is the /debug/top document: every offender table and the
+// most rows one returns.
 type TopPayload struct {
-	// Sketches maps table name → rows, count descending. On a server
-	// the corrections and bytes rows are exact, read from the stream
-	// records at request time; violations and stale are sketches.
+	// Sketches maps table name → rows, count descending, then ID. On a
+	// server every row is exact, read at request time from the stream
+	// records (corrections, bytes, stale) and the auditor (violations).
 	Sketches map[string][]Item `json:"sketches"`
-	// Dropped is the number of violation and staleness events lost to
-	// contention on their sketches; nonzero means those two tables
-	// slightly undercount. The record-backed tables drop nothing.
-	Dropped int64 `json:"dropped"`
-	// K is the width of the violations and stale sketches (exact when
-	// distinct ≤ K), and the rows a record-backed table returns when
-	// asked for all (?n=0).
+	// K is the rows a table returns when asked for all (?n=0).
 	K int `json:"k"`
 }
 
 // TopHandler serves /debug/top: the live offender tables. ?n= bounds
-// rows per table (default 10; 0 = every resident item of a sketch and K
-// rows of a record-backed table).
+// rows per table (default 10; 0 = K rows).
 func TopHandler(r *Recorder) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		n := 10
@@ -125,7 +118,7 @@ func TopHandler(r *Recorder) http.Handler {
 			}
 			n = v
 		}
-		payload := TopPayload{Sketches: r.Top(n), Dropped: r.Dropped(), K: r.opts.K}
+		payload := TopPayload{Sketches: r.Top(n), K: r.opts.K}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

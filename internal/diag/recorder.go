@@ -1,13 +1,12 @@
 // The flight recorder: always-on, fixed-memory attribution plus
-// synchronous incident capture. Attribution comes two ways. What the
-// server already counts per stream — corrections applied and their
-// encoded bytes, fields of the stream record — is pulled: a reader
-// attached with AttachStreams walks the records when somebody asks
-// and keeps the top rows, so the apply path feeds nothing and the
-// tables are exact at any population. What has no record to read — δ
-// violations from the auditor, staleness marks from the watchdog, both
-// rare — is pushed into two space-saving sketches, each a TryLock away,
-// never blocking, with drops counted instead of waited out. The cold
+// synchronous incident capture. Attribution is pulled, never pushed:
+// every offender table is a count some record already keeps — the
+// stream record's corrections, encoded bytes and stale episodes
+// (AttachStreams), the auditor's per-stream δ violations
+// (AttachAuditor) — and Top walks those records when somebody asks and
+// keeps the top rows. Neither the apply path, nor the watchdog, nor the
+// auditor feeds the recorder anything, nothing can be dropped, and every
+// table is exact at any population. The cold
 // half runs only when an SLO pages (or a chaos verdict fails): it freezes
 // everything a responder would ask for — the firing alert, the health
 // window table, the trace-journal tail, the top-k offender tables, a
@@ -36,9 +35,7 @@ import (
 	"kalmanstream/internal/trace"
 )
 
-// Table names used as keys in Bundle.TopK and /debug/top. Corrections
-// and bytes are exact (read from the stream records) once AttachStreams
-// has been called; violations and stale are sketches.
+// Table names used as keys in Bundle.TopK and /debug/top.
 const (
 	SketchCorrections = "corrections"
 	SketchBytes       = "bytes"
@@ -61,11 +58,11 @@ const (
 	historyStreams = 4
 )
 
-// Options configures a Recorder. The zero value is usable: 128-wide
-// sketches, memory-only spool of 16 bundles, 500-tick dedupe window.
+// Options configures a Recorder. The zero value is usable: 128-row
+// tables, memory-only spool of 16 bundles, 500-tick dedupe window.
 type Options struct {
-	// K is the width of each attribution sketch, and the most rows a
-	// record-backed table returns (default 128).
+	// K is the most rows a table returns when asked for all of them, as a
+	// bundle asks (default 128).
 	K int
 	// SpoolDir, when non-empty, persists each bundle as a JSON file
 	// and prunes the directory to SpoolMax files.
@@ -86,15 +83,12 @@ type Options struct {
 	Logs *RingHandler
 }
 
-// Recorder is the flight recorder. All Observe* methods are safe for
-// concurrent use and never block; capture is synchronous but runs only
-// on page transitions.
+// Recorder is the flight recorder. Its methods are safe for concurrent
+// use; capture is synchronous but runs only on page transitions.
 type Recorder struct {
 	opts        Options
 	corrections *TopK
 	bytes       *TopK
-	violations  *TopK
-	stale       *TopK
 
 	telBundles   *telemetry.Counter
 	telDropped   *telemetry.Counter
@@ -104,9 +98,11 @@ type Recorder struct {
 	healthFn func() health.Snapshot
 	history  *history.Store
 	freshFn  func() freshness.Snapshot
-	// streams, when attached, is the walk over the server's stream
-	// records that the corrections and bytes tables are selected from.
-	streams func(visit func(id string, corrections, bytes int64))
+	// streams and audit, when attached, are the walks the tables are
+	// selected from: the server's stream records (corrections, bytes,
+	// stale) and the auditor's per-stream counts (violations).
+	streams func(visit func(id string, corrections, bytes, staleEpisodes int64))
+	audit   func(visit func(id string, violations int64))
 
 	mu          sync.Mutex
 	lastCapture int64 // monitor tick of the last page capture, -1 = never
@@ -132,14 +128,12 @@ func NewRecorder(opts Options) *Recorder {
 		reg = telemetry.Default
 	}
 	reg.Help("diag_bundles_captured_total", "incident bundles captured by the flight recorder")
-	reg.Help("diag_events_dropped_total", "attribution events dropped because a sketch was contended")
+	reg.Help("diag_events_dropped_total", "ObserveCorrection events dropped because a sketch was contended")
 	reg.Help("diag_spool_errors_total", "incident bundles that could not be written to the disk spool")
 	r := &Recorder{
 		opts:         opts,
 		corrections:  NewTopK(opts.K),
 		bytes:        NewTopK(opts.K),
-		violations:   NewTopK(opts.K),
-		stale:        NewTopK(opts.K),
 		telBundles:   reg.Counter("diag_bundles_captured_total"),
 		telDropped:   reg.Counter("diag_events_dropped_total"),
 		telSpoolErrs: reg.Counter("diag_spool_errors_total"),
@@ -176,23 +170,29 @@ func (r *Recorder) AttachHistory(st *history.Store) {
 	r.history = st
 }
 
-// AttachStreams points the corrections and bytes tables at the stream
-// records themselves: walk visits every stream with its applied
-// correction count and encoded bytes (server.Server.WalkCounts), and
-// Top selects its rows from one such walk. The apply path then feeds
-// the recorder nothing, nothing can be dropped, and every row is exact
-// (Err 0) however many streams there are.
-func (r *Recorder) AttachStreams(walk func(visit func(id string, corrections, bytes int64))) {
+// AttachStreams points the corrections, bytes and stale tables at the
+// stream records themselves: walk visits every stream with its applied
+// correction count, encoded bytes and stale episodes
+// (server.Server.WalkCounts), and Top selects its rows from one such walk.
+// Every row is then exact (Err 0) however many streams there are.
+func (r *Recorder) AttachStreams(walk func(visit func(id string, corrections, bytes, staleEpisodes int64))) {
 	r.streams = walk
+}
+
+// AttachAuditor points the violations table at the auditor's per-stream
+// δ-violation counts (trace.Auditor.WalkViolations), exact as the stream
+// tables are.
+func (r *Recorder) AttachAuditor(walk func(visit func(id string, violations int64))) {
+	r.audit = walk
 }
 
 // ObserveCorrection attributes one applied correction of n encoded
 // bytes to stream id, into two sketches that Top serves only while no
-// reader is attached with AttachStreams. Neither server calls it any
-// more. It and its two sketches are kept because the deployed-path
-// benchmark compiles against it (bench/probes.go, diag.observe_ns) and
-// a change that claims a gain may not edit the benchmark; it goes when
-// a benchmark change drops that probe.
+// reader is attached with AttachStreams — the one push left, and nothing
+// but the benchmark makes it. It and its two sketches are kept because
+// the deployed-path benchmark compiles against it (bench/probes.go,
+// diag.observe_ns) and a change that claims a gain may not edit the
+// benchmark; it goes when a benchmark change drops that probe.
 func (r *Recorder) ObserveCorrection(id string, n int) {
 	if r == nil {
 		return
@@ -205,63 +205,46 @@ func (r *Recorder) ObserveCorrection(id string, n int) {
 	}
 }
 
-// ObserveViolation attributes one δ violation to stream id.
-func (r *Recorder) ObserveViolation(id string) {
-	if r == nil {
-		return
-	}
-	if !r.violations.TryObserve(id, 1) {
-		r.drop()
-	}
-}
-
-// ObserveStale attributes one staleness event (a watchdog marking the
-// stream stale) to stream id. Called under shard locks — must never
-// block, and does not.
-func (r *Recorder) ObserveStale(id string) {
-	if r == nil {
-		return
-	}
-	if !r.stale.TryObserve(id, 1) {
-		r.drop()
-	}
-}
-
 func (r *Recorder) drop() {
 	r.dropped.Add(1)
 	r.telDropped.Inc()
 }
 
-// Dropped returns the number of attribution events dropped under
+// Dropped returns the number of ObserveCorrection events dropped under
 // contention.
 func (r *Recorder) Dropped() int64 { return r.dropped.Load() }
 
-// Top returns the top n rows of every table, keyed by table name,
-// count descending. n <= 0 means all resident items of a sketch and K
-// rows of a record-backed table, so a bundle stays bounded whatever the
-// population. With a reader attached the corrections and bytes tables
-// cost one walk over the stream records and O(n) memory, and rank ties
-// by ID; streams that have applied nothing are left out.
+// Top returns the top n rows of every table, keyed by table name, count
+// descending, then ID; n <= 0 means K rows, so a bundle stays bounded
+// whatever the population. It costs one walk over the stream records and
+// one over the auditor's, and O(n) memory; streams with a zero count are
+// left out, and a table with nothing attached to read is empty — but for
+// corrections and bytes, which then serve the ObserveCorrection sketches.
 func (r *Recorder) Top(n int) map[string][]Item {
+	if n <= 0 {
+		n = r.opts.K
+	}
+	corrections, bytes, stale, violations := selection{n: n}, selection{n: n}, selection{n: n}, selection{n: n}
+	if r.streams != nil {
+		r.streams(func(id string, c, b, s int64) {
+			corrections.offer(id, c)
+			bytes.offer(id, b)
+			stale.offer(id, s)
+		})
+	}
+	if r.audit != nil {
+		r.audit(violations.offer)
+	}
 	out := map[string][]Item{
-		SketchViolations: r.violations.Top(n),
-		SketchStale:      r.stale.Top(n),
+		SketchCorrections: corrections.rows(),
+		SketchBytes:       bytes.rows(),
+		SketchViolations:  violations.rows(),
+		SketchStale:       stale.rows(),
 	}
 	if r.streams == nil {
 		out[SketchCorrections] = r.corrections.Top(n)
 		out[SketchBytes] = r.bytes.Top(n)
-		return out
 	}
-	if n <= 0 {
-		n = r.opts.K
-	}
-	corrections, bytes := selection{n: n}, selection{n: n}
-	r.streams(func(id string, c, b int64) {
-		corrections.offer(id, c)
-		bytes.offer(id, b)
-	})
-	out[SketchCorrections] = corrections.rows()
-	out[SketchBytes] = bytes.rows()
 	return out
 }
 

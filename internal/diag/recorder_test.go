@@ -34,7 +34,6 @@ func pageAt(slo string, tick int64) health.Transition {
 func TestRecorderDedupeWindow(t *testing.T) {
 	reg := telemetry.New()
 	r := NewRecorder(Options{K: 8, DedupeTicks: 100, Registry: reg})
-	r.ObserveStale("s-1")
 
 	r.OnTransition(pageAt("staleness", 1000))
 	r.OnTransition(pageAt("delta-burn", 1040)) // same incident
@@ -64,10 +63,11 @@ func TestBundleContents(t *testing.T) {
 	logger := slog.New(ring)
 	r := NewRecorder(Options{K: 8, Registry: reg, Logs: ring})
 
-	r.ObserveCorrection("s-1", 40)
-	r.ObserveCorrection("s-1", 40)
-	r.ObserveViolation("s-2")
-	r.ObserveStale("s-3")
+	r.AttachStreams(func(visit func(string, int64, int64, int64)) {
+		visit("s-1", 2, 80, 0)
+		visit("s-3", 0, 0, 1)
+	})
+	r.AttachAuditor(func(visit func(string, int64)) { visit("s-2", 1) })
 	logger.Warn("stream stale", "stream", "s-3")
 
 	tr := pageAt("staleness", 77)
@@ -303,31 +303,34 @@ func TestRingHandler(t *testing.T) {
 	}
 }
 
-// Contention accounting: a held sketch lock drops the observation and
-// counts it instead of blocking the hot path.
+// Contention accounting: the one push left, ObserveCorrection, drops an
+// observation whose sketch lock is held and counts it instead of blocking.
 func TestTryObserveDropsUnderContention(t *testing.T) {
 	reg := telemetry.New()
 	r := NewRecorder(Options{K: 4, Registry: reg})
-	r.violations.mu.Lock()
-	r.ObserveViolation("s-1")
-	r.violations.mu.Unlock()
+	r.corrections.mu.Lock()
+	r.ObserveCorrection("s-1", 29)
+	r.corrections.mu.Unlock()
 	if r.Dropped() != 1 {
 		t.Errorf("Dropped = %d, want 1", r.Dropped())
 	}
 	if v := reg.Counter("diag_events_dropped_total").Value(); v != 1 {
 		t.Errorf("diag_events_dropped_total = %d, want 1", v)
 	}
-	// The sketch did not record the dropped event.
-	if _, ok := r.violations.Count("s-1"); ok {
+	// The sketch did not record the dropped event; its uncontended twin did.
+	if _, ok := r.corrections.Count("s-1"); ok {
 		t.Error("dropped observation leaked into the sketch")
+	}
+	if n, _ := r.bytes.Count("s-1"); n != 29 {
+		t.Errorf("bytes sketch holds %d for s-1, want 29", n)
 	}
 }
 
 // A zero-value-ish recorder works end to end with defaults.
 func TestRecorderDefaults(t *testing.T) {
 	r := NewRecorder(Options{Registry: telemetry.New()})
-	if r.violations.K() != 128 || r.opts.SpoolMax != 16 || r.opts.DedupeTicks != 500 {
-		t.Errorf("defaults: k=%d spool=%d dedupe=%d", r.violations.K(), r.opts.SpoolMax, r.opts.DedupeTicks)
+	if r.opts.K != 128 || r.corrections.K() != 128 || r.opts.SpoolMax != 16 || r.opts.DedupeTicks != 500 {
+		t.Errorf("defaults: k=%d spool=%d dedupe=%d", r.opts.K, r.opts.SpoolMax, r.opts.DedupeTicks)
 	}
 	if d := r.DedupeWindow(); d != 500 {
 		t.Errorf("DedupeWindow = %d", d)
@@ -339,73 +342,71 @@ func TestRecorderDefaults(t *testing.T) {
 	}
 }
 
-// population is a stand-in for the server's stream records: n streams
-// whose counts collide often (ties must rank by ID) and are sometimes
-// zero (a stream that applied nothing has no row).
-func population(n int) (walk func(visit func(id string, corrections, bytes int64)), rows []Item) {
-	rows = make([]Item, n)
-	for i := range rows {
-		rows[i] = Item{ID: fmt.Sprintf("s%05d", i), Count: int64(i*7919%n) % 50}
+// population is a stand-in for the server's stream records and the
+// auditor's: n streams whose counts collide often (ties must rank by ID)
+// and are sometimes zero (a stream with a zero count has no row). want
+// holds every table's rows, in no order.
+func population(n int) (r *Recorder, want map[string][]Item) {
+	want = map[string][]Item{}
+	for i := range n {
+		id, c := fmt.Sprintf("s%05d", i), int64(i*7919%n)%50
+		want[SketchCorrections] = append(want[SketchCorrections], Item{ID: id, Count: c})
+		want[SketchBytes] = append(want[SketchBytes], Item{ID: id, Count: 29 * c})
+		want[SketchStale] = append(want[SketchStale], Item{ID: id, Count: c % 7})
+		want[SketchViolations] = append(want[SketchViolations], Item{ID: id, Count: int64(i*31%n) % 11})
 	}
-	return func(visit func(id string, corrections, bytes int64)) {
-		for _, r := range rows {
-			visit(r.ID, r.Count, 29*r.Count)
+	r = NewRecorder(Options{K: 128, Registry: telemetry.New()})
+	r.AttachStreams(func(visit func(string, int64, int64, int64)) {
+		for i, row := range want[SketchCorrections] {
+			visit(row.ID, row.Count, want[SketchBytes][i].Count, want[SketchStale][i].Count)
 		}
-	}, rows
+	})
+	r.AttachAuditor(func(visit func(string, int64)) {
+		for _, row := range want[SketchViolations] {
+			visit(row.ID, row.Count)
+		}
+	})
+	return r, want
 }
 
-// With a reader attached the corrections and bytes tables are the exact
-// top rows of the records — whatever n is asked for, and whatever was
-// pushed into the sketches that served before the reader was attached.
+// With readers attached every table is the exact top rows of the records —
+// whatever n is asked for, and whatever was pushed into the sketches that
+// served corrections and bytes before a reader was attached.
 func TestTopSelectsFromStreamRecords(t *testing.T) {
 	const n = 10_000
-	r := NewRecorder(Options{K: 128, Registry: telemetry.New()})
+	r, all := population(n)
 	r.ObserveCorrection("ghost", 1<<40)
-	walk, rows := population(n)
-	r.AttachStreams(walk)
-
-	want := make([]Item, 0, n)
-	for _, row := range rows {
-		if row.Count > 0 {
-			want = append(want, row)
-		}
-	}
-	slices.SortFunc(want, rankItems)
-	for _, ask := range []int{1, 10, 127, 128, 129, 1000, 2 * n, 0, -1} {
-		rowsWanted := ask
-		if ask <= 0 {
-			rowsWanted = 128 // K: "all" stays bounded
-		}
-		rowsWanted = min(rowsWanted, len(want))
-		top := r.Top(ask)
-		if got := top[SketchCorrections]; !slices.Equal(got, want[:rowsWanted]) {
-			t.Errorf("Top(%d) corrections: %d rows %+v..., want %d rows %+v...", ask, len(got), got[:min(3, len(got))], rowsWanted, want[:3])
-		}
-		got := top[SketchBytes]
-		if len(got) != rowsWanted {
-			t.Fatalf("Top(%d) bytes: %d rows, want %d", ask, len(got), rowsWanted)
-		}
-		for i, row := range got {
-			if row != (Item{ID: want[i].ID, Count: 29 * want[i].Count}) {
-				t.Fatalf("Top(%d) bytes row %d = %+v, want 29 × %+v", ask, i, row, want[i])
+	for table, rows := range all {
+		want := slices.DeleteFunc(slices.Clone(rows), func(it Item) bool { return it.Count == 0 })
+		slices.SortFunc(want, rankItems)
+		for _, ask := range []int{1, 10, 127, 128, 129, 1000, 2 * n, 0, -1} {
+			rowsWanted := ask
+			if ask <= 0 {
+				rowsWanted = 128 // K: "all" stays bounded
+			}
+			rowsWanted = min(rowsWanted, len(want))
+			if got := r.Top(ask)[table]; !slices.Equal(got, want[:rowsWanted]) {
+				t.Errorf("Top(%d) %s: %d rows %+v..., want %d rows %+v...", ask, table, len(got), got[:min(3, len(got))], rowsWanted, want[:3])
 			}
 		}
 	}
 
-	// A population with nothing applied serves empty tables, as [] in JSON.
-	r.AttachStreams(func(visit func(string, int64, int64)) { visit("idle", 0, 0) })
-	if got := r.Top(5)[SketchCorrections]; got == nil || len(got) != 0 {
-		t.Errorf("idle population: corrections table %#v, want empty and non-nil", got)
+	// A population with nothing counted serves empty tables, as [] in JSON.
+	r.AttachStreams(func(visit func(string, int64, int64, int64)) { visit("idle", 0, 0, 0) })
+	r.AttachAuditor(func(visit func(string, int64)) { visit("idle", 0) })
+	for table, got := range r.Top(5) {
+		if got == nil || len(got) != 0 {
+			t.Errorf("idle population: %s table %#v, want empty and non-nil", table, got)
+		}
 	}
 }
 
-// Top's memory follows the rows asked for, not the population walked.
+// Top's memory follows the rows asked for, not the population walked, in
+// all four tables.
 func TestTopAllocatesByRowsNotPopulation(t *testing.T) {
 	const rows = 16
 	perCall := func(n int) (allocs float64, bytes uint64) {
-		r := NewRecorder(Options{Registry: telemetry.New()})
-		walk, _ := population(n)
-		r.AttachStreams(walk)
+		r, _ := population(n)
 		const runs = 20
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -418,9 +419,10 @@ func TestTopAllocatesByRowsNotPopulation(t *testing.T) {
 	if allocs > smallAllocs {
 		t.Errorf("Top(%d) allocates %.0f times over 10,000 records and %.0f over 100", rows, allocs, smallAllocs)
 	}
-	// Two buffers of 2·rows items and a four-entry map; one Item per
-	// record would be 400 KB.
-	if bytes > 8<<10 {
+	// Four tables' buffers of 2·rows items and a four-entry map; one Item
+	// per record would be 400 KB a table.
+	if bytes > 16<<10 {
 		t.Errorf("Top(%d) over 10,000 records allocates %d bytes a call", rows, bytes)
 	}
+	t.Logf("Top(%d) over 10,000 records: %.0f allocs, %d bytes a call", rows, allocs, bytes)
 }

@@ -15,9 +15,10 @@
 // The hot path is allocation-free once an ID is resident: a map hit
 // plus a sift through an intrusive min-heap. Eviction reuses the
 // victim's entry struct, so steady-state churn allocates only the new
-// ID's map key cell. Observe never blocks: the caller-facing wrapper
-// (Recorder) uses TryLock and counts drops instead of stalling a
-// frame-dispatch or tick path behind a snapshot reader.
+// ID's map key cell. The caller-facing wrapper (Recorder.ObserveCorrection,
+// the one push left, which only the benchmark makes) uses TryObserve and
+// counts drops instead of stalling behind a snapshot reader; every table a
+// server serves is read from its records instead.
 
 package diag
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kalmanstream/internal/core"
-	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/stream"
 )
@@ -55,7 +54,7 @@ func runE11(cfg Config) (*Result, error) {
 			Model: cvModel(0.05, 0.04)}},
 		{"kalman bank (3 hypotheses)", defaultBank(0.04)},
 	}
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E11a: regime-switching stream (segment=%d), δ=%.3g, T=%d", segLen, delta, cfg.Ticks),
 		"predictor", "msgs", "rmse", "suppression")
 	for _, c := range cases {
@@ -63,7 +62,7 @@ func runE11(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(c.label, metrics.I(rs.Messages), metrics.F(rs.Err.RMSE()), metrics.Pct(rs.SuppressionRatio()))
+		tb.AddRow(c.label, I(rs.Messages), F(rs.Err.RMSE()), Pct(rs.SuppressionRatio()))
 	}
 	tb.AddNote("the bank must beat every fixed Kalman model; the specialist bound is dead-reckoning here.")
 	res.Tables = append(res.Tables, tb)
@@ -83,7 +82,7 @@ func runE11(cfg Config) (*Result, error) {
 		{"ornstein-uhlenbeck", func() stream.Stream { return stream.NewOU(cfg.Seed, 50, 0.05, 1, 0.1, cfg.Ticks) },
 			predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 1, R: 0.01}},
 	}
-	tb2 := metrics.NewTable(
+	tb2 := NewTable(
 		fmt.Sprintf("E11b: one untuned bank vs the hand-picked fixed model per class, δ = 2× volatility, T=%d", cfg.Ticks),
 		"stream", "fixed (tuned)", "bank (untuned)", "bank/fixed")
 	for _, c := range classes {
@@ -97,8 +96,8 @@ func runE11(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb2.AddRow(c.label, metrics.I(fixedRS.Messages), metrics.I(bankRS.Messages),
-			metrics.Ratio(float64(bankRS.Messages), float64(fixedRS.Messages)))
+		tb2.AddRow(c.label, I(fixedRS.Messages), I(bankRS.Messages),
+			Ratio(float64(bankRS.Messages), float64(fixedRS.Messages)))
 	}
 	tb2.AddNote("the price of not tuning: bank/fixed close to 1x means the bank is a safe default.")
 	res.Tables = append(res.Tables, tb2)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kalmanstream/internal/core"
-	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/stream"
 )
@@ -25,7 +24,7 @@ func runE1(cfg Config) (*Result, error) {
 	vol := measureVolatility(mk)
 	delta := 4 * vol
 
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E1: sine+noise, T=%d, δ=%.3g (4× volatility)", cfg.Ticks, delta),
 		"method", "msgs", "suppression", "rmse", "max-err(suppr)", "violations")
 	for _, m := range baselineMethods(cvModel(0.05, 0.25)) {
@@ -33,11 +32,11 @@ func runE1(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(m.name, metrics.I(rs.Messages), metrics.Pct(rs.SuppressionRatio()),
-			metrics.F(rs.Err.RMSE()), metrics.F(rs.SuppressedErr.MaxAbs()), metrics.I(rs.Violations.Count))
+		tb.AddRow(m.name, I(rs.Messages), Pct(rs.SuppressionRatio()),
+			F(rs.Err.RMSE()), F(rs.SuppressedErr.MaxAbs()), I(rs.Violations.Count))
 	}
 	tb.AddNote("max-err(suppr) must be ≤ δ: the hard bound. kalman should lead on msgs.")
-	return &Result{ID: "E1", Title: "Tracking quality per method", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "E1", Title: "Tracking quality per method", Tables: []*Table{tb}}, nil
 }
 
 // runE2: the headline tradeoff curve — messages vs δ for each method, on
@@ -71,18 +70,18 @@ func runE2(cfg Config) (*Result, error) {
 	for _, c := range cases {
 		vol := measureVolatility(c.mk)
 		deltas := deltaGrid(vol, 0.5, 1, 2, 4, 8, 16)
-		tb := metrics.NewTable(
+		tb := NewTable(
 			fmt.Sprintf("E2 (%s): messages sent over T=%d ticks", c.label, cfg.Ticks),
 			"δ/vol", "cache", "dead-reckon", "ewma", "holt", "kalman", "cache/kalman")
 		for i, d := range deltas {
-			row := []string{metrics.F(d / vol)}
+			row := []string{F(d / vol)}
 			var cacheMsgs, kfMsgs int64
 			for _, m := range baselineMethods(c.model) {
 				rs, err := Run(m.spec, d, core.NormInf, c.mk())
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, metrics.I(rs.Messages))
+				row = append(row, I(rs.Messages))
 				switch m.name {
 				case "cache":
 					cacheMsgs = rs.Messages
@@ -90,7 +89,7 @@ func runE2(cfg Config) (*Result, error) {
 					kfMsgs = rs.Messages
 				}
 			}
-			row = append(row, metrics.Ratio(float64(cacheMsgs), float64(kfMsgs)))
+			row = append(row, Ratio(float64(cacheMsgs), float64(kfMsgs)))
 			tb.AddRow(row...)
 			_ = i
 		}
@@ -129,18 +128,18 @@ func runE3(cfg Config) (*Result, error) {
 	for _, c := range cases {
 		vol := measureVolatility(c.mk)
 		deltas := deltaGrid(vol, 1, 2, 4, 8)
-		tb := metrics.NewTable(
+		tb := NewTable(
 			fmt.Sprintf("E3 (%s): messages over T=%d ticks (volatility %.4g)", c.label, cfg.Ticks, vol),
 			"δ/vol", "cache", "dead-reckon", "ewma", "holt", "kalman", "best")
 		for _, d := range deltas {
-			row := []string{metrics.F(d / vol)}
+			row := []string{F(d / vol)}
 			best, bestMsgs := "", int64(-1)
 			for _, m := range baselineMethods(c.model) {
 				rs, err := Run(m.spec, d, core.NormInf, c.mk())
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, metrics.I(rs.Messages))
+				row = append(row, I(rs.Messages))
 				if bestMsgs < 0 || rs.Messages < bestMsgs {
 					best, bestMsgs = m.name, rs.Messages
 				}
@@ -166,7 +165,7 @@ func runE4(cfg Config) (*Result, error) {
 	delta := 2.0
 	noises := []float64{0.05, 0.2, 0.5, 1, 2}
 
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E4: sine amplitude 10 period 500, δ=%g, varying measurement noise σ, T=%d", delta, cfg.Ticks),
 		"noise σ", "cache msgs", "kalman msgs", "cache/kalman", "kalman rmse", "cache rmse")
 	for _, noise := range noises {
@@ -181,12 +180,12 @@ func runE4(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(metrics.F(noise), metrics.I(crs.Messages), metrics.I(krs.Messages),
-			metrics.Ratio(float64(crs.Messages), float64(krs.Messages)),
-			metrics.F(krs.Err.RMSE()), metrics.F(crs.Err.RMSE()))
+		tb.AddRow(F(noise), I(crs.Messages), I(krs.Messages),
+			Ratio(float64(crs.Messages), float64(krs.Messages)),
+			F(krs.Err.RMSE()), F(crs.Err.RMSE()))
 	}
 	tb.AddNote("as σ grows toward δ, the cache must chase noise; the KF's advantage widens.")
-	return &Result{ID: "E4", Title: "Robustness to sensor noise", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "E4", Title: "Robustness to sensor noise", Tables: []*Table{tb}}, nil
 }
 
 // runE5: the summary matrix — message counts for every method on every
@@ -212,7 +211,7 @@ func runE5(cfg Config) (*Result, error) {
 			cvModel(0.05, 0.04)},
 	}
 
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E5: messages per method per stream class, δ = 2× volatility, T=%d", cfg.Ticks),
 		"stream", "cache", "dead-reckon", "ewma", "holt", "kalman", "winner")
 	for _, c := range classes {
@@ -228,7 +227,7 @@ func runE5(cfg Config) (*Result, error) {
 			if rs.Violations.Count > 0 {
 				return nil, fmt.Errorf("E5: %s/%s violated the bound %d times", c.label, m.name, rs.Violations.Count)
 			}
-			row = append(row, metrics.I(rs.Messages))
+			row = append(row, I(rs.Messages))
 			if bestMsgs < 0 || rs.Messages < bestMsgs {
 				best, bestMsgs = m.name, rs.Messages
 			}
@@ -239,5 +238,5 @@ func runE5(cfg Config) (*Result, error) {
 	tb.AddNote("kalman wins or ties wherever its model fits and never loses to cache; trend smoothers (holt, a")
 	tb.AddNote("stiff CV filter) share the drift class, and clean piecewise-linear ramps are dead-reckoning's")
 	tb.AddNote("home turf (see E6b and E11 for the bank that removes the per-class model choice).")
-	return &Result{ID: "E5", Title: "Method × stream-class matrix", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "E5", Title: "Method × stream-class matrix", Tables: []*Table{tb}}, nil
 }

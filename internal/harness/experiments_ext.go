@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"kalmanstream/internal/core"
-	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/stream"
 )
@@ -38,11 +37,11 @@ func runE6(cfg Config) (*Result, error) {
 
 	// (a) δ sweep at moderate noise.
 	const fixNoise = 2.5
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E6a: moving objects (speeds 5–15/tick, GPS noise %.1f), T=%d, L2 gate, δ sweep", fixNoise, cfg.Ticks),
 		"δ (distance)", "cache", "dead-reckon", "kalman-cv2d", "cache/kalman")
 	for _, d := range []float64{5, 10, 25, 50} {
-		row := []string{metrics.F(d)}
+		row := []string{F(d)}
 		var cacheMsgs, kfMsgs int64
 		for _, m := range methods2D(fixNoise) {
 			st := stream.NewWaypoint2D(cfg.Seed, 1000, 5, 15, fixNoise, 20, cfg.Ticks)
@@ -53,7 +52,7 @@ func runE6(cfg Config) (*Result, error) {
 			if rs.Violations.Count > 0 {
 				return nil, fmt.Errorf("E6: %s violated the L2 bound %d times", m.name, rs.Violations.Count)
 			}
-			row = append(row, metrics.I(rs.Messages))
+			row = append(row, I(rs.Messages))
 			switch m.name {
 			case "cache":
 				cacheMsgs = rs.Messages
@@ -61,18 +60,18 @@ func runE6(cfg Config) (*Result, error) {
 				kfMsgs = rs.Messages
 			}
 		}
-		row = append(row, metrics.Ratio(float64(cacheMsgs), float64(kfMsgs)))
+		row = append(row, Ratio(float64(cacheMsgs), float64(kfMsgs)))
 		tb.AddRow(row...)
 	}
 	tb.AddNote("straight legs between waypoints are predictable: messages cluster at turns.")
 	res.Tables = append(res.Tables, tb)
 
 	// (b) noise sweep at fixed δ: the crossover.
-	tb2 := metrics.NewTable(
+	tb2 := NewTable(
 		fmt.Sprintf("E6b: same fleet at δ=10, sweeping GPS fix noise, T=%d", cfg.Ticks),
 		"fix noise σ", "cache", "dead-reckon", "kalman-cv2d", "winner")
 	for _, noise := range []float64{0.5, 2, 4, 8} {
-		row := []string{metrics.F(noise)}
+		row := []string{F(noise)}
 		best, bestMsgs := "", int64(-1)
 		for _, m := range methods2D(noise) {
 			st := stream.NewWaypoint2D(cfg.Seed, 1000, 5, 15, noise, 20, cfg.Ticks)
@@ -80,7 +79,7 @@ func runE6(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, metrics.I(rs.Messages))
+			row = append(row, I(rs.Messages))
 			if bestMsgs < 0 || rs.Messages < bestMsgs {
 				best, bestMsgs = m.name, rs.Messages
 			}
@@ -129,7 +128,7 @@ func runE7(cfg Config) (*Result, error) {
 		{"over-modeled q×100 (static)", rw(trueQ*100, trueR, false)},
 		{"over-modeled q×100 (adaptive)", rw(trueQ*100, trueR, true)},
 	}
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E7: random walk q=%.3g r=%.3g, δ=%.3g, T=%d", trueQ, trueR, delta, cfg.Ticks),
 		"filter", "msgs", "rmse", "suppression")
 	for _, c := range cases {
@@ -137,11 +136,11 @@ func runE7(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(c.label, metrics.I(rs.Messages), metrics.F(rs.Err.RMSE()), metrics.Pct(rs.SuppressionRatio()))
+		tb.AddRow(c.label, I(rs.Messages), F(rs.Err.RMSE()), Pct(rs.SuppressionRatio()))
 	}
 	tb.AddNote("adaptation repairs under-modeling (its inconsistency survives δ-censoring of innovations);")
 	tb.AddNote("over-modeling is invisible to the replica — the innovations that would reveal it are suppressed.")
-	return &Result{ID: "E7", Title: "Adaptive noise estimation", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "E7", Title: "Adaptive noise estimation", Tables: []*Table{tb}}, nil
 }
 
 // runE8: many heterogeneous streams under a shared message budget; the
@@ -151,7 +150,7 @@ func runE8(cfg Config) (*Result, error) {
 	const nStreams = 32
 	budgets := []float64{0.5, 1, 2, 4} // total messages/tick across all streams
 
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E8: %d random-walk streams (σ log-spread 0.1–10), T=%d", nStreams, cfg.Ticks),
 		"budget/tick", "allocator", "achieved/tick", "mean δ", "max δ", "realloc rounds")
 	for _, budget := range budgets {
@@ -160,12 +159,12 @@ func runE8(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			tb.AddRow(metrics.F(budget), allocName, metrics.F(achieved),
-				metrics.F(meanD), metrics.F(maxD), metrics.I(rounds))
+			tb.AddRow(F(budget), allocName, F(achieved),
+				F(meanD), F(maxD), I(rounds))
 		}
 	}
 	tb.AddNote("at equal achieved rate, lower mean δ = better precision per message.")
-	return &Result{ID: "E8", Title: "Budgeted precision", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "E8", Title: "Budgeted precision", Tables: []*Table{tb}}, nil
 }
 
 // runBudget drives nStreams heterogeneous random walks under a shared
@@ -253,8 +252,8 @@ func runE9(cfg Config) (*Result, error) {
 		gens[i] = stream.NewOU(cfg.Seed+int64(i), 20+float64(i), 0.02, 0.5, 0.1, cfg.Ticks)
 	}
 
-	var avgViol, sumViol metrics.Violations
-	var avgErr, sumErr metrics.Error
+	var avgViol, sumViol Violations
+	var avgErr, sumErr Error
 	var avgBound, sumBound float64
 	var samples int64
 	var totalMsgs int64
@@ -293,18 +292,18 @@ func runE9(cfg Config) (*Result, error) {
 		totalMsgs += h.Stats().Sent
 	}
 
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E9: SUM/AVG over %d OU sensors, δ=%g each, T=%d (total msgs %d of %d source-ticks)",
 			nStreams, delta, cfg.Ticks, totalMsgs, cfg.Ticks*nStreams),
 		"query", "mean |err|", "max |err|", "mean bound", "tightness", "violations")
-	tb.AddRow("SUM", metrics.F(sumErr.MAE()), metrics.F(sumErr.MaxAbs()),
-		metrics.F(sumBound/float64(samples)),
-		metrics.Ratio(sumErr.MAE(), sumBound/float64(samples)), metrics.I(sumViol.Count))
-	tb.AddRow("AVG", metrics.F(avgErr.MAE()), metrics.F(avgErr.MaxAbs()),
-		metrics.F(avgBound/float64(samples)),
-		metrics.Ratio(avgErr.MAE(), avgBound/float64(samples)), metrics.I(avgViol.Count))
+	tb.AddRow("SUM", F(sumErr.MAE()), F(sumErr.MaxAbs()),
+		F(sumBound/float64(samples)),
+		Ratio(sumErr.MAE(), sumBound/float64(samples)), I(sumViol.Count))
+	tb.AddRow("AVG", F(avgErr.MAE()), F(avgErr.MaxAbs()),
+		F(avgBound/float64(samples)),
+		Ratio(avgErr.MAE(), avgBound/float64(samples)), I(avgViol.Count))
 	tb.AddNote("violations must be 0; tightness < 1 means bounds are conservative (errors partially cancel).")
-	return &Result{ID: "E9", Title: "Aggregate query precision", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "E9", Title: "Aggregate query precision", Tables: []*Table{tb}}, nil
 }
 
 // runE10: cumulative message counts at checkpoints across a stream whose
@@ -331,19 +330,19 @@ func runE10(cfg Config) (*Result, error) {
 		counts[m.name] = cum
 	}
 
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E10: cumulative messages on a regime-switching stream (segment=%d ticks, δ=%.3g), T=%d",
 			segLen, delta, cfg.Ticks),
 		"tick", "cache", "dead-reckon", "ewma", "holt", "kalman")
 	for i := 0; i < checkpoints; i++ {
 		tick := (int64(i) + 1) * cfg.Ticks / int64(checkpoints)
-		tb.AddRow(metrics.I(tick),
-			metrics.I(counts["cache"][i]), metrics.I(counts["dead-reckon"][i]),
-			metrics.I(counts["ewma"][i]), metrics.I(counts["holt"][i]),
-			metrics.I(counts["kalman"][i]))
+		tb.AddRow(I(tick),
+			I(counts["cache"][i]), I(counts["dead-reckon"][i]),
+			I(counts["ewma"][i]), I(counts["holt"][i]),
+			I(counts["kalman"][i]))
 	}
 	tb.AddNote("per-segment increments spike at regime switches, then flatten as each method re-adapts.")
-	return &Result{ID: "E10", Title: "Regime-change adaptation", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "E10", Title: "Regime-change adaptation", Tables: []*Table{tb}}, nil
 }
 
 // cumulativeMessages runs the protocol and snapshots the message count at

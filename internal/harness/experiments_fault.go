@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kalmanstream/internal/core"
-	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/stream"
 )
@@ -25,7 +24,7 @@ func runE13(cfg Config) (*Result, error) {
 	spec := predictor.Spec{Kind: predictor.KindKalman, Model: cvModel(0.05, 0.1)}
 	mk := func() stream.Stream { return stream.NewSine(cfg.Seed, 0, 10, 200, 0, 0.2, cfg.Ticks) }
 
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E13: sine+noise through a lossy link, constant-velocity KF, δ=%g, T=%d", delta, cfg.Ticks),
 		"loss", "mode", "violations", "msgs delivered", "bytes", "bytes/msg")
 	for _, drop := range []float64{0, 0.1, 0.3, 0.5} {
@@ -44,13 +43,13 @@ func runE13(cfg Config) (*Result, error) {
 			if delivered > 0 {
 				perMsg = float64(bytes) / float64(delivered)
 			}
-			tb.AddRow(metrics.Pct(drop), mode.label, metrics.Pct(violRate),
-				metrics.I(delivered), metrics.I(bytes), metrics.F(perMsg))
+			tb.AddRow(Pct(drop), mode.label, Pct(violRate),
+				I(delivered), I(bytes), F(perMsg))
 		}
 	}
 	tb.AddNote("at 0% loss both modes have 0 violations; under loss, resync trades ~4× message size")
 	tb.AddNote("(state+covariance vs one value) for a lower violation rate on trend-tracking predictors.")
-	return &Result{ID: "E13", Title: "Fault tolerance", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "E13", Title: "Fault tolerance", Tables: []*Table{tb}}, nil
 }
 
 // runLossy runs the protocol over a lossy link and reports the violation

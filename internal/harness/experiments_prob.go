@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"kalmanstream/internal/core"
-	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/stream"
 )
@@ -40,7 +39,7 @@ func runE12(cfg Config) (*Result, error) {
 	spec := predictor.Spec{Kind: predictor.KindKalman,
 		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: trueQ, R: trueR}}
 
-	tb := metrics.NewTable(
+	tb := NewTable(
 		fmt.Sprintf("E12: 1-D random walk (q=%.3g r=%.3g), intervals on suppressed ticks, T=%d", trueQ, trueR, cfg.Ticks),
 		"δ/vol", "conf", "coverage", "mean width", "width/δ", "model-tighter")
 	for _, mult := range []float64{1, 3, 8} {
@@ -53,15 +52,15 @@ func runE12(cfg Config) (*Result, error) {
 			if n == 0 {
 				return nil, fmt.Errorf("E12: no suppressed ticks at δ=%g", delta)
 			}
-			tb.AddRow(metrics.F(mult), metrics.Pct(conf), metrics.Pct(cov),
-				metrics.F(meanW), metrics.Ratio(meanW, delta), metrics.Pct(modelBinding))
+			tb.AddRow(F(mult), Pct(conf), Pct(cov),
+				F(meanW), Ratio(meanW, delta), Pct(modelBinding))
 		}
 	}
 	tb.AddNote("coverage must be ≥ nominal (intersection preserves it); 'model-tighter' is the fraction of")
 	tb.AddNote("suppressed ticks where the Gaussian interval beat the hard bound. A δ tighter than the one-step")
 	tb.AddNote("predictive noise z·σ₁ can never be beaten (0% row); as δ loosens, the model wins on the ticks")
 	tb.AddNote("shortly after a correction, before coasting inflates σ past δ.")
-	return &Result{ID: "E12", Title: "Probabilistic answers", Tables: []*metrics.Table{tb}}, nil
+	return &Result{ID: "E12", Title: "Probabilistic answers", Tables: []*Table{tb}}, nil
 }
 
 // measureCoverage runs the protocol and measures, over suppressed ticks,

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"kalmanstream/internal/core"
-	"kalmanstream/internal/metrics"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/stream"
 	"kalmanstream/internal/telemetry"
@@ -41,7 +40,7 @@ func (c Config) withDefaults() Config {
 type Result struct {
 	ID     string
 	Title  string
-	Tables []*metrics.Table
+	Tables []*Table
 }
 
 // String renders all tables.
@@ -150,13 +149,13 @@ type RunStats struct {
 	Bytes      int64
 	Heartbeats int64
 	// Err accumulates |server answer − measurement| over every tick.
-	Err metrics.Error
+	Err Error
 	// SuppressedErr accumulates the same but only over suppressed ticks,
 	// where the δ guarantee applies.
-	SuppressedErr metrics.Error
+	SuppressedErr Error
 	// Violations checks the δ bound on suppressed ticks; its Count must
 	// be zero on unimpaired links.
-	Violations metrics.Violations
+	Violations Violations
 	// Audit is the online precision auditor's independent view of the
 	// run: every tick's ground truth compared against the answer the
 	// server was serving. On loss-free links AuditClean() must hold.

@@ -1,8 +1,8 @@
-// Package metrics provides the error and cost accounting used throughout
-// the evaluation harness: streaming error accumulators (RMSE, MAE, max),
-// bound-violation counters, and plain-text table rendering for the
-// regenerated tables and figures.
-package metrics
+// The error and cost accounting every experiment uses: streaming error
+// accumulators (RMSE, MAE, max), bound-violation counters, and plain-text
+// table rendering for the regenerated tables and figures.
+
+package harness
 
 import (
 	"fmt"

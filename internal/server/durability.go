@@ -165,7 +165,7 @@ func (s *Server) ReplayMessage(tick int64, m *netsim.Message) error {
 }
 
 // Reset drops every stream and disarms the durability hooks while keeping
-// telemetry, trace and the stale hook — the in-process stand-in for a
+// telemetry, trace and the watchdog's deadline — the in-process stand-in for a
 // crashed server about to recover from its log, which has no log to
 // append to until recovery re-arms them. A Ref to a dropped stream is
 // refused from then on.

@@ -72,10 +72,11 @@ type StreamInfo struct {
 	// only while Corrections carries on from the checkpoint.
 	Bytes int64
 	// Suppressed counts the ticks lazy advance (ingest and every rolling
-	// read) took the replica through without a correction, and Duplicates
-	// the messages the dedupe guard dropped, both since this process
-	// registered or recovered the stream.
-	Suppressed, Duplicates int64
+	// read) took the replica through without a correction, Duplicates the
+	// messages the dedupe guard dropped, and StaleEpisodes the times the
+	// watchdog marked the stream stale, all since this process registered
+	// or recovered the stream.
+	Suppressed, Duplicates, StaleEpisodes int64
 	// Staleness is Tick − LastCorrectionTick.
 	Staleness int64
 	// Stale reports whether the staleness watchdog currently has the
@@ -126,13 +127,15 @@ type streamState struct {
 	// wdDeadline <= 0 means the watchdog is disarmed; heard is when the
 	// stream last sent anything; wdLastReq is the silence at which the last
 	// resync request was issued, so requests repeat every deadline of
-	// continued silence; owner is the opaque push target the requests go
-	// to — a connection, a feedback link — nil when there is none.
-	wdDeadline int64
-	wdLastReq  int64
-	stale      bool
-	heard      int64
-	owner      any
+	// continued silence; staleEpisodes counts the stale marks; owner is the
+	// opaque push target the requests go to — a connection, a feedback
+	// link — nil when there is none.
+	wdDeadline    int64
+	wdLastReq     int64
+	stale         bool
+	staleEpisodes int64
+	heard         int64
+	owner         any
 }
 
 // Ref is an opaque resolved reference to one stream record, returned by
@@ -178,9 +181,6 @@ type Server struct {
 	// verdict is set and cleared (StaleCount).
 	stale atomic.Int64
 
-	// onStale, when set, fires once per newly-stale stream from the
-	// watchdog, under the shard lock — see SetStaleHook.
-	onStale func(id string)
 	// staleAfter is every new record's deadline (SetStaleAfter), and unit
 	// the watchdog's unit in trace events' (1 for ticks, 1e-9 for ns → s).
 	staleAfter int64
@@ -194,13 +194,6 @@ type Server struct {
 	// SetRegisterHook.
 	onRegister func(rec wal.RegisterRecord) error
 }
-
-// SetStaleHook installs fn to be called each time the watchdog marks a
-// stream stale (once per staleness episode, not per tick). It runs
-// under the stream's shard write lock: fn must be cheap, non-blocking,
-// and must not call back into the server. The diag flight recorder's
-// TryLock-guarded sketches satisfy that. Install before traffic starts.
-func (s *Server) SetStaleHook(fn func(id string)) { s.onStale = fn }
 
 // New returns an empty server with DefaultShards lock stripes.
 func New() *Server { return NewSharded(DefaultShards) }
@@ -787,6 +780,7 @@ func (st *streamState) info() StreamInfo {
 		Bytes:              st.bytes,
 		Suppressed:         st.suppressed,
 		Duplicates:         st.dups,
+		StaleEpisodes:      st.staleEpisodes,
 		Staleness:          st.tick - 1 - st.lastCorr,
 		Stale:              st.stale,
 	}
@@ -822,17 +816,18 @@ func (s *Server) Infos() []StreamInfo {
 	return out
 }
 
-// WalkCounts calls visit with every stream's correction count and encoded
-// bytes (StreamInfo.Corrections and .Bytes), one shard at a time under that
-// shard's read lock and in no particular order: what a whole-population
-// reader — the flight recorder's offender tables — pulls on demand so that
-// the apply path feeds nothing. visit runs under the lock: it must be
-// cheap, must not block and must not call back into the server.
-func (s *Server) WalkCounts(visit func(id string, corrections, bytes int64)) {
+// WalkCounts calls visit with every stream's correction count, encoded
+// bytes and stale episodes (StreamInfo.Corrections, .Bytes and
+// .StaleEpisodes), one shard at a time under that shard's read lock and in
+// no particular order: what a whole-population reader — the flight
+// recorder's offender tables — pulls on demand so that neither the apply
+// path nor the watchdog feeds anything. visit runs under the lock: it must
+// be cheap, must not block and must not call back into the server.
+func (s *Server) WalkCounts(visit func(id string, corrections, bytes, staleEpisodes int64)) {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, st := range sh.order {
-			visit(st.id, st.corrections, st.bytes)
+			visit(st.id, st.corrections, st.bytes, st.staleEpisodes)
 		}
 		sh.mu.RUnlock()
 	}

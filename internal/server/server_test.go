@@ -226,7 +226,7 @@ func TestBytesCountedWithCorrections(t *testing.T) {
 		"idle": {0, 0},
 	}
 	got := map[string][2]int64{}
-	s.WalkCounts(func(id string, corrections, bytes int64) { got[id] = [2]int64{corrections, bytes} })
+	s.WalkCounts(func(id string, corrections, bytes, _ int64) { got[id] = [2]int64{corrections, bytes} })
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("WalkCounts saw %v, want %v", got, want)
 	}

@@ -4,7 +4,7 @@
 // its deadline therefore implies message loss or a partition, and the
 // server's replica may be diverging without anything noticing. The
 // watchdog detects that condition per stream, surfaces it (the record's
-// stale verdict, the stale hook, a trace event), and issues resync
+// stale verdict and episode count, a trace event), and issues resync
 // requests upstream until a correction, resync, or heartbeat arrives and
 // clears it. There is one pass, ScanSilent, and one measure of silence,
 // now − heard, in the clock's unit: ticks since the last applied
@@ -69,10 +69,8 @@ func (s *Server) watchdogCheck(st *streamState, silent int64) (marked, request b
 	}
 	if !st.stale {
 		st.stale, marked = true, true
+		st.staleEpisodes++
 		s.stale.Add(1)
-		if s.onStale != nil {
-			s.onStale(st.id)
-		}
 		s.watchdogEvent(st, trace.OutcomeStale, silent)
 	}
 	if st.owner != nil && silent-st.wdLastReq >= st.wdDeadline {

@@ -117,6 +117,42 @@ func TestWatchdogRecoversOnTraffic(t *testing.T) {
 	}
 }
 
+// TestStaleEpisodesCounted: every mark is one episode on the record, not
+// every silent tick of it; recovery keeps the count, and Info and
+// WalkCounts report the same one.
+func TestStaleEpisodesCounted(t *testing.T) {
+	s := servertest.New()
+	for _, id := range []string{"a", "quiet"} {
+		if err := s.Register(id, static1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetWatchdog("a", 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	for tick := int64(0); tick < 3; tick++ {
+		s.Tick()
+		if err := s.Apply(correction("a", tick*10, 1)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 9; i++ { // silent through ticks tick*10+1 … tick*10+9
+			s.Tick()
+		}
+	}
+	info, err := s.Info("a", s.At())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Stale || info.StaleEpisodes != 3 {
+		t.Fatalf("stale %v after %d episodes, want true after 3", info.Stale, info.StaleEpisodes)
+	}
+	got := map[string]int64{}
+	s.WalkCounts(func(id string, _, _, episodes int64) { got[id] = episodes })
+	if got["a"] != 3 || got["quiet"] != 0 {
+		t.Errorf("WalkCounts episodes %v, want a=3 quiet=0", got)
+	}
+}
+
 func TestWatchdogDisarmedAndUnknown(t *testing.T) {
 	s := servertest.New()
 	if err := s.SetWatchdog("ghost", 5, nil); err == nil {

@@ -2,8 +2,8 @@
 // counters, gauges, and fixed-bucket histograms in a registry, with a
 // consistent Snapshot API and Prometheus text exposition (see expose.go).
 //
-// It is deliberately separate from internal/metrics, which does offline
-// *evaluation* accounting (RMSE against ground truth, bound violations)
+// It is deliberately separate from internal/harness's metrics, which do
+// offline *evaluation* accounting (RMSE against ground truth, bound violations)
 // for regenerated tables. Telemetry answers a different question — "what
 // is the running system doing right now?" — and therefore must be cheap
 // enough for hot paths (a handful of atomic operations per event), safe

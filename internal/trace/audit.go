@@ -1,5 +1,5 @@
 // The online precision auditor: the runtime counterpart of the offline
-// metrics.Violations check. The protocol's contract is that on every
+// harness.Violations check. The protocol's contract is that on every
 // suppressed tick the server's answer deviates from the ground-truth
 // measurement by at most δ. The offline harness proves this after the
 // fact; the auditor proves it *while the system runs*, from the same
@@ -70,19 +70,6 @@ type Auditor struct {
 	telSuppressed *telemetry.Counter
 	telViolations *telemetry.Counter
 	telRatio      *telemetry.Histogram
-
-	// onViolation, when set, fires inline for every δ violation — the
-	// diag flight recorder's per-stream attribution feed. Install it
-	// before traffic starts (SetViolationHook is not synchronized
-	// against concurrent Check calls) and keep it allocation-free.
-	onViolation func(streamID string, tick int64)
-}
-
-// SetViolationHook installs fn to be called for every δ violation
-// Check detects. Call before the auditor sees traffic; fn must be
-// cheap, non-blocking, and safe for concurrent use.
-func (a *Auditor) SetViolationHook(fn func(streamID string, tick int64)) {
-	a.onViolation = fn
 }
 
 // NewAuditor returns an auditor exporting its totals (audit_ticks_total,
@@ -164,9 +151,6 @@ func (a *Auditor) Check(streamID string, tick int64, deviation, bound float64, s
 				break
 			}
 		}
-		if a.onViolation != nil {
-			a.onViolation(streamID, tick)
-		}
 		if a.journal.Enabled() {
 			a.journal.Record(Event{
 				StreamID: streamID,
@@ -236,6 +220,18 @@ func (a *Auditor) All() []AuditStats {
 	a.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].StreamID < out[j].StreamID })
 	return out
+}
+
+// WalkViolations calls visit with every audited stream's δ-violation
+// count, under the auditor's read lock and in no particular order: the
+// flight recorder's violations table, pulled on demand without a copy.
+// visit must be cheap and must not call back into the auditor.
+func (a *Auditor) WalkViolations(visit func(streamID string, violations int64)) {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	for _, st := range a.streams {
+		visit(st.id, st.violations.Load())
+	}
 }
 
 // TotalTicks returns the number of audited ticks across all streams —

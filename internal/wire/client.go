@@ -114,8 +114,10 @@ type Client struct {
 	telRedials    *telemetry.Counter
 	telResyncReqs *telemetry.Counter
 
-	// Write ring for coalesced corrections (armed via EnableCoalescing).
-	coalesce   bool
+	// The write ring every correction goes through, shaped by batchCfg
+	// (EnableCoalescing). Its zero value — a client that never called
+	// EnableCoalescing — is a ring of one: each correction flushes as it is
+	// sent, as one FrameMessage.
 	batch      netsim.Batch
 	batchCfg   CoalesceConfig
 	lastFlush  time.Time
@@ -176,7 +178,6 @@ func (c CoalesceConfig) withDefaults() CoalesceConfig {
 // trace batch, metrics fetch, or Close, so no protocol exchange can
 // observe the server behind the corrections sent before it.
 func (c *Client) EnableCoalescing(cfg CoalesceConfig) {
-	c.coalesce = true
 	c.batchCfg = cfg.withDefaults()
 	c.lastFlush = time.Now()
 }
@@ -563,44 +564,26 @@ func (c *Client) Register(id string, spec predictor.Spec, delta float64) error {
 
 // SendCorrection ships a correction message; fire-and-forget. Its stream
 // must have been registered on this client: the record names it by the
-// handle the server assigned. The encoding goes through a pooled buffer,
-// so the steady-state send path performs no allocations. On a
-// reconnecting client a flush failure redials and re-sends; the server's
-// monotonic-tick guard discards the copy if the original did arrive. A
-// refusal the server pushed since the last report is returned here (see
-// FrameRefused), after the send.
-//
-// With coalescing enabled the correction lands in the write ring
-// instead and ships with the next flush; the message is fully encoded
-// before SendCorrection returns either way, so the caller may recycle m
-// immediately.
+// handle the server assigned. The correction lands in the write ring and
+// ships with the flush it triggers — at once, unless coalescing is
+// enabled — and is fully encoded before SendCorrection returns, so the
+// caller may recycle m immediately; the steady-state send path performs
+// no allocations. On a reconnecting client a flush failure redials and
+// re-sends; the server's monotonic-tick guard discards the copy if the
+// original did arrive. A refusal the server pushed since the last report
+// is returned here (see FrameRefused), after the send.
 func (c *Client) SendCorrection(m *netsim.Message) error {
 	h, ok := c.handles[m.StreamID]
 	if !ok {
 		return fmt.Errorf("wire: stream %q is not registered on this connection", m.StreamID)
 	}
-	if c.coalesce {
-		return c.surface(c.sendCoalesced(m, h))
-	}
-	bp := netsim.GetBuffer()
-	defer netsim.PutBuffer(bp)
-	buf, err := m.AppendEncodeHandle(*bp, h)
-	if err != nil {
-		return err
-	}
-	*bp = buf[:0]
-	return c.surface(c.withRetry(func() error {
-		if err := WriteFrame(c.bw, FrameMessage, buf); err != nil {
-			return err
-		}
-		return c.bw.Flush()
-	}))
+	return c.surface(c.send(m, h))
 }
 
-// sendCoalesced adds m, named by handle h, to the write ring, flushing
-// first when the tick-boundary or deadline policy demands it and after
-// when a size bound trips.
-func (c *Client) sendCoalesced(m *netsim.Message, h uint32) error {
+// send adds m, named by handle h, to the write ring, flushing first when
+// the tick-boundary or deadline policy demands it and after when a size
+// bound trips.
+func (c *Client) send(m *netsim.Message, h uint32) error {
 	if c.batch.Count() > 0 {
 		boundary := c.batchCfg.FlushTickBoundary && m.Tick != c.batch.LastTick()
 		overdue := c.batchCfg.FlushAfter > 0 && time.Since(c.lastFlush) >= c.batchCfg.FlushAfter

@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"net"
+	"os"
 	"testing"
 
 	"kalmanstream/internal/netsim"
@@ -273,4 +276,69 @@ func FuzzCoalescedFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNonCoalescingClientBytes pins every byte a client that never armed
+// the write ring puts on the wire for one fixed script: the hello, a
+// registration, three corrections, a query and a metrics request.
+// testdata/plain_client.bin was recorded once, from the client that still
+// had a separate unbatched send path; never regenerate it.
+func TestNonCoalescingClientBytes(t *testing.T) {
+	want, err := os.ReadFile("testdata/plain_client.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startQuietServer(t)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// A one-connection proxy that keeps what the client wrote.
+	var sent bytes.Buffer
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		in, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer in.Close()
+		out, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer out.Close()
+		go io.Copy(in, out)
+		io.Copy(io.MultiWriter(out, &sent), in)
+	}()
+
+	c, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register("s", cvSpec(), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	for tick, v := range []float64{1, 2.5, -3} {
+		m := netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: int64(tick), Value: []float64{v}}
+		if err := c.SendCorrection(&m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Query("s", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Metrics(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if !bytes.Equal(sent.Bytes(), want) {
+		t.Fatalf("client bytes differ from the recording:\n got %q\nwant %q", sent.Bytes(), want)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"kalmanstream/internal/diag"
 	"kalmanstream/internal/netsim"
@@ -62,13 +63,15 @@ func TestMessageDispatchZeroAllocWithDiag(t *testing.T) {
 }
 
 // TestTopTablesExactAtPopulation is the case the sketches could not
-// serve: 10,000 streams against K = 128, a uniform background and one
-// whale, ingested as coalesced frames by two goroutines at once. Fed per
-// correction, every feed was a miss that evicted some other stream, a
-// quarter were dropped to contention, and the table was noise (counts
-// near N/K with an error bound as large). Read from the records, the
-// whale is rank 1 with its exact count and bytes, every row of
-// /debug/top equals the stream's record, and nothing is dropped.
+// serve: 10,000 streams against K = 128. Corrections: a uniform background
+// and one whale, ingested as coalesced frames by two goroutines at once.
+// Violations: 200 streams with 1…200 δ violations each, audited beside
+// them. Stale: every stream marked once, and 200 of them 2…201 times.
+// Pushed per event, every table past K was noise — misses that evicted
+// some other stream, events dropped to contention, counts carrying an
+// error bound as large as themselves. Read from the records, every row of
+// /debug/top equals the stream's record or the auditor's count, and the
+// heaviest streams rank first.
 func TestTopTablesExactAtPopulation(t *testing.T) {
 	const (
 		streams    = 10_000
@@ -76,10 +79,13 @@ func TestTopTablesExactAtPopulation(t *testing.T) {
 		background = 3  // corrections every other stream receives
 		whaleTotal = 60 // corrections the whale receives
 		whale      = "s00042"
+		offenders  = 200 // streams with distinct violation and stale counts
 	)
 	reg := telemetry.New()
 	rec := diag.NewRecorder(diag.Options{K: k, Registry: reg})
-	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler), Diag: rec})
+	// The watchdog's deadline is far beyond the test, so only the scans
+	// below mark anything.
+	srv := NewServerWith(Options{Metrics: reg, Logger: slog.New(slog.DiscardHandler), Diag: rec, StaleAfter: time.Hour})
 	defer srv.Close()
 	ids := make([]string, streams)
 	for i := range ids {
@@ -88,10 +94,13 @@ func TestTopTablesExactAtPopulation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	violator := func(j int) string { return ids[5000+j] } // j+1 violations
+	staler := func(j int) string { return ids[7000+j] }   // j+2 stale episodes
 
 	// Goroutine g owns the ids congruent to g mod 2: three rounds over them
 	// in 64-record frames. The whale is goroutine 0's, and rides at the
-	// head of its frames until it has its total.
+	// head of its frames until it has its total. A third audits the
+	// violators meanwhile.
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -128,6 +137,15 @@ func TestTopTablesExactAtPopulation(t *testing.T) {
 			flush()
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := range offenders {
+			for tick := range int64(j + 1) {
+				srv.Auditor().Check(violator(j), tick, 2, 1, true)
+			}
+		}
+	}()
 	// A reader beside them, as /debug/top would be: whenever it looks, every
 	// row it gets is some count the stream's record really held.
 	ingested := make(chan struct{})
@@ -135,9 +153,15 @@ func TestTopTablesExactAtPopulation(t *testing.T) {
 	go func() {
 		defer close(readerDone)
 		for {
-			for _, row := range rec.Top(10)[diag.SketchCorrections] {
+			top := rec.Top(10)
+			for _, row := range top[diag.SketchCorrections] {
 				if row.Err != 0 || row.Count > whaleTotal {
-					t.Errorf("mid-ingest row %+v", row)
+					t.Errorf("mid-ingest corrections row %+v", row)
+				}
+			}
+			for _, row := range top[diag.SketchViolations] {
+				if row.Err != 0 || row.Count > offenders {
+					t.Errorf("mid-ingest violations row %+v", row)
 				}
 			}
 			select {
@@ -150,6 +174,22 @@ func TestTopTablesExactAtPopulation(t *testing.T) {
 	wg.Wait()
 	close(ingested)
 	<-readerDone
+
+	// Stale episodes: each scan past the deadline marks every stream not
+	// already stale, and a heartbeat (which moves no correction count)
+	// clears the streams that are owed another episode.
+	far := srv.clock() + 2*int64(time.Hour)
+	for episode := 1; episode <= offenders+1; episode++ {
+		srv.srv.ScanSilent(far)
+		for j := range offenders {
+			if j+2 > episode {
+				hb := netsim.Message{Kind: netsim.KindHeartbeat, StreamID: staler(j), Tick: 1000 + int64(episode)}
+				if err := srv.Apply(&hb); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 
 	if got := rec.Dropped(); got != 0 || regTotal(reg, "diag_events_dropped_total") != 0 {
 		t.Errorf("%d attribution events dropped, want 0", got)
@@ -166,30 +206,50 @@ func TestTopTablesExactAtPopulation(t *testing.T) {
 	if err := json.Unmarshal(resp.Body.Bytes(), &top); err != nil {
 		t.Fatal(err)
 	}
-	if top.Dropped != 0 || top.K != k {
-		t.Errorf("/debug/top dropped %d, k %d, want 0 and %d", top.Dropped, top.K, k)
+	if top.K != k {
+		t.Errorf("/debug/top k %d, want %d", top.K, k)
 	}
-	for _, table := range []string{diag.SketchCorrections, diag.SketchBytes} {
+	heaviest := map[string]string{
+		diag.SketchCorrections: whale,
+		diag.SketchBytes:       whale,
+		diag.SketchViolations:  violator(offenders - 1),
+		diag.SketchStale:       staler(offenders - 1),
+	}
+	for _, table := range diag.TableOrder {
 		rows := top.Sketches[table]
 		if len(rows) != k {
 			t.Fatalf("%s: %d rows, want %d", table, len(rows), k)
 		}
-		if rows[0].ID != whale {
-			t.Errorf("%s: rank 1 is %+v, want the whale", table, rows[0])
+		if rows[0].ID != heaviest[table] {
+			t.Errorf("%s: rank 1 is %+v, want %s", table, rows[0], heaviest[table])
 		}
 		for i, row := range rows {
 			info := mustInfo(t, srv, row.ID)
-			want := info.Corrections
-			if table == diag.SketchBytes {
-				want = info.Bytes
-			}
+			want := map[string]int64{
+				diag.SketchCorrections: info.Corrections,
+				diag.SketchBytes:       info.Bytes,
+				diag.SketchViolations:  srv.Auditor().Stats(row.ID).Violations,
+				diag.SketchStale:       info.StaleEpisodes,
+			}[table]
 			if row.Count != want || row.Err != 0 {
 				t.Errorf("%s row %d: %+v, the record says %d", table, i, row, want)
 			}
-			// The background ties at one count: ranked by ID.
-			if i > 1 && rows[i-1].ID >= row.ID {
-				t.Errorf("%s rows %d,%d out of order: %s, %s", table, i-1, i, rows[i-1].ID, row.ID)
+			// Ranked by count, then ID.
+			if i > 0 && (rows[i-1].Count < row.Count || rows[i-1].Count == row.Count && rows[i-1].ID >= row.ID) {
+				t.Errorf("%s rows %d,%d out of order: %+v, %+v", table, i-1, i, rows[i-1], row)
 			}
+		}
+	}
+	// The offenders' counts are distinct and the table holds the top K of
+	// them, exactly: 200, 199, … for violations, 201, 200, … for stale.
+	for i, row := range top.Sketches[diag.SketchViolations] {
+		if row.ID != violator(offenders-1-i) || row.Count != int64(offenders-i) {
+			t.Fatalf("violations row %d: %+v, want %s=%d", i, row, violator(offenders-1-i), offenders-i)
+		}
+	}
+	for i, row := range top.Sketches[diag.SketchStale] {
+		if row.ID != staler(offenders-1-i) || row.Count != int64(offenders+1-i) {
+			t.Fatalf("stale row %d: %+v, want %s=%d", i, row, staler(offenders-1-i), offenders+1-i)
 		}
 	}
 }

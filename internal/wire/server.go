@@ -845,8 +845,15 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 		}
 		// Fire-and-forget, like corrections. The journal keeps the events
 		// only while tracing is enabled; the auditor always consumes gate
-		// decisions so δ-violation counters work without the ring.
+		// decisions so δ-violation counters work without the ring. An event
+		// naming a stream the node has no record of refuses the rest of the
+		// frame, as a dead handle aborts its batch: the auditor keeps one
+		// entry per stream it hears of, so only registered streams may
+		// grow it.
 		for i := range evs {
+			if _, err := s.srv.Delta(evs[i].StreamID); err != nil {
+				return fmt.Errorf("wire: trace event %d: %w", i, err)
+			}
 			s.node.Trace().Ingest(evs[i])
 			s.node.Auditor().Ingest(evs[i])
 		}

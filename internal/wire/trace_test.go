@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"log/slog"
 	"math"
 	"net"
@@ -198,6 +199,56 @@ func TestSendTraceEmptyAndBad(t *testing.T) {
 	}
 	if n := srv.Trace().Recorded(); n != 0 {
 		t.Fatalf("bad payloads recorded %d events", n)
+	}
+}
+
+// TestTraceRefusedForUnregisteredStreams: the auditor keeps one entry per
+// stream it hears of, so a trace frame may name only streams the node has a
+// record of. 1,000 gate events for made-up ids grow it by nothing — the
+// first refuses the frame, pushed as FrameRefused — and in a frame that
+// mixes them, the events before the first unknown id stay ingested.
+func TestTraceRefusedForUnregisteredStreams(t *testing.T) {
+	srv, addr, shutdown := startTracedServer(t)
+	defer shutdown()
+	conn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	gate := func(id string, tick int64) trace.Event {
+		return trace.Event{StreamID: id, Tick: tick, Stage: trace.StageGate, Outcome: trace.OutcomeSuppressed, Value: 2, Aux: 1}
+	}
+	ghosts := make([]trace.Event, 1000)
+	for i := range ghosts {
+		ghosts[i] = gate(fmt.Sprintf("ghost-%04d", i), 0)
+	}
+	if err := conn.SendTrace(ghosts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Metrics(); err != nil { // a round trip: the frame was handled
+		t.Fatal(err)
+	}
+	if n := len(srv.Auditor().All()); n != 0 {
+		t.Fatalf("auditor holds %d streams after 1,000 events for unregistered ids, want 0", n)
+	}
+	if err := conn.FlushCorrections(); !errors.Is(err, ErrServer) || !strings.Contains(err.Error(), "ghost-0000") {
+		t.Fatalf("unregistered trace events reported as %v, want a refusal naming ghost-0000", err)
+	}
+
+	if err := conn.Register("w", cvSpec(), 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SendTrace([]trace.Event{gate("w", 0), gate("w", 1), gate("ghost", 2), gate("w", 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Metrics(); err != nil {
+		t.Fatal(err)
+	}
+	if all := srv.Auditor().All(); len(all) != 1 || all[0].StreamID != "w" || all[0].Ticks != 2 || all[0].Violations != 2 {
+		t.Fatalf("auditor holds %+v, want w's two events before the unknown id", all)
+	}
+	if err := conn.FlushCorrections(); !errors.Is(err, ErrServer) {
+		t.Fatalf("mixed frame reported as %v, want its refusal", err)
 	}
 }
 
