@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kalmanstream/internal/resource"
+	"kalmanstream/internal/resource/resourcetest"
 	"kalmanstream/internal/stream"
 	"kalmanstream/internal/telemetry"
 )
@@ -74,8 +75,8 @@ func e8Sweep(t *testing.T, alloc resource.Allocator, budget float64, ticks, seed
 // TestIncrementalAllocatorsMatchE8Sweep is the end-to-end half of the
 // incremental-allocation equivalence suite: it replays the E8 budget
 // sweep (every budget point, 32 heterogeneous streams) once with the
-// stateless from-scratch allocator and once with its incremental,
-// cache-backed counterpart, and requires every headline number —
+// closed-form oracle (resourcetest) and once with the caching allocator
+// production runs, and requires every headline number —
 // achieved rate, mean δ, max δ, reallocation rounds — to be
 // bit-identical. Any divergence in any allocation of any round would
 // cascade into different correction traffic and fail here.
@@ -88,17 +89,17 @@ func TestIncrementalAllocatorsMatchE8Sweep(t *testing.T) {
 		scratch resource.Allocator
 		fresh   func() resource.Allocator
 	}{
-		{"fair-share", resource.FairShare{}, func() resource.Allocator { return resource.NewIncrementalFairShare() }},
-		{"water-filling", resource.WaterFilling{}, func() resource.Allocator { return resource.NewIncrementalWaterFilling() }},
+		{"fair-share", resourcetest.FairShare{}, func() resource.Allocator { return &resource.FairShare{} }},
+		{"water-filling", resourcetest.WaterFilling{}, func() resource.Allocator { return &resource.WaterFilling{} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, budget := range []float64{0.5, 1, 2, 4} {
 				wantRate, wantMean, wantMax, wantRounds := e8Sweep(t, tc.scratch, budget, 4000, 42)
-				// Fresh incremental instance per combo, exactly as
+				// Fresh caching instance per combo, exactly as
 				// resource.ByName hands one to NewSystem.
 				gotRate, gotMean, gotMax, gotRounds := e8Sweep(t, tc.fresh(), budget, 4000, 42)
 				if gotRounds != wantRounds || gotRounds != 4000/500 {
-					t.Fatalf("budget %g: rounds %d, from-scratch %d, want %d", budget, gotRounds, wantRounds, 4000/500)
+					t.Fatalf("budget %g: rounds %d, closed form %d, want %d", budget, gotRounds, wantRounds, 4000/500)
 				}
 				for _, c := range []struct {
 					field     string
@@ -109,7 +110,7 @@ func TestIncrementalAllocatorsMatchE8Sweep(t *testing.T) {
 					{"max delta", gotMax, wantMax},
 				} {
 					if math.Float64bits(c.got) != math.Float64bits(c.want) {
-						t.Fatalf("budget %g: %s diverged: incremental %x != from-scratch %x",
+						t.Fatalf("budget %g: %s diverged: cached %x != closed form %x",
 							budget, c.field, math.Float64bits(c.got), math.Float64bits(c.want))
 					}
 				}

@@ -11,7 +11,7 @@
 // no access to raw measurements is needed, so allocation runs entirely at
 // the server.
 //
-// Allocators:
+// One allocator per budget policy:
 //
 //   - Uniform      — one δ shared by all streams, sized to the budget.
 //   - FairShare    — every stream gets an equal slice of the message
@@ -20,6 +20,10 @@
 //     optimum δᵢ ∝ (cᵢ/wᵢ)^⅓.
 //   - AIMD         — decentralized feedback: multiplicative increase of
 //     δᵢ when a stream overspends its share, gentle decrease otherwise.
+//
+// FairShare and WaterFilling cache each stream's terms between rounds
+// (incremental.go); the closed forms they must equal bit for bit are the
+// test oracles in internal/resource/resourcetest.
 package resource
 
 import (
@@ -52,7 +56,8 @@ func (w StreamWindow) rate() float64 {
 	return float64(w.Msgs) / float64(w.Ticks)
 }
 
-func (w StreamWindow) clamp(delta float64) float64 {
+// Clamp bounds delta to [MinDelta, MaxDelta]; a zero bound is no bound.
+func (w StreamWindow) Clamp(delta float64) float64 {
 	if w.MinDelta > 0 && delta < w.MinDelta {
 		delta = w.MinDelta
 	}
@@ -64,21 +69,16 @@ func (w StreamWindow) clamp(delta float64) float64 {
 
 // Allocator computes new per-stream precision bounds from window
 // statistics and a total budget (messages per tick, summed over streams).
+// Allocate writes the bounds into out, which has length len(windows) and
+// may hold a previous round's values, and returns it — so a steady-state
+// reallocation round performs no heap allocation.
 type Allocator interface {
 	Name() string
-	Allocate(windows []StreamWindow, budgetPerTick float64) []float64
+	Allocate(out []float64, windows []StreamWindow, budgetPerTick float64) []float64
 }
 
-// IntoAllocator is implemented by allocators that can write allocations
-// into a caller-provided buffer of length len(windows), so a steady-state
-// reallocation round performs no heap allocation. Allocate and
-// AllocateInto must produce identical values.
-type IntoAllocator interface {
-	AllocateInto(out []float64, windows []StreamWindow, budgetPerTick float64) []float64
-}
-
-// TermStats is implemented by incremental allocators; it reports how
-// many per-stream terms were recomputed versus served from cache across
+// TermStats is implemented by the allocators that cache per-stream terms;
+// it reports how many were recomputed versus served from cache across
 // all rounds so far — the coordinator surfaces the split as the
 // incremental-skip telemetry counters.
 type TermStats interface {
@@ -86,14 +86,8 @@ type TermStats interface {
 }
 
 var (
-	_ IntoAllocator = Uniform{}
-	_ IntoAllocator = FairShare{}
-	_ IntoAllocator = WaterFilling{}
-	_ IntoAllocator = AIMD{}
-	_ IntoAllocator = (*IncrementalWaterFilling)(nil)
-	_ IntoAllocator = (*IncrementalFairShare)(nil)
-	_ TermStats     = (*IncrementalWaterFilling)(nil)
-	_ TermStats     = (*IncrementalFairShare)(nil)
+	_ TermStats = (*WaterFilling)(nil)
+	_ TermStats = (*FairShare)(nil)
 )
 
 // zeroFill zeroes out and returns it — the empty-input/zero-budget
@@ -134,12 +128,7 @@ type Uniform struct{}
 func (Uniform) Name() string { return "uniform" }
 
 // Allocate implements Allocator.
-func (u Uniform) Allocate(windows []StreamWindow, budgetPerTick float64) []float64 {
-	return u.AllocateInto(make([]float64, len(windows)), windows, budgetPerTick)
-}
-
-// AllocateInto implements IntoAllocator.
-func (Uniform) AllocateInto(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
+func (Uniform) Allocate(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
 	if len(windows) == 0 || budgetPerTick <= 0 {
 		return zeroFill(out)
 	}
@@ -149,70 +138,7 @@ func (Uniform) AllocateInto(out []float64, windows []StreamWindow, budgetPerTick
 	}
 	delta := math.Sqrt(totalC / budgetPerTick)
 	for i, w := range windows {
-		out[i] = w.clamp(delta)
-	}
-	return out
-}
-
-// FairShare gives each stream an equal message allowance B/n and sizes
-// δᵢ to it: δᵢ = √(n·cᵢ/B). Volatile streams get loose bounds; calm
-// streams get tight ones.
-type FairShare struct{}
-
-// Name implements Allocator.
-func (FairShare) Name() string { return "fair-share" }
-
-// Allocate implements Allocator.
-func (f FairShare) Allocate(windows []StreamWindow, budgetPerTick float64) []float64 {
-	return f.AllocateInto(make([]float64, len(windows)), windows, budgetPerTick)
-}
-
-// AllocateInto implements IntoAllocator.
-func (FairShare) AllocateInto(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
-	if len(windows) == 0 || budgetPerTick <= 0 {
-		return zeroFill(out)
-	}
-	share := budgetPerTick / float64(len(windows))
-	for i, w := range windows {
-		out[i] = w.clamp(math.Sqrt(w.CostEstimate / share))
-	}
-	return out
-}
-
-// WaterFilling minimizes the weighted precision loss Σ wᵢδᵢ subject to
-// Σ cᵢ/δᵢ² ≤ B. The stationarity condition gives δᵢ = s·(cᵢ/wᵢ)^⅓ with
-// the scale s chosen to exhaust the budget.
-type WaterFilling struct{}
-
-// Name implements Allocator.
-func (WaterFilling) Name() string { return "water-filling" }
-
-// Allocate implements Allocator.
-func (wf WaterFilling) Allocate(windows []StreamWindow, budgetPerTick float64) []float64 {
-	return wf.AllocateInto(make([]float64, len(windows)), windows, budgetPerTick)
-}
-
-// AllocateInto implements IntoAllocator.
-func (WaterFilling) AllocateInto(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
-	if len(windows) == 0 || budgetPerTick <= 0 {
-		return zeroFill(out)
-	}
-	// Σ cᵢ/(s²(cᵢ/wᵢ)^⅔) = B  ⇒  s = √(Σ cᵢ^⅓·wᵢ^⅔ / B).
-	var acc float64
-	for _, w := range windows {
-		weight := w.Weight
-		if weight <= 0 {
-			weight = 1
-		}
-		acc += math.Cbrt(w.CostEstimate) * math.Pow(weight, 2.0/3.0)
-	}
-	s := math.Sqrt(acc / budgetPerTick)
-	for i, w := range windows {
-		weight := w.Weight
-		if weight <= 0 {
-			weight = 1
-		}
-		out[i] = w.clamp(s * math.Cbrt(w.CostEstimate/weight))
+		out[i] = w.Clamp(delta)
 	}
 	return out
 }
@@ -222,33 +148,19 @@ func (WaterFilling) AllocateInto(out []float64, windows []StreamWindow, budgetPe
 // budget, additive-flavoured gentle decrease when it underspent. Requires
 // no cost model at all, converges more slowly, and serves as the
 // decentralized baseline.
-type AIMD struct {
-	// Increase is the multiplicative δ growth factor on overspend
-	// (default 1.5).
-	Increase float64
-	// Decrease is the multiplicative δ shrink factor on underspend
-	// (default 0.95).
-	Decrease float64
-}
+type AIMD struct{}
+
+// AIMD's multiplicative δ steps: growth on overspend, shrink on underspend.
+const (
+	aimdIncrease = 1.5
+	aimdDecrease = 0.95
+)
 
 // Name implements Allocator.
 func (AIMD) Name() string { return "aimd" }
 
 // Allocate implements Allocator.
-func (a AIMD) Allocate(windows []StreamWindow, budgetPerTick float64) []float64 {
-	return a.AllocateInto(make([]float64, len(windows)), windows, budgetPerTick)
-}
-
-// AllocateInto implements IntoAllocator.
-func (a AIMD) AllocateInto(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
-	inc := a.Increase
-	if inc <= 1 {
-		inc = 1.5
-	}
-	dec := a.Decrease
-	if dec <= 0 || dec >= 1 {
-		dec = 0.95
-	}
+func (AIMD) Allocate(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
 	if len(windows) == 0 || budgetPerTick <= 0 {
 		return zeroFill(out)
 	}
@@ -259,27 +171,24 @@ func (a AIMD) AllocateInto(out []float64, windows []StreamWindow, budgetPerTick 
 			delta = math.SmallestNonzeroFloat64
 		}
 		if w.rate() > share {
-			delta *= inc
+			delta *= aimdIncrease
 		} else {
-			delta *= dec
+			delta *= aimdDecrease
 		}
-		out[i] = w.clamp(delta)
+		out[i] = w.Clamp(delta)
 	}
 	return out
 }
 
-// ByName returns the allocator with the given name. For the model-based
-// allocators it returns the incremental variants, which are proven
-// byte-identical to the from-scratch solvers (see incremental.go) and
-// amortize the per-round transcendental work.
+// ByName returns a fresh allocator for the named policy.
 func ByName(name string) (Allocator, error) {
 	switch name {
 	case "uniform":
 		return Uniform{}, nil
 	case "fair-share":
-		return NewIncrementalFairShare(), nil
+		return &FairShare{}, nil
 	case "water-filling":
-		return NewIncrementalWaterFilling(), nil
+		return &WaterFilling{}, nil
 	case "aimd":
 		return AIMD{}, nil
 	default:

@@ -14,6 +14,11 @@ func windows3() []StreamWindow {
 	}
 }
 
+// allocate runs one round of a into a fresh buffer.
+func allocate(a Allocator, ws []StreamWindow, budget float64) []float64 {
+	return a.Allocate(make([]float64, len(ws)), ws, budget)
+}
+
 // predictedRate computes Σ cᵢ/δᵢ² for an allocation.
 func predictedRate(ws []StreamWindow, deltas []float64) float64 {
 	var r float64
@@ -26,7 +31,7 @@ func predictedRate(ws []StreamWindow, deltas []float64) float64 {
 func TestUniformMeetsBudgetUnderModel(t *testing.T) {
 	ws := windows3()
 	budget := 0.5
-	deltas := Uniform{}.Allocate(ws, budget)
+	deltas := allocate(Uniform{}, ws, budget)
 	for i := 1; i < len(deltas); i++ {
 		if deltas[i] != deltas[0] {
 			t.Fatalf("uniform produced non-uniform deltas %v", deltas)
@@ -40,7 +45,7 @@ func TestUniformMeetsBudgetUnderModel(t *testing.T) {
 func TestFairShareEqualizesRates(t *testing.T) {
 	ws := windows3()
 	budget := 0.6
-	deltas := FairShare{}.Allocate(ws, budget)
+	deltas := allocate(&FairShare{}, ws, budget)
 	share := budget / 3
 	for i, w := range ws {
 		r := w.CostEstimate / (deltas[i] * deltas[i])
@@ -57,11 +62,11 @@ func TestFairShareEqualizesRates(t *testing.T) {
 func TestWaterFillingMeetsBudgetAndBeatsUniformOnWeightedLoss(t *testing.T) {
 	ws := windows3()
 	budget := 0.5
-	wf := WaterFilling{}.Allocate(ws, budget)
+	wf := allocate(&WaterFilling{}, ws, budget)
 	if r := predictedRate(ws, wf); math.Abs(r-budget) > 1e-9 {
 		t.Fatalf("water-filling predicted rate %v, want %v", r, budget)
 	}
-	uni := Uniform{}.Allocate(ws, budget)
+	uni := allocate(Uniform{}, ws, budget)
 	loss := func(deltas []float64) float64 {
 		var l float64
 		for i, w := range ws {
@@ -79,7 +84,7 @@ func TestWaterFillingRespectsWeights(t *testing.T) {
 		{ID: "vip", CostEstimate: 4, Weight: 100},
 		{ID: "bulk", CostEstimate: 4, Weight: 1},
 	}
-	deltas := WaterFilling{}.Allocate(ws, 0.5)
+	deltas := allocate(&WaterFilling{}, ws, 0.5)
 	if deltas[0] >= deltas[1] {
 		t.Fatalf("high-weight stream got looser bound: %v", deltas)
 	}
@@ -93,7 +98,7 @@ func TestAIMDDirection(t *testing.T) {
 		{ID: "over", Delta: 2, Msgs: 40, Ticks: 100},
 		{ID: "under2", Delta: 2, Msgs: 5, Ticks: 100},
 	}
-	deltas := AIMD{}.Allocate(ws, 0.3)
+	deltas := allocate(AIMD{}, ws, 0.3)
 	if deltas[1] <= 2 {
 		t.Fatalf("overspender's δ not increased: %v", deltas[1])
 	}
@@ -103,22 +108,22 @@ func TestAIMDDirection(t *testing.T) {
 }
 
 func TestAllocatorsClampAndHandleEmpty(t *testing.T) {
-	allocs := []Allocator{Uniform{}, FairShare{}, WaterFilling{}, AIMD{}}
+	allocs := []Allocator{Uniform{}, &FairShare{}, &WaterFilling{}, AIMD{}}
 	for _, a := range allocs {
-		if got := a.Allocate(nil, 1); len(got) != 0 {
+		if got := allocate(a, nil, 1); len(got) != 0 {
 			t.Errorf("%s: empty windows produced %v", a.Name(), got)
 		}
 		ws := []StreamWindow{{ID: "x", Delta: 1, Msgs: 100, Ticks: 100,
 			CostEstimate: 100, MinDelta: 0.5, MaxDelta: 2}}
-		got := a.Allocate(ws, 0.0001) // starvation budget wants huge δ
+		got := allocate(a, ws, 0.0001) // starvation budget wants huge δ
 		if got[0] > 2 {
 			t.Errorf("%s: MaxDelta not respected: %v", a.Name(), got[0])
 		}
-		got = a.Allocate(ws, 1e9) // lavish budget wants tiny δ
+		got = allocate(a, ws, 1e9) // lavish budget wants tiny δ
 		if got[0] < 0.5 {
 			t.Errorf("%s: MinDelta not respected: %v", a.Name(), got[0])
 		}
-		if got := a.Allocate(ws, 0); got[0] != 0 {
+		if got := allocate(a, ws, 0); got[0] != 0 {
 			t.Errorf("%s: zero budget produced %v", a.Name(), got)
 		}
 	}
@@ -157,6 +162,11 @@ func TestByName(t *testing.T) {
 		}
 		if a.Name() != name {
 			t.Fatalf("ByName(%q).Name() = %q", name, a.Name())
+		}
+		// The model-based policies are their caching allocators, so the
+		// coordinator's terms counters are live wherever a budget runs.
+		if _, caches := a.(TermStats); caches != (name == "fair-share" || name == "water-filling") {
+			t.Fatalf("ByName(%q) caches terms: %v", name, caches)
 		}
 	}
 	if _, err := ByName("nope"); err == nil {

@@ -30,8 +30,7 @@ type managed struct {
 // sends them through the provided downlink so their cost is accounted.
 type Coordinator struct {
 	alloc         Allocator
-	intoAlloc     IntoAllocator // non-nil when alloc supports AllocateInto
-	termStats     TermStats     // non-nil when alloc reports cache stats
+	termStats     TermStats // non-nil when alloc reports cache stats
 	srv           *server.Server
 	budgetPerTick float64
 	period        int64
@@ -107,9 +106,6 @@ func NewCoordinator(alloc Allocator, srv *server.Server, cfg CoordinatorConfig) 
 		telRecomputed:   reg.Counter("coordinator_terms_recomputed_total"),
 		telReused:       reg.Counter("coordinator_terms_reused_total"),
 	}
-	if into, ok := alloc.(IntoAllocator); ok {
-		c.intoAlloc = into
-	}
 	if ts, ok := alloc.(TermStats); ok {
 		c.termStats = ts
 	}
@@ -179,12 +175,7 @@ func (c *Coordinator) reallocate() error {
 	// Utilization of the window that just closed: observed messages per
 	// tick over the budgeted rate.
 	c.telUtilization.Set(float64(windowMsgs) / (c.budgetPerTick * float64(c.period)))
-	var deltas []float64
-	if c.intoAlloc != nil {
-		deltas = c.intoAlloc.AllocateInto(c.deltaScratch[:len(windows)], windows, c.budgetPerTick)
-	} else {
-		deltas = c.alloc.Allocate(windows, c.budgetPerTick)
-	}
+	deltas := c.alloc.Allocate(c.deltaScratch[:len(windows)], windows, c.budgetPerTick)
 	if len(deltas) != len(windows) {
 		return fmt.Errorf("resource: allocator %s returned %d deltas for %d streams",
 			c.alloc.Name(), len(deltas), len(windows))

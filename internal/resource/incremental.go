@@ -1,29 +1,32 @@
 package resource
 
-// Incremental allocators. The from-scratch solvers recompute every
-// stream's transcendental terms (cube roots, fractional powers, square
-// roots) on every round, even though between consecutive rounds most
-// cost estimates barely move — and under heavy smoothing many do not
-// move at all. The incremental variants cache each stream's terms keyed
-// on the exact input values and recompute only the streams whose
-// statistics changed; the budget accumulator Σ cᵢ^⅓·wᵢ^⅔ is then
+// The model-based policies, incrementally. A closed-form solver
+// recomputes every stream's transcendental terms (cube roots, fractional
+// powers, square roots) on every round, even though between consecutive
+// rounds most cost estimates barely move — and under heavy smoothing
+// many do not move at all. WaterFilling and FairShare cache each stream's
+// terms keyed on the exact input values and recompute only the streams
+// whose statistics changed; the budget accumulator Σ cᵢ^⅓·wᵢ^⅔ is then
 // re-summed from the cached terms in the same index order as the
-// from-scratch loop.
+// closed-form loop.
 //
 // Byte-identity argument: a cached term is reused only when its inputs
 // compare == to the previous round's, and Go's math.Cbrt/Pow/Sqrt are
 // deterministic pure functions — so a reused term is bit-for-bit the
-// value the from-scratch solver would have produced. Because the final
+// value the closed form would have produced. Because the final
 // summation runs over all terms in index order (identical association
-// order to the from-scratch loop), the accumulator, the scale factor,
-// and every clamped δ are bit-identical too. The equivalence suite in
-// incremental_test.go asserts this across the full E8 sweep.
+// order to the closed-form loop), the accumulator, the scale factor,
+// and every clamped δ are bit-identical too. incremental_test.go holds
+// them to the closed forms in resourcetest round by round, and
+// internal/core's budget_test.go across the full E8 sweep.
 
 import "math"
 
-// IncrementalWaterFilling is a stateful, cache-backed WaterFilling.
-// Not safe for concurrent use; a coordinator owns one instance.
-type IncrementalWaterFilling struct {
+// WaterFilling minimizes the weighted precision loss Σ wᵢδᵢ subject to
+// Σ cᵢ/δᵢ² ≤ B. The stationarity condition gives δᵢ = s·(cᵢ/wᵢ)^⅓ with
+// the scale s chosen to exhaust the budget. The zero value is an empty
+// cache; not safe for concurrent use — a coordinator owns one instance.
+type WaterFilling struct {
 	cost   []float64 // cached CostEstimate per index
 	weight []float64 // cached normalized weight per index
 	term   []float64 // cᵢ^⅓·wᵢ^⅔
@@ -33,26 +36,15 @@ type IncrementalWaterFilling struct {
 	reused     int64
 }
 
-// NewIncrementalWaterFilling returns an empty-cache incremental
-// water-filling allocator.
-func NewIncrementalWaterFilling() *IncrementalWaterFilling {
-	return &IncrementalWaterFilling{}
-}
-
 // Name implements Allocator.
-func (*IncrementalWaterFilling) Name() string { return "water-filling" }
+func (*WaterFilling) Name() string { return "water-filling" }
 
 // Allocate implements Allocator.
-func (a *IncrementalWaterFilling) Allocate(windows []StreamWindow, budgetPerTick float64) []float64 {
-	return a.AllocateInto(make([]float64, len(windows)), windows, budgetPerTick)
-}
-
-// AllocateInto implements IntoAllocator. out must have length
-// len(windows).
-func (a *IncrementalWaterFilling) AllocateInto(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
+func (a *WaterFilling) Allocate(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
 	if len(windows) == 0 || budgetPerTick <= 0 {
 		return zeroFill(out)
 	}
+	// Σ cᵢ/(s²(cᵢ/wᵢ)^⅔) = B  ⇒  s = √(Σ cᵢ^⅓·wᵢ^⅔ / B).
 	resetAll := len(a.cost) != len(windows)
 	if resetAll {
 		a.cost = make([]float64, len(windows))
@@ -79,19 +71,21 @@ func (a *IncrementalWaterFilling) AllocateInto(out []float64, windows []StreamWi
 	}
 	s := math.Sqrt(acc / budgetPerTick)
 	for i, w := range windows {
-		out[i] = w.clamp(s * a.ratio[i])
+		out[i] = w.Clamp(s * a.ratio[i])
 	}
 	return out
 }
 
 // TermStats implements TermStats.
-func (a *IncrementalWaterFilling) TermStats() (recomputed, reused int64) {
+func (a *WaterFilling) TermStats() (recomputed, reused int64) {
 	return a.recomputed, a.reused
 }
 
-// IncrementalFairShare is a stateful, cache-backed FairShare. Not safe
-// for concurrent use; a coordinator owns one instance.
-type IncrementalFairShare struct {
+// FairShare gives each stream an equal message allowance B/n and sizes
+// δᵢ to it: δᵢ = √(n·cᵢ/B). Volatile streams get loose bounds; calm
+// streams get tight ones. The zero value is an empty cache; not safe for
+// concurrent use — a coordinator owns one instance.
+type FairShare struct {
 	cost []float64 // cached CostEstimate per index
 	root []float64 // √(cᵢ/share)
 	// share the cache was computed under; it moves only when the stream
@@ -102,23 +96,11 @@ type IncrementalFairShare struct {
 	reused     int64
 }
 
-// NewIncrementalFairShare returns an empty-cache incremental fair-share
-// allocator.
-func NewIncrementalFairShare() *IncrementalFairShare {
-	return &IncrementalFairShare{}
-}
-
 // Name implements Allocator.
-func (*IncrementalFairShare) Name() string { return "fair-share" }
+func (*FairShare) Name() string { return "fair-share" }
 
 // Allocate implements Allocator.
-func (a *IncrementalFairShare) Allocate(windows []StreamWindow, budgetPerTick float64) []float64 {
-	return a.AllocateInto(make([]float64, len(windows)), windows, budgetPerTick)
-}
-
-// AllocateInto implements IntoAllocator. out must have length
-// len(windows).
-func (a *IncrementalFairShare) AllocateInto(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
+func (a *FairShare) Allocate(out []float64, windows []StreamWindow, budgetPerTick float64) []float64 {
 	if len(windows) == 0 || budgetPerTick <= 0 {
 		return zeroFill(out)
 	}
@@ -137,12 +119,12 @@ func (a *IncrementalFairShare) AllocateInto(out []float64, windows []StreamWindo
 		} else {
 			a.reused++
 		}
-		out[i] = w.clamp(a.root[i])
+		out[i] = w.Clamp(a.root[i])
 	}
 	return out
 }
 
 // TermStats implements TermStats.
-func (a *IncrementalFairShare) TermStats() (recomputed, reused int64) {
+func (a *FairShare) TermStats() (recomputed, reused int64) {
 	return a.recomputed, a.reused
 }
