@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"kalmanstream/internal/core"
@@ -27,6 +29,7 @@ import (
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/stream"
 	"kalmanstream/internal/telemetry"
+	"kalmanstream/internal/trace"
 	"kalmanstream/internal/wal"
 	"kalmanstream/internal/wire"
 )
@@ -233,6 +236,100 @@ func BenchmarkProtocolTickKalman(b *testing.B) {
 // baseline, isolating the predictor's share of the cost.
 func BenchmarkProtocolTickStatic(b *testing.B) {
 	benchProtocolTick(b, predictor.Spec{Kind: predictor.KindStatic, Dim: 1})
+}
+
+// observeTraceLen is the pre-drawn measurement trace a gate benchmark
+// cycles through (a power of two, so the index is a mask).
+const observeTraceLen = 1 << 16
+
+// observeTrace pre-draws a seeded measurement trace: a random walk, or a
+// noisy sinusoid for the constant-velocity gate.
+func observeTrace(b *testing.B, sine bool) []float64 {
+	b.Helper()
+	var g stream.Stream = stream.NewRandomWalk(1, 0, 0.5, 0.05, observeTraceLen)
+	if sine {
+		g = stream.NewSine(1, 0, 10, 275, 0, 0.1, observeTraceLen)
+	}
+	z := make([]float64, observeTraceLen)
+	for i := range z {
+		p, ok := g.Next()
+		if !ok {
+			b.Fatal("stream exhausted")
+		}
+		z[i] = p.Value[0]
+	}
+	return z
+}
+
+// observeGate builds a gate configured as the deployed-path benchmark's:
+// heartbeats every 200 ticks, tracing off, messages recycled.
+func observeGate(b *testing.B, id string, spec predictor.Spec, delta float64, reg *telemetry.Registry) *source.Source {
+	b.Helper()
+	src, err := source.New(source.Config{StreamID: id, Spec: spec, Delta: delta,
+		HeartbeatEvery: 200, Telemetry: reg, Trace: trace.NewJournal(1, 1)},
+		func(m *netsim.Message) { netsim.PutMessage(m) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	return src
+}
+
+// BenchmarkSourceObserve prices one precision-gate tick — replica step,
+// H·x, the deviation and the decision — on a pre-drawn seeded trace, so
+// only Observe is timed: the shape of the deployed-path benchmark's
+// source.observe_ns probe, for its population's two Kalman specs. The
+// shared-registry case runs GOMAXPROCS rw1 gates on one registry, as
+// `streamkf run -parallel` and a multi-gate source do, so every counter a
+// suppressed tick writes is contended.
+func BenchmarkSourceObserve(b *testing.B) {
+	rw1 := predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.25, R: 0.0025}}
+	cv2 := predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}}
+	for _, tc := range []struct {
+		name  string
+		spec  predictor.Spec
+		delta float64
+		sine  bool
+	}{{"rw1", rw1, 1, false}, {"cv2", cv2, 0.5, true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			z := observeTrace(b, tc.sine)
+			src := observeGate(b, "s", tc.spec, tc.delta, telemetry.New())
+			v := make([]float64, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v[0] = z[i&(observeTraceLen-1)]
+				if _, err := src.Observe(int64(i), v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(src.Stats().Sent)/float64(b.N), "msgs/tick")
+		})
+	}
+	b.Run("shared-registry", func(b *testing.B) {
+		z := observeTrace(b, false)
+		reg := telemetry.New()
+		gates := make([]*source.Source, runtime.GOMAXPROCS(0))
+		for i := range gates {
+			gates[i] = observeGate(b, fmt.Sprintf("s%d", i), rw1, 1, reg)
+		}
+		var next atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			src := gates[next.Add(1)-1]
+			v := make([]float64, 1)
+			for i := 0; pb.Next(); i++ {
+				v[0] = z[i&(observeTraceLen-1)]
+				if _, err := src.Observe(int64(i), v); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
 
 // benchMonitor builds the SLO monitor wired into the scale benchmarks

@@ -298,7 +298,14 @@ func (f *Filter) Observation() []float64 {
 // ObservationInto computes H·x into dst, which must have length ObsDim.
 // It is the allocation-free twin of Observation for per-tick callers.
 func (f *Filter) ObservationInto(dst []float64) []float64 {
-	mat.MulVecTo(dst, f.model.H, f.x)
+	switch f.shape {
+	case shape1x1:
+		dst[0] = f.observe1x1()
+	case shape2x1:
+		dst[0] = f.observe2x1()
+	default:
+		mat.MulVecTo(dst, f.model.H, f.x)
+	}
 	return dst
 }
 
@@ -312,19 +319,6 @@ func (f *Filter) ObservationVariance() []float64 {
 		out[i] = s.At(i, i)
 	}
 	return out
-}
-
-// ObservationAfter returns the observation the filter would predict after
-// k further Predict steps, without mutating the filter. k = 0 returns the
-// current observation.
-func (f *Filter) ObservationAfter(k int) []float64 {
-	x := mat.VecClone(f.x)
-	next := make([]float64, len(x))
-	for i := 0; i < k; i++ {
-		mat.MulVecTo(next, f.model.F, x)
-		x, next = next, x
-	}
-	return mat.MulVec(f.model.H, x)
 }
 
 // Innovation returns the pre-update innovation y = z − H·x and its

@@ -136,20 +136,6 @@ func TestScalarKalmanMatchesClosedForm(t *testing.T) {
 	}
 }
 
-func TestObservationAfter(t *testing.T) {
-	f := MustFilter(ConstantVelocity(1, 0.01, 1), []float64{0, 2}, InitialCovariance(2, 1))
-	if got := f.ObservationAfter(0)[0]; got != 0 {
-		t.Fatalf("ObservationAfter(0) = %v", got)
-	}
-	if got := f.ObservationAfter(3)[0]; math.Abs(got-6) > 1e-12 {
-		t.Fatalf("ObservationAfter(3) = %v, want 6", got)
-	}
-	// Must not mutate the filter.
-	if got := f.Observation()[0]; got != 0 {
-		t.Fatalf("ObservationAfter mutated filter: observation = %v", got)
-	}
-}
-
 func TestInnovationAndNIS(t *testing.T) {
 	f := newRWFilter(t, 0.1, 1)
 	y, s, err := f.Innovation([]float64{4})

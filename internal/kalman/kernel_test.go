@@ -17,7 +17,8 @@ func forceGeneric(f *Filter) {
 }
 
 // sameBits fails the test unless the two filters hold bit-equal x and P
-// and equal counters.
+// and equal counters, and the kernel's H·x (ObservationInto) is bit-equal
+// to mat.MulVecTo over the same block.
 func sameBits(t *testing.T, where string, kernel, generic *Filter) {
 	t.Helper()
 	for i := range kernel.blk {
@@ -30,6 +31,12 @@ func sameBits(t *testing.T, where string, kernel, generic *Filter) {
 	if kernel.Ticks() != generic.Ticks() || kernel.Updates() != generic.Updates() {
 		t.Fatalf("%s: counters diverged: kernel %d/%d generic %d/%d", where,
 			kernel.Ticks(), kernel.Updates(), generic.Ticks(), generic.Updates())
+	}
+	got, want := kernel.ObservationInto([]float64{math.NaN()}), []float64{math.NaN()}
+	mat.MulVecTo(want, generic.model.H, generic.x)
+	if math.Float64bits(got[0]) != math.Float64bits(want[0]) {
+		t.Fatalf("%s: H·x diverged: kernel %x (%g) MulVecTo %x (%g)", where,
+			math.Float64bits(got[0]), got[0], math.Float64bits(want[0]), want[0])
 	}
 }
 
@@ -76,11 +83,14 @@ func randomP0(rng *rand.Rand, n int) *mat.Matrix {
 // shape that has one, a kernel filter and a control forced onto the mat
 // path run the same random interleaving of Predict, PredictN, Update,
 // SetNoise and snapshot/restore — over models that include q = 0, r = 0,
-// P₀ = 0 and observations of 0 and −0 — and must agree on every bit of the
-// block (F, Q, H, R, P, x), on the counters and on every error.
+// P₀ = 0, x₀ = −0 and observations of 0 and −0 — and must agree on every
+// bit of the block (F, Q, H, R, P, x), on H·x (ObservationInto against
+// mat.MulVecTo), on the counters and on every error. Some updates are
+// refused, so H·x is also compared after a refusal.
 func TestKernelBitIdentical(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	rng := rand.New(rand.NewSource(16))
+	refused := 0
 	for trial := 0; trial < 640; trial++ {
 		var model *Model
 		var want shape
@@ -97,6 +107,12 @@ func TestKernelBitIdentical(t *testing.T) {
 			for i := range x0 {
 				x0[i] = rng.NormFloat64() * 50
 			}
+		} else if trial%3 == 0 {
+			// −0 survives until the first time update: H·x must sum it
+			// from a +0 start, as MulVecTo does.
+			for i := range x0 {
+				x0[i] = negZero
+			}
 		}
 		p0 := randomP0(rng, n)
 		kernel, generic := MustFilter(model, x0, p0), MustFilter(model, x0, p0)
@@ -104,6 +120,7 @@ func TestKernelBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d: %s filter has shape %d, scratch %v", trial, model.Name, kernel.shape, kernel.g != nil)
 		}
 		forceGeneric(generic)
+		sameBits(t, model.Name, kernel, generic)
 
 		truth := rng.NormFloat64() * 10
 		for step := 0; step < 400; step++ {
@@ -124,6 +141,9 @@ func TestKernelBitIdentical(t *testing.T) {
 				if (ke == nil) != (ge == nil) || (ke != nil && ke.Error() != ge.Error()) {
 					t.Fatalf("trial %d step %d: update errors diverged: kernel %v generic %v", trial, step, ke, ge)
 				}
+				if ke != nil {
+					refused++
+				}
 			case op < 19:
 				// A resync: each side restores the other's snapshot.
 				kx, kp := kernel.State(), kernel.Covariance()
@@ -142,6 +162,9 @@ func TestKernelBitIdentical(t *testing.T) {
 			}
 			sameBits(t, model.Name, kernel, generic)
 		}
+	}
+	if refused == 0 {
+		t.Fatal("no update was refused: the seeded states never reach the singular path")
 	}
 }
 

@@ -101,6 +101,23 @@ func (f *Filter) update1x1(z float64) error {
 	return nil
 }
 
+// observe1x1 is H·x of a 1-state/1-observation filter.
+func (f *Filter) observe1x1() float64 {
+	b := (*[6]float64)(f.blk) // F Q H R P x
+	var hx float64
+	hx += b[2] * b[5] // MulVecTo: 0 + H·x
+	return hx
+}
+
+// observe2x1 is H·x of a 2-state/1-observation filter.
+func (f *Filter) observe2x1() float64 {
+	b := (*[17]float64)(f.blk) // F(4) Q(4) H(2) R P(4) x(2)
+	var hx float64
+	hx += b[8] * b[15] // MulVecTo: 0 + H·x, no zero skip
+	hx += b[9] * b[16]
+	return hx
+}
+
 // apat2 is A·P·Aᵀ at 2×2 as the mat path forms it — MulTo(A, P), then
 // MulTo of that with the transpose — which both the time update (A = F)
 // and the Joseph form (A = I − K·H) need.

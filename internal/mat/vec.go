@@ -53,17 +53,6 @@ func VecNorm(a []float64) float64 {
 	return math.Sqrt(VecDot(a, a))
 }
 
-// VecNormInf returns the maximum absolute element (L∞ norm).
-func VecNormInf(a []float64) float64 {
-	var m float64
-	for _, v := range a {
-		if av := math.Abs(v); av > m {
-			m = av
-		}
-	}
-	return m
-}
-
 // VecClone returns a copy of a.
 func VecClone(a []float64) []float64 {
 	out := make([]float64, len(a))

@@ -38,9 +38,6 @@ func TestVecScaleDotNorm(t *testing.T) {
 	if got := VecNorm(a); got != 5 {
 		t.Fatalf("VecNorm = %v, want 5", got)
 	}
-	if got := VecNormInf([]float64{-7, 3}); got != 7 {
-		t.Fatalf("VecNormInf = %v, want 7", got)
-	}
 }
 
 func TestVecCloneIndependence(t *testing.T) {

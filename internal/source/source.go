@@ -90,9 +90,10 @@ type Config struct {
 	// resyncs are pure (bytes) overhead; on lossy links they bound how
 	// long a divergence can persist.
 	ResyncEvery int64
-	// Telemetry receives the gate's runtime totals (corrections_sent_total,
-	// corrections_suppressed_total, …), one series per name shared by
-	// every source on the registry; nil means telemetry.Default.
+	// Telemetry receives the gate's five counter totals
+	// (corrections_sent_total, corrections_suppressed_total, …), one series
+	// per name shared by every source on the registry; a suppressed tick
+	// bumps one of them. Nil means telemetry.Default.
 	Telemetry *telemetry.Registry
 	// Trace receives gate-decision lifecycle events and allocates the
 	// trace IDs shipped in-band on corrections; nil means trace.Default.
@@ -109,7 +110,7 @@ type Config struct {
 
 // Stats counts the gate's decisions.
 type Stats struct {
-	Ticks      int64
+	Ticks      int64 // Sent + Suppressed + ticks whose replica Correct failed
 	Sent       int64
 	Suppressed int64
 	Heartbeats int64 // corrections forced by the heartbeat policy (subset of Sent)
@@ -160,8 +161,9 @@ type Source struct {
 	resyncRequested atomic.Bool
 
 	// Gate counters. Atomic so Stats() taken from a monitoring
-	// goroutine is a coherent snapshot rather than a racy copy.
-	ticks          atomic.Int64
+	// goroutine is a coherent snapshot rather than a racy copy. Ticks is
+	// derived (Stats); failed counts ticks whose replica Correct failed.
+	failed         atomic.Int64
 	sent           atomic.Int64
 	suppressed     atomic.Int64
 	heartbeats     atomic.Int64
@@ -179,7 +181,6 @@ type Source struct {
 	telHeartbeats     *telemetry.Counter
 	telResyncs        *telemetry.Counter
 	telResyncRequests *telemetry.Counter
-	telDeviation      *telemetry.Histogram
 }
 
 // New constructs a source whose corrections are transmitted via send.
@@ -216,7 +217,6 @@ func New(cfg Config, send func(*netsim.Message)) (*Source, error) {
 		telHeartbeats:     reg.Counter("heartbeats_total"),
 		telResyncs:        reg.Counter("resyncs_total"),
 		telResyncRequests: reg.Counter("resync_requests_total"),
-		telDeviation:      reg.Histogram("gate_deviation_ratio", telemetry.RatioBuckets),
 	}
 	if into, ok := replica.(predictor.IntoPredictor); ok {
 		s.intoReplica = into
@@ -233,7 +233,6 @@ func (s *Source) Observe(tick int64, z []float64) (sent bool, err error) {
 		return false, fmt.Errorf("source %s: measurement dim %d, want %d", s.cfg.StreamID, len(z), s.dim)
 	}
 	s.replica.Step()
-	s.ticks.Add(1)
 
 	var pred []float64
 	if s.intoReplica != nil {
@@ -242,15 +241,13 @@ func (s *Source) Observe(tick int64, z []float64) (sent bool, err error) {
 		pred = s.replica.Predict()
 	}
 	dev := s.cfg.DeviationNorm.Deviation(z, pred)
-	if s.cfg.Delta > 0 {
-		s.telDeviation.Observe(dev / s.cfg.Delta)
-	}
 	traced := s.tr.Enabled()
 
 	// A pending resync request bypasses the gate: the server believes its
 	// replica may have diverged, so this tick must ship a full snapshot
-	// no matter how small the deviation is.
-	forced := s.resyncRequested.Swap(false)
+	// no matter how small the deviation is. The flag is read first and
+	// swapped only when set, so a tick with no request writes nothing.
+	forced := s.resyncRequested.Load() && s.resyncRequested.Swap(false)
 	heartbeatDue := s.cfg.HeartbeatEvery > 0 && s.run >= s.cfg.HeartbeatEvery
 	if dev <= s.cfg.Delta && !heartbeatDue && !forced {
 		s.run++
@@ -272,6 +269,7 @@ func (s *Source) Observe(tick int64, z []float64) (sent bool, err error) {
 	}
 
 	if err := s.replica.Correct(z); err != nil {
+		s.failed.Add(1)
 		return false, fmt.Errorf("source %s: correcting replica: %w", s.cfg.StreamID, err)
 	}
 	// The message owns its value: on a delayed link it sits queued after
@@ -390,8 +388,8 @@ func (s *Source) StreamID() string { return s.cfg.StreamID }
 // Stats returns a snapshot of the gate counters. Safe to call from any
 // goroutine while Observe runs.
 func (s *Source) Stats() Stats {
-	// Observe bumps ticks before the outcome counter, so loading Ticks
-	// last keeps Sent+Suppressed <= Ticks under any interleaving.
+	// Ticks is the sum of the three outcome counters as loaded here, so
+	// Sent+Suppressed <= Ticks holds under any interleaving.
 	st := Stats{
 		Sent:                   s.sent.Load(),
 		Suppressed:             s.suppressed.Load(),
@@ -401,7 +399,7 @@ func (s *Source) Stats() Stats {
 		ForcedResyncs:          s.forcedResyncs.Load(),
 		MaxSuppressedDeviation: math.Float64frombits(s.maxSuppDevBits.Load()),
 	}
-	st.Ticks = s.ticks.Load()
+	st.Ticks = st.Sent + st.Suppressed + s.failed.Load()
 	return st
 }
 

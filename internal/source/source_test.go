@@ -319,28 +319,116 @@ func TestGateTracing(t *testing.T) {
 	}
 }
 
+// The two Kalman specs of the deployed-path benchmark's population.
+var (
+	specRW1 = predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.25, R: 0.0025}}
+	specCV2 = predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}}
+)
+
 // TestObserveDisabledTraceZeroAlloc: with tracing off, a suppressed tick
-// must not allocate beyond the predictor's own Predict() clone (exactly
-// one, predating tracing) — the near-zero-overhead requirement.
+// allocates nothing — the near-zero-overhead requirement.
 func TestObserveDisabledTraceZeroAlloc(t *testing.T) {
-	j := trace.NewJournal(1, 8) // disabled
-	s, err := New(Config{StreamID: "s", Spec: staticSpec(), Delta: 100, Telemetry: telemetry.New(), Trace: j}, func(*netsim.Message) {})
+	for _, tc := range []struct {
+		name string
+		spec predictor.Spec
+	}{{"static", staticSpec()}, {"rw1", specRW1}, {"cv2", specCV2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			j := trace.NewJournal(1, 8) // disabled
+			s, err := New(Config{StreamID: "s", Spec: tc.spec, Delta: 100, Telemetry: telemetry.New(), Trace: j}, func(*netsim.Message) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			z := []float64{1}
+			var tick int64
+			allocs := testing.AllocsPerRun(1000, func() {
+				if _, err := s.Observe(tick, z); err != nil {
+					t.Fatal(err)
+				}
+				tick++
+			})
+			if st := s.Stats(); st.Sent != 0 {
+				t.Fatalf("measured ticks were not all suppressed: %+v", st)
+			}
+			if allocs != 0 {
+				t.Errorf("suppressed tick with tracing disabled allocated %.1f times per op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestTicksCountsFailedCorrect: Ticks is derived from the outcomes, so a
+// tick whose replica refuses the correction — neither sent nor
+// suppressed — must still be counted.
+func TestTicksCountsFailedCorrect(t *testing.T) {
+	// Q = R = 1e-16: the first correction collapses P to about R, so the
+	// next innovation covariance is below the 1e-14 singularity test and
+	// the update is refused.
+	spec := predictor.Spec{Kind: predictor.KindKalman,
+		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 1e-16, R: 1e-16}}
+	var msgs []*netsim.Message
+	s, err := New(Config{StreamID: "s", Spec: spec, Delta: 1, Telemetry: telemetry.New()}, collect(&msgs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Observe(0, []float64{1}); err != nil { // prime: first tick may send
+	if sent, err := s.Observe(0, []float64{5}); err != nil || !sent {
+		t.Fatalf("first tick: sent %v, err %v", sent, err)
+	}
+	if _, err := s.Observe(1, []float64{9}); err == nil {
+		t.Fatal("a correction with a singular innovation covariance was accepted")
+	}
+	if st := s.Stats(); st.Ticks != 2 || st.Sent != 1 || st.Suppressed != 0 || len(msgs) != 1 {
+		t.Fatalf("stats = %+v with %d messages, want 2 ticks, 1 sent, 0 suppressed", st, len(msgs))
+	}
+}
+
+// TestRequestResyncRacingObserveNeverLost: a request that lands while
+// Observe runs is answered by this tick or the next, never dropped. The
+// racer's last request follows the final loop tick, so one more Observe
+// must ship a resync, and it must leave nothing pending.
+func TestRequestResyncRacingObserveNeverLost(t *testing.T) {
+	var msgs []*netsim.Message
+	s, err := New(Config{StreamID: "s", Spec: specRW1, Delta: 100, Telemetry: telemetry.New()}, collect(&msgs))
+	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan struct{})
+	requests := make(chan int64)
+	go func() {
+		var n int64
+		for {
+			select {
+			case <-done:
+				s.RequestResync()
+				requests <- n + 1
+				return
+			default:
+				s.RequestResync()
+				n++
+			}
+		}
+	}()
 	z := []float64{1}
-	var tick int64 = 1
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := s.Observe(tick, z); err != nil {
+	for i := 0; i < 5000; i++ {
+		if _, err := s.Observe(int64(i), z); err != nil {
 			t.Fatal(err)
 		}
-		tick++
-	})
-	if allocs > 1 {
-		t.Errorf("suppressed tick with tracing disabled allocated %.1f times per op, want ≤1 (Predict clone only)", allocs)
+	}
+	close(done)
+	n := <-requests
+	msgs = msgs[:0]
+	if sent, err := s.Observe(5000, z); err != nil || !sent || msgs[0].Kind != netsim.KindResync {
+		t.Fatalf("tick after the racer: sent %v, err %v, messages %+v; want one KindResync", sent, err, msgs)
+	}
+	if s.resyncRequested.Load() {
+		t.Fatal("a resync request is still pending after it was answered")
+	}
+	if sent, err := s.Observe(5001, z); err != nil || sent {
+		t.Fatalf("tick with no request: sent %v, err %v; want suppressed", sent, err)
+	}
+	if st := s.Stats(); st.ResyncRequests != n || st.ForcedResyncs < 1 || st.ForcedResyncs > n {
+		t.Fatalf("stats = %+v after %d requests", st, n)
 	}
 }
 
