@@ -314,7 +314,7 @@ func (n *Node) Checkpoint() error {
 	if n.wal == nil {
 		return errNoWAL
 	}
-	return n.wal.WriteCheckpoint(n.srv.Checkpoint(n.wal))
+	return n.wal.WriteCheckpoint(n.srv.Checkpoint)
 }
 
 // Close syncs and closes the log, so a graceful shutdown loses nothing.

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"log/slog"
 	"testing"
 
 	"kalmanstream/internal/health"
 	"kalmanstream/internal/history"
+	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/telemetry"
 )
 
@@ -64,5 +66,48 @@ func TestNodeTickCadences(t *testing.T) {
 	}
 	if p := bare.Period(); p != 0 {
 		t.Errorf("bare node Period = %d, want 0: nothing to run", p)
+	}
+}
+
+// checkpointAllocs builds a durable node holding streams streams — a mix
+// of predictor kinds, each with a correction applied — and returns the
+// allocations of one steady-state Checkpoint.
+func checkpointAllocs(t *testing.T, streams int) float64 {
+	t.Helper()
+	n, err := NewNode(NodeConfig{Telemetry: telemetry.New(), Logger: slog.New(slog.DiscardHandler),
+		Clock: func() int64 { return 0 }, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	specs := []PredictorSpec{KalmanConstantVelocity(0.05, 0.1), StaticCache(1),
+		Adaptive(KalmanRandomWalk(0.05, 0.1)), KalmanBank(KalmanRandomWalk(0.05, 0.1), KalmanConstantVelocity(0.05, 0.1))}
+	for i := 0; i < streams; i++ {
+		id := fmt.Sprintf("s%05d", i)
+		if _, err := n.Server().Adopt(id, specs[i%len(specs)], 0.5, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: 3, Value: []float64{float64(i)}}
+		if _, _, err := n.Server().Ingest(m, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return testing.AllocsPerRun(5, func() {
+		if err := n.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestCheckpointAllocsIndependentOfPopulation: a checkpoint copies the
+// streams into buffers the log reuses and streams the file from them, so
+// a steady-state one allocates the same few objects at any population.
+func TestCheckpointAllocsIndependentOfPopulation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race, so pooled paths allocate by design")
+	}
+	small, large := checkpointAllocs(t, 100), checkpointAllocs(t, 1000)
+	if large > small+16 {
+		t.Fatalf("Checkpoint allocates %.0f times at 1,000 streams, %.0f at 100: want at most 16 more", large, small)
 	}
 }

@@ -217,35 +217,31 @@ func (a *Adaptive) reestimate() {
 	}
 }
 
-// Snapshot serializes the complete adaptive state — wrapped filter,
+// AppendSnapshot appends the complete adaptive state — wrapped filter,
 // current noise matrices, Q scale, NIS accumulators, and the innovation
-// window — as a flat vector, so a restored replica adapts identically
-// from then on.
+// window — to dst as a flat vector, so a restored replica adapts
+// identically from then on.
 //
 // Layout: [x(n), P(n²), Q(n²), R(m²), qScale, nisSum, nisCount, steps,
 // next, filled, count, count × (innov(m), hph(m²))].
-func (a *Adaptive) Snapshot() []float64 {
-	n := a.filter.model.StateDim()
-	m := a.filter.model.ObsDim()
+func (a *Adaptive) AppendSnapshot(dst []float64) []float64 {
 	count := a.window
 	if !a.filled {
 		count = a.next
 	}
-	out := make([]float64, 0, n+n*n+n*n+m*m+6+count*(m+m*m))
-	out = append(out, a.filter.State()...)
-	out = append(out, a.filter.Covariance().Raw()...)
-	out = append(out, a.filter.model.Q.Raw()...)
-	out = append(out, a.filter.model.R.Raw()...)
-	out = append(out, a.qScale, a.nisSum, float64(a.nisCount), float64(a.steps),
+	dst = a.filter.AppendSnapshot(dst)
+	dst = append(dst, a.filter.model.Q.Raw()...)
+	dst = append(dst, a.filter.model.R.Raw()...)
+	dst = append(dst, a.qScale, a.nisSum, float64(a.nisCount), float64(a.steps),
 		float64(a.next), boolToFloat(a.filled), float64(count))
 	for i := 0; i < count; i++ {
-		out = append(out, a.innovs[i]...)
-		out = append(out, a.priorHPH[i].Raw()...)
+		dst = append(dst, a.innovs[i]...)
+		dst = append(dst, a.priorHPH[i].Raw()...)
 	}
-	return out
+	return dst
 }
 
-// Restore overwrites the adaptive state from a Snapshot taken on a
+// Restore overwrites the adaptive state from an AppendSnapshot taken on a
 // behaviourally identical replica.
 func (a *Adaptive) Restore(state []float64) error {
 	n := a.filter.model.StateDim()

@@ -81,6 +81,10 @@ func (b *Bank) ObsDim() int { return b.obsDim }
 // order.
 func (b *Bank) Weights() []float64 { return mat.VecClone(b.weights) }
 
+// AppendWeights appends the current model probabilities, in model order,
+// to dst and returns the extended slice.
+func (b *Bank) AppendWeights(dst []float64) []float64 { return append(dst, b.weights...) }
+
 // SetWeights overwrites the model probabilities (used for replica
 // resynchronization). The weights must be positive and sum to ≈1.
 func (b *Bank) SetWeights(w []float64) error {

@@ -279,6 +279,13 @@ func (f *Filter) SetState(x []float64) error {
 // Covariance returns a copy of the current estimate covariance.
 func (f *Filter) Covariance() *mat.Matrix { return f.p.Clone() }
 
+// AppendSnapshot appends the filter's state estimate and its covariance
+// (row-major) to dst and returns the extended slice: the layout SetState
+// and SetCovariance restore, with no copy in between.
+func (f *Filter) AppendSnapshot(dst []float64) []float64 {
+	return append(append(dst, f.x...), f.p.Raw()...)
+}
+
 // SetCovariance overwrites the covariance (used for resynchronization).
 func (f *Filter) SetCovariance(p *mat.Matrix) error {
 	if p.Rows() != f.model.StateDim() || p.Cols() != f.model.StateDim() {

@@ -96,7 +96,7 @@ func TestAdaptiveSnapshotRestoreDirect(t *testing.T) {
 		}
 	}
 	b := mk()
-	if err := b.Restore(a.Snapshot()); err != nil {
+	if err := b.Restore(a.AppendSnapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if a.QScale() != b.QScale() {
@@ -131,14 +131,14 @@ func TestAdaptiveRestoreRejectsGarbage(t *testing.T) {
 	if err := a.Restore([]float64{1, 2, 3}); err == nil {
 		t.Error("truncated snapshot accepted")
 	}
-	snap := a.Snapshot()
+	snap := a.AppendSnapshot(nil)
 	if err := a.Restore(append(snap, 9)); err == nil {
 		t.Error("oversized snapshot accepted")
 	}
 	// Corrupt the window metadata (count) to an impossible value.
 	bad := append([]float64(nil), snap...)
 	bad[len(bad)-1] = 0 // harmless tail change first to keep length logic
-	snap2 := a.Snapshot()
+	snap2 := a.AppendSnapshot(nil)
 	// count lives at index head-1 = n+n²+n²+m²+6 = 1+1+1+1+6 = 10.
 	snap2[10] = 999
 	if err := a.Restore(snap2); err == nil {

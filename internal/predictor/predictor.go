@@ -75,10 +75,12 @@ type Uncertainty interface {
 // internal state serialized as a flat float64 vector, so a source can
 // ship a snapshot that hard-resynchronizes a server replica after message
 // loss. Restore must leave the replica bit-identical to the one
-// Snapshot was taken from.
+// the snapshot was taken from.
 type Snapshotter interface {
-	// Snapshot returns the predictor's complete state.
-	Snapshot() []float64
+	// AppendSnapshot appends the predictor's complete state to dst and
+	// returns the extended slice; with spare capacity it does not
+	// allocate.
+	AppendSnapshot(dst []float64) []float64
 	// Restore overwrites the predictor's state from a snapshot taken on
 	// a behaviourally identical replica.
 	Restore(state []float64) error
@@ -357,14 +359,12 @@ func (h *Holt) Correct(z []float64) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter:
+// AppendSnapshot implements Snapshotter:
 // [corrs, sinceTicks, level..., trend...].
-func (h *Holt) Snapshot() []float64 {
-	out := make([]float64, 0, 2+2*h.dim)
-	out = append(out, float64(h.corrs), float64(h.sinceTicks))
-	out = append(out, h.level...)
-	out = append(out, h.trend...)
-	return out
+func (h *Holt) AppendSnapshot(dst []float64) []float64 {
+	dst = append(dst, float64(h.corrs), float64(h.sinceTicks))
+	dst = append(dst, h.level...)
+	return append(dst, h.trend...)
 }
 
 // Restore implements Snapshotter.

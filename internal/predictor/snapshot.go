@@ -11,8 +11,8 @@ import (
 // travel in an ordinary protocol message; each predictor defines its own
 // layout and validates the length on Restore.
 
-// Snapshot implements Snapshotter: [last...].
-func (s *Static) Snapshot() []float64 { return mat.VecClone(s.last) }
+// AppendSnapshot implements Snapshotter: [last...].
+func (s *Static) AppendSnapshot(dst []float64) []float64 { return append(dst, s.last...) }
 
 // Restore implements Snapshotter.
 func (s *Static) Restore(state []float64) error {
@@ -23,14 +23,12 @@ func (s *Static) Restore(state []float64) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter:
+// AppendSnapshot implements Snapshotter:
 // [have, sinceTicks, last..., slope...].
-func (d *DeadReckoning) Snapshot() []float64 {
-	out := make([]float64, 0, 2+2*d.dim)
-	out = append(out, float64(d.have), float64(d.sinceTicks))
-	out = append(out, d.last...)
-	out = append(out, d.slope...)
-	return out
+func (d *DeadReckoning) AppendSnapshot(dst []float64) []float64 {
+	dst = append(dst, float64(d.have), float64(d.sinceTicks))
+	dst = append(dst, d.last...)
+	return append(dst, d.slope...)
 }
 
 // Restore implements Snapshotter.
@@ -45,15 +43,13 @@ func (d *DeadReckoning) Restore(state []float64) error {
 	return nil
 }
 
-// Snapshot implements Snapshotter: [primed, level...].
-func (e *EWMA) Snapshot() []float64 {
-	out := make([]float64, 0, 1+e.dim)
+// AppendSnapshot implements Snapshotter: [primed, level...].
+func (e *EWMA) AppendSnapshot(dst []float64) []float64 {
+	primed := 0.0
 	if e.primed {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+		primed = 1
 	}
-	return append(out, e.level...)
+	return append(append(dst, primed), e.level...)
 }
 
 // Restore implements Snapshotter.
@@ -70,14 +66,6 @@ func (e *EWMA) Restore(state []float64) error {
 // state vector plus row-major covariance.
 func filterSnapshotLen(n int) int { return n + n*n }
 
-func snapshotFilter(f *kalman.Filter) []float64 {
-	x := f.State()
-	p := f.Covariance()
-	out := make([]float64, 0, filterSnapshotLen(len(x)))
-	out = append(out, x...)
-	return append(out, p.Raw()...)
-}
-
 func restoreFilter(f *kalman.Filter, state []float64) error {
 	n := len(f.State())
 	if len(state) != filterSnapshotLen(n) {
@@ -89,15 +77,15 @@ func restoreFilter(f *kalman.Filter, state []float64) error {
 	return f.SetCovariance(mat.FromSlice(n, n, state[n:]))
 }
 
-// Snapshot implements Snapshotter: [x..., P (row-major)...] for plain
-// filters; adaptive filters additionally carry their noise matrices and
-// innovation window (see kalman.Adaptive.Snapshot), so a restored replica
-// adapts identically from then on.
-func (k *Kalman) Snapshot() []float64 {
+// AppendSnapshot implements Snapshotter: [x..., P (row-major)...] for
+// plain filters; adaptive filters additionally carry their noise matrices
+// and innovation window (see kalman.Adaptive.AppendSnapshot), so a
+// restored replica adapts identically from then on.
+func (k *Kalman) AppendSnapshot(dst []float64) []float64 {
 	if k.adaptive != nil {
-		return k.adaptive.Snapshot()
+		return k.adaptive.AppendSnapshot(dst)
 	}
-	return snapshotFilter(k.filter)
+	return k.filter.AppendSnapshot(dst)
 }
 
 // Restore implements Snapshotter.
@@ -108,15 +96,15 @@ func (k *Kalman) Restore(state []float64) error {
 	return restoreFilter(k.filter, state)
 }
 
-// Snapshot implements Snapshotter:
+// AppendSnapshot implements Snapshotter:
 // [weights..., then per model: x..., P...].
-func (k *KalmanBank) Snapshot() []float64 {
+func (k *KalmanBank) AppendSnapshot(dst []float64) []float64 {
 	bank := k.bank
-	out := append([]float64(nil), bank.Weights()...)
+	dst = bank.AppendWeights(dst)
 	for i := 0; i < bank.Size(); i++ {
-		out = append(out, snapshotFilter(bank.FilterAt(i))...)
+		dst = bank.FilterAt(i).AppendSnapshot(dst)
 	}
-	return out
+	return dst
 }
 
 // Restore implements Snapshotter.

@@ -50,7 +50,7 @@ func TestPropSnapshotRestoreResynchronizes(t *testing.T) {
 			return false
 		}
 		// Resync b from a.
-		snap := a.(Snapshotter).Snapshot()
+		snap := a.(Snapshotter).AppendSnapshot(nil)
 		if err := b.(Snapshotter).Restore(snap); err != nil {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestRestoreRejectsWrongLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := p.(Snapshotter).Snapshot()
+		snap := p.(Snapshotter).AppendSnapshot(nil)
 		if err := p.(Snapshotter).Restore(snap[:len(snap)-1]); err == nil {
 			t.Errorf("%s: truncated snapshot accepted", p.Name())
 		}
@@ -105,7 +105,7 @@ func TestSnapshotIsolatedFromPredictor(t *testing.T) {
 	if err := p.Correct([]float64{5}); err != nil {
 		t.Fatal(err)
 	}
-	snap := p.Snapshot()
+	snap := p.AppendSnapshot(nil)
 	snap[0] = 999
 	if p.Predict()[0] != 5 {
 		t.Fatal("snapshot aliases predictor state")
@@ -121,7 +121,7 @@ func TestBankRestoreRejectsBadWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := p.(Snapshotter).Snapshot()
+	snap := p.(Snapshotter).AppendSnapshot(nil)
 	snap[0], snap[1] = 0.9, 0.9 // weights no longer sum to 1
 	if err := p.(Snapshotter).Restore(snap); err == nil {
 		t.Fatal("invalid bank weights accepted")

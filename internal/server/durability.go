@@ -10,7 +10,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
@@ -39,44 +38,37 @@ func (s *Server) SetApplyHook(fn func(tick int64, m *netsim.Message)) { s.onAppl
 // neither does Recover.
 func (s *Server) SetRegisterHook(fn func(rec wal.RegisterRecord) error) { s.onRegister = fn }
 
-// Checkpoint takes the checkpoint cut: with every shard read-locked (in
-// index order) no apply or registration is in flight, so log.Seq() and
-// the captured stream states, sorted by ID, describe the same instant —
-// every record below Seq is in the states, every record at or above it is
-// not. The caller writes the checkpoint after the locks are released, so
-// a slow fsync never stalls the data path.
-func (s *Server) Checkpoint(log *wal.Log) *wal.Checkpoint {
+// Checkpoint takes the checkpoint cut into c; pass it to
+// wal.Log.WriteCheckpoint. With every shard read-locked (in index order)
+// no apply or registration is in flight, so the log sequence c.Begin
+// reads and the states c.Add copies describe the same instant — every
+// record below the sequence is in the states, every record at or above it
+// is not. Under the locks the cut copies only numbers: each stream's
+// moving state, its exact-answer value and its predictor snapshot. The
+// registration is fixed, so the log reads it through the record when it
+// encodes, after the locks are released; the sort by ID and a slow
+// encode or fsync never stall the data path.
+func (s *Server) Checkpoint(c *wal.Cut) {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 	}
-	c := &wal.Checkpoint{Seq: log.Seq(), Streams: make([]wal.StreamState, 0, s.Len())}
+	c.Begin()
 	for _, sh := range s.shards {
 		for _, st := range sh.order {
-			cs := wal.StreamState{
-				ID:            st.id,
-				Spec:          st.spec,
-				RegisterDelta: st.registerDelta,
-				Delta:         st.delta,
-				Norm:          int(st.norm),
-				Tick:          st.tick,
-				LastCorr:      st.lastCorr,
-				Corrections:   st.corrections,
-				LastValueTick: st.lastValueTick,
-			}
-			if st.lastValue != nil {
-				cs.LastValue = append([]float64(nil), st.lastValue...)
-			}
-			if snap, ok := st.replica.(predictor.Snapshotter); ok {
-				cs.Snapshot = snap.Snapshot()
-			}
-			c.Streams = append(c.Streams, cs)
+			snap, _ := st.replica.(predictor.Snapshotter)
+			c.Add(st.id, st, wal.Live{Delta: st.delta, Tick: st.tick, LastCorr: st.lastCorr,
+				Corrections: st.corrections, LastValueTick: st.lastValueTick}, st.lastValue, snap)
 		}
 	}
 	for _, sh := range s.shards {
 		sh.mu.RUnlock()
 	}
-	sort.Slice(c.Streams, func(i, j int) bool { return c.Streams[i].ID < c.Streams[j].ID })
-	return c
+}
+
+// Registration implements wal.Registered: the stream's registration,
+// which never changes once the record exists.
+func (st *streamState) Registration() wal.RegisterRecord {
+	return wal.RegisterRecord{ID: st.id, Spec: st.spec, Delta: st.registerDelta, Norm: int(st.norm)}
 }
 
 // Recover is the one recovery routine: it replays a log directory into

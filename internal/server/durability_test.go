@@ -11,8 +11,8 @@ import (
 	"kalmanstream/internal/wal"
 )
 
-// checkpointStates takes the checkpoint cut against an empty log and
-// returns the captured stream states.
+// checkpointStates writes the checkpoint cut to an empty log and returns
+// the stream states the file holds.
 func checkpointStates(t *testing.T, s *Server) []wal.StreamState {
 	t.Helper()
 	log, err := wal.Open(wal.Options{Dir: t.TempDir()})
@@ -20,7 +20,14 @@ func checkpointStates(t *testing.T, s *Server) []wal.StreamState {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	return s.Checkpoint(log).Streams
+	if err := log.WriteCheckpoint(s.Checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	var states []wal.StreamState
+	if _, err := log.Restore(func(c *wal.Checkpoint) error { states = c.Streams; return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	return states
 }
 
 func kalmanSpec() predictor.Spec {
@@ -40,7 +47,7 @@ func resyncValue(t *testing.T, spec predictor.Spec, value float64) []float64 {
 	if err := ref.Correct([]float64{value}); err != nil {
 		t.Fatal(err)
 	}
-	return append([]float64{value}, ref.(predictor.Snapshotter).Snapshot()...)
+	return append([]float64{value}, ref.(predictor.Snapshotter).AppendSnapshot(nil)...)
 }
 
 // driveWorkload runs a deterministic mixed workload (corrections, resyncs,

@@ -143,7 +143,7 @@ func TestApplyResyncPaths(t *testing.T) {
 	if err := twin.Correct([]float64{7}); err != nil {
 		t.Fatal(err)
 	}
-	snap := twin.(predictor.Snapshotter).Snapshot()
+	snap := twin.(predictor.Snapshotter).AppendSnapshot(nil)
 	s.Tick()
 	msg := &netsim.Message{Kind: netsim.KindResync, StreamID: "k", Tick: 0,
 		Value: append([]float64{7}, snap...)}

@@ -292,7 +292,7 @@ func (s *Source) Observe(tick int64, z []float64) (sent bool, err error) {
 		// best repair it can offer.
 		if snap, ok := s.replica.(predictor.Snapshotter); ok {
 			msg.Kind = netsim.KindResync
-			msg.Value = append(msg.Value, snap.Snapshot()...)
+			msg.Value = snap.AppendSnapshot(msg.Value)
 			s.resyncs.Add(1)
 			s.telResyncs.Inc()
 			outcome = trace.OutcomeResync

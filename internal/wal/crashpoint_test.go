@@ -115,7 +115,7 @@ func TestCrashDuringCheckpointWrite(t *testing.T) {
 		t.Fatalf("orphaned checkpoint temp file survived open: %v", err)
 	}
 	// The same checkpoint retries cleanly on the recovered log.
-	if err := r.WriteCheckpoint(&Checkpoint{Seq: r.Seq()}); err != nil {
+	if err := r.WriteCheckpoint((*Cut).Begin); err != nil {
 		t.Fatalf("checkpoint after torn-tmp recovery: %v", err)
 	}
 }
@@ -220,7 +220,7 @@ func TestConcurrentAppendRotateCheckpoint(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if err := l.WriteCheckpoint(&Checkpoint{Seq: l.Seq()}); err != nil {
+				if err := l.WriteCheckpoint((*Cut).Begin); err != nil {
 					t.Errorf("checkpoint: %v", err)
 					return
 				}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -110,5 +111,33 @@ func FuzzWALRecord(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatalf("close after repair: %v", err)
 		}
+	})
+}
+
+// FuzzCheckpointEncode: for arbitrary ids (invalid UTF-8 included) and
+// finite floats, the streamed checkpoint file equals the json.Marshal
+// oracle byte for byte, and loadCheckpoint returns the checkpoint the
+// oracle's payload decodes to.
+func FuzzCheckpointEncode(f *testing.F) {
+	f.Add("alpha", "<b>&\"c\"", uint64(3), int64(9), 1.5, -2.25, 1e21)
+	f.Add("", "\xff\xfe", uint64(0), int64(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e-7)
+	f.Add("same", "same", uint64(1<<63), int64(math.MaxInt64), math.MaxFloat64, -1e-300, 0.1)
+	f.Fuzz(func(t *testing.T, id1, id2 string, seq uint64, tick int64, a, b, c float64) {
+		for _, v := range []float64{a, b, c} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("JSON carries finite floats only")
+			}
+		}
+		streams := []StreamState{
+			{ID: id1, Spec: predictor.Spec{Kind: predictor.KindStatic, Dim: 1, Alpha: a}, RegisterDelta: b,
+				Delta: c, Tick: tick, LastCorr: -tick, LastValue: []float64{a}, LastValueTick: tick, Snapshot: []float64{a, b, c}},
+			{ID: id2, Norm: int(tick & 3), Corrections: tick, Snapshot: []float64{c}},
+		}
+		if id1 == id2 {
+			streams = streams[:1]
+		} else if id2 < id1 {
+			streams[0], streams[1] = streams[1], streams[0]
+		}
+		checkStreamed(t, &Checkpoint{Seq: seq, Streams: streams})
 	})
 }

@@ -43,9 +43,10 @@ const (
 	// recordOverhead is the fixed framing cost per record: length(4) +
 	// type(1) + tick(8) + crc(4).
 	recordOverhead = 4 + 1 + 8 + 4
-	// maxRecordBody bounds length so a corrupted header cannot demand an
-	// unbounded allocation. Sized for checkpoint payloads, which carry
-	// every stream's snapshot in one record.
+	// maxRecordBody bounds a segment record's length so a corrupted
+	// header cannot demand an unbounded allocation. A checkpoint record is
+	// bounded by its file instead (loadCheckpoint): it carries every
+	// stream's snapshot and outgrows any fixed bound with the population.
 	maxRecordBody = 16 << 20
 )
 
@@ -84,11 +85,16 @@ func encodeJSON(v any) ([]byte, error) { return json.Marshal(v) }
 // caller stops (and truncates) there; it is not an error for the bytes
 // after a crash to end mid-record.
 func decodeRecord(b []byte) (typ RecordType, tick int64, payload []byte, size int, ok bool) {
+	return decodeBounded(b, maxRecordBody)
+}
+
+// decodeBounded is decodeRecord with the bound on the length word given.
+func decodeBounded(b []byte, maxBody int) (typ RecordType, tick int64, payload []byte, size int, ok bool) {
 	if len(b) < recordOverhead {
 		return 0, 0, nil, 0, false
 	}
 	length := binary.BigEndian.Uint32(b)
-	if length < 9 || length > maxRecordBody {
+	if length < 9 || int64(length) > int64(maxBody) {
 		return 0, 0, nil, 0, false
 	}
 	size = 4 + int(length) + 4

@@ -31,7 +31,9 @@ type RecoveryStats struct {
 type ReplayFunc func(typ RecordType, tick int64, payload []byte) error
 
 // Restore replays durable state: restore receives the newest valid
-// checkpoint (skipped when none exists), then replay receives every
+// checkpoint, decoded from its file — the decode Open validated it with
+// on the first call, a fresh one after — and skipped when none exists;
+// the log keeps no decoded copy. Then replay receives every
 // durable record after the checkpoint's sequence, oldest first. Call it
 // before the first append when starting up, or at a quiescent point
 // (after Sync) when simulating a crash in-process. Records still in the
@@ -42,12 +44,20 @@ func (l *Log) Restore(restore func(*Checkpoint) error, replay ReplayFunc) (Recov
 	defer l.mu.Unlock()
 	var stats RecoveryStats
 	from := uint64(0)
-	if l.ckpt != nil {
-		stats.CheckpointSeq = l.ckpt.Seq
-		stats.CheckpointStreams = len(l.ckpt.Streams)
-		from = l.ckpt.Seq
+	if l.ckptPath != "" {
+		c := l.opened
+		l.opened = nil
+		if c == nil {
+			var err error
+			if c, err = loadCheckpoint(l.ckptPath); err != nil {
+				return stats, fmt.Errorf("wal: reading checkpoint: %w", err)
+			}
+		}
+		stats.CheckpointSeq = c.Seq
+		stats.CheckpointStreams = len(c.Streams)
+		from = c.Seq
 		if restore != nil {
-			if err := restore(l.ckpt); err != nil {
+			if err := restore(c); err != nil {
 				return stats, fmt.Errorf("wal: restoring checkpoint: %w", err)
 			}
 		}

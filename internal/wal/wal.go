@@ -79,10 +79,16 @@ type Log struct {
 	seq      uint64 // records appended (flushed + buffered)
 	unsynced int64  // bytes flushed to the OS but not yet fsynced
 
-	ckpt *Checkpoint // newest durable checkpoint (nil = none)
+	// ckptPath is the newest durable checkpoint ("" = none); opened is
+	// the decode Open validated it with, handed to the first Restore,
+	// which drops it. No other decoded checkpoint is kept.
+	ckptPath string
+	opened   *Checkpoint
 
-	// ckptMu serializes checkpoint writers without stalling appends.
+	// ckptMu serializes checkpoints without stalling appends, and guards
+	// cut, the capture every checkpoint reuses.
 	ckptMu sync.Mutex
+	cut    Cut
 
 	telAppended  *telemetry.Counter
 	telSynced    *telemetry.Counter
@@ -183,7 +189,7 @@ func (l *Log) scan() error {
 			l.log.Warn("wal: discarding unreadable checkpoint", "file", ckptPaths[i], "err", cerr)
 			continue
 		}
-		l.ckpt = c
+		l.ckptPath, l.opened = ckptPaths[i], c
 		break
 	}
 
@@ -235,8 +241,8 @@ func (l *Log) scan() error {
 	if n := len(l.segs); n > 0 {
 		l.seq = l.segs[n-1].start + l.segs[n-1].records
 	}
-	if l.ckpt != nil && l.ckpt.Seq > l.seq {
-		l.seq = l.ckpt.Seq
+	if l.opened != nil && l.opened.Seq > l.seq {
+		l.seq = l.opened.Seq
 	}
 
 	// Append into the last segment when it has room and is positioned at

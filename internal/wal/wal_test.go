@@ -246,7 +246,7 @@ func TestCheckpointSkipsReplayAndPrunes(t *testing.T) {
 		Tick: 40, LastCorr: 39, Corrections: 40,
 		Snapshot: []float64{39},
 	}}}
-	if err := l.WriteCheckpoint(ck); err != nil {
+	if err := l.WriteCheckpoint(cutOf(ck)); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
 	// Post-checkpoint records must replay; pre-checkpoint ones must not.
@@ -293,7 +293,7 @@ func TestCorruptCheckpointFallsBackToFullReplay(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteCheckpoint(&Checkpoint{Seq: l.Seq()}); err != nil {
+	if err := l.WriteCheckpoint((*Cut).Begin); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -425,5 +427,68 @@ func TestStalledPeerDoesNotStallWALSync(t *testing.T) {
 	}
 	if reg.Counter("wire_pushes_dropped_total").Value() == 0 {
 		t.Fatal("no resync push to the stalled peer was dropped")
+	}
+}
+
+// TestConcurrentCheckpointsRecover: two goroutines checkpoint by hand
+// while the server's own cadence checkpoints and ingest runs. Every
+// checkpoint takes its cut into the log's one reused buffer, so they are
+// serialized cut to publish: every call succeeds, and a restart lands on
+// the newest checkpoint plus the synced log — the control's answers.
+func TestConcurrentCheckpointsRecover(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	ids := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
+	reg := telemetry.New()
+	crashed, err := NewDurableServer(Options{Metrics: reg},
+		Durability{Dir: dir, FlushEvery: time.Millisecond, CheckpointEvery: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	control := NewServerWith(Options{Metrics: telemetry.New()})
+	registerAll(t, ids, crashed, control)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var calls atomic.Int64
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := crashed.Checkpoint(); err != nil {
+					t.Errorf("checkpoint: %v", err)
+					return
+				}
+				calls.Add(1)
+			}
+		}()
+	}
+	for from := int64(0); from < 400; from += 20 {
+		sendWindow(t, ids, from, from+20, crashed, control)
+		time.Sleep(time.Millisecond) // let the cadence's checkpoints interleave with ingest
+	}
+	close(stop)
+	wg.Wait()
+	if err := crashed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("wal_checkpoints_total").Value(); calls.Load() < 2 || n <= calls.Load() {
+		t.Fatalf("%d checkpoints in all, %d by hand: want both hands and the cadence to have run", n, calls.Load())
+	}
+
+	recovered := newDurable(t, dir)
+	defer recovered.Close()
+	if stats := recovered.RecoveryStats(); stats.CheckpointStreams != len(ids) {
+		t.Fatalf("recovered %+v, want a checkpoint of all %d streams", stats, len(ids))
+	}
+	answersAt(t, ids, 400, control, recovered)
+	for _, id := range ids {
+		if w, g := mustInfo(t, control, id).Corrections, mustInfo(t, recovered, id).Corrections; w != g {
+			t.Fatalf("stream %s: recovered sent=%d, control sent=%d", id, g, w)
+		}
 	}
 }

@@ -307,7 +307,7 @@ func (r *modelRun) value(st *refStream, kind netsim.MessageKind) []float64 {
 			r.t.Fatal(err)
 		}
 	}
-	return append([]float64{z}, p.(predictor.Snapshotter).Snapshot()...)
+	return p.(predictor.Snapshotter).AppendSnapshot([]float64{z})
 }
 
 func (r *modelRun) op() {
