@@ -103,7 +103,7 @@ func BenchmarkKalmanPredictUpdate1D(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Predict()
+		f.PredictN(1)
 		if err := f.Update(z); err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func BenchmarkKalmanPredictUpdateCV(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Predict()
+		f.PredictN(1)
 		if err := f.Update(z); err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkKalmanPredictUpdate2D(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Predict()
+		f.PredictN(1)
 		if err := f.Update(z); err != nil {
 			b.Fatal(err)
 		}

@@ -96,14 +96,12 @@ func NewAdaptive(filter *Filter, cfg AdaptiveConfig) (*Adaptive, error) {
 	}, nil
 }
 
-// Filter exposes the wrapped filter (for State, Observation, etc.).
+// Filter exposes the wrapped filter: its time update is the adaptive
+// filter's, and State, ObservationInto and the rest read through it.
 func (a *Adaptive) Filter() *Filter { return a.filter }
 
 // QScale returns the current process-noise multiplier.
 func (a *Adaptive) QScale() float64 { return a.qScale }
-
-// Predict forwards to the wrapped filter.
-func (a *Adaptive) Predict() { a.filter.Predict() }
 
 // Update records the innovation for observation z, performs the wrapped
 // filter's measurement update, and periodically re-estimates noise.
@@ -267,8 +265,12 @@ func (a *Adaptive) Restore(state []float64) error {
 	filled := state[off+5] != 0
 	count := int(state[off+6])
 	off += 7
-	if count < 0 || count > a.window || next < 0 || next >= a.window+1 {
-		return fmt.Errorf("kalman: adaptive snapshot window metadata out of range")
+	// Only the window metadata AppendSnapshot produces is accepted: next
+	// indexes the ring, and count is the whole ring once it has filled,
+	// the slots before next until then.
+	if next < 0 || next >= a.window || (filled && count != a.window) || (!filled && count != next) {
+		return fmt.Errorf("kalman: adaptive snapshot window metadata out of range (next %d, filled %t, count %d, window %d)",
+			next, filled, count, a.window)
 	}
 	if len(state) != off+count*(m+m*m) {
 		return fmt.Errorf("kalman: adaptive snapshot has %d values, want %d", len(state), off+count*(m+m*m))

@@ -38,7 +38,7 @@ func runAdaptive(t *testing.T, a *Adaptive, trueQ, trueR float64, n int, seed in
 	for i := 0; i < n; i++ {
 		truth += rng.NormFloat64() * math.Sqrt(trueQ)
 		z := truth + rng.NormFloat64()*math.Sqrt(trueR)
-		a.Predict()
+		a.Filter().PredictN(1)
 		if err := a.Update([]float64{z}); err != nil {
 			t.Fatal(err)
 		}
@@ -126,8 +126,8 @@ func TestAdaptiveImprovesTrackingUnderMisspecifiedNoise(t *testing.T) {
 	for i := 0; i < n; i++ {
 		truth += rng.NormFloat64() * math.Sqrt(trueQ)
 		z := truth + rng.NormFloat64()*math.Sqrt(trueR)
-		static.Predict()
-		a.Predict()
+		static.PredictN(1)
+		a.Filter().PredictN(1)
 		if err := static.Update([]float64{z}); err != nil {
 			t.Fatal(err)
 		}
@@ -135,8 +135,8 @@ func TestAdaptiveImprovesTrackingUnderMisspecifiedNoise(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i > n/2 { // measure after burn-in
-			es := static.Observation()[0] - truth
-			ea := a.Filter().Observation()[0] - truth
+			es := observation(static)[0] - truth
+			ea := observation(a.Filter())[0] - truth
 			sseStatic += es * es
 			sseAdaptive += ea * ea
 		}
@@ -160,8 +160,8 @@ func TestAdaptiveReplicaLockstep(t *testing.T) {
 	a, b := mk(), mk()
 	rng := rand.New(rand.NewSource(123))
 	for i := 0; i < 500; i++ {
-		a.Predict()
-		b.Predict()
+		a.Filter().PredictN(1)
+		b.Filter().PredictN(1)
 		z := []float64{rng.NormFloat64() * 3}
 		if err := a.Update(z); err != nil {
 			t.Fatal(err)

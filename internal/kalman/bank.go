@@ -3,8 +3,6 @@ package kalman
 import (
 	"fmt"
 	"math"
-
-	"kalmanstream/internal/mat"
 )
 
 // Bank runs several candidate models in parallel and blends their
@@ -77,10 +75,6 @@ func (b *Bank) Size() int { return len(b.filters) }
 // ObsDim returns the shared observation dimension.
 func (b *Bank) ObsDim() int { return b.obsDim }
 
-// Weights returns a copy of the current model probabilities, in model
-// order.
-func (b *Bank) Weights() []float64 { return mat.VecClone(b.weights) }
-
 // AppendWeights appends the current model probabilities, in model order,
 // to dst and returns the extended slice.
 func (b *Bank) AppendWeights(dst []float64) []float64 { return append(dst, b.weights...) }
@@ -109,9 +103,6 @@ func (b *Bank) SetWeights(w []float64) error {
 // diagnostics). Mutating it outside Restore breaks replica lock-step.
 func (b *Bank) FilterAt(i int) *Filter { return b.filters[i] }
 
-// Predict advances every model one time step.
-func (b *Bank) Predict() { b.PredictN(1) }
-
 // PredictN advances every model k time steps; the models share no state,
 // so each filter runs its own k-step loop.
 func (b *Bank) PredictN(k int64) {
@@ -120,17 +111,19 @@ func (b *Bank) PredictN(k int64) {
 	}
 }
 
-// Observation returns the probability-weighted blend of the models'
-// observation predictions.
-func (b *Bank) Observation() []float64 {
-	out := make([]float64, b.obsDim)
-	for i, f := range b.filters {
-		o := f.Observation()
-		for k := range out {
-			out[k] += b.weights[i] * o[k]
+// ObservationInto writes the probability-weighted blend of the models'
+// observation predictions, Σᵢ wᵢ·(Hᵢxᵢ)ₖ per component k, into dst, which
+// must have length ObsDim, and returns dst. The sum runs in model order
+// from zero, and nothing but dst is written.
+func (b *Bank) ObservationInto(dst []float64) []float64 {
+	for k := range dst {
+		var sum float64
+		for i, f := range b.filters {
+			sum += b.weights[i] * f.observationAt(k)
 		}
+		dst[k] = sum
 	}
-	return out
+	return dst
 }
 
 // Update re-weights the models by their predictive likelihood of z, then
@@ -193,13 +186,12 @@ func (b *Bank) Update(z []float64) error {
 // observation component: Σ wᵢ·(varᵢ + (obsᵢ − blend)²), accounting both
 // for each model's own uncertainty and for inter-model disagreement.
 func (b *Bank) ObservationVariance() []float64 {
-	blend := b.Observation()
+	blend := b.ObservationInto(make([]float64, b.obsDim))
 	out := make([]float64, b.obsDim)
 	for i, f := range b.filters {
 		v := f.ObservationVariance()
-		o := f.Observation()
 		for k := range out {
-			d := o[k] - blend[k]
+			d := f.observationAt(k) - blend[k]
 			out[k] += b.weights[i] * (v[k] + d*d)
 		}
 	}

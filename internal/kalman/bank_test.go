@@ -39,9 +39,9 @@ func TestNewBankValidation(t *testing.T) {
 
 func TestBankInitialWeightsUniform(t *testing.T) {
 	b := threeModelBank(t)
-	for _, w := range b.Weights() {
+	for _, w := range b.AppendWeights(nil) {
 		if math.Abs(w-1.0/3) > 1e-12 {
-			t.Fatalf("weights = %v", b.Weights())
+			t.Fatalf("weights = %v", b.AppendWeights(nil))
 		}
 	}
 	if b.Size() != 3 || b.ObsDim() != 1 {
@@ -53,12 +53,12 @@ func TestBankWeightsSumToOne(t *testing.T) {
 	b := threeModelBank(t)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
-		b.Predict()
+		b.PredictN(1)
 		if err := b.Update([]float64{rng.NormFloat64() * 5}); err != nil {
 			t.Fatal(err)
 		}
 		var sum float64
-		for _, w := range b.Weights() {
+		for _, w := range b.AppendWeights(nil) {
 			if w <= 0 {
 				t.Fatalf("step %d: non-positive weight %v", i, w)
 			}
@@ -73,7 +73,7 @@ func TestBankWeightsSumToOne(t *testing.T) {
 func TestBankSelectsRampModelOnRamp(t *testing.T) {
 	b := threeModelBank(t)
 	for i := 0; i < 400; i++ {
-		b.Predict()
+		b.PredictN(1)
 		if err := b.Update([]float64{2 * float64(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +82,14 @@ func TestBankSelectsRampModelOnRamp(t *testing.T) {
 	// kinematic model must dominate.
 	idx, w := b.Dominant()
 	if idx == 0 {
-		t.Fatalf("random-walk dominant on a ramp (weights %v)", b.Weights())
+		t.Fatalf("random-walk dominant on a ramp (weights %v)", b.AppendWeights(nil))
 	}
 	if w < 0.5 {
-		t.Fatalf("dominant weight %v too weak (weights %v)", w, b.Weights())
+		t.Fatalf("dominant weight %v too weak (weights %v)", w, b.AppendWeights(nil))
 	}
 	// And its blended prediction should anticipate the ramp.
-	b.Predict()
-	if got := b.Observation()[0]; math.Abs(got-800) > 5 {
+	b.PredictN(1)
+	if got := bankObservation(b)[0]; math.Abs(got-800) > 5 {
 		t.Fatalf("bank ramp prediction %v, want ≈800", got)
 	}
 }
@@ -100,7 +100,7 @@ func TestBankReselectsAfterRegimeSwitch(t *testing.T) {
 	v := 0.0
 	for i := 0; i < 300; i++ {
 		v += 3
-		b.Predict()
+		b.PredictN(1)
 		if err := b.Update([]float64{v}); err != nil {
 			t.Fatal(err)
 		}
@@ -113,36 +113,36 @@ func TestBankReselectsAfterRegimeSwitch(t *testing.T) {
 	// thanks to the probability floor.
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 600; i++ {
-		b.Predict()
+		b.PredictN(1)
 		if err := b.Update([]float64{v + rng.NormFloat64()*2}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	idxFlat, _ := b.Dominant()
 	if idxFlat != 0 {
-		t.Fatalf("flat regime: dominant model %d (weights %v), want random walk", idxFlat, b.Weights())
+		t.Fatalf("flat regime: dominant model %d (weights %v), want random walk", idxFlat, b.AppendWeights(nil))
 	}
 }
 
 func TestBankSurvivesOutliers(t *testing.T) {
 	b := threeModelBank(t)
 	for i := 0; i < 50; i++ {
-		b.Predict()
+		b.PredictN(1)
 		if err := b.Update([]float64{1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A gross outlier must not produce NaN weights or state.
-	b.Predict()
+	b.PredictN(1)
 	if err := b.Update([]float64{1e12}); err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range b.Weights() {
+	for _, w := range b.AppendWeights(nil) {
 		if math.IsNaN(w) || w <= 0 {
-			t.Fatalf("weights corrupted: %v", b.Weights())
+			t.Fatalf("weights corrupted: %v", b.AppendWeights(nil))
 		}
 	}
-	if !mat.VecIsFinite(b.Observation()) {
+	if !mat.VecIsFinite(bankObservation(b)) {
 		t.Fatal("observation not finite after outlier")
 	}
 }
@@ -189,7 +189,7 @@ func TestBankBeatsWorstFixedModelOnSwitchingSignal(t *testing.T) {
 
 	bank := threeModelBank(t)
 	bankSSE := sse(
-		func() float64 { bank.Predict(); return bank.Observation()[0] },
+		func() float64 { bank.PredictN(1); return bankObservation(bank)[0] },
 		func(v float64) {
 			if err := bank.Update([]float64{v}); err != nil {
 				t.Fatal(err)
@@ -198,7 +198,7 @@ func TestBankBeatsWorstFixedModelOnSwitchingSignal(t *testing.T) {
 
 	rw := MustFilter(RandomWalk(0.5, 0.1), []float64{0}, InitialCovariance(1, 1e6))
 	rwSSE := sse(
-		func() float64 { rw.Predict(); return rw.Observation()[0] },
+		func() float64 { rw.PredictN(1); return observation(rw)[0] },
 		func(v float64) {
 			if err := rw.Update([]float64{v}); err != nil {
 				t.Fatal(err)
@@ -207,5 +207,50 @@ func TestBankBeatsWorstFixedModelOnSwitchingSignal(t *testing.T) {
 
 	if bankSSE >= rwSSE {
 		t.Fatalf("bank SSE %v not better than fixed random walk %v on switching signal", bankSSE, rwSSE)
+	}
+}
+
+// TestBankObservationIntoBitIdentical: the bank's blend, computed per
+// component with no scratch, has the bits of the allocating blend it
+// replaced — Σᵢ wᵢ·(Hᵢxᵢ) accumulated vector-wise in model order from a
+// zeroed vector — on the kernel shapes and on the mat path alike, and
+// whatever dst held before.
+func TestBankObservationIntoBitIdentical(t *testing.T) {
+	for _, models := range [][]*Model{
+		{RandomWalk(0.5, 0.1), ConstantVelocity(1, 0.05, 0.1), ConstantAcceleration(1, 0.01, 0.1)},
+		{ConstantVelocity2D(1, 0.1, 1), RandomWalkND(2, 0.5, 1)},
+	} {
+		b, err := NewBank(models, BankConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(40))
+		for i := 0; i < 200; i++ {
+			b.PredictN(int64(i % 3))
+			z := make([]float64, b.ObsDim())
+			for k := range z {
+				z[k] = float64(i)*0.7 + rng.NormFloat64()
+			}
+			if i%4 != 0 {
+				if err := b.Update(z); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := make([]float64, b.ObsDim())
+			w := b.AppendWeights(nil)
+			for j := 0; j < b.Size(); j++ {
+				f := b.FilterAt(j)
+				o := mat.MulVec(f.Model().H, f.State())
+				for k := range want {
+					want[k] += w[j] * o[k]
+				}
+			}
+			got := b.ObservationInto([]float64{math.NaN(), math.Inf(1)}[:b.ObsDim()])
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%d models, step %d: component %d = %v, want %v", b.Size(), i, k, got[k], want[k])
+				}
+			}
+		}
 	}
 }

@@ -30,7 +30,7 @@ func shapeOf(n, m int) shape {
 
 // Filter is a discrete-time linear Kalman filter over a Model.
 //
-// The usual cycle per tick is Predict (time update) followed, when a
+// The usual cycle per tick is PredictN(1) (time update) followed, when a
 // measurement is available, by Update (measurement update). Skipping
 // Update on a tick is exactly the suppression mechanism the stream system
 // exploits: the filter coasts on its dynamics.
@@ -41,7 +41,7 @@ type Filter struct {
 	// reason.
 	blk     []float64
 	shape   shape
-	ticks   uint64   // Predict steps since construction
+	ticks   uint64   // time updates since construction
 	updates uint64   // Update calls since construction
 	g       *scratch // the mat path's temporaries; nil for a kernel shape
 
@@ -155,16 +155,15 @@ func (f *Filter) StateDim() int { return f.model.StateDim() }
 // exactly wrong for a per-tick dimension check.
 func (f *Filter) ObsDim() int { return f.model.ObsDim() }
 
-// Predict performs the time update:
+// PredictN performs k time updates (none for k ≤ 0), each
 //
 //	x ← F·x
 //	P ← F·P·Fᵀ + Q
-func (f *Filter) Predict() { f.PredictN(1) }
-
-// PredictN performs k time updates (none for k ≤ 0) and is bit-identical
-// to k Predict calls: the arithmetic is a literal k-iteration loop, with
-// only the dispatch, the operand loads and the stores hoisted out of it.
-// It is what makes a lazy advance over suppressed ticks one call.
+//
+// and is bit-identical to k calls with k = 1: the arithmetic is a literal
+// k-iteration loop, with only the dispatch, the operand loads and the
+// stores hoisted out of it. It is what makes a lazy advance over
+// suppressed ticks one call.
 func (f *Filter) PredictN(k int64) {
 	if k <= 0 {
 		return
@@ -296,24 +295,30 @@ func (f *Filter) SetCovariance(p *mat.Matrix) error {
 	return nil
 }
 
-// Observation returns H·x, the filter's estimate of the observable
-// quantity at the current state.
-func (f *Filter) Observation() []float64 {
-	return mat.MulVec(f.model.H, f.x)
-}
-
-// ObservationInto computes H·x into dst, which must have length ObsDim.
-// It is the allocation-free twin of Observation for per-tick callers.
+// ObservationInto computes H·x, the filter's estimate of the observable
+// quantity at the current state, into dst, which must have length ObsDim.
 func (f *Filter) ObservationInto(dst []float64) []float64 {
-	switch f.shape {
-	case shape1x1:
-		dst[0] = f.observe1x1()
-	case shape2x1:
-		dst[0] = f.observe2x1()
-	default:
-		mat.MulVecTo(dst, f.model.H, f.x)
+	for k := range dst {
+		dst[k] = f.observationAt(k)
 	}
 	return dst
+}
+
+// observationAt returns (H·x)ₖ — the kernel for a kernel shape, else the
+// row loop mat.MulVecTo runs — and writes nothing.
+func (f *Filter) observationAt(k int) float64 {
+	switch f.shape {
+	case shape1x1:
+		return f.observe1x1()
+	case shape2x1:
+		return f.observe2x1()
+	}
+	n := len(f.x)
+	var s float64
+	for j, v := range f.model.H.Raw()[k*n : (k+1)*n] {
+		s += v * f.x[j]
+	}
+	return s
 }
 
 // ObservationVariance returns the predictive variance of each observation
@@ -377,7 +382,7 @@ func (f *Filter) LogLikelihood(z []float64) (float64, error) {
 	return -0.5 * (m*math.Log(2*math.Pi) + math.Log(det) + mat.QuadraticForm(sInv, y)), nil
 }
 
-// Ticks returns the number of Predict calls performed.
+// Ticks returns the number of time updates performed.
 func (f *Filter) Ticks() uint64 { return f.ticks }
 
 // Updates returns the number of Update calls performed.

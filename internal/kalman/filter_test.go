@@ -18,6 +18,12 @@ func newRWFilter(t *testing.T, q, r float64) *Filter {
 	return f
 }
 
+// observation returns H·x in a fresh slice.
+func observation(f *Filter) []float64 { return f.ObservationInto(make([]float64, f.ObsDim())) }
+
+// bankObservation returns the bank's blended prediction in a fresh slice.
+func bankObservation(b *Bank) []float64 { return b.ObservationInto(make([]float64, b.ObsDim())) }
+
 func TestNewFilterValidates(t *testing.T) {
 	model := RandomWalk(1, 1)
 	if _, err := NewFilter(model, []float64{0, 0}, InitialCovariance(1, 1)); err == nil {
@@ -52,7 +58,7 @@ func TestFilterIsolatedFromCallerModel(t *testing.T) {
 	model := RandomWalk(1, 1)
 	f := MustFilter(model, []float64{0}, InitialCovariance(1, 1))
 	model.F.Set(0, 0, 99) // mutate the caller's model
-	f.Predict()
+	f.PredictN(1)
 	if got := f.State()[0]; got != 0 {
 		t.Fatalf("filter used caller-mutated model: state = %v", got)
 	}
@@ -64,7 +70,7 @@ func TestPredictRandomWalkKeepsStateGrowsCovariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	p0 := f.Covariance().At(0, 0)
-	f.Predict()
+	f.PredictN(1)
 	if got := f.State()[0]; got != 3 {
 		t.Fatalf("random-walk predict moved state to %v", got)
 	}
@@ -75,7 +81,7 @@ func TestPredictRandomWalkKeepsStateGrowsCovariance(t *testing.T) {
 
 func TestPredictConstantVelocityMovesPosition(t *testing.T) {
 	f := MustFilter(ConstantVelocity(2, 0.01, 1), []float64{10, 3}, InitialCovariance(2, 1))
-	f.Predict()
+	f.PredictN(1)
 	st := f.State()
 	if math.Abs(st[0]-16) > 1e-12 || math.Abs(st[1]-3) > 1e-12 {
 		t.Fatalf("CV predict state = %v, want [16 3]", st)
@@ -84,7 +90,7 @@ func TestPredictConstantVelocityMovesPosition(t *testing.T) {
 
 func TestUpdateMovesTowardObservation(t *testing.T) {
 	f := newRWFilter(t, 0.1, 1)
-	f.Predict()
+	f.PredictN(1)
 	if err := f.Update([]float64{10}); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +102,7 @@ func TestUpdateMovesTowardObservation(t *testing.T) {
 
 func TestUpdateReducesCovariance(t *testing.T) {
 	f := newRWFilter(t, 0.1, 1)
-	f.Predict()
+	f.PredictN(1)
 	before := f.Covariance().At(0, 0)
 	if err := f.Update([]float64{0}); err != nil {
 		t.Fatal(err)
@@ -122,7 +128,7 @@ func TestScalarKalmanMatchesClosedForm(t *testing.T) {
 	pPrior := 1.0 + q
 	k := pPrior / (pPrior + r)
 	z := 5.0
-	f.Predict()
+	f.PredictN(1)
 	if err := f.Update([]float64{z}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +181,7 @@ func TestLogLikelihoodPrefersCloserObservation(t *testing.T) {
 
 func TestCloneIndependentAndIdentical(t *testing.T) {
 	f := newRWFilter(t, 0.1, 1)
-	f.Predict()
+	f.PredictN(1)
 	if err := f.Update([]float64{2}); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +192,7 @@ func TestCloneIndependentAndIdentical(t *testing.T) {
 	if c.Ticks() != f.Ticks() || c.Updates() != f.Updates() {
 		t.Fatal("clone counters differ")
 	}
-	c.Predict()
+	c.PredictN(1)
 	if c.Ticks() == f.Ticks() {
 		t.Fatal("clone shares counters with original")
 	}
@@ -197,8 +203,8 @@ func TestCloneIndependentAndIdentical(t *testing.T) {
 
 func TestCountersAdvance(t *testing.T) {
 	f := newRWFilter(t, 0.1, 1)
-	f.Predict()
-	f.Predict()
+	f.PredictN(1)
+	f.PredictN(1)
 	if err := f.Update([]float64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +233,13 @@ func TestSetNoiseValidation(t *testing.T) {
 func rmseTracking(f *Filter, trueF func(t int) float64, r float64, n int, rng *rand.Rand) float64 {
 	var sse float64
 	for t := 0; t < n; t++ {
-		f.Predict()
+		f.PredictN(1)
 		truth := trueF(t)
 		z := truth + rng.NormFloat64()*math.Sqrt(r)
 		if err := f.Update([]float64{z}); err != nil {
 			panic(err)
 		}
-		e := f.Observation()[0] - truth
+		e := observation(f)[0] - truth
 		sse += e * e
 	}
 	return math.Sqrt(sse / float64(n))
@@ -277,7 +283,7 @@ func TestNISConsistencyOnMatchedModel(t *testing.T) {
 	for i := 0; i < n; i++ {
 		truth += rng.NormFloat64() * math.Sqrt(q)
 		z := truth + rng.NormFloat64()*math.Sqrt(r)
-		f.Predict()
+		f.PredictN(1)
 		nis, err := f.NIS([]float64{z})
 		if err != nil {
 			t.Fatal(err)
@@ -298,7 +304,7 @@ func TestCovarianceConvergesToSteadyState(t *testing.T) {
 	q, r := 0.5, 2.0
 	f := MustFilter(RandomWalk(q, r), []float64{0}, InitialCovariance(1, 100))
 	for i := 0; i < 200; i++ {
-		f.Predict()
+		f.PredictN(1)
 		if err := f.Update([]float64{0}); err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +332,7 @@ func TestPropCovarianceStaysSymmetricPSD(t *testing.T) {
 		x0 := make([]float64, n)
 		f := MustFilter(model, x0, InitialCovariance(n, 1+rng.Float64()*10))
 		for i := 0; i < 100; i++ {
-			f.Predict()
+			f.PredictN(1)
 			if rng.Float64() < 0.7 {
 				z := make([]float64, model.ObsDim())
 				for j := range z {
@@ -337,17 +343,26 @@ func TestPropCovarianceStaysSymmetricPSD(t *testing.T) {
 				}
 			}
 			p := f.Covariance()
-			if !mat.IsFinite(p) {
+			if !mat.VecIsFinite(p.Raw()) {
 				return false
 			}
 			// Symmetric (exactly, thanks to Symmetrize).
 			if !mat.EqualApprox(p, mat.Transpose(p), 0) {
 				return false
 			}
-			// PSD check via Cholesky of P + εI.
+			// Positive definite check of P + εI by Sylvester's criterion:
+			// every leading principal minor is positive.
 			padded := mat.Add(p, mat.Scale(1e-9, mat.Identity(n)))
-			if _, err := mat.Cholesky(padded); err != nil {
-				return false
+			for k := 1; k <= n; k++ {
+				minor := mat.New(k, k)
+				for i := 0; i < k; i++ {
+					for j := 0; j < k; j++ {
+						minor.Set(i, j, padded.At(i, j))
+					}
+				}
+				if mat.Det(minor) <= 0 {
+					return false
+				}
 			}
 		}
 		return true
@@ -367,8 +382,8 @@ func TestPropReplicaLockstep(t *testing.T) {
 		a := MustFilter(model, []float64{0, 0}, InitialCovariance(2, 1))
 		b := MustFilter(model, []float64{0, 0}, InitialCovariance(2, 1))
 		for i := 0; i < 200; i++ {
-			a.Predict()
-			b.Predict()
+			a.PredictN(1)
+			b.PredictN(1)
 			if rng.Float64() < 0.3 {
 				z := []float64{rng.NormFloat64() * 10}
 				if err := a.Update(z); err != nil {
@@ -400,7 +415,7 @@ func TestPropUpdateNeverIncreasesObservableVariance(t *testing.T) {
 		model := ConstantVelocity(1, 0.1+rng.Float64(), 0.1+rng.Float64())
 		flt := MustFilter(model, []float64{0, 0}, InitialCovariance(2, 1+rng.Float64()*5))
 		for i := 0; i < 50; i++ {
-			flt.Predict()
+			flt.PredictN(1)
 			prior := mat.Mul3(model.H, flt.Covariance(), mat.Transpose(model.H)).At(0, 0)
 			if err := flt.Update([]float64{rng.NormFloat64() * 3}); err != nil {
 				return false

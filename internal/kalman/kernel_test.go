@@ -126,13 +126,13 @@ func TestKernelBitIdentical(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(20); {
 			case op < 8:
-				kernel.Predict()
-				generic.Predict()
+				kernel.PredictN(1)
+				generic.PredictN(1)
 			case op < 10:
 				k := []int64{0, 1, 2, 7, 200}[rng.Intn(5)]
 				kernel.PredictN(k)
 				for i := int64(0); i < k; i++ {
-					generic.Predict()
+					generic.PredictN(1)
 				}
 			case op < 18:
 				truth += rng.NormFloat64()
@@ -180,8 +180,8 @@ func TestKernelSingularMatchesGeneric(t *testing.T) {
 		generic := MustFilter(model, x0, mat.New(n, n))
 		forceGeneric(generic)
 		for i := 0; i < 3; i++ {
-			kernel.Predict()
-			generic.Predict()
+			kernel.PredictN(1)
+			generic.PredictN(1)
 			ke, ge := kernel.Update([]float64{1}), generic.Update([]float64{1})
 			if ke == nil || ge == nil || ke.Error() != ge.Error() {
 				t.Fatalf("%s: want the same singular error, got kernel %v generic %v", model.Name, ke, ge)

@@ -6,10 +6,11 @@ import (
 	"kalmanstream/internal/mat"
 )
 
-// Kernels: Predict and Update for the shapes worth hard-coding, unrolled
-// over locals loaded from the filter's block. Each mirrors the mat path
-// operation for operation, so its results are bit-identical and replicas
-// built from one spec stay in lock-step whichever path either runs.
+// Kernels: PredictN, H·x and Update for the shapes worth hard-coding,
+// unrolled over locals loaded from the filter's block. Each mirrors the
+// mat path operation for operation, so its results are bit-identical and
+// replicas built from one spec stay in lock-step whichever path either
+// runs.
 // DESIGN.md, "Numerics: kernels and the generic path", lists what that
 // means; in short: every product accumulates into a 0-initialized sum in
 // the statement form `acc += a * b` the mat loops use (so a compiler that

@@ -31,8 +31,8 @@ func TestScalarFastPathBitIdentical(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			x += rng.NormFloat64()
 			z := []float64{x + rng.NormFloat64()*0.1}
-			fast.Predict()
-			slow.Predict()
+			fast.PredictN(1)
+			slow.PredictN(1)
 			if err := fast.Update(z); err != nil {
 				t.Fatalf("step %d: fast update: %v", i, err)
 			}
@@ -49,7 +49,7 @@ func TestScalarFastPathBitIdentical(t *testing.T) {
 				t.Fatalf("step %d: covariance diverged: fast %x slow %x", i,
 					math.Float64bits(fp), math.Float64bits(sp))
 			}
-			fo, so := fast.Observation()[0], slow.Observation()[0]
+			fo, so := observation(fast)[0], observation(slow)[0]
 			if math.Float64bits(fo) != math.Float64bits(so) {
 				t.Fatalf("step %d: observation diverged: fast %x slow %x", i,
 					math.Float64bits(fo), math.Float64bits(so))
@@ -68,8 +68,8 @@ func TestScalarSingularMatchesGeneral(t *testing.T) {
 	// Drive covariance to zero: with Q=0, R=0 the first update collapses P.
 	var fastErr, slowErr error
 	for i := 0; i < 10 && fastErr == nil && slowErr == nil; i++ {
-		fast.Predict()
-		slow.Predict()
+		fast.PredictN(1)
+		slow.PredictN(1)
 		fastErr = fast.Update([]float64{1})
 		slowErr = slow.Update([]float64{1})
 	}

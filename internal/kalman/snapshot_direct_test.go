@@ -34,7 +34,7 @@ func TestBankAccessors(t *testing.T) {
 	if err := b.SetWeights([]float64{0.75, 0.25}); err != nil {
 		t.Fatal(err)
 	}
-	w := b.Weights()
+	w := b.AppendWeights(nil)
 	if w[0] != 0.75 || w[1] != 0.25 {
 		t.Fatalf("weights = %v", w)
 	}
@@ -57,12 +57,12 @@ func TestBankObservationVarianceIncludesDisagreement(t *testing.T) {
 	// Train on a ramp so the two models disagree on the next value: the
 	// RW predicts flat, the CV predicts the trend.
 	for i := 0; i < 100; i++ {
-		b.Predict()
+		b.PredictN(1)
 		if err := b.Update([]float64{float64(i) * 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b.Predict()
+	b.PredictN(1)
 	variance := b.ObservationVariance()[0]
 	// Mixture variance must be at least each member's own variance share
 	// plus the disagreement term; with models predicting values far
@@ -90,7 +90,7 @@ func TestAdaptiveSnapshotRestoreDirect(t *testing.T) {
 	truth := 0.0
 	for i := 0; i < 200; i++ {
 		truth += rng.NormFloat64()
-		a.Predict()
+		a.Filter().PredictN(1)
 		if err := a.Update([]float64{truth + rng.NormFloat64()}); err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +104,8 @@ func TestAdaptiveSnapshotRestoreDirect(t *testing.T) {
 	}
 	// Identical behaviour from here, including re-estimation events.
 	for i := 0; i < 100; i++ {
-		a.Predict()
-		b.Predict()
+		a.Filter().PredictN(1)
+		b.Filter().PredictN(1)
 		z := []float64{rng.NormFloat64() * 3}
 		if err := a.Update(z); err != nil {
 			t.Fatal(err)
@@ -143,5 +143,68 @@ func TestAdaptiveRestoreRejectsGarbage(t *testing.T) {
 	snap2[10] = 999
 	if err := a.Restore(snap2); err == nil {
 		t.Error("corrupt window count accepted")
+	}
+}
+
+// TestAdaptiveRestoreRejectsImpossibleWindow: Restore accepts only the
+// window metadata AppendSnapshot produces — 0 ≤ next < window, count =
+// window once the ring has filled and count = next before — and refuses
+// anything else before the replica moves. Each refused shape is finite
+// and has the length its count implies, so only the metadata check
+// stands between it and a panic in a later Update.
+func TestAdaptiveRestoreRejectsImpossibleWindow(t *testing.T) {
+	const window = 4
+	// A 1-state snapshot: x, P, Q, R, qScale, nisSum, nisCount, steps,
+	// next, filled, count, then count × (innovation, H·P·Hᵀ).
+	meta := func(next, filled, count int) []float64 {
+		s := []float64{0.5, 1, 0.1, 1, 1, 0, 0, 0, float64(next), float64(filled), float64(count)}
+		for i := 0; i < count; i++ {
+			s = append(s, 0.25, 1)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name  string
+		snap  []float64
+		valid bool
+	}{
+		{"fresh", meta(0, 0, 0), true},
+		{"partly filled", meta(3, 0, 3), true},
+		{"filled", meta(1, 1, window), true},
+		{"next at window", meta(window, 0, window), false},
+		{"next beyond window", meta(window+1, 0, window), false},
+		{"negative next", meta(-1, 0, 0), false},
+		{"filled with count 0", meta(0, 1, 0), false},
+		{"filled with count below window", meta(0, 1, 2), false},
+		{"unfilled with count past next", meta(1, 0, 2), false},
+		{"unfilled with count before next", meta(2, 0, 1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := MustFilter(RandomWalk(0.1, 1), []float64{0}, InitialCovariance(1, 1))
+			a, err := NewAdaptive(f, AdaptiveConfig{Window: window, AdaptR: true, AdaptQ: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := a.AppendSnapshot(nil)
+			err = a.Restore(tc.snap)
+			if !tc.valid {
+				if err == nil {
+					t.Fatal("impossible window metadata accepted")
+				}
+				if after := a.AppendSnapshot(nil); !mat.VecEqualApprox(after, before, 0) {
+					t.Fatalf("refused restore moved the replica: %v, was %v", after, before)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2*window; i++ { // every update re-estimates at this window
+				f.PredictN(1)
+				if err := a.Update([]float64{float64(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -9,8 +9,7 @@
 //
 // Dimension mismatches are programming errors, not data errors, so they
 // panic (as the standard library does for out-of-range slice indexing).
-// Data-dependent failures — singular matrices, non-positive-definite
-// inputs — return errors.
+// The data-dependent failure, a singular matrix, returns an error.
 package mat
 
 import (
@@ -20,13 +19,9 @@ import (
 	"strings"
 )
 
-// ErrSingular is returned when a matrix inversion or solve encounters a
+// ErrSingular is returned when a matrix inversion encounters a
 // (numerically) singular matrix.
 var ErrSingular = errors.New("mat: matrix is singular")
-
-// ErrNotPositiveDefinite is returned by Cholesky when the input is not
-// symmetric positive definite.
-var ErrNotPositiveDefinite = errors.New("mat: matrix is not positive definite")
 
 // Matrix is a dense, row-major matrix of float64 values.
 type Matrix struct {
@@ -396,93 +391,6 @@ func axpyRow(m *Matrix, i, j int, f float64) {
 	}
 }
 
-// Solve returns x such that a·x = b, for a square a and a column vector b,
-// via LU decomposition with partial pivoting.
-func Solve(a *Matrix, b []float64) ([]float64, error) {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("mat: Solve with non-square %d×%d matrix", a.rows, a.cols))
-	}
-	if len(b) != a.rows {
-		panic(fmt.Sprintf("mat: Solve rhs length %d, want %d", len(b), a.rows))
-	}
-	n := a.rows
-	lu := a.Clone()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for col := 0; col < n; col++ {
-		pivot := col
-		maxAbs := math.Abs(lu.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(lu.At(r, col)); v > maxAbs {
-				maxAbs, pivot = v, r
-			}
-		}
-		if maxAbs < 1e-14 {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			swapRows(lu, pivot, col)
-			perm[pivot], perm[col] = perm[col], perm[pivot]
-		}
-		d := lu.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := lu.At(r, col) / d
-			lu.Set(r, col, f)
-			for c := col + 1; c < n; c++ {
-				lu.Set(r, c, lu.At(r, c)-f*lu.At(col, c))
-			}
-		}
-	}
-	// Forward substitution on permuted b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[perm[i]]
-		for j := 0; j < i; j++ {
-			s -= lu.At(i, j) * y[j]
-		}
-		y[i] = s
-	}
-	// Back substitution.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= lu.At(i, j) * x[j]
-		}
-		x[i] = s / lu.At(i, i)
-	}
-	return x, nil
-}
-
-// Cholesky returns the lower-triangular L with L·Lᵀ = a, for a symmetric
-// positive-definite a.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.rows != a.cols {
-		panic(fmt.Sprintf("mat: Cholesky of non-square %d×%d matrix", a.rows, a.cols))
-	}
-	n := a.rows
-	l := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, ErrNotPositiveDefinite
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
 // Det returns the determinant of a square matrix via LU decomposition.
 func Det(a *Matrix) float64 {
 	if a.rows != a.cols {
@@ -578,16 +486,6 @@ func MaxAbs(a *Matrix) float64 {
 		}
 	}
 	return m
-}
-
-// IsFinite reports whether every element is neither NaN nor ±Inf.
-func IsFinite(a *Matrix) bool {
-	for _, v := range a.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

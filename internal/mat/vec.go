@@ -9,48 +9,16 @@ import (
 // these functions keep the call sites terse and panic on length mismatch,
 // mirroring the Matrix conventions.
 
-// VecAdd returns a + b element-wise.
-func VecAdd(a, b []float64) []float64 {
-	checkVecLens("VecAdd", a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // VecSub returns a − b element-wise.
 func VecSub(a, b []float64) []float64 {
-	checkVecLens("VecSub", a, b)
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("mat: VecSub length mismatch %d vs %d", len(a), len(b)))
+	}
 	out := make([]float64, len(a))
 	for i := range a {
 		out[i] = a[i] - b[i]
 	}
 	return out
-}
-
-// VecScale returns s·a.
-func VecScale(s float64, a []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = s * a[i]
-	}
-	return out
-}
-
-// VecDot returns the inner product of a and b.
-func VecDot(a, b []float64) float64 {
-	checkVecLens("VecDot", a, b)
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// VecNorm returns the Euclidean (L2) norm of a.
-func VecNorm(a []float64) float64 {
-	return math.Sqrt(VecDot(a, a))
 }
 
 // VecClone returns a copy of a.
@@ -93,10 +61,4 @@ func Outer(a, b []float64) *Matrix {
 		}
 	}
 	return m
-}
-
-func checkVecLens(op string, a, b []float64) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: %s length mismatch %d vs %d", op, len(a), len(b)))
-	}
 }

@@ -11,30 +11,28 @@ package netsim
 // Batch accumulates messages into one self-delimiting payload.
 // The zero value is ready to use. Not safe for concurrent use.
 type Batch struct {
-	buf      []byte
-	count    int
-	lastTick int64
+	buf   []byte
+	count int
 }
 
 // Add appends m's encoding to the batch.
 func (b *Batch) Add(m *Message) error {
 	buf, err := m.AppendEncode(b.buf)
-	return b.add(m, buf, err)
+	return b.add(buf, err)
 }
 
 // AddHandle appends m's handle-form encoding, naming its stream by h.
 func (b *Batch) AddHandle(m *Message, h uint32) error {
 	buf, err := m.AppendEncodeHandle(b.buf, h)
-	return b.add(m, buf, err)
+	return b.add(buf, err)
 }
 
-func (b *Batch) add(m *Message, buf []byte, err error) error {
+func (b *Batch) add(buf []byte, err error) error {
 	if err != nil {
 		return err
 	}
 	b.buf = buf
 	b.count++
-	b.lastTick = m.Tick
 	return nil
 }
 
@@ -43,11 +41,6 @@ func (b *Batch) Count() int { return b.count }
 
 // Len returns the batch's encoded size in bytes.
 func (b *Batch) Len() int { return len(b.buf) }
-
-// LastTick returns the tick of the most recently added message — the
-// signal flush-on-tick-boundary policies key on. Meaningless when the
-// batch is empty.
-func (b *Batch) LastTick() int64 { return b.lastTick }
 
 // Bytes returns the encoded batch. The slice is invalidated by the next
 // Add or Reset.

@@ -23,7 +23,7 @@ func TestHoltTracksCleanRamp(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Step()
 	}
-	if got := p.Predict()[0]; math.Abs(got-208) > 2 {
+	if got := predict(p)[0]; math.Abs(got-208) > 2 {
 		t.Fatalf("holt ramp extrapolation %v, want ≈208", got)
 	}
 }
@@ -33,7 +33,7 @@ func TestHoltInitializationStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Predict()[0]; got != 0 {
+	if got := predict(p)[0]; got != 0 {
 		t.Fatalf("uninitialized prediction %v", got)
 	}
 	if err := p.Correct([]float64{10}); err != nil {
@@ -41,7 +41,7 @@ func TestHoltInitializationStages(t *testing.T) {
 	}
 	p.Step()
 	// One correction: no trend yet, constant forecast.
-	if got := p.Predict()[0]; got != 10 {
+	if got := predict(p)[0]; got != 10 {
 		t.Fatalf("single-correction prediction %v, want 10", got)
 	}
 	p.Step()
@@ -49,7 +49,7 @@ func TestHoltInitializationStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Step()
-	if got := p.Predict()[0]; math.Abs(got-19) > 1e-9 {
+	if got := predict(p)[0]; math.Abs(got-19) > 1e-9 {
 		t.Fatalf("two-correction prediction %v, want 19", got)
 	}
 }
@@ -65,7 +65,7 @@ func TestHoltZeroGapCorrectionSafe(t *testing.T) {
 		}
 	}
 	p.Step()
-	got := p.Predict()[0]
+	got := predict(p)[0]
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("zero-gap corrections produced %v", got)
 	}

@@ -25,11 +25,11 @@ import (
 	"fmt"
 
 	"kalmanstream/internal/kalman"
-	"kalmanstream/internal/mat"
 )
 
 // Predictor is a deterministic, replicable prediction procedure over a
-// stream of measurements.
+// stream of measurements. It is the one contract every replica meets:
+// every built-in predicts into a caller's buffer and snapshots its state.
 type Predictor interface {
 	// Name identifies the method for reports.
 	Name() string
@@ -42,67 +42,42 @@ type Predictor interface {
 	// suppressed ticks is one call, and replicas stay in lock-step whichever
 	// form either side used.
 	StepN(k int64)
-	// Predict returns the predictor's estimate of the current
-	// measurement. The returned slice is owned by the caller.
-	Predict() []float64
+	// PredictInto writes the predictor's estimate of the current
+	// measurement into dst, which must have length Dim, and returns dst.
+	// It writes nothing but dst, so concurrent readers with their own
+	// buffers may share a replica.
+	PredictInto(dst []float64) []float64
 	// Correct incorporates a shipped measurement (the measurement
 	// update). Must be called at the same ticks on every replica.
 	Correct(z []float64) error
-}
-
-// IntoPredictor is implemented by predictors whose prediction can be
-// computed into a caller-provided buffer. Hot loops (the per-tick source
-// gate) use it to avoid one slice allocation per stream-tick; Predict
-// remains the general contract and IntoPredictor is strictly an
-// optimization — both must return identical values.
-type IntoPredictor interface {
-	// PredictInto writes the current prediction into dst, which must
-	// have length Dim, and returns dst.
-	PredictInto(dst []float64) []float64
+	Snapshotter
 }
 
 // Uncertainty is implemented by predictors that can quantify their own
 // predictive spread, enabling probabilistic query answers on top of the
-// hard δ bound. Model-free baselines (static cache, dead reckoning, EWMA)
-// do not implement it.
+// hard δ bound. Model-free baselines (static cache, dead reckoning, EWMA,
+// Holt) do not implement it.
 type Uncertainty interface {
 	// PredictVariance returns the predictive variance of each
 	// observation component at the current tick.
 	PredictVariance() []float64
 }
 
-// Snapshotter is implemented by every predictor in this package: the full
-// internal state serialized as a flat float64 vector, so a source can
-// ship a snapshot that hard-resynchronizes a server replica after message
-// loss. Restore must leave the replica bit-identical to the one
-// the snapshot was taken from.
+// Snapshotter is the state half of the contract: the full internal state
+// serialized as a flat float64 vector, so a source can ship a snapshot
+// that hard-resynchronizes a server replica after message loss, and a
+// checkpoint can carry every replica. Restore must leave the replica
+// bit-identical to the one the snapshot was taken from.
 type Snapshotter interface {
 	// AppendSnapshot appends the predictor's complete state to dst and
 	// returns the extended slice; with spare capacity it does not
 	// allocate.
 	AppendSnapshot(dst []float64) []float64
 	// Restore overwrites the predictor's state from a snapshot taken on
-	// a behaviourally identical replica.
+	// a behaviourally identical replica. A snapshot no replica could have
+	// produced is refused before anything moves.
 	Restore(state []float64) error
 }
-
-var (
-	_ Uncertainty = (*Kalman)(nil)
-	_ Uncertainty = (*KalmanBank)(nil)
-
-	_ IntoPredictor = (*Static)(nil)
-	_ IntoPredictor = (*DeadReckoning)(nil)
-	_ IntoPredictor = (*EWMA)(nil)
-	_ IntoPredictor = (*Holt)(nil)
-	_ IntoPredictor = (*Kalman)(nil)
-
-	_ Snapshotter = (*Static)(nil)
-	_ Snapshotter = (*DeadReckoning)(nil)
-	_ Snapshotter = (*EWMA)(nil)
-	_ Snapshotter = (*Holt)(nil)
-	_ Snapshotter = (*Kalman)(nil)
-	_ Snapshotter = (*KalmanBank)(nil)
-)
 
 // Static predicts the most recently corrected value; before any
 // correction it predicts zero. This is value caching: the baseline every
@@ -129,10 +104,7 @@ func (s *Static) Step() {}
 // StepN implements Predictor.
 func (s *Static) StepN(int64) {}
 
-// Predict implements Predictor.
-func (s *Static) Predict() []float64 { return mat.VecClone(s.last) }
-
-// PredictInto implements IntoPredictor.
+// PredictInto implements Predictor.
 func (s *Static) PredictInto(dst []float64) []float64 {
 	copy(dst, s.last)
 	return dst
@@ -179,12 +151,7 @@ func (d *DeadReckoning) Step() { d.sinceTicks++ }
 // StepN implements Predictor.
 func (d *DeadReckoning) StepN(k int64) { d.sinceTicks += max(k, 0) }
 
-// Predict implements Predictor.
-func (d *DeadReckoning) Predict() []float64 {
-	return d.PredictInto(make([]float64, d.dim))
-}
-
-// PredictInto implements IntoPredictor.
+// PredictInto implements Predictor.
 func (d *DeadReckoning) PredictInto(dst []float64) []float64 {
 	for i := range dst {
 		dst[i] = d.last[i] + d.slope[i]*float64(d.sinceTicks)
@@ -239,10 +206,7 @@ func (e *EWMA) Step() {}
 // StepN implements Predictor.
 func (e *EWMA) StepN(int64) {}
 
-// Predict implements Predictor.
-func (e *EWMA) Predict() []float64 { return mat.VecClone(e.level) }
-
-// PredictInto implements IntoPredictor.
+// PredictInto implements Predictor.
 func (e *EWMA) PredictInto(dst []float64) []float64 {
 	copy(dst, e.level)
 	return dst
@@ -308,12 +272,7 @@ func (h *Holt) Step() { h.sinceTicks++ }
 // StepN implements Predictor.
 func (h *Holt) StepN(k int64) { h.sinceTicks += max(k, 0) }
 
-// Predict implements Predictor.
-func (h *Holt) Predict() []float64 {
-	return h.PredictInto(make([]float64, h.dim))
-}
-
-// PredictInto implements IntoPredictor.
+// PredictInto implements Predictor.
 func (h *Holt) PredictInto(dst []float64) []float64 {
 	for i := range dst {
 		dst[i] = h.level[i] + h.trend[i]*float64(h.sinceTicks)
@@ -359,7 +318,7 @@ func (h *Holt) Correct(z []float64) error {
 	return nil
 }
 
-// AppendSnapshot implements Snapshotter:
+// AppendSnapshot implements Predictor:
 // [corrs, sinceTicks, level..., trend...].
 func (h *Holt) AppendSnapshot(dst []float64) []float64 {
 	dst = append(dst, float64(h.corrs), float64(h.sinceTicks))
@@ -367,7 +326,7 @@ func (h *Holt) AppendSnapshot(dst []float64) []float64 {
 	return append(dst, h.trend...)
 }
 
-// Restore implements Snapshotter.
+// Restore implements Predictor.
 func (h *Holt) Restore(state []float64) error {
 	if len(state) != 2+2*h.dim {
 		return fmt.Errorf("predictor: holt snapshot has %d values, want %d", len(state), 2+2*h.dim)
@@ -428,15 +387,12 @@ func (k *Kalman) Dim() int { return k.dim }
 
 // Step implements Predictor. (An adaptive filter's time update is the
 // wrapped filter's: adaptation happens in Correct only.)
-func (k *Kalman) Step() { k.filter.Predict() }
+func (k *Kalman) Step() { k.filter.PredictN(1) }
 
 // StepN implements Predictor: the k-iteration loop runs inside the filter.
 func (k *Kalman) StepN(n int64) { k.filter.PredictN(n) }
 
-// Predict implements Predictor.
-func (k *Kalman) Predict() []float64 { return k.filter.Observation() }
-
-// PredictInto implements IntoPredictor.
+// PredictInto implements Predictor.
 func (k *Kalman) PredictInto(dst []float64) []float64 {
 	return k.filter.ObservationInto(dst)
 }
@@ -479,20 +435,19 @@ func (k *KalmanBank) Name() string { return "kalman-bank" }
 func (k *KalmanBank) Dim() int { return k.bank.ObsDim() }
 
 // Step implements Predictor.
-func (k *KalmanBank) Step() { k.bank.Predict() }
+func (k *KalmanBank) Step() { k.bank.PredictN(1) }
 
 // StepN implements Predictor: each model's filter loops on its own.
 func (k *KalmanBank) StepN(n int64) { k.bank.PredictN(n) }
 
-// Predict implements Predictor.
-func (k *KalmanBank) Predict() []float64 { return k.bank.Observation() }
+// PredictInto implements Predictor: the probability-weighted blend of the
+// models' observation predictions.
+func (k *KalmanBank) PredictInto(dst []float64) []float64 {
+	return k.bank.ObservationInto(dst)
+}
 
 // Correct implements Predictor.
 func (k *KalmanBank) Correct(z []float64) error { return k.bank.Update(z) }
 
 // PredictVariance implements Uncertainty.
 func (k *KalmanBank) PredictVariance() []float64 { return k.bank.ObservationVariance() }
-
-// Bank exposes the underlying bank for diagnostics (model weights).
-// Mutating it directly breaks replica lock-step.
-func (k *KalmanBank) Bank() *kalman.Bank { return k.bank }

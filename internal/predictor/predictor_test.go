@@ -10,6 +10,9 @@ import (
 	"kalmanstream/internal/stream"
 )
 
+// predict returns p's prediction in a fresh slice.
+func predict(p Predictor) []float64 { return p.PredictInto(make([]float64, p.Dim())) }
+
 func allSpecs() []Spec {
 	return []Spec{
 		{Kind: KindStatic, Dim: 1},
@@ -95,7 +98,7 @@ func TestModelSpecObsDim(t *testing.T) {
 
 func TestStaticPredictsLastValue(t *testing.T) {
 	p := NewStatic(1)
-	if got := p.Predict()[0]; got != 0 {
+	if got := predict(p)[0]; got != 0 {
 		t.Fatalf("initial prediction %v, want 0", got)
 	}
 	if err := p.Correct([]float64{7}); err != nil {
@@ -103,7 +106,7 @@ func TestStaticPredictsLastValue(t *testing.T) {
 	}
 	p.Step()
 	p.Step()
-	if got := p.Predict()[0]; got != 7 {
+	if got := predict(p)[0]; got != 7 {
 		t.Fatalf("prediction %v, want 7 (static ignores time)", got)
 	}
 }
@@ -123,7 +126,7 @@ func TestDeadReckoningExtrapolates(t *testing.T) {
 	p.Step()
 	p.Step()
 	p.Step()
-	if got := p.Predict()[0]; math.Abs(got-20) > 1e-12 {
+	if got := predict(p)[0]; math.Abs(got-20) > 1e-12 {
 		t.Fatalf("prediction %v, want 20", got)
 	}
 }
@@ -131,7 +134,7 @@ func TestDeadReckoningExtrapolates(t *testing.T) {
 func TestDeadReckoningBeforeTwoCorrections(t *testing.T) {
 	p := NewDeadReckoning(1)
 	p.Step()
-	if got := p.Predict()[0]; got != 0 {
+	if got := predict(p)[0]; got != 0 {
 		t.Fatalf("prediction before corrections %v, want 0", got)
 	}
 	if err := p.Correct([]float64{5}); err != nil {
@@ -139,7 +142,7 @@ func TestDeadReckoningBeforeTwoCorrections(t *testing.T) {
 	}
 	p.Step()
 	p.Step()
-	if got := p.Predict()[0]; got != 5 {
+	if got := predict(p)[0]; got != 5 {
 		t.Fatalf("prediction after one correction %v, want 5 (no slope yet)", got)
 	}
 }
@@ -154,7 +157,7 @@ func TestDeadReckoningZeroGapCorrection(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Step()
-	got := p.Predict()[0]
+	got := predict(p)[0]
 	if math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("zero-gap correction produced %v", got)
 	}
@@ -168,13 +171,13 @@ func TestEWMABlends(t *testing.T) {
 	if err := p.Correct([]float64{10}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Predict()[0]; got != 10 {
+	if got := predict(p)[0]; got != 10 {
 		t.Fatalf("first correction should prime: %v", got)
 	}
 	if err := p.Correct([]float64{20}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Predict()[0]; got != 15 {
+	if got := predict(p)[0]; got != 15 {
 		t.Fatalf("EWMA = %v, want 15", got)
 	}
 }
@@ -205,7 +208,7 @@ func TestKalmanPredictorTracksRamp(t *testing.T) {
 		}
 	}
 	p.Step() // tick 200, expected value 400
-	if got := p.Predict()[0]; math.Abs(got-400) > 1 {
+	if got := predict(p)[0]; math.Abs(got-400) > 1 {
 		t.Fatalf("kalman ramp prediction %v, want ≈400", got)
 	}
 }
@@ -223,10 +226,10 @@ func TestKalmanCoastsBetweenCorrections(t *testing.T) {
 		}
 	}
 	// Now stop correcting: predictions must keep advancing by ≈3/tick.
-	prev := p.Predict()[0]
+	prev := predict(p)[0]
 	for i := 0; i < 10; i++ {
 		p.Step()
-		cur := p.Predict()[0]
+		cur := predict(p)[0]
 		if math.Abs(cur-prev-3) > 0.5 {
 			t.Fatalf("coasting step %d advanced by %v, want ≈3", i, cur-prev)
 		}
@@ -266,7 +269,7 @@ func TestPropReplicaLockstepAllKinds(t *testing.T) {
 					return false
 				}
 			}
-			if !mat.VecEqualApprox(a.Predict(), b.Predict(), 0) {
+			if !mat.VecEqualApprox(predict(a), predict(b), 0) {
 				return false
 			}
 		}
@@ -297,7 +300,7 @@ func TestPropPredictionsAlwaysFinite(t *testing.T) {
 					return false
 				}
 			}
-			if !mat.VecIsFinite(p.Predict()) {
+			if !mat.VecIsFinite(predict(p)) {
 				return false
 			}
 		}
@@ -318,7 +321,7 @@ func predictionRMSE(t *testing.T, p Predictor, pts []stream.Point) float64 {
 	var n int
 	for _, pt := range pts {
 		p.Step()
-		pred := p.Predict()
+		pred := predict(p)
 		for k := range pred {
 			e := pred[k] - pt.Value[k]
 			sse += e * e

@@ -11,10 +11,10 @@ import (
 // travel in an ordinary protocol message; each predictor defines its own
 // layout and validates the length on Restore.
 
-// AppendSnapshot implements Snapshotter: [last...].
+// AppendSnapshot implements Predictor: [last...].
 func (s *Static) AppendSnapshot(dst []float64) []float64 { return append(dst, s.last...) }
 
-// Restore implements Snapshotter.
+// Restore implements Predictor.
 func (s *Static) Restore(state []float64) error {
 	if len(state) != s.dim {
 		return fmt.Errorf("predictor: static snapshot has %d values, want %d", len(state), s.dim)
@@ -23,7 +23,7 @@ func (s *Static) Restore(state []float64) error {
 	return nil
 }
 
-// AppendSnapshot implements Snapshotter:
+// AppendSnapshot implements Predictor:
 // [have, sinceTicks, last..., slope...].
 func (d *DeadReckoning) AppendSnapshot(dst []float64) []float64 {
 	dst = append(dst, float64(d.have), float64(d.sinceTicks))
@@ -31,7 +31,7 @@ func (d *DeadReckoning) AppendSnapshot(dst []float64) []float64 {
 	return append(dst, d.slope...)
 }
 
-// Restore implements Snapshotter.
+// Restore implements Predictor.
 func (d *DeadReckoning) Restore(state []float64) error {
 	if len(state) != 2+2*d.dim {
 		return fmt.Errorf("predictor: dead-reckoning snapshot has %d values, want %d", len(state), 2+2*d.dim)
@@ -43,7 +43,7 @@ func (d *DeadReckoning) Restore(state []float64) error {
 	return nil
 }
 
-// AppendSnapshot implements Snapshotter: [primed, level...].
+// AppendSnapshot implements Predictor: [primed, level...].
 func (e *EWMA) AppendSnapshot(dst []float64) []float64 {
 	primed := 0.0
 	if e.primed {
@@ -52,7 +52,7 @@ func (e *EWMA) AppendSnapshot(dst []float64) []float64 {
 	return append(append(dst, primed), e.level...)
 }
 
-// Restore implements Snapshotter.
+// Restore implements Predictor.
 func (e *EWMA) Restore(state []float64) error {
 	if len(state) != 1+e.dim {
 		return fmt.Errorf("predictor: ewma snapshot has %d values, want %d", len(state), 1+e.dim)
@@ -67,7 +67,7 @@ func (e *EWMA) Restore(state []float64) error {
 func filterSnapshotLen(n int) int { return n + n*n }
 
 func restoreFilter(f *kalman.Filter, state []float64) error {
-	n := len(f.State())
+	n := f.StateDim()
 	if len(state) != filterSnapshotLen(n) {
 		return fmt.Errorf("predictor: filter snapshot has %d values, want %d", len(state), filterSnapshotLen(n))
 	}
@@ -77,7 +77,7 @@ func restoreFilter(f *kalman.Filter, state []float64) error {
 	return f.SetCovariance(mat.FromSlice(n, n, state[n:]))
 }
 
-// AppendSnapshot implements Snapshotter: [x..., P (row-major)...] for
+// AppendSnapshot implements Predictor: [x..., P (row-major)...] for
 // plain filters; adaptive filters additionally carry their noise matrices
 // and innovation window (see kalman.Adaptive.AppendSnapshot), so a
 // restored replica adapts identically from then on.
@@ -88,7 +88,7 @@ func (k *Kalman) AppendSnapshot(dst []float64) []float64 {
 	return k.filter.AppendSnapshot(dst)
 }
 
-// Restore implements Snapshotter.
+// Restore implements Predictor.
 func (k *Kalman) Restore(state []float64) error {
 	if k.adaptive != nil {
 		return k.adaptive.Restore(state)
@@ -96,7 +96,7 @@ func (k *Kalman) Restore(state []float64) error {
 	return restoreFilter(k.filter, state)
 }
 
-// AppendSnapshot implements Snapshotter:
+// AppendSnapshot implements Predictor:
 // [weights..., then per model: x..., P...].
 func (k *KalmanBank) AppendSnapshot(dst []float64) []float64 {
 	bank := k.bank
@@ -107,13 +107,13 @@ func (k *KalmanBank) AppendSnapshot(dst []float64) []float64 {
 	return dst
 }
 
-// Restore implements Snapshotter.
+// Restore implements Predictor.
 func (k *KalmanBank) Restore(state []float64) error {
 	bank := k.bank
 	size := bank.Size()
 	want := size
 	for i := 0; i < size; i++ {
-		want += filterSnapshotLen(len(bank.FilterAt(i).State()))
+		want += filterSnapshotLen(bank.FilterAt(i).StateDim())
 	}
 	if len(state) != want {
 		return fmt.Errorf("predictor: bank snapshot has %d values, want %d", len(state), want)
@@ -124,7 +124,7 @@ func (k *KalmanBank) Restore(state []float64) error {
 	off := size
 	for i := 0; i < size; i++ {
 		f := bank.FilterAt(i)
-		n := filterSnapshotLen(len(f.State()))
+		n := filterSnapshotLen(f.StateDim())
 		if err := restoreFilter(f, state[off:off+n]); err != nil {
 			return err
 		}

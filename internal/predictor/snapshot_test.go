@@ -50,11 +50,11 @@ func TestPropSnapshotRestoreResynchronizes(t *testing.T) {
 			return false
 		}
 		// Resync b from a.
-		snap := a.(Snapshotter).AppendSnapshot(nil)
-		if err := b.(Snapshotter).Restore(snap); err != nil {
+		snap := a.AppendSnapshot(nil)
+		if err := b.Restore(snap); err != nil {
 			return false
 		}
-		if !mat.VecEqualApprox(a.Predict(), b.Predict(), 0) {
+		if !mat.VecEqualApprox(predict(a), predict(b), 0) {
 			return false
 		}
 		// From now on, identical behaviour under a shared schedule.
@@ -73,7 +73,7 @@ func TestPropSnapshotRestoreResynchronizes(t *testing.T) {
 					return false
 				}
 			}
-			if !mat.VecEqualApprox(a.Predict(), b.Predict(), 0) {
+			if !mat.VecEqualApprox(predict(a), predict(b), 0) {
 				return false
 			}
 		}
@@ -90,11 +90,11 @@ func TestRestoreRejectsWrongLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := p.(Snapshotter).AppendSnapshot(nil)
-		if err := p.(Snapshotter).Restore(snap[:len(snap)-1]); err == nil {
+		snap := p.AppendSnapshot(nil)
+		if err := p.Restore(snap[:len(snap)-1]); err == nil {
 			t.Errorf("%s: truncated snapshot accepted", p.Name())
 		}
-		if err := p.(Snapshotter).Restore(append(snap, 1)); err == nil {
+		if err := p.Restore(append(snap, 1)); err == nil {
 			t.Errorf("%s: oversized snapshot accepted", p.Name())
 		}
 	}
@@ -107,7 +107,7 @@ func TestSnapshotIsolatedFromPredictor(t *testing.T) {
 	}
 	snap := p.AppendSnapshot(nil)
 	snap[0] = 999
-	if p.Predict()[0] != 5 {
+	if predict(p)[0] != 5 {
 		t.Fatal("snapshot aliases predictor state")
 	}
 }
@@ -121,13 +121,13 @@ func TestBankRestoreRejectsBadWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := p.(Snapshotter).AppendSnapshot(nil)
+	snap := p.AppendSnapshot(nil)
 	snap[0], snap[1] = 0.9, 0.9 // weights no longer sum to 1
-	if err := p.(Snapshotter).Restore(snap); err == nil {
+	if err := p.Restore(snap); err == nil {
 		t.Fatal("invalid bank weights accepted")
 	}
 	snap[0], snap[1] = -0.5, 1.5
-	if err := p.(Snapshotter).Restore(snap); err == nil {
+	if err := p.Restore(snap); err == nil {
 		t.Fatal("negative bank weight accepted")
 	}
 }

@@ -37,7 +37,7 @@ func TestStepNEqualsRepeatedStep(t *testing.T) {
 					t.Fatalf("%s: %v", each.Name(), err)
 				}
 			}
-			a, b := once.(Snapshotter).AppendSnapshot(nil), each.(Snapshotter).AppendSnapshot(nil)
+			a, b := once.AppendSnapshot(nil), each.AppendSnapshot(nil)
 			if len(a) != len(b) {
 				t.Fatalf("%s round %d: snapshot lengths %d vs %d", once.Name(), round, len(a), len(b))
 			}
@@ -49,9 +49,9 @@ func TestStepNEqualsRepeatedStep(t *testing.T) {
 			}
 		}
 		// A negative count is no step at all, never a step back.
-		before := once.(Snapshotter).AppendSnapshot(nil)
+		before := once.AppendSnapshot(nil)
 		once.StepN(-3)
-		for i, v := range once.(Snapshotter).AppendSnapshot(nil) {
+		for i, v := range once.AppendSnapshot(nil) {
 			if math.Float64bits(v) != math.Float64bits(before[i]) {
 				t.Fatalf("%s: StepN(-3) changed snapshot[%d]", once.Name(), i)
 			}

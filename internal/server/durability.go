@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"kalmanstream/internal/netsim"
-	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/wal"
 )
@@ -55,9 +54,8 @@ func (s *Server) Checkpoint(c *wal.Cut) {
 	c.Begin()
 	for _, sh := range s.shards {
 		for _, st := range sh.order {
-			snap, _ := st.replica.(predictor.Snapshotter)
 			c.Add(st.id, st, wal.Live{Delta: st.delta, Tick: st.tick, LastCorr: st.lastCorr,
-				Corrections: st.corrections, LastValueTick: st.lastValueTick}, st.lastValue, snap)
+				Corrections: st.corrections, LastValueTick: st.lastValueTick}, st.lastValue, st.replica)
 		}
 	}
 	for _, sh := range s.shards {
@@ -131,14 +129,8 @@ func (s *Server) RestoreStream(cs wal.StreamState, now int64) error {
 	if len(cs.LastValue) > 0 {
 		st.lastValue = append([]float64(nil), cs.LastValue...)
 	}
-	if len(cs.Snapshot) > 0 {
-		snap, ok := st.replica.(predictor.Snapshotter)
-		if !ok {
-			return fmt.Errorf("server: %s predictor (%s) cannot restore snapshots", cs.ID, st.replica.Name())
-		}
-		if err := snap.Restore(cs.Snapshot); err != nil {
-			return fmt.Errorf("server: restoring %s snapshot: %w", cs.ID, err)
-		}
+	if err := st.replica.Restore(cs.Snapshot); err != nil {
+		return fmt.Errorf("server: restoring %s snapshot: %w", cs.ID, err)
 	}
 	return nil
 }

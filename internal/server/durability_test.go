@@ -47,7 +47,7 @@ func resyncValue(t *testing.T, spec predictor.Spec, value float64) []float64 {
 	if err := ref.Correct([]float64{value}); err != nil {
 		t.Fatal(err)
 	}
-	return append([]float64{value}, ref.(predictor.Snapshotter).AppendSnapshot(nil)...)
+	return append([]float64{value}, ref.AppendSnapshot(nil)...)
 }
 
 // driveWorkload runs a deterministic mixed workload (corrections, resyncs,
@@ -302,6 +302,12 @@ func TestRestoreStreamRejectsBadSnapshot(t *testing.T) {
 	cs.Snapshot = cs.Snapshot[:1] // wrong length for the kind
 	if err := s.RestoreStream(cs, 0); err == nil {
 		t.Fatal("truncated snapshot accepted")
+	}
+	// Every replica snapshots, so an element without one is damaged, not
+	// a fresh replica to keep.
+	cs.ID, cs.Snapshot = "b", nil
+	if err := s.RestoreStream(cs, 0); err == nil {
+		t.Fatal("element with no snapshot accepted")
 	}
 	cs2 := checkpointStates(t, ctrl)[0]
 	cs2.ID = ""

@@ -547,11 +547,7 @@ func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Messa
 		if len(m.Value) < dim {
 			return fmt.Errorf("server: resync for %s has %d values, want ≥ %d", m.StreamID, len(m.Value), dim)
 		}
-		snap, ok := st.replica.(predictor.Snapshotter)
-		if !ok {
-			return fmt.Errorf("server: %s predictor (%s) cannot restore snapshots", m.StreamID, st.replica.Name())
-		}
-		if err := snap.Restore(m.Value[dim:]); err != nil {
+		if err := st.replica.Restore(m.Value[dim:]); err != nil {
 			return fmt.Errorf("server: restoring %s: %w", m.StreamID, err)
 		}
 		value = m.Value[:dim]
@@ -691,7 +687,7 @@ func (st *streamState) answer() ([]float64, float64) {
 		copy(out, st.lastValue)
 		return out, 0
 	}
-	return st.replica.Predict(), st.delta
+	return st.replica.PredictInto(make([]float64, st.replica.Dim())), st.delta
 }
 
 // PeekValue answers the same point query as QueryAt but records no
@@ -729,7 +725,7 @@ func (s *Server) ValueDistribution(id string, tick int64) (estimate, stddev []fl
 	for i, v := range variance {
 		stddev[i] = math.Sqrt(v)
 	}
-	return st.replica.Predict(), stddev, nil
+	return st.replica.PredictInto(make([]float64, st.replica.Dim())), stddev, nil
 }
 
 // Norm returns the stream's gate norm (see RegisterAt).
@@ -795,7 +791,7 @@ func (s *Server) Info(id string, tick int64) (StreamInfo, error) {
 	}
 	defer sh.mu.Unlock()
 	info := st.info()
-	info.Prediction = st.replica.Predict()
+	info.Prediction = st.replica.PredictInto(make([]float64, st.replica.Dim()))
 	return info, nil
 }
 

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"math"
 	"testing"
 
 	"kalmanstream/internal/netsim"
@@ -143,7 +144,7 @@ func TestApplyResyncPaths(t *testing.T) {
 	if err := twin.Correct([]float64{7}); err != nil {
 		t.Fatal(err)
 	}
-	snap := twin.(predictor.Snapshotter).AppendSnapshot(nil)
+	snap := twin.AppendSnapshot(nil)
 	s.Tick()
 	msg := &netsim.Message{Kind: netsim.KindResync, StreamID: "k", Tick: 0,
 		Value: append([]float64{7}, snap...)}
@@ -170,5 +171,82 @@ func TestApplyResyncPaths(t *testing.T) {
 		Value: []float64{7, 1, 2, 3}}
 	if err := s.Apply(bad); err == nil {
 		t.Error("corrupt snapshot accepted")
+	}
+}
+
+// TestCraftedAdaptiveResyncRefused: an adaptive replica's resync whose
+// window metadata no replica produces — the ring index at the window's
+// end, or a filled ring with no entries — is refused before anything
+// moves, so the stream answers as it did and its next correction applies
+// (either shape used to be accepted and then crash that correction).
+func TestCraftedAdaptiveResyncRefused(t *testing.T) {
+	spec := predictor.Spec{Kind: predictor.KindKalman, Adaptive: true, AdaptiveWindow: 4,
+		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.1, R: 0.5}}
+	// A 1-state adaptive snapshot: x, P, Q, R, qScale, nisSum, nisCount,
+	// steps, next, filled, count, then count × (innovation, H·P·Hᵀ).
+	const next, filled, count = 8, 9, 10
+	twin, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // fills the ring: next 0, filled, count 4
+		twin.Step()
+		if err := twin.Correct([]float64{float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := twin.AppendSnapshot(nil)
+	if len(full) != 19 || full[next] != 0 || full[filled] != 1 || full[count] != 4 {
+		t.Fatalf("twin snapshot layout changed: %v", full)
+	}
+	endOfRing := append([]float64(nil), full...)
+	endOfRing[next], endOfRing[filled] = 4, 0
+	emptyFilled := append([]float64(nil), full[:11]...)
+	emptyFilled[count] = 0
+
+	for _, tc := range []struct {
+		name string
+		snap []float64
+	}{{"next at window", endOfRing}, {"filled with count 0", emptyFilled}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := servertest.New()
+			if err := s.Register("a", spec, 1); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				s.Tick()
+				if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "a",
+					Tick: s.At(), Value: []float64{float64(i)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Tick()
+			before, _, err := s.Value("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			crafted := &netsim.Message{Kind: netsim.KindResync, StreamID: "a", Tick: s.At(),
+				Value: append([]float64{9}, tc.snap...)}
+			if err := s.Apply(crafted); err == nil {
+				t.Fatal("crafted resync accepted")
+			}
+			after, bound, err := s.Value("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(after[0]) != math.Float64bits(before[0]) || bound != 1 {
+				t.Fatalf("answer moved: %v ± %v, was %v ± 1", after, bound, before)
+			}
+			for i := 0; i < 8; i++ { // crosses several re-estimations
+				s.Tick()
+				if err := s.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "a",
+					Tick: s.At(), Value: []float64{5}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if info, _ := s.Info("a", s.At()); info.Corrections != 11 {
+				t.Fatalf("corrections %d after the refused resync, want 11", info.Corrections)
+			}
+		})
 	}
 }

@@ -148,10 +148,9 @@ type Source struct {
 	run int64 // consecutive suppressed ticks (Observe-goroutine only)
 
 	// Per-tick fast-path state (Observe-goroutine only). dim caches
-	// replica.Dim(); predScratch is reused every tick when the replica
-	// supports PredictInto, making the suppressed path allocation-free.
+	// replica.Dim(); predScratch is the buffer the replica predicts into
+	// every tick, making the suppressed path allocation-free.
 	dim         int
-	intoReplica predictor.IntoPredictor // nil when unsupported
 	predScratch []float64
 
 	// resyncRequested is set by the server's staleness watchdog (via the
@@ -212,15 +211,12 @@ func New(cfg Config, send func(*netsim.Message)) (*Source, error) {
 		send:              send,
 		tr:                tr,
 		dim:               replica.Dim(),
+		predScratch:       make([]float64, replica.Dim()),
 		telSent:           reg.Counter("corrections_sent_total"),
 		telSuppressed:     reg.Counter("corrections_suppressed_total"),
 		telHeartbeats:     reg.Counter("heartbeats_total"),
 		telResyncs:        reg.Counter("resyncs_total"),
 		telResyncRequests: reg.Counter("resync_requests_total"),
-	}
-	if into, ok := replica.(predictor.IntoPredictor); ok {
-		s.intoReplica = into
-		s.predScratch = make([]float64, s.dim)
 	}
 	return s, nil
 }
@@ -234,13 +230,7 @@ func (s *Source) Observe(tick int64, z []float64) (sent bool, err error) {
 	}
 	s.replica.Step()
 
-	var pred []float64
-	if s.intoReplica != nil {
-		pred = s.intoReplica.PredictInto(s.predScratch)
-	} else {
-		pred = s.replica.Predict()
-	}
-	dev := s.cfg.DeviationNorm.Deviation(z, pred)
+	dev := s.cfg.DeviationNorm.Deviation(z, s.replica.PredictInto(s.predScratch))
 	traced := s.tr.Enabled()
 
 	// A pending resync request bypasses the gate: the server believes its
@@ -287,18 +277,14 @@ func (s *Source) Observe(tick int64, z []float64) (sent bool, err error) {
 	if forced || resyncDue {
 		// Upgrade to a resync: the measurement followed by the full
 		// post-correction snapshot, so a server that missed earlier
-		// corrections lands exactly on this replica's state. A predictor
-		// without snapshot support degrades to a plain correction — the
-		// best repair it can offer.
-		if snap, ok := s.replica.(predictor.Snapshotter); ok {
-			msg.Kind = netsim.KindResync
-			msg.Value = snap.AppendSnapshot(msg.Value)
-			s.resyncs.Add(1)
-			s.telResyncs.Inc()
-			outcome = trace.OutcomeResync
-			if forced {
-				s.forcedResyncs.Add(1)
-			}
+		// corrections lands exactly on this replica's state.
+		msg.Kind = netsim.KindResync
+		msg.Value = s.replica.AppendSnapshot(msg.Value)
+		s.resyncs.Add(1)
+		s.telResyncs.Inc()
+		outcome = trace.OutcomeResync
+		if forced {
+			s.forcedResyncs.Add(1)
 		}
 	}
 	if traced {
@@ -405,4 +391,4 @@ func (s *Source) Stats() Stats {
 
 // Prediction returns what the server is currently predicting for this
 // stream (the replica's view) — useful for diagnostics and tests.
-func (s *Source) Prediction() []float64 { return s.replica.Predict() }
+func (s *Source) Prediction() []float64 { return s.replica.PredictInto(make([]float64, s.dim)) }

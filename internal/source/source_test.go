@@ -319,12 +319,15 @@ func TestGateTracing(t *testing.T) {
 	}
 }
 
-// The two Kalman specs of the deployed-path benchmark's population.
+// The two Kalman specs of the deployed-path benchmark's population, and a
+// bank over both.
 var (
 	specRW1 = predictor.Spec{Kind: predictor.KindKalman,
 		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.25, R: 0.0025}}
 	specCV2 = predictor.Spec{Kind: predictor.KindKalman,
 		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}}
+	specBank = predictor.Spec{Kind: predictor.KindKalmanBank,
+		Models: []predictor.ModelSpec{specRW1.Model, specCV2.Model}}
 )
 
 // TestObserveDisabledTraceZeroAlloc: with tracing off, a suppressed tick
@@ -333,7 +336,7 @@ func TestObserveDisabledTraceZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		spec predictor.Spec
-	}{{"static", staticSpec()}, {"rw1", specRW1}, {"cv2", specCV2}} {
+	}{{"static", staticSpec()}, {"rw1", specRW1}, {"cv2", specCV2}, {"bank", specBank}} {
 		t.Run(tc.name, func(t *testing.T) {
 			j := trace.NewJournal(1, 8) // disabled
 			s, err := New(Config{StreamID: "s", Spec: tc.spec, Delta: 100, Telemetry: telemetry.New(), Trace: j}, func(*netsim.Message) {})

@@ -114,14 +114,11 @@ type cutStream struct {
 func (c *Cut) Begin() { c.seq = c.log.Seq() }
 
 // Add copies one stream into the cut: its moving state, its exact-answer
-// value and, when snap is non-nil, its predictor snapshot. rec is kept,
-// and read when the stream's element is encoded.
+// value and its predictor snapshot. rec is kept, and read when the
+// stream's element is encoded.
 func (c *Cut) Add(id string, rec Registered, live Live, value []float64, snap predictor.Snapshotter) {
 	off := len(c.floats)
-	c.floats = append(c.floats, value...)
-	if snap != nil {
-		c.floats = snap.AppendSnapshot(c.floats)
-	}
+	c.floats = snap.AppendSnapshot(append(c.floats, value...))
 	c.streams = append(c.streams, cutStream{id: id, rec: rec, live: live, off: off,
 		nValue: int32(len(value)), nSnap: int32(len(c.floats) - off - len(value))})
 }

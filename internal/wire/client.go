@@ -147,13 +147,6 @@ type CoalesceConfig struct {
 	// MaxBytes flushes before the pending encoding would exceed this
 	// (default 4096).
 	MaxBytes int
-	// FlushTickBoundary, when set, flushes the pending batch whenever a
-	// correction arrives for a later tick than the batch holds: every
-	// frame then carries corrections from exactly one tick, keeping the
-	// server's answers as fresh as the unbatched protocol's at that
-	// granularity. Sources that share one connection and observe in
-	// lock-step coalesce a whole tick's corrections into one frame.
-	FlushTickBoundary bool
 	// FlushAfter is a wall-clock deadline: a correction arriving this
 	// long after the previous flush ships the pending batch immediately
 	// (0 = no deadline). The check rides on the send path — an idle
@@ -173,8 +166,8 @@ func (c CoalesceConfig) withDefaults() CoalesceConfig {
 }
 
 // EnableCoalescing arms the correction write ring: SendCorrection
-// buffers into a pending batch that flushes on the configured size,
-// tick-boundary, and deadline bounds — and always before a query,
+// buffers into a pending batch that flushes on the configured size and
+// deadline bounds — and always before a query,
 // trace batch, metrics fetch, or Close, so no protocol exchange can
 // observe the server behind the corrections sent before it.
 func (c *Client) EnableCoalescing(cfg CoalesceConfig) {
@@ -581,16 +574,11 @@ func (c *Client) SendCorrection(m *netsim.Message) error {
 }
 
 // send adds m, named by handle h, to the write ring, flushing first when
-// the tick-boundary or deadline policy demands it and after when a size
-// bound trips.
+// the deadline has passed and after when a size bound trips.
 func (c *Client) send(m *netsim.Message, h uint32) error {
-	if c.batch.Count() > 0 {
-		boundary := c.batchCfg.FlushTickBoundary && m.Tick != c.batch.LastTick()
-		overdue := c.batchCfg.FlushAfter > 0 && time.Since(c.lastFlush) >= c.batchCfg.FlushAfter
-		if boundary || overdue {
-			if err := c.flush(); err != nil {
-				return err
-			}
+	if c.batch.Count() > 0 && c.batchCfg.FlushAfter > 0 && time.Since(c.lastFlush) >= c.batchCfg.FlushAfter {
+		if err := c.flush(); err != nil {
+			return err
 		}
 	}
 	if c.batch.Count() == 0 {

@@ -136,51 +136,6 @@ func TestCoalescedSingleCorrectionUsesLegacyFrame(t *testing.T) {
 	}
 }
 
-// TestCoalescedFlushOnTickBoundary: with FlushTickBoundary set, a
-// correction for a newer tick must push out everything pending from the
-// previous tick as one frame.
-func TestCoalescedFlushOnTickBoundary(t *testing.T) {
-	srv, addr, shutdown := startServerWith(t)
-	defer shutdown()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.EnableCoalescing(CoalesceConfig{MaxCorrections: 100, FlushTickBoundary: true})
-	ids := []string{"a", "b", "c"}
-	for _, id := range ids {
-		if err := c.Register(id, cvSpec(), 0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Three streams share the connection and observe in lock-step: one
-	// tick's corrections coalesce, the next tick's first correction
-	// flushes them.
-	for _, id := range ids {
-		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: 1, Value: []float64{1}}
-		if err := c.SendCorrection(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.PendingCorrections(); got != 3 {
-		t.Fatalf("pending %d before boundary, want 3", got)
-	}
-	m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "a", Tick: 2, Value: []float64{2}}
-	if err := c.SendCorrection(m); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.PendingCorrections(); got != 1 {
-		t.Fatalf("pending %d after boundary, want 1 (tick-2 correction)", got)
-	}
-	if _, err := c.Query("a", 2); err != nil { // drains the rest
-		t.Fatal(err)
-	}
-	if n := srv.Registry().Counter("wire_frames_coalesced_total").Value(); n != 1 {
-		t.Fatalf("batched frames %d, want exactly 1 (the tick-1 trio)", n)
-	}
-}
-
 // FuzzCoalescedFrame drives the batch-apply path two ways. First,
 // arbitrary bytes go straight into ApplyBatch: hostile payloads must
 // produce structured errors, never panics. Second, a correction

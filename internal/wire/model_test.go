@@ -84,7 +84,7 @@ func (st *refStream) replay() (p predictor.Predictor, lastValue []float64, lastV
 			err = p.Correct(op.m.Value)
 			lastValue, lastValueAt = op.m.Value, op.at
 		case netsim.KindResync:
-			err = p.(predictor.Snapshotter).Restore(op.m.Value[p.Dim():])
+			err = p.Restore(op.m.Value[p.Dim():])
 			lastValue, lastValueAt = op.m.Value[:p.Dim()], op.at
 		}
 		if err != nil {
@@ -132,7 +132,7 @@ func (r refModel) query(id string, tick int64) (AnswerPayload, refDelta, error) 
 	if err != nil {
 		return AnswerPayload{}, refDelta{}, err
 	}
-	ans := AnswerPayload{ID: id, Tick: tick, Estimate: p.Predict(), Bound: st.delta}
+	ans := AnswerPayload{ID: id, Tick: tick, Estimate: p.PredictInto(make([]float64, p.Dim())), Bound: st.delta}
 	if lastValueAt == st.tick {
 		ans.Estimate, ans.Bound = lastValue, 0
 	}
@@ -307,7 +307,7 @@ func (r *modelRun) value(st *refStream, kind netsim.MessageKind) []float64 {
 			r.t.Fatal(err)
 		}
 	}
-	return p.(predictor.Snapshotter).AppendSnapshot([]float64{z})
+	return p.AppendSnapshot([]float64{z})
 }
 
 func (r *modelRun) op() {
