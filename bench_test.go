@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -203,24 +205,23 @@ func BenchmarkMessageEncodeDecode(b *testing.B) {
 }
 
 // BenchmarkMessageRoundTripPooled is the zero-alloc form of the codec
-// round trip: pooled encode buffer, decode into a warm message. The
-// allocs/op column must read 0 (guarded by TestCorrectionRoundTripZeroAlloc).
+// round trip: encode into one reused buffer, decode into a warm message.
+// The allocs/op column must read 0 (guarded by
+// TestCorrectionRoundTripZeroAlloc).
 func BenchmarkMessageRoundTripPooled(b *testing.B) {
 	m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "sensor-01", Tick: 123456, Value: []float64{42.5}}
 	dst := &netsim.Message{StreamID: "sensor-01", Value: make([]float64, 0, 4)}
+	buf := make([]byte, 0, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bp := netsim.GetBuffer()
-		buf, err := m.AppendEncode(*bp)
-		if err != nil {
+		var err error
+		if buf, err = m.AppendEncode(buf[:0]); err != nil {
 			b.Fatal(err)
 		}
 		if err := netsim.DecodeInto(dst, buf); err != nil {
 			b.Fatal(err)
 		}
-		*bp = buf[:0]
-		netsim.PutBuffer(bp)
 	}
 }
 
@@ -804,7 +805,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		var replayed int
-		_, err = l.Restore(nil, func(typ wal.RecordType, tick int64, payload []byte) error {
+		_, err = l.Restore(func(typ wal.RecordType, tick int64, payload []byte) error {
 			if typ == wal.RecMessage {
 				if derr := netsim.DecodeInto(&scratch, payload); derr != nil {
 					return derr
@@ -826,6 +827,29 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	b.ReportMetric(records, "records/op")
 }
 
+// checkpointedNode returns a durable node over dir holding n
+// constant-velocity Kalman streams, each with a correction applied.
+func checkpointedNode(b *testing.B, dir string, n int) *core.Node {
+	b.Helper()
+	node, err := core.NewNode(core.NodeConfig{Telemetry: telemetry.New(), Logger: slog.New(slog.DiscardHandler),
+		Clock: func() int64 { return 0 }, WALDir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := core.KalmanConstantVelocity(0.05, 0.1)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("stream-%05d", i)
+		if _, err := node.Server().Adopt(id, spec, 0.5, nil, 0); err != nil {
+			b.Fatal(err)
+		}
+		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: 3, Value: []float64{float64(i)}}
+		if _, _, err := node.Server().Ingest(m, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return node
+}
+
 // BenchmarkCheckpoint measures one periodic checkpoint of a durable node
 // holding 10,000 constant-velocity Kalman streams, each with a correction
 // applied: the cut under every shard's read lock, the log sync, the
@@ -833,24 +857,8 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 // point — the cut and the encode reuse the log's buffers, so neither
 // grows with the population.
 func BenchmarkCheckpoint(b *testing.B) {
-	const streams = 10_000
-	n, err := core.NewNode(core.NodeConfig{Telemetry: telemetry.New(), Logger: slog.New(slog.DiscardHandler),
-		Clock: func() int64 { return 0 }, WALDir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
+	n := checkpointedNode(b, b.TempDir(), 10_000)
 	defer n.Close()
-	spec := core.KalmanConstantVelocity(0.05, 0.1)
-	for i := 0; i < streams; i++ {
-		id := fmt.Sprintf("stream-%05d", i)
-		if _, err := n.Server().Adopt(id, spec, 0.5, nil, 0); err != nil {
-			b.Fatal(err)
-		}
-		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: 3, Value: []float64{float64(i)}}
-		if _, _, err := n.Server().Ingest(m, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 	if err := n.Checkpoint(); err != nil { // grow the reused buffers
 		b.Fatal(err)
 	}
@@ -860,5 +868,46 @@ func BenchmarkCheckpoint(b *testing.B) {
 		if err := n.Checkpoint(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRestart measures a durable node's restart from a checkpoint of
+// 10,000 and 100,000 constant-velocity Kalman streams: open the log,
+// check the checkpoint whole, replay its register and state records into
+// a fresh server. The 100,000 case is skipped under -short.
+func BenchmarkRestart(b *testing.B) {
+	for _, streams := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
+			if testing.Short() && streams > 10_000 {
+				b.Skip("100,000 streams under -short")
+			}
+			dir := b.TempDir()
+			n := checkpointedNode(b, dir, streams)
+			if err := n.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			if err := n.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				re, err := core.NewNode(core.NodeConfig{Telemetry: telemetry.New(), Logger: slog.New(slog.DiscardHandler),
+					Clock: func() int64 { return 0 }, WALDir: dir})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := re.RecoveryStats().CheckpointStreams; got != streams {
+					b.Fatalf("restored %d streams, want %d", got, streams)
+				}
+				if err := re.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cks, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*.ckpt"))
+			if info, err := os.Stat(cks[0]); err == nil {
+				b.ReportMetric(float64(info.Size())/float64(streams), "disk-B/stream")
+			}
+		})
 	}
 }

@@ -52,10 +52,14 @@ type Adaptive struct {
 	adaptQ bool
 }
 
+// DefaultWindow is the innovation window of an AdaptiveConfig that sets
+// none.
+const DefaultWindow = 64
+
 // AdaptiveConfig tunes the adaptation behaviour.
 type AdaptiveConfig struct {
 	// Window is the number of recent innovations used for estimation.
-	// Defaults to 64.
+	// Defaults to DefaultWindow.
 	Window int
 	// AdaptR enables measurement-noise estimation.
 	AdaptR bool
@@ -68,7 +72,7 @@ type AdaptiveConfig struct {
 // NewAdaptive wraps filter with the given adaptation config.
 func NewAdaptive(filter *Filter, cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.Window <= 0 {
-		cfg.Window = 64
+		cfg.Window = DefaultWindow
 	}
 	if cfg.MinQScale <= 0 {
 		cfg.MinQScale = 1.0 / 1024

@@ -52,23 +52,21 @@ func TestDecodeIntoReusesStorage(t *testing.T) {
 }
 
 // TestCorrectionRoundTripZeroAlloc is the allocation regression guard for
-// the hot path: a pooled AppendEncode followed by DecodeInto into a warm
-// message must be completely allocation-free.
+// the hot path: an AppendEncode into a reused buffer, then DecodeInto into
+// a warm message, must be completely allocation-free.
 func TestCorrectionRoundTripZeroAlloc(t *testing.T) {
 	m := &Message{Kind: KindCorrection, StreamID: "sensor-01", Tick: 123456, Value: []float64{42.5, -1}}
 	dst := &Message{StreamID: "sensor-01", Value: make([]float64, 0, 4)}
 
+	buf := make([]byte, 0, 128)
 	allocs := testing.AllocsPerRun(1000, func() {
-		bp := GetBuffer()
-		buf, err := m.AppendEncode(*bp)
-		if err != nil {
+		var err error
+		if buf, err = m.AppendEncode(buf[:0]); err != nil {
 			t.Fatal(err)
 		}
 		if err := DecodeInto(dst, buf); err != nil {
 			t.Fatal(err)
 		}
-		*bp = buf[:0]
-		PutBuffer(bp)
 	})
 	if allocs != 0 {
 		t.Errorf("correction encode/decode round trip allocated %.1f times per op, want 0", allocs)

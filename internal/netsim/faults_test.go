@@ -122,7 +122,7 @@ func TestPartitionDropsUntilHealed(t *testing.T) {
 	l := NewLink(func(m *Message) { got = append(got, m.Tick) }, LinkConfig{})
 	drive(l, 5, nil)
 	l.SetDown(true)
-	if !l.Down() {
+	if !l.down {
 		t.Fatal("Down() false after SetDown(true)")
 	}
 	drive(l, 5, nil)

@@ -9,11 +9,11 @@
 // demo in internal/wire shows the same messages crossing a real socket.
 //
 // The codec reuses caller-provided storage: AppendEncode appends to the
-// caller's buffer (GetBuffer/PutBuffer pool them) and DecodeInto/DecodeNext
-// decode into the caller's Message, so a steady-state correction round
-// trip performs zero heap allocations. A record names its stream by id;
-// the handle form (AppendEncodeHandle/DecodeNextHandle) names it by a
-// per-connection uint32 instead, and is otherwise the same bytes.
+// caller's buffer and DecodeInto/DecodeNext decode into the caller's
+// Message, so a steady-state correction round trip performs zero heap
+// allocations. A record names its stream by id; the handle form
+// (AppendEncodeHandle/DecodeNextHandle) names it by a per-connection
+// uint32 instead, and is otherwise the same bytes.
 package netsim
 
 import (
@@ -117,8 +117,7 @@ func (m *Message) EncodedSize() int {
 
 // AppendEncode appends the message's wire encoding to buf and returns the
 // extended slice. When buf has EncodedSize spare capacity the call does
-// not allocate; pair it with GetBuffer/PutBuffer for a pooled zero-alloc
-// send path.
+// not allocate, so a send path that reuses one buffer is zero-alloc.
 func (m *Message) AppendEncode(buf []byte) ([]byte, error) {
 	if len(m.StreamID) > math.MaxUint16 {
 		return nil, fmt.Errorf("netsim: stream id too long (%d bytes)", len(m.StreamID))
@@ -359,28 +358,6 @@ func PutMessage(m *Message) {
 	msgPool.Put(m)
 }
 
-// bufPool recycles encode buffers across sends; 128 bytes covers any
-// correction up to a 13-element value with a 16-byte stream id.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 128)
-		return &b
-	},
-}
-
-// GetBuffer returns a pooled encode buffer of zero length. Release it
-// with PutBuffer once the encoded bytes have been consumed.
-func GetBuffer() *[]byte {
-	return bufPool.Get().(*[]byte)
-}
-
-// PutBuffer returns a buffer obtained from GetBuffer to the pool. The
-// caller must not retain any slice of it afterwards.
-func PutBuffer(b *[]byte) {
-	*b = (*b)[:0]
-	bufPool.Put(b)
-}
-
 // Stats is a snapshot of traffic counters for one link direction.
 type Stats struct {
 	Messages int64
@@ -543,9 +520,6 @@ func (l *Link) SetReorderProb(p float64) {
 // SetDown partitions (true) or heals (false) the link. While partitioned
 // every send is dropped; messages already in flight still mature.
 func (l *Link) SetDown(down bool) { l.down = down }
-
-// Down reports whether the link is currently partitioned.
-func (l *Link) Down() bool { return l.down }
 
 // Send transmits m across the link. With no impairments the delivery is
 // synchronous.

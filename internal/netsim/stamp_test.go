@@ -91,17 +91,15 @@ func TestStampedRoundTripZeroAlloc(t *testing.T) {
 	m := &Message{Kind: KindCorrection, StreamID: "sensor-01", Tick: 123456, Value: []float64{42.5, -1}, Stamp: 987654321}
 	dst := &Message{StreamID: "sensor-01", Value: make([]float64, 0, 4)}
 
+	buf := make([]byte, 0, 128)
 	allocs := testing.AllocsPerRun(1000, func() {
-		bp := GetBuffer()
-		buf, err := m.AppendEncode(*bp)
-		if err != nil {
+		var err error
+		if buf, err = m.AppendEncode(buf[:0]); err != nil {
 			t.Fatal(err)
 		}
 		if err := DecodeInto(dst, buf); err != nil {
 			t.Fatal(err)
 		}
-		*bp = buf[:0]
-		PutBuffer(bp)
 	})
 	if allocs != 0 {
 		t.Errorf("stamped round trip allocated %.1f times per op, want 0", allocs)

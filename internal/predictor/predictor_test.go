@@ -1,11 +1,13 @@
 package predictor
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"kalmanstream/internal/kalman"
 	"kalmanstream/internal/mat"
 	"kalmanstream/internal/stream"
 )
@@ -68,6 +70,73 @@ func TestSpecBuildRejectsBadSpecs(t *testing.T) {
 	for i, s := range bad {
 		if _, err := s.Build(); err == nil {
 			t.Errorf("case %d: bad spec %+v accepted", i, s)
+		}
+	}
+}
+
+// TestSpecBuildSizeLimits: a spec at every limit builds, and its snapshot
+// stays within MaxSnapshot once its adaptive window has filled; one past
+// any limit, the snapshot bound included, is refused
+// with ErrSpecTooLarge, whatever else is wrong with it.
+func TestSpecBuildSizeLimits(t *testing.T) {
+	rw := ModelSpec{Kind: ModelRandomWalk, Q: 1, R: 1}
+	bank := func(n int, m ModelSpec) []ModelSpec {
+		ms := make([]ModelSpec, n)
+		for i := range ms {
+			ms[i] = m
+		}
+		return ms
+	}
+	rwND := func(dim int) ModelSpec { return ModelSpec{Kind: ModelRandomWalkND, Q: 1, R: 1, Dim: dim} }
+	at := []Spec{
+		{Kind: KindStatic, Dim: MaxDim},
+		{Kind: KindHolt, Dim: MaxDim, Alpha: 0.5, Beta: 0.2},
+		{Kind: KindKalman, Model: rwND(MaxDim)},
+		{Kind: KindKalman, Model: rw, Adaptive: true, AdaptiveWindow: MaxAdaptiveWindow},
+		{Kind: KindKalmanBank, Models: bank(MaxModels, rw)},
+		{Kind: KindKalmanBank, Models: bank(2, rwND(MaxDim))},
+		{Kind: KindKalmanBank, Models: bank(MaxModels, rwND(MaxDim))},
+		{Kind: KindKalman, Model: ModelSpec{Kind: ModelConstantVelocity2D, Q: 1, R: 1}, Adaptive: true, AdaptiveWindow: MaxAdaptiveWindow},
+		// The largest adaptive replicas whose full snapshots fit
+		// MaxSnapshot: the widest window at MaxDim, the widest dim at
+		// the default window.
+		{Kind: KindKalman, Model: rwND(MaxDim), Adaptive: true, AdaptiveWindow: 12},
+		{Kind: KindKalman, Model: rwND(30), Adaptive: true},
+	}
+	for i, s := range at {
+		p, err := s.Build()
+		if err != nil {
+			t.Errorf("case %d: spec at the limits refused: %v", i, err)
+			continue
+		}
+		// Fill an adaptive window: its snapshot grows until then.
+		z := make([]float64, p.Dim())
+		for k := 0; s.Adaptive && k <= max(s.AdaptiveWindow, kalman.DefaultWindow); k++ {
+			p.Step()
+			z[0] = float64(k % 7)
+			if err := p.Correct(z); err != nil {
+				t.Fatalf("case %d: correct %d: %v", i, k, err)
+			}
+		}
+		if n := len(p.AppendSnapshot(nil)); n > MaxSnapshot {
+			t.Errorf("case %d: full snapshot has %d floats, past MaxSnapshot %d", i, n, MaxSnapshot)
+		}
+	}
+	past := []Spec{
+		{Kind: KindStatic, Dim: MaxDim + 1},
+		{Kind: KindEWMA, Dim: 1 << 30, Alpha: 0.5},
+		{Kind: KindKalman, Model: rwND(MaxDim + 1)},
+		{Kind: KindKalman, Model: rw, Adaptive: true, AdaptiveWindow: MaxAdaptiveWindow + 1},
+		{Kind: KindKalman, Model: rwND(MaxDim), Adaptive: true, AdaptiveWindow: MaxAdaptiveWindow},
+		{Kind: KindKalman, Model: rwND(MaxDim), Adaptive: true, AdaptiveWindow: 13},
+		{Kind: KindKalman, Model: rwND(31), Adaptive: true},
+		{Kind: KindKalmanBank, Models: bank(MaxModels+1, rw)},
+		{Kind: KindKalmanBank, Models: []ModelSpec{rw, rwND(MaxDim + 1)}},
+		{Kind: "nonsense", Dim: MaxDim + 1},
+	}
+	for i, s := range past {
+		if _, err := s.Build(); !errors.Is(err, ErrSpecTooLarge) {
+			t.Errorf("case %d: spec past a limit: err %v, want ErrSpecTooLarge", i, err)
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package predictor
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"kalmanstream/internal/kalman"
 )
@@ -111,9 +113,44 @@ type Spec struct {
 	BankFloor float64 `json:"bankFloor,omitempty"`
 }
 
+// The size limits Build holds every spec to: a registration, a logged
+// one or a checkpointed one, cannot make a replica larger than these.
+// Every spec the experiments, examples and commands use is well inside.
+const (
+	MaxDim            = 64   // Spec.Dim and every ModelSpec.Dim
+	MaxAdaptiveWindow = 4096 // Spec.AdaptiveWindow
+	MaxModels         = 8    // len(Spec.Models)
+	// MaxSnapshot bounds the floats a replica's snapshot can ever hold,
+	// the most one wire message carries: a source resyncs its server
+	// with the snapshot, and a checkpoint stores it in one record.
+	MaxSnapshot = math.MaxUint16
+)
+
+// ErrSpecTooLarge refuses a spec past a size limit.
+var ErrSpecTooLarge = errors.New("predictor: spec exceeds a size limit")
+
 // Build constructs the predictor the spec describes. Calling Build twice
-// yields independent but behaviourally identical replicas.
+// yields independent but behaviourally identical replicas. A spec past a
+// size limit is refused with ErrSpecTooLarge before anything is
+// allocated.
 func (s Spec) Build() (Predictor, error) {
+	tooLarge := s.Dim > MaxDim || s.Model.Dim > MaxDim || s.AdaptiveWindow > MaxAdaptiveWindow || len(s.Models) > MaxModels
+	for _, m := range s.Models {
+		tooLarge = tooLarge || m.Dim > MaxDim
+	}
+	// Inside the field limits only an adaptive random walk in d
+	// dimensions can pass MaxSnapshot: once its window fills, its snapshot
+	// (kalman.Adaptive.AppendSnapshot) holds 3d²+d+7 floats plus d+d² a
+	// window slot.
+	d, window := max(s.Model.Dim, 0), s.AdaptiveWindow
+	if window <= 0 {
+		window = kalman.DefaultWindow
+	}
+	wideWalk := s.Kind == KindKalman && s.Adaptive && s.Model.Kind == ModelRandomWalkND
+	if tooLarge || wideWalk && 3*d*d+d+7+window*(d+d*d) > MaxSnapshot {
+		return nil, fmt.Errorf("%w: the limits are dim %d, adaptive window %d, models %d, snapshot %d floats",
+			ErrSpecTooLarge, MaxDim, MaxAdaptiveWindow, MaxModels, MaxSnapshot)
+	}
 	switch s.Kind {
 	case KindStatic:
 		if s.Dim <= 0 {

@@ -132,16 +132,3 @@ func (s *Server) HistoryRange(id string, from, to int64) ([]HistoryEntry, error)
 	}
 	return out, nil
 }
-
-// HistoryLen returns the number of retained entries.
-func (s *Server) HistoryLen(id string) (int, error) {
-	sh, st, err := s.get(id)
-	if err != nil {
-		return 0, err
-	}
-	defer sh.mu.RUnlock()
-	if st.history == nil {
-		return 0, fmt.Errorf("server: %w for %q", ErrHistoryDisabled, id)
-	}
-	return st.history.len(), nil
-}

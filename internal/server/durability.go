@@ -70,69 +70,56 @@ func (st *streamState) Registration() wal.RegisterRecord {
 }
 
 // Recover is the one recovery routine: it replays a log directory into
-// the (empty) server — the newest checkpoint restores every stream
-// wholesale, then the records at or after its sequence replay in log
-// order: registrations re-create their stream, messages re-apply at the
-// tick the log recorded for them. Call it before installing the hooks, so
-// nothing it replays is logged again. Every recovered stream starts
-// unowned and last heard at now: it is exactly as live as the server is,
-// so restarting never declares the whole population stale and blasts
-// resync requests at it. Watchdogs armed per stream (SetWatchdog) are left
-// disarmed: on the tick clock the caller rolls the replicas up to its tick
-// and re-arms them afterwards.
+// the (empty) server — the newest checkpoint's records first, then the
+// records at or after its sequence, in log order: a registration
+// re-creates its stream, a state restores the stream's replica and
+// bookkeeping to the captured values at the record's tick, and a message
+// re-applies at the tick the log recorded for it. Call it before
+// installing the hooks, so nothing it replays is logged again. Every
+// recovered stream starts unowned and last heard at now: it is exactly as
+// live as the server is, so restarting never declares the whole
+// population stale and blasts resync requests at it. Watchdogs armed per
+// stream (SetWatchdog) are left disarmed: on the tick clock the caller
+// rolls the replicas up to its tick and re-arms them afterwards.
 func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 	var scratch netsim.Message
-	return log.Restore(
-		func(c *wal.Checkpoint) error {
-			for _, cs := range c.Streams {
-				if err := s.RestoreStream(cs, now); err != nil {
-					return err
-				}
+	var state wal.State
+	return log.Restore(func(typ wal.RecordType, tick int64, payload []byte) error {
+		switch typ {
+		case wal.RecRegister:
+			rec, err := wal.DecodeRegister(payload)
+			if err != nil {
+				return err
+			}
+			_, err = s.register(rec.ID, rec.Spec, rec.Delta, source.Norm(rec.Norm), false, nil, 0, now)
+			return err
+		case wal.RecState:
+			if err := wal.DecodeState(tick, payload, &state); err != nil {
+				return err
+			}
+			sh, st, err := s.lock(state.ID)
+			if err != nil {
+				return err
+			}
+			defer sh.mu.Unlock()
+			if err := st.replica.Restore(state.Snapshot); err != nil {
+				return fmt.Errorf("server: restoring %s snapshot: %w", state.ID, err)
+			}
+			st.tick, st.delta, st.lastCorr, st.corrections = state.Tick, state.Delta, state.LastCorr, state.Corrections
+			st.lastValueTick = state.LastValueTick
+			if len(state.Value) > 0 {
+				st.lastValue = append([]float64(nil), state.Value...)
 			}
 			return nil
-		},
-		func(typ wal.RecordType, tick int64, payload []byte) error {
-			switch typ {
-			case wal.RecRegister:
-				rec, err := wal.DecodeRegister(payload)
-				if err != nil {
-					return err
-				}
-				_, err = s.register(rec.ID, rec.Spec, rec.Delta, source.Norm(rec.Norm), false, nil, 0, now)
+		case wal.RecMessage:
+			if err := netsim.DecodeInto(&scratch, payload); err != nil {
 				return err
-			case wal.RecMessage:
-				if err := netsim.DecodeInto(&scratch, payload); err != nil {
-					return err
-				}
-				return s.ReplayMessage(tick, &scratch)
-			default:
-				return fmt.Errorf("server: unexpected wal record type %d", typ)
 			}
-		})
-}
-
-// RestoreStream re-creates one stream from a checkpoint state: the
-// replica is rebuilt from the registered spec, its snapshot restored,
-// and every piece of server bookkeeping set to the captured values.
-// now is when the stream counts as last heard (see Recover).
-func (s *Server) RestoreStream(cs wal.StreamState, now int64) error {
-	st, err := s.register(cs.ID, cs.Spec, cs.RegisterDelta, source.Norm(cs.Norm), false, nil, cs.Tick, now)
-	if err != nil {
-		return err
-	}
-	st.sh.mu.Lock()
-	defer st.sh.mu.Unlock()
-	st.delta = cs.Delta
-	st.lastCorr = cs.LastCorr
-	st.corrections = cs.Corrections
-	st.lastValueTick = cs.LastValueTick
-	if len(cs.LastValue) > 0 {
-		st.lastValue = append([]float64(nil), cs.LastValue...)
-	}
-	if err := st.replica.Restore(cs.Snapshot); err != nil {
-		return fmt.Errorf("server: restoring %s snapshot: %w", cs.ID, err)
-	}
-	return nil
+			return s.ReplayMessage(tick, &scratch)
+		default:
+			return fmt.Errorf("server: unexpected wal record type %d", typ)
+		}
+	})
 }
 
 // ReplayMessage re-applies one logged message during recovery: the

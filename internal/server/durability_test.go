@@ -1,33 +1,76 @@
 package server
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
 
+	"kalmanstream/internal/kalman"
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/source"
 	"kalmanstream/internal/wal"
 )
 
-// checkpointStates writes the checkpoint cut to an empty log and returns
-// the stream states the file holds.
-func checkpointStates(t *testing.T, s *Server) []wal.StreamState {
+// checkpointed writes one checkpoint with cut to an empty log directory
+// and returns the log reopened on it, as a restart finds it.
+func checkpointed(t *testing.T, cut func(*wal.Cut)) *wal.Log {
 	t.Helper()
-	log, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	dir := t.TempDir()
+	log, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer log.Close()
-	if err := log.WriteCheckpoint(s.Checkpoint); err != nil {
+	if err := errors.Join(log.WriteCheckpoint(cut), log.Close()); err != nil {
 		t.Fatal(err)
 	}
-	var states []wal.StreamState
-	if _, err := log.Restore(func(c *wal.Checkpoint) error { states = c.Streams; return nil }, nil); err != nil {
+	if log, err = wal.Open(wal.Options{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	return log
+}
+
+// checkpointStates writes the checkpoint cut and returns the stream
+// states the file holds, in file order.
+func checkpointStates(t *testing.T, s *Server) []wal.State {
+	t.Helper()
+	var states []wal.State
+	if _, err := checkpointed(t, s.Checkpoint).Restore(func(typ wal.RecordType, tick int64, payload []byte) error {
+		if typ != wal.RecState {
+			return nil
+		}
+		var st wal.State
+		err := wal.DecodeState(tick, payload, &st)
+		states = append(states, st)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return states
+}
+
+// registration serves a fixed registration to a cut, and snapshot a
+// fixed snapshot.
+type (
+	registration wal.RegisterRecord
+	snapshot     []float64
+)
+
+func (r registration) Registration() wal.RegisterRecord   { return wal.RegisterRecord(r) }
+func (f snapshot) AppendSnapshot(dst []float64) []float64 { return append(dst, f...) }
+func (snapshot) Restore([]float64) error                  { return nil }
+
+// recoverState checkpoints one stream, registered as reg and holding cs,
+// and recovers a fresh server from that checkpoint: the RecState replay
+// path alone.
+func recoverState(t *testing.T, reg wal.RegisterRecord, cs wal.State) error {
+	t.Helper()
+	_, err := New().Recover(checkpointed(t, func(c *wal.Cut) {
+		c.Add(cs.ID, registration(reg), cs.Live, cs.Value, snapshot(cs.Snapshot))
+	}), 0)
+	return err
 }
 
 func kalmanSpec() predictor.Spec {
@@ -201,10 +244,8 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 
 	recovered := New()
-	for _, cs := range states {
-		if err := recovered.RestoreStream(cs, 0); err != nil {
-			t.Fatal(err)
-		}
+	if stats, err := recovered.Recover(checkpointed(t, ctrl.Checkpoint), 0); err != nil || stats.CheckpointStreams != len(ids) {
+		t.Fatalf("Recover = %+v, %v; want %d streams from the checkpoint", stats, err, len(ids))
 	}
 	want := snapshotAnswers(t, ctrl, ids)
 	got := snapshotAnswers(t, recovered, ids)
@@ -216,6 +257,44 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 	if d, _ := recovered.Delta("gamma"); d != 0.25 {
 		t.Fatalf("restored delta = %v, want 0.25", d)
+	}
+}
+
+// TestLargestReplicaCheckpoints: the largest adaptive replica Spec.Build
+// admits checkpoints and recovers once its innovation window has filled,
+// and one whose full snapshot would not fit one record is refused at
+// registration, so no stream can outgrow a checkpoint.
+func TestLargestReplicaCheckpoints(t *testing.T) {
+	model := predictor.ModelSpec{Kind: predictor.ModelRandomWalkND, Q: 0.1, R: 0.5, Dim: 30}
+	spec := predictor.Spec{Kind: predictor.KindKalman, Model: model, Adaptive: true, AdaptiveWindow: kalman.DefaultWindow}
+	ctrl := New()
+	if err := ctrl.Register("wide", spec, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	for tick := int64(0); tick <= 2*int64(spec.AdaptiveWindow); tick++ {
+		z := make([]float64, model.Dim)
+		for i := range z {
+			z[i] = math.Sin(float64(tick+int64(i)) / 5)
+		}
+		if _, _, err := ctrl.Ingest(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "wide", Tick: tick, Value: z}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	states := checkpointStates(t, ctrl)
+	if len(states) != 1 || len(states[0].Snapshot) <= predictor.MaxSnapshot*9/10 {
+		t.Fatalf("checkpoint holds %d states; want one near the %d-float bound", len(states), predictor.MaxSnapshot)
+	}
+	recovered := New()
+	if _, err := recovered.Recover(checkpointed(t, ctrl.Checkpoint), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := snapshotAnswers(t, recovered, []string{"wide"}), snapshotAnswers(t, ctrl, []string{"wide"}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored answers differ:\n got %+v\nwant %+v", got, want)
+	}
+
+	spec.Model.Dim, spec.AdaptiveWindow = predictor.MaxDim, predictor.MaxAdaptiveWindow
+	if err := New().Register("wider", spec, 0.5); !errors.Is(err, predictor.ErrSpecTooLarge) {
+		t.Fatalf("register of a replica past the snapshot bound: err %v, want ErrSpecTooLarge", err)
 	}
 }
 
@@ -293,25 +372,33 @@ func TestResetDropsAllStreams(t *testing.T) {
 }
 
 func TestRestoreStreamRejectsBadSnapshot(t *testing.T) {
-	s := New()
 	ctrl := New()
 	if err := ctrl.Register("a", kalmanSpec(), 0.5); err != nil {
 		t.Fatal(err)
 	}
+	reg := wal.RegisterRecord{ID: "a", Spec: kalmanSpec(), Delta: 0.5}
 	cs := checkpointStates(t, ctrl)[0]
+	if err := recoverState(t, reg, cs); err != nil {
+		t.Fatalf("the intact state was refused: %v", err)
+	}
 	cs.Snapshot = cs.Snapshot[:1] // wrong length for the kind
-	if err := s.RestoreStream(cs, 0); err == nil {
+	if err := recoverState(t, reg, cs); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
-	// Every replica snapshots, so an element without one is damaged, not
-	// a fresh replica to keep.
-	cs.ID, cs.Snapshot = "b", nil
-	if err := s.RestoreStream(cs, 0); err == nil {
-		t.Fatal("element with no snapshot accepted")
+	// Every replica snapshots, so a state without one is damaged, not a
+	// fresh replica to keep.
+	cs.Snapshot = nil
+	if err := recoverState(t, reg, cs); err == nil {
+		t.Fatal("state with no snapshot accepted")
 	}
 	cs2 := checkpointStates(t, ctrl)[0]
-	cs2.ID = ""
-	if err := s.RestoreStream(cs2, 0); err == nil {
+	cs2.ID, reg.ID = "", ""
+	if err := recoverState(t, reg, cs2); err == nil {
 		t.Fatal("empty stream id accepted")
+	}
+	// A state names a registered stream; one naming none is refused.
+	cs2.ID, reg.ID = "b", "a"
+	if err := recoverState(t, reg, cs2); err == nil {
+		t.Fatal("state of an unregistered stream accepted")
 	}
 }

@@ -1,0 +1,17 @@
+package server
+
+import "fmt"
+
+// HistoryLen returns the number of entries id's archive retains — a read
+// the external tests make and production never does.
+func (s *Server) HistoryLen(id string) (int, error) {
+	sh, st, err := s.get(id)
+	if err != nil {
+		return 0, err
+	}
+	defer sh.mu.RUnlock()
+	if st.history == nil {
+		return 0, fmt.Errorf("server: %w for %q", ErrHistoryDisabled, id)
+	}
+	return st.history.len(), nil
+}

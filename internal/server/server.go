@@ -163,7 +163,7 @@ type shard struct {
 	// loop walks this slice instead of ranging the map, which is both
 	// cheaper and deterministic.
 	order []*streamState
-	// size mirrors len(streams) so Len and ShardSizes read it without
+	// size mirrors len(streams) so Len reads it without
 	// taking the lock (len of a map is not safe to read concurrently with
 	// writes).
 	size atomic.Int64
@@ -230,19 +230,6 @@ func fnv1a(id string) uint32 {
 // shardFor routes a stream ID to its lock stripe.
 func shardFor(s *Server, id string) *shard {
 	return s.shards[fnv1a(id)%uint32(len(s.shards))]
-}
-
-// NumShards returns the number of lock stripes.
-func (s *Server) NumShards() int { return len(s.shards) }
-
-// ShardSizes reports the number of registered streams per shard — the
-// load-balance diagnostic for the hash distribution.
-func (s *Server) ShardSizes() []int {
-	out := make([]int, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = int(sh.size.Load())
-	}
-	return out
 }
 
 // SetTelemetry attaches a registry, which from then on holds the totals

@@ -19,9 +19,12 @@ func TestShardDistribution(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sizes := s.ShardSizes()
-	if len(sizes) != DefaultShards {
-		t.Fatalf("NumShards = %d, want %d", len(sizes), DefaultShards)
+	if len(s.shards) != DefaultShards {
+		t.Fatalf("%d shards, want %d", len(s.shards), DefaultShards)
+	}
+	var sizes []int
+	for _, sh := range s.shards {
+		sizes = append(sizes, int(sh.size.Load()))
 	}
 	fair := n / len(sizes)
 	total := 0
@@ -89,7 +92,9 @@ func TestConcurrentRegisterApplyQuery(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			_ = s.StreamIDs()
 			_ = s.Len()
-			_ = s.ShardSizes()
+			for _, sh := range s.shards {
+				_ = sh.size.Load()
+			}
 		}
 	}()
 	wg.Wait()

@@ -191,7 +191,7 @@ func TestStepToPathsEquivalent(t *testing.T) {
 				infos[i] = info
 				cps[i] = checkpointStates(t, s)
 				var total int64
-				for sh := 0; sh < s.NumShards(); sh++ {
+				for sh := range s.shards {
 					total += regs[i].Counter("corrections_suppressed_total", "shard", fmt.Sprint(sh)).Value()
 				}
 				if total != info.Suppressed || info.Suppressed == 0 {

@@ -1,9 +1,13 @@
-// Checkpoints: a durable snapshot of every stream's replica state plus
-// the log sequence it covers. Recovery restores the newest checkpoint
-// and replays only the records after Seq, so recovery time is bounded
-// by the checkpoint interval rather than the log's lifetime. The write
-// protocol is the classic temp-file + fsync + rename + dir-fsync dance:
-// a checkpoint either exists completely or not at all, and the previous
+// Checkpoints: a durable snapshot of every stream's state plus the log
+// sequence it covers. A checkpoint file is a run of ordinary records: for
+// each stream, sorted by ID, its RecRegister record (the bytes
+// AppendRegister logs) and its RecState record; then one seal, whose tick
+// is the covered sequence and whose payload counts the states. Recovery
+// feeds the checkpoint's records and then the segment records after its
+// sequence through one ReplayFunc, so recovery time is bounded by the
+// checkpoint interval rather than the log's lifetime. The write protocol
+// is the classic temp-file + fsync + rename + dir-fsync dance: a
+// checkpoint either exists completely or not at all, and the previous
 // one survives until its successor is durable.
 
 package wal
@@ -13,58 +17,25 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
 	"kalmanstream/internal/predictor"
 )
 
-// StreamState is one stream's full durable state: enough to rebuild
-// the replica (Spec + Snapshot) and the server's bookkeeping around it.
-type StreamState struct {
-	ID string `json:"id"`
-	// Spec and RegisterDelta reproduce the original registration, which
-	// a reconnecting source's idempotent re-register is checked against.
-	Spec          predictor.Spec `json:"spec"`
-	RegisterDelta float64        `json:"registerDelta"`
-	// Delta is the current (possibly budget-adjusted) precision bound.
-	Delta float64 `json:"delta"`
-	// Norm is the gate norm's integer code (source.Norm).
-	Norm int `json:"norm,omitempty"`
-	// Tick is the number of time steps the replica has taken.
-	Tick int64 `json:"tick"`
-	// LastCorr is the tick of the last applied correction (-1 = none).
-	LastCorr    int64 `json:"lastCorr"`
-	Corrections int64 `json:"corrections"`
-	// LastValue and LastValueTick reproduce the exact-answer window: on
-	// the tick a correction arrived the server answers with the shipped
-	// measurement itself, bound 0.
-	LastValue     []float64 `json:"lastValue,omitempty"`
-	LastValueTick int64     `json:"lastValueTick"`
-	// Snapshot is the predictor's flat state vector
-	// (predictor.Snapshotter layout for Spec's kind).
-	Snapshot []float64 `json:"snapshot,omitempty"`
-}
+// ErrJSONCheckpoint refuses a log directory an older build checkpointed:
+// its checkpoint is one JSON record this build does not read. Falling
+// back past it would replay a log whose prefix that checkpoint pruned.
+var ErrJSONCheckpoint = errors.New("wal: JSON checkpoint written by an older build (record type 3); recover the directory with that build or start from an empty one")
 
-// Checkpoint is the durable snapshot of the whole replica cache as of
-// log sequence Seq: the effects of records [0, Seq) are included, so
-// recovery replays from Seq. It is the decoded form Restore hands out;
-// WriteCheckpoint encodes the same bytes from a Cut.
-type Checkpoint struct {
-	Seq     uint64        `json:"seq"`
-	Streams []StreamState `json:"streams"`
-}
-
-// Registered is a stream record as a checkpoint reads it: the element a
+// Registered is a stream record as a checkpoint reads it: the record a
 // cut adds for the stream reads the registration through it when the
-// element is encoded, after the cut's locks are released. Everything it
+// record is encoded, after the cut's locks are released. Everything it
 // returns is fixed once the stream exists.
 type Registered interface {
 	Registration() RegisterRecord
@@ -72,6 +43,7 @@ type Registered interface {
 
 // Live is the part of a stream's checkpoint state that moves after
 // registration, which a cut copies while the stream cannot change.
+// LastCorr is the tick of the last applied correction (-1 = none).
 type Live struct {
 	Delta                                      float64
 	Tick, LastCorr, Corrections, LastValueTick int64
@@ -91,12 +63,14 @@ type Cut struct {
 	floats  []float64 // per stream, in Add order: its last value, then its snapshot
 	order   []int32   // streams, sorted by ID
 
-	// elem is the one StreamState every element is encoded from, through
-	// enc into buf and from there through the frame's CRC into bw.
-	elem StreamState
-	buf  bytes.Buffer
-	enc  *json.Encoder
-	bw   *bufio.Writer
+	// reg is the registration being encoded, a field so that enc encodes
+	// it through a pointer and boxes no copy per stream; js holds its JSON
+	// and rec the stream's two framed records on their way into bw.
+	reg RegisterRecord
+	js  bytes.Buffer
+	enc *json.Encoder
+	rec []byte
+	bw  *bufio.Writer
 }
 
 type cutStream struct {
@@ -115,7 +89,7 @@ func (c *Cut) Begin() { c.seq = c.log.Seq() }
 
 // Add copies one stream into the cut: its moving state, its exact-answer
 // value and its predictor snapshot. rec is kept, and read when the
-// stream's element is encoded.
+// stream's records are encoded.
 func (c *Cut) Add(id string, rec Registered, live Live, value []float64, snap predictor.Snapshotter) {
 	off := len(c.floats)
 	c.floats = snap.AppendSnapshot(append(c.floats, value...))
@@ -124,37 +98,16 @@ func (c *Cut) Add(id string, rec Registered, live Live, value []float64, snap pr
 }
 
 // reset empties the cut for the next checkpoint of l, keeping its
-// buffers. An empty cut encodes its streams as [], as json.Marshal does
-// an empty non-nil slice.
+// buffers.
 func (c *Cut) reset(l *Log) {
 	c.log, c.seq = l, 0
-	if c.streams == nil {
-		c.streams = []cutStream{}
-	}
 	c.streams, c.floats = c.streams[:0], c.floats[:0]
 }
 
-// element fills the cut's one StreamState with stream i.
-func (c *Cut) element(i int32) *StreamState {
-	s := &c.streams[i]
-	reg := s.rec.Registration()
-	value := c.floats[s.off : s.off+int(s.nValue)]
-	c.elem = StreamState{
-		ID: s.id, Spec: reg.Spec, RegisterDelta: reg.Delta, Norm: reg.Norm,
-		Delta: s.live.Delta, Tick: s.live.Tick, LastCorr: s.live.LastCorr, Corrections: s.live.Corrections,
-		LastValue: value, LastValueTick: s.live.LastValueTick,
-		Snapshot: c.floats[s.off+len(value) : s.off+len(value)+int(s.nSnap)],
-	}
-	return &c.elem
-}
-
-// encode streams the cut's checkpoint record into f: a placeholder length
-// word; then type, tick and payload, all through a running CRC-32; then
-// the CRC; and last the length word, written back in place. The payload
-// is {"seq":N,"streams":[...]} with one element per stream, sorted by ID,
-// each from the one json.Encoder with its trailing newline dropped — so
-// the bytes are appendRecord(nil, recCheckpoint, seq, json.Marshal(cp))
-// for the Checkpoint cp the cut describes.
+// encode writes the cut's checkpoint file to f: each stream's register
+// and state records, sorted by ID, then the seal. A stream whose two
+// records outgrow the record bound fails it, since no reader would take
+// them.
 func (c *Cut) encode(f *os.File) error {
 	c.order = c.order[:0]
 	for i := range c.streams {
@@ -162,54 +115,31 @@ func (c *Cut) encode(f *os.File) error {
 	}
 	slices.SortFunc(c.order, func(a, b int32) int { return strings.Compare(c.streams[a].id, c.streams[b].id) })
 	if c.enc == nil {
-		c.enc = json.NewEncoder(&c.buf)
+		c.enc = json.NewEncoder(&c.js)
 		c.bw = bufio.NewWriterSize(f, 64<<10)
 	} else {
 		c.bw.Reset(f)
 	}
-	var crc uint32
-	var length int64
-	put := func(p []byte) {
-		crc = crc32.Update(crc, crc32.IEEETable, p)
-		length += int64(len(p))
-		_, _ = c.bw.Write(p) // a bufio.Writer's error is sticky: Flush reports it
-	}
-	var word [9]byte
-	_, _ = c.bw.Write(word[:4])
-	word[0] = byte(recCheckpoint)
-	binary.BigEndian.PutUint64(word[1:], c.seq)
-	put(word[:9])
-	c.buf.Reset()
-	c.buf.WriteString(`{"seq":`)
-	c.buf.Write(strconv.AppendUint(c.buf.AvailableBuffer(), c.seq, 10))
-	if c.streams == nil {
-		c.buf.WriteString(`,"streams":null`)
-	} else {
-		c.buf.WriteString(`,"streams":[`)
-		for k, i := range c.order {
-			put(c.buf.Bytes())
-			c.buf.Reset()
-			if k > 0 {
-				c.buf.WriteByte(',')
-			}
-			if err := c.enc.Encode(c.element(i)); err != nil {
-				return fmt.Errorf("wal: encoding checkpoint stream %q: %w", c.streams[i].id, err)
-			}
-			c.buf.Truncate(c.buf.Len() - 1) // Encode's newline
+	for _, i := range c.order {
+		s := &c.streams[i]
+		c.reg = s.rec.Registration()
+		c.js.Reset()
+		if err := c.enc.Encode(&c.reg); err != nil {
+			return fmt.Errorf("wal: encoding checkpoint stream %q: %w", s.id, err)
 		}
-		c.buf.WriteByte(']')
+		c.rec = appendRecord(c.rec[:0], RecRegister, 0, c.js.Bytes()[:c.js.Len()-1]) // Encode's newline
+		snap := s.off + int(s.nValue)
+		c.rec = appendState(c.rec, &State{ID: s.id, Live: s.live, Value: c.floats[s.off:snap], Snapshot: c.floats[snap : snap+int(s.nSnap)]})
+		if len(c.rec) > maxRecordBody {
+			return fmt.Errorf("wal: checkpoint stream %q outgrows the %d-byte record bound", s.id, maxRecordBody)
+		}
+		_, _ = c.bw.Write(c.rec) // a bufio.Writer's error is sticky: Flush reports it
 	}
-	c.buf.WriteByte('}')
-	put(c.buf.Bytes())
-	if length > math.MaxUint32 {
-		return fmt.Errorf("wal: checkpoint record of %d bytes overflows its length word", length)
-	}
-	_, _ = c.bw.Write(binary.BigEndian.AppendUint32(word[:0], crc))
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	_, err := f.WriteAt(binary.BigEndian.AppendUint32(word[:0], uint32(length)), 0)
-	return err
+	var count [8]byte
+	binary.BigEndian.PutUint64(count[:], uint64(len(c.streams)))
+	c.rec = appendRecord(c.rec[:0], recSeal, int64(c.seq), count[:])
+	_, _ = c.bw.Write(c.rec)
+	return c.bw.Flush()
 }
 
 // WriteCheckpoint captures a checkpoint with cut, makes it durable, and
@@ -254,7 +184,7 @@ func (l *Log) WriteCheckpoint(cut func(*Cut)) error {
 		return err
 	}
 	l.mu.Lock()
-	l.ckptPath, l.opened = final, nil
+	l.ckptPath, l.ckptSeq = final, c.seq
 	err = l.pruneLocked(c.seq, final)
 	l.mu.Unlock()
 	l.telCkpts.Inc()
@@ -290,22 +220,36 @@ func (l *Log) pruneLocked(seq uint64, keep string) error {
 	return syncDir(l.dir)
 }
 
-// loadCheckpoint reads and validates one checkpoint file. The file holds
-// exactly one record, so the record is bounded by the file, not by
-// maxRecordBody: a checkpoint WriteCheckpoint could write, recovery can
-// read.
-func loadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// readCheckpoint reads one checkpoint file and checks it whole: every
+// record frames and passes its CRC, there are only register and state
+// records before the seal, and the seal is last and counts the states.
+// It returns the file's bytes, the covered sequence and the state count.
+// A file that opens with a type-3 frame carrying an older build's JSON,
+// whole or torn, is refused, never skipped; a type byte flipped to 3 is
+// damage like any other.
+func readCheckpoint(path string) (data []byte, seq uint64, states int, err error) {
+	if data, err = os.ReadFile(path); err != nil {
+		return nil, 0, 0, err
 	}
-	typ, _, payload, size, ok := decodeBounded(data, len(data))
-	if !ok || typ != recCheckpoint || size != len(data) {
-		return nil, fmt.Errorf("wal: checkpoint record torn or corrupt")
+	if len(data) > 4 && RecordType(data[4]) == recJSONCheckpoint && bytes.HasPrefix(data[min(len(data), 13):], []byte(`{"seq":`)) {
+		return nil, 0, 0, ErrJSONCheckpoint
 	}
-	var c Checkpoint
-	if err := json.Unmarshal(payload, &c); err != nil {
-		return nil, fmt.Errorf("wal: decoding checkpoint: %w", err)
+	for rest := data; len(rest) > 0; {
+		typ, tick, payload, size, ok := decodeRecord(rest)
+		switch {
+		case !ok:
+			return nil, 0, 0, fmt.Errorf("wal: checkpoint record torn or corrupt at byte %d", len(data)-len(rest))
+		case typ == RecState:
+			states++
+		case typ == recSeal:
+			if size != len(rest) || len(payload) != 8 || binary.BigEndian.Uint64(payload) != uint64(states) {
+				return nil, 0, 0, fmt.Errorf("wal: checkpoint seal is not last or miscounts its %d states", states)
+			}
+			return data, uint64(tick), states, nil
+		case typ != RecRegister:
+			return nil, 0, 0, fmt.Errorf("wal: record type %d in a checkpoint", typ)
+		}
+		rest = rest[size:]
 	}
-	return &c, nil
+	return nil, 0, 0, fmt.Errorf("wal: checkpoint has no seal")
 }

@@ -99,7 +99,7 @@ func TestCrashDuringCheckpointWrite(t *testing.T) {
 	// The checkpointer died mid-write: a half-written temp file (torn
 	// frame — the length word promises more than the file holds).
 	tmp := filepath.Join(dir, "checkpoint-00000000000000000012.ckpt.tmp")
-	if err := os.WriteFile(tmp, []byte{0, 0, 4, 0, byte(recCheckpoint), 1, 2}, 0o644); err != nil {
+	if err := os.WriteFile(tmp, []byte{0, 0, 4, 0, byte(recSeal), 1, 2}, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,12 +138,9 @@ func TestCrashAfterCheckpointRename(t *testing.T) {
 	// Publish a checkpoint covering the first 8 records by hand — the
 	// exact bytes WriteCheckpoint renames into place — and "crash" before
 	// any pruning happens.
-	payload, err := encodeJSON(&Checkpoint{Seq: 8, Streams: []StreamState{{ID: "s", Tick: 7, LastCorr: 7}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := &ckpt{Seq: 8, Streams: []stream{{Reg: RegisterRecord{ID: "s"}, Live: Live{Tick: 7, LastCorr: 7}}}}
 	path := filepath.Join(dir, "checkpoint-00000000000000000008.ckpt")
-	if err := os.WriteFile(path, appendRecord(nil, recCheckpoint, 8, payload), 0o644); err != nil {
+	if err := os.WriteFile(path, oracle(t, ck), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(8); i < 11; i++ {
@@ -157,7 +154,7 @@ func TestCrashAfterCheckpointRename(t *testing.T) {
 
 	r := testLog(t, dir, 0)
 	ckpt, recs, stats := collectReplay(t, r)
-	if ckpt == nil || ckpt.Seq != 8 || len(ckpt.Streams) != 1 {
+	if ckpt == nil || ckpt.Seq != 8 || !sameStreams(ckpt.Streams, ck.Streams) {
 		t.Fatalf("recovered checkpoint %+v, want the published Seq=8 one", ckpt)
 	}
 	if len(recs) != 3 {
@@ -236,16 +233,13 @@ func TestConcurrentAppendRotateCheckpoint(t *testing.T) {
 
 	r := testLog(t, dir, 512)
 	var replayedRecs int
-	var ckptSeq uint64
-	stats, err := r.Restore(
-		func(c *Checkpoint) error { ckptSeq = c.Seq; return nil },
-		func(typ RecordType, tick int64, payload []byte) error { replayedRecs++; return nil })
+	stats, err := r.Restore(func(typ RecordType, tick int64, payload []byte) error { replayedRecs++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := ckptSeq + uint64(replayedRecs)
+	total := stats.CheckpointSeq + uint64(replayedRecs)
 	if total != writers*perWriter {
 		t.Fatalf("checkpoint %d + replayed %d = %d records, want %d (stats %+v)",
-			ckptSeq, replayedRecs, total, writers*perWriter, stats)
+			stats.CheckpointSeq, replayedRecs, total, writers*perWriter, stats)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unicode/utf8"
 
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
@@ -13,7 +14,7 @@ import (
 )
 
 // fuzzSeeds builds representative valid byte streams — a register
-// record, a message record, a checkpoint frame, and a multi-record
+// record, a message record, a checkpoint file, and a multi-record
 // segment — so the fuzzer mutates real frames instead of rediscovering
 // the format from zero.
 func fuzzSeeds(tb testing.TB) [][]byte {
@@ -32,13 +33,9 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ckptPayload, err := encodeJSON(&Checkpoint{Seq: 3, Streams: []StreamState{{ID: "seed", Tick: 9}}})
-	if err != nil {
-		tb.Fatal(err)
-	}
 	reg := appendRecord(nil, RecRegister, 0, regPayload)
 	msg := appendRecord(nil, RecMessage, 7, msgPayload)
-	ckpt := appendRecord(nil, recCheckpoint, 3, ckptPayload)
+	ckpt := oracle(tb, &ckpt{Seq: 3, Streams: []stream{{Reg: RegisterRecord{ID: "seed"}, Live: Live{Tick: 9}, Snapshot: []float64{1}}}})
 	multi := append(append([]byte(nil), reg...), msg...)
 	return [][]byte{reg, msg, ckpt, multi, multi[:len(multi)-5], {0, 0, 0}, {}}
 }
@@ -66,13 +63,7 @@ func FuzzWALRecord(f *testing.F) {
 			if size <= 0 || size > len(rest) {
 				t.Fatalf("decodeRecord: size %d outside remaining %d", size, len(rest))
 			}
-			switch typ {
-			case RecRegister:
-				_, _ = DecodeRegister(payload)
-			case RecMessage:
-				var m netsim.Message
-				_ = netsim.DecodeInto(&m, payload)
-			}
+			decodePayload(typ, payload)
 			rest = rest[size:]
 		}
 
@@ -91,17 +82,10 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil {
 			return // rejecting hostile bytes is fine; panicking is not
 		}
-		_, _ = l.Restore(func(*Checkpoint) error { return nil },
-			func(typ RecordType, _ int64, payload []byte) error {
-				switch typ {
-				case RecRegister:
-					_, _ = DecodeRegister(payload)
-				case RecMessage:
-					var m netsim.Message
-					_ = netsim.DecodeInto(&m, payload)
-				}
-				return nil
-			})
+		_, _ = l.Restore(func(typ RecordType, _ int64, payload []byte) error {
+			decodePayload(typ, payload)
+			return nil
+		})
 		if err := l.AppendRegister(RegisterRecord{ID: "post-repair", Delta: 1}); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
@@ -114,30 +98,63 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
-// FuzzCheckpointEncode: for arbitrary ids (invalid UTF-8 included) and
-// finite floats, the streamed checkpoint file equals the json.Marshal
-// oracle byte for byte, and loadCheckpoint returns the checkpoint the
-// oracle's payload decodes to.
-func FuzzCheckpointEncode(f *testing.F) {
-	f.Add("alpha", "<b>&\"c\"", uint64(3), int64(9), 1.5, -2.25, 1e21)
-	f.Add("", "\xff\xfe", uint64(0), int64(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e-7)
-	f.Add("same", "same", uint64(1<<63), int64(math.MaxInt64), math.MaxFloat64, -1e-300, 0.1)
-	f.Fuzz(func(t *testing.T, id1, id2 string, seq uint64, tick int64, a, b, c float64) {
-		for _, v := range []float64{a, b, c} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Skip("JSON carries finite floats only")
+// decodePayload runs a record's payload through the decoder its type
+// names; the fuzz targets only require that none panics.
+func decodePayload(typ RecordType, payload []byte) {
+	switch typ {
+	case RecRegister:
+		_, _ = DecodeRegister(payload)
+	case RecState:
+		var st State
+		_ = DecodeState(0, payload, &st)
+	case RecMessage:
+		var m netsim.Message
+		_ = netsim.DecodeInto(&m, payload)
+	}
+}
+
+// FuzzCheckpointRecords: a cut of arbitrary ids and arbitrary floats (NaN payloads and −0 included) writes the record
+// oracle's bytes and replays bit for bit; and arbitrary bytes, given to
+// the checkpoint reader as a file and to DecodeState as a payload, never
+// panic.
+func FuzzCheckpointRecords(f *testing.F) {
+	f.Add("alpha", "<b>&\"c\"", uint64(3), int64(9), 1.5, -2.25, 1e21, []byte{0, 0, 0, 1, 'a'})
+	f.Add("", "\xff\xfe", uint64(0), int64(-1), math.Copysign(0, -1), math.NaN(), math.Inf(-1), []byte{})
+	f.Add("same", "same", uint64(1<<63), int64(math.MaxInt64), math.MaxFloat64, -1e-300, 0.1,
+		oracle(f, &ckpt{Seq: 1, Streams: []stream{{Reg: RegisterRecord{ID: "x"}, Snapshot: []float64{2}}}}))
+	f.Fuzz(func(t *testing.T, id1, id2 string, seq uint64, tick int64, a, b, c float64, raw []byte) {
+		var st State
+		_ = DecodeState(0, raw, &st)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "checkpoint-00000000000000000000.ckpt")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if data, _, _, err := readCheckpoint(path); err == nil {
+			for rest := data; len(rest) > 0; {
+				typ, _, payload, size, _ := decodeRecord(rest)
+				decodePayload(typ, payload)
+				rest = rest[size:]
 			}
 		}
-		streams := []StreamState{
-			{ID: id1, Spec: predictor.Spec{Kind: predictor.KindStatic, Dim: 1, Alpha: a}, RegisterDelta: b,
-				Delta: c, Tick: tick, LastCorr: -tick, LastValue: []float64{a}, LastValueTick: tick, Snapshot: []float64{a, b, c}},
-			{ID: id2, Norm: int(tick & 3), Corrections: tick, Snapshot: []float64{c}},
+
+		if id1 == "" || id2 == "" || !utf8.ValidString(id1) || !utf8.ValidString(id2) {
+			return // a registered id is non-empty, and JSON carries valid UTF-8 only
+		}
+		spec := predictor.Spec{Kind: predictor.KindStatic, Dim: 1}
+		if !math.IsNaN(a) && !math.IsInf(a, 0) {
+			spec.Alpha = a // the registration is JSON: finite floats only
+		}
+		streams := []stream{
+			{Reg: RegisterRecord{ID: id1, Spec: spec, Norm: int(tick & 3)}, Live: Live{Delta: c, Tick: tick, LastCorr: -tick,
+				LastValueTick: tick}, Value: []float64{a}, Snapshot: []float64{a, b, c}},
+			{Reg: RegisterRecord{ID: id2}, Live: Live{Delta: b, Corrections: tick}, Snapshot: []float64{c}},
 		}
 		if id1 == id2 {
 			streams = streams[:1]
 		} else if id2 < id1 {
 			streams[0], streams[1] = streams[1], streams[0]
 		}
-		checkStreamed(t, &Checkpoint{Seq: seq, Streams: streams})
+		checkStreamed(t, &ckpt{Seq: seq, Streams: streams})
 	})
 }

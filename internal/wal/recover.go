@@ -1,7 +1,7 @@
 // Recovery: replay durable state into a fresh (or reset) server. The
 // invariant the crash-point tests pin down: after any crash, Restore
 // reproduces exactly the state whose records were synced — the
-// checkpoint's streams plus every durable record after its sequence,
+// checkpoint's records plus every durable record after its sequence,
 // in append order, and nothing from the torn tail.
 
 package wal
@@ -20,46 +20,44 @@ type RecoveryStats struct {
 	CheckpointStreams int
 	// SegmentsScanned counts segment files read during replay.
 	SegmentsScanned int
-	// RecordsReplayed counts records handed to the replay callback.
+	// RecordsReplayed counts the segment records handed to the replay
+	// callback; the checkpoint's own records are not among them.
 	RecordsReplayed int
 }
 
-// ReplayFunc receives one durable record during Restore: its type, the
-// server tick at original apply time, and the raw payload (aliasing a
-// scratch buffer — copy anything kept). Returning an error aborts
-// recovery.
+// ReplayFunc receives one durable record during Restore: its type, its
+// frame tick (for a message, the server tick at original apply time; for
+// a state, the stream's tick), and the raw payload (aliasing a scratch
+// buffer — copy anything kept). Returning an error aborts recovery.
 type ReplayFunc func(typ RecordType, tick int64, payload []byte) error
 
-// Restore replays durable state: restore receives the newest valid
-// checkpoint, decoded from its file — the decode Open validated it with
-// on the first call, a fresh one after — and skipped when none exists;
-// the log keeps no decoded copy. Then replay receives every
-// durable record after the checkpoint's sequence, oldest first. Call it
-// before the first append when starting up, or at a quiescent point
-// (after Sync) when simulating a crash in-process. Records still in the
-// group-commit buffer are not durable and are not replayed — exactly
+// Restore replays durable state through replay: the newest valid
+// checkpoint's register and state records, read from its file, then
+// every durable record after the checkpoint's sequence, oldest first.
+// Call it before the first append when starting up, or at a quiescent
+// point (after Sync) when simulating a crash in-process. Records still in
+// the group-commit buffer are not durable and are not replayed — exactly
 // the crash contract.
-func (l *Log) Restore(restore func(*Checkpoint) error, replay ReplayFunc) (RecoveryStats, error) {
+func (l *Log) Restore(replay ReplayFunc) (RecoveryStats, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var stats RecoveryStats
 	from := uint64(0)
 	if l.ckptPath != "" {
-		c := l.opened
-		l.opened = nil
-		if c == nil {
-			var err error
-			if c, err = loadCheckpoint(l.ckptPath); err != nil {
-				return stats, fmt.Errorf("wal: reading checkpoint: %w", err)
-			}
+		data, seq, states, err := readCheckpoint(l.ckptPath)
+		if err != nil {
+			return stats, fmt.Errorf("wal: reading checkpoint: %w", err)
 		}
-		stats.CheckpointSeq = c.Seq
-		stats.CheckpointStreams = len(c.Streams)
-		from = c.Seq
-		if restore != nil {
-			if err := restore(c); err != nil {
+		stats.CheckpointSeq, stats.CheckpointStreams, from = seq, states, seq
+		for rest := data; ; {
+			typ, tick, payload, size, _ := decodeRecord(rest)
+			if typ == recSeal {
+				break
+			}
+			if err := replay(typ, tick, payload); err != nil {
 				return stats, fmt.Errorf("wal: restoring checkpoint: %w", err)
 			}
+			rest = rest[size:]
 		}
 	}
 	flushed := l.seq - l.bufRecs
@@ -82,7 +80,7 @@ func (l *Log) Restore(restore func(*Checkpoint) error, replay ReplayFunc) (Recov
 				return stats, fmt.Errorf("wal: corrupt record %d in %s", idx, seg.path)
 			}
 			rest = rest[size:]
-			if idx >= from && replay != nil {
+			if idx >= from {
 				if err := replay(typ, tick, payload); err != nil {
 					return stats, fmt.Errorf("wal: replaying record %d: %w", idx, err)
 				}

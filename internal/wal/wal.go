@@ -13,12 +13,14 @@
 // replayed.
 //
 // The log is a directory of CRC-framed segment files plus checkpoint
-// files. Recovery loads the newest valid checkpoint, replays every
-// record after its covered sequence, and truncates the tail at the
-// first torn record. See DESIGN.md, "Durability: WAL & checkpoints".
+// files, both runs of the same framed records. Recovery replays the
+// newest valid checkpoint's records, then every record after its covered
+// sequence, and truncates the tail at the first torn record. See
+// DESIGN.md, "Durability: WAL & checkpoints".
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -79,11 +81,10 @@ type Log struct {
 	seq      uint64 // records appended (flushed + buffered)
 	unsynced int64  // bytes flushed to the OS but not yet fsynced
 
-	// ckptPath is the newest durable checkpoint ("" = none); opened is
-	// the decode Open validated it with, handed to the first Restore,
-	// which drops it. No other decoded checkpoint is kept.
+	// ckptPath is the newest durable checkpoint ("" = none) and ckptSeq
+	// the sequence it covers.
 	ckptPath string
-	opened   *Checkpoint
+	ckptSeq  uint64
 
 	// ckptMu serializes checkpoints without stalling appends, and guards
 	// cut, the capture every checkpoint reuses.
@@ -180,16 +181,19 @@ func (l *Log) scan() error {
 	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].start < l.segs[j].start })
 	sort.Strings(ckptPaths)
 
-	// Newest checkpoint that passes its CRC wins; older ones are only
-	// kept until their successor is durable, so trying them in reverse
-	// order is the torn-checkpoint fallback.
+	// Newest checkpoint that checks whole wins; older ones are only kept
+	// until their successor is durable, so trying them in reverse order is
+	// the torn-checkpoint fallback. An older build's checkpoint stops it.
 	for i := len(ckptPaths) - 1; i >= 0; i-- {
-		c, cerr := loadCheckpoint(ckptPaths[i])
+		_, seq, _, cerr := readCheckpoint(ckptPaths[i])
+		if errors.Is(cerr, ErrJSONCheckpoint) {
+			return fmt.Errorf("wal: %s: %w", ckptPaths[i], cerr)
+		}
 		if cerr != nil {
 			l.log.Warn("wal: discarding unreadable checkpoint", "file", ckptPaths[i], "err", cerr)
 			continue
 		}
-		l.ckptPath, l.opened = ckptPaths[i], c
+		l.ckptPath, l.ckptSeq = ckptPaths[i], seq
 		break
 	}
 
@@ -207,7 +211,7 @@ func (l *Log) scan() error {
 		rest := data
 		for len(rest) > 0 {
 			typ, _, _, size, ok := decodeRecord(rest)
-			if !ok || typ == recCheckpoint {
+			if !ok || (typ != RecRegister && typ != RecMessage) {
 				break
 			}
 			seg.records++
@@ -241,9 +245,7 @@ func (l *Log) scan() error {
 	if n := len(l.segs); n > 0 {
 		l.seq = l.segs[n-1].start + l.segs[n-1].records
 	}
-	if l.opened != nil && l.opened.Seq > l.seq {
-		l.seq = l.opened.Seq
-	}
+	l.seq = max(l.seq, l.ckptSeq)
 
 	// Append into the last segment when it has room and is positioned at
 	// the current sequence; otherwise start a fresh one.

@@ -10,11 +10,11 @@ import (
 	"kalmanstream/internal/telemetry"
 )
 
-func testLog(t *testing.T, dir string, segBytes int) *Log {
-	t.Helper()
+func testLog(tb testing.TB, dir string, segBytes int) *Log {
+	tb.Helper()
 	l, err := Open(Options{Dir: dir, SegmentBytes: segBytes, Registry: telemetry.New()})
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		tb.Fatalf("Open: %v", err)
 	}
 	return l
 }
@@ -24,40 +24,56 @@ func msg(id string, tick int64, v float64) *netsim.Message {
 }
 
 type replayed struct {
-	typ  RecordType
-	tick int64
-	msg  netsim.Message
-	reg  RegisterRecord
+	typ   RecordType
+	tick  int64
+	msg   netsim.Message
+	reg   RegisterRecord
+	state State
 }
 
-func collectReplay(t *testing.T, l *Log) (*Checkpoint, []replayed, RecoveryStats) {
-	t.Helper()
-	var ckpt *Checkpoint
+// collectReplay restores l and returns the checkpoint's streams (nil
+// when l has no checkpoint) and the segment records replayed after it.
+func collectReplay(tb testing.TB, l *Log) (*ckpt, []replayed, RecoveryStats) {
+	tb.Helper()
 	var recs []replayed
-	stats, err := l.Restore(
-		func(c *Checkpoint) error { ckpt = c; return nil },
-		func(typ RecordType, tick int64, payload []byte) error {
-			r := replayed{typ: typ, tick: tick}
-			switch typ {
-			case RecRegister:
-				reg, err := DecodeRegister(payload)
-				if err != nil {
-					return err
-				}
-				r.reg = reg
-			case RecMessage:
-				if err := netsim.DecodeInto(&r.msg, payload); err != nil {
-					return err
-				}
-				r.msg.Value = append([]float64(nil), r.msg.Value...)
+	stats, err := l.Restore(func(typ RecordType, tick int64, payload []byte) error {
+		r := replayed{typ: typ, tick: tick}
+		switch typ {
+		case RecRegister:
+			reg, err := DecodeRegister(payload)
+			if err != nil {
+				return err
 			}
-			recs = append(recs, r)
-			return nil
-		})
+			r.reg = reg
+		case RecState:
+			if err := DecodeState(tick, payload, &r.state); err != nil {
+				return err
+			}
+		case RecMessage:
+			if err := netsim.DecodeInto(&r.msg, payload); err != nil {
+				return err
+			}
+			r.msg.Value = append([]float64(nil), r.msg.Value...)
+		}
+		recs = append(recs, r)
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("Restore: %v", err)
+		tb.Fatalf("Restore: %v", err)
 	}
-	return ckpt, recs, stats
+	if l.ckptPath == "" {
+		return nil, recs, stats
+	}
+	ck := &ckpt{Seq: stats.CheckpointSeq}
+	head, recs := recs[:2*stats.CheckpointStreams], recs[2*stats.CheckpointStreams:]
+	for k := 0; k < len(head); k += 2 {
+		reg, st := head[k], head[k+1].state
+		if reg.typ != RecRegister || head[k+1].typ != RecState || st.ID != reg.reg.ID {
+			tb.Fatalf("checkpoint records %d and %d are %+v and %+v, want one stream's register and state", k, k+1, reg, head[k+1])
+		}
+		ck.Streams = append(ck.Streams, stream{Reg: reg.reg, Live: st.Live, Value: st.Value, Snapshot: st.Snapshot})
+	}
+	return ck, recs, stats
 }
 
 func TestAppendSyncReplayRoundTrip(t *testing.T) {
@@ -240,10 +256,9 @@ func TestCheckpointSkipsReplayAndPrunes(t *testing.T) {
 		}
 	}
 	seq := l.Seq()
-	ck := &Checkpoint{Seq: seq, Streams: []StreamState{{
-		ID:   "s1",
-		Spec: predictor.Spec{Kind: predictor.KindStatic, Dim: 1},
-		Tick: 40, LastCorr: 39, Corrections: 40,
+	ck := &ckpt{Seq: seq, Streams: []stream{{
+		Reg:      RegisterRecord{ID: "s1", Spec: predictor.Spec{Kind: predictor.KindStatic, Dim: 1}},
+		Live:     Live{Tick: 40, LastCorr: 39, Corrections: 40},
 		Snapshot: []float64{39},
 	}}}
 	if err := l.WriteCheckpoint(cutOf(ck)); err != nil {
@@ -266,7 +281,7 @@ func TestCheckpointSkipsReplayAndPrunes(t *testing.T) {
 
 	re := testLog(t, dir, 256)
 	ckpt, recs, stats := collectReplay(t, re)
-	if ckpt == nil || ckpt.Seq != seq || len(ckpt.Streams) != 1 || ckpt.Streams[0].ID != "s1" {
+	if ckpt == nil || ckpt.Seq != seq || !sameStreams(ckpt.Streams, ck.Streams) {
 		t.Fatalf("bad checkpoint: %+v", ckpt)
 	}
 	if stats.CheckpointSeq != seq || stats.CheckpointStreams != 1 {

@@ -271,10 +271,6 @@ func (c *Client) Close() error {
 	return flushErr
 }
 
-// Reconnects reports how many times the client has successfully
-// re-established its connection.
-func (c *Client) Reconnects() int64 { return c.reconnects }
-
 func (c *Client) logw(msg string, args ...any) {
 	l := c.Logger
 	if l == nil {
@@ -633,10 +629,6 @@ func (c *Client) flush() error {
 	c.telCoalesced.Add(int64(n))
 	return nil
 }
-
-// PendingCorrections returns how many corrections sit in the write ring
-// awaiting a flush.
-func (c *Client) PendingCorrections() int { return c.batch.Count() }
 
 // Query asks for a stream's value as of tick. Pending coalesced
 // corrections flush first: a query must never observe the server behind

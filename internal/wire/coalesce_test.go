@@ -83,7 +83,7 @@ func TestCoalescedEndToEnd(t *testing.T) {
 	if err := conn.FlushCorrections(); err != nil {
 		t.Fatal(err)
 	}
-	if n := conn.PendingCorrections(); n != 0 {
+	if n := conn.batch.Count(); n != 0 {
 		t.Fatalf("%d corrections still pending after flush", n)
 	}
 
@@ -121,7 +121,7 @@ func TestCoalescedSingleCorrectionUsesLegacyFrame(t *testing.T) {
 	if err := c.SendCorrection(m); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.PendingCorrections(); got != 1 {
+	if got := c.batch.Count(); got != 1 {
 		t.Fatalf("pending %d, want 1", got)
 	}
 	ans, err := c.Query("solo", 1) // flushes the batch of one

@@ -11,12 +11,14 @@ import (
 	"math"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"kalmanstream/internal/netsim"
+	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/server"
 	"kalmanstream/internal/telemetry"
 )
@@ -514,7 +516,7 @@ func TestHelloNegotiation(t *testing.T) {
 			}
 		}
 		first[0].Close()
-		for deadline := time.Now().Add(5 * time.Second); c.Reconnects() == 0; {
+		for deadline := time.Now().Add(5 * time.Second); c.reconnects == 0; {
 			if _, err := c.PollFeedback(); err != nil {
 				t.Fatal(err)
 			}
@@ -522,7 +524,7 @@ func TestHelloNegotiation(t *testing.T) {
 				t.Fatal("polling never noticed the severed connection")
 			}
 		}
-		if n := c.PendingCorrections(); n != 2 {
+		if n := c.batch.Count(); n != 2 {
 			t.Fatalf("%d corrections pending across the redial, want 2", n)
 		}
 		for id, want := range map[string]float64{"a": 1, "b": 2} {
@@ -534,8 +536,8 @@ func TestHelloNegotiation(t *testing.T) {
 				t.Fatalf("%s after the redial: %+v, want exactly %v", id, ans, want)
 			}
 		}
-		if c.Reconnects() != 1 {
-			t.Fatalf("reconnects = %d, want 1", c.Reconnects())
+		if c.reconnects != 1 {
+			t.Fatalf("reconnects = %d, want 1", c.reconnects)
 		}
 		conns := tl.snapshot()
 		for i, want := range []string{"hello register register", "hello register register message-batch query-bin query-bin"} {
@@ -796,5 +798,48 @@ func TestBatchDispatchZeroAlloc(t *testing.T) {
 	}
 	if info := mustInfo(t, srv, ids[63]); info.Corrections != 209 || info.Duplicates != 0 {
 		t.Fatalf("%s: %d corrections, %d duplicates; want 209, 0", ids[63], info.Corrections, info.Duplicates)
+	}
+}
+
+// TestOverLimitRegistrationsRefused: a spec past predictor's size limits
+// is refused before any replica is built. 1,000 over-limit registrations
+// on one connection each earn a FrameError, no stream record exists
+// afterwards, and the live heap grows by less than 1 MB.
+func TestOverLimitRegistrationsRefused(t *testing.T) {
+	srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})
+	defer srv.Close()
+	p := pipeTo(t, srv)
+	defer p.close()
+	expectOne(t, "hello", p.roundTrip(FrameHello, appendHello(nil, serverCaps)), FrameHello)
+	rw := predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 1, R: 1}
+	specs := []predictor.Spec{
+		{Kind: predictor.KindStatic, Dim: 1024},
+		{Kind: predictor.KindKalman, Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalkND, Q: 1, R: 1, Dim: 80}},
+		{Kind: predictor.KindKalman, Model: rw, Adaptive: true, AdaptiveWindow: 1 << 16},
+		{Kind: predictor.KindKalmanBank, Models: []predictor.ModelSpec{rw, rw, rw, rw, rw, rw, rw, rw, rw}},
+	}
+	payloads := make([][]byte, 1000)
+	for i := range payloads {
+		var err error
+		if payloads[i], err = json.Marshal(RegisterPayload{ID: fmt.Sprintf("big-%04d", i), Spec: specs[i%len(specs)], Delta: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, payload := range payloads {
+		if msg := expectOne(t, "over-limit register", p.roundTrip(FrameRegister, payload), FrameError); i < len(specs) &&
+			!strings.Contains(string(msg), "size limit") {
+			t.Fatalf("spec %+v refused with %q, which does not name the size limit", specs[i], msg)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := len(srv.srv.Infos()); n != 0 {
+		t.Fatalf("%d over-limit registrations created a stream record", n)
+	}
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 1<<20 {
+		t.Fatalf("live heap grew %d bytes over 1,000 refused registrations, want under 1 MB", grown)
 	}
 }

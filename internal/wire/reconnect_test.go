@@ -123,7 +123,7 @@ func TestReconnectResumesStream(t *testing.T) {
 			t.Fatalf("tick %d after sever: %v", p.Tick, err)
 		}
 	}
-	if c.Reconnects() == 0 {
+	if c.reconnects == 0 {
 		t.Fatal("client never reconnected")
 	}
 	if ns.Stats().ForcedResyncs == 0 {
@@ -280,7 +280,7 @@ func TestReconnectHammer(t *testing.T) {
 	close(stop)
 	killerDone.Wait()
 
-	if c.Reconnects() == 0 {
+	if c.reconnects == 0 {
 		t.Fatal("hammer never forced a reconnect")
 	}
 	// No message applied twice: every applied correction consumed a
@@ -293,7 +293,7 @@ func TestReconnectHammer(t *testing.T) {
 	}
 	dupes := info.Duplicates
 	t.Logf("hammer: %d reconnects, %d gate sends, %d applied, %d duplicate frames dropped",
-		c.Reconnects(), sent, applied, dupes)
+		c.reconnects, sent, applied, dupes)
 	// And the stream still works end to end.
 	ans, err := c.Query("h", ticks-1)
 	if err != nil {
