@@ -49,7 +49,7 @@ func TestProbValueBasics(t *testing.T) {
 		t.Fatalf("loose δ should leave model interval unclamped: %v vs %v", pa.HalfWidth, pa.ModelHalfWidth)
 	}
 	iv := pa.Interval()
-	if !iv.Contains(pa.Estimate) || math.Abs(iv.Width()-2*pa.HalfWidth) > 1e-12 {
+	if !iv.Contains(pa.Estimate) || math.Abs(iv.Hi-iv.Lo-2*pa.HalfWidth) > 1e-12 {
 		t.Fatalf("interval %+v inconsistent", iv)
 	}
 }

@@ -36,9 +36,6 @@ type Interval struct {
 // Contains reports whether v lies inside the interval.
 func (iv Interval) Contains(v float64) bool { return v >= iv.Lo && v <= iv.Hi }
 
-// Width returns Hi − Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
 // Tristate is the answer to a predicate over approximate values.
 type Tristate int8
 

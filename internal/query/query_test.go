@@ -112,8 +112,8 @@ func TestMinMaxEnclosures(t *testing.T) {
 	if !iv.Contains(10) || iv.Contains(12) {
 		t.Fatal("Interval.Contains wrong")
 	}
-	if iv.Width() != 4 {
-		t.Fatalf("Width = %v", iv.Width())
+	if iv.Hi-iv.Lo != 4 {
+		t.Fatalf("interval %+v is not 4 wide", iv)
 	}
 	if _, _, err := e.Min(nil, 0); err == nil {
 		t.Fatal("empty min answered")

@@ -9,10 +9,7 @@
 // reproducible run-to-run; the same seed always yields the same stream.
 package stream
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Point is a single stream element: the measurement a source would report
 // at a tick, plus (when the generator knows it) the noise-free ground
@@ -100,46 +97,4 @@ func Volatility(points []Point, k int) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n))
-}
-
-// Stats summarizes a recorded stream component.
-type Stats struct {
-	N          int
-	Min, Max   float64
-	Mean       float64
-	Std        float64
-	Volatility float64
-}
-
-// Summarize computes Stats for component k of points.
-func Summarize(points []Point, k int) Stats {
-	st := Stats{N: len(points), Min: math.Inf(1), Max: math.Inf(-1)}
-	if len(points) == 0 {
-		return Stats{}
-	}
-	var sum float64
-	for _, p := range points {
-		v := p.Value[k]
-		sum += v
-		if v < st.Min {
-			st.Min = v
-		}
-		if v > st.Max {
-			st.Max = v
-		}
-	}
-	st.Mean = sum / float64(len(points))
-	var ss float64
-	for _, p := range points {
-		d := p.Value[k] - st.Mean
-		ss += d * d
-	}
-	st.Std = math.Sqrt(ss / float64(len(points)))
-	st.Volatility = Volatility(points, k)
-	return st
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("n=%d min=%.4g max=%.4g mean=%.4g std=%.4g vol=%.4g",
-		s.N, s.Min, s.Max, s.Mean, s.Std, s.Volatility)
 }

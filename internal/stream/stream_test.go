@@ -6,6 +6,21 @@ import (
 	"testing/quick"
 )
 
+// moments returns the range, mean and population standard deviation of
+// component 0 of a non-empty recording.
+func moments(pts []Point) (lo, hi, mean, std float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, p := range pts {
+		v := p.Value[0]
+		lo, hi, mean = math.Min(lo, v), math.Max(hi, v), mean+v
+	}
+	mean /= float64(len(pts))
+	for _, p := range pts {
+		std += (p.Value[0] - mean) * (p.Value[0] - mean)
+	}
+	return lo, hi, mean, math.Sqrt(std / float64(len(pts)))
+}
+
 func TestGeneratorsProduceExactlyN(t *testing.T) {
 	const n = 500
 	streams := []Stream{
@@ -87,38 +102,43 @@ func TestSinePeriodicity(t *testing.T) {
 			t.Fatalf("sine not periodic at tick %d", i)
 		}
 	}
-	st := Summarize(pts, 0)
-	if math.Abs(st.Mean-5) > 0.2 {
-		t.Fatalf("sine mean %v, want ≈5", st.Mean)
+	lo, hi, mean, _ := moments(pts)
+	if math.Abs(mean-5) > 0.2 {
+		t.Fatalf("sine mean %v, want ≈5", mean)
 	}
-	if st.Max > 8.01 || st.Min < 1.99 {
-		t.Fatalf("sine range [%v, %v], want ⊂ [2, 8]", st.Min, st.Max)
+	if hi > 8.01 || lo < 1.99 {
+		t.Fatalf("sine range [%v, %v], want ⊂ [2, 8]", lo, hi)
 	}
 }
 
 func TestOUMeanReverts(t *testing.T) {
 	pts := Record(NewOU(9, 100, 0.1, 1, 0, 20000))
-	st := Summarize(pts, 0)
-	if math.Abs(st.Mean-100) > 2 {
-		t.Fatalf("OU mean %v, want ≈100", st.Mean)
+	_, _, mean, std := moments(pts)
+	if math.Abs(mean-100) > 2 {
+		t.Fatalf("OU mean %v, want ≈100", mean)
 	}
 	// Stationary std ≈ σ/√(2θ−θ²) ≈ σ/√(2θ) for small θ.
 	wantStd := 1 / math.Sqrt(2*0.1)
-	if st.Std < wantStd/2 || st.Std > wantStd*2 {
-		t.Fatalf("OU std %v, want ≈%v", st.Std, wantStd)
+	if std < wantStd/2 || std > wantStd*2 {
+		t.Fatalf("OU std %v, want ≈%v", std, wantStd)
+	}
+	// A step is σ·noise plus the pull −θ·(x−μ): diff std
+	// √(σ² + θ²·Var x) ≈ 1.03 for σ = 1.
+	if v := Volatility(pts, 0); v < 0.95 || v > 1.15 {
+		t.Fatalf("OU volatility %v, want ≈1.03", v)
 	}
 }
 
 func TestNetworkLoadNonNegativeAndBursty(t *testing.T) {
 	pts := Record(NewNetworkLoad(3, 20000))
-	st := Summarize(pts, 0)
-	if st.Min < 0 {
-		t.Fatalf("network load went negative: %v", st.Min)
+	lo, hi, _, _ := moments(pts)
+	if lo < 0 {
+		t.Fatalf("network load went negative: %v", lo)
 	}
 	// Bursts must push the max well above the periodic envelope
 	// (baseline 100 + 40 + 8 + jitter).
-	if st.Max < 160 {
-		t.Fatalf("network load max %v shows no bursts", st.Max)
+	if hi < 160 {
+		t.Fatalf("network load max %v shows no bursts", hi)
 	}
 }
 
@@ -224,12 +244,6 @@ func TestVolatility(t *testing.T) {
 	}
 	if Volatility(nil, 0) != 0 {
 		t.Fatal("empty volatility not 0")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if st := Summarize(nil, 0); st.N != 0 {
-		t.Fatalf("Summarize(nil) = %+v", st)
 	}
 }
 

@@ -55,7 +55,7 @@ func TestSnapshotAppendReusesDst(t *testing.T) {
 		r.Counter("sent_total", "stream", id).Inc()
 	}
 	r.Gauge("stale").Set(1)
-	h := r.Histogram("lat_seconds", LinearBuckets(0.1, 0.1, 8))
+	h := r.Histogram("lat_seconds", []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8})
 	h.Observe(0.35)
 
 	var scratch []Sample

@@ -272,26 +272,6 @@ type Bucket struct {
 	Exemplar *Exemplar
 }
 
-// LinearBuckets returns n bounds start, start+width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns n bounds start, start·factor, …
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // Default bucket layouts for the metrics this repo emits.
 var (
 	// LatencyBuckets covers query latencies in seconds, 10µs–1s.

@@ -229,14 +229,3 @@ func TestReset(t *testing.T) {
 		t.Fatal("fresh counter after reset not zero")
 	}
 }
-
-func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(0, 2, 3)
-	if lin[0] != 0 || lin[1] != 2 || lin[2] != 4 {
-		t.Fatalf("linear = %v", lin)
-	}
-	exp := ExponentialBuckets(1, 10, 3)
-	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
-		t.Fatalf("exponential = %v", exp)
-	}
-}

@@ -233,13 +233,3 @@ func (a *Auditor) WalkViolations(visit func(streamID string, violations int64)) 
 		visit(st.id, st.violations.Load())
 	}
 }
-
-// TotalTicks returns the number of audited ticks across all streams —
-// a lock-free aggregate suitable as a health-monitor rate source.
-func (a *Auditor) TotalTicks() int64 { return a.telTicks.Value() }
-
-// TotalSuppressed returns the suppressed-tick count across all streams.
-func (a *Auditor) TotalSuppressed() int64 { return a.telSuppressed.Value() }
-
-// TotalViolations returns the δ-violation count across all streams.
-func (a *Auditor) TotalViolations() int64 { return a.telViolations.Value() }

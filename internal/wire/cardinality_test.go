@@ -74,7 +74,7 @@ func TestTelemetryCardinalityIndependentOfPopulation(t *testing.T) {
 		if err := srv.dispatch(handleConn(t, srv), FrameTrace, batch, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := srv.Auditor().TotalTicks(); got != int64(n) || len(srv.Auditor().All()) != n {
+		if got := srv.Registry().Counter("audit_ticks_total").Value(); got != int64(n) || len(srv.Auditor().All()) != n {
 			t.Fatalf("auditor saw %d ticks on %d streams, want %d on %d", got, len(srv.Auditor().All()), n, n)
 		}
 

@@ -16,7 +16,6 @@ import (
 	"kalmanstream/internal/netsim"
 	"kalmanstream/internal/predictor"
 	"kalmanstream/internal/source"
-	"kalmanstream/internal/telemetry"
 	"kalmanstream/internal/trace"
 )
 
@@ -26,9 +25,9 @@ import (
 // failures, so the reconnect machinery never retries them.
 var ErrServer = errors.New("wire: server error")
 
-// ReconnectPolicy shapes the client's automatic redial behaviour.
-// The zero value disables reconnection (a transport error is returned to
-// the caller, matching the original Dial semantics).
+// ReconnectPolicy shapes a DialReconnecting client's dial loop. The zero
+// value is the default policy: DefaultDialAttempts attempts, backing off
+// from 50ms to 2s. A client that must never redial is built with Dial.
 type ReconnectPolicy struct {
 	// MaxAttempts bounds consecutive failed dials before the client
 	// gives up. Zero means the DefaultDialAttempts; negative retries
@@ -109,24 +108,15 @@ type Client struct {
 	// Logger receives reconnect diagnostics; nil means slog.Default().
 	Logger *slog.Logger
 
-	reconnects    int64
-	telReconnects *telemetry.Counter
-	telRedials    *telemetry.Counter
-	telResyncReqs *telemetry.Counter
+	reconnects int64
 
 	// The write ring every correction goes through, shaped by batchCfg
 	// (EnableCoalescing). Its zero value — a client that never called
 	// EnableCoalescing — is a ring of one: each correction flushes as it is
 	// sent, as one FrameMessage.
-	batch      netsim.Batch
-	batchCfg   CoalesceConfig
-	lastFlush  time.Time
-	batchStart time.Time // when the pending batch received its first correction
-
-	telFlushes    *telemetry.Counter
-	telCoalesced  *telemetry.Counter
-	telFlushDelay *telemetry.Histogram
-	telRingOcc    *telemetry.Gauge
+	batch     netsim.Batch
+	batchCfg  CoalesceConfig
+	lastFlush time.Time
 
 	// Skew-probe state: pingClock reads the same monotonic-anchored wall
 	// clock the stamping path uses, and lastRTT is the round trip the
@@ -175,21 +165,11 @@ func (c *Client) EnableCoalescing(cfg CoalesceConfig) {
 	c.lastFlush = time.Now()
 }
 
-// Dial connects to a wire server with no reconnect policy. It fails with
-// ErrNoHello against a server that predates the protocol hello or any of
-// its capabilities.
+// Dial connects to a wire server in one attempt and never redials. It
+// fails with ErrNoHello against a server that predates the protocol hello
+// or any of its capabilities.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{addr: addr}
-	c.initTelemetry()
-	if err := c.attach(conn); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return c, nil
+	return dial(addr, ReconnectPolicy{MaxAttempts: 1}, false)
 }
 
 // DialReconnecting connects to a wire server and arms automatic
@@ -197,13 +177,13 @@ func Dial(addr string) (*Client, error) {
 // dial itself goes through the same retry loop, so a source can start
 // before its server.
 func DialReconnecting(addr string, policy ReconnectPolicy) (*Client, error) {
-	c := &Client{
-		addr:      addr,
-		policy:    policy.normalized(),
-		reconnect: true,
-	}
+	return dial(addr, policy, true)
+}
+
+// dial builds a client and runs its first dial loop under policy.
+func dial(addr string, policy ReconnectPolicy, reconnect bool) (*Client, error) {
+	c := &Client{addr: addr, policy: policy.normalized(), reconnect: reconnect}
 	c.rng = rand.New(rand.NewSource(c.policy.Seed))
-	c.initTelemetry()
 	if err := c.dialWithBackoff(); err != nil {
 		return nil, err
 	}
@@ -214,13 +194,7 @@ func DialReconnecting(addr string, policy ReconnectPolicy) (*Client, error) {
 // before any other frame — a redial's registration replay included.
 func (c *Client) attach(conn net.Conn) error {
 	c.conn, c.br, c.bw = conn, bufio.NewReader(conn), bufio.NewWriter(conn)
-	if err := WriteFrame(c.bw, FrameHello, appendHello(nil, serverCaps)); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	reply, err := c.expect(FrameHello)
+	reply, err := c.roundTrip(FrameHello, appendHello(nil, serverCaps), FrameHello)
 	if errors.Is(err, ErrServer) {
 		return fmt.Errorf("%w: %w", ErrNoHello, err)
 	}
@@ -238,20 +212,6 @@ func (c *Client) attach(conn net.Conn) error {
 		return fmt.Errorf("%w: %w: hello granted %#x, missing bit %d (%s)", ErrNoHello, ErrServer, caps, bit, capNames[bit])
 	}
 	return nil
-}
-
-func (c *Client) initTelemetry() {
-	c.telReconnects = telemetry.Default.Counter("wire_client_reconnects_total")
-	c.telRedials = telemetry.Default.Counter("wire_client_redials_total")
-	c.telResyncReqs = telemetry.Default.Counter("wire_client_resync_requests_total")
-	c.telFlushes = telemetry.Default.Counter("wire_client_batch_flushes_total")
-	c.telCoalesced = telemetry.Default.Counter("wire_client_corrections_coalesced_total")
-	telemetry.Default.Help("wire_coalesce_flush_delay_seconds",
-		"wall-clock delay between a batch's first correction and its flush")
-	c.telFlushDelay = telemetry.Default.Histogram("wire_coalesce_flush_delay_seconds", telemetry.LatencyBuckets)
-	telemetry.Default.Help("wire_client_write_ring_occupancy",
-		"corrections pending in the coalescing write ring")
-	c.telRingOcc = telemetry.Default.Gauge("wire_client_write_ring_occupancy")
 }
 
 // Close flushes any pending coalesced corrections, closes the
@@ -280,17 +240,15 @@ func (c *Client) logw(msg string, args ...any) {
 }
 
 // dialWithBackoff dials and attaches until a connection's hello succeeds
-// or the attempt budget runs out: delay doubles from BaseDelay to
-// MaxDelay, randomized by ±dialJitter. A hello the server refuses is
-// final.
+// or the attempt budget runs out: between attempts the delay doubles from
+// BaseDelay to MaxDelay, randomized by ±dialJitter, and after the last one
+// the loop gives up at once. A hello the server refuses is final.
 func (c *Client) dialWithBackoff() error {
 	delay := c.policy.BaseDelay
-	var lastErr error
-	for attempt := 0; c.policy.MaxAttempts < 0 || attempt < c.policy.MaxAttempts; attempt++ {
+	for attempt := 1; ; attempt++ {
 		if c.closed {
 			return net.ErrClosed
 		}
-		c.telRedials.Inc()
 		conn, err := net.Dial("tcp", c.addr)
 		if err == nil {
 			if err = c.attach(conn); err == nil {
@@ -301,15 +259,16 @@ func (c *Client) dialWithBackoff() error {
 				return err
 			}
 		}
-		lastErr = err
+		if attempt == c.policy.MaxAttempts {
+			return fmt.Errorf("wire: dial %s: gave up after %d attempts: %w", c.addr, attempt, err)
+		}
 		sleep := time.Duration(float64(delay) * (1 + dialJitter*(2*c.rng.Float64()-1)))
-		c.logw("wire: dial failed, backing off", "addr", c.addr, "attempt", attempt+1, "sleep", sleep.Round(time.Millisecond), "err", err)
+		c.logw("wire: dial failed, backing off", "addr", c.addr, "attempt", attempt, "sleep", sleep.Round(time.Millisecond), "err", err)
 		time.Sleep(sleep)
 		if delay *= 2; delay > c.policy.MaxDelay {
 			delay = c.policy.MaxDelay
 		}
 	}
-	return fmt.Errorf("wire: dial %s: gave up after %d attempts: %w", c.addr, c.policy.MaxAttempts, lastErr)
 }
 
 // redial replaces the dead connection, replays registrations so the
@@ -347,7 +306,6 @@ redial:
 		break
 	}
 	c.reconnects++
-	c.telReconnects.Inc()
 	c.logw("wire: reconnected", "addr", c.addr, "reconnects", c.reconnects, "streams", len(c.regs))
 	if c.OnReconnect != nil {
 		c.OnReconnect()
@@ -378,22 +336,6 @@ func (c *Client) withRetry(op func() error) error {
 	return err
 }
 
-// handleResyncRequest reacts to a server watchdog push.
-func (c *Client) handleResyncRequest(payload []byte) {
-	c.telResyncReqs.Inc()
-	if c.OnResyncRequest != nil {
-		c.OnResyncRequest(string(payload))
-	}
-}
-
-// noteRefused keeps a refusal the server pushed until a call reports it
-// (see surface); a later one while the first is pending is dropped.
-func (c *Client) noteRefused(payload []byte) {
-	if c.refused == nil {
-		c.refused = fmt.Errorf("%w: %s", ErrServer, payload)
-	}
-}
-
 // surface returns err, or, when the operation itself succeeded, the
 // pending refusal — once. SendCorrection, FlushCorrections, SendTrace
 // and PollFeedback report refusals; no reply ever does.
@@ -405,29 +347,53 @@ func (c *Client) surface(err error) error {
 	return err
 }
 
-// expect reads one frame and decodes the common OK/Error/Answer shapes.
-// The server's pushes may arrive at any read point: FrameResyncRequest is
-// dispatched and FrameRefused noted, and both are skipped. The payload is
-// valid until the client's next read.
-func (c *Client) expect(want uint8) ([]byte, error) {
+// roundTrip writes one frame and flushes it. Unless want is 0 (a
+// fire-and-forget frame) it then reads until the reply of type want,
+// handing every frame before it to dispatchPush: the server's pushes may
+// arrive at any read point. The reply is valid until the client's next
+// read.
+func (c *Client) roundTrip(typ uint8, payload []byte, want uint8) ([]byte, error) {
+	if err := WriteFrame(c.bw, typ, payload); err != nil {
+		return nil, err
+	}
+	if err := c.bw.Flush(); err != nil || want == 0 {
+		return nil, err
+	}
 	for {
-		typ, payload, err := readFrameInto(c.br, &c.rbuf)
+		got, reply, err := readFrameInto(c.br, &c.rbuf)
 		if err != nil {
 			return nil, err
 		}
-		switch typ {
-		case want:
-			return payload, nil
-		case FrameResyncRequest:
-			c.handleResyncRequest(payload)
-		case FrameRefused:
-			c.noteRefused(payload)
-		case FrameError:
-			return nil, fmt.Errorf("%w: %s", ErrServer, payload)
-		default:
-			return nil, fmt.Errorf("wire: unexpected frame type %d (want %d)", typ, want)
+		if got == want {
+			return reply, nil
+		}
+		if err := c.dispatchPush(got, reply); err != nil {
+			return nil, err
 		}
 	}
+}
+
+// dispatchPush handles a frame no request of the client's asked for. A
+// resync request goes to OnResyncRequest; a refusal is kept until a call
+// reports it (see surface), and a later one while the first is pending is
+// dropped; a FrameError is the server's verdict, returned as ErrServer;
+// anything else is a protocol error.
+func (c *Client) dispatchPush(typ uint8, payload []byte) error {
+	switch typ {
+	case FrameResyncRequest:
+		if c.OnResyncRequest != nil {
+			c.OnResyncRequest(string(payload))
+		}
+	case FrameRefused:
+		if c.refused == nil {
+			c.refused = fmt.Errorf("%w: %s", ErrServer, payload)
+		}
+	case FrameError:
+		return fmt.Errorf("%w: %s", ErrServer, payload)
+	default:
+		return fmt.Errorf("wire: unexpected frame %s", FrameName(typ))
+	}
+	return nil
 }
 
 // PollFeedback drains any pending server pushes without blocking the
@@ -469,18 +435,10 @@ func (c *Client) PollFeedback() (int, error) {
 		if err != nil {
 			return n, c.pollRecover(err)
 		}
-		switch typ {
-		case FrameResyncRequest:
-			c.handleResyncRequest(payload)
-			n++
-		case FrameRefused:
-			c.noteRefused(payload)
-			n++
-		case FrameError:
-			return n, fmt.Errorf("%w: %s", ErrServer, payload)
-		default:
-			return n, fmt.Errorf("wire: unsolicited frame %s", FrameName(typ))
+		if err := c.dispatchPush(typ, payload); err != nil {
+			return n, err
 		}
+		n++
 	}
 }
 
@@ -505,13 +463,7 @@ func (c *Client) registerOnce(p RegisterPayload) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := WriteFrame(c.bw, FrameRegister, buf); err != nil {
-		return 0, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, err
-	}
-	reply, err := c.expect(FrameOK)
+	reply, err := c.roundTrip(FrameRegister, buf, FrameOK)
 	if err != nil {
 		return 0, err
 	}
@@ -577,13 +529,9 @@ func (c *Client) send(m *netsim.Message, h uint32) error {
 			return err
 		}
 	}
-	if c.batch.Count() == 0 {
-		c.batchStart = time.Now()
-	}
 	if err := c.batch.AddHandle(m, h); err != nil {
 		return err
 	}
-	c.telRingOcc.Set(float64(c.batch.Count()))
 	if c.batch.Count() >= c.batchCfg.MaxCorrections || c.batch.Len() >= c.batchCfg.MaxBytes {
 		return c.flush()
 	}
@@ -610,23 +558,11 @@ func (c *Client) flush() error {
 		typ = FrameMessageBatch
 	}
 	buf := c.batch.Bytes()
-	if err := c.withRetry(func() error {
-		if err := WriteFrame(c.bw, typ, buf); err != nil {
-			return err
-		}
-		return c.bw.Flush()
-	}); err != nil {
+	if err := c.withRetry(func() error { _, err := c.roundTrip(typ, buf, 0); return err }); err != nil {
 		return err
 	}
 	c.batch.Reset()
 	c.lastFlush = time.Now()
-	if !c.batchStart.IsZero() {
-		c.telFlushDelay.Observe(c.lastFlush.Sub(c.batchStart).Seconds())
-		c.batchStart = time.Time{}
-	}
-	c.telRingOcc.Set(0)
-	c.telFlushes.Inc()
-	c.telCoalesced.Add(int64(n))
 	return nil
 }
 
@@ -642,13 +578,7 @@ func (c *Client) Query(id string, tick int64) (AnswerPayload, error) {
 	ans := AnswerPayload{ID: id, Tick: tick}
 	c.qbuf = appendQueryBin(c.qbuf[:0], tick, id)
 	err := c.withRetry(func() error {
-		if err := WriteFrame(c.bw, FrameQueryBin, c.qbuf); err != nil {
-			return err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		payload, err := c.expect(FrameAnswerBin)
+		payload, err := c.roundTrip(FrameQueryBin, c.qbuf, FrameAnswerBin)
 		if err != nil {
 			return err
 		}
@@ -681,13 +611,7 @@ func (c *Client) Ping() (time.Duration, error) {
 		sendNs := c.pingClock()
 		binary.BigEndian.PutUint64(payload[:8], uint64(sendNs))
 		binary.BigEndian.PutUint64(payload[8:], uint64(c.lastRTT))
-		if err := WriteFrame(c.bw, FramePing, payload[:]); err != nil {
-			return err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		reply, err := c.expect(FramePong)
+		reply, err := c.roundTrip(FramePing, payload[:], FramePong)
 		if err != nil {
 			return err
 		}
@@ -723,12 +647,7 @@ func (c *Client) SendTrace(evs []trace.Event) error {
 	if err != nil {
 		return err
 	}
-	return c.surface(c.withRetry(func() error {
-		if err := WriteFrame(c.bw, FrameTrace, buf); err != nil {
-			return err
-		}
-		return c.bw.Flush()
-	}))
+	return c.surface(c.withRetry(func() error { _, err := c.roundTrip(FrameTrace, buf, 0); return err }))
 }
 
 // Metrics fetches the server's telemetry snapshot as Prometheus text —
@@ -741,13 +660,7 @@ func (c *Client) Metrics() (string, error) {
 	}
 	var text string
 	err := c.withRetry(func() error {
-		if err := WriteFrame(c.bw, FrameMetrics, nil); err != nil {
-			return err
-		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
-		payload, err := c.expect(FrameMetricsReply)
+		payload, err := c.roundTrip(FrameMetrics, nil, FrameMetricsReply)
 		if err != nil {
 			return err
 		}

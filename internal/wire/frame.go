@@ -66,8 +66,8 @@ const (
 	// client): the staleness watchdog asking the stream's source to
 	// resynchronize. The server pushes it unprompted, as it does
 	// FrameRefused, so clients must tolerate both at any read point
-	// (Client.expect skips and dispatches them; Client.PollFeedback drains
-	// between queries).
+	// (a Client hands both to its one push dispatcher, whether they arrive
+	// ahead of a reply or in PollFeedback between requests).
 	FrameResyncRequest
 	// FrameMessageBatch carries several concatenated netsim binary
 	// messages in one frame (client → server). The encoding is
