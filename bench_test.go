@@ -155,26 +155,40 @@ func BenchmarkKalmanPredictUpdate2D(b *testing.B) {
 // benchmark's mix and suppression ratio). ns/op is one correction — shard
 // lock, a 7-tick predict-only advance, the arrival tick's step and the
 // Kalman update — with the stream's state out of cache, which no
-// single-stream benchmark prices.
+// single-stream benchmark prices. heap-B/stream is what the population
+// costs the server once every stream has its first correction: the live
+// heap's growth over registering and correcting it, per stream.
 func BenchmarkLazyAdvance(b *testing.B) {
 	const streams = 10_000
 	rw := predictor.Spec{Kind: predictor.KindKalman,
 		Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.25, R: 0.0025}}
 	cv := predictor.Spec{Kind: predictor.KindKalman,
 		Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}}
-	srv := server.New()
 	ids := make([]string, streams)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("s%05d", i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	srv := server.New()
+	m := netsim.Message{Kind: netsim.KindCorrection, Value: make([]float64, 1)}
+	for i, id := range ids {
 		spec := rw
 		if i%5 == 4 {
 			spec = cv
 		}
-		if err := srv.Register(ids[i], spec, 0.5); err != nil {
+		if err := srv.Register(id, spec, 0.5); err != nil {
+			b.Fatal(err)
+		}
+		m.StreamID, m.Tick = id, 0
+		if _, _, err := srv.Ingest(&m, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
-	m := netsim.Message{Kind: netsim.KindCorrection, Value: make([]float64, 1)}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perStream := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / streams
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -184,6 +198,7 @@ func BenchmarkLazyAdvance(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(perStream, "heap-B/stream")
 }
 
 // BenchmarkMessageEncodeDecode measures the wire codec round trip for a

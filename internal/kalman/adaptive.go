@@ -83,11 +83,10 @@ func NewAdaptive(filter *Filter, cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.MinQScale > cfg.MaxQScale {
 		return nil, fmt.Errorf("kalman: MinQScale %g > MaxQScale %g", cfg.MinQScale, cfg.MaxQScale)
 	}
-	model := filter.Model()
 	return &Adaptive{
 		filter:     filter,
-		q0:         model.Q.Clone(),
-		r0:         model.R.Clone(),
+		q0:         mat.FromSlice(filter.part(partQ)),
+		r0:         mat.FromSlice(filter.part(partR)),
 		window:     cfg.Window,
 		innovs:     make([][]float64, cfg.Window),
 		priorHPH:   make([]*mat.Matrix, cfg.Window),
@@ -122,7 +121,8 @@ func (a *Adaptive) Update(z []float64) error {
 	a.nisSum += mat.QuadraticForm(sInv, y)
 	a.nisCount++
 
-	hph := mat.Sub(s, a.filter.model.R) // H·P⁻·Hᵀ = S − R
+	r := a.filter.over(partR)
+	hph := mat.Sub(s, &r) // H·P⁻·Hᵀ = S − R
 	a.innovs[a.next] = y
 	a.priorHPH[a.next] = hph
 	a.next = (a.next + 1) % a.window
@@ -150,7 +150,7 @@ func (a *Adaptive) reestimate() {
 	if count == 0 {
 		return
 	}
-	m := a.filter.model.ObsDim()
+	m := a.filter.ObsDim()
 
 	// NIS consistency ratio: ≈1 when the filter's uncertainty model
 	// matches reality. Computed before either adaptation so R estimation
@@ -231,9 +231,11 @@ func (a *Adaptive) AppendSnapshot(dst []float64) []float64 {
 	if !a.filled {
 		count = a.next
 	}
+	_, _, q := a.filter.part(partQ)
+	_, _, r := a.filter.part(partR)
 	dst = a.filter.AppendSnapshot(dst)
-	dst = append(dst, a.filter.model.Q.Raw()...)
-	dst = append(dst, a.filter.model.R.Raw()...)
+	dst = append(dst, q...)
+	dst = append(dst, r...)
 	dst = append(dst, a.qScale, a.nisSum, float64(a.nisCount), float64(a.steps),
 		float64(a.next), boolToFloat(a.filled), float64(count))
 	for i := 0; i < count; i++ {
@@ -246,8 +248,8 @@ func (a *Adaptive) AppendSnapshot(dst []float64) []float64 {
 // Restore overwrites the adaptive state from an AppendSnapshot taken on a
 // behaviourally identical replica.
 func (a *Adaptive) Restore(state []float64) error {
-	n := a.filter.model.StateDim()
-	m := a.filter.model.ObsDim()
+	n := a.filter.StateDim()
+	m := a.filter.ObsDim()
 	head := n + n*n + n*n + m*m + 7
 	if len(state) < head {
 		return fmt.Errorf("kalman: adaptive snapshot has %d values, want ≥ %d", len(state), head)

@@ -35,28 +35,44 @@ func shapeOf(n, m int) shape {
 // Update on a tick is exactly the suppression mechanism the stream system
 // exploits: the filter coasts on its dynamics.
 type Filter struct {
-	// blk holds F | Q | H | R | P | x back to back, row-major: with the
-	// counters beside it, a lazy advance of a cold stream touches two or
-	// three cache lines. The fields a kernel reads come first for the same
-	// reason.
+	// blk holds F | Q | H | R | P | x back to back, row-major. With the
+	// dimensions and counters beside it that is all a kernel shape owns,
+	// so a lazy advance of a cold stream touches the struct's line and the
+	// block's two or three, and the filter holds no pointer into itself.
 	blk     []float64
 	shape   shape
+	n, m    int32    // state and observation dimensions
 	ticks   uint64   // time updates since construction
 	updates uint64   // Update calls since construction
-	g       *scratch // the mat path's temporaries; nil for a kernel shape
-
-	// Views into blk for the mat path and the accessors: hdr are the five
-	// matrix headers in blk's order, model's fields and p point at them.
-	x     []float64   // state estimate
-	p     *mat.Matrix // estimate covariance
-	model Model
-	hdr   [5]mat.Matrix
+	g       *scratch // the mat path's headers and temporaries; nil for a kernel shape
+	name    string   // the model's
 }
 
-// scratch is everything the mat path writes besides x and P, preallocated
-// so its hot loop runs without garbage. Only a filter whose shape has no
-// kernel owns one.
+// The block's matrices, in blk's order; x follows them.
+const partF, partQ, partH, partR, partP = 0, 1, 2, 3, 4
+
+// part returns the dimensions and elements of the block's i-th matrix.
+func (f *Filter) part(i int) (rows, cols int, data []float64) {
+	n, m := int(f.n), int(f.m)
+	off := [5]int{0, n * n, 2 * n * n, 2*n*n + m*n, 2*n*n + m*n + m*m}[i]
+	rows, cols = [5]int{n, n, m, m, n}[i], [5]int{n, n, n, m, n}[i]
+	return rows, cols, f.blk[off : off+rows*cols : off+rows*cols]
+}
+
+// over returns a matrix header over the block's i-th matrix. Only the mat
+// path keeps headers (in its scratch); an accessor builds the ones it
+// needs for the length of its call and caches none, since a checkpoint
+// reads a filter under a shard read lock and a reader writes nothing.
+func (f *Filter) over(i int) mat.Matrix { return mat.Over(f.part(i)) }
+
+// x returns the state estimate, the block's tail.
+func (f *Filter) x() []float64 { return f.blk[len(f.blk)-int(f.n):] }
+
+// scratch is everything the mat path reads and writes besides the block,
+// preallocated so its hot loop runs without garbage. Only a filter whose
+// shape has no kernel owns one.
 type scratch struct {
+	hdr    [5]mat.Matrix // F, Q, H, R, P over the block
 	xNext  []float64
 	ft     *mat.Matrix // Fᵀ
 	ht     *mat.Matrix // Hᵀ
@@ -77,12 +93,10 @@ type scratch struct {
 	ky     []float64   // K·y
 }
 
-func newScratch(model *Model) *scratch {
-	n, m := model.StateDim(), model.ObsDim()
-	return &scratch{
+func newScratch(f *Filter) *scratch {
+	n, m := f.StateDim(), f.ObsDim()
+	g := &scratch{
 		xNext:  make([]float64, n),
-		ft:     mat.Transpose(model.F),
-		ht:     mat.Transpose(model.H),
 		tmpNN:  mat.New(n, n),
 		tmpNN2: mat.New(n, n),
 		tmpNM:  mat.New(n, m),
@@ -99,6 +113,11 @@ func newScratch(model *Model) *scratch {
 		krkNN:  mat.New(n, n),
 		ky:     make([]float64, n),
 	}
+	for i := range g.hdr {
+		g.hdr[i] = f.over(i)
+	}
+	g.ft, g.ht = mat.Transpose(&g.hdr[partF]), mat.Transpose(&g.hdr[partH])
+	return g
 }
 
 // NewFilter constructs a filter for model with initial state x0 and
@@ -115,20 +134,15 @@ func NewFilter(model *Model, x0 []float64, p0 *mat.Matrix) (*Filter, error) {
 	if p0.Rows() != n || p0.Cols() != n {
 		return nil, fmt.Errorf("kalman: initial covariance is %d×%d, want %d×%d", p0.Rows(), p0.Cols(), n, n)
 	}
-	f := &Filter{blk: make([]float64, 3*n*n+m*n+m*m+n), shape: shapeOf(n, m)}
+	f := &Filter{blk: make([]float64, 3*n*n+m*n+m*m+n), shape: shapeOf(n, m),
+		n: int32(n), m: int32(m), name: model.Name}
 	rest := f.blk
-	for i, src := range [5]*mat.Matrix{model.F, model.Q, model.H, model.R, p0} {
-		size := src.Rows() * src.Cols()
-		f.hdr[i] = mat.Over(src.Rows(), src.Cols(), rest[:size:size])
-		f.hdr[i].CopyFrom(src)
-		rest = rest[size:]
+	for _, src := range [5]*mat.Matrix{model.F, model.Q, model.H, model.R, p0} {
+		rest = rest[copy(rest, src.Raw()):]
 	}
-	f.model = Model{Name: model.Name, F: &f.hdr[0], Q: &f.hdr[1], H: &f.hdr[2], R: &f.hdr[3]}
-	f.p = &f.hdr[4]
-	f.x = rest
-	copy(f.x, x0)
+	copy(rest, x0)
 	if f.shape == shapeGeneric {
-		f.g = newScratch(&f.model)
+		f.g = newScratch(f)
 	}
 	return f, nil
 }
@@ -144,16 +158,19 @@ func MustFilter(model *Model, x0 []float64, p0 *mat.Matrix) *Filter {
 }
 
 // Model returns a copy of the filter's model.
-func (f *Filter) Model() *Model { return f.model.Clone() }
+func (f *Filter) Model() *Model {
+	return &Model{Name: f.name, F: mat.FromSlice(f.part(partF)), Q: mat.FromSlice(f.part(partQ)),
+		H: mat.FromSlice(f.part(partH)), R: mat.FromSlice(f.part(partR))}
+}
 
 // StateDim returns the model's state dimension without copying the model.
-func (f *Filter) StateDim() int { return f.model.StateDim() }
+func (f *Filter) StateDim() int { return int(f.n) }
 
 // ObsDim returns the model's observation dimension without copying the
 // model. Hot paths must use this rather than Model().ObsDim(): Model
 // deep-copies four matrices to protect the filter's internals, which is
 // exactly wrong for a per-tick dimension check.
-func (f *Filter) ObsDim() int { return f.model.ObsDim() }
+func (f *Filter) ObsDim() int { return int(f.m) }
 
 // PredictN performs k time updates (none for k ≤ 0), each
 //
@@ -183,13 +200,14 @@ func (f *Filter) PredictN(k int64) {
 
 func (f *Filter) predictGeneric() {
 	g := f.g
-	mat.MulVecTo(g.xNext, f.model.F, f.x)
-	copy(f.x, g.xNext)
+	fm, q, p, x := &g.hdr[partF], &g.hdr[partQ], &g.hdr[partP], f.x()
+	mat.MulVecTo(g.xNext, fm, x)
+	copy(x, g.xNext)
 
-	mat.MulTo(g.tmpNN, f.model.F, f.p)  // F·P
-	mat.MulTo(g.tmpNN2, g.tmpNN, g.ft)  // F·P·Fᵀ
-	mat.AddTo(f.p, g.tmpNN2, f.model.Q) // + Q
-	mat.Symmetrize(f.p)
+	mat.MulTo(g.tmpNN, fm, p)          // F·P
+	mat.MulTo(g.tmpNN2, g.tmpNN, g.ft) // F·P·Fᵀ
+	mat.AddTo(p, g.tmpNN2, q)          // + Q
+	mat.Symmetrize(p)
 }
 
 // Update performs the measurement update with observation z using the
@@ -204,9 +222,8 @@ func (f *Filter) predictGeneric() {
 // Returns an error if the innovation covariance S is singular; x and P
 // are then left as they were.
 func (f *Filter) Update(z []float64) error {
-	m := f.model.ObsDim()
-	if len(z) != m {
-		return fmt.Errorf("kalman: observation has length %d, want %d", len(z), m)
+	if len(z) != int(f.m) {
+		return fmt.Errorf("kalman: observation has length %d, want %d", len(z), f.m)
 	}
 	var err error
 	switch f.shape {
@@ -226,72 +243,80 @@ func (f *Filter) Update(z []float64) error {
 
 func (f *Filter) updateGeneric(z []float64) error {
 	g := f.g
+	h, r, p, x := &g.hdr[partH], &g.hdr[partR], &g.hdr[partP], f.x()
 	// Innovation y = z − H·x.
-	mat.MulVecTo(g.hx, f.model.H, f.x)
+	mat.MulVecTo(g.hx, h, x)
 	for i := range g.innov {
 		g.innov[i] = z[i] - g.hx[i]
 	}
 	// S = H·P·Hᵀ + R.
-	mat.MulTo(g.tmpMN, f.model.H, f.p)   // H·P
-	mat.MulTo(g.tmpMM, g.tmpMN, g.ht)    // H·P·Hᵀ
-	mat.AddTo(g.sMM, g.tmpMM, f.model.R) // + R
+	mat.MulTo(g.tmpMN, h, p)          // H·P
+	mat.MulTo(g.tmpMM, g.tmpMN, g.ht) // H·P·Hᵀ
+	mat.AddTo(g.sMM, g.tmpMM, r)      // + R
 	if err := mat.InverseTo(g.sInv, g.sWork, g.sMM); err != nil {
 		return err
 	}
 	// K = P·Hᵀ·S⁻¹.
-	mat.MulTo(g.tmpNM, f.p, g.ht)
+	mat.MulTo(g.tmpNM, p, g.ht)
 	mat.MulTo(g.gain, g.tmpNM, g.sInv)
 	// x ← x + K·y.
 	mat.MulVecTo(g.ky, g.gain, g.innov)
-	for i := range f.x {
-		f.x[i] += g.ky[i]
+	for i := range x {
+		x[i] += g.ky[i]
 	}
 	// Joseph form: P ← (I−KH)·P·(I−KH)ᵀ + K·R·Kᵀ, built entirely in
 	// scratch: K·H lands in tmpNN, (I−KH)ᵀ reuses tmpNN afterwards, and
 	// the transposed gain borrows tmpMN (both free by this point).
 	g.ikh.SetIdentity()
-	mat.MulTo(g.tmpNN, g.gain, f.model.H) // K·H
-	mat.SubTo(g.ikh, g.ikh, g.tmpNN)      // I − K·H
-	mat.MulTo(g.tmpNN2, g.ikh, f.p)       // (I−KH)·P
-	mat.TransposeTo(g.tmpNN, g.ikh)       // (I−KH)ᵀ
+	mat.MulTo(g.tmpNN, g.gain, h)    // K·H
+	mat.SubTo(g.ikh, g.ikh, g.tmpNN) // I − K·H
+	mat.MulTo(g.tmpNN2, g.ikh, p)    // (I−KH)·P
+	mat.TransposeTo(g.tmpNN, g.ikh)  // (I−KH)ᵀ
 	mat.MulTo(g.leftNN, g.tmpNN2, g.tmpNN)
-	mat.MulTo(g.tmpNM, g.gain, f.model.R) // K·R
-	mat.TransposeTo(g.tmpMN, g.gain)      // Kᵀ
+	mat.MulTo(g.tmpNM, g.gain, r)    // K·R
+	mat.TransposeTo(g.tmpMN, g.gain) // Kᵀ
 	mat.MulTo(g.krkNN, g.tmpNM, g.tmpMN)
-	mat.AddTo(f.p, g.leftNN, g.krkNN)
-	mat.Symmetrize(f.p)
+	mat.AddTo(p, g.leftNN, g.krkNN)
+	mat.Symmetrize(p)
 	return nil
 }
 
 // State returns a copy of the current state estimate.
-func (f *Filter) State() []float64 { return mat.VecClone(f.x) }
+func (f *Filter) State() []float64 { return mat.VecClone(f.x()) }
 
 // SetState overwrites the state estimate (used for hard resynchronization).
 func (f *Filter) SetState(x []float64) error {
-	if len(x) != f.model.StateDim() {
-		return fmt.Errorf("kalman: state has length %d, want %d", len(x), f.model.StateDim())
+	if len(x) != int(f.n) {
+		return fmt.Errorf("kalman: state has length %d, want %d", len(x), f.n)
 	}
-	copy(f.x, x)
+	copy(f.x(), x)
 	return nil
 }
 
 // Covariance returns a copy of the current estimate covariance.
-func (f *Filter) Covariance() *mat.Matrix { return f.p.Clone() }
+func (f *Filter) Covariance() *mat.Matrix { return mat.FromSlice(f.part(partP)) }
 
 // AppendSnapshot appends the filter's state estimate and its covariance
 // (row-major) to dst and returns the extended slice: the layout SetState
 // and SetCovariance restore, with no copy in between.
 func (f *Filter) AppendSnapshot(dst []float64) []float64 {
-	return append(append(dst, f.x...), f.p.Raw()...)
+	_, _, p := f.part(partP)
+	return append(append(dst, f.x()...), p...)
 }
 
 // SetCovariance overwrites the covariance (used for resynchronization).
 func (f *Filter) SetCovariance(p *mat.Matrix) error {
-	if p.Rows() != f.model.StateDim() || p.Cols() != f.model.StateDim() {
-		return fmt.Errorf("kalman: covariance is %d×%d, want %d×%d",
-			p.Rows(), p.Cols(), f.model.StateDim(), f.model.StateDim())
+	return f.setPart(partP, "covariance", p)
+}
+
+// setPart overwrites the block's i-th matrix with src, which must have
+// its dimensions.
+func (f *Filter) setPart(i int, what string, src *mat.Matrix) error {
+	rows, cols, data := f.part(i)
+	if src.Rows() != rows || src.Cols() != cols {
+		return fmt.Errorf("kalman: %s is %d×%d, want %d×%d", what, src.Rows(), src.Cols(), rows, cols)
 	}
-	f.p.CopyFrom(p)
+	copy(data, src.Raw())
 	return nil
 }
 
@@ -313,10 +338,11 @@ func (f *Filter) observationAt(k int) float64 {
 	case shape2x1:
 		return f.observe2x1()
 	}
-	n := len(f.x)
+	_, n, h := f.part(partH)
+	x := f.x()
 	var s float64
-	for j, v := range f.model.H.Raw()[k*n : (k+1)*n] {
-		s += v * f.x[j]
+	for j, v := range h[k*n : (k+1)*n] {
+		s += v * x[j]
 	}
 	return s
 }
@@ -325,8 +351,8 @@ func (f *Filter) observationAt(k int) float64 {
 // component: diag(H·P·Hᵀ + R). This is the filter's own uncertainty about
 // the next measurement, the basis for probabilistic answers.
 func (f *Filter) ObservationVariance() []float64 {
-	s := mat.Add(mat.Mul3(f.model.H, f.p, mat.Transpose(f.model.H)), f.model.R)
-	out := make([]float64, f.model.ObsDim())
+	s := f.innovationCov()
+	out := make([]float64, f.m)
 	for i := range out {
 		out[i] = s.At(i, i)
 	}
@@ -337,14 +363,18 @@ func (f *Filter) ObservationVariance() []float64 {
 // covariance S = H·P·Hᵀ + R for a candidate observation z, without
 // mutating the filter.
 func (f *Filter) Innovation(z []float64) ([]float64, *mat.Matrix, error) {
-	m := f.model.ObsDim()
-	if len(z) != m {
-		return nil, nil, fmt.Errorf("kalman: observation has length %d, want %d", len(z), m)
+	if len(z) != int(f.m) {
+		return nil, nil, fmt.Errorf("kalman: observation has length %d, want %d", len(z), f.m)
 	}
-	hx := mat.MulVec(f.model.H, f.x)
-	y := mat.VecSub(z, hx)
-	s := mat.Add(mat.Mul3(f.model.H, f.p, mat.Transpose(f.model.H)), f.model.R)
-	return y, s, nil
+	h := f.over(partH)
+	y := mat.VecSub(z, mat.MulVec(&h, f.x()))
+	return y, f.innovationCov(), nil
+}
+
+// innovationCov returns S = H·P·Hᵀ + R.
+func (f *Filter) innovationCov() *mat.Matrix {
+	h, p, r := f.over(partH), f.over(partP), f.over(partR)
+	return mat.Add(mat.Mul3(&h, &p, mat.Transpose(&h)), &r)
 }
 
 // NIS returns the normalized innovation squared yᵀ·S⁻¹·y for observation
@@ -378,7 +408,7 @@ func (f *Filter) LogLikelihood(z []float64) (float64, error) {
 	if det <= 0 {
 		return 0, fmt.Errorf("kalman: innovation covariance not positive definite (det=%g)", det)
 	}
-	m := float64(f.model.ObsDim())
+	m := float64(f.m)
 	return -0.5 * (m*math.Log(2*math.Pi) + math.Log(det) + mat.QuadraticForm(sInv, y)), nil
 }
 
@@ -391,7 +421,7 @@ func (f *Filter) Updates() uint64 { return f.updates }
 // Clone returns an independent deep copy of the filter, preserving state,
 // covariance, and counters.
 func (f *Filter) Clone() *Filter {
-	c := MustFilter(&f.model, f.x, f.p)
+	c := MustFilter(f.Model(), f.x(), f.Covariance())
 	c.ticks = f.ticks
 	c.updates = f.updates
 	return c
@@ -401,18 +431,13 @@ func (f *Filter) Clone() *Filter {
 // Either argument may be nil to leave the corresponding matrix untouched.
 // Used by the adaptive layer.
 func (f *Filter) SetNoise(q, r *mat.Matrix) error {
-	n, m := f.model.StateDim(), f.model.ObsDim()
 	if q != nil {
-		if q.Rows() != n || q.Cols() != n {
-			return fmt.Errorf("kalman: Q is %d×%d, want %d×%d", q.Rows(), q.Cols(), n, n)
+		if err := f.setPart(partQ, "Q", q); err != nil {
+			return err
 		}
-		f.model.Q.CopyFrom(q)
 	}
 	if r != nil {
-		if r.Rows() != m || r.Cols() != m {
-			return fmt.Errorf("kalman: R is %d×%d, want %d×%d", r.Rows(), r.Cols(), m, m)
-		}
-		f.model.R.CopyFrom(r)
+		return f.setPart(partR, "R", r)
 	}
 	return nil
 }

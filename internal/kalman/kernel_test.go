@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"kalmanstream/internal/mat"
 )
@@ -13,12 +14,14 @@ import (
 // kernel against. Test-only — nothing outside a test can select a path.
 func forceGeneric(f *Filter) {
 	f.shape = shapeGeneric
-	f.g = newScratch(&f.model)
+	f.g = newScratch(f)
 }
 
 // sameBits fails the test unless the two filters hold bit-equal x and P
-// and equal counters, and the kernel's H·x (ObservationInto) is bit-equal
-// to mat.MulVecTo over the same block.
+// and equal counters, the kernel's H·x (ObservationInto) is bit-equal
+// to mat.MulVecTo over the mat path's own headers, and the accessors,
+// which build their headers per call, return bit-equal values and equal
+// errors.
 func sameBits(t *testing.T, where string, kernel, generic *Filter) {
 	t.Helper()
 	for i := range kernel.blk {
@@ -33,10 +36,50 @@ func sameBits(t *testing.T, where string, kernel, generic *Filter) {
 			kernel.Ticks(), kernel.Updates(), generic.Ticks(), generic.Updates())
 	}
 	got, want := kernel.ObservationInto([]float64{math.NaN()}), []float64{math.NaN()}
-	mat.MulVecTo(want, generic.model.H, generic.x)
+	mat.MulVecTo(want, &generic.g.hdr[partH], generic.x())
 	if math.Float64bits(got[0]) != math.Float64bits(want[0]) {
 		t.Fatalf("%s: H·x diverged: kernel %x (%g) MulVecTo %x (%g)", where,
 			math.Float64bits(got[0]), got[0], math.Float64bits(want[0]), want[0])
+	}
+	km, gm := kernel.Model(), generic.Model()
+	if km.Name != gm.Name {
+		t.Fatalf("%s: Model names diverged: kernel %q generic %q", where, km.Name, gm.Name)
+	}
+	for _, c := range []struct {
+		what   string
+		kv, gv []float64
+	}{
+		{"State", kernel.State(), generic.State()},
+		{"Covariance", kernel.Covariance().Raw(), generic.Covariance().Raw()},
+		{"Model F", km.F.Raw(), gm.F.Raw()},
+		{"Model Q", km.Q.Raw(), gm.Q.Raw()},
+		{"Model H", km.H.Raw(), gm.H.Raw()},
+		{"Model R", km.R.Raw(), gm.R.Raw()},
+		{"ObservationVariance", kernel.ObservationVariance(), generic.ObservationVariance()},
+	} {
+		sameFloats(t, where+": "+c.what, c.kv, c.gv)
+	}
+	for _, z := range []float64{0, got[0] + 1} {
+		kl, ke := kernel.LogLikelihood([]float64{z})
+		gl, ge := generic.LogLikelihood([]float64{z})
+		if (ke == nil) != (ge == nil) || (ke != nil && ke.Error() != ge.Error()) {
+			t.Fatalf("%s: LogLikelihood errors diverged: kernel %v generic %v", where, ke, ge)
+		}
+		sameFloats(t, where+": LogLikelihood", []float64{kl}, []float64{gl})
+	}
+}
+
+// sameFloats fails the test unless a and b agree on every bit.
+func sameFloats(t *testing.T, where string, a, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: lengths diverged: %d and %d", where, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s: [%d] diverged: %x (%g) and %x (%g)", where, i,
+				math.Float64bits(a[i]), a[i], math.Float64bits(b[i]), b[i])
+		}
 	}
 }
 
@@ -154,8 +197,9 @@ func TestKernelBitIdentical(t *testing.T) {
 				}
 			default:
 				// The adaptive layer's lever: new noise on both.
-				nq := mat.Scale(0.5+rng.Float64(), kernel.model.Q)
-				nr := mat.Scale(0.5+rng.Float64(), kernel.model.R)
+				km := kernel.Model()
+				nq := mat.Scale(0.5+rng.Float64(), km.Q)
+				nr := mat.Scale(0.5+rng.Float64(), km.R)
 				if kernel.SetNoise(nq, nr) != nil || generic.SetNoise(nq, nr) != nil {
 					t.Fatalf("trial %d step %d: SetNoise failed", trial, step)
 				}
@@ -219,5 +263,14 @@ func TestKernelShapesOwnNoScratch(t *testing.T) {
 				t.Errorf("%s: NewFilter allocates %.0f objects, want ≤ 2 (struct + block)", tc.model.Name, got)
 			}
 		}
+	}
+}
+
+// TestFilterStaysCompact pins the struct a kernel shape owns beside its
+// block: the block, the dimensions, the counters, the scratch pointer and
+// the model's name — no matrix header (336 bytes when it held five).
+func TestFilterStaysCompact(t *testing.T) {
+	if got := unsafe.Sizeof(Filter{}); got > 96 {
+		t.Fatalf("Filter is %d bytes, want ≤ 96", got)
 	}
 }

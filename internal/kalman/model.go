@@ -63,14 +63,3 @@ func (m *Model) Validate() error {
 	}
 	return nil
 }
-
-// Clone returns a deep copy of the model.
-func (m *Model) Clone() *Model {
-	return &Model{
-		Name: m.Name,
-		F:    m.F.Clone(),
-		H:    m.H.Clone(),
-		Q:    m.Q.Clone(),
-		R:    m.R.Clone(),
-	}
-}

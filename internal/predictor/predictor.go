@@ -346,8 +346,6 @@ func (h *Holt) Restore(state []float64) error {
 type Kalman struct {
 	filter   *kalman.Filter
 	adaptive *kalman.Adaptive // nil when non-adaptive
-	name     string
-	dim      int // cached ObsDim; Dim() is called every stream-tick
 }
 
 // NewKalman returns a predictor over the given model, starting from a
@@ -358,7 +356,7 @@ func NewKalman(model *kalman.Model) (*Kalman, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Kalman{filter: f, name: "kalman-" + model.Name, dim: model.ObsDim()}, nil
+	return &Kalman{filter: f}, nil
 }
 
 // NewAdaptiveKalman returns a Kalman predictor with innovation-driven
@@ -373,17 +371,21 @@ func NewAdaptiveKalman(model *kalman.Model, cfg kalman.AdaptiveConfig) (*Kalman,
 		return nil, err
 	}
 	k.adaptive = a
-	k.name = "adaptive-" + k.name
 	return k, nil
 }
 
-// Name implements Predictor.
-func (k *Kalman) Name() string { return k.name }
+// Name implements Predictor. It is built on each call, for diagnostics:
+// a replica holds no string of its own.
+func (k *Kalman) Name() string {
+	name := "kalman-" + k.filter.Model().Name
+	if k.adaptive != nil {
+		name = "adaptive-" + name
+	}
+	return name
+}
 
-// Dim implements Predictor. The dimension is cached at construction:
-// the old filter.Model().ObsDim() path deep-copied four matrices per
-// call and was the top allocation site of the whole E8 budget sweep.
-func (k *Kalman) Dim() int { return k.dim }
+// Dim implements Predictor.
+func (k *Kalman) Dim() int { return k.filter.ObsDim() }
 
 // Step implements Predictor. (An adaptive filter's time update is the
 // wrapped filter's: adaptation happens in Correct only.)

@@ -446,3 +446,27 @@ func TestKalmanBeatsDeadReckoningOnNoisySine(t *testing.T) {
 		t.Fatalf("kalman RMSE %v not better than dead reckoning %v on noisy sine", kfRMSE, drRMSE)
 	}
 }
+
+// TestSpecBuildRefusesNonFinite: a NaN or ±Inf anywhere in a spec —
+// where every range check is false for a NaN — is refused with
+// ErrSpecNonFinite before a replica exists, not built into one that
+// predicts NaN.
+func TestSpecBuildRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	rw := ModelSpec{Kind: ModelRandomWalk, Q: 1, R: 1}
+	for i, s := range []Spec{
+		{Kind: KindKalman, Model: ModelSpec{Kind: ModelRandomWalk, Q: nan, R: 1}},
+		{Kind: KindKalman, Model: ModelSpec{Kind: ModelConstantVelocity, Dt: inf, Q: 1, R: 1}},
+		{Kind: KindKalman, Model: ModelSpec{Kind: ModelConstantVelocity, Q: 1, R: -inf}},
+		{Kind: KindKalman, Model: rw, Adaptive: true, Alpha: nan},
+		{Kind: KindEWMA, Dim: 1, Alpha: nan},
+		{Kind: KindHolt, Dim: 1, Alpha: 0.5, Beta: nan},
+		{Kind: KindKalmanBank, Models: []ModelSpec{rw, {Kind: ModelRandomWalk, Q: 1, R: nan}}},
+		{Kind: KindKalmanBank, Models: []ModelSpec{rw, rw}, BankFloor: nan},
+		{Kind: KindStatic, Dim: 1, Model: ModelSpec{Q: inf}},
+	} {
+		if p, err := s.Build(); !errors.Is(err, ErrSpecNonFinite) {
+			t.Errorf("case %d: err %v (replica %v), want ErrSpecNonFinite", i, err, p != nil)
+		}
+	}
+}

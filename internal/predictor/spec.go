@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"kalmanstream/internal/kalman"
+	"kalmanstream/internal/mat"
 )
 
 // Kind names a predictor family.
@@ -129,10 +130,17 @@ const (
 // ErrSpecTooLarge refuses a spec past a size limit.
 var ErrSpecTooLarge = errors.New("predictor: spec exceeds a size limit")
 
+// ErrSpecNonFinite refuses a spec with a NaN or ±Inf parameter, which
+// every range check lets through (a NaN compares false) into a replica
+// that predicts NaN. JSON cannot carry one, but an in-process caller can.
+var ErrSpecNonFinite = errors.New("predictor: spec has a non-finite parameter")
+
+func (ms ModelSpec) finite() bool { return mat.VecIsFinite([]float64{ms.Dt, ms.Q, ms.R}) }
+
 // Build constructs the predictor the spec describes. Calling Build twice
 // yields independent but behaviourally identical replicas. A spec past a
-// size limit is refused with ErrSpecTooLarge before anything is
-// allocated.
+// size limit is refused with ErrSpecTooLarge, and one with a non-finite
+// parameter with ErrSpecNonFinite, before anything is allocated.
 func (s Spec) Build() (Predictor, error) {
 	tooLarge := s.Dim > MaxDim || s.Model.Dim > MaxDim || s.AdaptiveWindow > MaxAdaptiveWindow || len(s.Models) > MaxModels
 	for _, m := range s.Models {
@@ -150,6 +158,13 @@ func (s Spec) Build() (Predictor, error) {
 	if tooLarge || wideWalk && 3*d*d+d+7+window*(d+d*d) > MaxSnapshot {
 		return nil, fmt.Errorf("%w: the limits are dim %d, adaptive window %d, models %d, snapshot %d floats",
 			ErrSpecTooLarge, MaxDim, MaxAdaptiveWindow, MaxModels, MaxSnapshot)
+	}
+	finite := s.Model.finite() && mat.VecIsFinite([]float64{s.Alpha, s.Beta, s.BankFloor})
+	for _, m := range s.Models {
+		finite = finite && m.finite()
+	}
+	if !finite {
+		return nil, ErrSpecNonFinite
 	}
 	switch s.Kind {
 	case KindStatic:

@@ -66,7 +66,7 @@ func (s *Server) Checkpoint(c *wal.Cut) {
 // Registration implements wal.Registered: the stream's registration,
 // which never changes once the record exists.
 func (st *streamState) Registration() wal.RegisterRecord {
-	return wal.RegisterRecord{ID: st.id, Spec: st.spec, Delta: st.registerDelta, Norm: int(st.norm)}
+	return wal.RegisterRecord{ID: st.id, Spec: st.spec.Spec, Delta: st.registerDelta, Norm: int(st.norm)}
 }
 
 // Recover is the one recovery routine: it replays a log directory into
@@ -146,6 +146,7 @@ func (s *Server) Reset() {
 		sh.mu.Lock()
 		for _, st := range sh.order {
 			st.dead = true
+			s.specs.release(st.spec)
 		}
 		sh.streams = make(map[string]*streamState)
 		sh.order = nil

@@ -13,10 +13,10 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -86,55 +86,56 @@ type StreamInfo struct {
 	Prediction []float64
 }
 
+// streamState is one stream's record: what every ingest, roll and answer
+// touches comes first, then the registration, watchdog deadlines, owner.
 type streamState struct {
-	id string
 	// sh is the shard the record lives in, so a Ref reaches its lock
 	// without hashing the id; dead marks a record Unregister or Reset
 	// dropped, under that lock, so a stale Ref is refused.
-	sh      *shard
-	dead    bool
-	replica predictor.Predictor
-	// spec and registerDelta preserve the original registration so the
-	// durability layer can checkpoint a re-buildable description of the
-	// replica (delta below may drift under budget management).
-	spec          predictor.Spec
-	registerDelta float64
-	delta         float64
-	norm          source.Norm
-	tick          int64
-	lastCorr      int64
-	corrections   int64
-	// bytes, suppressed and dups are the record's other counts (see
-	// StreamInfo); the registry holds only per-shard totals.
-	bytes      int64
-	suppressed int64
-	dups       int64
+	sh       *shard
+	replica  predictor.Predictor
+	dead     bool
+	stale    bool // the watchdog has the stream marked silent (watchdog.go)
+	norm     source.Norm
+	tick     int64
+	lastCorr int64
+	delta    float64
 	// lastValue holds the most recent correction's measurement and
 	// lastValueTick the server tick at which it arrived. On that tick the
 	// server answers with the measurement itself (error bound 0), since a
 	// stateful replica's post-update estimate need not coincide with the
 	// measurement; on later ticks the replica's prediction takes over
 	// with the δ bound.
-	lastValue     []float64
 	lastValueTick int64
-	// history, when non-nil, archives settled per-tick answers.
-	history *history
+	lastValue     []float64
+	// corrections, bytes, suppressed and dups are the record's counts
+	// (see StreamInfo); the registry holds only per-shard totals.
+	corrections int64
+	bytes       int64
+	suppressed  int64
+	dups        int64
 	// lastTrace is the trace ID of the most recent applied correction,
 	// linking subsequent query events back to the state they serve from.
 	lastTrace uint64
+	heard     int64    // when the stream last sent anything, in the clock's unit
+	history   *history // when non-nil, archives settled per-tick answers
+	id        string
 
-	// Staleness-watchdog state (see watchdog.go), in the clock's unit.
-	// wdDeadline <= 0 means the watchdog is disarmed; heard is when the
-	// stream last sent anything; wdLastReq is the silence at which the last
-	// resync request was issued, so requests repeat every deadline of
-	// continued silence; staleEpisodes counts the stale marks; owner is the
-	// opaque push target the requests go to — a connection, a feedback
-	// link — nil when there is none.
+	// spec and registerDelta preserve the original registration so the
+	// durability layer can checkpoint a re-buildable description of the
+	// replica (delta above may drift under budget management); spec is
+	// the one copy every record registered with an equal spec shares.
+	spec          *sharedSpec
+	registerDelta float64
+	// The rest of the staleness watchdog's state, in the clock's unit.
+	// wdDeadline <= 0 means the watchdog is disarmed; wdLastReq is the
+	// silence at which the last resync request was issued, so requests
+	// repeat every deadline of continued silence; staleEpisodes counts the
+	// stale marks; owner is the opaque push target the requests go to — a
+	// connection, a feedback link — nil when there is none.
 	wdDeadline    int64
 	wdLastReq     int64
-	stale         bool
 	staleEpisodes int64
-	heard         int64
 	owner         any
 }
 
@@ -193,6 +194,57 @@ type Server struct {
 	// under the shard lock — the log's registration hook. See
 	// SetRegisterHook.
 	onRegister func(rec wal.RegisterRecord) error
+	// specs holds the one copy of each distinct spec the records share.
+	specs specTable
+}
+
+// specTable interns the records' specs, so a record points at one shared
+// copy of its spec instead of carrying 136 bytes. An entry lives while
+// records hold it (Unregister and Reset release theirs), so the table
+// never outgrows the population. Its lock nests inside a shard lock.
+type specTable struct {
+	mu sync.Mutex
+	m  map[string]*sharedSpec
+}
+
+// sharedSpec is one interned spec, keyed by its JSON: the bytes a register
+// record logs, which spell every float exactly, so specs with equal keys
+// log the same record and build the same replica. JSON cannot spell a
+// non-finite float, and Spec.Build refuses one before a spec is acquired.
+type sharedSpec struct {
+	predictor.Spec
+	key  string
+	refs int // under specTable.mu
+}
+
+// acquire takes a hold on the shared copy of a built spec.
+func (t *specTable) acquire(spec predictor.Spec) *sharedSpec {
+	key, _ := json.Marshal(spec)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sp := t.m[string(key)]
+	if sp == nil {
+		sp = &sharedSpec{Spec: spec, key: string(key)}
+		t.m[sp.key] = sp
+	}
+	sp.refs++
+	return sp
+}
+
+// find returns the shared copy of spec, nil when no record holds one.
+func (t *specTable) find(spec predictor.Spec) *sharedSpec {
+	key, _ := json.Marshal(spec)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[string(key)]
+}
+
+func (t *specTable) release(sp *sharedSpec) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if sp.refs--; sp.refs == 0 {
+		delete(t.m, sp.key)
+	}
 }
 
 // New returns an empty server with DefaultShards lock stripes.
@@ -205,7 +257,8 @@ func NewSharded(n int) *Server {
 	if n < 1 {
 		n = 1
 	}
-	s := &Server{shards: make([]*shard, n), tr: trace.Default, unit: 1}
+	s := &Server{shards: make([]*shard, n), tr: trace.Default, unit: 1,
+		specs: specTable{m: make(map[string]*sharedSpec)}}
 	for i := range s.shards {
 		s.shards[i] = &shard{streams: make(map[string]*streamState)}
 	}
@@ -308,7 +361,7 @@ func (s *Server) register(id string, spec predictor.Spec, delta float64, norm so
 		if !adopt {
 			return nil, fmt.Errorf("server: stream %q already registered", id)
 		}
-		if !reflect.DeepEqual(st.spec, spec) || st.registerDelta != delta {
+		if s.specs.find(spec) != st.spec || st.registerDelta != delta {
 			return nil, fmt.Errorf("server: stream %q re-registered with a different spec or delta", id)
 		}
 		st.owner, st.heard, st.wdLastReq = owner, now, 0
@@ -323,7 +376,7 @@ func (s *Server) register(id string, spec predictor.Spec, delta float64, norm so
 			return nil, fmt.Errorf("server: logging registration of %s: %w", id, err)
 		}
 	}
-	st := &streamState{id: id, sh: sh, replica: replica, spec: spec, registerDelta: delta,
+	st := &streamState{id: id, sh: sh, replica: replica, spec: s.specs.acquire(spec), registerDelta: delta,
 		delta: delta, norm: norm, tick: tick, lastCorr: -1, lastValueTick: -1, owner: owner, heard: now,
 		wdDeadline: s.staleAfter}
 	sh.streams[id] = st
@@ -343,6 +396,7 @@ func (s *Server) Unregister(id string) error {
 		s.stale.Add(-1)
 	}
 	st.dead = true
+	s.specs.release(st.spec)
 	delete(sh.streams, id)
 	for i, st := range sh.order {
 		if st.id == id {
