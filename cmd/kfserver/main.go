@@ -117,7 +117,7 @@ func run(args []string, listening func(net.Listener)) error {
 	addr := fs.String("addr", ":9653", "listen address")
 	httpAddr := fs.String("http", "", "optional HTTP listen address serving /metrics, /debug/vars, /debug/trace, /debug/pprof/, and the health endpoints (e.g. :9654)")
 	traceOn := fs.Bool("trace", false, "enable the lifecycle trace journal (browse at /debug/trace)")
-	traceCap := fs.Int("trace-buf", trace.DefaultCapacity, "trace ring capacity per shard (newest events win)")
+	traceCap := fs.Int("trace-buf", trace.DefaultCapacity, "trace ring capacity per shard (newest events win); 72 B per event per shard, allocated only once tracing records")
 	staleAfter := fs.Duration("stale-after", 0, "mark a stream stale and push resync requests after this much silence (0 = watchdog off)")
 	historyInterval := fs.Duration("history-interval", time.Second, "telemetry history scrape interval, the one clock of /debug/history and the SLO monitor (60 intervals per window; 0 = both off)")
 	bundleDir := fs.String("bundle-dir", "", "spool incident bundles to this directory (empty = memory-only ring)")

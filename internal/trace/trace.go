@@ -11,9 +11,11 @@
 // instrumented call site guards with a single atomic load (Enabled) and
 // records nothing, allocates nothing, and takes no locks on the fast
 // path. When enabled, recording an event is one mutex-protected copy
-// into a preallocated ring — no allocation — plus one wall-clock read.
-// Rings overwrite their oldest events, so memory is strictly bounded no
-// matter how long the system runs.
+// into a ring — no allocation once the ring exists — plus one wall-clock
+// read. A shard's ring is made by the first event that lands in it, so a
+// journal that never records holds only its shard headers; rings
+// overwrite their oldest events, so memory is strictly bounded no matter
+// how long the system runs.
 //
 // The package also hosts the online precision auditor (audit.go), which
 // turns gate events into a runtime proof obligation: realized error on
@@ -135,8 +137,8 @@ func (o Outcome) String() string {
 }
 
 // Event is one journal entry. The struct is a flat value (no pointers
-// beyond the StreamID string header) so recording is a copy into a
-// preallocated ring slot.
+// beyond the StreamID string header) so recording is a copy into a ring
+// slot.
 type Event struct {
 	// Seq is the journal-assigned global order (monotone per journal).
 	Seq uint64 `json:"seq"`
@@ -160,33 +162,41 @@ type Event struct {
 	Aux float64 `json:"aux"`
 }
 
-// shard is one lock stripe of the journal: a fixed ring plus the count
-// of events ever written to it.
+// shard is one lock stripe of the journal: a fixed ring, nil until the
+// first event lands in the shard, plus the count of events ever written
+// to it.
 type shard struct {
 	mu    sync.Mutex
 	ring  []Event
 	count uint64
 }
 
+// retained is how many events the ring holds; a nil ring holds none.
+// The caller holds sh.mu.
+func (sh *shard) retained() uint64 { return min(sh.count, uint64(len(sh.ring))) }
+
 // Journal is a sharded ring-buffer event journal. All methods are safe
 // for concurrent use. The zero value is not usable; call NewJournal.
 type Journal struct {
-	enabled atomic.Bool
-	seq     atomic.Uint64
-	lastID  atomic.Uint64
-	shards  []*shard
+	enabled  atomic.Bool
+	seq      atomic.Uint64
+	lastID   atomic.Uint64
+	capacity int
+	shards   []*shard
 }
 
 // DefaultShards and DefaultCapacity size the package-level Default
 // journal: 8 stripes so concurrent streams rarely contend, 4096 events
-// per stripe (~3 MB total, strictly bounded).
+// of 72 B per stripe — 2.36 MB per journal, strictly bounded, and paid
+// shard by shard only once events arrive.
 const (
 	DefaultShards   = 8
 	DefaultCapacity = 4096
 )
 
 // NewJournal returns a disabled journal with the given shard count and
-// per-shard ring capacity (values < 1 take the defaults).
+// per-shard ring capacity (values < 1 take the defaults). It allocates
+// the shard headers only; each ring is made by its shard's first Record.
 func NewJournal(shards, capacity int) *Journal {
 	if shards < 1 {
 		shards = DefaultShards
@@ -194,9 +204,9 @@ func NewJournal(shards, capacity int) *Journal {
 	if capacity < 1 {
 		capacity = DefaultCapacity
 	}
-	j := &Journal{shards: make([]*shard, shards)}
+	j := &Journal{capacity: capacity, shards: make([]*shard, shards)}
 	for i := range j.shards {
-		j.shards[i] = &shard{ring: make([]Event, capacity)}
+		j.shards[i] = &shard{}
 	}
 	return j
 }
@@ -236,10 +246,12 @@ func fnv1a(id string) uint32 {
 }
 
 // Record stamps the event (sequence number; wall clock unless the
-// caller already set one) and appends it to the stream's shard,
-// overwriting the oldest event when the ring is full. It is a no-op on
-// a disabled or nil journal, so callers that already checked Enabled
-// pay nothing extra. Record does not allocate.
+// caller already set one, as an event shipped from another process's
+// journal has) and appends it to the stream's shard, overwriting the
+// oldest event when the ring is full. It is a no-op on a disabled or nil
+// journal, so callers that already checked Enabled pay nothing extra.
+// Record allocates only the shard's ring, on the first event that lands
+// there.
 func (j *Journal) Record(e Event) {
 	if !j.Enabled() {
 		return
@@ -250,6 +262,9 @@ func (j *Journal) Record(e Event) {
 	}
 	sh := j.shards[fnv1a(e.StreamID)%uint32(len(j.shards))]
 	sh.mu.Lock()
+	if sh.ring == nil {
+		sh.ring = make([]Event, j.capacity)
+	}
 	sh.ring[sh.count%uint64(len(sh.ring))] = e
 	sh.count++
 	sh.mu.Unlock()
@@ -272,23 +287,10 @@ func (j *Journal) Len() int {
 	n := 0
 	for _, sh := range j.shards {
 		sh.mu.Lock()
-		c := sh.count
-		if c > uint64(len(sh.ring)) {
-			c = uint64(len(sh.ring))
-		}
-		n += int(c)
+		n += int(sh.retained())
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Reset forgets every retained event (the enabled state is unchanged).
-func (j *Journal) Reset() {
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		sh.count = 0
-		sh.mu.Unlock()
-	}
 }
 
 // Snapshot returns every retained event in sequence order. Concurrent
@@ -313,12 +315,8 @@ func (j *Journal) collect(keep func(Event) bool) []Event {
 	var out []Event
 	for _, sh := range j.shards {
 		sh.mu.Lock()
-		n := sh.count
-		if n > uint64(len(sh.ring)) {
-			n = uint64(len(sh.ring))
-		}
-		for i := uint64(0); i < n; i++ {
-			if e := sh.ring[i]; keep(e) {
+		for _, e := range sh.ring[:sh.retained()] {
+			if keep(e) {
 				out = append(out, e)
 			}
 		}
@@ -326,14 +324,6 @@ func (j *Journal) collect(keep func(Event) bool) []Event {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
-}
-
-// Ingest records an event produced elsewhere (another process's journal,
-// shipped over the wire): the sequence number is reassigned locally so
-// ordering stays monotone, but the original wall-clock stamp is kept.
-// Like Record it is a no-op when the journal is disabled.
-func (j *Journal) Ingest(e Event) {
-	j.Record(e)
 }
 
 // Drain returns every retained event in sequence order and forgets
@@ -348,13 +338,7 @@ func (j *Journal) Drain() []Event {
 	var out []Event
 	for _, sh := range j.shards {
 		sh.mu.Lock()
-		n := sh.count
-		if n > uint64(len(sh.ring)) {
-			n = uint64(len(sh.ring))
-		}
-		for i := uint64(0); i < n; i++ {
-			out = append(out, sh.ring[i])
-		}
+		out = append(out, sh.ring[:sh.retained()]...)
 		sh.count = 0
 		sh.mu.Unlock()
 	}

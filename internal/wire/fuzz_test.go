@@ -90,7 +90,7 @@ func FuzzTraceBatch(f *testing.F) {
 		j.SetEnabled(true)
 		a := trace.NewAuditor(telemetry.New(), j)
 		for i := range evs {
-			j.Ingest(evs[i])
+			j.Record(evs[i])
 			a.Ingest(evs[i])
 		}
 		if got := j.Recorded(); got != uint64(len(evs)) {

@@ -854,7 +854,7 @@ func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Me
 			if _, err := s.srv.Delta(evs[i].StreamID); err != nil {
 				return fmt.Errorf("wire: trace event %d: %w", i, err)
 			}
-			s.node.Trace().Ingest(evs[i])
+			s.node.Trace().Record(evs[i])
 			s.node.Auditor().Ingest(evs[i])
 		}
 		return nil
