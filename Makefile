@@ -23,7 +23,7 @@ BENCH_MAXREGRESS ?= 10
 # of non-test Go outside bench/) exceeds this. A PR that spends lines on
 # purpose raises it in its own diff, where a reviewer sees it; a PR that
 # deletes lowers it to where it lands.
-LOC_MAX ?= 22121
+LOC_MAX ?= 22229
 LOC_TOTAL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 # The same ratchet on the observability six — ROADMAP's "consolidating
 # engines" aim, whose target is ≤ 4,400.
@@ -156,11 +156,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# benchsmoke executes every ProtocolTick benchmark for a fixed 100
-# iterations — seconds, not minutes — purely to keep benchmark code
-# compiling and running.
+# benchsmoke executes every ProtocolTick benchmark, and the wire
+# server's warm and cold batch apply, for a fixed 100 iterations —
+# seconds, not minutes — purely to keep benchmark code compiling and
+# running.
 benchsmoke:
 	$(GO) test -run=NONE -bench=ProtocolTick -benchtime=100x .
+	$(GO) test -run=NONE -bench=ApplyBatch -benchtime=100x ./internal/wire
 
 # bench runs the full benchmark suite with allocation stats and records
 # the per-benchmark means (ns/op, B/op, allocs/op, msgs/stream-tick) in

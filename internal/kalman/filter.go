@@ -35,6 +35,7 @@ func shapeOf(n, m int) shape {
 // Update on a tick is exactly the suppression mechanism the stream system
 // exploits: the filter coasts on its dynamics.
 type Filter struct {
+	_ noCopy // a copy would share the original's block
 	// blk holds F | Q | H | R | P | x back to back, row-major. With the
 	// dimensions and counters beside it that is all a kernel shape owns,
 	// so a lazy advance of a cold stream touches the struct's line and the
@@ -120,22 +121,42 @@ func newScratch(f *Filter) *scratch {
 	return g
 }
 
+// noCopy makes go vet's copylocks check flag a Filter copied by value.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // NewFilter constructs a filter for model with initial state x0 and
 // initial covariance p0. The model and inputs are deep-copied, so a source
 // and a server can construct byte-identical replicas from the same spec.
 func NewFilter(model *Model, x0 []float64, p0 *mat.Matrix) (*Filter, error) {
-	if err := model.Validate(); err != nil {
+	f := new(Filter)
+	if err := InitFilter(f, nil, model, x0, p0); err != nil {
 		return nil, err
+	}
+	return f, nil
+}
+
+// InitFilter is NewFilter into caller-owned storage: f, and blk for the
+// block when its length is the block's (otherwise one is allocated), so
+// a filter and its block can share their owner's allocation. f must be a
+// zero Filter.
+func InitFilter(f *Filter, blk []float64, model *Model, x0 []float64, p0 *mat.Matrix) error {
+	if err := model.Validate(); err != nil {
+		return err
 	}
 	n, m := model.StateDim(), model.ObsDim()
 	if len(x0) != n {
-		return nil, fmt.Errorf("kalman: initial state has length %d, want %d", len(x0), n)
+		return fmt.Errorf("kalman: initial state has length %d, want %d", len(x0), n)
 	}
 	if p0.Rows() != n || p0.Cols() != n {
-		return nil, fmt.Errorf("kalman: initial covariance is %d×%d, want %d×%d", p0.Rows(), p0.Cols(), n, n)
+		return fmt.Errorf("kalman: initial covariance is %d×%d, want %d×%d", p0.Rows(), p0.Cols(), n, n)
 	}
-	f := &Filter{blk: make([]float64, 3*n*n+m*n+m*m+n), shape: shapeOf(n, m),
-		n: int32(n), m: int32(m), name: model.Name}
+	if size := 3*n*n + m*n + m*m + n; len(blk) != size {
+		blk = make([]float64, size)
+	}
+	f.blk, f.shape, f.n, f.m, f.name = blk, shapeOf(n, m), int32(n), int32(m), model.Name
 	rest := f.blk
 	for _, src := range [5]*mat.Matrix{model.F, model.Q, model.H, model.R, p0} {
 		rest = rest[copy(rest, src.Raw()):]
@@ -144,7 +165,7 @@ func NewFilter(model *Model, x0 []float64, p0 *mat.Matrix) (*Filter, error) {
 	if f.shape == shapeGeneric {
 		f.g = newScratch(f)
 	}
-	return f, nil
+	return nil
 }
 
 // MustFilter is NewFilter that panics on error; for model constructors

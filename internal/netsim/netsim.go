@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -229,6 +230,25 @@ func DecodeNextHandle(m *Message, buf []byte) (h uint32, rest []byte, err error)
 		return 0, nil, err
 	}
 	return binary.BigEndian.Uint32(buf), rest, nil
+}
+
+// PeekHandle returns the handle of the handle-form record at the front of
+// buf and what follows the record, decoding no value and checking only
+// that the framing fits; ok is false when it does not. It is a
+// look-ahead: DecodeNextHandle remains the record's one check.
+func PeekHandle(buf []byte) (h uint32, rest []byte, ok bool) {
+	if len(buf) == 0 {
+		return 0, nil, false
+	}
+	off := 1 + 8*bits.OnesCount8(buf[0]&(tracedFlag|stampedFlag)) // kind, trace, stamp
+	if len(buf) < off+4+8+2 {
+		return 0, nil, false
+	}
+	end := off + 4 + 8 + 2 + 8*int(binary.BigEndian.Uint16(buf[off+12:]))
+	if len(buf) < end {
+		return 0, nil, false
+	}
+	return binary.BigEndian.Uint32(buf[off:]), buf[end:], true
 }
 
 // decodeHead parses the kind byte and the trace ID and stamp it flags,

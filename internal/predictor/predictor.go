@@ -343,20 +343,41 @@ func (h *Holt) Restore(state []float64) error {
 // to its measurement update, so between corrections the prediction coasts
 // along the model dynamics — the behaviour that lets it beat static
 // caching on any stream with exploitable structure.
+//
+// The filter is held by value, and a kernel shape's block (1×1 or 2×1)
+// lies in the same allocation right behind the predictor, so a replica
+// is one object: a cold correction misses on it alone.
 type Kalman struct {
-	filter   *kalman.Filter
+	filter   kalman.Filter
 	adaptive *kalman.Adaptive // nil when non-adaptive
 }
 
 // NewKalman returns a predictor over the given model, starting from a
 // zero state with a diffuse prior.
 func NewKalman(model *kalman.Model) (*Kalman, error) {
-	n := model.StateDim()
-	f, err := kalman.NewFilter(model, make([]float64, n), kalman.InitialCovariance(n, 1e6))
-	if err != nil {
+	n, m := model.StateDim(), model.ObsDim()
+	var k *Kalman
+	var blk []float64
+	switch {
+	case n == 1 && m == 1:
+		r := new(struct {
+			Kalman
+			blk [6]float64
+		})
+		k, blk = &r.Kalman, r.blk[:]
+	case n == 2 && m == 1:
+		r := new(struct {
+			Kalman
+			blk [17]float64
+		})
+		k, blk = &r.Kalman, r.blk[:]
+	default:
+		k = new(Kalman)
+	}
+	if err := kalman.InitFilter(&k.filter, blk, model, make([]float64, n), kalman.InitialCovariance(n, 1e6)); err != nil {
 		return nil, err
 	}
-	return &Kalman{filter: f}, nil
+	return k, nil
 }
 
 // NewAdaptiveKalman returns a Kalman predictor with innovation-driven
@@ -366,7 +387,7 @@ func NewAdaptiveKalman(model *kalman.Model, cfg kalman.AdaptiveConfig) (*Kalman,
 	if err != nil {
 		return nil, err
 	}
-	a, err := kalman.NewAdaptive(k.filter, cfg)
+	a, err := kalman.NewAdaptive(&k.filter, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +433,7 @@ func (k *Kalman) PredictVariance() []float64 { return k.filter.ObservationVarian
 
 // Filter exposes the underlying filter for diagnostics (covariance,
 // innovation statistics). Mutating it directly breaks replica lock-step.
-func (k *Kalman) Filter() *kalman.Filter { return k.filter }
+func (k *Kalman) Filter() *kalman.Filter { return &k.filter }
 
 // KalmanBank blends a bank of candidate models by recursive model
 // probability — the predictor of choice when a stream's regime changes

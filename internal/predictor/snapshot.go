@@ -93,7 +93,7 @@ func (k *Kalman) Restore(state []float64) error {
 	if k.adaptive != nil {
 		return k.adaptive.Restore(state)
 	}
-	return restoreFilter(k.filter, state)
+	return restoreFilter(&k.filter, state)
 }
 
 // AppendSnapshot implements Predictor:

@@ -108,7 +108,7 @@ func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 			st.tick, st.delta, st.lastCorr, st.corrections = state.Tick, state.Delta, state.LastCorr, state.Corrections
 			st.lastValueTick = state.LastValueTick
 			if len(state.Value) > 0 {
-				st.lastValue = append([]float64(nil), state.Value...)
+				st.setLastValue(state.Value)
 			}
 			return nil
 		case wal.RecMessage:
@@ -139,11 +139,14 @@ func (s *Server) ReplayMessage(tick int64, m *netsim.Message) error {
 // telemetry, trace and the watchdog's deadline — the in-process stand-in for a
 // crashed server about to recover from its log, which has no log to
 // append to until recovery re-arms them. A Ref to a dropped stream is
-// refused from then on.
+// refused from then on. It takes every shard lock before it touches the
+// hooks, since an ingest or registration in flight reads them under one.
 func (s *Server) Reset() {
-	s.onApply, s.onRegister = nil, nil
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+	}
+	s.onApply, s.onRegister = nil, nil
+	for _, sh := range s.shards {
 		for _, st := range sh.order {
 			st.dead = true
 			s.specs.release(st.spec)

@@ -105,9 +105,11 @@ type streamState struct {
 	// server answers with the measurement itself (error bound 0), since a
 	// stateful replica's post-update estimate need not coincide with the
 	// measurement; on later ticks the replica's prediction takes over
-	// with the δ bound.
+	// with the δ bound. A value of dimension ≤ 2 lives in lastBuf, the
+	// record's own storage (setLastValue).
 	lastValueTick int64
 	lastValue     []float64
+	lastBuf       [2]float64
 	// corrections, bytes, suppressed and dups are the record's counts
 	// (see StreamInfo); the registry holds only per-shard totals.
 	corrections int64
@@ -145,6 +147,13 @@ type streamState struct {
 // Unregister or Reset drops the record, IngestRef refuses the Ref with
 // ErrUnknownStream.
 type Ref struct{ st *streamState }
+
+// Prefetch reads, without the lock, the record ref resolves and its
+// replica, so a batch can pull both into cache a window ahead of their
+// apply. It reads only fields set before the record was published (the
+// record's replica, the replica's dimensions), which no later write
+// moves, and it writes nothing.
+func (r Ref) Prefetch() { r.st.replica.Dim() }
 
 // shardTotals is one lock stripe's share of the registry totals (label
 // shard). The handles live where the lock already is: they are bumped
@@ -600,10 +609,7 @@ func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Messa
 	if m.Kind != netsim.KindHeartbeat {
 		st.corrections++
 		st.bytes += int64(m.EncodedSize())
-		if st.lastValue == nil {
-			st.lastValue = make([]float64, len(value))
-		}
-		copy(st.lastValue, value)
+		st.setLastValue(value)
 		st.lastValueTick = st.tick
 		// Remember the trace ID so later query events can point at the
 		// correction they serve from. Untraced messages still record an
@@ -643,6 +649,16 @@ func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Messa
 		s.onApply(st.tick, m)
 	}
 	return nil
+}
+
+// setLastValue keeps v as the last correction's measurement: in the
+// record's own storage while it fits, so a small stream's answer reads no
+// second object.
+func (st *streamState) setLastValue(v []float64) {
+	if st.lastValue == nil {
+		st.lastValue = st.lastBuf[:0]
+	}
+	st.lastValue = append(st.lastValue[:0], v...)
 }
 
 // get looks a stream up under the shard read lock and returns the state
