@@ -252,7 +252,8 @@ const FreshnessTickPeriod = time.Millisecond
 // Observe (on distinct streams), queries, and Subscribe may run
 // concurrently between Advances — the replica cache is lock-striped and
 // all counters are atomic. Replicas advance lazily, as under the wire
-// server: a delivery and every read roll the stream to the current tick.
+// server: a delivery rolls the stream to its arrival tick, and a read at
+// the current tick steps a borrowed replica there and moves nothing.
 type System struct {
 	node    *Node
 	handles map[string]*StreamHandle

@@ -255,10 +255,8 @@ func (a *Adaptive) Restore(state []float64) error {
 		return fmt.Errorf("kalman: adaptive snapshot has %d values, want ≥ %d", len(state), head)
 	}
 	off := 0
-	x := state[off : off+n]
-	off += n
-	p := state[off : off+n*n]
-	off += n * n
+	xp := state[off : off+n+n*n]
+	off += n + n*n
 	q := state[off : off+n*n]
 	off += n * n
 	r := state[off : off+m*m]
@@ -281,10 +279,7 @@ func (a *Adaptive) Restore(state []float64) error {
 	if len(state) != off+count*(m+m*m) {
 		return fmt.Errorf("kalman: adaptive snapshot has %d values, want %d", len(state), off+count*(m+m*m))
 	}
-	if err := a.filter.SetState(x); err != nil {
-		return err
-	}
-	if err := a.filter.SetCovariance(mat.FromSlice(n, n, p)); err != nil {
+	if err := a.filter.Restore(xp); err != nil {
 		return err
 	}
 	if err := a.filter.SetNoise(mat.FromSlice(n, n, q), mat.FromSlice(m, m, r)); err != nil {

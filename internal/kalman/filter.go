@@ -62,8 +62,8 @@ func (f *Filter) part(i int) (rows, cols int, data []float64) {
 
 // over returns a matrix header over the block's i-th matrix. Only the mat
 // path keeps headers (in its scratch); an accessor builds the ones it
-// needs for the length of its call and caches none, since a checkpoint
-// reads a filter under a shard read lock and a reader writes nothing.
+// needs for the length of its call and caches none, so a reader (a
+// checkpoint, a snapshot) writes nothing.
 func (f *Filter) over(i int) mat.Matrix { return mat.Over(f.part(i)) }
 
 // x returns the state estimate, the block's tail.
@@ -305,29 +305,30 @@ func (f *Filter) updateGeneric(z []float64) error {
 // State returns a copy of the current state estimate.
 func (f *Filter) State() []float64 { return mat.VecClone(f.x()) }
 
-// SetState overwrites the state estimate (used for hard resynchronization).
-func (f *Filter) SetState(x []float64) error {
-	if len(x) != int(f.n) {
-		return fmt.Errorf("kalman: state has length %d, want %d", len(x), f.n)
-	}
-	copy(f.x(), x)
-	return nil
-}
-
 // Covariance returns a copy of the current estimate covariance.
 func (f *Filter) Covariance() *mat.Matrix { return mat.FromSlice(f.part(partP)) }
 
 // AppendSnapshot appends the filter's state estimate and its covariance
-// (row-major) to dst and returns the extended slice: the layout SetState
-// and SetCovariance restore, with no copy in between.
+// (row-major) to dst and returns the extended slice: the layout Restore
+// reads back, with no copy in between.
 func (f *Filter) AppendSnapshot(dst []float64) []float64 {
 	_, _, p := f.part(partP)
 	return append(append(dst, f.x()...), p...)
 }
 
-// SetCovariance overwrites the covariance (used for resynchronization).
-func (f *Filter) SetCovariance(p *mat.Matrix) error {
-	return f.setPart(partP, "covariance", p)
+// Restore overwrites the state estimate and covariance from state, laid
+// out as AppendSnapshot writes them (x, then P row-major) — its inverse,
+// copied straight into the block with no allocation. A state of the wrong
+// length is refused before anything moves.
+func (f *Filter) Restore(state []float64) error {
+	n := int(f.n)
+	if len(state) != n+n*n {
+		return fmt.Errorf("kalman: filter snapshot has %d values, want %d", len(state), n+n*n)
+	}
+	_, _, p := f.part(partP)
+	copy(f.x(), state[:n])
+	copy(p, state[n:])
+	return nil
 }
 
 // setPart overwrites the block's i-th matrix with src, which must have

@@ -66,7 +66,9 @@ func TestFilterIsolatedFromCallerModel(t *testing.T) {
 
 func TestPredictRandomWalkKeepsStateGrowsCovariance(t *testing.T) {
 	f := newRWFilter(t, 0.5, 1)
-	if err := f.SetState([]float64{3}); err != nil {
+	state := f.AppendSnapshot(nil)
+	state[0] = 3
+	if err := f.Restore(state); err != nil {
 		t.Fatal(err)
 	}
 	p0 := f.Covariance().At(0, 0)

@@ -189,10 +189,8 @@ func TestKernelBitIdentical(t *testing.T) {
 				}
 			case op < 19:
 				// A resync: each side restores the other's snapshot.
-				kx, kp := kernel.State(), kernel.Covariance()
-				gx, gp := generic.State(), generic.Covariance()
-				if kernel.SetState(gx) != nil || kernel.SetCovariance(gp) != nil ||
-					generic.SetState(kx) != nil || generic.SetCovariance(kp) != nil {
+				ks, gs := kernel.AppendSnapshot(nil), generic.AppendSnapshot(nil)
+				if kernel.Restore(gs) != nil || generic.Restore(ks) != nil {
 					t.Fatalf("trial %d step %d: restore failed", trial, step)
 				}
 			default:

@@ -8,9 +8,9 @@ import (
 	"kalmanstream/internal/mat"
 )
 
-func TestFilterSetCovarianceAndObservationVariance(t *testing.T) {
+func TestFilterRestoreAndObservationVariance(t *testing.T) {
 	f := MustFilter(RandomWalk(0.5, 2), []float64{0}, InitialCovariance(1, 1))
-	if err := f.SetCovariance(mat.Diag(4)); err != nil {
+	if err := f.Restore([]float64{0, 4}); err != nil {
 		t.Fatal(err)
 	}
 	// Predictive variance = P + R = 4 + 2 (no Predict yet: uses current P).
@@ -18,8 +18,8 @@ func TestFilterSetCovarianceAndObservationVariance(t *testing.T) {
 	if len(v) != 1 || math.Abs(v[0]-6) > 1e-12 {
 		t.Fatalf("observation variance = %v, want [6]", v)
 	}
-	if err := f.SetCovariance(mat.Identity(2)); err == nil {
-		t.Fatal("wrong-shape covariance accepted")
+	if err := f.Restore([]float64{0, 1, 0, 0, 1}); err == nil {
+		t.Fatal("wrong-length snapshot accepted")
 	}
 }
 

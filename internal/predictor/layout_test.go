@@ -63,7 +63,7 @@ func (tw twin) restore(state []float64) error {
 	if tw.a != nil {
 		return tw.a.Restore(state)
 	}
-	return restoreFilter(tw.f, state)
+	return tw.f.Restore(state)
 }
 
 // TestInlineBlockMatchesSeparateFilter: a replica whose block lies inside

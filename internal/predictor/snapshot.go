@@ -1,11 +1,6 @@
 package predictor
 
-import (
-	"fmt"
-
-	"kalmanstream/internal/kalman"
-	"kalmanstream/internal/mat"
-)
+import "fmt"
 
 // Snapshot implementations. Snapshots are flat float64 vectors so they
 // travel in an ordinary protocol message; each predictor defines its own
@@ -66,17 +61,6 @@ func (e *EWMA) Restore(state []float64) error {
 // state vector plus row-major covariance.
 func filterSnapshotLen(n int) int { return n + n*n }
 
-func restoreFilter(f *kalman.Filter, state []float64) error {
-	n := f.StateDim()
-	if len(state) != filterSnapshotLen(n) {
-		return fmt.Errorf("predictor: filter snapshot has %d values, want %d", len(state), filterSnapshotLen(n))
-	}
-	if err := f.SetState(state[:n]); err != nil {
-		return err
-	}
-	return f.SetCovariance(mat.FromSlice(n, n, state[n:]))
-}
-
 // AppendSnapshot implements Predictor: [x..., P (row-major)...] for
 // plain filters; adaptive filters additionally carry their noise matrices
 // and innovation window (see kalman.Adaptive.AppendSnapshot), so a
@@ -93,7 +77,7 @@ func (k *Kalman) Restore(state []float64) error {
 	if k.adaptive != nil {
 		return k.adaptive.Restore(state)
 	}
-	return restoreFilter(&k.filter, state)
+	return k.filter.Restore(state)
 }
 
 // AppendSnapshot implements Predictor:
@@ -125,7 +109,7 @@ func (k *KalmanBank) Restore(state []float64) error {
 	for i := 0; i < size; i++ {
 		f := bank.FilterAt(i)
 		n := filterSnapshotLen(f.StateDim())
-		if err := restoreFilter(f, state[off:off+n]); err != nil {
+		if err := f.Restore(state[off : off+n]); err != nil {
 			return err
 		}
 		off += n

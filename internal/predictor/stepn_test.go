@@ -90,3 +90,37 @@ func TestBuildAllocationCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestKalmanRestoreAllocatesNothing: the borrow a server read ahead of a
+// record makes — snapshot into spare capacity, step the gap, Restore —
+// allocates nothing for the two kernel shapes, and leaves the replica's
+// state bit-identical.
+func TestKalmanRestoreAllocatesNothing(t *testing.T) {
+	for _, name := range []string{"rw1", "cv2"} {
+		p, err := kernelSpecs[name].Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 5 {
+			p.StepN(int64(i))
+			if err := p.Correct([]float64{float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := p.AppendSnapshot(nil)
+		snap := make([]float64, 0, len(want))
+		got := testing.AllocsPerRun(100, func() {
+			snap = p.AppendSnapshot(snap[:0])
+			p.StepN(40)
+			if err := p.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: snapshot, StepN and Restore allocate %.0f times, want 0", name, got)
+		}
+		if after := p.AppendSnapshot(nil); !sameBits(after, want) {
+			t.Errorf("%s: state after the borrow %v, before %v", name, after, want)
+		}
+	}
+}

@@ -104,7 +104,7 @@ func TestProbValueWidthGrowsWithCoasting(t *testing.T) {
 func TestProbValueExactOnCorrectionTick(t *testing.T) {
 	srv, e := probFixture(t, 5)
 	srv.Tick()
-	err := srv.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "k", Tick: 99, Value: []float64{42}})
+	err := srv.Apply(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "k", Tick: srv.At(), Value: []float64{42}})
 	if err != nil {
 		t.Fatal(err)
 	}

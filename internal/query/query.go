@@ -63,9 +63,9 @@ type Engine struct {
 	at  func() int64
 }
 
-// New returns an engine over srv that answers at the tick at returns: every
-// read first rolls the stream to it (server.QueryAt, server.Roll), so an
-// answer is the one a query at that tick gets.
+// New returns an engine over srv that answers at the tick at returns, as
+// server.QueryAt does: an answer is the one a query at that tick gets, and
+// reading moves no record.
 func New(srv *server.Server, at func() int64) *Engine { return &Engine{srv: srv, at: at} }
 
 // answer is a stream's point answer at the engine's tick.

@@ -100,11 +100,11 @@ func (st *streamState) archive() {
 // tick. Fails when history is disabled, the tick has been evicted, or it
 // has not settled yet.
 func (s *Server) HistoryAt(id string, tick int64) (HistoryEntry, error) {
-	sh, st, err := s.get(id)
+	sh, st, err := s.lock(id)
 	if err != nil {
 		return HistoryEntry{}, err
 	}
-	defer sh.mu.RUnlock()
+	defer sh.mu.Unlock()
 	if st.history == nil {
 		return HistoryEntry{}, fmt.Errorf("server: %w for %q", ErrHistoryDisabled, id)
 	}

@@ -16,7 +16,7 @@ import (
 	"kalmanstream/internal/wal"
 )
 
-// SetApplyHook installs fn, called under the stream's shard write lock
+// SetApplyHook installs fn, called under the stream's shard lock
 // after every successfully applied message (corrections, resyncs, and
 // heartbeats alike — heartbeats move lastCorr, so recovery must replay
 // them to reproduce watchdog state exactly). tick is the stream's
@@ -28,7 +28,7 @@ import (
 // re-log the records it is reading.
 func (s *Server) SetApplyHook(fn func(tick int64, m *netsim.Message)) { s.onApply = fn }
 
-// SetRegisterHook installs fn, called under the shard write lock with the
+// SetRegisterHook installs fn, called under the shard lock with the
 // registration (norm included) before a newly registered stream becomes
 // visible; an error aborts the registration. Because the stream's first
 // message needs the same lock, its register record always precedes its
@@ -38,7 +38,7 @@ func (s *Server) SetApplyHook(fn func(tick int64, m *netsim.Message)) { s.onAppl
 func (s *Server) SetRegisterHook(fn func(rec wal.RegisterRecord) error) { s.onRegister = fn }
 
 // Checkpoint takes the checkpoint cut into c; pass it to
-// wal.Log.WriteCheckpoint. With every shard read-locked (in index order)
+// wal.Log.WriteCheckpoint. With every shard locked (in index order)
 // no apply or registration is in flight, so the log sequence c.Begin
 // reads and the states c.Add copies describe the same instant — every
 // record below the sequence is in the states, every record at or above it
@@ -49,7 +49,7 @@ func (s *Server) SetRegisterHook(fn func(rec wal.RegisterRecord) error) { s.onRe
 // encode or fsync never stall the data path.
 func (s *Server) Checkpoint(c *wal.Cut) {
 	for _, sh := range s.shards {
-		sh.mu.RLock()
+		sh.mu.Lock()
 	}
 	c.Begin()
 	for _, sh := range s.shards {
@@ -59,7 +59,7 @@ func (s *Server) Checkpoint(c *wal.Cut) {
 		}
 	}
 	for _, sh := range s.shards {
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 }
 

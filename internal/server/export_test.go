@@ -5,11 +5,11 @@ import "fmt"
 // HistoryLen returns the number of entries id's archive retains — a read
 // the external tests make and production never does.
 func (s *Server) HistoryLen(id string) (int, error) {
-	sh, st, err := s.get(id)
+	sh, st, err := s.lock(id)
 	if err != nil {
 		return 0, err
 	}
-	defer sh.mu.RUnlock()
+	defer sh.mu.Unlock()
 	if st.history == nil {
 		return 0, fmt.Errorf("server: %w for %q", ErrHistoryDisabled, id)
 	}

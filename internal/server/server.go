@@ -4,12 +4,16 @@
 // only the corrections the sources' gates let through.
 //
 // The registry is lock-striped into shards (fnv-1a hash on the stream ID,
-// one RWMutex per shard), so operations on different streams proceed
+// one Mutex per shard), so operations on different streams proceed
 // concurrently: per-stream replica state has no cross-stream coupling, and
 // the shard lock is only ever held for the nanoseconds a tiny state update
-// takes. Snapshots take a shard read lock; ingest and every read that
-// rolls a replica forward take the write lock. A serial caller pays one
+// takes. Every operation takes its shard exclusively, reads too: a read
+// ahead of a record borrows its replica. A serial caller pays one
 // uncontended lock per operation.
+//
+// Only messages (Ingest) and the tick-clock driver's Roll move a record;
+// no read does (view). So the replicas a source and the server hold agree
+// on the source's messages alone, never on who read in between.
 package server
 
 import (
@@ -42,6 +46,9 @@ var (
 	// ErrHistoryMiss reports a historical query for a tick that is not
 	// retained (evicted or not yet settled).
 	ErrHistoryMiss = errors.New("tick not retained in history")
+	// ErrTickBehind reports a read at a tick a message has already moved
+	// the record past: the replica no longer holds that tick's state.
+	ErrTickBehind = errors.New("tick behind the record")
 )
 
 // DefaultShards is the shard count New uses: enough stripes that a
@@ -56,8 +63,8 @@ type StreamInfo struct {
 	// Norm is the deviation norm the stream's gate uses; it defines what
 	// the δ bound means geometrically.
 	Norm source.Norm
-	// Tick is how far the replica has been rolled: ticks [0, Tick) have
-	// been stepped.
+	// Tick is the tick the snapshot is as of, plus one: ticks [0, Tick)
+	// have been stepped, by the record or, for a read ahead of it, on loan.
 	Tick int64
 	// LastCorrectionTick is the tick of the most recent correction, or
 	// -1 before the first.
@@ -71,7 +78,7 @@ type StreamInfo struct {
 	// checkpointed, so after a restart it covers replayed and new records
 	// only while Corrections carries on from the checkpoint.
 	Bytes int64
-	// Suppressed counts the ticks lazy advance (ingest and every rolling
+	// Suppressed counts the ticks lazy advance (ingest and Roll — never a
 	// read) took the replica through without a correction, Duplicates the
 	// messages the dedupe guard dropped, and StaleEpisodes the times the
 	// watchdog marked the stream stale, all since this process registered
@@ -167,7 +174,7 @@ type shardTotals struct {
 
 // shard is one lock stripe of the registry.
 type shard struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	streams map[string]*streamState
 	// order holds the same streams in registration order: the per-tick
 	// loop walks this slice instead of ranging the map, which is both
@@ -179,6 +186,9 @@ type shard struct {
 	size atomic.Int64
 	// tel is nil unless the hosting server has a registry.
 	tel *shardTotals
+	// scratch holds, under mu, the snapshot of a replica a read ahead of
+	// its record has on loan (view).
+	scratch []float64
 }
 
 // Server hosts predictor replicas for any number of streams. All methods
@@ -417,7 +427,7 @@ func (s *Server) Unregister(id string) error {
 	return nil
 }
 
-// stepTo is the one time update, under the shard write lock: it rolls the
+// stepTo is the one time update, under the shard lock: it rolls the
 // replica forward so that ticks [0, tick) have been stepped. A stream with
 // history has a consumer for every intermediate tick — the settled answer
 // to archive — and steps one tick at a time; any other (every recovered
@@ -438,18 +448,20 @@ func (st *streamState) stepTo(tick int64) {
 	}
 }
 
-// at write-locks id's record and rolls it so that ticks [0, tick] have
-// been stepped (a tick behind it leaves it be), counting the ticks rolled
-// through as suppressed: they carried no correction, or theirs is still in
-// flight. The caller must Unlock.
-func (s *Server) at(id string, tick int64) (*shard, *streamState, error) {
+// Roll moves id's record so that ticks [0, tick] have been stepped (a tick
+// behind it leaves it be), counting the ticks rolled through as
+// suppressed: they carried no correction, or theirs is still in flight.
+// It is the one mover besides a message, and the tick-clock driver's own:
+// before a delivery (to the arrival tick), an archive read or a δ change.
+// No read calls it, and nothing on the deployed path does (make lint).
+func (s *Server) Roll(id string, tick int64) error {
 	sh, st, err := s.lock(id)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
+	defer sh.mu.Unlock()
 	if err := checkAdvance(st, tick); err != nil {
-		sh.mu.Unlock()
-		return nil, nil, err
+		return err
 	}
 	if steps := tick + 1 - st.tick; steps > 0 {
 		st.stepTo(tick + 1)
@@ -458,18 +470,38 @@ func (s *Server) at(id string, tick int64) (*shard, *streamState, error) {
 			sh.tel.suppressed.Add(steps)
 		}
 	}
-	return sh, st, nil
+	return nil
 }
 
-// Roll is the step half alone: on the tick clock, before a delivery (to
-// the arrival tick), an archive read or a δ change.
-func (s *Server) Roll(id string, tick int64) error {
-	sh, _, err := s.at(id, tick)
+// view runs read on id's record as of tick, under the shard lock, and
+// leaves the record as it found it. A negative tick, or the record's own
+// (ticks [0, tick] stepped), reads the record as it stands. A tick ahead
+// of it borrows the replica: its snapshot goes into the shard's scratch,
+// it steps the gap, read runs, and Restore puts it back — bit for bit, by
+// the Snapshotter contract. A tick a message has already moved the record
+// past is refused with ErrTickBehind.
+func (s *Server) view(id string, tick int64, read func(st *streamState) error) error {
+	sh, st, err := s.lock(id)
 	if err != nil {
 		return err
 	}
-	sh.mu.Unlock()
-	return nil
+	defer sh.mu.Unlock()
+	gap := tick + 1 - st.tick
+	switch {
+	case tick < 0 || gap == 0:
+		return read(st)
+	case gap < 0:
+		return fmt.Errorf("server: %w: tick %d of %q, which stands at tick %d", ErrTickBehind, tick, id, st.tick-1)
+	}
+	if err := checkAdvance(st, tick); err != nil {
+		return err
+	}
+	sh.scratch = st.replica.AppendSnapshot(sh.scratch[:0])
+	st.replica.StepN(gap)
+	st.tick += gap
+	err = read(st)
+	st.tick -= gap
+	return errors.Join(err, st.replica.Restore(sh.scratch))
 }
 
 // Apply, TickStream and Value alias the one ingest, step and serve bodies
@@ -496,10 +528,10 @@ func (s *Server) Value(id string) (estimate []float64, bound float64, err error)
 	return estimate, bound, err
 }
 
-// MaxAdvancePerMessage bounds how far a single correction or query may
-// roll a replica forward. Without it, one malicious or corrupted message
-// with a huge tick would spin the server for an unbounded number of
-// replica steps while holding the shard lock.
+// MaxAdvancePerMessage bounds how far a single correction may roll a
+// replica forward, or a query step a borrowed one (view). Without it, one
+// malicious or corrupted message with a huge tick would spin the server
+// for an unbounded number of replica steps while holding the shard lock.
 const MaxAdvancePerMessage = 10_000_000
 
 // checkAdvance refuses a tick beyond MaxAdvancePerMessage; callers run it
@@ -574,7 +606,7 @@ func (s *Server) ingestLocked(st *streamState, m *netsim.Message, now int64) (ap
 	return true, recovered, nil
 }
 
-// applyAt is the one apply body, under the shard write lock: step the
+// applyAt is the one apply body, under the shard lock: step the
 // replica to tick, perform the message's state update, count it, and —
 // live, as opposed to replayed from the log — fire the durability hook. A
 // live message carrying a NaN or ±Inf is refused before anything moves:
@@ -661,20 +693,8 @@ func (st *streamState) setLastValue(v []float64) {
 	st.lastValue = append(st.lastValue[:0], v...)
 }
 
-// get looks a stream up under the shard read lock and returns the state
-// together with its shard, still locked; the caller must RUnlock.
-func (s *Server) get(id string) (*shard, *streamState, error) {
-	sh := shardFor(s, id)
-	sh.mu.RLock()
-	st, ok := sh.streams[id]
-	if !ok {
-		sh.mu.RUnlock()
-		return nil, nil, fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
-	}
-	return sh, st, nil
-}
-
-// lock is get under the shard write lock; the caller must Unlock.
+// lock looks a stream up and returns it together with its shard, still
+// locked; the caller must Unlock.
 func (s *Server) lock(id string) (*shard, *streamState, error) {
 	sh := shardFor(s, id)
 	sh.mu.Lock()
@@ -686,30 +706,29 @@ func (s *Server) lock(id string) (*shard, *streamState, error) {
 	return sh, st, nil
 }
 
-// QueryAt answers a point query as of tick in one shard-lock hold: the
-// replica is rolled to tick (at), then the answer is the estimate and the
-// absolute error bound the protocol guarantees on it — on a tick where a
-// correction arrived, the shipped measurement itself with bound 0; on
-// suppressed ticks, the replica's prediction with the stream's δ. lastTrace
-// is the trace ID of the last traced correction applied (0 when none) — the
-// state the answer is served from — and heard when the stream last sent
-// anything, in the clock's unit: what freshness needs to age the answer.
+// QueryAt answers a point query as of tick in one shard-lock hold (view):
+// the estimate and the absolute error bound the protocol guarantees on it
+// — on a tick where a correction arrived, the shipped measurement itself
+// with bound 0; on suppressed ticks, the replica's prediction with the
+// stream's δ. lastTrace is the trace ID of the last traced correction
+// applied (0 when none) — the state the answer is served from — and heard
+// when the stream last sent anything, in the clock's unit: what freshness
+// needs to age the answer.
 func (s *Server) QueryAt(id string, tick int64) (estimate []float64, bound float64, lastTrace uint64, heard int64, err error) {
-	sh, st, err := s.at(id, tick)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	defer sh.mu.Unlock()
-	estimate, bound = s.serve(sh, st)
-	return estimate, bound, st.lastTrace, st.heard, nil
+	err = s.view(id, tick, func(st *streamState) error {
+		estimate, bound = s.serve(st)
+		lastTrace, heard = st.lastTrace, st.heard
+		return nil
+	})
+	return estimate, bound, lastTrace, heard, err
 }
 
 // serve answers from the stream's current state and records the query
 // (the shard's totals and a trace event whose ID is the last applied
 // correction's, tying the answer to the state it was computed from).
-// Caller holds the shard lock, for reading at least.
-func (s *Server) serve(sh *shard, st *streamState) (estimate []float64, bound float64) {
-	if sh.tel != nil {
+// Caller holds the shard lock.
+func (s *Server) serve(st *streamState) (estimate []float64, bound float64) {
+	if sh := st.sh; sh.tel != nil {
 		sh.tel.queries.Inc()
 		if stale := st.tick - 1 - st.lastCorr; stale >= 0 {
 			sh.tel.staleness.Observe(float64(stale))
@@ -751,57 +770,55 @@ func (st *streamState) answer() ([]float64, float64) {
 // telemetry and no trace events — the precision auditor's side channel,
 // so auditing a tick is invisible to the observability it feeds.
 func (s *Server) PeekValue(id string, tick int64) (estimate []float64, bound float64, err error) {
-	sh, st, err := s.at(id, tick)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer sh.mu.Unlock()
-	estimate, bound = st.answer()
-	return estimate, bound, nil
+	err = s.view(id, tick, func(st *streamState) error {
+		estimate, bound = st.answer()
+		return nil
+	})
+	return estimate, bound, err
 }
 
-// ValueDistribution answers a probabilistic point query as of tick (the
-// replica rolled there first, as by QueryAt): the estimate together with the replica's own predictive standard deviation
-// per component. Unlike the δ bound — a hard worst-case guarantee — the
-// distribution supports confidence intervals ("95% interval"), at the
-// price of being a model statement rather than a promise. Only predictors
-// implementing predictor.Uncertainty (the Kalman family) support it.
+// ValueDistribution answers a probabilistic point query as of tick (view,
+// as QueryAt): the estimate together with the replica's own predictive
+// standard deviation per component. Unlike the δ bound — a hard
+// worst-case guarantee — the distribution supports confidence intervals
+// ("95% interval"), at the price of being a model statement rather than a
+// promise. Only predictors implementing predictor.Uncertainty (the Kalman
+// family) support it.
 func (s *Server) ValueDistribution(id string, tick int64) (estimate, stddev []float64, err error) {
-	sh, st, err := s.at(id, tick)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sh.mu.Unlock()
-	u, ok := st.replica.(predictor.Uncertainty)
-	if !ok {
-		return nil, nil, fmt.Errorf("server: stream %q predictor (%s) has no predictive distribution",
-			id, st.replica.Name())
-	}
-	variance := u.PredictVariance()
-	stddev = make([]float64, len(variance))
-	for i, v := range variance {
-		stddev[i] = math.Sqrt(v)
-	}
-	return st.replica.PredictInto(make([]float64, st.replica.Dim())), stddev, nil
+	err = s.view(id, tick, func(st *streamState) error {
+		u, ok := st.replica.(predictor.Uncertainty)
+		if !ok {
+			return fmt.Errorf("server: stream %q predictor (%s) has no predictive distribution",
+				id, st.replica.Name())
+		}
+		variance := u.PredictVariance()
+		stddev = make([]float64, len(variance))
+		for i, v := range variance {
+			stddev[i] = math.Sqrt(v)
+		}
+		estimate = st.replica.PredictInto(make([]float64, st.replica.Dim()))
+		return nil
+	})
+	return estimate, stddev, err
 }
 
 // Norm returns the stream's gate norm (see RegisterAt).
 func (s *Server) Norm(id string) (source.Norm, error) {
-	sh, st, err := s.get(id)
+	sh, st, err := s.lock(id)
 	if err != nil {
 		return 0, err
 	}
-	defer sh.mu.RUnlock()
+	defer sh.mu.Unlock()
 	return st.norm, nil
 }
 
 // Delta returns the stream's current precision bound.
 func (s *Server) Delta(id string) (float64, error) {
-	sh, st, err := s.get(id)
+	sh, st, err := s.lock(id)
 	if err != nil {
 		return 0, err
 	}
-	defer sh.mu.RUnlock()
+	defer sh.mu.Unlock()
 	return st.delta, nil
 }
 
@@ -839,31 +856,29 @@ func (st *streamState) info() StreamInfo {
 	}
 }
 
-// Info returns a diagnostic snapshot of one stream as of tick (rolled
-// there first, as every read is; -1 reads it where it stands).
-func (s *Server) Info(id string, tick int64) (StreamInfo, error) {
-	sh, st, err := s.at(id, tick)
-	if err != nil {
-		return StreamInfo{}, err
-	}
-	defer sh.mu.Unlock()
-	info := st.info()
-	info.Prediction = st.replica.PredictInto(make([]float64, st.replica.Dim()))
-	return info, nil
+// Info returns a diagnostic snapshot of one stream as of tick (view, as
+// every read; -1 reads it where it stands).
+func (s *Server) Info(id string, tick int64) (info StreamInfo, err error) {
+	err = s.view(id, tick, func(st *streamState) error {
+		info = st.info()
+		info.Prediction = st.replica.PredictInto(make([]float64, st.replica.Dim()))
+		return nil
+	})
+	return info, err
 }
 
 // Infos snapshots every stream, sorted by ID, without Prediction: each
-// shard is walked once under its read lock and no replica is asked to
+// shard is walked once under its lock and no replica is asked to
 // predict, so the whole-population surfaces (/debug/health's streams
 // table) cost one allocation however many streams there are.
 func (s *Server) Infos() []StreamInfo {
 	out := make([]StreamInfo, 0, s.Len())
 	for _, sh := range s.shards {
-		sh.mu.RLock()
+		sh.mu.Lock()
 		for _, st := range sh.order {
 			out = append(out, st.info())
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	slices.SortFunc(out, func(a, b StreamInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
@@ -871,18 +886,18 @@ func (s *Server) Infos() []StreamInfo {
 
 // WalkCounts calls visit with every stream's correction count, encoded
 // bytes and stale episodes (StreamInfo.Corrections, .Bytes and
-// .StaleEpisodes), one shard at a time under that shard's read lock and in
+// .StaleEpisodes), one shard at a time under that shard's lock and in
 // no particular order: what a whole-population reader — the flight
 // recorder's offender tables — pulls on demand so that neither the apply
 // path nor the watchdog feeds anything. visit runs under the lock: it must
 // be cheap, must not block and must not call back into the server.
 func (s *Server) WalkCounts(visit func(id string, corrections, bytes, staleEpisodes int64)) {
 	for _, sh := range s.shards {
-		sh.mu.RLock()
+		sh.mu.Lock()
 		for _, st := range sh.order {
 			visit(st.id, st.corrections, st.bytes, st.staleEpisodes)
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 }
 
@@ -890,11 +905,11 @@ func (s *Server) WalkCounts(visit func(id string, corrections, bytes, staleEpiso
 func (s *Server) StreamIDs() []string {
 	ids := make([]string, 0, s.Len())
 	for _, sh := range s.shards {
-		sh.mu.RLock()
+		sh.mu.Lock()
 		for id := range sh.streams {
 			ids = append(ids, id)
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	slices.Sort(ids)
 	return ids

@@ -189,9 +189,10 @@ func TestInfosIsInfoForEveryStream(t *testing.T) {
 		}
 	}
 	// "k" was registered fourth: a correction at tick 5 after 5 rolled
-	// ticks, one duplicate, a query 3 ticks on.
+	// ticks, one duplicate, and a query 3 ticks on that moved nothing — the
+	// record still stands at tick 5.
 	k := infos[2]
-	if k.ID != "k" || k.Corrections != 1 || k.Suppressed != 5+3 || k.Duplicates != 1 || k.Delta != 0.25 {
+	if k.ID != "k" || k.Corrections != 1 || k.Suppressed != 5 || k.Tick != 6 || k.Duplicates != 1 || k.Delta != 0.25 {
 		t.Fatalf("record of k = %+v", k)
 	}
 }

@@ -2,8 +2,8 @@
 // core.System does, for tests of the replica cache and of what reads it
 // (the query engine, the budget coordinator) that need no sources, links
 // or node: Tick moves the clock and runs the silence scan, Apply delivers
-// a message at the current tick, and Value answers there; any other read
-// Rolls to At first.
+// a message at the current tick, and Value answers there; a history read
+// Rolls to At first, which settles every tick before it.
 package servertest
 
 import (

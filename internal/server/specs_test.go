@@ -85,11 +85,11 @@ func TestEqualSpecsShareOneCopy(t *testing.T) {
 		}
 	}
 	spec := func(id string) *sharedSpec {
-		_, st, err := s.get(id)
+		_, st, err := s.lock(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.sh.mu.RUnlock()
+		defer st.sh.mu.Unlock()
 		return st.spec
 	}
 	if spec("s0") != spec("s1") || spec("s3") != spec("s4") {

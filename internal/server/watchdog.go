@@ -58,7 +58,7 @@ func (s *Server) watchdogEvent(st *streamState, outcome trace.Outcome, silent in
 }
 
 // watchdogCheck is the one mark-stale / request-again decision, under the
-// shard write lock: a stream silent past its deadline is marked (once per
+// shard lock: a stream silent past its deadline is marked (once per
 // episode), and a resync request is due now and again every deadline's
 // worth of continued silence — the feedback channel may itself be lossy —
 // as long as there is someone to ask. Both are journaled here; marked
@@ -133,7 +133,7 @@ func (s *Server) ReleaseOwner(owner any) {
 }
 
 // watchdogRecover clears a stale mark when traffic arrives at now, under
-// the shard write lock, before the ingest body moves heard.
+// the shard lock, before the ingest body moves heard.
 func (s *Server) watchdogRecover(st *streamState, now int64) {
 	st.stale = false
 	s.stale.Add(-1)

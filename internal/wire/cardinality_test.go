@@ -51,9 +51,11 @@ func TestTelemetryCardinalityIndependentOfPopulation(t *testing.T) {
 			if _, err := srv.Query(QueryPayload{ID: id, Tick: 6}); err != nil {
 				t.Fatal(err)
 			}
+			// The query at tick 6 moves nothing: the record stands at its
+			// correction, with the 3 ticks before it suppressed.
 			info := mustInfo(t, srv, id)
-			if info.Corrections != 1 || info.Suppressed != 6 || info.Duplicates != 1 {
-				t.Fatalf("%s: record counts %+v, want 1 sent, 6 suppressed, 1 duplicate", id, info)
+			if info.Corrections != 1 || info.Suppressed != 3 || info.Duplicates != 1 || info.Tick != 4 {
+				t.Fatalf("%s: record counts %+v, want 1 sent, 3 suppressed, 1 duplicate at tick 4", id, info)
 			}
 		}
 		checkTotals(t, srv, 0)

@@ -568,9 +568,8 @@ func (c *Client) flush() error {
 
 // Query asks for a stream's value as of tick. Pending coalesced
 // corrections flush first: a query must never observe the server behind
-// corrections sent before it (the server lazily advances replicas to
-// the queried tick, and a correction arriving after that advance for an
-// earlier tick would apply against the wrong state).
+// corrections sent before it (the answer would be the replica's
+// prediction where the correction's tick promises its measurement).
 func (c *Client) Query(id string, tick int64) (AnswerPayload, error) {
 	if err := c.flush(); err != nil {
 		return AnswerPayload{}, err

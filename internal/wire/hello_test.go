@@ -574,7 +574,9 @@ func TestHelloNegotiation(t *testing.T) {
 
 // TestQueryDispatchAllocs extends the zero-alloc dispatch guard to
 // queries: a warm binary query allocates the stream id's string and the
-// estimate's copy, and nothing else.
+// estimate's copy, and nothing else — a query ahead of the record borrows
+// its replica with no allocation either — and the record stands where its
+// last correction left it after every one of them.
 func TestQueryDispatchAllocs(t *testing.T) {
 	const id = "sensor-0001" // a one-byte id's string would come from the runtime's static table
 	srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})
@@ -588,6 +590,7 @@ func TestQueryDispatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	before := mustInfo(t, srv, id)
 	cw, q := handleConn(t, srv), appendQueryBin(nil, 100, id)
 	query := func() {
 		if err := srv.dispatch(cw, FrameQueryBin, q, nil); err != nil {
@@ -599,6 +602,10 @@ func TestQueryDispatchAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, query); allocs != 2 {
 		t.Errorf("binary query dispatch allocates %.2f per frame, want exactly 2 (id string, estimate copy)", allocs)
+	}
+	if after := mustInfo(t, srv, id); after.Tick != before.Tick || after.Suppressed != before.Suppressed {
+		t.Errorf("508 queries at tick 100 moved the record from tick %d to %d (suppressed %d → %d)",
+			before.Tick, after.Tick, before.Suppressed, after.Suppressed)
 	}
 }
 

@@ -118,25 +118,31 @@ func (r refModel) message(m *netsim.Message) (refDelta, error) {
 	return refDelta{sent: 1, suppressed: max(steps-1, 0)}, nil
 }
 
-func (r refModel) query(id string, tick int64) (AnswerPayload, refDelta, error) {
+// query answers as of tick and moves nothing: a read at the record's own
+// tick or a negative one reads it where it stands, one ahead replays the
+// log to that tick on a copy, and one behind — a message has already moved
+// the record past it — is refused.
+func (r refModel) query(id string, tick int64) (AnswerPayload, error) {
 	st, ok := r[id]
 	switch {
 	case !ok:
-		return AnswerPayload{}, refDelta{}, fmt.Errorf("unknown stream")
+		return AnswerPayload{}, fmt.Errorf("unknown stream")
+	case tick >= 0 && tick+1 < st.tick:
+		return AnswerPayload{}, server.ErrTickBehind
 	case tick-st.tick >= server.MaxAdvancePerMessage:
-		return AnswerPayload{}, refDelta{}, fmt.Errorf("over the advance limit")
+		return AnswerPayload{}, fmt.Errorf("over the advance limit")
 	}
-	steps := max(tick+1-st.tick, 0)
-	st.tick += steps
-	p, lastValue, lastValueAt, err := st.replay()
+	view := *st
+	view.tick = max(st.tick, tick+1)
+	p, lastValue, lastValueAt, err := view.replay()
 	if err != nil {
-		return AnswerPayload{}, refDelta{}, err
+		return AnswerPayload{}, err
 	}
 	ans := AnswerPayload{ID: id, Tick: tick, Estimate: p.PredictInto(make([]float64, p.Dim())), Bound: st.delta}
-	if lastValueAt == st.tick {
+	if lastValueAt == view.tick {
 		ans.Estimate, ans.Bound = lastValue, 0
 	}
-	return ans, refDelta{suppressed: steps}, nil
+	return ans, nil
 }
 
 // synced marks everything logged so far as durable (a sync, or the sync a
@@ -148,8 +154,8 @@ func (r refModel) synced() {
 }
 
 // crash models kill + recover: what was synced and the last checkpoint
-// survive; the unsynced tail and the ticks queries rolled through since
-// the checkpoint do not. It returns the corrections the recovered records
+// survive; the unsynced tail and the ticks refused messages rolled through
+// since the checkpoint do not. It returns the corrections the recovered records
 // carry out of the checkpoint rather than out of replay — the part of
 // their count the new process's registry never saw.
 func (r refModel) crash() (carried int64) {
@@ -273,10 +279,13 @@ func (r *modelRun) send(m *netsim.Message) {
 func (r *modelRun) query(id string, tick int64) {
 	r.t.Helper()
 	before := r.counters(id)
-	want, delta, wantErr := r.ref.query(id, tick)
+	want, wantErr := r.ref.query(id, tick)
 	got, err := r.srv.Query(QueryPayload{ID: id, Tick: tick})
 	what := fmt.Sprintf("query %s@%d", id, tick)
-	r.check(what, id, before, err, wantErr, delta)
+	r.check(what, id, before, err, wantErr, refDelta{}) // a read moves no counter
+	if errors.Is(wantErr, server.ErrTickBehind) != errors.Is(err, server.ErrTickBehind) {
+		r.t.Fatalf("seed %d step %d %s: server error %v, model error %v", r.seed, r.step, what, err, wantErr)
+	}
 	if err != nil {
 		return
 	}
@@ -353,8 +362,9 @@ func (r *modelRun) op() {
 			m := op.m
 			r.send(&m)
 		}
-	case p < 90: // query at, behind or ahead of ingest
-		at := []int64{last, last - int64(r.rng.Intn(5)), tick - 1, tick + int64(r.rng.Intn(8)), tick + server.MaxAdvancePerMessage}
+	case p < 90: // query at, behind or ahead of the record (tick − 1 is its own)
+		at := []int64{last, last - int64(r.rng.Intn(5)), tick - 1, tick - 2 - int64(r.rng.Intn(5)),
+			tick + int64(r.rng.Intn(8)), tick + server.MaxAdvancePerMessage}
 		r.query(id, at[r.rng.Intn(len(at))])
 	case p < 95: // checkpoint
 		if err := r.srv.Checkpoint(); err != nil {

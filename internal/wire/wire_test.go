@@ -501,7 +501,10 @@ func TestMetricsFrame(t *testing.T) {
 	}
 
 	// The server's view of suppression must reconcile with the source's
-	// gate: every advanced tick is either a correction or suppressed.
+	// gate: every tick the record has moved through is either a correction
+	// or suppressed. The record stands at its last message — the query at
+	// tick 599 moved nothing — so the source's ticks after it are silence
+	// no message has accounted for yet.
 	st := ns.Stats()
 	info := mustInfo(t, srv, "tel-stream")
 	sent, suppressed := info.Corrections, info.Suppressed
@@ -511,8 +514,9 @@ func TestMetricsFrame(t *testing.T) {
 	if sent != st.Sent {
 		t.Fatalf("server counted %d corrections, source sent %d", sent, st.Sent)
 	}
-	if sent+suppressed != st.Ticks {
-		t.Fatalf("sent %d + suppressed %d != %d ticks", sent, suppressed, st.Ticks)
+	if sent+suppressed != info.Tick || info.Tick != info.LastCorrectionTick+1 || info.Tick > st.Ticks {
+		t.Fatalf("sent %d + suppressed %d: record at tick %d (last correction %d), source at %d ticks",
+			sent, suppressed, info.Tick, info.LastCorrectionTick, st.Ticks)
 	}
 
 	// The connection keeps working after a metrics exchange.
