@@ -23,7 +23,7 @@ BENCH_MAXREGRESS ?= 10
 # of non-test Go outside bench/) exceeds this. A PR that spends lines on
 # purpose raises it in its own diff, where a reviewer sees it; a PR that
 # deletes lowers it to where it lands.
-LOC_MAX ?= 22226
+LOC_MAX ?= 22376
 LOC_TOTAL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 # The same ratchet on the observability six — ROADMAP's "consolidating
 # engines" aim, whose target is ≤ 4,400.

@@ -526,8 +526,7 @@ func (s *System) ValueAt(id string, component int) (Answer, error) {
 
 // Vector answers the full estimate vector and bound for a stream.
 func (s *System) Vector(id string) ([]float64, float64, error) {
-	est, bound, _, _, err := s.node.srv.QueryAt(id, s.node.readTick())
-	return est, bound, err
+	return s.node.srv.QueryAt(id, s.node.readTick())
 }
 
 // Sum answers Σ over streams with a composed bound.

@@ -3,6 +3,7 @@ package kalman
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"kalmanstream/internal/mat"
 )
@@ -33,11 +34,12 @@ type Adaptive struct {
 	q0 *mat.Matrix // baseline Q from the model
 	r0 *mat.Matrix // baseline R from the model
 
-	window   int
-	innovs   [][]float64 // ring buffer of post-fit innovations
-	priorHPH []*mat.Matrix
-	next     int
-	filled   bool
+	window int
+	// ring holds the window's slots, each an innovation and its prior
+	// H·P⁻·Hᵀ, as AppendSnapshot lays them out: Update and Restore copy.
+	ring   []float64
+	next   int
+	filled bool
 
 	nisSum   float64
 	nisCount int
@@ -83,13 +85,13 @@ func NewAdaptive(filter *Filter, cfg AdaptiveConfig) (*Adaptive, error) {
 	if cfg.MinQScale > cfg.MaxQScale {
 		return nil, fmt.Errorf("kalman: MinQScale %g > MaxQScale %g", cfg.MinQScale, cfg.MaxQScale)
 	}
+	m := filter.ObsDim()
 	return &Adaptive{
 		filter:     filter,
 		q0:         mat.FromSlice(filter.part(partQ)),
 		r0:         mat.FromSlice(filter.part(partR)),
 		window:     cfg.Window,
-		innovs:     make([][]float64, cfg.Window),
-		priorHPH:   make([]*mat.Matrix, cfg.Window),
+		ring:       make([]float64, cfg.Window*(m+m*m)),
 		qScale:     1,
 		minQScale:  cfg.MinQScale,
 		maxQScale:  cfg.MaxQScale,
@@ -97,6 +99,21 @@ func NewAdaptive(filter *Filter, cfg AdaptiveConfig) (*Adaptive, error) {
 		adaptR:     cfg.AdaptR,
 		adaptQ:     cfg.AdaptQ,
 	}, nil
+}
+
+// Clone returns a copy of a wrapping filter, which must be a copy of a's
+// own (Filter.CloneInto): the window ring is copied, and the baseline
+// noise matrices, which nothing writes, are shared.
+func (a *Adaptive) Clone(filter *Filter) *Adaptive {
+	c := *a
+	c.filter, c.ring = filter, slices.Clone(a.ring)
+	return &c
+}
+
+// slot returns the ring's i-th slot: the innovation, then H·P⁻·Hᵀ.
+func (a *Adaptive) slot(i int) []float64 {
+	w := len(a.ring) / a.window
+	return a.ring[i*w : (i+1)*w]
 }
 
 // Filter exposes the wrapped filter: its time update is the adaptive
@@ -121,10 +138,11 @@ func (a *Adaptive) Update(z []float64) error {
 	a.nisSum += mat.QuadraticForm(sInv, y)
 	a.nisCount++
 
-	r := a.filter.over(partR)
-	hph := mat.Sub(s, &r) // H·P⁻·Hᵀ = S − R
-	a.innovs[a.next] = y
-	a.priorHPH[a.next] = hph
+	r, m := a.filter.over(partR), len(y)
+	slot := a.slot(a.next)
+	hph := mat.Over(m, m, slot[m:])
+	copy(slot, y)
+	mat.SubTo(&hph, s, &r) // H·P⁻·Hᵀ = S − R
 	a.next = (a.next + 1) % a.window
 	if a.next == 0 {
 		a.filled = true
@@ -171,13 +189,15 @@ func (a *Adaptive) reestimate() {
 		// Sample innovation covariance Ĉ = (1/N) Σ y·yᵀ.
 		c := mat.New(m, m)
 		for i := 0; i < count; i++ {
-			mat.AddTo(c, c, mat.Outer(a.innovs[i], a.innovs[i]))
+			innov := a.slot(i)[:m]
+			mat.AddTo(c, c, mat.Outer(innov, innov))
 		}
 		mat.ScaleTo(c, 1/float64(count), c)
 		// Average prior H·P⁻·Hᵀ over the window.
 		avgHPH := mat.New(m, m)
 		for i := 0; i < count; i++ {
-			mat.AddTo(avgHPH, avgHPH, a.priorHPH[i])
+			hph := mat.Over(m, m, a.slot(i)[m:])
+			mat.AddTo(avgHPH, avgHPH, &hph)
 		}
 		mat.ScaleTo(avgHPH, 1/float64(count), avgHPH)
 		// R̂ = Ĉ − avg(H·P⁻·Hᵀ), floored to stay positive definite.
@@ -238,15 +258,12 @@ func (a *Adaptive) AppendSnapshot(dst []float64) []float64 {
 	dst = append(dst, r...)
 	dst = append(dst, a.qScale, a.nisSum, float64(a.nisCount), float64(a.steps),
 		float64(a.next), boolToFloat(a.filled), float64(count))
-	for i := 0; i < count; i++ {
-		dst = append(dst, a.innovs[i]...)
-		dst = append(dst, a.priorHPH[i].Raw()...)
-	}
-	return dst
+	return append(dst, a.ring[:count*len(a.ring)/a.window]...)
 }
 
 // Restore overwrites the adaptive state from an AppendSnapshot taken on a
-// behaviourally identical replica.
+// behaviourally identical replica, copying into the filter's block and
+// the window ring: it allocates nothing.
 func (a *Adaptive) Restore(state []float64) error {
 	n := a.filter.StateDim()
 	m := a.filter.ObsDim()
@@ -282,27 +299,17 @@ func (a *Adaptive) Restore(state []float64) error {
 	if err := a.filter.Restore(xp); err != nil {
 		return err
 	}
-	if err := a.filter.SetNoise(mat.FromSlice(n, n, q), mat.FromSlice(m, m, r)); err != nil {
-		return err
-	}
+	_, _, dq := a.filter.part(partQ)
+	_, _, dr := a.filter.part(partR)
+	copy(dq, q)
+	copy(dr, r)
 	a.qScale = qScale
 	a.nisSum = nisSum
 	a.nisCount = nisCount
 	a.steps = steps
 	a.next = next
 	a.filled = filled
-	for i := range a.innovs {
-		a.innovs[i] = nil
-		a.priorHPH[i] = nil
-	}
-	for i := 0; i < count; i++ {
-		innov := make([]float64, m)
-		copy(innov, state[off:off+m])
-		off += m
-		a.innovs[i] = innov
-		a.priorHPH[i] = mat.FromSlice(m, m, state[off:off+m*m])
-		off += m * m
-	}
+	copy(a.ring, state[off:])
 	return nil
 }
 

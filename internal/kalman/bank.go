@@ -3,6 +3,7 @@ package kalman
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Bank runs several candidate models in parallel and blends their
@@ -67,6 +68,15 @@ func NewBank(models []*Model, cfg BankConfig) (*Bank, error) {
 		b.weights[i] = 1 / float64(len(models))
 	}
 	return b, nil
+}
+
+// Clone returns an independent copy of the bank, filters and weights.
+func (b *Bank) Clone() *Bank {
+	c := &Bank{filters: make([]*Filter, len(b.filters)), weights: slices.Clone(b.weights), floor: b.floor, obsDim: b.obsDim}
+	for i, f := range b.filters {
+		c.filters[i] = f.Clone()
+	}
+	return c
 }
 
 // Size returns the number of models in the bank.

@@ -443,10 +443,23 @@ func (f *Filter) Updates() uint64 { return f.updates }
 // Clone returns an independent deep copy of the filter, preserving state,
 // covariance, and counters.
 func (f *Filter) Clone() *Filter {
-	c := MustFilter(f.Model(), f.x(), f.Covariance())
-	c.ticks = f.ticks
-	c.updates = f.updates
+	c := new(Filter)
+	f.CloneInto(c, nil)
 	return c
+}
+
+// CloneInto is Clone into caller-owned storage, as InitFilter does: dst, a
+// zero Filter, and blk for the block when its length is the block's. A
+// generic shape gets scratch of its own, never f's.
+func (f *Filter) CloneInto(dst *Filter, blk []float64) {
+	if len(blk) != len(f.blk) {
+		blk = make([]float64, len(f.blk))
+	}
+	copy(blk, f.blk)
+	dst.blk, dst.shape, dst.n, dst.m, dst.ticks, dst.updates, dst.name = blk, f.shape, f.n, f.m, f.ticks, f.updates, f.name
+	if dst.shape == shapeGeneric {
+		dst.g = newScratch(dst)
+	}
 }
 
 // SetNoise replaces the process and/or measurement noise covariances.

@@ -81,7 +81,8 @@ func floatBytes(v []float64) []byte {
 // kind's Restore. A refused snapshot ends the case; an accepted one must
 // survive 64 rounds of StepN, PredictInto, Correct and AppendSnapshot
 // without a panic (Correct may refuse: the property is that nothing
-// crashes).
+// crashes), and a clone of the restored replica, driven alike, must end
+// bit-identical to it.
 func FuzzPredictorRestore(f *testing.F) {
 	specs := fuzzSpecs()
 	for i, spec := range specs {
@@ -111,17 +112,23 @@ func FuzzPredictorRestore(f *testing.F) {
 		if p.Restore(state) != nil {
 			return
 		}
+		c := p.Clone()
 		rng := rand.New(rand.NewSource(int64(len(state))))
 		dst, z := make([]float64, p.Dim()), make([]float64, p.Dim())
 		var snap []float64
 		for round := 0; round < 64; round++ {
-			p.StepN(int64(rng.Intn(4)))
+			k := int64(rng.Intn(4))
+			p.StepN(k)
+			c.StepN(k)
 			p.PredictInto(dst)
 			for k := range z {
 				z[k] = rng.NormFloat64() * 10
 			}
-			_ = p.Correct(z)
+			_, _ = p.Correct(z), c.Correct(z)
 			snap = p.AppendSnapshot(snap[:0])
+		}
+		if !sameBits(c.AppendSnapshot(nil), snap) {
+			t.Fatal("a clone of the restored replica, driven alike, differs from it")
 		}
 	})
 }

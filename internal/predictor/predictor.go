@@ -23,6 +23,7 @@ package predictor
 
 import (
 	"fmt"
+	"slices"
 
 	"kalmanstream/internal/kalman"
 )
@@ -50,6 +51,10 @@ type Predictor interface {
 	// Correct incorporates a shipped measurement (the measurement
 	// update). Must be called at the same ticks on every replica.
 	Correct(z []float64) error
+	// Clone returns an independent replica in the same state, bit for
+	// bit: the two share nothing either writes. A registry builds one
+	// replica per distinct spec and clones it for every stream.
+	Clone() Predictor
 	Snapshotter
 }
 
@@ -110,6 +115,9 @@ func (s *Static) PredictInto(dst []float64) []float64 {
 	return dst
 }
 
+// Clone implements Predictor.
+func (s *Static) Clone() Predictor { return &Static{dim: s.dim, last: slices.Clone(s.last)} }
+
 // Correct implements Predictor.
 func (s *Static) Correct(z []float64) error {
 	if len(z) != s.dim {
@@ -157,6 +165,12 @@ func (d *DeadReckoning) PredictInto(dst []float64) []float64 {
 		dst[i] = d.last[i] + d.slope[i]*float64(d.sinceTicks)
 	}
 	return dst
+}
+
+// Clone implements Predictor.
+func (d *DeadReckoning) Clone() Predictor {
+	return &DeadReckoning{dim: d.dim, have: d.have, last: slices.Clone(d.last), slope: slices.Clone(d.slope),
+		sinceTicks: d.sinceTicks}
 }
 
 // Correct implements Predictor.
@@ -210,6 +224,11 @@ func (e *EWMA) StepN(int64) {}
 func (e *EWMA) PredictInto(dst []float64) []float64 {
 	copy(dst, e.level)
 	return dst
+}
+
+// Clone implements Predictor.
+func (e *EWMA) Clone() Predictor {
+	return &EWMA{dim: e.dim, alpha: e.alpha, level: slices.Clone(e.level), primed: e.primed}
 }
 
 // Correct implements Predictor.
@@ -278,6 +297,13 @@ func (h *Holt) PredictInto(dst []float64) []float64 {
 		dst[i] = h.level[i] + h.trend[i]*float64(h.sinceTicks)
 	}
 	return dst
+}
+
+// Clone implements Predictor.
+func (h *Holt) Clone() Predictor {
+	c := *h
+	c.level, c.trend = slices.Clone(h.level), slices.Clone(h.trend)
+	return &c
 }
 
 // Correct implements Predictor. Corrections may arrive any number of
@@ -355,29 +381,42 @@ type Kalman struct {
 // NewKalman returns a predictor over the given model, starting from a
 // zero state with a diffuse prior.
 func NewKalman(model *kalman.Model) (*Kalman, error) {
-	n, m := model.StateDim(), model.ObsDim()
-	var k *Kalman
-	var blk []float64
+	n := model.StateDim()
+	k, blk := newKalman(n, model.ObsDim())
+	if err := kalman.InitFilter(&k.filter, blk, model, make([]float64, n), kalman.InitialCovariance(n, 1e6)); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// newKalman allocates an n-state, m-observation replica, and for a
+// kernel shape its block in the same object (nil for any other shape).
+func newKalman(n, m int) (*Kalman, []float64) {
 	switch {
 	case n == 1 && m == 1:
 		r := new(struct {
 			Kalman
 			blk [6]float64
 		})
-		k, blk = &r.Kalman, r.blk[:]
+		return &r.Kalman, r.blk[:]
 	case n == 2 && m == 1:
 		r := new(struct {
 			Kalman
 			blk [17]float64
 		})
-		k, blk = &r.Kalman, r.blk[:]
-	default:
-		k = new(Kalman)
+		return &r.Kalman, r.blk[:]
 	}
-	if err := kalman.InitFilter(&k.filter, blk, model, make([]float64, n), kalman.InitialCovariance(n, 1e6)); err != nil {
-		return nil, err
+	return new(Kalman), nil
+}
+
+// Clone implements Predictor: one allocation for a kernel shape.
+func (k *Kalman) Clone() Predictor {
+	c, blk := newKalman(k.filter.StateDim(), k.filter.ObsDim())
+	k.filter.CloneInto(&c.filter, blk)
+	if k.adaptive != nil {
+		c.adaptive = k.adaptive.Clone(&c.filter)
 	}
-	return k, nil
+	return c
 }
 
 // NewAdaptiveKalman returns a Kalman predictor with innovation-driven
@@ -468,6 +507,9 @@ func (k *KalmanBank) StepN(n int64) { k.bank.PredictN(n) }
 func (k *KalmanBank) PredictInto(dst []float64) []float64 {
 	return k.bank.ObservationInto(dst)
 }
+
+// Clone implements Predictor.
+func (k *KalmanBank) Clone() Predictor { return &KalmanBank{bank: k.bank.Clone()} }
 
 // Correct implements Predictor.
 func (k *KalmanBank) Correct(z []float64) error { return k.bank.Update(z) }

@@ -93,15 +93,16 @@ func TestBuildAllocationCeiling(t *testing.T) {
 
 // TestKalmanRestoreAllocatesNothing: the borrow a server read ahead of a
 // record makes — snapshot into spare capacity, step the gap, Restore —
-// allocates nothing for the two kernel shapes, and leaves the replica's
-// state bit-identical.
+// allocates nothing for the two kernel shapes and for an adaptive filter
+// whose window has wrapped (Restore copies into its ring), and leaves the
+// replica's state bit-identical.
 func TestKalmanRestoreAllocatesNothing(t *testing.T) {
-	for _, name := range []string{"rw1", "cv2"} {
+	for _, name := range []string{"rw1", "cv2", "adaptive-rw1"} {
 		p, err := kernelSpecs[name].Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range 5 {
+		for i := range 12 {
 			p.StepN(int64(i))
 			if err := p.Correct([]float64{float64(i)}); err != nil {
 				t.Fatal(err)
@@ -111,7 +112,7 @@ func TestKalmanRestoreAllocatesNothing(t *testing.T) {
 		snap := make([]float64, 0, len(want))
 		got := testing.AllocsPerRun(100, func() {
 			snap = p.AppendSnapshot(snap[:0])
-			p.StepN(40)
+			p.StepN(8)
 			if err := p.Restore(snap); err != nil {
 				t.Fatal(err)
 			}

@@ -69,10 +69,7 @@ type Engine struct {
 func New(srv *server.Server, at func() int64) *Engine { return &Engine{srv: srv, at: at} }
 
 // answer is a stream's point answer at the engine's tick.
-func (e *Engine) answer(id string) ([]float64, float64, error) {
-	est, bound, _, _, err := e.srv.QueryAt(id, e.at())
-	return est, bound, err
-}
+func (e *Engine) answer(id string) ([]float64, float64, error) { return e.srv.QueryAt(id, e.at()) }
 
 // value fetches the estimate and bound for one component of one stream.
 func (e *Engine) value(id string, component int) (float64, float64, error) {

@@ -71,7 +71,7 @@ func (h *history) at(tick int64) (HistoryEntry, bool) {
 // begins, i.e. after all of a tick's corrections have settled, so history
 // reflects exactly what a client querying at that tick would have seen.
 func (s *Server) EnableHistory(id string, capacity int) error {
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func (st *streamState) archive() {
 	if st.history == nil || st.tick == 0 {
 		return
 	}
-	est, bound := st.answer()
+	est, bound := st.answer(nil)
 	st.history.add(HistoryEntry{Tick: st.tick - 1, Estimate: est, Bound: bound})
 }
 
@@ -100,7 +100,7 @@ func (st *streamState) archive() {
 // tick. Fails when history is disabled, the tick has been evicted, or it
 // has not settled yet.
 func (s *Server) HistoryAt(id string, tick int64) (HistoryEntry, error) {
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return HistoryEntry{}, err
 	}

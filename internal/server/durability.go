@@ -97,7 +97,7 @@ func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 			if err := wal.DecodeState(tick, payload, &state); err != nil {
 				return err
 			}
-			sh, st, err := s.lock(state.ID)
+			sh, st, err := lock(s, state.ID)
 			if err != nil {
 				return err
 			}
@@ -127,7 +127,7 @@ func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 // without firing the durability hook — replaying a record back into the
 // log would double it.
 func (s *Server) ReplayMessage(tick int64, m *netsim.Message) error {
-	sh, st, err := s.lock(m.StreamID)
+	sh, st, err := lock(s, m.StreamID)
 	if err != nil {
 		return err
 	}

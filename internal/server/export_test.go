@@ -5,7 +5,7 @@ import "fmt"
 // HistoryLen returns the number of entries id's archive retains — a read
 // the external tests make and production never does.
 func (s *Server) HistoryLen(id string) (int, error) {
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return 0, err
 	}

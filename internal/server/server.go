@@ -17,7 +17,7 @@
 package server
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -218,51 +218,105 @@ type Server struct {
 }
 
 // specTable interns the records' specs, so a record points at one shared
-// copy of its spec instead of carrying 136 bytes. An entry lives while
-// records hold it (Unregister and Reset release theirs), so the table
-// never outgrows the population. Its lock nests inside a shard lock.
+// copy of its spec instead of carrying 136 bytes, and builds a spec that
+// streams share once: from the second record on, a record's replica is a
+// clone of its entry's prototype. An entry lives while records hold it
+// (Unregister and Reset release theirs), so the table never outgrows the
+// population. Its lock nests inside a shard lock; Build runs outside it.
 type specTable struct {
 	mu sync.Mutex
 	m  map[string]*sharedSpec
 }
 
-// sharedSpec is one interned spec, keyed by its JSON: the bytes a register
-// record logs, which spell every float exactly, so specs with equal keys
-// log the same record and build the same replica. JSON cannot spell a
-// non-finite float, and Spec.Build refuses one before a spec is acquired.
+// sharedSpec is one interned spec, keyed by appendKey, and, while two or
+// more records hold it, its prototype replica, never written: Clone only
+// reads it. A spec one record holds keeps none, so a population of
+// distinct specs costs what it did before the table built them.
 type sharedSpec struct {
 	predictor.Spec
-	key  string
-	refs int // under specTable.mu
+	key   string
+	proto predictor.Predictor // under specTable.mu
+	refs  int                 // under specTable.mu
 }
 
-// acquire takes a hold on the shared copy of a built spec.
-func (t *specTable) acquire(spec predictor.Spec) *sharedSpec {
-	key, _ := json.Marshal(spec)
+// appendKey appends spec's table key to b: its fields in binary, a float
+// as its bits. Two specs Build accepts have equal keys exactly when their
+// JSON, the bytes a register record logs, is equal (FuzzSpecKey): a float
+// the JSON omits when zero keys -0 as 0, as the JSON spells both; a
+// model's q and r, always spelled, keep their sign ("-0" is not "0").
+// Build refuses a NaN, so no entry is keyed by one.
+func appendKey(b []byte, spec predictor.Spec) []byte {
+	omitted := func(b []byte, v float64) []byte {
+		if v == 0 {
+			v = 0 // and -0
+		}
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	model := func(b []byte, ms predictor.ModelSpec) []byte {
+		b = append(binary.AppendUvarint(b, uint64(len(ms.Kind))), ms.Kind...)
+		b = binary.LittleEndian.AppendUint64(omitted(b, ms.Dt), math.Float64bits(ms.Q))
+		return binary.AppendVarint(binary.LittleEndian.AppendUint64(b, math.Float64bits(ms.R)), int64(ms.Dim))
+	}
+	b = append(binary.AppendUvarint(b, uint64(len(spec.Kind))), spec.Kind...)
+	b = binary.AppendVarint(binary.AppendVarint(b, int64(spec.Dim)), int64(spec.AdaptiveWindow))
+	b = omitted(omitted(omitted(b, spec.Alpha), spec.Beta), spec.BankFloor)
+	adaptive := byte(0)
+	if spec.Adaptive {
+		adaptive = 1
+	}
+	b = model(append(b, adaptive), spec.Model)
+	for _, ms := range spec.Models {
+		b = model(b, ms)
+	}
+	return b
+}
+
+// acquire takes a hold on the shared copy of spec and returns a replica
+// for a new record: a clone of the entry's prototype when it has one,
+// else a Build. The second holder's build becomes the prototype. A spec
+// Build refuses is not interned.
+func (t *specTable) acquire(spec predictor.Spec) (*sharedSpec, predictor.Predictor, error) {
+	var buf [128]byte
+	key := appendKey(buf[:0], spec)
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	sp := t.m[string(key)]
-	if sp == nil {
+	if sp != nil && sp.proto != nil {
+		sp.refs++
+		proto := sp.proto
+		t.mu.Unlock()
+		return sp, proto.Clone(), nil
+	}
+	t.mu.Unlock()
+	replica, err := spec.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	var proto predictor.Predictor
+	t.mu.Lock()
+	switch sp = t.m[string(key)]; {
+	case sp == nil:
+		spec.Models = slices.Clone(spec.Models)
 		sp = &sharedSpec{Spec: spec, key: string(key)}
 		t.m[sp.key] = sp
+	case sp.proto == nil:
+		sp.proto, proto = replica, replica
 	}
 	sp.refs++
-	return sp
-}
-
-// find returns the shared copy of spec, nil when no record holds one.
-func (t *specTable) find(spec predictor.Spec) *sharedSpec {
-	key, _ := json.Marshal(spec)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.m[string(key)]
+	t.mu.Unlock()
+	if proto != nil {
+		replica = proto.Clone()
+	}
+	return sp, replica, nil
 }
 
 func (t *specTable) release(sp *sharedSpec) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if sp.refs--; sp.refs == 0 {
+	switch sp.refs--; sp.refs {
+	case 0:
 		delete(t.m, sp.key)
+	case 1:
+		sp.proto = nil
 	}
 }
 
@@ -286,7 +340,7 @@ func NewSharded(n int) *Server {
 
 // fnv1a is the 32-bit FNV-1a hash of id, inlined so shard routing does
 // not allocate (hash/fnv's New32a returns a heap handle).
-func fnv1a(id string) uint32 {
+func fnv1a[K string | []byte](id K) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -300,7 +354,7 @@ func fnv1a(id string) uint32 {
 }
 
 // shardFor routes a stream ID to its lock stripe.
-func shardFor(s *Server, id string) *shard {
+func shardFor[K string | []byte](s *Server, id K) *shard {
 	return s.shards[fnv1a(id)%uint32(len(s.shards))]
 }
 
@@ -380,22 +434,24 @@ func (s *Server) register(id string, spec predictor.Spec, delta float64, norm so
 		if !adopt {
 			return nil, fmt.Errorf("server: stream %q already registered", id)
 		}
-		if s.specs.find(spec) != st.spec || st.registerDelta != delta {
+		var buf [128]byte
+		if string(appendKey(buf[:0], spec)) != st.spec.key || st.registerDelta != delta {
 			return nil, fmt.Errorf("server: stream %q re-registered with a different spec or delta", id)
 		}
 		st.owner, st.heard, st.wdLastReq = owner, now, 0
 		return st, nil
 	}
-	replica, err := spec.Build()
+	sp, replica, err := s.specs.acquire(spec)
 	if err != nil {
 		return nil, fmt.Errorf("server: building replica for %s: %w", id, err)
 	}
 	if s.onRegister != nil {
 		if err := s.onRegister(wal.RegisterRecord{ID: id, Spec: spec, Delta: delta, Norm: int(norm)}); err != nil {
+			s.specs.release(sp)
 			return nil, fmt.Errorf("server: logging registration of %s: %w", id, err)
 		}
 	}
-	st := &streamState{id: id, sh: sh, replica: replica, spec: s.specs.acquire(spec), registerDelta: delta,
+	st := &streamState{id: id, sh: sh, replica: replica, spec: sp, registerDelta: delta,
 		delta: delta, norm: norm, tick: tick, lastCorr: -1, lastValueTick: -1, owner: owner, heard: now,
 		wdDeadline: s.staleAfter}
 	sh.streams[id] = st
@@ -406,7 +462,7 @@ func (s *Server) register(id string, spec predictor.Spec, delta float64, norm so
 
 // Unregister removes a stream.
 func (s *Server) Unregister(id string) error {
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return err
 	}
@@ -455,7 +511,7 @@ func (st *streamState) stepTo(tick int64) {
 // before a delivery (to the arrival tick), an archive read or a δ change.
 // No read calls it, and nothing on the deployed path does (make lint).
 func (s *Server) Roll(id string, tick int64) error {
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return err
 	}
@@ -480,8 +536,8 @@ func (s *Server) Roll(id string, tick int64) error {
 // it steps the gap, read runs, and Restore puts it back — bit for bit, by
 // the Snapshotter contract. A tick a message has already moved the record
 // past is refused with ErrTickBehind.
-func (s *Server) view(id string, tick int64, read func(st *streamState) error) error {
-	sh, st, err := s.lock(id)
+func view[K string | []byte](s *Server, id K, tick int64, read func(st *streamState) error) error {
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return err
 	}
@@ -513,7 +569,7 @@ func (s *Server) Apply(m *netsim.Message) error {
 
 // TickStream steps a stream one tick past where it stands.
 func (s *Server) TickStream(id string) error {
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return err
 	}
@@ -523,10 +579,7 @@ func (s *Server) TickStream(id string) error {
 }
 
 // Value answers where the stream stands: a QueryAt that rolls nothing.
-func (s *Server) Value(id string) (estimate []float64, bound float64, err error) {
-	estimate, bound, _, _, err = s.QueryAt(id, -1)
-	return estimate, bound, err
-}
+func (s *Server) Value(id string) ([]float64, float64, error) { return s.QueryAt(id, -1) }
 
 // MaxAdvancePerMessage bounds how far a single correction may roll a
 // replica forward, or a query step a borrowed one (view). Without it, one
@@ -556,7 +609,7 @@ func checkAdvance(st *streamState, tick int64) error {
 // correction twice would double-step the replica. recovered reports that
 // the message cleared a stale verdict.
 func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, err error) {
-	sh, st, err := s.lock(m.StreamID)
+	sh, st, err := lock(s, m.StreamID)
 	if err != nil {
 		return false, false, err
 	}
@@ -694,11 +747,12 @@ func (st *streamState) setLastValue(v []float64) {
 }
 
 // lock looks a stream up and returns it together with its shard, still
-// locked; the caller must Unlock.
-func (s *Server) lock(id string) (*shard, *streamState, error) {
+// locked; the caller must Unlock. An id given as bytes (a frame's) is
+// looked up without building a string.
+func lock[K string | []byte](s *Server, id K) (*shard, *streamState, error) {
 	sh := shardFor(s, id)
 	sh.mu.Lock()
-	st, ok := sh.streams[id]
+	st, ok := sh.streams[string(id)]
 	if !ok {
 		sh.mu.Unlock()
 		return nil, nil, fmt.Errorf("server: %w: %q", ErrUnknownStream, id)
@@ -710,31 +764,51 @@ func (s *Server) lock(id string) (*shard, *streamState, error) {
 // the estimate and the absolute error bound the protocol guarantees on it
 // — on a tick where a correction arrived, the shipped measurement itself
 // with bound 0; on suppressed ticks, the replica's prediction with the
-// stream's δ. lastTrace is the trace ID of the last traced correction
-// applied (0 when none) — the state the answer is served from — and heard
-// when the stream last sent anything, in the clock's unit: what freshness
-// needs to age the answer.
-func (s *Server) QueryAt(id string, tick int64) (estimate []float64, bound float64, lastTrace uint64, heard int64, err error) {
-	err = s.view(id, tick, func(st *streamState) error {
-		estimate, bound = s.serve(st)
-		lastTrace, heard = st.lastTrace, st.heard
-		return nil
-	})
-	return estimate, bound, lastTrace, heard, err
+// stream's δ.
+func (s *Server) QueryAt(id string, tick int64) ([]float64, float64, error) {
+	a, err := Query(s, id, tick, nil)
+	return a.Estimate, a.Bound, err
 }
 
-// serve answers from the stream's current state and records the query
-// (the shard's totals and a trace event whose ID is the last applied
-// correction's, tying the answer to the state it was computed from).
-// Caller holds the shard lock.
-func (s *Server) serve(st *streamState) (estimate []float64, bound float64) {
+// Answer is a served point query: QueryAt's estimate and bound; ID, the
+// record's own id string, so a caller that named the stream by bytes
+// names it without building one; LastTrace, the trace ID of the last
+// traced correction applied (0 when none) — the state the answer is
+// served from; and Heard, when the stream last sent anything, in the
+// clock's unit — what freshness needs to age the answer.
+type Answer struct {
+	ID        string
+	Estimate  []float64
+	Bound     float64
+	LastTrace uint64
+	Heard     int64
+}
+
+// Query is the one point-query body: QueryAt for an id given as a string
+// or as bytes (a frame's, looked up under one shard lock with no string
+// built), writing the estimate into dst's storage, grown when short — so
+// a caller reusing its buffer allocates nothing.
+func Query[K string | []byte](s *Server, id K, tick int64, dst []float64) (a Answer, err error) {
+	err = view(s, id, tick, func(st *streamState) error {
+		a = Answer{ID: st.id, LastTrace: st.lastTrace, Heard: st.heard}
+		a.Estimate, a.Bound = s.serve(st, dst)
+		return nil
+	})
+	return a, err
+}
+
+// serve answers from the stream's current state into dst (answer) and
+// records the query (the shard's totals and a trace event whose ID is the
+// last applied correction's, tying the answer to the state it was
+// computed from). Caller holds the shard lock.
+func (s *Server) serve(st *streamState, dst []float64) (estimate []float64, bound float64) {
 	if sh := st.sh; sh.tel != nil {
 		sh.tel.queries.Inc()
 		if stale := st.tick - 1 - st.lastCorr; stale >= 0 {
 			sh.tel.staleness.Observe(float64(stale))
 		}
 	}
-	estimate, bound = st.answer()
+	estimate, bound = st.answer(dst)
 	if s.tr.Enabled() {
 		var v float64
 		if len(estimate) > 0 {
@@ -756,22 +830,21 @@ func (s *Server) serve(st *streamState) (estimate []float64, bound float64) {
 // answer is the one point-answer body (QueryAt, PeekValue and the history
 // archive share it): the shipped measurement with bound 0 on the
 // tick a correction arrived, the replica's prediction with the δ bound
-// otherwise.
-func (st *streamState) answer() ([]float64, float64) {
+// otherwise — written into dst's storage, grown when short.
+func (st *streamState) answer(dst []float64) ([]float64, float64) {
 	if st.lastValueTick == st.tick && st.lastValue != nil {
-		out := make([]float64, len(st.lastValue))
-		copy(out, st.lastValue)
-		return out, 0
+		return append(dst[:0], st.lastValue...), 0
 	}
-	return st.replica.PredictInto(make([]float64, st.replica.Dim())), st.delta
+	dim := st.replica.Dim()
+	return st.replica.PredictInto(slices.Grow(dst[:0], dim)[:dim]), st.delta
 }
 
 // PeekValue answers the same point query as QueryAt but records no
 // telemetry and no trace events — the precision auditor's side channel,
 // so auditing a tick is invisible to the observability it feeds.
 func (s *Server) PeekValue(id string, tick int64) (estimate []float64, bound float64, err error) {
-	err = s.view(id, tick, func(st *streamState) error {
-		estimate, bound = st.answer()
+	err = view(s, id, tick, func(st *streamState) error {
+		estimate, bound = st.answer(nil)
 		return nil
 	})
 	return estimate, bound, err
@@ -785,7 +858,7 @@ func (s *Server) PeekValue(id string, tick int64) (estimate []float64, bound flo
 // promise. Only predictors implementing predictor.Uncertainty (the Kalman
 // family) support it.
 func (s *Server) ValueDistribution(id string, tick int64) (estimate, stddev []float64, err error) {
-	err = s.view(id, tick, func(st *streamState) error {
+	err = view(s, id, tick, func(st *streamState) error {
 		u, ok := st.replica.(predictor.Uncertainty)
 		if !ok {
 			return fmt.Errorf("server: stream %q predictor (%s) has no predictive distribution",
@@ -804,7 +877,7 @@ func (s *Server) ValueDistribution(id string, tick int64) (estimate, stddev []fl
 
 // Norm returns the stream's gate norm (see RegisterAt).
 func (s *Server) Norm(id string) (source.Norm, error) {
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return 0, err
 	}
@@ -814,7 +887,7 @@ func (s *Server) Norm(id string) (source.Norm, error) {
 
 // Delta returns the stream's current precision bound.
 func (s *Server) Delta(id string) (float64, error) {
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return 0, err
 	}
@@ -828,7 +901,7 @@ func (s *Server) SetDelta(id string, delta float64) error {
 	if delta < 0 {
 		return fmt.Errorf("server: negative delta %g for %s", delta, id)
 	}
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return err
 	}
@@ -859,7 +932,7 @@ func (st *streamState) info() StreamInfo {
 // Info returns a diagnostic snapshot of one stream as of tick (view, as
 // every read; -1 reads it where it stands).
 func (s *Server) Info(id string, tick int64) (info StreamInfo, err error) {
-	err = s.view(id, tick, func(st *streamState) error {
+	err = view(s, id, tick, func(st *streamState) error {
 		info = st.info()
 		info.Prediction = st.replica.PredictInto(make([]float64, st.replica.Dim()))
 		return nil

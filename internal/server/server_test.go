@@ -161,7 +161,7 @@ func TestInfosIsInfoForEveryStream(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, _, _, err := s.QueryAt(id, int64(i+5)); err != nil {
+		if _, _, err := s.QueryAt(id, int64(i+5)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -48,7 +48,4 @@ func (c *Clock) Apply(m *netsim.Message) error {
 }
 
 // Value answers a point query at the current tick.
-func (c *Clock) Value(id string) ([]float64, float64, error) {
-	est, bound, _, _, err := c.QueryAt(id, c.At())
-	return est, bound, err
-}
+func (c *Clock) Value(id string) ([]float64, float64, error) { return c.QueryAt(id, c.At()) }

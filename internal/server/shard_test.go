@@ -74,7 +74,7 @@ func TestConcurrentRegisterApplyQuery(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, _, _, err := s.QueryAt(id, 1); err != nil {
+				if _, _, err := s.QueryAt(id, 1); err != nil {
 					t.Error(err)
 					return
 				}

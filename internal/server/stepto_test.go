@@ -114,7 +114,7 @@ func TestStepToPathsEquivalent(t *testing.T) {
 			// arrives on that tick and before anything later does.
 			askEvery := func(through int64) {
 				for int64(len(perTick)) <= through {
-					e, b, _, _, err := every.QueryAt(id, int64(len(perTick)))
+					e, b, err := every.QueryAt(id, int64(len(perTick)))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -160,7 +160,7 @@ func TestStepToPathsEquivalent(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if est[i], bound[i], _, _, err = s.QueryAt(id, tick); err != nil {
+						if est[i], bound[i], err = s.QueryAt(id, tick); err != nil {
 							t.Fatal(err)
 						}
 						v, b, err := s.Value(id)
@@ -204,7 +204,7 @@ func TestStepToPathsEquivalent(t *testing.T) {
 				if total != info.Suppressed || info.Suppressed == 0 {
 					t.Errorf("server %d: corrections_suppressed_total %d, record says %d", i, total, info.Suppressed)
 				}
-				sh, st, err := s.lock(id)
+				sh, st, err := lock(s, id)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -30,7 +30,7 @@ func TestReadMovesNoRecord(t *testing.T) {
 		}
 		for i, c := range corrections {
 			if i == 2 && readAt >= 0 {
-				if _, _, _, _, err := s.QueryAt("s", readAt); err != nil {
+				if _, _, err := s.QueryAt("s", readAt); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -39,7 +39,7 @@ func TestReadMovesNoRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		est, bound, _, _, err := s.QueryAt("s", 60)
+		est, bound, err := s.QueryAt("s", 60)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,8 +111,8 @@ func TestViewLeavesEveryKindUntouched(t *testing.T) {
 				if err := twin.Roll("s", at); err != nil {
 					t.Fatal(err)
 				}
-				est, bound, _, _, err := s.QueryAt("s", at)
-				wantEst, wantBound, _, _, werr := twin.QueryAt("s", at)
+				est, bound, err := s.QueryAt("s", at)
+				wantEst, wantBound, werr := twin.QueryAt("s", at)
 				if err != nil || werr != nil || !bitEqual(est, wantEst) || bound != wantBound {
 					t.Fatalf("tick %d: answers %v ± %v (err %v), rolled twin %v ± %v (err %v)", at, est, bound, err, wantEst, wantBound, werr)
 				}
@@ -155,7 +155,7 @@ func TestBehindReadRefused(t *testing.T) {
 	}
 	before := mustInfo(t, s)
 	reads := map[string]func(tick int64) error{
-		"QueryAt":           func(tick int64) error { _, _, _, _, err := s.QueryAt("s", tick); return err },
+		"QueryAt":           func(tick int64) error { _, _, err := s.QueryAt("s", tick); return err },
 		"PeekValue":         func(tick int64) error { _, _, err := s.PeekValue("s", tick); return err },
 		"ValueDistribution": func(tick int64) error { _, _, err := s.ValueDistribution("s", tick); return err },
 		"Info":              func(tick int64) error { _, err := s.Info("s", tick); return err },
@@ -172,7 +172,7 @@ func TestBehindReadRefused(t *testing.T) {
 			}
 		}
 	}
-	if est, bound, _, _, err := s.QueryAt("s", 9); err != nil || bound != 0 || est[0] != 2 {
+	if est, bound, err := s.QueryAt("s", 9); err != nil || bound != 0 || est[0] != 2 {
 		t.Fatalf("own tick answers %v ± %v (err %v), want the correction 2 ± 0", est, bound, err)
 	}
 	if after := mustInfo(t, s); !reflect.DeepEqual(after, before) {

@@ -28,7 +28,7 @@ func (s *Server) SetStaleAfter(deadline int64) { s.staleAfter, s.unit = deadline
 // counts from the last applied message's tick, also for a stream just
 // recovered from the log: a restart makes no stream more or less silent.
 func (s *Server) SetWatchdog(id string, deadline int64, owner any) error {
-	sh, st, err := s.lock(id)
+	sh, st, err := lock(s, id)
 	if err != nil {
 		return err
 	}

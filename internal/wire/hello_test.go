@@ -573,10 +573,10 @@ func TestHelloNegotiation(t *testing.T) {
 }
 
 // TestQueryDispatchAllocs extends the zero-alloc dispatch guard to
-// queries: a warm binary query allocates the stream id's string and the
-// estimate's copy, and nothing else — a query ahead of the record borrows
-// its replica with no allocation either — and the record stands where its
-// last correction left it after every one of them.
+// queries: a warm binary query allocates nothing — the id's bytes find the
+// record, the estimate lands in the connection's buffer, and a query ahead
+// of the record borrows its replica with no allocation either — and the
+// record stands where its last correction left it after every one of them.
 func TestQueryDispatchAllocs(t *testing.T) {
 	const id = "sensor-0001" // a one-byte id's string would come from the runtime's static table
 	srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})
@@ -600,12 +600,47 @@ func TestQueryDispatchAllocs(t *testing.T) {
 	for range 8 {
 		query()
 	}
-	if allocs := testing.AllocsPerRun(500, query); allocs != 2 {
-		t.Errorf("binary query dispatch allocates %.2f per frame, want exactly 2 (id string, estimate copy)", allocs)
+	if allocs := testing.AllocsPerRun(500, query); allocs != 0 {
+		t.Errorf("binary query dispatch allocates %.2f per frame, want exactly 0", allocs)
 	}
 	if after := mustInfo(t, srv, id); after.Tick != before.Tick || after.Suppressed != before.Suppressed {
 		t.Errorf("508 queries at tick 100 moved the record from tick %d to %d (suppressed %d → %d)",
 			before.Tick, after.Tick, before.Suppressed, after.Suppressed)
+	}
+}
+
+// TestRegisterDispatchAllocs: a register frame of an interned spec clones
+// the spec's prototype, so over 10,000 new streams one costs at most 14
+// allocations. All but a few — the record, the replica, the handle and the
+// amortized growth of the maps and slices they land in — are
+// encoding/json's decode of the frame.
+func TestRegisterDispatchAllocs(t *testing.T) {
+	const streams = 10_000
+	srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})
+	defer srv.Close()
+	frames := make([][]byte, streams+1)
+	for i := range frames {
+		var err error
+		if frames[i], err = json.Marshal(RegisterPayload{ID: fmt.Sprintf("sensor-%05d", i), Spec: cvSpec(), Delta: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cw := handleConn(t, srv)
+	if err := srv.dispatch(cw, FrameRegister, frames[streams], nil); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, f := range frames[:streams] {
+		if err := srv.dispatch(cw, FrameRegister, f, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := float64(after.Mallocs-before.Mallocs) / streams
+	t.Logf("%.2f allocations per register frame", perFrame)
+	if perFrame > 14 {
+		t.Errorf("a register frame of an interned spec costs %.2f allocations, want ≤ 14", perFrame)
 	}
 }
 

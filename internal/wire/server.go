@@ -71,15 +71,18 @@ type connWriter struct {
 	skew   *freshness.SkewEstimator
 
 	// frames counts the frames handled, the current one included, so the
-	// first is held to the protocol floor, and answer is where a reply
-	// payload is encoded. refs is the handle table — handle h names the
-	// record refs[h] resolves — and handles maps a registered id to its
+	// first is held to the protocol floor; answer is where a reply payload
+	// is encoded, estimate where a query's answer is written, and reg where
+	// a register frame decodes. refs is the handle table — handle h names
+	// the record refs[h] resolves — and handles maps a registered id to its
 	// handle, consulted at registration only. The handler goroutine alone
 	// touches them all, so none takes a lock.
-	frames  int64
-	answer  []byte
-	refs    []server.Ref
-	handles map[string]uint32
+	frames   int64
+	answer   []byte
+	estimate []float64
+	reg      RegisterPayload
+	refs     []server.Ref
+	handles  map[string]uint32
 }
 
 // handle returns id's handle on this connection, assigning the next one on
@@ -630,21 +633,27 @@ func (cw *connWriter) prefetch(buf []byte) []byte {
 
 // Query answers a stream's value as of the given tick.
 func (s *Server) Query(q QueryPayload) (AnswerPayload, error) {
-	est, bound, lastTrace, heard, err := s.srv.QueryAt(q.ID, q.Tick)
+	a, err := s.served(server.Query(s.srv, q.ID, q.Tick, nil))
 	if err != nil {
 		return AnswerPayload{}, err
 	}
-	// Staleness-at-query: how old the prediction basis is in wall time.
-	// An exact answer (bound 0, the query landed on the last correction's
-	// tick) is fresh by definition; a bounded answer's basis is as old as
-	// the stream's last traffic. The exemplar carries the last applied
-	// correction's trace ID — the state this answer was served from.
-	var age float64
-	if bound > 0 {
-		age = float64(s.clock()-heard) / 1e9
+	return AnswerPayload{ID: q.ID, Tick: q.Tick, Estimate: a.Estimate, Bound: a.Bound}, nil
+}
+
+// served records a served query's staleness: how old its prediction basis
+// is in wall time — none for an exact answer (bound 0), the stream's last
+// traffic's age for a bounded one — with the trace ID of the correction
+// the answer was served from, and passes the answer on.
+func (s *Server) served(a server.Answer, err error) (server.Answer, error) {
+	if err != nil {
+		return a, err
 	}
-	s.node.Freshness().RecordStaleness(age, lastTrace, q.ID)
-	return AnswerPayload{ID: q.ID, Tick: q.Tick, Estimate: est, Bound: bound}, nil
+	var age float64
+	if a.Bound > 0 {
+		age = float64(s.clock()-a.Heard) / 1e9
+	}
+	s.node.Freshness().RecordStaleness(age, a.LastTrace, a.ID)
+	return a, nil
 }
 
 // MetricsText renders the server's telemetry registry in Prometheus text
@@ -811,19 +820,21 @@ func (s *Server) hello(cw *connWriter, typ uint8, payload []byte) error {
 	return cw.writeFrame(FrameHello, appendHello(cw.answer[:0], serverCaps))
 }
 
-// queryBin answers a FrameQueryBin, observed into query_latency_seconds. A
-// non-finite estimate is refused: the answer would not be a bound.
+// queryBin answers a FrameQueryBin, observed into query_latency_seconds,
+// into the connection's own buffer: it allocates nothing. A non-finite
+// estimate is refused: the answer would not be a bound.
 func (s *Server) queryBin(cw *connWriter, payload []byte) error {
 	tick, id, err := decodeQueryBin(payload)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	ans, err := s.Query(QueryPayload{ID: string(id), Tick: tick})
+	ans, err := s.served(server.Query(s.srv, id, tick, cw.estimate))
 	s.telLatency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		return err
 	}
+	cw.estimate = ans.Estimate
 	if !mat.VecIsFinite(ans.Estimate) {
 		return fmt.Errorf("wire: stream %q has a non-finite estimate %v", ans.ID, ans.Estimate)
 	}
@@ -834,8 +845,9 @@ func (s *Server) queryBin(cw *connWriter, payload []byte) error {
 func (s *Server) route(cw *connWriter, typ uint8, payload []byte, msg *netsim.Message) error {
 	switch typ {
 	case FrameRegister:
-		var p RegisterPayload
-		if err := json.Unmarshal(payload, &p); err != nil {
+		p := &cw.reg
+		*p = RegisterPayload{} // so that no field carries over from the last frame
+		if err := json.Unmarshal(payload, p); err != nil {
 			return fmt.Errorf("wire: bad register payload: %w", err)
 		}
 		ref, err := s.srv.Adopt(p.ID, p.Spec, p.Delta, cw, s.clock())
