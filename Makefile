@@ -23,11 +23,11 @@ BENCH_MAXREGRESS ?= 10
 # of non-test Go outside bench/) exceeds this. A PR that spends lines on
 # purpose raises it in its own diff, where a reviewer sees it; a PR that
 # deletes lowers it to where it lands.
-LOC_MAX ?= 22376
+LOC_MAX ?= 22371
 LOC_TOTAL = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 # The same ratchet on the observability six — ROADMAP's "consolidating
 # engines" aim, whose target is ≤ 4,400.
-OBS_MAX ?= 4782
+OBS_MAX ?= 4771
 OBS_TOTAL = find internal/diag internal/health internal/history internal/trace internal/telemetry internal/freshness -name '*.go' -not -name '*_test.go' | xargs cat | wc -l
 
 .PHONY: check vet build test race benchsmoke bench bench-compare lint chaos-smoke recovery-smoke cover repro-check bench-smoke loc loc-check
@@ -62,7 +62,10 @@ vet:
 # oracles or servertest's tick clock) is imported by tests alone. And a
 # read never moves a record: outside tests, nothing under internal/wire or
 # cmd/ calls Roll, the tick-clock driver's own mover, so the deployed path
-# never regrows a reader that writes.
+# never regrows a reader that writes; and outside tests nothing under
+# internal/server calls AppendSnapshot — a read predicts ahead without
+# borrowing the replica, and the checkpoint snapshots through wal — so a
+# borrow cannot grow back.
 lint: vet
 	@fmt="$$(gofmt -l . | grep -v '^bench/')"; if [ -n "$$fmt" ]; then echo "lint: gofmt -l lists:"; echo "$$fmt"; exit 1; fi
 	@! $(GO) list -f '{{join .Imports "\n"}}' ./internal/harness | grep -E 'internal/(server|netsim|source|resource)$$'
@@ -75,6 +78,7 @@ lint: vet
 		| grep -vE '^\./(bench|internal/diag|\.bench_build)/|^\./bench_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*(//|func )'
 	@! grep -rnE --include='*.go' '"kalmanstream/[a-z/]+test"' . | grep -vE '^\./\.bench_build/|_test\.go:'
 	@! grep -rnE --include='*.go' '\.Roll\(' internal/wire cmd | grep -vE '_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*(//|func )'
+	@! grep -rnE --include='*.go' 'AppendSnapshot\(' internal/server | grep -vE '_test\.go:' | grep -vE '^[^:]+:[0-9]+:\s*(//|func )'
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -122,16 +122,18 @@ func (b *Bank) PredictN(k int64) {
 }
 
 // ObservationInto writes the probability-weighted blend of the models'
-// observation predictions, Σᵢ wᵢ·(Hᵢxᵢ)ₖ per component k, into dst, which
-// must have length ObsDim, and returns dst. The sum runs in model order
-// from zero, and nothing but dst is written.
-func (b *Bank) ObservationInto(dst []float64) []float64 {
-	for k := range dst {
-		var sum float64
-		for i, f := range b.filters {
-			sum += b.weights[i] * f.observationAt(k)
+// observation predictions k ticks on, Σᵢ wᵢ·(Hᵢxᵢ)ₖ per component k, into
+// dst, which must have length ObsDim, and returns dst. The sum runs in
+// model order from zero, and nothing but dst is written: each filter
+// looks ahead on its own copy of x, and the weights move only in Update.
+func (b *Bank) ObservationInto(k int64, dst []float64) []float64 {
+	var buf [8]float64
+	obs := append(buf[:0], dst...) // a filter's look-ahead, on the stack for ObsDim ≤ 8
+	clear(dst)
+	for i, f := range b.filters {
+		for c, v := range f.ObservationInto(k, obs) {
+			dst[c] += b.weights[i] * v
 		}
-		dst[k] = sum
 	}
 	return dst
 }
@@ -196,12 +198,13 @@ func (b *Bank) Update(z []float64) error {
 // observation component: Σ wᵢ·(varᵢ + (obsᵢ − blend)²), accounting both
 // for each model's own uncertainty and for inter-model disagreement.
 func (b *Bank) ObservationVariance() []float64 {
-	blend := b.ObservationInto(make([]float64, b.obsDim))
-	out := make([]float64, b.obsDim)
+	blend := b.ObservationInto(0, make([]float64, b.obsDim))
+	obs, out := make([]float64, b.obsDim), make([]float64, b.obsDim)
 	for i, f := range b.filters {
 		v := f.ObservationVariance()
+		f.ObservationInto(0, obs)
 		for k := range out {
-			d := f.observationAt(k) - blend[k]
+			d := obs[k] - blend[k]
 			out[k] += b.weights[i] * (v[k] + d*d)
 		}
 	}

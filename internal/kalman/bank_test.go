@@ -245,7 +245,7 @@ func TestBankObservationIntoBitIdentical(t *testing.T) {
 					want[k] += w[j] * o[k]
 				}
 			}
-			got := b.ObservationInto([]float64{math.NaN(), math.Inf(1)}[:b.ObsDim()])
+			got := b.ObservationInto(0, []float64{math.NaN(), math.Inf(1)}[:b.ObsDim()])
 			for k := range want {
 				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 					t.Fatalf("%d models, step %d: component %d = %v, want %v", b.Size(), i, k, got[k], want[k])

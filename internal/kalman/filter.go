@@ -342,31 +342,33 @@ func (f *Filter) setPart(i int, what string, src *mat.Matrix) error {
 	return nil
 }
 
-// ObservationInto computes H·x, the filter's estimate of the observable
-// quantity at the current state, into dst, which must have length ObsDim.
-func (f *Filter) ObservationInto(dst []float64) []float64 {
-	for k := range dst {
-		dst[k] = f.observationAt(k)
+// ObservationInto writes H·x, k time updates on (none for k ≤ 0), into
+// dst, which must have length ObsDim, and returns dst. Only x steps, on a
+// copy — on the stack for a state of dimension ≤ 8 — in one MulVecTo loop
+// for every shape, as each kernel's x update is MulVecTo's arithmetic; H·x
+// never reads P. So it writes nothing but dst, and gives the bits
+// PredictN(k) followed by ObservationInto(0, dst) would.
+func (f *Filter) ObservationInto(k int64, dst []float64) []float64 {
+	x := f.x()
+	if n := len(x); k > 0 {
+		var buf [16]float64
+		xs := append(append(buf[:0], x...), x...)
+		fm, next := f.over(partF), xs[n:]
+		for x = xs[:n]; k > 0; k-- {
+			mat.MulVecTo(next, &fm, x)
+			x, next = next, x
+		}
 	}
-	return dst
-}
-
-// observationAt returns (H·x)ₖ — the kernel for a kernel shape, else the
-// row loop mat.MulVecTo runs — and writes nothing.
-func (f *Filter) observationAt(k int) float64 {
 	switch f.shape {
 	case shape1x1:
-		return f.observe1x1()
+		dst[0] = observe1x1(f.blk, x)
 	case shape2x1:
-		return f.observe2x1()
+		dst[0] = observe2x1(f.blk, x)
+	default:
+		h := f.over(partH)
+		mat.MulVecTo(dst, &h, x)
 	}
-	_, n, h := f.part(partH)
-	x := f.x()
-	var s float64
-	for j, v := range h[k*n : (k+1)*n] {
-		s += v * x[j]
-	}
-	return s
+	return dst
 }
 
 // ObservationVariance returns the predictive variance of each observation
@@ -434,7 +436,8 @@ func (f *Filter) LogLikelihood(z []float64) (float64, error) {
 	return -0.5 * (m*math.Log(2*math.Pi) + math.Log(det) + mat.QuadraticForm(sInv, y)), nil
 }
 
-// Ticks returns the number of time updates performed.
+// Ticks returns the number of time updates performed on the filter itself
+// (PredictN's); a look-ahead (ObservationInto) steps a copy and counts none.
 func (f *Filter) Ticks() uint64 { return f.ticks }
 
 // Updates returns the number of Update calls performed.

@@ -19,10 +19,10 @@ func newRWFilter(t *testing.T, q, r float64) *Filter {
 }
 
 // observation returns H·x in a fresh slice.
-func observation(f *Filter) []float64 { return f.ObservationInto(make([]float64, f.ObsDim())) }
+func observation(f *Filter) []float64 { return f.ObservationInto(0, make([]float64, f.ObsDim())) }
 
 // bankObservation returns the bank's blended prediction in a fresh slice.
-func bankObservation(b *Bank) []float64 { return b.ObservationInto(make([]float64, b.ObsDim())) }
+func bankObservation(b *Bank) []float64 { return b.ObservationInto(0, make([]float64, b.ObsDim())) }
 
 func TestNewFilterValidates(t *testing.T) {
 	model := RandomWalk(1, 1)

@@ -35,7 +35,7 @@ func sameBits(t *testing.T, where string, kernel, generic *Filter) {
 		t.Fatalf("%s: counters diverged: kernel %d/%d generic %d/%d", where,
 			kernel.Ticks(), kernel.Updates(), generic.Ticks(), generic.Updates())
 	}
-	got, want := kernel.ObservationInto([]float64{math.NaN()}), []float64{math.NaN()}
+	got, want := kernel.ObservationInto(0, []float64{math.NaN()}), []float64{math.NaN()}
 	mat.MulVecTo(want, &generic.g.hdr[partH], generic.x())
 	if math.Float64bits(got[0]) != math.Float64bits(want[0]) {
 		t.Fatalf("%s: H·x diverged: kernel %x (%g) MulVecTo %x (%g)", where,

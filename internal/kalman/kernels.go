@@ -102,20 +102,19 @@ func (f *Filter) update1x1(z float64) error {
 	return nil
 }
 
-// observe1x1 is H·x of a 1-state/1-observation filter.
-func (f *Filter) observe1x1() float64 {
-	b := (*[6]float64)(f.blk) // F Q H R P x
+// observe1x1 is H·x of a 1-state/1-observation filter's block for state x.
+func observe1x1(blk, x []float64) float64 {
 	var hx float64
-	hx += b[2] * b[5] // MulVecTo: 0 + H·x
+	hx += blk[2] * x[0] // MulVecTo: 0 + H·x
 	return hx
 }
 
-// observe2x1 is H·x of a 2-state/1-observation filter.
-func (f *Filter) observe2x1() float64 {
-	b := (*[17]float64)(f.blk) // F(4) Q(4) H(2) R P(4) x(2)
+// observe2x1 is H·x of a 2-state/1-observation filter's block for state x.
+func observe2x1(blk, x []float64) float64 {
+	b := (*[17]float64)(blk) // F(4) Q(4) H(2) R P(4) x(2)
 	var hx float64
-	hx += b[8] * b[15] // MulVecTo: 0 + H·x, no zero skip
-	hx += b[9] * b[16]
+	hx += b[8] * x[0] // MulVecTo: 0 + H·x, no zero skip
+	hx += b[9] * x[1]
 	return hx
 }
 

@@ -31,12 +31,12 @@ func TestPredictIntoWritesOnlyDst(t *testing.T) {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
 		before := p.AppendSnapshot(nil)
-		want := p.PredictInto(make([]float64, p.Dim()))
+		want := p.PredictInto(0, make([]float64, p.Dim()))
 		poisoned := make([]float64, p.Dim())
 		for k := range poisoned {
 			poisoned[k] = math.NaN()
 		}
-		if got := p.PredictInto(poisoned); !sameBits(got, want) {
+		if got := p.PredictInto(0, poisoned); !sameBits(got, want) {
 			t.Fatalf("%s: PredictInto over NaN = %v, over zeros %v", p.Name(), got, want)
 		}
 		var wg sync.WaitGroup
@@ -46,7 +46,7 @@ func TestPredictIntoWritesOnlyDst(t *testing.T) {
 				defer wg.Done()
 				dst := make([]float64, p.Dim())
 				for i := 0; i < 200; i++ {
-					if got := p.PredictInto(dst); !sameBits(got, want) {
+					if got := p.PredictInto(0, dst); !sameBits(got, want) {
 						t.Errorf("%s: concurrent PredictInto = %v, want %v", p.Name(), got, want)
 						return
 					}
@@ -56,6 +56,53 @@ func TestPredictIntoWritesOnlyDst(t *testing.T) {
 		wg.Wait()
 		if after := p.AppendSnapshot(nil); !sameBits(after, before) {
 			t.Fatalf("%s: PredictInto moved the replica", p.Name())
+		}
+	}
+}
+
+// TestPredictAheadIsStepN is the look-ahead contract: for every kind —
+// fuzzSpecs, plus constant acceleration and a 64-dimensional random walk
+// on the generic mat path — driven by seeded corrections, PredictInto(k, ·)
+// is bit-equal to a clone stepped k ticks predicting now, at every k, and
+// writes nothing: the replica's snapshot is unchanged.
+func TestPredictAheadIsStepN(t *testing.T) {
+	specs := append(fuzzSpecs(),
+		Spec{Kind: KindKalman, Model: ModelSpec{Kind: ModelConstantAcceleration, Q: 0.01, R: 0.5}},
+		Spec{Kind: KindKalman, Model: ModelSpec{Kind: ModelRandomWalkND, Dim: 64, Q: 0.1, R: 0.5}})
+	for _, spec := range specs {
+		p := mustBuild(t, spec)
+		rng := rand.New(rand.NewSource(11))
+		for round := 0; round < 2; round++ {
+			if err := drive(rng, p, 25); err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+			before := p.AppendSnapshot(nil)
+			for _, k := range []int64{0, 1, 7, 64, 4096} {
+				c := p.Clone()
+				c.StepN(k)
+				want := c.PredictInto(0, make([]float64, p.Dim()))
+				if got := p.PredictInto(k, make([]float64, p.Dim())); !sameBits(got, want) {
+					t.Fatalf("%s, round %d: PredictInto(%d) = %v, a clone stepped %d ticks predicts %v", p.Name(), round, k, got, k, want)
+				}
+			}
+			if after := p.AppendSnapshot(nil); !sameBits(after, before) {
+				t.Fatalf("%s, round %d: a look-ahead moved the replica", p.Name(), round)
+			}
+		}
+	}
+}
+
+// TestPredictAheadAllocatesNothing: a look-ahead of 64 ticks into the
+// caller's buffer allocates nothing for any kind (x steps on the stack).
+func TestPredictAheadAllocatesNothing(t *testing.T) {
+	for _, spec := range fuzzSpecs() {
+		p := mustBuild(t, spec)
+		if err := drive(rand.New(rand.NewSource(5)), p, 30); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, p.Dim())
+		if got := testing.AllocsPerRun(100, func() { p.PredictInto(64, dst) }); got != 0 {
+			t.Errorf("%s: PredictInto(64) makes %v allocations, want 0", p.Name(), got)
 		}
 	}
 }
@@ -82,7 +129,8 @@ func floatBytes(v []float64) []byte {
 // survive 64 rounds of StepN, PredictInto, Correct and AppendSnapshot
 // without a panic (Correct may refuse: the property is that nothing
 // crashes), and a clone of the restored replica, driven alike, must end
-// bit-identical to it.
+// bit-identical to it. Every round the replica's look-ahead must also be
+// what the clone predicts once both have stepped that far.
 func FuzzPredictorRestore(f *testing.F) {
 	specs := fuzzSpecs()
 	for i, spec := range specs {
@@ -114,13 +162,17 @@ func FuzzPredictorRestore(f *testing.F) {
 		}
 		c := p.Clone()
 		rng := rand.New(rand.NewSource(int64(len(state))))
-		dst, z := make([]float64, p.Dim()), make([]float64, p.Dim())
+		dst, ahead, z := make([]float64, p.Dim()), make([]float64, p.Dim()), make([]float64, p.Dim())
 		var snap []float64
 		for round := 0; round < 64; round++ {
 			k := int64(rng.Intn(4))
+			p.PredictInto(k, ahead)
 			p.StepN(k)
 			c.StepN(k)
-			p.PredictInto(dst)
+			if !sameBits(c.PredictInto(0, dst), ahead) {
+				t.Fatalf("round %d: look-ahead %v, the clone stepped %d ticks predicts %v", round, ahead, k, dst)
+			}
+			p.PredictInto(0, dst)
 			for k := range z {
 				z[k] = rng.NormFloat64() * 10
 			}

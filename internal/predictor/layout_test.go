@@ -109,8 +109,8 @@ func TestInlineBlockMatchesSeparateFilter(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 			}
-			got := p.PredictInto(make([]float64, len(z)))
-			want := tw.f.ObservationInto(make([]float64, len(z)))
+			got := p.PredictInto(0, make([]float64, len(z)))
+			want := tw.f.ObservationInto(0, make([]float64, len(z)))
 			if !sameBits(got, want) {
 				t.Fatalf("%s round %d: prediction %v, twin %v", name, round, got, want)
 			}

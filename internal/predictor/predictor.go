@@ -43,11 +43,13 @@ type Predictor interface {
 	// suppressed ticks is one call, and replicas stay in lock-step whichever
 	// form either side used.
 	StepN(k int64)
-	// PredictInto writes the predictor's estimate of the current
-	// measurement into dst, which must have length Dim, and returns dst.
-	// It writes nothing but dst, so concurrent readers with their own
-	// buffers may share a replica.
-	PredictInto(dst []float64) []float64
+	// PredictInto writes the predictor's estimate of the measurement k
+	// ticks on (the current one for k ≤ 0) into dst, which must have
+	// length Dim, and returns dst: the bits StepN(k) followed by
+	// PredictInto(0, dst) would give. It writes nothing but dst, so a read
+	// ahead moves no replica, and concurrent readers with their own
+	// buffers may share one.
+	PredictInto(k int64, dst []float64) []float64
 	// Correct incorporates a shipped measurement (the measurement
 	// update). Must be called at the same ticks on every replica.
 	Correct(z []float64) error
@@ -110,7 +112,7 @@ func (s *Static) Step() {}
 func (s *Static) StepN(int64) {}
 
 // PredictInto implements Predictor.
-func (s *Static) PredictInto(dst []float64) []float64 {
+func (s *Static) PredictInto(_ int64, dst []float64) []float64 {
 	copy(dst, s.last)
 	return dst
 }
@@ -160,9 +162,9 @@ func (d *DeadReckoning) Step() { d.sinceTicks++ }
 func (d *DeadReckoning) StepN(k int64) { d.sinceTicks += max(k, 0) }
 
 // PredictInto implements Predictor.
-func (d *DeadReckoning) PredictInto(dst []float64) []float64 {
+func (d *DeadReckoning) PredictInto(k int64, dst []float64) []float64 {
 	for i := range dst {
-		dst[i] = d.last[i] + d.slope[i]*float64(d.sinceTicks)
+		dst[i] = d.last[i] + d.slope[i]*float64(d.sinceTicks+max(k, 0))
 	}
 	return dst
 }
@@ -221,7 +223,7 @@ func (e *EWMA) Step() {}
 func (e *EWMA) StepN(int64) {}
 
 // PredictInto implements Predictor.
-func (e *EWMA) PredictInto(dst []float64) []float64 {
+func (e *EWMA) PredictInto(_ int64, dst []float64) []float64 {
 	copy(dst, e.level)
 	return dst
 }
@@ -292,9 +294,9 @@ func (h *Holt) Step() { h.sinceTicks++ }
 func (h *Holt) StepN(k int64) { h.sinceTicks += max(k, 0) }
 
 // PredictInto implements Predictor.
-func (h *Holt) PredictInto(dst []float64) []float64 {
+func (h *Holt) PredictInto(k int64, dst []float64) []float64 {
 	for i := range dst {
-		dst[i] = h.level[i] + h.trend[i]*float64(h.sinceTicks)
+		dst[i] = h.level[i] + h.trend[i]*float64(h.sinceTicks+max(k, 0))
 	}
 	return dst
 }
@@ -454,9 +456,9 @@ func (k *Kalman) Step() { k.filter.PredictN(1) }
 // StepN implements Predictor: the k-iteration loop runs inside the filter.
 func (k *Kalman) StepN(n int64) { k.filter.PredictN(n) }
 
-// PredictInto implements Predictor.
-func (k *Kalman) PredictInto(dst []float64) []float64 {
-	return k.filter.ObservationInto(dst)
+// PredictInto implements Predictor: the filter's look-ahead, adaptive or not.
+func (k *Kalman) PredictInto(n int64, dst []float64) []float64 {
+	return k.filter.ObservationInto(n, dst)
 }
 
 // Correct implements Predictor.
@@ -503,9 +505,9 @@ func (k *KalmanBank) Step() { k.bank.PredictN(1) }
 func (k *KalmanBank) StepN(n int64) { k.bank.PredictN(n) }
 
 // PredictInto implements Predictor: the probability-weighted blend of the
-// models' observation predictions.
-func (k *KalmanBank) PredictInto(dst []float64) []float64 {
-	return k.bank.ObservationInto(dst)
+// models' observation predictions n ticks on.
+func (k *KalmanBank) PredictInto(n int64, dst []float64) []float64 {
+	return k.bank.ObservationInto(n, dst)
 }
 
 // Clone implements Predictor.

@@ -13,7 +13,7 @@ import (
 )
 
 // predict returns p's prediction in a fresh slice.
-func predict(p Predictor) []float64 { return p.PredictInto(make([]float64, p.Dim())) }
+func predict(p Predictor) []float64 { return p.PredictInto(0, make([]float64, p.Dim())) }
 
 func allSpecs() []Spec {
 	return []Spec{

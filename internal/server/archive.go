@@ -3,7 +3,12 @@
 
 package server
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"kalmanstream/internal/predictor"
+)
 
 // HistoryEntry is one archived answer: what the server would have said at
 // a past tick, with the bound that held then.
@@ -13,63 +18,39 @@ type HistoryEntry struct {
 	Bound    float64
 }
 
-// history is a fixed-capacity ring of the most recent answers.
+// history answers a window of settled ticks — the last capacity the
+// record has moved past, none before the enable — from marks: the record
+// as it stood wherever its answer stopped being a prediction from the
+// previous mark, oldest first, at most one a tick.
 type history struct {
-	entries []HistoryEntry
-	next    int
-	filled  bool
+	capacity int64
+	first    int64
+	marks    []mark
 }
 
-func (h *history) add(e HistoryEntry) {
-	h.entries[h.next] = e
-	h.next = (h.next + 1) % len(h.entries)
-	if h.next == 0 {
-		h.filled = true
-	}
+// mark is the record as it stood at the end of tick: a clone of its
+// replica, which nothing writes, its δ, and the shipped measurement when
+// tick's answer is that measurement.
+type mark struct {
+	tick    int64
+	replica predictor.Predictor
+	value   []float64
+	delta   float64
 }
 
-func (h *history) len() int {
-	if h.filled {
-		return len(h.entries)
-	}
-	return h.next
+// window returns the retained ticks [lo, hi] of a record whose ticks
+// [0, recTick) have been stepped (none when hi < lo): a tick settles once
+// the record moves past it, after all of that tick's corrections.
+func (h *history) window(recTick int64) (lo, hi int64) {
+	hi = recTick - 2
+	return max(h.first, hi-h.capacity+1), hi
 }
 
-// oldest returns the earliest retained tick, or -1 when empty.
-func (h *history) oldest() int64 {
-	if h.len() == 0 {
-		return -1
-	}
-	if h.filled {
-		return h.entries[h.next].Tick
-	}
-	return h.entries[0].Tick
-}
-
-// at returns the entry for an exact tick.
-func (h *history) at(tick int64) (HistoryEntry, bool) {
-	n := h.len()
-	if n == 0 {
-		return HistoryEntry{}, false
-	}
-	// Entries are appended once per tick, so the ring is dense in tick
-	// order: index arithmetic finds the slot directly.
-	old := h.oldest()
-	if tick < old || tick >= old+int64(n) {
-		return HistoryEntry{}, false
-	}
-	start := 0
-	if h.filled {
-		start = h.next
-	}
-	idx := (start + int(tick-old)) % len(h.entries)
-	return h.entries[idx], true
-}
-
-// EnableHistory starts archiving the stream's per-tick answers in a ring
-// of the given capacity. Each entry is recorded when the *next* tick
-// begins, i.e. after all of a tick's corrections have settled, so history
-// reflects exactly what a client querying at that tick would have seen.
+// EnableHistory starts archiving the stream's answers for the last
+// capacity settled ticks, so history reflects exactly what a client
+// querying at each of them would have seen. The archive is a reader: it
+// takes a mark here, on every applied correction or resync and on every δ
+// change, and steps nothing.
 func (s *Server) EnableHistory(id string, capacity int) error {
 	sh, st, err := lock(s, id)
 	if err != nil {
@@ -82,42 +63,69 @@ func (s *Server) EnableHistory(id string, capacity int) error {
 	if st.history != nil {
 		return fmt.Errorf("server: history already enabled for %q", id)
 	}
-	st.history = &history{entries: make([]HistoryEntry, capacity)}
+	st.history = &history{capacity: int64(capacity), first: max(st.tick-1, 0)}
+	st.mark()
 	return nil
 }
 
-// archive records the settled answer for the tick that is about to end.
-// Called at the start of a time step, before the replica advances.
-func (st *streamState) archive() {
-	if st.history == nil || st.tick == 0 {
+// mark notes the record as it stands, under the shard lock, when it keeps
+// an archive. A mark replaces one on the same tick — a tick is archived as
+// it settled — and drops the marks no retained tick still reads.
+func (st *streamState) mark() {
+	h := st.history
+	if h == nil {
 		return
 	}
-	est, bound := st.answer(nil)
-	st.history.add(HistoryEntry{Tick: st.tick - 1, Estimate: est, Bound: bound})
+	m := mark{tick: st.tick - 1, replica: st.replica.Clone(), delta: st.delta}
+	if st.lastValueTick == st.tick && st.lastValue != nil {
+		m.value = slices.Clone(st.lastValue)
+	}
+	for lo, _ := h.window(st.tick); len(h.marks) > 1 && h.marks[1].tick <= lo; {
+		h.marks = h.marks[1:] // the next mark, at or before lo, answers every retained tick
+	}
+	if n := len(h.marks); n > 0 && h.marks[n-1].tick == m.tick {
+		h.marks = h.marks[:n-1]
+	}
+	h.marks = append(h.marks, m)
 }
 
 // HistoryAt returns the archived answer for a stream at an exact past
-// tick. Fails when history is disabled, the tick has been evicted, or it
-// has not settled yet.
+// tick: a look-ahead from the newest mark at or before it, or, on a
+// correction mark's own tick, the shipped measurement with bound 0. Fails
+// when history is disabled, the tick has been evicted, or it has not
+// settled yet.
 func (s *Server) HistoryAt(id string, tick int64) (HistoryEntry, error) {
 	sh, st, err := lock(s, id)
 	if err != nil {
 		return HistoryEntry{}, err
 	}
 	defer sh.mu.Unlock()
-	if st.history == nil {
+	h := st.history
+	if h == nil {
 		return HistoryEntry{}, fmt.Errorf("server: %w for %q", ErrHistoryDisabled, id)
 	}
-	e, ok := st.history.at(tick)
-	if !ok {
-		return HistoryEntry{}, fmt.Errorf("server: %w: tick %d of %q (retained: %d..%d)",
-			ErrHistoryMiss, tick, id, st.history.oldest(), st.history.oldest()+int64(st.history.len())-1)
+	if lo, hi := h.window(st.tick); tick < lo || tick > hi {
+		if hi < lo {
+			lo, hi = -1, -2
+		}
+		return HistoryEntry{}, fmt.Errorf("server: %w: tick %d of %q (retained: %d..%d)", ErrHistoryMiss, tick, id, lo, hi)
 	}
-	return e, nil
+	i := len(h.marks) - 1
+	for h.marks[i].tick > tick {
+		i--
+	}
+	m := h.marks[i]
+	if tick == m.tick && m.value != nil {
+		return HistoryEntry{Tick: tick, Estimate: slices.Clone(m.value)}, nil
+	}
+	est := m.replica.PredictInto(tick-m.tick, make([]float64, m.replica.Dim()))
+	return HistoryEntry{Tick: tick, Estimate: est, Bound: m.delta}, nil
 }
 
 // HistoryRange returns archived answers for ticks in [from, to]
-// inclusive, in tick order. Every requested tick must be retained.
+// inclusive, in tick order. Every requested tick must be retained. Each
+// answer is one HistoryAt, so a range costs the sum of its ticks'
+// look-aheads from their marks.
 func (s *Server) HistoryRange(id string, from, to int64) ([]HistoryEntry, error) {
 	if from > to {
 		return nil, fmt.Errorf("server: history range [%d, %d] is empty", from, to)

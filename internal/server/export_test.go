@@ -13,5 +13,6 @@ func (s *Server) HistoryLen(id string) (int, error) {
 	if st.history == nil {
 		return 0, fmt.Errorf("server: %w for %q", ErrHistoryDisabled, id)
 	}
-	return st.history.len(), nil
+	lo, hi := st.history.window(st.tick)
+	return int(max(hi-lo+1, 0)), nil
 }

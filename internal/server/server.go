@@ -7,13 +7,14 @@
 // one Mutex per shard), so operations on different streams proceed
 // concurrently: per-stream replica state has no cross-stream coupling, and
 // the shard lock is only ever held for the nanoseconds a tiny state update
-// takes. Every operation takes its shard exclusively, reads too: a read
-// ahead of a record borrows its replica. A serial caller pays one
-// uncontended lock per operation.
+// takes. Every operation takes its shard exclusively. A serial caller pays
+// one uncontended lock per operation.
 //
-// Only messages (Ingest) and the tick-clock driver's Roll move a record;
-// no read does (view). So the replicas a source and the server hold agree
-// on the source's messages alone, never on who read in between.
+// Only messages (Ingest) and the tick-clock driver's Roll write a record
+// or its replica; a read writes nothing (view): ahead of the record it
+// predicts from the replica's state vector, stepping x alone on a copy.
+// So the replicas a source and the server hold agree on the source's
+// messages alone, never on who read in between.
 package server
 
 import (
@@ -64,7 +65,8 @@ type StreamInfo struct {
 	// the δ bound means geometrically.
 	Norm source.Norm
 	// Tick is the tick the snapshot is as of, plus one: ticks [0, Tick)
-	// have been stepped, by the record or, for a read ahead of it, on loan.
+	// have been stepped, by the record or, for a read ahead of it, by the
+	// prediction alone.
 	Tick int64
 	// LastCorrectionTick is the tick of the most recent correction, or
 	// -1 before the first.
@@ -84,12 +86,12 @@ type StreamInfo struct {
 	// watchdog marked the stream stale, all since this process registered
 	// or recovered the stream.
 	Suppressed, Duplicates, StaleEpisodes int64
-	// Staleness is Tick − LastCorrectionTick.
+	// Staleness is Tick − 1 − LastCorrectionTick.
 	Staleness int64
 	// Stale reports whether the staleness watchdog currently has the
 	// stream marked silent past its deadline.
 	Stale bool
-	// Prediction is the replica's current estimate.
+	// Prediction is the replica's estimate as of the snapshot's tick.
 	Prediction []float64
 }
 
@@ -127,7 +129,7 @@ type streamState struct {
 	// linking subsequent query events back to the state they serve from.
 	lastTrace uint64
 	heard     int64    // when the stream last sent anything, in the clock's unit
-	history   *history // when non-nil, archives settled per-tick answers
+	history   *history // when non-nil, answers settled past ticks (archive.go)
 	id        string
 
 	// spec and registerDelta preserve the original registration so the
@@ -186,9 +188,6 @@ type shard struct {
 	size atomic.Int64
 	// tel is nil unless the hosting server has a registry.
 	tel *shardTotals
-	// scratch holds, under mu, the snapshot of a replica a read ahead of
-	// its record has on loan (view).
-	scratch []float64
 }
 
 // Server hosts predictor replicas for any number of streams. All methods
@@ -484,23 +483,11 @@ func (s *Server) Unregister(id string) error {
 }
 
 // stepTo is the one time update, under the shard lock: it rolls the
-// replica forward so that ticks [0, tick) have been stepped. A stream with
-// history has a consumer for every intermediate tick — the settled answer
-// to archive — and steps one tick at a time; any other (every recovered
-// one, so replay is quiet by construction) advances in one call, which the
-// predictor contract makes bit-identical.
+// replica forward in one call so that ticks [0, tick) have been stepped.
 func (st *streamState) stepTo(tick int64) {
-	if st.history == nil {
-		if tick > st.tick {
-			st.replica.StepN(tick - st.tick)
-			st.tick = tick
-		}
-		return
-	}
-	for st.tick < tick {
-		st.archive()
-		st.replica.Step()
-		st.tick++
+	if tick > st.tick {
+		st.replica.StepN(tick - st.tick)
+		st.tick = tick
 	}
 }
 
@@ -529,35 +516,28 @@ func (s *Server) Roll(id string, tick int64) error {
 	return nil
 }
 
-// view runs read on id's record as of tick, under the shard lock, and
-// leaves the record as it found it. A negative tick, or the record's own
-// (ticks [0, tick] stepped), reads the record as it stands. A tick ahead
-// of it borrows the replica: its snapshot goes into the shard's scratch,
-// it steps the gap, read runs, and Restore puts it back — bit for bit, by
-// the Snapshotter contract. A tick a message has already moved the record
+// view runs read on id's record as of tick, under the shard lock, handing
+// it how many ticks ahead of the record that is: 0 for a negative tick or
+// the record's own (ticks [0, tick] stepped). read writes nothing, so the
+// record stays as it was. A tick a message has already moved the record
 // past is refused with ErrTickBehind.
-func view[K string | []byte](s *Server, id K, tick int64, read func(st *streamState) error) error {
+func view[K string | []byte](s *Server, id K, tick int64, read func(st *streamState, ahead int64) error) error {
 	sh, st, err := lock(s, id)
 	if err != nil {
 		return err
 	}
 	defer sh.mu.Unlock()
-	gap := tick + 1 - st.tick
+	ahead := tick + 1 - st.tick
 	switch {
-	case tick < 0 || gap == 0:
-		return read(st)
-	case gap < 0:
+	case tick < 0:
+		ahead = 0
+	case ahead < 0:
 		return fmt.Errorf("server: %w: tick %d of %q, which stands at tick %d", ErrTickBehind, tick, id, st.tick-1)
 	}
 	if err := checkAdvance(st, tick); err != nil {
 		return err
 	}
-	sh.scratch = st.replica.AppendSnapshot(sh.scratch[:0])
-	st.replica.StepN(gap)
-	st.tick += gap
-	err = read(st)
-	st.tick -= gap
-	return errors.Join(err, st.replica.Restore(sh.scratch))
+	return read(st, ahead)
 }
 
 // Apply, TickStream and Value alias the one ingest, step and serve bodies
@@ -582,9 +562,10 @@ func (s *Server) TickStream(id string) error {
 func (s *Server) Value(id string) ([]float64, float64, error) { return s.QueryAt(id, -1) }
 
 // MaxAdvancePerMessage bounds how far a single correction may roll a
-// replica forward, or a query step a borrowed one (view). Without it, one
-// malicious or corrupted message with a huge tick would spin the server
-// for an unbounded number of replica steps while holding the shard lock.
+// replica forward (x and P each tick), or a read predict ahead of one
+// (view; x alone, n² work a tick). Without it, one malicious or corrupted
+// message or query with a huge tick would spin the server for an unbounded
+// number of steps while holding the shard lock.
 const MaxAdvancePerMessage = 10_000_000
 
 // checkAdvance refuses a tick beyond MaxAdvancePerMessage; callers run it
@@ -696,6 +677,7 @@ func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Messa
 		st.bytes += int64(m.EncodedSize())
 		st.setLastValue(value)
 		st.lastValueTick = st.tick
+		st.mark()
 		// Remember the trace ID so later query events can point at the
 		// correction they serve from. Untraced messages still record an
 		// apply event when the journal is on, but leave lastTrace alone: a
@@ -789,26 +771,26 @@ type Answer struct {
 // built), writing the estimate into dst's storage, grown when short — so
 // a caller reusing its buffer allocates nothing.
 func Query[K string | []byte](s *Server, id K, tick int64, dst []float64) (a Answer, err error) {
-	err = view(s, id, tick, func(st *streamState) error {
+	err = view(s, id, tick, func(st *streamState, ahead int64) error {
 		a = Answer{ID: st.id, LastTrace: st.lastTrace, Heard: st.heard}
-		a.Estimate, a.Bound = s.serve(st, dst)
+		a.Estimate, a.Bound = s.serve(st, ahead, dst)
 		return nil
 	})
 	return a, err
 }
 
-// serve answers from the stream's current state into dst (answer) and
+// serve answers ahead ticks past the stream's state into dst (answer) and
 // records the query (the shard's totals and a trace event whose ID is the
 // last applied correction's, tying the answer to the state it was
 // computed from). Caller holds the shard lock.
-func (s *Server) serve(st *streamState, dst []float64) (estimate []float64, bound float64) {
+func (s *Server) serve(st *streamState, ahead int64, dst []float64) (estimate []float64, bound float64) {
 	if sh := st.sh; sh.tel != nil {
 		sh.tel.queries.Inc()
-		if stale := st.tick - 1 - st.lastCorr; stale >= 0 {
+		if stale := st.tick + ahead - 1 - st.lastCorr; stale >= 0 {
 			sh.tel.staleness.Observe(float64(stale))
 		}
 	}
-	estimate, bound = st.answer(dst)
+	estimate, bound = st.answer(ahead, dst)
 	if s.tr.Enabled() {
 		var v float64
 		if len(estimate) > 0 {
@@ -817,7 +799,7 @@ func (s *Server) serve(st *streamState, dst []float64) (estimate []float64, boun
 		s.tr.Record(trace.Event{
 			TraceID:  st.lastTrace,
 			StreamID: st.id,
-			Tick:     st.tick,
+			Tick:     st.tick + ahead,
 			Stage:    trace.StageQuery,
 			Outcome:  trace.OutcomeServed,
 			Value:    v,
@@ -827,24 +809,24 @@ func (s *Server) serve(st *streamState, dst []float64) (estimate []float64, boun
 	return estimate, bound
 }
 
-// answer is the one point-answer body (QueryAt, PeekValue and the history
-// archive share it): the shipped measurement with bound 0 on the
+// answer is the one point-answer body (QueryAt and PeekValue share it),
+// ahead ticks past the record: the shipped measurement with bound 0 on the
 // tick a correction arrived, the replica's prediction with the δ bound
 // otherwise — written into dst's storage, grown when short.
-func (st *streamState) answer(dst []float64) ([]float64, float64) {
-	if st.lastValueTick == st.tick && st.lastValue != nil {
+func (st *streamState) answer(ahead int64, dst []float64) ([]float64, float64) {
+	if ahead == 0 && st.lastValueTick == st.tick && st.lastValue != nil {
 		return append(dst[:0], st.lastValue...), 0
 	}
 	dim := st.replica.Dim()
-	return st.replica.PredictInto(slices.Grow(dst[:0], dim)[:dim]), st.delta
+	return st.replica.PredictInto(ahead, slices.Grow(dst[:0], dim)[:dim]), st.delta
 }
 
 // PeekValue answers the same point query as QueryAt but records no
 // telemetry and no trace events — the precision auditor's side channel,
 // so auditing a tick is invisible to the observability it feeds.
 func (s *Server) PeekValue(id string, tick int64) (estimate []float64, bound float64, err error) {
-	err = view(s, id, tick, func(st *streamState) error {
-		estimate, bound = st.answer(nil)
+	err = view(s, id, tick, func(st *streamState, ahead int64) error {
+		estimate, bound = st.answer(ahead, nil)
 		return nil
 	})
 	return estimate, bound, err
@@ -856,20 +838,25 @@ func (s *Server) PeekValue(id string, tick int64) (estimate []float64, bound flo
 // worst-case guarantee — the distribution supports confidence intervals
 // ("95% interval"), at the price of being a model statement rather than a
 // promise. Only predictors implementing predictor.Uncertainty (the Kalman
-// family) support it.
+// family) support it. It is the one read that needs P ahead of the record:
+// there it steps a clone, never the record's replica.
 func (s *Server) ValueDistribution(id string, tick int64) (estimate, stddev []float64, err error) {
-	err = view(s, id, tick, func(st *streamState) error {
-		u, ok := st.replica.(predictor.Uncertainty)
-		if !ok {
+	err = view(s, id, tick, func(st *streamState, ahead int64) error {
+		r := st.replica
+		if _, ok := r.(predictor.Uncertainty); !ok {
 			return fmt.Errorf("server: stream %q predictor (%s) has no predictive distribution",
-				id, st.replica.Name())
+				id, r.Name())
 		}
-		variance := u.PredictVariance()
+		if ahead > 0 {
+			r = r.Clone()
+			r.StepN(ahead)
+		}
+		variance := r.(predictor.Uncertainty).PredictVariance()
 		stddev = make([]float64, len(variance))
 		for i, v := range variance {
 			stddev[i] = math.Sqrt(v)
 		}
-		estimate = st.replica.PredictInto(make([]float64, st.replica.Dim()))
+		estimate = r.PredictInto(0, make([]float64, r.Dim()))
 		return nil
 	})
 	return estimate, stddev, err
@@ -896,7 +883,8 @@ func (s *Server) Delta(id string) (float64, error) {
 }
 
 // SetDelta records a changed precision bound for the stream (paired with
-// a delta-update message to the source).
+// a delta-update message to the source); its archive answers with it from
+// the record's tick on.
 func (s *Server) SetDelta(id string, delta float64) error {
 	if delta < 0 {
 		return fmt.Errorf("server: negative delta %g for %s", delta, id)
@@ -907,6 +895,7 @@ func (s *Server) SetDelta(id string, delta float64) error {
 	}
 	defer sh.mu.Unlock()
 	st.delta = delta
+	st.mark()
 	return nil
 }
 
@@ -932,9 +921,11 @@ func (st *streamState) info() StreamInfo {
 // Info returns a diagnostic snapshot of one stream as of tick (view, as
 // every read; -1 reads it where it stands).
 func (s *Server) Info(id string, tick int64) (info StreamInfo, err error) {
-	err = view(s, id, tick, func(st *streamState) error {
+	err = view(s, id, tick, func(st *streamState, ahead int64) error {
 		info = st.info()
-		info.Prediction = st.replica.PredictInto(make([]float64, st.replica.Dim()))
+		info.Tick += ahead
+		info.Staleness += ahead
+		info.Prediction = st.replica.PredictInto(ahead, make([]float64, st.replica.Dim()))
 		return nil
 	})
 	return info, err

@@ -24,20 +24,19 @@ func bitEqual(a, b []float64) bool {
 	return true
 }
 
-// TestStepToPathsEquivalent drives the two forms of stepTo with one
-// message and query sequence. Three servers hold the same stream: one with
-// history enabled — a consumer for every intermediate tick, so it advances
-// one tick at a time — one with the watchdog armed, heard on the tick
-// clock and scanned for silence on every tick, and a plain one; the
-// last two advance in single StepN calls. Only the messages move them: a
-// query ahead borrows the replica and puts it back, so the record answers
-// Value bit-identically before and after it. All three must give bit-equal
-// answers wherever they are asked and end with equal counters, equal
-// replica tick counts and equal checkpoints; a fourth plain server queried
-// on every tick must answer what the history server archived for that
-// tick; history holds each settled tick once; and the per-tick scan asked
-// for a resync exactly when the silence crossed each multiple of the
-// deadline.
+// TestStepToPathsEquivalent drives one message and query sequence into
+// three servers holding the same stream: one with history enabled — an
+// archive that marks the record on every message and predicts the ticks
+// between — one with the watchdog armed, heard on the tick clock and
+// scanned for silence on every tick, and a plain one. Only the messages
+// move them: a query ahead predicts from the replica and writes nothing,
+// so the record answers Value bit-identically before and after it. All
+// three must give bit-equal answers wherever they are asked and end with
+// equal counters, every filter stepped exactly the record's tick, and
+// equal checkpoints; a fourth plain server queried on every tick must
+// answer what the history server archived for that tick; history holds
+// each settled tick once; and the per-tick scan asked for a resync exactly
+// when the silence crossed each multiple of the deadline.
 func TestStepToPathsEquivalent(t *testing.T) {
 	const (
 		id       = "s"
@@ -187,7 +186,6 @@ func TestStepToPathsEquivalent(t *testing.T) {
 			regs := []*telemetry.Registry{plainReg, histReg, wdReg}
 			var infos [3]StreamInfo
 			var cps [3]any
-			var filterTicks [3]uint64
 			for i, s := range trio {
 				info, err := s.Info(id, -1)
 				if err != nil {
@@ -209,19 +207,11 @@ func TestStepToPathsEquivalent(t *testing.T) {
 					t.Fatal(err)
 				}
 				sh.mu.Unlock()
-				// A filter counts its borrowed steps too (a read ahead steps
-				// the replica and restores its state, not the count), so the
-				// count is at least the record's tick and the same on every path.
-				if k, ok := st.replica.(*predictor.Kalman); ok {
-					if filterTicks[i] = k.Filter().Ticks(); int64(filterTicks[i]) < info.Tick {
-						t.Errorf("server %d: filter stepped %d times, stream is at tick %d", i, filterTicks[i], info.Tick)
-					}
+				if k, ok := st.replica.(*predictor.Kalman); ok && int64(k.Filter().Ticks()) != info.Tick {
+					t.Errorf("server %d: filter stepped %d times, stream is at tick %d", i, k.Filter().Ticks(), info.Tick)
 				}
 			}
 			for i := 1; i < 3; i++ {
-				if filterTicks[i] != filterTicks[0] {
-					t.Errorf("plain filter stepped %d times, per-tick path %d %d times", filterTicks[0], i, filterTicks[i])
-				}
 				if !reflect.DeepEqual(infos[0], infos[i]) {
 					t.Errorf("plain record %+v\nper-tick path %d record %+v", infos[0], i, infos[i])
 				}

@@ -64,7 +64,7 @@ func TestReadMovesNoRecord(t *testing.T) {
 		}
 	}
 	src.StepN(61 - stepped)
-	if want := src.PredictInto(make([]float64, src.Dim())); !bitEqual(quiet, want) {
+	if want := src.PredictInto(0, make([]float64, src.Dim())); !bitEqual(quiet, want) {
 		t.Fatalf("server answers %v at tick 60, the source's replica predicts %v", quiet, want)
 	}
 }
@@ -74,21 +74,7 @@ func TestReadMovesNoRecord(t *testing.T) {
 // rolled there answers, and leave the record's snapshot, tick and counts
 // bit-identical.
 func TestViewLeavesEveryKindUntouched(t *testing.T) {
-	specs := map[string]predictor.Spec{
-		"static": {Kind: predictor.KindStatic, Dim: 1},
-		"dr":     {Kind: predictor.KindDeadReckoning, Dim: 1},
-		"ewma":   {Kind: predictor.KindEWMA, Dim: 1, Alpha: 0.4},
-		"holt":   {Kind: predictor.KindHolt, Dim: 1, Alpha: 0.5, Beta: 0.2},
-		"rw1":    {Kind: predictor.KindKalman, Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.5, R: 0.1}},
-		"cv2":    kalmanSpec(),
-		"adaptive": {Kind: predictor.KindKalman, Adaptive: true, AdaptiveWindow: 4,
-			Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}},
-		"bank": {Kind: predictor.KindKalmanBank, Models: []predictor.ModelSpec{
-			{Kind: predictor.ModelRandomWalk, Q: 0.5, R: 0.1},
-			{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1},
-		}},
-	}
-	for name, spec := range specs {
+	for name, spec := range everyKind() {
 		t.Run(name, func(t *testing.T) {
 			s, twin := New(), New()
 			for _, srv := range []*Server{s, twin} {
@@ -189,4 +175,110 @@ func mustInfoAt(t *testing.T, s *Server, tick int64) StreamInfo {
 		t.Fatal(err)
 	}
 	return info
+}
+
+// everyKind is one spec of every predictor kind, generic shapes aside.
+func everyKind() map[string]predictor.Spec {
+	return map[string]predictor.Spec{
+		"static": {Kind: predictor.KindStatic, Dim: 1},
+		"dr":     {Kind: predictor.KindDeadReckoning, Dim: 1},
+		"ewma":   {Kind: predictor.KindEWMA, Dim: 1, Alpha: 0.4},
+		"holt":   {Kind: predictor.KindHolt, Dim: 1, Alpha: 0.5, Beta: 0.2},
+		"rw1":    {Kind: predictor.KindKalman, Model: predictor.ModelSpec{Kind: predictor.ModelRandomWalk, Q: 0.5, R: 0.1}},
+		"cv2":    kalmanSpec(),
+		"adaptive": {Kind: predictor.KindKalman, Adaptive: true, AdaptiveWindow: 4,
+			Model: predictor.ModelSpec{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1}},
+		"bank": {Kind: predictor.KindKalmanBank, Models: []predictor.ModelSpec{
+			{Kind: predictor.ModelRandomWalk, Q: 0.5, R: 0.1},
+			{Kind: predictor.ModelConstantVelocity, Q: 0.05, R: 0.1},
+		}},
+	}
+}
+
+// poisoned is a replica whose every writer panics, so a read that answers
+// through it wrote nothing.
+type poisoned struct{ predictor.Predictor }
+
+func (poisoned) Step()                              { panic("a read stepped the replica") }
+func (poisoned) StepN(int64)                        { panic("a read stepped the replica") }
+func (poisoned) Correct([]float64) error            { panic("a read corrected the replica") }
+func (poisoned) Restore([]float64) error            { panic("a read restored the replica") }
+func (poisoned) AppendSnapshot([]float64) []float64 { panic("a read snapshotted the replica") }
+func (poisoned) Clone() predictor.Predictor         { panic("a read cloned the replica") }
+
+// TestPoisonedReplicaStillAnswers: a read writes nothing. With every
+// writer of the record's replica poisoned, QueryAt, PeekValue and Info
+// answer at the record's tick and 1, 64 and 4,096 ticks ahead of it, bit
+// for bit what an unpoisoned control answers, and leave the record as
+// they found it.
+func TestPoisonedReplicaStillAnswers(t *testing.T) {
+	for name, spec := range everyKind() {
+		t.Run(name, func(t *testing.T) {
+			s, control := New(), New()
+			rng := rand.New(rand.NewSource(9))
+			tick := int64(0)
+			for _, srv := range []*Server{s, control} {
+				if err := srv.Register("s", spec, 0.5); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 20 {
+				tick += 1 + int64(rng.Intn(4))
+				m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: tick, Value: []float64{rng.NormFloat64()}}
+				for _, srv := range []*Server{s, control} {
+					if _, _, err := srv.Ingest(m, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sh, st, err := lock(s, "s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.replica = poisoned{st.replica}
+			sh.mu.Unlock()
+			before := mustInfo(t, s)
+			for _, gap := range []int64{0, 1, 64, 4096} {
+				at := tick + gap
+				est, bound, err := s.QueryAt("s", at)
+				want, wantBound, werr := control.QueryAt("s", at)
+				if err != nil || werr != nil || !bitEqual(est, want) || bound != wantBound {
+					t.Fatalf("gap %d: QueryAt %v ± %v (err %v), control %v ± %v (err %v)", gap, est, bound, err, want, wantBound, werr)
+				}
+				if peek, _, err := s.PeekValue("s", at); err != nil || !bitEqual(peek, want) {
+					t.Fatalf("gap %d: PeekValue %v (err %v), want %v", gap, peek, err, want)
+				}
+				if info, err := s.Info("s", at); err != nil || !reflect.DeepEqual(info, mustInfoAt(t, control, at)) {
+					t.Fatalf("gap %d: Info %+v (err %v), control %+v", gap, info, err, mustInfoAt(t, control, at))
+				}
+			}
+			if after := mustInfo(t, s); !reflect.DeepEqual(after, before) {
+				t.Fatalf("reads moved the record from %+v to %+v", before, after)
+			}
+		})
+	}
+}
+
+// TestQueryAheadAllocatesNothing: a query 64 ticks ahead of the record
+// into the caller's buffer allocates nothing, for every kind.
+func TestQueryAheadAllocatesNothing(t *testing.T) {
+	for name, spec := range everyKind() {
+		s := New()
+		if err := s.Register("s", spec, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: 5, Value: []float64{1.5}}
+		if _, _, err := s.Ingest(m, 0); err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, 1)
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := Query(s, "s", 5+64, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s: a query 64 ticks ahead makes %v allocations, want 0", name, got)
+		}
+	}
 }

@@ -230,7 +230,7 @@ func (s *Source) Observe(tick int64, z []float64) (sent bool, err error) {
 	}
 	s.replica.Step()
 
-	dev := s.cfg.DeviationNorm.Deviation(z, s.replica.PredictInto(s.predScratch))
+	dev := s.cfg.DeviationNorm.Deviation(z, s.replica.PredictInto(0, s.predScratch))
 	traced := s.tr.Enabled()
 
 	// A pending resync request bypasses the gate: the server believes its
@@ -391,4 +391,4 @@ func (s *Source) Stats() Stats {
 
 // Prediction returns what the server is currently predicting for this
 // stream (the replica's view) — useful for diagnostics and tests.
-func (s *Source) Prediction() []float64 { return s.replica.PredictInto(make([]float64, s.dim)) }
+func (s *Source) Prediction() []float64 { return s.replica.PredictInto(0, make([]float64, s.dim)) }

@@ -2,83 +2,72 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// formatValue renders a float the way the Prometheus text format expects.
-func formatValue(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	default:
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	}
-}
-
-// labelsWith appends one more label to an already-rendered label set —
-// used for histogram `le` labels.
-func labelsWith(labels, key, value string) string {
-	extra := key + `="` + value + `"`
-	if labels == "" {
-		return "{" + extra + "}"
-	}
-	return labels[:len(labels)-1] + "," + extra + "}"
-}
-
 // WritePrometheus renders every metric in the Prometheus text exposition
 // format (version 0.0.4): # HELP/# TYPE headers per family, one line per
-// series, and the _bucket/_sum/_count expansion for histograms.
+// series sorted by name then label set, and the _bucket/_sum/_count
+// expansion for histograms — appended into one buffer, sized by the
+// previous scrape, and written once. (strconv spells ±Inf and NaN as the
+// format does.)
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	samples := r.Snapshot()
-	helps := make(map[string]string)
 	r.mu.RLock()
-	for name, f := range r.families {
+	fams := slices.SortedFunc(maps.Values(r.families), func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	b := make([]byte, 0, r.scrapeSize.Load())
+	put := func(parts ...string) {
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+	}
+	var ss []*series
+	for _, f := range fams {
 		if f.help != "" {
-			helps[name] = f.help
+			put("# HELP ", f.name, " ", f.help, "\n")
+		}
+		put("# TYPE ", f.name, " ", f.kind.String(), "\n")
+		ss = slices.AppendSeq(ss[:0], maps.Values(f.series))
+		slices.SortFunc(ss, func(a, b *series) int { return strings.Compare(a.labels, b.labels) })
+		for _, s := range ss {
+			switch f.kind {
+			case KindCounter:
+				put(f.name, s.labels, " ")
+				b = strconv.AppendFloat(b, float64(s.ctr.Value()), 'g', -1, 64)
+			case KindGauge:
+				put(f.name, s.labels, " ")
+				b = strconv.AppendFloat(b, s.gauge.Value(), 'g', -1, 64)
+			case KindHistogram:
+				h, cum := s.hist, int64(0)
+				for i := range h.buckets {
+					cum += h.buckets[i].Load()
+					if put(f.name, "_bucket{"); s.labels != "" {
+						put(s.labels[1:len(s.labels)-1], ",")
+					}
+					b = strconv.AppendFloat(append(b, `le="`...), h.upper(i), 'g', -1, 64)
+					b = strconv.AppendInt(append(b, `"} `...), cum, 10)
+					if ex := h.BucketExemplar(i); ex != nil {
+						// OpenMetrics exemplar suffix: the bucket's sampled trace and stream.
+						b = strconv.AppendUint(append(b, ` # {trace_id="`...), ex.TraceID, 10)
+						put(`",stream="`, labelEscaper.Replace(ex.StreamID), `"} `)
+						b = strconv.AppendFloat(append(strconv.AppendFloat(b, ex.Value, 'g', -1, 64), ' '), float64(ex.UnixNano)/1e9, 'f', 3, 64)
+					}
+					b = append(b, '\n')
+				}
+				put(f.name, "_sum", s.labels, " ")
+				b = strconv.AppendFloat(b, h.Sum(), 'g', -1, 64)
+				put("\n", f.name, "_count", s.labels, " ")
+				b = strconv.AppendInt(b, cum, 10)
+			}
+			b = append(b, '\n')
 		}
 	}
 	r.mu.RUnlock()
-
-	var b strings.Builder
-	lastName := ""
-	for _, s := range samples {
-		if s.Name != lastName {
-			if h := helps[s.Name]; h != "" {
-				fmt.Fprintf(&b, "# HELP %s %s\n", s.Name, h)
-			}
-			fmt.Fprintf(&b, "# TYPE %s %s\n", s.Name, s.Kind)
-			lastName = s.Name
-		}
-		switch s.Kind {
-		case KindHistogram:
-			for _, bk := range s.Buckets {
-				fmt.Fprintf(&b, "%s_bucket%s %d",
-					s.Name, labelsWith(s.Labels, "le", formatValue(bk.UpperBound)), bk.Count)
-				if ex := bk.Exemplar; ex != nil {
-					// OpenMetrics exemplar suffix: the sampled resident
-					// observation with its trace and stream identity, so a
-					// bucket spike resolves to a trace-journal entry in one hop.
-					fmt.Fprintf(&b, " # {trace_id=\"%d\",stream=\"%s\"} %s %s",
-						ex.TraceID, escapeLabel(ex.StreamID), formatValue(ex.Value),
-						strconv.FormatFloat(float64(ex.UnixNano)/1e9, 'f', 3, 64))
-				}
-				b.WriteByte('\n')
-			}
-			fmt.Fprintf(&b, "%s_sum%s %s\n", s.Name, s.Labels, formatValue(s.Sum))
-			fmt.Fprintf(&b, "%s_count%s %d\n", s.Name, s.Labels, s.Count)
-		default:
-			fmt.Fprintf(&b, "%s%s %s\n", s.Name, s.Labels, formatValue(s.Value))
-		}
-	}
-	_, err := io.WriteString(w, b.String())
+	r.scrapeSize.Store(int64(len(b)))
+	_, err := w.Write(b)
 	return err
 }
 
@@ -106,7 +95,7 @@ func (r *Registry) WriteVars(w io.Writer) error {
 		case KindHistogram:
 			buckets := make(map[string]int64, len(s.Buckets))
 			for _, bk := range s.Buckets {
-				buckets[formatValue(bk.UpperBound)] = bk.Count
+				buckets[strconv.FormatFloat(bk.UpperBound, 'g', -1, 64)] = bk.Count
 			}
 			out[key] = histVars{Count: s.Count, Sum: s.Sum, Mean: s.Mean(),
 				P50: s.Quantile(0.5), P95: s.Quantile(0.95), P99: s.Quantile(0.99),

@@ -234,6 +234,14 @@ func (h *Histogram) Count() int64 {
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
+// upper returns bucket i's upper bound, +Inf for the last.
+func (h *Histogram) upper(i int) float64 {
+	if i < len(h.bounds) {
+		return h.bounds[i]
+	}
+	return math.Inf(1)
+}
+
 // NumBuckets returns the number of buckets including the implicit +Inf
 // bucket — the length ReadBuckets needs.
 func (h *Histogram) NumBuckets() int { return len(h.buckets) }
@@ -306,8 +314,9 @@ type family struct {
 // usable; call New. Lookup methods are get-or-create and safe for
 // concurrent use; the returned handles are lock-free.
 type Registry struct {
-	mu       sync.RWMutex
-	families map[string]*family
+	mu         sync.RWMutex
+	families   map[string]*family
+	scrapeSize atomic.Int64 // the last scrape's length: the next one's capacity
 }
 
 // New returns an empty registry.
@@ -343,21 +352,16 @@ func renderLabels(pairs []string) string {
 		}
 		b.WriteString(p.k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(p.v))
+		b.WriteString(labelEscaper.Replace(p.v))
 		b.WriteString(`"`)
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel escapes a label value per the Prometheus text format.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the Prometheus text format; a
+// value with nothing to escape comes back as it is.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // lookup returns the series for (name, labels), creating family and
 // series as needed and enforcing kind consistency.
@@ -561,14 +565,10 @@ func (r *Registry) SnapshotAppend(dst []Sample) []Sample {
 			var cum int64
 			for i := range h.buckets {
 				cum += h.buckets[i].Load()
-				ub := math.Inf(1)
-				if i < len(h.bounds) {
-					ub = h.bounds[i]
-				}
 				// The exemplar pointer is shared, not copied — immutable by
 				// construction, so attaching it costs no allocation and the
 				// recycled-slice scrape stays zero-alloc.
-				buckets = append(buckets, Bucket{UpperBound: ub, Count: cum, Exemplar: h.BucketExemplar(i)})
+				buckets = append(buckets, Bucket{UpperBound: h.upper(i), Count: cum, Exemplar: h.BucketExemplar(i)})
 			}
 			smp.Buckets = buckets
 			dst = append(dst, smp)

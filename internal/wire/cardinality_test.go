@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +99,34 @@ func TestTelemetryCardinalityIndependentOfPopulation(t *testing.T) {
 	if series[0] != series[1] || series[0] >= 200 {
 		t.Fatalf("registry holds %d series at 1,000 streams and %d at 20,000, want equal and < 200", series[0], series[1])
 	}
+}
+
+// TestScrapeGarbage: a scrape appends the exposition into one buffer, so
+// rendering a bare server's /metrics at 10,000 streams makes at most 250
+// objects and 100 KB (2,487 objects and 235 KB for 27 KB of text when
+// every line went through fmt and every scrape through Snapshot).
+func TestScrapeGarbage(t *testing.T) {
+	srv := populate(t, 10_000)
+	defer srv.Close()
+	if _, err := srv.MetricsText(); err != nil { // the first sizes the buffer
+		t.Fatal(err)
+	}
+	const scrapes = 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range scrapes {
+		if _, err := srv.MetricsText(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	objects := (after.Mallocs - before.Mallocs) / scrapes
+	bytes := (after.TotalAlloc - before.TotalAlloc) / scrapes
+	if objects > 250 || bytes > 100<<10 {
+		t.Fatalf("a scrape makes %d objects and %d bytes, want ≤ 250 and ≤ 100 KB", objects, bytes)
+	}
+	t.Logf("a scrape makes %d objects and %d bytes", objects, bytes)
 }
 
 // discardConn is a net.Conn that swallows writes, deadlines included.

@@ -138,7 +138,7 @@ func (r refModel) query(id string, tick int64) (AnswerPayload, error) {
 	if err != nil {
 		return AnswerPayload{}, err
 	}
-	ans := AnswerPayload{ID: id, Tick: tick, Estimate: p.PredictInto(make([]float64, p.Dim())), Bound: st.delta}
+	ans := AnswerPayload{ID: id, Tick: tick, Estimate: p.PredictInto(0, make([]float64, p.Dim())), Bound: st.delta}
 	if lastValueAt == view.tick {
 		ans.Estimate, ans.Bound = lastValue, 0
 	}
