@@ -182,7 +182,7 @@ func BenchmarkLazyAdvance(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.StreamID, m.Tick = id, 0
-		if _, _, err := srv.Ingest(&m, 0); err != nil {
+		if _, _, err := srv.Ingest(&m, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func BenchmarkLazyAdvance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.StreamID, m.Tick = ids[i%streams], int64(i/streams)*8+7
 		m.Value[0] = float64(i&15) * 0.25
-		if _, _, err := srv.Ingest(&m, 0); err != nil {
+		if _, _, err := srv.Ingest(&m, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -858,7 +858,7 @@ func checkpointedNode(b *testing.B, dir string, n int) *core.Node {
 			b.Fatal(err)
 		}
 		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: 3, Value: []float64{float64(i)}}
-		if _, _, err := node.Server().Ingest(m, 0); err != nil {
+		if _, _, err := node.Server().Ingest(m, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

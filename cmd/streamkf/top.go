@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -41,13 +40,13 @@ func cmdTop(args []string) error {
 		if i > 0 {
 			time.Sleep(*interval)
 		}
-		cur, err := fetchHealth(client, url)
-		if err != nil {
+		cur := new(health.DebugPayload)
+		if err := fetchJSON(client, url, cur); err != nil {
 			return fmt.Errorf("top: %w (is kfserver running with -http %s?)", err, *httpAddr)
 		}
 		// The offender tables are best-effort: an older server without
 		// the flight recorder simply has no pane.
-		offenders := fetchOffenders(client, topURL)
+		offenders := fetchOptional[diag.TopPayload](client, topURL)
 		now := time.Now()
 		elapsed := 0.0
 		if prev != nil {
@@ -56,9 +55,9 @@ func cmdTop(args []string) error {
 		// The history and term-cache panes are equally best-effort:
 		// servers without /debug/history or the coordinator metrics
 		// simply render without them.
-		hist := fetchHistory(client, histURL)
+		hist := fetchOptional[history.DumpPayload](client, histURL)
 		vars := fetchVars(client, varsURL)
-		lat := fetchLatency(client, latURL)
+		lat := fetchOptional[freshness.Snapshot](client, latURL)
 		// Clear screen, home cursor: plain ANSI, no TUI dependency.
 		fmt.Print("\x1b[2J\x1b[H")
 		fmt.Print(renderTop(prev, cur, elapsed))
@@ -77,23 +76,16 @@ func cmdTop(args []string) error {
 	return nil
 }
 
-// fetchOffenders polls the flight recorder's /debug/top tables. Any
-// failure (404 on an older server, timeout) returns nil: the pane is
-// optional.
-func fetchOffenders(client *http.Client, url string) *diag.TopPayload {
-	resp, err := client.Get(url)
-	if err != nil {
+// fetchOptional polls an optional pane's payload (the flight recorder's
+// /debug/top tables, /debug/latency, the telemetry-history dump). Any
+// failure (404 on an older server, timeout) returns nil: the pane is left
+// out.
+func fetchOptional[T any](client *http.Client, url string) *T {
+	v := new(T)
+	if fetchJSON(client, url, v) != nil {
 		return nil
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var payload diag.TopPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return nil
-	}
-	return &payload
+	return v
 }
 
 // renderOffenders formats the flight recorder's attribution tables as
@@ -135,24 +127,6 @@ func writeOffenderTables(b *strings.Builder, tables map[string][]diag.Item) bool
 	return any
 }
 
-// fetchLatency polls the freshness snapshot at /debug/latency. Any
-// failure (older server, timeout) returns nil: the pane is optional.
-func fetchLatency(client *http.Client, url string) *freshness.Snapshot {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var snap freshness.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil
-	}
-	return &snap
-}
-
 // renderLatency formats the freshness pane: e2e and staleness quantiles
 // with their span counts, the worst resident exemplar (the one-hop
 // pivot into /debug/trace), and per-connection clock-skew estimates.
@@ -190,38 +164,12 @@ func fmtSec(v float64) string {
 	return fmt.Sprintf("%.3fs", v)
 }
 
-// fetchHistory polls the telemetry-history dump (finest tier, last 30
-// buckets per series). Any failure returns nil: the pane is optional.
-func fetchHistory(client *http.Client, url string) *history.DumpPayload {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var payload history.DumpPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return nil
-	}
-	return &payload
-}
-
 // fetchVars polls /debug/vars for the scalar metrics the dashboard
 // derives ratios from. Histogram entries decode as objects and are
 // skipped. Any failure returns nil.
 func fetchVars(client *http.Client, url string) map[string]float64 {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
 	var raw map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+	if fetchJSON(client, url, &raw) != nil {
 		return nil
 	}
 	out := make(map[string]float64, len(raw))
@@ -324,22 +272,6 @@ func topActive(series []history.SeriesRange, n int) []history.SeriesRange {
 		out[i] = s.r
 	}
 	return out
-}
-
-func fetchHealth(client *http.Client, url string) (*health.DebugPayload, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	var payload health.DebugPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", url, err)
-	}
-	return &payload, nil
 }
 
 // sparkRunes is the classic eighth-block ramp.

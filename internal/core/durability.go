@@ -34,10 +34,10 @@ func (s *System) CheckpointWAL() error { return s.node.Checkpoint() }
 // and its bookkeeping is dropped (anything still in the group-commit
 // buffer dies with it, exactly like SIGKILL), and the node reopens and
 // recovers the directory as it does at construction — checkpoint first,
-// then the records after its sequence. Replicas are then rolled up to the
-// system clock, and only then are the staleness watchdogs and the answer
-// archives re-armed, so no replayed tick is archived and silence still
-// counts from each stream's last applied message. Sources,
+// then the records after its sequence. Only then are the staleness
+// watchdogs and the answer archives re-armed, the archives as of the
+// system clock, so no replayed tick is archived and silence still counts
+// from each stream's last applied message; no replica moves. Sources,
 // links, the auditor, and the clock are untouched: from the server's
 // perspective they are remote processes that survived the crash.
 //
@@ -55,16 +55,13 @@ func (s *System) RestartServer() (wal.RecoveryStats, error) {
 	}
 	for _, h := range s.order {
 		id := h.src.StreamID()
-		if err := s.roll(id); err != nil {
-			return n.recovery, err
-		}
 		if h.fb != nil {
 			if err := n.srv.SetWatchdog(id, h.wdDeadline, h.fb); err != nil {
 				return n.recovery, err
 			}
 		}
 		if h.histCap > 0 {
-			if err := n.srv.EnableHistory(id, h.histCap); err != nil {
+			if err := n.srv.EnableHistory(id, h.histCap, n.readTick()); err != nil {
 				return n.recovery, err
 			}
 		}

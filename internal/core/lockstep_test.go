@@ -177,3 +177,24 @@ func TestLateAttachStaysInLockStep(t *testing.T) {
 		}
 	}
 }
+
+// TestSuppressedIsTheGatesCount: on a loss-free link the record counts as
+// suppressed exactly the ticks the gate suppressed, read on every tick —
+// a delivery steps through the silent ticks before its own and counts
+// those alone, and a read ahead counts the silent run it predicts across.
+func TestSuppressedIsTheGatesCount(t *testing.T) {
+	for _, heartbeat := range []int64{0, 25} {
+		var last server.StreamInfo
+		h := lockStepRun(t, StreamConfig{ID: "s", HeartbeatEvery: heartbeat}, 600,
+			func(*StreamHandle, int64) {},
+			func(tick int64, h *StreamHandle, info server.StreamInfo) {
+				if gate := h.Stats().Suppressed; info.Suppressed != gate {
+					t.Fatalf("heartbeat %d, tick %d: record counts %d suppressed, the gate %d", heartbeat, tick, info.Suppressed, gate)
+				}
+				last = info
+			})
+		if st := h.Stats(); st.Sent == 0 || st.Suppressed == 0 || last.Corrections != st.Sent {
+			t.Fatalf("heartbeat %d: gate %+v, record %+v: want both decisions taken, every correction applied", heartbeat, st, last)
+		}
+	}
+}

@@ -88,7 +88,7 @@ func checkpointAllocs(t *testing.T, streams int) float64 {
 			t.Fatal(err)
 		}
 		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: 3, Value: []float64{float64(i)}}
-		if _, _, err := n.Server().Ingest(m, 0); err != nil {
+		if _, _, err := n.Server().Ingest(m, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

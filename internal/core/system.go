@@ -252,8 +252,9 @@ const FreshnessTickPeriod = time.Millisecond
 // Observe (on distinct streams), queries, and Subscribe may run
 // concurrently between Advances — the replica cache is lock-striped and
 // all counters are atomic. Replicas advance lazily, as under the wire
-// server: a delivery rolls the stream to its arrival tick, and a read at
-// the current tick steps a borrowed replica there and moves nothing.
+// server: a delivery is one ingest at its arrival tick, and a read at the
+// current tick — the answer archive and a δ change included — predicts
+// there and moves nothing.
 type System struct {
 	node    *Node
 	handles map[string]*StreamHandle
@@ -318,15 +319,11 @@ func (s *System) Attach(cfg StreamConfig) (*StreamHandle, error) {
 	if err := n.srv.RegisterAt(cfg.ID, cfg.Predictor, cfg.Delta, cfg.DeviationNorm, s.tick.Load()); err != nil {
 		return nil, err
 	}
-	// recv is the terminal receiver: a roll to the arrival tick, the one
-	// ingest, and an applied message's latency span. A delivery failure is
-	// a protocol bug, surfaced by panic rather than corrupting the replica.
+	// recv is the terminal receiver: the one ingest, at the arrival tick,
+	// and an applied message's latency span. A delivery failure is a
+	// protocol bug, surfaced by panic rather than corrupting the replica.
 	recv := func(m *netsim.Message) {
-		err := n.srv.Roll(m.StreamID, s.arrival.Load())
-		applied := false
-		if err == nil {
-			applied, _, err = n.srv.Ingest(m, m.Tick+1)
-		}
+		applied, _, err := n.srv.Ingest(m, s.arrival.Load()+1, m.Tick+1)
 		if err != nil {
 			panic(fmt.Sprintf("core: replica apply failed: %v", err))
 		}
@@ -471,10 +468,7 @@ func (h *StreamHandle) SetDelta(delta float64) error {
 	if err := h.src.SetDelta(delta); err != nil {
 		return err
 	}
-	if err := h.sys.roll(h.src.StreamID()); err != nil {
-		return err
-	}
-	return h.sys.node.srv.SetDelta(h.src.StreamID(), delta)
+	return h.sys.node.srv.SetDelta(h.src.StreamID(), delta, h.sys.node.readTick())
 }
 
 // Stats returns the gate counters for the stream.
@@ -603,10 +597,7 @@ func (s *System) Unsubscribe(subID int) error { return s.node.subs.Unsubscribe(s
 // EnableHistory starts archiving a stream's settled per-tick answers in a
 // ring of the given capacity, enabling historical queries.
 func (s *System) EnableHistory(id string, capacity int) error {
-	if err := s.roll(id); err != nil {
-		return err
-	}
-	if err := s.node.srv.EnableHistory(id, capacity); err != nil {
+	if err := s.node.srv.EnableHistory(id, capacity, s.node.readTick()); err != nil {
 		return err
 	}
 	s.handles[id].histCap = capacity
@@ -615,10 +606,7 @@ func (s *System) EnableHistory(id string, capacity int) error {
 
 // HistoryAt returns the archived answer for a past tick.
 func (s *System) HistoryAt(id string, tick int64) (server.HistoryEntry, error) {
-	if err := s.roll(id); err != nil {
-		return server.HistoryEntry{}, err
-	}
-	return s.node.srv.HistoryAt(id, tick)
+	return s.node.srv.HistoryAt(id, tick, s.node.readTick())
 }
 
 // HistoryAverage answers the mean over past ticks [from, to] with the
@@ -640,9 +628,6 @@ func (s *System) StreamIDs() []string { return s.node.srv.StreamIDs() }
 func (s *System) Info(id string) (server.StreamInfo, error) {
 	return s.node.srv.Info(id, s.node.readTick())
 }
-
-// roll brings a stream to the current tick (server.Roll).
-func (s *System) roll(id string) error { return s.node.srv.Roll(id, s.node.readTick()) }
 
 // Auditor returns the online precision auditor, or nil when SystemConfig
 // .Audit was not set.

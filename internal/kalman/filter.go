@@ -45,7 +45,7 @@ type Filter struct {
 	n, m    int32    // state and observation dimensions
 	ticks   uint64   // time updates since construction
 	updates uint64   // Update calls since construction
-	g       *scratch // the mat path's headers and temporaries; nil for a kernel shape
+	g       *scratch // the mat path's headers and temporaries (scratch); nil for a kernel shape
 	name    string   // the model's
 }
 
@@ -71,7 +71,9 @@ func (f *Filter) x() []float64 { return f.blk[len(f.blk)-int(f.n):] }
 
 // scratch is everything the mat path reads and writes besides the block,
 // preallocated so its hot loop runs without garbage. Only a filter whose
-// shape has no kernel owns one.
+// shape has no kernel owns one, from its first predict or update on
+// (Filter.scratch): a filter that is only read — a spec's prototype, an
+// archive mark — owns none.
 type scratch struct {
 	hdr    [5]mat.Matrix // F, Q, H, R, P over the block
 	xNext  []float64
@@ -92,6 +94,14 @@ type scratch struct {
 	leftNN *mat.Matrix // (I−KH)·P·(I−KH)ᵀ
 	krkNN  *mat.Matrix // K·R·Kᵀ
 	ky     []float64   // K·y
+}
+
+// scratch returns the mat path's scratch, built on first use.
+func (f *Filter) scratch() *scratch {
+	if f.g == nil {
+		f.g = newScratch(f)
+	}
+	return f.g
 }
 
 func newScratch(f *Filter) *scratch {
@@ -162,9 +172,6 @@ func InitFilter(f *Filter, blk []float64, model *Model, x0 []float64, p0 *mat.Ma
 		rest = rest[copy(rest, src.Raw()):]
 	}
 	copy(rest, x0)
-	if f.shape == shapeGeneric {
-		f.g = newScratch(f)
-	}
 	return nil
 }
 
@@ -220,7 +227,7 @@ func (f *Filter) PredictN(k int64) {
 }
 
 func (f *Filter) predictGeneric() {
-	g := f.g
+	g := f.scratch()
 	fm, q, p, x := &g.hdr[partF], &g.hdr[partQ], &g.hdr[partP], f.x()
 	mat.MulVecTo(g.xNext, fm, x)
 	copy(x, g.xNext)
@@ -263,7 +270,7 @@ func (f *Filter) Update(z []float64) error {
 }
 
 func (f *Filter) updateGeneric(z []float64) error {
-	g := f.g
+	g := f.scratch()
 	h, r, p, x := &g.hdr[partH], &g.hdr[partR], &g.hdr[partP], f.x()
 	// Innovation y = z − H·x.
 	mat.MulVecTo(g.hx, h, x)
@@ -452,17 +459,14 @@ func (f *Filter) Clone() *Filter {
 }
 
 // CloneInto is Clone into caller-owned storage, as InitFilter does: dst, a
-// zero Filter, and blk for the block when its length is the block's. A
-// generic shape gets scratch of its own, never f's.
+// zero Filter, and blk for the block when its length is the block's. The
+// clone shares no scratch with f: it builds its own on its first update.
 func (f *Filter) CloneInto(dst *Filter, blk []float64) {
 	if len(blk) != len(f.blk) {
 		blk = make([]float64, len(f.blk))
 	}
 	copy(blk, f.blk)
 	dst.blk, dst.shape, dst.n, dst.m, dst.ticks, dst.updates, dst.name = blk, f.shape, f.n, f.m, f.ticks, f.updates, f.name
-	if dst.shape == shapeGeneric {
-		dst.g = newScratch(dst)
-	}
 }
 
 // SetNoise replaces the process and/or measurement noise covariances.

@@ -237,8 +237,9 @@ func TestKernelSingularMatchesGeneric(t *testing.T) {
 }
 
 // TestKernelShapesOwnNoScratch pins the allocation shape: a filter with a
-// kernel is the struct plus one block, and the mat-path scratch exists
-// only for shapes without one.
+// kernel is the struct plus one block, no filter owns the mat-path scratch
+// at construction or as a clone, and a shape without a kernel builds it on
+// its first update.
 func TestKernelShapesOwnNoScratch(t *testing.T) {
 	for _, tc := range []struct {
 		model  *Model
@@ -253,8 +254,14 @@ func TestKernelShapesOwnNoScratch(t *testing.T) {
 		n := tc.model.StateDim()
 		x0, p0 := make([]float64, n), InitialCovariance(n, 1)
 		f := MustFilter(tc.model, x0, p0)
+		if c := f.Clone(); f.g != nil || c.g != nil {
+			t.Errorf("%s: scratch allocated at construction (%v) or clone (%v)", tc.model.Name, f.g != nil, c.g != nil)
+		}
+		if err := f.Update(make([]float64, tc.model.ObsDim())); err != nil {
+			t.Fatal(err)
+		}
 		if (f.g == nil) != tc.kernel {
-			t.Errorf("%s: scratch allocated = %v, want %v", tc.model.Name, f.g != nil, !tc.kernel)
+			t.Errorf("%s: scratch allocated after an update = %v, want %v", tc.model.Name, f.g != nil, !tc.kernel)
 		}
 		if tc.kernel {
 			if got := testing.AllocsPerRun(50, func() { MustFilter(tc.model, x0, p0) }); got > 2 {

@@ -91,9 +91,9 @@ func TestBuildAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestKalmanRestoreAllocatesNothing: the borrow a server read ahead of a
-// record makes — snapshot into spare capacity, step the gap, Restore —
-// allocates nothing for the two kernel shapes and for an adaptive filter
+// TestKalmanRestoreAllocatesNothing: a snapshot's round trip — snapshot
+// into spare capacity, step, Restore, the state a resync or a checkpoint
+// restore writes — allocates nothing for the two kernel shapes and for an adaptive filter
 // whose window has wrapped (Restore copies into its ring), and leaves the
 // replica's state bit-identical.
 func TestKalmanRestoreAllocatesNothing(t *testing.T) {
@@ -121,7 +121,7 @@ func TestKalmanRestoreAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: snapshot, StepN and Restore allocate %.0f times, want 0", name, got)
 		}
 		if after := p.AppendSnapshot(nil); !sameBits(after, want) {
-			t.Errorf("%s: state after the borrow %v, before %v", name, after, want)
+			t.Errorf("%s: state after the round trip %v, before %v", name, after, want)
 		}
 	}
 }

@@ -241,13 +241,10 @@ func (e *Engine) ProbValue(id string, component int, confidence float64) (ProbAn
 	}, nil
 }
 
-// history reads the archived answers for ticks [from, to] once the stream
-// has rolled to the engine's tick, which settles every tick before it.
+// history reads the archived answers for ticks [from, to] as of the
+// engine's tick, which settles every tick before it.
 func (e *Engine) history(id string, from, to int64) ([]server.HistoryEntry, error) {
-	if err := e.srv.Roll(id, e.at()); err != nil {
-		return nil, err
-	}
-	return e.srv.HistoryRange(id, from, to)
+	return e.srv.HistoryRange(id, from, to, e.at())
 }
 
 // HistoryAverage answers the mean of a stream component over past ticks

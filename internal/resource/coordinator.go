@@ -188,12 +188,9 @@ func (c *Coordinator) reallocate() error {
 		if err := m.src.SetDelta(newDelta); err != nil {
 			return err
 		}
-		// Roll the replica to the coordinator's tick first, so the ticks
-		// it had not reached yet archive under the δ they were served with.
-		if err := c.srv.Roll(m.src.StreamID(), c.tick-1); err != nil {
-			return err
-		}
-		if err := c.srv.SetDelta(m.src.StreamID(), newDelta); err != nil {
+		// As of the coordinator's tick, so the ticks the record had not
+		// reached yet archive under the δ they were served with.
+		if err := c.srv.SetDelta(m.src.StreamID(), newDelta, c.tick-1); err != nil {
 			return err
 		}
 		c.telDeltaUpdates.Inc()

@@ -79,8 +79,8 @@ func (st *streamState) Registration() wal.RegisterRecord {
 // recovered stream starts unowned and last heard at now: it is exactly as
 // live as the server is, so restarting never declares the whole
 // population stale and blasts resync requests at it. Watchdogs armed per
-// stream (SetWatchdog) are left disarmed: on the tick clock the caller
-// rolls the replicas up to its tick and re-arms them afterwards.
+// stream (SetWatchdog) are left disarmed: the caller re-arms them
+// afterwards, and its answer archives as of its own tick.
 func (s *Server) Recover(log *wal.Log, now int64) (wal.RecoveryStats, error) {
 	var scratch netsim.Message
 	var state wal.State

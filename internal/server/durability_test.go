@@ -116,14 +116,14 @@ func driveWorkload(t *testing.T, s *Server, ids []string, spec predictor.Spec, s
 				m = &netsim.Message{Kind: netsim.KindHeartbeat, StreamID: id, Tick: tick}
 			}
 			if m != nil {
-				if _, _, err := s.Ingest(m, 0); err != nil {
+				if _, _, err := s.Ingest(m, 0, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
 	for _, id := range ids {
-		if err := s.Roll(id, 59); err != nil {
+		if err := stepRecord(s, id, 59); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,19 +182,19 @@ func TestApplyHookFiresForAllAppliedKinds(t *testing.T) {
 		{Kind: netsim.KindHeartbeat, StreamID: "a", Tick: 2},
 		{Kind: netsim.KindResync, StreamID: "a", Tick: 3, Value: resyncValue(t, staticSpec(), 7)},
 	}
-	if err := s.Roll("a", 3); err != nil { // they all land at tick 3
+	if err := stepRecord(s, "a", 3); err != nil { // they all land at tick 3
 		t.Fatal(err)
 	}
 	for _, m := range msgs {
-		if _, _, err := s.Ingest(m, 0); err != nil {
+		if _, _, err := s.Ingest(m, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Neither a failed apply nor a dropped duplicate fires the hook.
-	if _, _, err := s.Ingest(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "nope", Tick: 4}, 0); err == nil {
+	if _, _, err := s.Ingest(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "nope", Tick: 4}, 0, 0); err == nil {
 		t.Fatal("apply to unknown stream succeeded")
 	}
-	if applied, _, err := s.Ingest(msgs[0], 0); err != nil || applied {
+	if applied, _, err := s.Ingest(msgs[0], 0, 0); err != nil || applied {
 		t.Fatalf("duplicate applied %v, err %v", applied, err)
 	}
 	want := []netsim.MessageKind{netsim.KindCorrection, netsim.KindHeartbeat, netsim.KindResync}
@@ -228,7 +228,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ctrl.SetDelta("gamma", 0.25); err != nil {
+	if err := ctrl.SetDelta("gamma", 0.25, -1); err != nil {
 		t.Fatal(err)
 	}
 	driveWorkload(t, ctrl, ids, kalmanSpec(), nil)
@@ -276,7 +276,7 @@ func TestLargestReplicaCheckpoints(t *testing.T) {
 		for i := range z {
 			z[i] = math.Sin(float64(tick+int64(i)) / 5)
 		}
-		if _, _, err := ctrl.Ingest(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "wide", Tick: tick, Value: z}, 0); err != nil {
+		if _, _, err := ctrl.Ingest(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "wide", Tick: tick, Value: z}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,7 +340,7 @@ func TestReplayReproducesControl(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := recovered.Roll(id, info.Tick-1); err != nil {
+		if err := stepRecord(recovered, id, info.Tick-1); err != nil {
 			t.Fatal(err)
 		}
 	}

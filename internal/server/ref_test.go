@@ -45,7 +45,7 @@ func TestIngestRefIsIngest(t *testing.T) {
 		}
 		a := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: tick, Value: []float64{v}}
 		c := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "stale name", Tick: tick, Value: []float64{v}}
-		appA, recA, errA := byID.Ingest(a, int64(n))
+		appA, recA, errA := byID.Ingest(a, 0, int64(n))
 		appC, recC, errC := byRef.IngestRef(refs[i], c, int64(n))
 		if appA != appC || recA != recC || fmt.Sprint(errA) != fmt.Sprint(errC) {
 			t.Fatalf("message %d: Ingest (%v %v %v), IngestRef (%v %v %v)", n, appA, recA, errA, appC, recC, errC)
@@ -69,7 +69,7 @@ func TestIngestRefIsIngest(t *testing.T) {
 			t.Fatalf("%s: %+v, by id %+v", id, got, want)
 		}
 	}
-	if _, _, err := byID.Ingest(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "nope"}, 0); !errors.Is(err, ErrUnknownStream) ||
+	if _, _, err := byID.Ingest(&netsim.Message{Kind: netsim.KindCorrection, StreamID: "nope"}, 0, 0); !errors.Is(err, ErrUnknownStream) ||
 		err.Error() != `server: unknown stream: "nope"` {
 		t.Fatalf("unknown id: %v", err)
 	}

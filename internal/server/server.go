@@ -10,11 +10,13 @@
 // takes. Every operation takes its shard exclusively. A serial caller pays
 // one uncontended lock per operation.
 //
-// Only messages (Ingest) and the tick-clock driver's Roll write a record
-// or its replica; a read writes nothing (view): ahead of the record it
-// predicts from the replica's state vector, stepping x alone on a copy.
-// So the replicas a source and the server hold agree on the source's
-// messages alone, never on who read in between.
+// Only a source's messages (Ingest, and their replay from the log) write
+// a record or its replica, on either clock; a read writes nothing (view):
+// ahead of the record it predicts from the replica's state vector,
+// stepping x alone on a copy, and the answer archive and a δ change take
+// the reader's tick in the same way. So the replicas a source and the
+// server hold agree on the source's messages alone, never on who read in
+// between.
 package server
 
 import (
@@ -80,11 +82,12 @@ type StreamInfo struct {
 	// checkpointed, so after a restart it covers replayed and new records
 	// only while Corrections carries on from the checkpoint.
 	Bytes int64
-	// Suppressed counts the ticks lazy advance (ingest and Roll — never a
-	// read) took the replica through without a correction, Duplicates the
-	// messages the dedupe guard dropped, and StaleEpisodes the times the
-	// watchdog marked the stream stale, all since this process registered
-	// or recovered the stream.
+	// Suppressed counts the ticks before Tick that carried no correction
+	// (those an ingest stepped the replica through, and, for a read ahead
+	// of the record, those it predicts across) — the gate's own count on a
+	// loss-free link — Duplicates the messages the dedupe guard dropped,
+	// and StaleEpisodes the times the watchdog marked the stream stale, all
+	// since this process registered or recovered the stream.
 	Suppressed, Duplicates, StaleEpisodes int64
 	// Staleness is Tick − 1 − LastCorrectionTick.
 	Staleness int64
@@ -95,7 +98,7 @@ type StreamInfo struct {
 	Prediction []float64
 }
 
-// streamState is one stream's record: what every ingest, roll and answer
+// streamState is one stream's record: what every ingest and answer
 // touches comes first, then the registration, watchdog deadlines, owner.
 type streamState struct {
 	// sh is the shard the record lives in, so a Ref reaches its lock
@@ -491,31 +494,6 @@ func (st *streamState) stepTo(tick int64) {
 	}
 }
 
-// Roll moves id's record so that ticks [0, tick] have been stepped (a tick
-// behind it leaves it be), counting the ticks rolled through as
-// suppressed: they carried no correction, or theirs is still in flight.
-// It is the one mover besides a message, and the tick-clock driver's own:
-// before a delivery (to the arrival tick), an archive read or a δ change.
-// No read calls it, and nothing on the deployed path does (make lint).
-func (s *Server) Roll(id string, tick int64) error {
-	sh, st, err := lock(s, id)
-	if err != nil {
-		return err
-	}
-	defer sh.mu.Unlock()
-	if err := checkAdvance(st, tick); err != nil {
-		return err
-	}
-	if steps := tick + 1 - st.tick; steps > 0 {
-		st.stepTo(tick + 1)
-		st.suppressed += steps
-		if sh.tel != nil {
-			sh.tel.suppressed.Add(steps)
-		}
-	}
-	return nil
-}
-
 // view runs read on id's record as of tick, under the shard lock, handing
 // it how many ticks ahead of the record that is: 0 for a negative tick or
 // the record's own (ticks [0, tick] stepped). read writes nothing, so the
@@ -543,7 +521,7 @@ func view[K string | []byte](s *Server, id K, tick int64, read func(st *streamSt
 // Apply, TickStream and Value alias the one ingest, step and serve bodies
 // for the benchmark module alone (make lint). Apply is Ingest at time 0.
 func (s *Server) Apply(m *netsim.Message) error {
-	_, _, err := s.Ingest(m, 0)
+	_, _, err := s.Ingest(m, 0, 0)
 	return err
 }
 
@@ -580,27 +558,28 @@ func checkAdvance(st *streamState, tick int64) error {
 }
 
 // Ingest applies a message, all in one shard-lock hold: the replica is
-// first rolled forward so that ticks [0, m.Tick] have been stepped, and now
-// is noted as the last time the stream was heard — wall-clock
-// nanoseconds, or m.Tick+1 on the tick clock, where the caller Rolls to
-// the arrival tick first so a delayed message lands where it arrived. A
-// message at or before the last applied tick is dropped and counted
-// (applied false): a reconnecting source may replay a tail the server
-// already applied, a link may duplicate or reorder, and applying a
-// correction twice would double-step the replica. recovered reports that
-// the message cleared a stale verdict.
-func (s *Server) Ingest(m *netsim.Message, now int64) (applied, recovered bool, err error) {
+// first rolled forward so that ticks [0, m.Tick] and [0, at) have been
+// stepped, and now is noted as the last time the stream was heard. On the
+// wall clock at is 0 and now is in nanoseconds; on the tick clock at is
+// the arrival tick plus one, so a delayed message lands where it arrived,
+// and now is m.Tick+1. A message at or before the last applied tick is
+// dropped and counted (applied false) and moves nothing: a reconnecting
+// source may replay a tail the server already applied, a link may
+// duplicate or reorder, and applying a correction twice would
+// double-step the replica. recovered reports that the message cleared a
+// stale verdict.
+func (s *Server) Ingest(m *netsim.Message, at, now int64) (applied, recovered bool, err error) {
 	sh, st, err := lock(s, m.StreamID)
 	if err != nil {
 		return false, false, err
 	}
 	defer sh.mu.Unlock()
-	return s.ingestLocked(st, m, now)
+	return s.ingestLocked(st, m, at, now)
 }
 
-// IngestRef is Ingest for the record ref resolves (see Adopt): no hash, no
-// map probe, no key compare. A Ref whose record was dropped is refused
-// with ErrUnknownStream.
+// IngestRef is Ingest on the wall clock (at 0) for the record ref resolves
+// (see Adopt): no hash, no map probe, no key compare. A Ref whose record
+// was dropped is refused with ErrUnknownStream.
 func (s *Server) IngestRef(ref Ref, m *netsim.Message, now int64) (applied, recovered bool, err error) {
 	st := ref.st
 	st.sh.mu.Lock()
@@ -608,15 +587,16 @@ func (s *Server) IngestRef(ref Ref, m *netsim.Message, now int64) (applied, reco
 	if st.dead {
 		return false, false, fmt.Errorf("server: %w: %q was dropped", ErrUnknownStream, st.id)
 	}
-	return s.ingestLocked(st, m, now)
+	return s.ingestLocked(st, m, 0, now)
 }
 
 // ingestLocked is the one ingest body, under the record's shard write
 // lock, however the record was found and on either clock. m.StreamID
 // becomes the record's own id string first — no allocation — so the log,
 // exemplars, trace events and error texts name the stream whichever way
-// the message named it.
-func (s *Server) ingestLocked(st *streamState, m *netsim.Message, now int64) (applied, recovered bool, err error) {
+// the message named it. The bound is checked on the last tick to step
+// before one is added, so the largest m.Tick cannot wrap past it.
+func (s *Server) ingestLocked(st *streamState, m *netsim.Message, at, now int64) (applied, recovered bool, err error) {
 	m.StreamID = st.id
 	sh := st.sh
 	if m.Tick <= st.lastCorr {
@@ -626,11 +606,12 @@ func (s *Server) ingestLocked(st *streamState, m *netsim.Message, now int64) (ap
 		}
 		return false, false, nil
 	}
-	if err := checkAdvance(st, m.Tick); err != nil {
+	last := max(m.Tick, at-1)
+	if err := checkAdvance(st, last); err != nil {
 		return false, false, err
 	}
 	recovered = st.stale
-	if err := s.applyAt(sh, st, max(st.tick, m.Tick+1), m, true); err != nil {
+	if err := s.applyAt(sh, st, max(st.tick, last+1), m, true); err != nil {
 		return false, false, err
 	}
 	if recovered {
@@ -677,7 +658,7 @@ func (s *Server) applyAt(sh *shard, st *streamState, tick int64, m *netsim.Messa
 		st.bytes += int64(m.EncodedSize())
 		st.setLastValue(value)
 		st.lastValueTick = st.tick
-		st.mark()
+		st.mark(st.tick - 1)
 		// Remember the trace ID so later query events can point at the
 		// correction they serve from. Untraced messages still record an
 		// apply event when the journal is on, but leave lastTrace alone: a
@@ -883,9 +864,10 @@ func (s *Server) Delta(id string) (float64, error) {
 }
 
 // SetDelta records a changed precision bound for the stream (paired with
-// a delta-update message to the source); its archive answers with it from
-// the record's tick on.
-func (s *Server) SetDelta(id string, delta float64) error {
+// a delta-update message to the source) as of tick at, the reader's (-1,
+// or any tick the record has passed, means where it stands): its archive
+// answers with it from the tick after at on. The record does not move.
+func (s *Server) SetDelta(id string, delta float64, at int64) error {
 	if delta < 0 {
 		return fmt.Errorf("server: negative delta %g for %s", delta, id)
 	}
@@ -895,7 +877,7 @@ func (s *Server) SetDelta(id string, delta float64) error {
 	}
 	defer sh.mu.Unlock()
 	st.delta = delta
-	st.mark()
+	st.mark(st.asOf(at))
 	return nil
 }
 
@@ -924,6 +906,7 @@ func (s *Server) Info(id string, tick int64) (info StreamInfo, err error) {
 	err = view(s, id, tick, func(st *streamState, ahead int64) error {
 		info = st.info()
 		info.Tick += ahead
+		info.Suppressed += ahead
 		info.Staleness += ahead
 		info.Prediction = st.replica.PredictInto(ahead, make([]float64, st.replica.Dim()))
 		return nil

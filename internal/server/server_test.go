@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -35,16 +36,16 @@ func TestSetDelta(t *testing.T) {
 	if err := s.Register("a", staticSpec(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetDelta("a", 0.25); err != nil {
+	if err := s.SetDelta("a", 0.25, -1); err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := s.Delta("a"); d != 0.25 {
 		t.Fatalf("delta = %v", d)
 	}
-	if err := s.SetDelta("a", -1); err == nil {
+	if err := s.SetDelta("a", -1, -1); err == nil {
 		t.Error("negative delta accepted")
 	}
-	if err := s.SetDelta("nope", 1); err == nil {
+	if err := s.SetDelta("nope", 1, -1); err == nil {
 		t.Error("unknown stream accepted")
 	}
 	if _, err := s.Delta("nope"); err == nil {
@@ -157,7 +158,7 @@ func TestInfosIsInfoForEveryStream(t *testing.T) {
 		}
 		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: id, Tick: int64(i + 2), Value: []float64{1}}
 		for range 2 { // the second is a duplicate
-			if _, _, err := s.Ingest(m, 0); err != nil {
+			if _, _, err := s.Ingest(m, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -165,7 +166,7 @@ func TestInfosIsInfoForEveryStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SetDelta("k", 0.25); err != nil {
+	if err := s.SetDelta("k", 0.25, -1); err != nil {
 		t.Fatal(err)
 	}
 	infos := s.Infos()
@@ -217,7 +218,7 @@ func TestBytesCountedWithCorrections(t *testing.T) {
 		{Kind: netsim.KindCorrection, StreamID: "b", Tick: 0, Value: []float64{1}, Trace: 9, Stamp: 5},
 	}
 	for _, m := range msgs {
-		if _, _, err := s.Ingest(m, 0); err != nil {
+		if _, _, err := s.Ingest(m, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,5 +240,41 @@ func TestBytesCountedWithCorrections(t *testing.T) {
 		if info.Corrections != w[0] || info.Bytes != w[1] {
 			t.Errorf("%s: Info reports %d corrections, %d bytes, want %v", id, info.Corrections, info.Bytes, w)
 		}
+	}
+}
+
+// TestWallClockSuppressedIsTheGatesCount: on the wall clock (at 0) the
+// record counts as suppressed exactly the ticks the gate suppressed, read
+// at the source's tick on every tick — the same rule as the tick clock's
+// (core.TestSuppressedIsTheGatesCount).
+func TestWallClockSuppressedIsTheGatesCount(t *testing.T) {
+	s := New()
+	spec := kalmanSpec()
+	if err := s.Register("s", spec, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	src, err := source.New(source.Config{StreamID: "s", Spec: spec, Delta: 0.5, HeartbeatEvery: 40}, func(m *netsim.Message) {
+		if _, _, err := s.Ingest(m, 0, m.Tick); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := int64(0); tick < 600; tick++ {
+		if _, err := src.Observe(tick, []float64{3 * math.Sin(float64(tick)/40)}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := s.Info("s", tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gate := src.Stats(); info.Suppressed != gate.Suppressed || info.Corrections != gate.Sent {
+			t.Fatalf("tick %d: record counts %d suppressed and %d corrections, the gate %d and %d",
+				tick, info.Suppressed, info.Corrections, gate.Suppressed, gate.Sent)
+		}
+	}
+	if gate := src.Stats(); gate.Sent == 0 || gate.Suppressed == 0 {
+		t.Fatalf("gate %+v: want both decisions taken", gate)
 	}
 }

@@ -63,13 +63,13 @@ func TestConcurrentRegisterApplyQuery(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := s.Roll(id, 0); err != nil {
+				if err := stepRecord(s, id, 0); err != nil {
 					t.Error(err)
 					return
 				}
 				_, _, err := s.Ingest(&netsim.Message{
 					Kind: netsim.KindCorrection, StreamID: id, Tick: 0, Value: []float64{float64(i)},
-				}, 0)
+				}, 0, 0)
 				if err != nil {
 					t.Error(err)
 					return

@@ -89,7 +89,7 @@ func perStream(t *testing.T, spec func(i int) predictor.Spec) (heap, allocs floa
 	m := netsim.Message{Kind: netsim.KindCorrection, Value: []float64{1}}
 	for _, id := range ids {
 		m.StreamID, m.Tick = id, 0
-		if _, _, err := s.Ingest(&m, 0); err != nil {
+		if _, _, err := s.Ingest(&m, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

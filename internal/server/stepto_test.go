@@ -66,7 +66,7 @@ func TestStepToPathsEquivalent(t *testing.T) {
 			hist, histReg := newServer()
 			wd, wdReg := newServer()
 			every, _ := newServer()
-			if err := hist.EnableHistory(id, lastTick+2); err != nil {
+			if err := hist.EnableHistory(id, lastTick+2, -1); err != nil {
 				t.Fatal(err)
 			}
 			if err := wd.SetWatchdog(id, deadline, "owner"); err != nil {
@@ -139,9 +139,9 @@ func TestStepToPathsEquivalent(t *testing.T) {
 						var applied bool
 						var err error
 						if s == wd {
-							applied, _, err = s.Ingest(m, tick+1)
+							applied, _, err = s.Ingest(m, 0, tick+1)
 						} else {
-							applied, _, err = s.Ingest(m, 0)
+							applied, _, err = s.Ingest(m, 0, 0)
 						}
 						if err != nil || !applied {
 							t.Fatalf("tick %d: ingest %v: applied %v, err %v", tick, m.Kind, applied, err)
@@ -222,12 +222,12 @@ func TestStepToPathsEquivalent(t *testing.T) {
 
 			// History saw every settled tick, and each is what a client asking
 			// on that tick was told.
-			n, err := hist.HistoryLen(id)
+			n, err := hist.HistoryLen(id, -1)
 			if err != nil || int64(n) != infos[1].Tick-1 {
 				t.Fatalf("history holds %d ticks (err %v), stream is at tick %d", n, err, infos[1].Tick)
 			}
 			for tick := 0; tick < n; tick++ {
-				e, err := hist.HistoryAt(id, int64(tick))
+				e, err := hist.HistoryAt(id, int64(tick), -1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -35,7 +35,7 @@ func TestReadMovesNoRecord(t *testing.T) {
 				}
 			}
 			m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: c.tick, Value: []float64{c.z}}
-			if _, _, err := s.Ingest(m, 0); err != nil {
+			if _, _, err := s.Ingest(m, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -88,13 +88,13 @@ func TestViewLeavesEveryKindUntouched(t *testing.T) {
 				tick += 1 + int64(rng.Intn(5))
 				m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: tick, Value: []float64{rng.NormFloat64()}}
 				for _, srv := range []*Server{s, twin} {
-					if _, _, err := srv.Ingest(m, 0); err != nil {
+					if _, _, err := srv.Ingest(m, 0, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
 				before, beforeInfo := checkpointStates(t, s), mustInfo(t, s)
 				at := tick + 1 + int64(rng.Intn(30))
-				if err := twin.Roll("s", at); err != nil {
+				if err := stepRecord(twin, "s", at); err != nil {
 					t.Fatal(err)
 				}
 				est, bound, err := s.QueryAt("s", at)
@@ -136,7 +136,7 @@ func TestBehindReadRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: 9, Value: []float64{2}}
-	if _, _, err := s.Ingest(m, 0); err != nil {
+	if _, _, err := s.Ingest(m, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := mustInfo(t, s)
@@ -226,7 +226,7 @@ func TestPoisonedReplicaStillAnswers(t *testing.T) {
 				tick += 1 + int64(rng.Intn(4))
 				m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: tick, Value: []float64{rng.NormFloat64()}}
 				for _, srv := range []*Server{s, control} {
-					if _, _, err := srv.Ingest(m, 0); err != nil {
+					if _, _, err := srv.Ingest(m, 0, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -268,7 +268,7 @@ func TestQueryAheadAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := &netsim.Message{Kind: netsim.KindCorrection, StreamID: "s", Tick: 5, Value: []float64{1.5}}
-		if _, _, err := s.Ingest(m, 0); err != nil {
+		if _, _, err := s.Ingest(m, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]float64, 1)

@@ -21,9 +21,9 @@
 // ticks — the whole point of the protocol — produce no traffic, so the
 // server cannot count ticks from messages alone. Instead every correction
 // and every query carries its tick: a correction advances its replica to
-// its tick lazily, and a query ahead of the replica steps a borrowed copy
-// there and puts it back, so only the source's own messages move it (a
-// query behind it is refused). This is exactly why "caching a procedure"
+// its tick lazily, and a query ahead of the replica predicts there from
+// its state vector and writes nothing, so only the source's own messages
+// move it (a query behind it is refused). This is exactly why "caching a procedure"
 // works across a network: the replica can be stepped deterministically to
 // any tick on demand.
 package wire

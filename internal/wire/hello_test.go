@@ -575,8 +575,9 @@ func TestHelloNegotiation(t *testing.T) {
 // TestQueryDispatchAllocs extends the zero-alloc dispatch guard to
 // queries: a warm binary query allocates nothing — the id's bytes find the
 // record, the estimate lands in the connection's buffer, and a query ahead
-// of the record borrows its replica with no allocation either — and the
-// record stands where its last correction left it after every one of them.
+// of the record predicts from its state vector with no allocation either —
+// and the record stands where its last correction left it after every one
+// of them.
 func TestQueryDispatchAllocs(t *testing.T) {
 	const id = "sensor-0001" // a one-byte id's string would come from the runtime's static table
 	srv := NewServerWith(Options{Metrics: telemetry.New(), Logger: slog.New(slog.DiscardHandler)})

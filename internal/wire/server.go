@@ -525,7 +525,7 @@ func (s *Server) Register(p RegisterPayload) error {
 // reconnecting source may replay a tail the server already applied, and
 // applying a correction twice would double-step the replica.
 func (s *Server) Apply(m *netsim.Message) error {
-	applied, recovered, err := s.srv.Ingest(m, s.clock())
+	applied, recovered, err := s.srv.Ingest(m, 0, s.clock())
 	return s.ingested(m, 0, applied, recovered, err)
 }
 
